@@ -26,9 +26,9 @@ from typing import Any
 
 import numpy as np
 
-from .complexity import c0_max, c1_max
+from .complexity import c0_max, c1_max, eval_at, eval_each
 from .expand import expand
-from .indexing import bitstring, mask_of
+from .indexing import agreement_blocks, bit_column, input_array, mask_of
 from .model import BooleanFunction, LearningGraph
 from .rules import PatchRule
 
@@ -82,67 +82,74 @@ def build_witness(
     if len(domain) > cap:
         raise AdversaryError(f"domain size {len(domain)} exceeds cap {cap}")
     ge = expand(g)
+    if ge.has_super():
+        raise AdversaryError("expansion left a super edge behind")
     row = {z: i for i, z in enumerate(domain)}
     m = len(domain)
-    mats: dict[int, np.ndarray] = {}
-    values = f.values
+    zs = input_array(domain, ge.n_bits)
+    xs = input_array(f.negatives(), ge.n_bits)
+    x_rows = np.array([row[x] for x in f.negatives()], dtype=np.int64)
     flows = {y: ge.flow_for(y) for y in f.positives()}
     for y, fl in flows.items():
         if fl is None:
             raise AdversaryError(f"no flow recorded for positive input {y}")
+    # positive side: flow over root side-1 weight, where the flow is nonzero
+    at: dict[int, tuple[list[int], list[float]]] = {}  # edge -> (rows, flows)
+    for y, fl in flows.items():
+        for ei, p in fl.items():
+            if p != 0.0 and 0 <= ei < len(ge.edges) and ge.edges[ei].kind == "ordinary":
+                rows, ps = at.setdefault(ei, ([], []))
+                rows.append(row[y])
+                ps.append(p)
+    pos_edges = sorted(at)
+    pos_rows = [np.array(at[ei][0], dtype=np.int64) for ei in pos_edges]
+    w1s = eval_at([ge.edges[ei].w1 for ei in pos_edges], [zs[r] for r in pos_rows])
+    positive: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for ei, rows, w in zip(pos_edges, pos_rows, w1s):
+        if (w <= 0.0).any():
+            z = min(zs[rows][w <= 0.0].tolist())
+            raise AdversaryError(f"flow on zero side-1 weight, edge {ei} input {z}")
+        positive[ei] = (rows, np.array(at[ei][1]) / np.sqrt(w))
+    target = math.sqrt(c0_max(g, f) * c1_max(g, f))
+
+    mats: dict[int, np.ndarray] = {}
     blocks = 0
-    for ei, e in enumerate(ge.edges):
-        if e.kind != "ordinary":
-            if e.kind == "super":
-                raise AdversaryError("expansion left a super edge behind")
-            continue
+    no_rows = np.zeros(0, dtype=np.int64)
+    ordinary = [(ei, e) for ei, e in enumerate(ge.edges) if e.kind == "ordinary"]
+    for (ei, e), w0 in zip(ordinary, eval_each([e.w0 for _, e in ordinary], xs)):
         j = e.load
-        src_mask = mask_of(ge.label(e.src))
-        groups: dict[int, list[int]] = {}
-        for z in domain:
-            groups.setdefault(z & src_mask, []).append(z)
         mat = mats.get(j)
         if mat is None:
             mat = mats[j] = np.zeros((m, m))
-        for alpha, members in groups.items():
-            psi0_idx: list[int] = []
-            psi0_val: list[float] = []
-            psi1_idx: list[int] = []
-            psi1_val: list[float] = []
-            for z in members:
-                zj = (z >> j) & 1
-                if values[z]:
-                    p = flows[z].get(ei, 0.0)
-                    if p == 0.0:
-                        continue
-                    w = e.w1(z)
-                    if w <= 0.0:
-                        raise AdversaryError(
-                            f"flow on zero side-1 weight, edge {ei} input {z}"
-                        )
-                    # positives land on the side opposite their loaded bit
-                    (psi0_idx if zj == 1 else psi1_idx).append(row[z])
-                    (psi0_val if zj == 1 else psi1_val).append(p / math.sqrt(w))
-                else:
-                    w = e.w0(z)
-                    if w == 0.0:
-                        continue
-                    (psi0_idx if zj == 0 else psi1_idx).append(row[z])
-                    (psi0_val if zj == 0 else psi1_val).append(math.sqrt(w))
-            for idx, val in ((psi0_idx, psi0_val), (psi1_idx, psi1_val)):
-                if not idx:
-                    continue
-                blocks += 1
-                v = np.asarray(val)
-                mat[np.ix_(idx, idx)] += np.outer(v, v)
-    c0 = c0_max(g, f)
-    c1 = c1_max(g, f)
+        keep = w0 != 0.0
+        prow, pval = positive.get(ei, (no_rows, np.zeros(0)))
+        rows = np.concatenate((x_rows[keep], prow))
+        if not len(rows):
+            continue
+        vals = np.concatenate((np.sqrt(w0[keep]), pval))
+        z = zs[rows]
+        # negatives go to side 0 on loaded bit 0, positives on loaded bit 1
+        is_pos = np.repeat(
+            np.array([0, 1], dtype=np.int64), [len(rows) - len(prow), len(prow)]
+        )
+        order, bounds = agreement_blocks(
+            z & mask_of(ge.label(e.src)), bit_column(z, j) ^ is_pos
+        )
+        rows = rows[order]
+        vals = vals[order]
+        # each entry of mat gets at most one term per edge, so the block
+        # order within an edge does not change the sums
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            idx = rows[lo:hi]
+            v = vals[lo:hi]
+            mat[np.ix_(idx, idx)] += np.outer(v, v)
+        blocks += len(bounds) - 1
     return Witness(
         n_bits=g.n_bits,
         domain=domain,
         row=row,
         matrices=mats,
-        target=math.sqrt(c0 * c1),
+        target=target,
         blocks=blocks,
     )
 

@@ -8,16 +8,26 @@ flow squared times the inner positive cost over the host weight on side 1.
 
 ``complexity`` aggregates both over a function's domain and reports per-stage
 breakdowns when the graph carries stage metadata.
+
+``edge_c0``/``graph_c0`` and ``edge_c1``/``graph_c1`` price one input at a
+time and are the reference.  ``side0_rows`` and ``side1_terms`` price a whole
+set of inputs column-wise, evaluating each rule object once per call, and are
+what ``complexity``, ``c0_max``/``c1_max``, validation and the witness use.
+Per-input totals are ``math.fsum`` over the same values, so both routes give
+the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, NoReturn, Sequence
 
-from .indexing import bitstring
+import numpy as np
+
+from .indexing import bitstring, input_array
 from .model import BooleanFunction, Edge, LearningGraph, StageInfo
+from .rules import Rule
 
 
 class ComplexityError(ValueError):
@@ -71,14 +81,136 @@ def graph_c1(g: LearningGraph, y: int, flow: dict[int, float] | None = None) -> 
     return math.fsum(edge_c1(g, g.edges[i], p, y) for i, p in flow.items())
 
 
+def column_fsums(rows: np.ndarray) -> list[float]:
+    """Exactly rounded sum of each column, independent of the row order."""
+    # one column at a time keeps few Python floats alive at once
+    return [math.fsum(col.tolist()) for col in rows.T]
+
+
+def eval_each(rules: Sequence[Rule], zs: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield each rule's weights over ``zs`` in turn.  A rule object met
+    again is evaluated once and its weights kept only until its last use."""
+    last = {id(r): k for k, r in enumerate(rules)}
+    kept: dict[int, np.ndarray] = {}
+    for k, r in enumerate(rules):
+        w = kept.pop(id(r), None)
+        if w is None:
+            w = r.eval(zs)
+        if last[id(r)] > k:
+            kept[id(r)] = w
+        yield w
+
+
+def eval_at(rules: Sequence[Rule], zs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``rules[k].eval(zs[k])`` for every k, one call per distinct rule object
+    on the concatenation of its inputs."""
+    groups: dict[int, list[int]] = {}
+    for k, r in enumerate(rules):
+        groups.setdefault(id(r), []).append(k)
+    out: list[np.ndarray] = [np.empty(0)] * len(rules)
+    for ks in groups.values():
+        if len(ks) == 1:
+            out[ks[0]] = rules[ks[0]].eval(zs[ks[0]])
+            continue
+        values = rules[ks[0]].eval(np.concatenate([zs[k] for k in ks]))
+        cuts = np.cumsum([len(zs[k]) for k in ks[:-1]])
+        for k, v in zip(ks, np.split(values, cuts)):
+            out[k] = v
+    return out
+
+
+def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
+    """``edge_c0`` of every edge at every input of ``zs`` (see
+    :func:`lgkit.indexing.input_array`), one row per edge.
+
+    A super edge's row is its host weight times the inner graph's total, and
+    0 where the host weight is 0.
+    """
+    rows = np.zeros((len(g.edges), len(zs)))
+    live = [i for i, e in enumerate(g.edges) if e.kind != "empty"]
+    totals: dict[int, np.ndarray] = {}  # id(inner graph) -> its column sums
+    for i, host in zip(live, eval_each([g.edges[i].w0 for i in live], zs)):
+        gadget = g.edges[i].gadget
+        if gadget is None:
+            rows[i] = host
+            continue
+        inner = totals.get(id(gadget.inner))
+        if inner is None:
+            inner = totals[id(gadget.inner)] = np.array(
+                column_fsums(side0_rows(gadget.inner, zs))
+            )
+        rows[i] = np.where(host == 0.0, 0.0, host * inner)
+    return rows
+
+
+def side1_terms(g: LearningGraph, ys: Sequence[int]) -> list[dict[int, float]]:
+    """``edge_c1`` of every edge with nonzero flow, per input of ``ys``: one
+    ``{edge index: contribution}`` map per input.
+
+    ``w1`` is evaluated only where flow is.  Raises what ``graph_c1`` raises,
+    for the same input.
+    """
+    at: dict[int, tuple[list[int], list[float]]] = {}  # edge -> (input numbers, flows)
+    for k, y in enumerate(ys):
+        flow = g.flow_for(y)
+        if flow is None:
+            _raise_first_error(g, ys)
+        for i, p in flow.items():
+            if p != 0.0:
+                ks, ps = at.setdefault(i, ([], []))
+                ks.append(k)
+                ps.append(p)
+    for i, (_, ps) in at.items():
+        if (
+            not -len(g.edges) <= i < len(g.edges)  # g.edges[i] as in graph_c1
+            or g.edges[i].kind == "empty"
+            or any(p < 0.0 for p in ps)
+        ):
+            _raise_first_error(g, ys)
+    yarr = input_array(ys, g.n_bits)
+    edges = list(at)
+    weights = eval_at(
+        [g.edges[i].w1 for i in edges], [yarr[at[i][0]] for i in edges]
+    )
+    terms: list[dict[int, float]] = [{} for _ in ys]
+    for i, w in zip(edges, weights):
+        ks, ps = at[i]
+        if (w == 0.0).any():
+            _raise_first_error(g, ys)
+        p = np.array(ps)
+        gadget = g.edges[i].gadget
+        if gadget is None:
+            values = p * p / w
+        else:
+            try:
+                inner = side1_totals(gadget.inner, [ys[k] for k in ks])
+            except ComplexityError:
+                _raise_first_error(g, ys)
+            values = p * p * np.array(inner) / w
+        for k, v in zip(ks, values.tolist()):
+            terms[k][i] = v
+    return terms
+
+
+def _raise_first_error(g: LearningGraph, ys: Sequence[int]) -> NoReturn:
+    # the scalar reference names the same input and edge as it always has
+    for y in ys:
+        graph_c1(g, y)
+    raise ComplexityError("column-wise and scalar side-1 checks disagree")
+
+
+def side1_totals(g: LearningGraph, ys: Sequence[int]) -> list[float]:
+    """``graph_c1`` at every input of ``ys``."""
+    return [math.fsum(t.values()) for t in side1_terms(g, ys)]
+
+
 def c0_max(g: LearningGraph, f: BooleanFunction) -> float:
-    xs = f.negatives()
-    return max((graph_c0(g, x) for x in xs), default=0.0)
+    xs = input_array(f.negatives(), g.n_bits)
+    return max(column_fsums(side0_rows(g, xs)), default=0.0)
 
 
 def c1_max(g: LearningGraph, f: BooleanFunction) -> float:
-    ys = f.positives()
-    return max((graph_c1(g, y) for y in ys), default=0.0)
+    return max(side1_totals(g, f.positives()), default=0.0)
 
 
 def _cost_entry(
@@ -157,8 +289,12 @@ def complexity(
     if stages is None:
         stages = g.stages or ()
     stage_list = list(stages)
-    per0 = {x: graph_c0(g, x) for x in f.negatives()}
-    per1 = {y: graph_c1(g, y) for y in f.positives()}
+    xs = f.negatives()
+    ys = f.positives()
+    rows0 = side0_rows(g, input_array(xs, g.n_bits))
+    terms1 = side1_terms(g, ys)
+    per0 = dict(zip(xs, column_fsums(rows0)))
+    per1 = {y: math.fsum(t.values()) for y, t in zip(ys, terms1)}
     report = ComplexityReport(
         c0=max(per0.values(), default=0.0),
         c1=max(per1.values(), default=0.0),
@@ -169,39 +305,21 @@ def complexity(
     for st in stage_list:
         edge_ids = set(st.edges)
         factors = dict(st.rebalance or {})
-        stage_per0: dict[int, float] = {}
-        stage_per1: dict[int, float] = {}
-        raw0 = 0.0 if factors else None
-        raw1 = 0.0 if factors else None
-        for x in f.negatives():
-            parts = [(i, edge_c0(g, g.edges[i], x)) for i in st.edges]
-            stage_per0[x] = math.fsum(v for _, v in parts)
-            if factors:
-                # side-0 contributions were multiplied by the factor
-                raw0 = max(
-                    raw0,
-                    math.fsum(
-                        v / factors[i] if factors.get(i) else v for i, v in parts
-                    ),
-                )
-        for y in f.positives():
-            flow = g.flow_for(y)
-            if flow is None:
-                raise MissingFlowError(f"no flow recorded for input {y}")
-            parts = [
-                (i, edge_c1(g, g.edges[i], p, y))
-                for i, p in flow.items()
-                if i in edge_ids
+        rows = rows0[list(st.edges)]
+        parts1 = [{i: v for i, v in t.items() if i in edge_ids} for t in terms1]
+        stage_per0 = dict(zip(xs, column_fsums(rows)))
+        stage_per1 = {y: math.fsum(t.values()) for y, t in zip(ys, parts1)}
+        raw0 = raw1 = None
+        if factors:
+            # side-0 contributions were multiplied by the factor, side-1
+            # contributions divided by it
+            divisors = np.array([factors.get(i) or 1.0 for i in st.edges])
+            raw0 = max([0.0, *column_fsums(rows / divisors[:, None])])
+            sums1 = [
+                math.fsum(v * (factors.get(i) or 1.0) for i, v in t.items())
+                for t in parts1
             ]
-            stage_per1[y] = math.fsum(v for _, v in parts)
-            if factors:
-                # side-1 contributions were divided by the factor
-                raw1 = max(
-                    raw1,
-                    math.fsum(
-                        v * factors[i] if factors.get(i) else v for i, v in parts
-                    ),
-                )
+            raw1 = max([0.0, *sums1])
         report.stages.append(
             StageCost(
                 st.name,

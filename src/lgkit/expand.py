@@ -76,6 +76,16 @@ def expand(g: LearningGraph) -> LearningGraph:
             StageInfo(
                 s.name,
                 tuple(new for ei in s.edges for new, _ in parts[ei].new_edges),
+                rebalance=(
+                    None
+                    if s.rebalance is None
+                    else {
+                        new: factor
+                        for ei, factor in s.rebalance.items()
+                        if ei in parts
+                        for new, _ in parts[ei].new_edges
+                    }
+                ),
                 note=s.note,
             )
             for s in g.stages

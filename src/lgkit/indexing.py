@@ -11,6 +11,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
@@ -59,6 +61,39 @@ def unpack_bits(bits: Sequence[int], indices: Sequence[int]) -> int:
         if b:
             z |= 1 << i
     return z
+
+
+def input_array(zs: Iterable[int], n_bits: int) -> np.ndarray:
+    """``n_bits``-bit inputs for :meth:`Rule.eval`: int64 when inputs and
+    position masks fit in it, else Python ints (dtype object)."""
+    zs = list(zs)
+    if n_bits < 64:
+        try:
+            return np.array(zs, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.array(zs, dtype=object)
+
+
+def bit_column(zs: np.ndarray, i: int) -> np.ndarray:
+    """Bit ``i`` of every input, as int64."""
+    return ((zs >> i) & 1).astype(np.int64, copy=False)
+
+
+def agreement_blocks(
+    keys: np.ndarray, side: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """Group inputs by (key, side) with a stable sort.
+
+    Returns the sorting order and the block bounds in it: block ``b`` is
+    ``order[bounds[b]:bounds[b + 1]]``, its members in their original order.
+    ``keys`` must not be empty.
+    """
+    order = np.lexsort((side, keys))
+    k = keys[order]
+    s = side[order]
+    changes = (k[1:] != k[:-1]) | (s[1:] != s[:-1])
+    return order, [0, *(np.flatnonzero(changes) + 1).tolist(), len(keys)]
 
 
 def bitstring(z: int, n: int) -> str:

@@ -5,6 +5,15 @@ record their *support*, the set of input positions they are allowed to read;
 structural validation checks that an edge's rules read only positions loaded at
 the edge's head.  Rules are immutable and compare by value, which the
 composition code relies on when collapsing identical inner structures.
+Weights are finite: constructors reject NaN and infinities.
+
+A rule is evaluated either at one input (``rule(z)``, the scalar reference)
+or column-wise at an array of inputs (``rule.eval(zs)``).  ``eval`` performs
+the same IEEE operations in the same order as the scalar call, so both give
+the same bits.  The cost, validation and witness code evaluate column-wise,
+one array per edge, and sum per input with ``math.fsum``, which is exactly
+rounded and so independent of the order of the edges: exact identities (a
+dense load of k positions costs k^2) hold with ``==``.
 
 JSON forms use 1-based indices, matching the on-disk graph format.
 """
@@ -13,13 +22,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from functools import cached_property
+from typing import Any, ClassVar, Sequence
 
-from .indexing import assignment_key, pack_bits, parse_assignment_key
+import numpy as np
+
+from .indexing import assignment_key, bit_column, pack_bits, parse_assignment_key
 
 
 class RuleError(ValueError):
     pass
+
+
+def _pack(zs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
+    """Bits ``indices`` of every input, packed into an index: bit ``k`` of
+    the index is bit ``indices[k]`` of the input."""
+    idx = np.zeros(len(zs), dtype=np.int64)
+    for k, i in enumerate(indices):
+        idx |= bit_column(zs, i) << k
+    return idx
+
+
+def _packed_key(bits: Sequence[int]) -> int:
+    """Index :func:`_pack` gives an input with these bits; -1 (no input)
+    when a bit is neither 0 nor 1."""
+    if any(b not in (0, 1) for b in bits):
+        return -1
+    return sum(b << k for k, b in enumerate(bits))
+
+
+def _check_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise RuleError(f"non-finite {what} {value}")
 
 
 @dataclass(frozen=True)
@@ -33,15 +67,20 @@ class Rule:
     def __call__(self, z: int) -> float:
         raise NotImplementedError
 
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        """Weights at every input of ``zs`` as float64, bit for bit equal to
+        calling the rule at each input (see :func:`lgkit.indexing.input_array`)."""
+        raise NotImplementedError
+
     def to_json(self) -> dict[str, Any]:
         raise NotImplementedError
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "Rule":
-        try:
-            cls = RULE_TYPES[obj["rule"]]
-        except KeyError:
-            raise RuleError(f"unknown rule kind {obj.get('rule')!r}") from None
+        kind = obj["rule"]
+        cls = RULE_TYPES.get(kind)
+        if cls is None:
+            raise RuleError(f"unknown rule kind {kind!r}")
         return cls._parse(obj)
 
 
@@ -51,6 +90,7 @@ class ConstRule(Rule):
     kind: ClassVar[str] = "const"
 
     def __post_init__(self) -> None:
+        _check_finite(self.value, "constant weight")
         if self.value < 0:
             raise RuleError(f"negative constant weight {self.value}")
 
@@ -60,6 +100,9 @@ class ConstRule(Rule):
 
     def __call__(self, z: int) -> float:
         return self.value
+
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        return np.full(len(zs), self.value, dtype=np.float64)
 
     def to_json(self) -> dict[str, Any]:
         return {"rule": "const", "value": self.value}
@@ -91,11 +134,13 @@ class TableRule(Rule):
             raise RuleError("table indices must be sorted")
         if len(set(self.indices)) != len(self.indices):
             raise RuleError("duplicate table index")
+        _check_finite(self.default, "default weight")
         if self.default < 0:
             raise RuleError("negative default weight")
         for bits, v in self.table.items():
             if len(bits) != len(self.indices):
                 raise RuleError("table row arity mismatch")
+            _check_finite(v, "table weight")
             if v < 0:
                 raise RuleError(f"negative table weight {v}")
 
@@ -105,6 +150,19 @@ class TableRule(Rule):
 
     def __call__(self, z: int) -> float:
         return self.table.get(pack_bits(z, self.indices), self.default)
+
+    @cached_property
+    def _lookup(self) -> np.ndarray:
+        """Weight per packed index: 2^len(indices) entries."""
+        lut = np.full(1 << len(self.indices), self.default, dtype=np.float64)
+        for bits, v in self.table.items():
+            key = _packed_key(bits)
+            if key >= 0:
+                lut[key] = v
+        return lut
+
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        return self._lookup[_pack(zs, self.indices)]
 
     def to_json(self) -> dict[str, Any]:
         rows = {
@@ -148,6 +206,9 @@ class DenseLoadRule(Rule):
     def __call__(self, z: int) -> float:
         return float(self.size)
 
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        return np.full(len(zs), float(self.size))
+
     def to_json(self) -> dict[str, Any]:
         return {"rule": "dense-load", "size": self.size}
 
@@ -189,6 +250,15 @@ class SparseLoadRule(Rule):
             return (ones + 1) * scale
         return n * scale
 
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        n = len(self.path)
+        scale = 3.0 * math.log(n + 1)
+        ones = np.zeros(len(zs), dtype=np.int64)
+        for i in self.path[: self.pos - 1]:
+            ones += bit_column(zs, i)
+        cheap = bit_column(zs, self.path[self.pos - 1]) == self.side
+        return np.where(cheap, (ones + 1) * scale, n * scale)
+
     def to_json(self) -> dict[str, Any]:
         return {
             "rule": "sparse-load",
@@ -213,6 +283,7 @@ class ScaleRule(Rule):
     kind: ClassVar[str] = "scale"
 
     def __post_init__(self) -> None:
+        _check_finite(self.factor, "scale factor")
         if self.factor < 0:
             raise RuleError(f"negative scale factor {self.factor}")
 
@@ -222,6 +293,9 @@ class ScaleRule(Rule):
 
     def __call__(self, z: int) -> float:
         return self.factor * self.inner(z)
+
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        return self.factor * self.inner.eval(zs)
 
     def to_json(self) -> dict[str, Any]:
         return {"rule": "scale", "factor": self.factor, "inner": self.inner.to_json()}
@@ -245,6 +319,9 @@ class ProductRule(Rule):
 
     def __call__(self, z: int) -> float:
         return self.left(z) * self.right(z)
+
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        return self.left.eval(zs) * self.right.eval(zs)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -290,6 +367,14 @@ class CandidatePairRule(Rule):
                 return 0.0
         return 1.0
 
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        fires = np.ones(len(zs), dtype=bool)
+        for i in self.required:
+            fires &= bit_column(zs, i) == 1
+        for a, b in self.blocked:
+            fires &= (bit_column(zs, a) & bit_column(zs, b)) == 0
+        return fires.astype(np.float64)
+
     def to_json(self) -> dict[str, Any]:
         return {
             "rule": "candidate-pair",
@@ -322,6 +407,7 @@ class PatchRule(Rule):
     def __post_init__(self) -> None:
         if len(self.indices) != len(self.bits):
             raise RuleError("patch arity mismatch")
+        _check_finite(self.factor, "patch factor")
         if self.factor < 0:
             raise RuleError("negative patch factor")
 
@@ -334,6 +420,11 @@ class PatchRule(Rule):
         if pack_bits(z, self.indices) == self.bits:
             return self.factor * w
         return w
+
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        w = self.inner.eval(zs)
+        hit = _pack(zs, self.indices) == _packed_key(self.bits)
+        return np.where(hit, self.factor * w, w)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -379,6 +470,24 @@ class DispatchRule(Rule):
     def __call__(self, z: int) -> float:
         rule = self.cases.get(pack_bits(z, self.indices), self.default)
         return rule(z)
+
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, list[Rule]]:
+        """Rule number per packed index (2^len(indices) entries), and the
+        rules: the cases, then the default."""
+        rules = list(self.cases.values())
+        lut = np.full(1 << len(self.indices), len(rules), dtype=np.int64)
+        for k, bits in enumerate(self.cases):
+            key = _packed_key(bits)
+            if key >= 0:
+                lut[key] = k
+        return lut, rules + [self.default]
+
+    def eval(self, zs: np.ndarray) -> np.ndarray:
+        lut, rules = self._lookup
+        which = lut[_pack(zs, self.indices)]
+        values = np.stack([rule.eval(zs) for rule in rules])
+        return values[which, np.arange(len(zs))]
 
     def to_json(self) -> dict[str, Any]:
         rows = {

@@ -20,7 +20,8 @@ Layout:
 from __future__ import annotations
 
 import json
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from .indexing import bitstring, parse_bitstring
 from .model import (
@@ -95,55 +96,84 @@ def dump_graph(g: LearningGraph) -> dict[str, Any]:
     return out
 
 
-def build_graph(obj: dict[str, Any]) -> LearningGraph:
+class FormatError(ValueError):
+    """A JSON object lacks a key or holds a value of the wrong type."""
+
+
+@contextmanager
+def _at(path: str) -> Iterator[None]:
+    """Report a missing key or a mistyped value as a FormatError at ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _rule(rec: dict[str, Any], key: str, path: str) -> Rule:
+    spec = rec[key]
+    with _at(f"{path}.{key}"):
+        return Rule.from_json(spec)
+
+
+def build_graph(obj: dict[str, Any], _path: str = "$") -> LearningGraph:
     """Materialize a graph from its JSON object form.
 
-    Raises on dangling vertex references and on negative weights; everything
-    else is left to :func:`lgkit.validate.validate`.
+    Raises a ValueError on a missing key or a mistyped value (naming its
+    JSON path), on dangling vertex references and on negative or non-finite
+    weights; everything else is left to :func:`lgkit.validate.validate`.
     """
-    n = int(obj["n"])
-    b = GraphBuilder(n, root=obj["root"])
-    for v in obj["vertices"]:
-        b.add_vertex(v["id"], tuple(int(i) - 1 for i in v["label"]))
-    for rec in obj["edges"]:
-        loads = rec["loads"]
-        w0 = Rule.from_json(rec["w0"])
-        w1 = Rule.from_json(rec["w1"])
-        if isinstance(loads, dict):
-            sup = loads["super"]
-            inner = build_graph(sup["graph"])
-            gadget = SuperEdge(inner, c1_max=sup.get("c1_max"))
-            b.add_super(rec["from"], rec["to"], gadget, w0, w1)
-        elif loads:
-            (pos,) = loads
-            b.add_ordinary(rec["from"], rec["to"], int(pos) - 1, w0, w1)
-        else:
-            b.add_empty(rec["from"], rec["to"])
-    const_flow = None
-    flows: dict[int, dict[int, float]] | None = None
-    for key, fl in obj.get("flows", {}).items():
-        if key == "*":
-            const_flow = _parse_flow(fl)
-        else:
-            if flows is None:
-                flows = {}
-            flows[parse_bitstring(key)] = _parse_flow(fl)
-    stages = None
-    if "stages" in obj:
-        stages = [
-            StageInfo(
-                s["name"],
-                tuple(int(i) for i in s["edges"]),
-                rebalance=(
-                    {int(i): float(v) for i, v in s["rebalance"].items()}
-                    if "rebalance" in s
-                    else None
-                ),
-                note=s.get("note", ""),
-            )
-            for s in obj["stages"]
-        ]
-    return b.graph(flows=flows, const_flow=const_flow, stages=stages)
+    with _at(_path):
+        n = int(obj["n"])
+        b = GraphBuilder(n, root=obj["root"])
+        for k, v in enumerate(obj["vertices"]):
+            with _at(f"{_path}.vertices[{k}]"):
+                b.add_vertex(v["id"], tuple(int(i) - 1 for i in v["label"]))
+        for k, rec in enumerate(obj["edges"]):
+            where = f"{_path}.edges[{k}]"
+            with _at(where):
+                loads = rec["loads"]
+                w0 = _rule(rec, "w0", where)
+                w1 = _rule(rec, "w1", where)
+                if isinstance(loads, dict):
+                    sup = loads["super"]
+                    inner = build_graph(sup["graph"], f"{where}.loads.super.graph")
+                    gadget = SuperEdge(inner, c1_max=sup.get("c1_max"))
+                    b.add_super(rec["from"], rec["to"], gadget, w0, w1)
+                elif loads:
+                    (pos,) = loads
+                    b.add_ordinary(rec["from"], rec["to"], int(pos) - 1, w0, w1)
+                else:
+                    b.add_empty(rec["from"], rec["to"])
+        const_flow = None
+        flows: dict[int, dict[int, float]] | None = None
+        for key, fl in obj.get("flows", {}).items():
+            with _at(f"{_path}.flows[{key!r}]"):
+                if key == "*":
+                    const_flow = _parse_flow(fl)
+                else:
+                    if flows is None:
+                        flows = {}
+                    flows[parse_bitstring(key)] = _parse_flow(fl)
+        stages = None
+        if "stages" in obj:
+            stages = []
+            for k, st in enumerate(obj["stages"]):
+                with _at(f"{_path}.stages[{k}]"):
+                    stages.append(
+                        StageInfo(
+                            st["name"],
+                            tuple(int(i) for i in st["edges"]),
+                            rebalance=(
+                                {int(i): float(v) for i, v in st["rebalance"].items()}
+                                if "rebalance" in st
+                                else None
+                            ),
+                            note=st.get("note", ""),
+                        )
+                    )
+        return b.graph(flows=flows, const_flow=const_flow, stages=stages)
 
 
 def dump_function(f: BooleanFunction) -> dict[str, Any]:
@@ -160,15 +190,16 @@ def dump_function(f: BooleanFunction) -> dict[str, Any]:
 
 
 def build_function(obj: dict[str, Any]) -> BooleanFunction:
-    n = int(obj["n"])
-    values = {parse_bitstring(k): int(v) for k, v in obj["values"].items()}
-    certs = None
-    if "certs" in obj:
-        certs = {
-            parse_bitstring(k): tuple(sorted(int(i) - 1 for i in c))
-            for k, c in obj["certs"].items()
-        }
-    return BooleanFunction(n, values, certs)
+    with _at("$"):
+        n = int(obj["n"])
+        values = {parse_bitstring(k): int(v) for k, v in obj["values"].items()}
+        certs = None
+        if "certs" in obj:
+            certs = {
+                parse_bitstring(k): tuple(sorted(int(i) - 1 for i in c))
+                for k, c in obj["certs"].items()
+            }
+        return BooleanFunction(n, values, certs)
 
 
 def write_json(path: str, obj: Any) -> None:

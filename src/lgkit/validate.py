@@ -13,11 +13,15 @@ Nothing raises on a finding; everything lands in the report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
+from .complexity import eval_at, eval_each
 from .expand import expand
-from .indexing import bitstring, mask_of
+from .indexing import agreement_blocks, bit_column, bitstring, input_array, mask_of
 from .model import BooleanFunction, LearningGraph, ModelError, topological_order
 from .rules import ConstRule, ProductRule, Rule, ScaleRule, SparseLoadRule
 
@@ -156,34 +160,54 @@ def _semantic_linking(
     report: ValidationReport,
     rtol: float,
 ) -> None:
+    """Per ordinary edge loading bit j, and per block of inputs that agree on
+    the tail label: w0 on the negatives with bit j = c and w1 on the
+    positives with bit j != c must all be equal (within ``rtol``).
+
+    Blocks are found by a stable sort on (tail assignment, c); each block's
+    min, max and sizes come from ``reduceat``.
+    """
     xs = f.negatives()
     ys = f.positives()
-    for i, e in enumerate(g.edges):
-        if e.kind != "ordinary":
-            continue
+    if not xs or not ys:
+        return
+    # negatives first, so a block's first member is its first negative
+    zs = input_array(xs + ys, g.n_bits)
+    positive = np.repeat(np.array([0, 1], dtype=np.int64), [len(xs), len(ys)])
+    ordinary = [(i, e) for i, e in enumerate(g.edges) if e.kind == "ordinary"]
+    weights = eval_each([w for _, e in ordinary for w in (e.w0, e.w1)], zs)
+    for (i, e), w0, w1 in zip(ordinary, weights, weights):
         j = e.load
-        src_mask = mask_of(g.label(e.src))
-        groups: dict[int, tuple[list[int], list[int]]] = {}
-        for x in xs:
-            groups.setdefault(x & src_mask, ([], []))[0].append(x)
-        for y in ys:
-            groups.setdefault(y & src_mask, ([], []))[1].append(y)
-        for alpha, (gx, gy) in groups.items():
-            for c in (0, 1):
-                vals0 = [e.w0(x) for x in gx if (x >> j) & 1 == c]
-                vals1 = [e.w1(y) for y in gy if (y >> j) & 1 != c]
-                if not vals0 or not vals1:
-                    continue
-                report.count("linking-pairs", len(vals0) * len(vals1))
-                lo = min(min(vals0), min(vals1))
-                hi = max(max(vals0), max(vals1))
-                if hi - lo > rtol * max(1.0, abs(hi)):
-                    report.add(
-                        "linking",
-                        f"edge[{i}] {e.src}->{e.dst}",
-                        f"w0={vals0[0]:.12g} vs w1={vals1[0]:.12g} on the "
-                        f"block {bitstring(alpha, g.n_bits)} (bit {j + 1}={c})",
-                    )
+        alpha = zs & mask_of(g.label(e.src))
+        side = bit_column(zs, j) ^ positive  # the c of the block an input joins
+        order, bounds = agreement_blocks(alpha, side)
+        starts = bounds[:-1]
+        n_pos = np.add.reduceat(positive[order], starts)
+        n_neg = np.diff(bounds) - n_pos
+        checked = (n_neg > 0) & (n_pos > 0)
+        if not checked.any():
+            continue
+        report.count("linking-pairs", int((n_neg * n_pos).sum()))
+        vals = np.where(positive, w1, w0)[order]
+        lo = np.minimum.reduceat(vals, starts)
+        hi = np.maximum.reduceat(vals, starts)
+        # negated so that a NaN counts as a violation
+        bad = checked & ~(hi - lo <= rtol * np.maximum(1.0, np.abs(hi)))
+        head = order[starts]  # first member of each block
+        found = []
+        for b in np.flatnonzero(bad).tolist():
+            # blocks go in order of their assignment's first input, then c
+            first = int(np.argmax(alpha == alpha[head[b]]))
+            found.append((first, int(side[head[b]]), b))
+        for _, c, b in sorted(found):
+            w0_first = float(vals[starts[b]])
+            w1_first = float(vals[starts[b] + n_neg[b]])
+            report.add(
+                "linking",
+                f"edge[{i}] {e.src}->{e.dst}",
+                f"w0={w0_first:.12g} vs w1={w1_first:.12g} on the block "
+                f"{bitstring(int(alpha[head[b]]), g.n_bits)} (bit {j + 1}={c})",
+            )
 
 
 def _flows(
@@ -192,20 +216,40 @@ def _flows(
     report: ValidationReport,
     atol: float,
 ) -> None:
-    domain = f.domain
-    for y in f.positives():
+    xs = f.negatives()
+    ys = f.positives()
+    flows = [g.flow_for(y) for y in ys]
+    # w1 at every (positive, edge) pair with flow above atol
+    at: dict[int, list[int]] = {}
+    for k, flow in enumerate(flows):
+        for ei, p in (flow or {}).items():
+            if 0 <= ei < len(g.edges) and p > atol and g.edges[ei].kind != "empty":
+                at.setdefault(ei, []).append(k)
+    yarr = input_array(ys, g.n_bits)
+    weights = eval_at(
+        [g.edges[ei].w1 for ei in at], [yarr[ks] for ks in at.values()]
+    )
+    zero_w1 = {
+        (k, ei)
+        for (ei, ks), w in zip(at.items(), weights)
+        for k in np.asarray(ks)[w == 0.0].tolist()
+    }
+    vertex_order = {vid: k for k, vid in enumerate(g.vertices)}
+    first_negative: dict[str, dict[int, int]] = {}  # sink -> {assignment: input}
+    for k, (y, flow) in enumerate(zip(ys, flows)):
         ystr = bitstring(y, g.n_bits)
-        flow = g.flow_for(y)
         if flow is None:
             report.add("missing-flow", ystr, "no flow recorded")
             continue
         report.count("flows")
-        balance: dict[str, float] = {v: 0.0 for v in g.vertices}
+        balance: dict[str, float] = {}
         for ei, p in flow.items():
             if not 0 <= ei < len(g.edges):
                 report.add("flow-edge", ystr, f"flow names unknown edge {ei}")
                 continue
             e = g.edges[ei]
+            if not math.isfinite(p):
+                report.add("non-finite", f"edge[{ei}] {ystr}", f"flow {p} not finite")
             if p < -atol:
                 report.add(
                     "flow-negative", f"edge[{ei}] {ystr}", f"flow {p} negative"
@@ -216,21 +260,23 @@ def _flows(
                     f"edge[{ei}] {ystr}",
                     f"empty transition carries flow {p}",
                 )
-            if p > atol and e.kind != "empty" and e.w1(y) == 0.0:
+            if (k, ei) in zero_w1:
                 report.add(
                     "flow-on-zero",
                     f"edge[{ei}] {ystr}",
                     "flow on an edge with zero side-1 weight",
                 )
-            balance[e.src] -= p
-            balance[e.dst] += p
-        if abs(balance[g.root] + 1.0) > atol:
+            balance[e.src] = balance.get(e.src, 0.0) - p
+            balance[e.dst] = balance.get(e.dst, 0.0) + p
+        root_balance = balance.get(g.root, 0.0)
+        if abs(root_balance + 1.0) > atol:
             report.add(
                 "flow-unit",
                 ystr,
-                f"root sends {-balance[g.root]:.15g}, expected 1",
+                f"root sends {-root_balance:.15g}, expected 1",
             )
-        for vid, b in balance.items():
+        for vid in sorted(balance, key=vertex_order.__getitem__):
+            b = balance[vid]
             if vid == g.root:
                 continue
             if g.out_edges(vid):
@@ -249,16 +295,19 @@ def _flows(
                     )
                 if b > atol:
                     mask = mask_of(g.label(vid))
-                    key = y & mask
-                    for z in domain:
-                        if z & mask == key and not f(z):
-                            report.add(
-                                "uncertified-sink",
-                                f"{vid} {ystr}",
-                                f"sink also matches negative input "
-                                f"{bitstring(z, g.n_bits)}",
-                            )
-                            break
+                    firsts = first_negative.get(vid)
+                    if firsts is None:
+                        firsts = first_negative[vid] = {}
+                        for x in xs:
+                            firsts.setdefault(x & mask, x)
+                    z = firsts.get(y & mask)
+                    if z is not None:
+                        report.add(
+                            "uncertified-sink",
+                            f"{vid} {ystr}",
+                            f"sink also matches negative input "
+                            f"{bitstring(z, g.n_bits)}",
+                        )
                     report.count("certified-sinks")
 
 

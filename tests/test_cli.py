@@ -192,3 +192,56 @@ def test_corpus_round_trip(corpus_dir, capsys):
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_validate_empty_object_exits_two(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    code, out, err = run(capsys, "validate", str(empty))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == "$: missing key 'n'"
+
+
+# keys a graph file may leave out; every other key of a record is required
+OPTIONAL_KEYS = {"flows", "stages", "rebalance", "note", "c1_max"}
+
+
+def _key_paths(obj, path=()):
+    """Paths to the keys of the records in a graph object; lists are
+    entered at their first and last item, data maps not at all."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            if key not in ("flows", "rebalance"):
+                yield from _key_paths(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        for k in sorted({0, len(obj) - 1}):
+            yield from _key_paths(obj[k], path + (k,))
+
+
+def test_validate_missing_keys_exit_two(corpus_dir, tmp_path, capsys):
+    graph = json.loads((corpus_dir / "graphs" / "pairs-walk.json").read_text())
+    function = str(corpus_dir / "graphs" / "pairs-walk.fn.json")
+    paths = list(_key_paths(graph))
+    assert len(paths) > 40
+    required = 0
+    for path in paths:
+        broken = json.loads(json.dumps(graph))
+        record = broken
+        for step in path[:-1]:
+            record = record[step]
+        del record[path[-1]]
+        target = tmp_path / "broken.json"
+        target.write_text(json.dumps(broken))
+        code, out, err = run(capsys, "validate", str(target), "--function", function)
+        if code == 2:
+            message = json.loads(err)["error"]["message"]
+        if path[-1] in OPTIONAL_KEYS:
+            assert code in (0, 1, 2), path
+            continue
+        required += 1
+        assert code == 2, path
+        assert out == ""
+        assert "missing key" in message, path
+    assert required > 30

@@ -67,3 +67,15 @@ def test_expand_through_composition():
         assert graph_c1(flat, y) == pytest.approx(graph_c1(res.graph, y), rel=1e-12)
     for z in res.function.negatives():
         assert graph_c0(flat, z) == pytest.approx(graph_c0(res.graph, z), rel=1e-12)
+
+
+def test_expand_keeps_rebalance_factors():
+    from lgkit.complexity import complexity
+    from lgkit.corpus import _pairs_walk
+
+    g, f = _pairs_walk()
+    raw = {s.name: (s.raw_c0, s.raw_c1) for s in complexity(g, f).stages}
+    flat = {s.name: (s.raw_c0, s.raw_c1) for s in complexity(expand(g), f).stages}
+    assert raw == flat
+    assert raw["walk1"][0] == 16.0
+    assert raw["walk2"][0] == 48.0

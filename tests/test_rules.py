@@ -142,3 +142,36 @@ def test_json_round_trip(rule):
 def test_unknown_rule_kind_rejected():
     with pytest.raises(RuleError):
         Rule.from_json({"rule": "no-such-rule"})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: ConstRule(v),
+        lambda v: TableRule((0,), {(1,): v}, 0.0),
+        lambda v: TableRule((0,), {(1,): 1.0}, v),
+        lambda v: ScaleRule(v, ONE),
+        lambda v: PatchRule((0,), (1,), v, ONE),
+    ],
+    ids=["const", "table-row", "table-default", "scale", "patch"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_weights_rejected(make, value):
+    with pytest.raises(RuleError, match="non-finite"):
+        make(value)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rule": "const", "value": math.inf},
+        {"rule": "table", "rows": {"1:1": math.nan}, "default": 0.0},
+        {"rule": "table", "rows": {}, "default": math.inf},
+        {"rule": "scale", "factor": math.nan, "inner": ONE.to_json()},
+        {"rule": "patch", "at": "1:1", "factor": math.inf, "inner": ONE.to_json()},
+    ],
+    ids=["const", "table-row", "table-default", "scale", "patch"],
+)
+def test_non_finite_weights_rejected_when_parsed(obj):
+    with pytest.raises(RuleError, match="non-finite"):
+        Rule.from_json(obj)

@@ -4,7 +4,7 @@ import pytest
 
 from lgkit.loads import dense_load, sparse_load
 from lgkit.model import BooleanFunction, GraphBuilder
-from lgkit.rules import ConstRule, ONE, PatchRule, TableRule
+from lgkit.rules import ConstRule, ONE, PatchRule, ProductRule, ScaleRule, TableRule
 from lgkit.validate import validate
 
 
@@ -133,3 +133,29 @@ def test_report_json_shape():
     obj = validate(g, f).to_json()
     assert obj["ok"] is True
     assert obj["violations"] == []
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_non_finite_flow_reported(p):
+    b = GraphBuilder(1)
+    b.add_vertex("s", (0,))
+    b.add_ordinary("r", "s", 0, ONE, ONE)
+    f = BooleanFunction(1, {0: 0, 1: 1})
+    rep = validate(b.graph(flows={1: {0: p}}), f)
+    assert not rep.ok
+    assert any(v.kind == "non-finite" for v in rep.entries)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_weight_fails_linking():
+    """A weight that overflows to inf and then meets a zero is NaN; the
+    linking check must not let it through."""
+    huge = ScaleRule(1e300, ScaleRule(1e300, ONE))
+    nan_weight = ProductRule(huge, ConstRule(0.0))
+    b = GraphBuilder(1)
+    b.add_vertex("s", (0,))
+    b.add_ordinary("r", "s", 0, nan_weight, nan_weight)
+    f = BooleanFunction(1, {0: 0, 1: 1})
+    rep = validate(b.graph(flows={1: {0: 1.0}}), f)
+    assert not rep.ok
+    assert [v.kind for v in rep.entries] == ["linking"]
