@@ -34,6 +34,15 @@ class RuleError(ValueError):
     pass
 
 
+# Lookup arrays have 2^len(indices) entries; a table, dispatch or patch that
+# reads more positions than this is evaluated input by input.
+_PACKED_BITS = 16
+
+
+def _each_input(rule: "Rule", zs: np.ndarray) -> np.ndarray:
+    return np.array([rule(z) for z in zs.tolist()], dtype=np.float64)
+
+
 def _pack(zs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
     """Bits ``indices`` of every input, packed into an index: bit ``k`` of
     the index is bit ``indices[k]`` of the input."""
@@ -162,6 +171,8 @@ class TableRule(Rule):
         return lut
 
     def eval(self, zs: np.ndarray) -> np.ndarray:
+        if len(self.indices) > _PACKED_BITS:
+            return _each_input(self, zs)
         return self._lookup[_pack(zs, self.indices)]
 
     def to_json(self) -> dict[str, Any]:
@@ -422,6 +433,8 @@ class PatchRule(Rule):
         return w
 
     def eval(self, zs: np.ndarray) -> np.ndarray:
+        if len(self.indices) > _PACKED_BITS:
+            return _each_input(self, zs)
         w = self.inner.eval(zs)
         hit = _pack(zs, self.indices) == _packed_key(self.bits)
         return np.where(hit, self.factor * w, w)
@@ -484,6 +497,8 @@ class DispatchRule(Rule):
         return lut, rules + [self.default]
 
     def eval(self, zs: np.ndarray) -> np.ndarray:
+        if len(self.indices) > _PACKED_BITS:
+            return _each_input(self, zs)
         lut, rules = self._lookup
         which = lut[_pack(zs, self.indices)]
         values = np.stack([rule.eval(zs) for rule in rules])

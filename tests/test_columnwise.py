@@ -61,8 +61,9 @@ def _rules(g):
 
 
 def _assert_eval_matches_call(rule, zs):
-    want = [rule(z) for z in zs]
+    """On int64 inputs, and on the same inputs plus bit 70 (Python ints)."""
     for arr in (input_array(zs, 62), input_array([z + (1 << 70) for z in zs], 71)):
+        want = [rule(z) for z in arr.tolist()]
         assert np.array_equal(_bits(rule.eval(arr)), _bits(want)), rule
 
 
@@ -221,3 +222,19 @@ def test_witness_matches_loop(dense4, sparse4, anchored4):
     graphs = triangles + _mutants(triangles, 4) + [("wide", *_wide_and())]
     for name, g, f in graphs:
         _assert_same_witness(build_witness(g, f), build_witness_loop(g, f), name)
+
+
+def test_rules_over_many_positions():
+    """Rules reading more positions than a lookup array covers fall back to
+    the scalar call."""
+    indices = tuple(range(0, 80, 2))
+    table = TableRule(indices, {(1,) * 40: 2.0, (0,) * 40: 3.0}, 0.5)
+    rules = [
+        table,
+        DispatchRule(indices, {(1,) * 40: table}, ConstRule(1.0)),
+        PatchRule(indices, (1,) * 40, 4.0, table),
+    ]
+    ones = sum(1 << i for i in indices)
+    zs = [0, ones, 1 << 78, (1 << 80) - 1, ones ^ 1 << 40]
+    for rule in rules:
+        _assert_eval_matches_call(rule, zs)
