@@ -107,8 +107,16 @@ def build_witness(
     positive: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for ei, rows, w in zip(pos_edges, pos_rows, w1s):
         if (w <= 0.0).any():
-            z = min(zs[rows][w <= 0.0].tolist())
-            raise AdversaryError(f"flow on zero side-1 weight, edge {ei} input {z}")
+            # name the first offender in block order: by the first domain
+            # input of its tail assignment, then by its own place
+            alpha = zs & mask_of(ge.label(ge.edges[ei].src))
+            r = min(
+                rows[w <= 0.0].tolist(),
+                key=lambda r: (int(np.argmax(alpha == alpha[r])), r),
+            )
+            raise AdversaryError(
+                f"flow on zero side-1 weight, edge {ei} input {domain[r]}"
+            )
         positive[ei] = (rows, np.array(at[ei][1]) / np.sqrt(w))
     target = math.sqrt(c0_max(g, f) * c1_max(g, f))
 

@@ -34,8 +34,8 @@ class RuleError(ValueError):
     pass
 
 
-# Lookup arrays have 2^len(indices) entries; a table, dispatch or patch that
-# reads more positions than this is evaluated input by input.
+# Lookup arrays have 2^len(indices) entries; a table or dispatch that reads
+# more positions than this is evaluated input by input.
 _PACKED_BITS = 16
 
 
@@ -433,10 +433,11 @@ class PatchRule(Rule):
         return w
 
     def eval(self, zs: np.ndarray) -> np.ndarray:
-        if len(self.indices) > _PACKED_BITS:
-            return _each_input(self, zs)
         w = self.inner.eval(zs)
-        hit = _pack(zs, self.indices) == _packed_key(self.bits)
+        # a bit value other than 0 or 1 never matches, as in the scalar call
+        hit = np.ones(len(zs), dtype=bool)
+        for i, b in zip(self.indices, self.bits):
+            hit &= bit_column(zs, i) == b
         return np.where(hit, self.factor * w, w)
 
     def to_json(self) -> dict[str, Any]:
@@ -501,8 +502,13 @@ class DispatchRule(Rule):
             return _each_input(self, zs)
         lut, rules = self._lookup
         which = lut[_pack(zs, self.indices)]
-        values = np.stack([rule.eval(zs) for rule in rules])
-        return values[which, np.arange(len(zs))]
+        # each rule is evaluated only on the inputs routed to it
+        out = np.empty(len(zs), dtype=np.float64)
+        order = np.argsort(which, kind="stable")
+        cuts = np.flatnonzero(np.diff(which[order])) + 1
+        for sel in np.split(order, cuts) if len(zs) else ():
+            out[sel] = rules[which[sel[0]]].eval(zs[sel])
+        return out
 
     def to_json(self) -> dict[str, Any]:
         rows = {

@@ -175,8 +175,10 @@ def _semantic_linking(
     zs = input_array(xs + ys, g.n_bits)
     positive = np.repeat(np.array([0, 1], dtype=np.int64), [len(xs), len(ys)])
     ordinary = [(i, e) for i, e in enumerate(g.edges) if e.kind == "ordinary"]
-    weights = eval_each([w for _, e in ordinary for w in (e.w0, e.w1)], zs)
-    for (i, e), w0, w1 in zip(ordinary, weights, weights):
+    # w0 on the negatives, w1 on the positives
+    w0s = eval_each([e.w0 for _, e in ordinary], zs[: len(xs)])
+    w1s = eval_each([e.w1 for _, e in ordinary], zs[len(xs) :])
+    for (i, e), w0, w1 in zip(ordinary, w0s, w1s):
         j = e.load
         alpha = zs & mask_of(g.label(e.src))
         side = bit_column(zs, j) ^ positive  # the c of the block an input joins
@@ -188,7 +190,7 @@ def _semantic_linking(
         if not checked.any():
             continue
         report.count("linking-pairs", int((n_neg * n_pos).sum()))
-        vals = np.where(positive, w1, w0)[order]
+        vals = np.concatenate((w0, w1))[order]
         lo = np.minimum.reduceat(vals, starts)
         hi = np.maximum.reduceat(vals, starts)
         # negated so that a NaN counts as a violation

@@ -1,12 +1,20 @@
 """Column-wise evaluation against the input-by-input reference, bit for bit."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loop_reference import build_witness_loop, complexity_loop, validate_loop
 
-from lgkit.adversary import build_witness, linking_mutants, rebalance_to_equal
+from lgkit.adversary import (
+    AdversaryError,
+    build_witness,
+    linking_mutants,
+    rebalance_to_equal,
+)
 from lgkit.complexity import c0_max, c1_max, complexity
 from lgkit.corpus import _pairs_walk
 from lgkit.expand import expand
@@ -16,8 +24,10 @@ from lgkit.rules import (
     CandidatePairRule,
     ConstRule,
     DispatchRule,
+    ONE,
     PatchRule,
     ProductRule,
+    Rule,
     ScaleRule,
     SparseLoadRule,
     TableRule,
@@ -214,6 +224,19 @@ def _assert_same_witness(got, want, name):
         assert same, (name, j)
 
 
+def _zero_w1_flows():
+    """Flow on zero side-1 weight at inputs 3 and 4 of an edge with tail
+    label (bit 1,): the block of 4 (bit 1 = 0) comes first in the domain,
+    though 3 is the smaller input."""
+    b = GraphBuilder(3)
+    b.add_vertex("a", (1,))
+    b.add_vertex("s", (0, 1))
+    b.add_ordinary("r", "a", 1, ONE, ONE)
+    b.add_ordinary("a", "s", 0, ONE, ConstRule(0.0))
+    f = BooleanFunction(3, {z: int(z in (3, 4)) for z in range(8)})
+    return b.graph(flows={3: {0: 1.0, 1: 1.0}, 4: {0: 1.0, 1: 1.0}}), f
+
+
 def test_witness_matches_loop(dense4, sparse4, anchored4):
     triangles = [
         (name, rebalance_to_equal(g, f), f)
@@ -222,11 +245,48 @@ def test_witness_matches_loop(dense4, sparse4, anchored4):
     graphs = triangles + _mutants(triangles, 4) + [("wide", *_wide_and())]
     for name, g, f in graphs:
         _assert_same_witness(build_witness(g, f), build_witness_loop(g, f), name)
+    g, f = _zero_w1_flows()
+    with pytest.raises(AdversaryError) as want:
+        build_witness_loop(g, f)
+    with pytest.raises(AdversaryError) as got:
+        build_witness(g, f)
+    assert str(got.value) == str(want.value) == (
+        "flow on zero side-1 weight, edge 1 input 4"
+    )
+
+
+@dataclass(frozen=True)
+class _Counting(Rule):
+    """A constant that records the size of every ``eval`` call."""
+
+    value: float
+    sizes: list = field(default_factory=list, compare=False, hash=False)
+
+    def __call__(self, z):
+        return self.value
+
+    def eval(self, zs):
+        self.sizes.append(len(zs))
+        return np.full(len(zs), self.value)
+
+
+def test_dispatch_evaluates_each_case_on_its_inputs():
+    # case k is keyed by the low four bits of k; 15 falls to the default
+    cases = {
+        tuple((k >> i) & 1 for i in range(4)): _Counting(float(k)) for k in range(15)
+    }
+    default = _Counting(99.0)
+    rule = DispatchRule((0, 1, 2, 3), cases, default)
+    zs = [0, 5, 5, 21, 15, 31, 7]  # keys 0, 5, 5, 5, 15, 15, 7
+    _assert_eval_matches_call(rule, zs)  # evaluates twice
+    sizes = {k: c.sizes for k, c in enumerate(cases.values()) if c.sizes}
+    assert sizes == {0: [1, 1], 5: [3, 3], 7: [1, 1]}
+    assert default.sizes == [2, 2]
+    assert rule.eval(input_array([], 4)).shape == (0,)
 
 
 def test_rules_over_many_positions():
-    """Rules reading more positions than a lookup array covers fall back to
-    the scalar call."""
+    """Rules reading more positions than a lookup array covers."""
     indices = tuple(range(0, 80, 2))
     table = TableRule(indices, {(1,) * 40: 2.0, (0,) * 40: 3.0}, 0.5)
     rules = [
