@@ -3,8 +3,7 @@
 Subcommands: validate, complexity, adversary, build, oracle, costmodel,
 corpus.  Reports go to standard output as JSON; every failure path emits a
 JSON error object on standard error.  Exit codes: 0 when all checks pass,
-1 when a check fails, 2 on usage or input errors.  The environment variable
-LG_THREADS caps internal parallelism.
+1 when a check fails, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .adversary import build_witness, linking_mutants, rebalance_to_equal, verify_witness
 from .complexity import complexity
@@ -253,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lg",
         description="Learning graph toolkit: build, check and measure.",
-        epilog="Set LG_THREADS to cap internal parallelism.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,7 +347,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow shows in the report as inf or nan, which fails its
+        # checks; numpy's warning about it would put text that is not JSON
+        # on standard error
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), where=args.command)
 

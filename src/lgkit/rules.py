@@ -60,6 +60,11 @@ def _packed_key(bits: Sequence[int]) -> int:
     return sum(b << k for k, b in enumerate(bits))
 
 
+def _quiet() -> np.errstate:
+    """Overflow to inf and inf times 0, silent as in the scalar call."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _check_finite(value: float, what: str) -> None:
     if not math.isfinite(value):
         raise RuleError(f"non-finite {what} {value}")
@@ -306,7 +311,9 @@ class ScaleRule(Rule):
         return self.factor * self.inner(z)
 
     def eval(self, zs: np.ndarray) -> np.ndarray:
-        return self.factor * self.inner.eval(zs)
+        w = self.inner.eval(zs)
+        with _quiet():
+            return self.factor * w
 
     def to_json(self) -> dict[str, Any]:
         return {"rule": "scale", "factor": self.factor, "inner": self.inner.to_json()}
@@ -332,7 +339,10 @@ class ProductRule(Rule):
         return self.left(z) * self.right(z)
 
     def eval(self, zs: np.ndarray) -> np.ndarray:
-        return self.left.eval(zs) * self.right.eval(zs)
+        left = self.left.eval(zs)
+        right = self.right.eval(zs)
+        with _quiet():
+            return left * right
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -438,7 +448,8 @@ class PatchRule(Rule):
         hit = np.ones(len(zs), dtype=bool)
         for i, b in zip(self.indices, self.bits):
             hit &= bit_column(zs, i) == b
-        return np.where(hit, self.factor * w, w)
+        with _quiet():
+            return np.where(hit, self.factor * w, w)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -42,8 +42,15 @@ def dump_flow(flow: dict[int, float]) -> dict[str, float]:
     return {str(i): p for i, p in sorted(flow.items())}
 
 
-def _parse_flow(obj: dict[str, float]) -> dict[int, float]:
-    return {int(i): float(p) for i, p in obj.items()}
+def _edge_index(value: Any, edges: int, path: str) -> int:
+    i = int(value)
+    if not 0 <= i < edges:
+        raise FormatError(f"{path}: unknown edge {i}, the graph has {edges} edges")
+    return i
+
+
+def _parse_flow(obj: dict[str, float], edges: int, path: str) -> dict[int, float]:
+    return {_edge_index(i, edges, f"{path}[{i!r}]"): float(p) for i, p in obj.items()}
 
 
 def dump_graph(g: LearningGraph) -> dict[str, Any]:
@@ -107,35 +114,56 @@ def _at(path: str) -> Iterator[None]:
         yield
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _rule(rec: dict[str, Any], key: str, path: str) -> Rule:
+def _text(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise FormatError(f"{path}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def _position(value: Any, n: int, path: str) -> int:
+    """A 1-based position of an ``n``-bit input, as a 0-based index."""
+    i = int(value) - 1
+    if not 0 <= i < n:
+        raise FormatError(f"{path}: position {i + 1} outside 1..{n}")
+    return i
+
+
+def _rule(rec: dict[str, Any], key: str, path: str, n: int) -> Rule:
     spec = rec[key]
     with _at(f"{path}.{key}"):
-        return Rule.from_json(spec)
+        rule = Rule.from_json(spec)
+    for i in rule.support:
+        _position(i + 1, n, f"{path}.{key}")
+    return rule
 
 
 def build_graph(obj: dict[str, Any], _path: str = "$") -> LearningGraph:
     """Materialize a graph from its JSON object form.
 
-    Raises a ValueError on a missing key or a mistyped value (naming its
-    JSON path), on dangling vertex references and on negative or non-finite
-    weights; everything else is left to :func:`lgkit.validate.validate`.
+    Raises a ValueError on a missing key or a mistyped value, on a load or
+    rule position outside the input and on a stage or flow naming an edge
+    the graph does not have (naming its JSON path), on dangling vertex
+    references and on negative or non-finite weights;
+    everything else is left to :func:`lgkit.validate.validate`.
     """
     with _at(_path):
         n = int(obj["n"])
-        b = GraphBuilder(n, root=obj["root"])
+        b = GraphBuilder(n, root=_text(obj["root"], f"{_path}.root"))
         for k, v in enumerate(obj["vertices"]):
-            with _at(f"{_path}.vertices[{k}]"):
-                b.add_vertex(v["id"], tuple(int(i) - 1 for i in v["label"]))
+            where = f"{_path}.vertices[{k}]"
+            with _at(where):
+                vid = _text(v["id"], f"{where}.id")
+                b.add_vertex(vid, tuple(int(i) - 1 for i in v["label"]))
         for k, rec in enumerate(obj["edges"]):
             where = f"{_path}.edges[{k}]"
             with _at(where):
                 loads = rec["loads"]
-                w0 = _rule(rec, "w0", where)
-                w1 = _rule(rec, "w1", where)
+                w0 = _rule(rec, "w0", where, n)
+                w1 = _rule(rec, "w1", where, n)
                 if isinstance(loads, dict):
                     sup = loads["super"]
                     inner = build_graph(sup["graph"], f"{where}.loads.super.graph")
@@ -143,28 +171,35 @@ def build_graph(obj: dict[str, Any], _path: str = "$") -> LearningGraph:
                     b.add_super(rec["from"], rec["to"], gadget, w0, w1)
                 elif loads:
                     (pos,) = loads
-                    b.add_ordinary(rec["from"], rec["to"], int(pos) - 1, w0, w1)
+                    load = _position(pos, n, f"{where}.loads[0]")
+                    b.add_ordinary(rec["from"], rec["to"], load, w0, w1)
                 else:
                     b.add_empty(rec["from"], rec["to"])
         const_flow = None
         flows: dict[int, dict[int, float]] | None = None
         for key, fl in obj.get("flows", {}).items():
-            with _at(f"{_path}.flows[{key!r}]"):
+            where = f"{_path}.flows[{key!r}]"
+            with _at(where):
+                flow = _parse_flow(fl, len(b.edges), where)
                 if key == "*":
-                    const_flow = _parse_flow(fl)
+                    const_flow = flow
                 else:
                     if flows is None:
                         flows = {}
-                    flows[parse_bitstring(key)] = _parse_flow(fl)
+                    flows[parse_bitstring(key)] = flow
         stages = None
         if "stages" in obj:
             stages = []
             for k, st in enumerate(obj["stages"]):
-                with _at(f"{_path}.stages[{k}]"):
+                where = f"{_path}.stages[{k}]"
+                with _at(where):
                     stages.append(
                         StageInfo(
                             st["name"],
-                            tuple(int(i) for i in st["edges"]),
+                            tuple(
+                                _edge_index(i, len(b.edges), f"{where}.edges[{pos}]")
+                                for pos, i in enumerate(st["edges"])
+                            ),
                             rebalance=(
                                 {int(i): float(v) for i, v in st["rebalance"].items()}
                                 if "rebalance" in st

@@ -2,16 +2,19 @@
 
 These are the loops the column-wise code replaced, kept as the reference
 that ``test_columnwise.py`` compares against.  They call each rule once per
-(edge, input) through ``Rule.__call__``.
+(edge, input) through ``Rule.__call__``.  The witness reference keeps every
+per-position matrix dense (m × m) and verifies it with a full eigenvalue
+decomposition, as the factored witness did before it stored Ψ_j.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from lgkit.adversary import AdversaryError, Witness
+from lgkit.adversary import AdversaryError, WitnessReport
 from lgkit.complexity import (
     ComplexityReport,
     MissingFlowError,
@@ -187,6 +190,16 @@ def validate_loop(g, f, flow_atol=1e-12, link_rtol=1e-12):
     return report
 
 
+@dataclass
+class LoopWitness:
+    n_bits: int
+    domain: tuple
+    row: dict
+    matrices: dict  # position -> dense m × m matrix
+    target: float
+    blocks: int
+
+
 def build_witness_loop(g, f):
     domain = f.domain
     ge = expand(g)
@@ -239,11 +252,51 @@ def build_witness_loop(g, f):
                 mat[np.ix_(idx, idx)] += np.outer(v, v)
     c0 = max((graph_c0(g, x) for x in f.negatives()), default=0.0)
     c1 = max((graph_c1(g, y) for y in f.positives()), default=0.0)
-    return Witness(
+    return LoopWitness(
         n_bits=g.n_bits,
         domain=domain,
         row=row,
         matrices=mats,
         target=math.sqrt(c0 * c1),
         blocks=blocks,
+    )
+
+
+def verify_witness_loop(w, f, tol=1e-9):
+    """``verify_witness`` on the dense matrices of a :class:`LoopWitness`."""
+    m = len(w.domain)
+    mats = list(w.matrices.items())
+    eigs = [np.linalg.eigvalsh(mat) for _, mat in mats]
+    min_eig = min((float(e[0]) for e in eigs), default=0.0)
+
+    # crossing sums: for x negative, y positive, sum the entries of the
+    # matrices at positions where the two inputs disagree
+    cross = np.zeros((m, m))
+    for j, mat in mats:
+        bit = np.array([(z >> j) & 1 for z in w.domain])
+        differs = bit[:, None] != bit[None, :]
+        cross += np.where(differs, mat, 0.0)
+    neg_rows = [w.row[x] for x in f.negatives()]
+    pos_rows = [w.row[y] for y in f.positives()]
+    if neg_rows and pos_rows:
+        sums = cross[np.ix_(neg_rows, pos_rows)]
+        lo = float(sums.min())
+        hi = float(sums.max())
+    else:
+        lo = hi = 1.0
+    diag = np.zeros(m)
+    for _, mat in mats:
+        diag += np.diag(mat)
+    objective = float(diag.max()) if m else 0.0
+    rel = tol * max(1.0, abs(w.target))
+    return WitnessReport(
+        min_eigenvalue=min_eig,
+        crossing_lo=lo,
+        crossing_hi=hi,
+        objective=objective,
+        target=w.target,
+        psd_ok=min_eig >= -tol,
+        crossing_ok=abs(lo - 1.0) <= tol and abs(hi - 1.0) <= tol,
+        objective_ok=abs(objective - w.target) <= rel,
+        checked_pairs=len(neg_rows) * len(pos_rows),
     )

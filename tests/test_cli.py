@@ -1,8 +1,12 @@
 """Command line driver, exercised through main() with captured stdout."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgkit.cli import main
 from lgkit.corpus import load_instances
@@ -245,3 +249,135 @@ def test_validate_missing_keys_exit_two(corpus_dir, tmp_path, capsys):
         assert out == ""
         assert "missing key" in message, path
     assert required > 30
+
+
+@pytest.mark.parametrize("edge", [99, -1, 16])
+@pytest.mark.parametrize("where", ["stage", "flow"])
+@pytest.mark.parametrize("command", ["validate", "complexity"])
+def test_unknown_edge_index_exits_two(
+    corpus_dir, tmp_path, capsys, command, where, edge
+):
+    graph = json.loads((corpus_dir / "graphs" / "pairs-walk.json").read_text())
+    assert len(graph["edges"]) == 16
+    if where == "stage":
+        graph["stages"][1]["edges"].append(edge)
+        path = f"$.stages[1].edges[{len(graph['stages'][1]['edges']) - 1}]"
+    else:
+        key = sorted(graph["flows"])[0]
+        graph["flows"][key][str(edge)] = 0.5
+        path = f"$.flows[{key!r}][{str(edge)!r}]"
+    target = tmp_path / "unknown-edge.json"
+    target.write_text(json.dumps(graph))
+    function = str(corpus_dir / "graphs" / "pairs-walk.fn.json")
+    code, out, err = run(capsys, command, str(target), "--function", function)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == (
+        f"{path}: unknown edge {edge}, the graph has 16 edges"
+    )
+
+
+FUZZ_GRAPHS = ("pairs-walk", "dense-load-4", "sparse-load-4", "or-of-loads")
+
+
+def _value_paths(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _value_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for k, value in enumerate(obj):
+            yield from _value_paths(value, path + (k,))
+
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 40),
+        st.integers(),
+        st.floats(),
+        st.text(max_size=4),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_corpus_files_keep_exit_contract(corpus_dir, tmp_path_factory, data):
+    """Replace or delete up to three values anywhere in a corpus graph: every
+    command still exits 0, 1 or 2 and never with a traceback."""
+    name = data.draw(st.sampled_from(FUZZ_GRAPHS))
+    graph = json.loads((corpus_dir / "graphs" / f"{name}.json").read_text())
+    paths = list(_value_paths(graph))[1:]
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(paths))
+        record = graph
+        try:
+            for step in path[:-1]:
+                record = record[step]
+            if data.draw(st.booleans()):
+                del record[path[-1]]
+            else:
+                record[path[-1]] = data.draw(json_values)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this path
+    target = tmp_path_factory.mktemp("fuzz") / "graph.json"
+    target.write_text(json.dumps(graph))
+    function = str(corpus_dir / "graphs" / f"{name}.fn.json")
+    for command in ("validate", "complexity", "adversary"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(target), "--function", function])
+        assert code in (0, 1, 2), (command, code)
+        assert "Traceback" not in err.getvalue()
+
+
+def _inner_edge(graph):
+    return graph["edges"][0]["loads"]["super"]["graph"]["edges"][1]
+
+
+INNER = "$.edges[0].loads.super.graph.edges[1]"
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda g: _inner_edge(g).update(loads=[10**30]),
+            f"{INNER}.loads[0]: position {10**30} outside 1..4",
+        ),
+        (
+            lambda g: _inner_edge(g).update(loads=[0]),
+            f"{INNER}.loads[0]: position 0 outside 1..4",
+        ),
+        (
+            lambda g: _inner_edge(g)["w1"].update(path=[1, 70, 3, 4]),
+            f"{INNER}.w1: position 70 outside 1..4",
+        ),
+        (
+            lambda g: _inner_edge(g).update(loads=[float("inf")]),
+            f"{INNER}: cannot convert float infinity to integer",
+        ),
+        (lambda g: g.update(root=1.5), "$.root: expected a string, got float"),
+        (
+            lambda g: g["vertices"][0].update(id=None),
+            "$.vertices[0].id: expected a string, got NoneType",
+        ),
+    ],
+)
+def test_malformed_positions_and_ids_exit_two(
+    corpus_dir, tmp_path, capsys, mutate, message
+):
+    graph = json.loads((corpus_dir / "graphs" / "sparse-load-4.json").read_text())
+    mutate(graph)
+    target = tmp_path / "malformed.json"
+    target.write_text(json.dumps(graph))
+    function = str(corpus_dir / "graphs" / "sparse-load-4.fn.json")
+    for command in ("validate", "complexity", "adversary"):
+        code, out, err = run(capsys, command, str(target), "--function", function)
+        assert (code, out) == (2, ""), command
+        assert json.loads(err)["error"]["message"] == message

@@ -1,19 +1,25 @@
 """Column-wise evaluation against the input-by-input reference, bit for bit."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loop_reference import build_witness_loop, complexity_loop, validate_loop
+from loop_reference import (
+    build_witness_loop,
+    complexity_loop,
+    validate_loop,
+    verify_witness_loop,
+)
 
 from lgkit.adversary import (
     AdversaryError,
     build_witness,
     linking_mutants,
     rebalance_to_equal,
+    verify_witness,
 )
 from lgkit.complexity import c0_max, c1_max, complexity
 from lgkit.corpus import _pairs_walk
@@ -31,6 +37,7 @@ from lgkit.rules import (
     ScaleRule,
     SparseLoadRule,
     TableRule,
+    ZERO,
 )
 from lgkit.serialize import build_function, build_graph, dumps, read_json
 from lgkit.validate import validate
@@ -237,14 +244,50 @@ def _zero_w1_flows():
     return b.graph(flows={3: {0: 1.0, 1: 1.0}, 4: {0: 1.0, 1: 1.0}}), f
 
 
-def test_witness_matches_loop(dense4, sparse4, anchored4):
+def _assert_same_verdict(got, want, name):
+    """Factored against dense verification: the objective has the same bits,
+    the crossing sums agree to rounding."""
+    assert _bits([got.objective, got.target]).tolist() == (
+        _bits([want.objective, want.target]).tolist()
+    ), name
+    assert (got.psd_ok, got.crossing_ok, got.objective_ok, got.checked_pairs) == (
+        want.psd_ok,
+        want.crossing_ok,
+        want.objective_ok,
+        want.checked_pairs,
+    ), name
+    assert abs(got.crossing_lo - want.crossing_lo) <= 1e-12, name
+    assert abs(got.crossing_hi - want.crossing_hi) <= 1e-12, name
+    assert min(got.min_eigenvalue, want.min_eigenvalue) >= -1e-9, name
+
+
+def _idle_position():
+    """Bit 1 is loaded, but by an edge with no side-0 weight and no flow."""
+    b = GraphBuilder(2)
+    b.add_vertex("s", (0,))
+    b.add_vertex("t", (1,))
+    b.add_ordinary("r", "s", 0, ONE, ONE)
+    b.add_ordinary("r", "t", 1, ZERO, ONE)
+    f = BooleanFunction(2, {0: 0, 1: 1})
+    return b.graph(flows={1: {0: 1.0}}), f
+
+
+def test_witness_matches_loop(corpus_dir, dense4, sparse4, anchored4):
     triangles = [
         (name, rebalance_to_equal(g, f), f)
         for name, g, f in _triangles(dense4, sparse4, anchored4)
     ]
-    graphs = triangles + _mutants(triangles, 4) + [("wide", *_wide_and())]
+    graphs = _corpus(corpus_dir) + triangles + _mutants(triangles, 4)
+    graphs += [("wide", *_wide_and()), ("idle", *_idle_position())]
+    caught = 0
     for name, g, f in graphs:
-        _assert_same_witness(build_witness(g, f), build_witness_loop(g, f), name)
+        got = build_witness(g, f)
+        want = build_witness_loop(g, f)
+        _assert_same_witness(got, want, name)
+        report = verify_witness(got, f)
+        _assert_same_verdict(report, verify_witness_loop(want, f), name)
+        caught += "mutant" in name and not report.crossing_ok
+    assert caught == 12
     g, f = _zero_w1_flows()
     with pytest.raises(AdversaryError) as want:
         build_witness_loop(g, f)
@@ -253,6 +296,55 @@ def test_witness_matches_loop(dense4, sparse4, anchored4):
     assert str(got.value) == str(want.value) == (
         "flow on zero side-1 weight, edge 1 input 4"
     )
+
+
+def test_position_without_blocks():
+    g, f = _idle_position()
+    w = build_witness(g, f)
+    assert list(w.matrices) == [0, 1]
+    assert w.factors[1].columns == 0
+    assert np.array_equal(w.matrices[1], np.zeros((2, 2)))
+    assert np.array_equal(w.matrix(1), np.zeros((2, 2)))
+    report = verify_witness(w, f)
+    assert report.ok
+    assert report.min_eigenvalue == 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class _CountEvals(Rule):
+    """Another rule, recording the size of every ``eval`` call."""
+
+    inner: Rule
+    sizes: list = field(default_factory=list)
+
+    @property
+    def support(self):
+        return self.inner.support
+
+    def __call__(self, z):
+        return self.inner(z)
+
+    def eval(self, zs):
+        self.sizes.append(len(zs))
+        return self.inner.eval(zs)
+
+
+def test_witness_evaluates_each_w0_once(anchored4):
+    f = anchored4.function
+    balanced = rebalance_to_equal(anchored4.graph, f)
+    mutant = linking_mutants(balanced, f, 1, seed=11)[0].graph
+    assert not mutant.has_super()
+    counted = {}
+    edges = [
+        replace(e, w0=counted.setdefault(id(e.w0), _CountEvals(e.w0)))
+        if e.kind == "ordinary"
+        else e
+        for e in mutant.edges
+    ]
+    g = replace(mutant, edges=edges, _out=None, _in=None)
+    got = build_witness(g, f)
+    assert {len(c.sizes) for c in counted.values()} == {1}
+    _assert_same_witness(got, build_witness(mutant, f), "counted")
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,6 @@ def test_non_finite_flow_reported(p):
     assert any(v.kind == "non-finite" for v in rep.entries)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_weight_fails_linking():
     """A weight that overflows to inf and then meets a zero is NaN; the
     linking check must not let it through."""
