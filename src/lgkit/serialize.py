@@ -144,11 +144,11 @@ def _rule(rec: dict[str, Any], key: str, path: str, n: int) -> Rule:
 def build_graph(obj: dict[str, Any], _path: str = "$") -> LearningGraph:
     """Materialize a graph from its JSON object form.
 
-    Raises a ValueError on a missing key or a mistyped value, on a load or
-    rule position outside the input and on a stage or flow naming an edge
-    the graph does not have (naming its JSON path), on dangling vertex
-    references and on negative or non-finite weights;
-    everything else is left to :func:`lgkit.validate.validate`.
+    Raises a ValueError, naming the JSON path, on a missing key, a mistyped
+    value, a load or rule position outside the input and a stage or flow
+    naming an edge the graph does not have; and on dangling vertex
+    references and negative or non-finite weights.  Everything else is left
+    to :func:`lgkit.validate.validate`.
     """
     with _at(_path):
         n = int(obj["n"])
