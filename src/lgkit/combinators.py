@@ -4,13 +4,18 @@ Three operations:
 
 * ``or_compose`` merges child graphs at a shared root, scaling each child's
   weights by its positive cost over the fan-in, and routes each positive
-  input's flow through its first (or hinted) positive children.
+  input's flow through its first (or hinted) positive children.  The
+  disjunction's truth table is the OR of the children's ``truth`` bitsets,
+  and the first positive children of every input are found by walking the
+  children over bitsets of the inputs still short of the fan-in.
 * ``rebalance_stage`` rescales a stage whose flow is uniform so that the
   stage's positive cost is at most 1.
 * ``johnson_compose`` builds a set-walk: paths load the positions attached to
   a start set, walk edges extend the set one element at a time, and leaf
   subgraphs supplied by a factory are spliced onto the full sets, scaled per
-  context so the final stage's positive cost is at most 1.
+  context so the final stage's positive cost is at most 1.  The contexts
+  of a full set are the assignments its positions take on the function's
+  domain, found by splitting the domain bitset on each position.
 
 Every operation keeps exact flow bookkeeping: flows are built from unit
 fractions and recorded per positive input on the result.
@@ -63,23 +68,31 @@ def or_compose(
     Every positive input of the disjunction must have at least ``k`` positive
     children; its flow splits equally over the first ``k`` of them (or over
     ``routing[y]`` when given).  Children with no positive input are dead and
-    get weight zero.
+    get weight zero.  The children's functions must share a domain; the
+    result's function lives on the first child's universe.
     """
     if k < 1:
         raise CompositionError(f"fan-in k={k} must be at least 1")
     if len(children) < k:
         raise CompositionError(f"need at least k={k} children, got {len(children)}")
     n_bits = children[0][0].n_bits
-    domain = children[0][1].domain
+    f0 = children[0][1]
+    universe, dom = f0.universe, f0.dom
+    fs: list[BooleanFunction] = []
     for g, f in children:
         if g.n_bits != n_bits or f.n_bits != n_bits:
             raise CompositionError("children disagree on input arity")
-        if f.domain != domain:
+        if f.universe is not universe and f.universe.inputs != universe.inputs:
+            if f.domain != f0.domain:
+                raise CompositionError("children disagree on the promised domain")
+            f = f.on(universe)
+        if f.dom != dom:
             raise CompositionError("children disagree on the promised domain")
         if g.label(g.root) != ():
             raise CompositionError("child root labels must be empty")
+        fs.append(f)
     lambdas = []
-    for g, f in children:
+    for (g, _), f in zip(children, fs):
         pos = f.positives()
         if not pos:
             lambdas.append(0.0)
@@ -96,11 +109,28 @@ def or_compose(
             weight_wrap=lambda side, rule, lam=lam: scaled(lam, rule),
         )
         emaps.append(emap)
-    values = {z: max(f(z) for _, f in children) for z in domain}
-    fn = BooleanFunction(n_bits, values)
+    truth = 0
+    for f in fs:
+        truth |= f.truth
+    fn = BooleanFunction.from_bits(universe, dom, truth)
+    # first[y]: the first k children positive on y.  short[j] holds the
+    # positives with j children found so far; each child moves its positives
+    # up one level, so the walk stops once every positive has k.
+    first: dict[int, list[int]] = {y: [] for y in fn.positives()}
+    short = [truth] + [0] * (k - 1)
+    for i, f in enumerate(fs):
+        if not any(short):
+            break
+        for j in range(k - 1, -1, -1):
+            hit = short[j] & f.truth
+            if hit:
+                short[j] ^= hit
+                if j + 1 < k:
+                    short[j + 1] |= hit
+                for y in universe.members(hit):
+                    first[y].append(i)
     flows: dict[int, dict[int, float]] = {}
-    for y in fn.positives():
-        live = [i for i, (_, f) in enumerate(children) if f(y)]
+    for y, chosen in first.items():
         if routing is not None and y in routing:
             chosen = list(routing[y])
             for i in chosen:
@@ -108,11 +138,10 @@ def or_compose(
                     raise CompositionError(
                         f"routing for input {y} names negative child {i}"
                     )
-        else:
-            chosen = live[:k]
         if len(chosen) < k:
+            live = sum(f(y) for f in fs)
             raise CompositionError(
-                f"input {y} has {len(live)} positive children, needs {k}"
+                f"input {y} has {live} positive children, needs {k}"
             )
         if len(chosen) != k:
             raise CompositionError(f"routing for input {y} must name {k} children")
@@ -224,14 +253,6 @@ def rebalance_stage(
         stages=g.stages,
     )
     return out, factors, n_used
-
-
-def normalize_c1(g: LearningGraph, f: BooleanFunction) -> LearningGraph:
-    """Rescale all weights so the positive cost becomes exactly 1."""
-    cap = max((graph_c1(g, y) for y in f.positives()), default=0.0)
-    if cap <= 0.0:
-        raise CompositionError("graph has no positive cost to normalize")
-    return g.rescaled(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +435,12 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
     strict = spec.factory is None
     leaf_edges: list[int] = []
     lambdas: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
-    domain = spec.function.domain
+    fn = spec.function
     if spec.factory is not None:
         for A in itertools.combinations(ground, spec.k):
             ipos = I(A)
             mask = mask_of(ipos)
-            contexts = sorted({z & mask for z in domain})
+            contexts = sorted(fn.universe.split(fn.dom, ipos))
             built: dict[int, tuple[LearningGraph, BooleanFunction]] = {}
             for kappa in contexts:
                 child = spec.factory(A, kappa)
@@ -494,13 +515,13 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
             T = certs[y]
             tpos = I(T)
             tmask = mask_of(tpos)
-            key = y & tmask
-            for z in domain:
-                if z & tmask == key and not spec.function(z):
-                    raise CompositionError(
-                        f"certificate {T} of input {y} does not force the "
-                        f"function (input {z} is negative)"
-                    )
+            bad = fn.dom & ~fn.truth & fn.universe.select(tmask, y & tmask)
+            if bad:
+                z = fn.universe.members(bad)[0]
+                raise CompositionError(
+                    f"certificate {T} of input {y} does not force the "
+                    f"function (input {z} is negative)"
+                )
 
     stages = [
         StageInfo(

@@ -179,14 +179,15 @@ def side1_terms(g: LearningGraph, ys: Sequence[int]) -> list[dict[int, float]]:
             _raise_first_error(g, ys)
         p = np.array(ps)
         gadget = g.edges[i].gadget
-        if gadget is None:
-            values = p * p / w
-        else:
+        inner = 1.0  # p * p * 1.0 is exactly p * p
+        if gadget is not None:
             try:
-                inner = side1_totals(gadget.inner, [ys[k] for k in ks])
+                inner = np.array(side1_totals(gadget.inner, [ys[k] for k in ks]))
             except ComplexityError:
                 _raise_first_error(g, ys)
-            values = p * p * np.array(inner) / w
+        # overflow to inf and inf times 0, silent as in the scalar call
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = p * p * inner / w
         for k, v in zip(ks, values.tolist()):
             terms[k][i] = v
     return terms

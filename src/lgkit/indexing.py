@@ -41,10 +41,6 @@ def get_bit(z: int, i: int) -> int:
     return (z >> i) & 1
 
 
-def set_bit(z: int, i: int, b: int) -> int:
-    return (z | (1 << i)) if b else (z & ~(1 << i))
-
-
 def restrict(z: int, mask: int) -> int:
     """Assignment of ``z`` on the positions in ``mask`` (bits kept in place)."""
     return z & mask

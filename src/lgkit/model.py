@@ -10,11 +10,18 @@ loaded input positions.  Edges come in three kinds:
 
 Flows are stored per positive input as ``{edge index: value}`` maps; gadgets
 whose flow does not depend on the input use a single shared map instead.
+
+A partial boolean function is two bitsets (Python ints) over a
+:class:`Universe`, the sorted inputs it may be defined on: ``dom`` marks the
+promised inputs and ``truth`` the positive ones.  Functions that share a
+universe restrict and combine by bit operations; the input-keyed ``values``
+dict is built only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .indexing import mask_of
@@ -186,38 +193,204 @@ class LearningGraph:
         )
 
 
-@dataclass(frozen=True)
+# format(bits, "b") reversed, as bytes: bit k of a bitset becomes byte k, 0 or 1
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(bits: int, size: int = 0) -> bytes:
+    return format(bits, f"0{size}b").encode()[::-1].translate(_FLAGS)
+
+
+class Universe:
+    """Sorted, distinct ``n_bits``-bit inputs that bitsets range over.
+
+    A bitset is a Python int whose bit ``k`` stands for ``inputs[k]``.
+    ``column(i)`` is the bitset of the inputs whose bit ``i`` is set,
+    computed once, on first use; truth tables and sub-domains are AND, OR
+    and AND-NOT of columns.
+    """
+
+    __slots__ = ("n_bits", "inputs", "index", "full", "_columns")
+
+    def __init__(self, n_bits: int, inputs: Iterable[int]) -> None:
+        self.n_bits = n_bits
+        self.inputs = tuple(inputs)
+        self.index = {z: k for k, z in enumerate(self.inputs)}
+        self.full = (1 << len(self.inputs)) - 1
+        self._columns: dict[int, int] = {}
+
+    def column(self, i: int) -> int:
+        col = self._columns.get(i)
+        if col is None:
+            col = self._columns[i] = self.bitset(z for z in self.inputs if z >> i & 1)
+        return col
+
+    def select(self, mask: int, kappa: int) -> int:
+        """The inputs ``z`` with ``z & mask == kappa``."""
+        if kappa & ~mask:
+            return 0
+        bits = self.full
+        while mask:
+            low = mask & -mask
+            col = self.column(low.bit_length() - 1)
+            bits &= col if kappa & low else ~col
+            mask ^= low
+        return bits
+
+    def split(self, bits: int, positions: Iterable[int]) -> dict[int, int]:
+        """The inputs of ``bits`` grouped by their values at ``positions``:
+        ``{kappa: bitset}``, one entry per assignment that occurs."""
+        parts = {0: bits} if bits else {}
+        for i in positions:
+            col = self.column(i)
+            nxt = {}
+            for kappa, part in parts.items():
+                if part & ~col:
+                    nxt[kappa] = part & ~col
+                if part & col:
+                    nxt[kappa | 1 << i] = part & col
+            parts = nxt
+        return parts
+
+    def bitset(self, zs: Iterable[int]) -> int:
+        """The bitset of ``zs``, which must all be inputs of this universe."""
+        flags = bytearray(b"0" * len(self.inputs))
+        for z in zs:
+            flags[self.index[z]] = 0x31  # "1"
+        flags.reverse()
+        return int(flags or b"0", 2)
+
+    def members(self, bits: int) -> tuple[int, ...]:
+        """The inputs of ``bits``, ascending."""
+        return tuple(compress(self.inputs, _flags(bits)))
+
+
 class BooleanFunction:
     """Partial boolean function on n-bit inputs, with optional certificates.
 
-    ``values`` maps each promised input to 0 or 1.  ``certs`` may map positive
-    inputs to a tuple of positions whose values force the function to 1 on the
-    whole domain.
+    ``BooleanFunction(n_bits, values, certs)`` takes ``values`` mapping each
+    promised input to 0 or 1.  ``certs`` may map positive inputs to a tuple of
+    positions whose values force the function to 1 on the whole domain.
+
+    The function is stored as two bitsets over a :class:`Universe`: ``dom``
+    marks the promised inputs and ``truth`` the positive ones.  Functions
+    built with :meth:`from_bits` share one universe, so restricting to a
+    sub-domain or combining functions is a bit operation.  ``values`` and
+    the ``domain``/``positives()``/``negatives()`` tuples are built once, on
+    first use.
     """
 
-    n_bits: int
-    values: dict[int, int] = field(compare=True)
-    certs: dict[int, tuple[int, ...]] | None = None
+    __slots__ = (
+        "universe", "dom", "truth", "certs",
+        "_values", "_domain", "_positives", "_negatives",
+    )  # fmt: skip
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        for z, v in self.values.items():
+    def __init__(
+        self,
+        n_bits: int,
+        values: Mapping[int, int],
+        certs: dict[int, tuple[int, ...]] | None = None,
+    ) -> None:
+        for z, v in values.items():
             if v not in (0, 1):
                 raise ModelError(f"function value {v} at {z} not boolean")
-            if z >> self.n_bits:
-                raise ModelError(f"input {z} exceeds {self.n_bits} bits")
+            if z >> n_bits:
+                raise ModelError(f"input {z} exceeds {n_bits} bits")
+        u = Universe(n_bits, sorted(values))
+        self._init(u, u.full, u.bitset(z for z, v in values.items() if v), certs)
+
+    def _init(
+        self,
+        universe: Universe,
+        dom: int,
+        truth: int,
+        certs: dict[int, tuple[int, ...]] | None,
+    ) -> None:
+        self.universe = universe
+        self.dom = dom
+        self.truth = truth
+        self.certs = certs
+        self._values: dict[int, int] | None = None
+        self._domain: tuple[int, ...] | None = None
+        self._positives: tuple[int, ...] | None = None
+        self._negatives: tuple[int, ...] | None = None
+
+    @classmethod
+    def from_bits(
+        cls,
+        universe: Universe,
+        dom: int,
+        truth: int,
+        certs: dict[int, tuple[int, ...]] | None = None,
+    ) -> "BooleanFunction":
+        """The function over ``universe`` defined on ``dom``, positive on
+        ``truth`` (a subset of ``dom``)."""
+        if dom & ~universe.full or truth & ~dom:
+            raise ModelError("function bitsets exceed their domain")
+        f = cls.__new__(cls)
+        f._init(universe, dom, truth, certs)
+        return f
+
+    def on(self, universe: Universe) -> "BooleanFunction":
+        """This function over ``universe``, which must hold its domain."""
+        return BooleanFunction.from_bits(
+            universe,
+            universe.bitset(self.domain),
+            universe.bitset(self.positives()),
+            self.certs,
+        )
+
+    @property
+    def n_bits(self) -> int:
+        return self.universe.n_bits
+
+    @property
+    def values(self) -> dict[int, int]:
+        if self._values is None:
+            size = len(self.universe.inputs)
+            keep = _flags(self.dom, size)
+            self._values = dict(
+                zip(self.domain, compress(_flags(self.truth, size), keep))
+            )
+        return self._values
 
     def __call__(self, z: int) -> int:
-        return self.values[z]
+        k = self.universe.index.get(z)
+        if k is None or not self.dom >> k & 1:
+            raise KeyError(z)
+        return self.truth >> k & 1
 
     @property
     def domain(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
+        if self._domain is None:
+            self._domain = self.universe.members(self.dom)
+        return self._domain
 
     def positives(self) -> tuple[int, ...]:
-        return tuple(sorted(z for z, v in self.values.items() if v))
+        if self._positives is None:
+            self._positives = self.universe.members(self.truth)
+        return self._positives
 
     def negatives(self) -> tuple[int, ...]:
-        return tuple(sorted(z for z, v in self.values.items() if not v))
+        if self._negatives is None:
+            self._negatives = self.universe.members(self.dom & ~self.truth)
+        return self._negatives
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BooleanFunction):
+            return NotImplemented
+        if self.n_bits != other.n_bits or self.certs != other.certs:
+            return False
+        if self.universe is other.universe:
+            return self.dom == other.dom and self.truth == other.truth
+        return self.values == other.values
+
+    def __repr__(self) -> str:
+        return (
+            f"BooleanFunction(n_bits={self.n_bits!r}, values={self.values!r}, "
+            f"certs={self.certs!r})"
+        )
 
     @classmethod
     def from_predicate(

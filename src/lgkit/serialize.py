@@ -49,6 +49,15 @@ def _edge_index(value: Any, edges: int, path: str) -> int:
     return i
 
 
+def _stage_edge(value: Any, stage: set[int], edges: int, where: str) -> int:
+    """A rebalance key of the stage at ``where``: one of its own edges."""
+    path = f"{where}.rebalance[{value!r}]"
+    i = _edge_index(value, edges, path)
+    if i not in stage:
+        raise FormatError(f"{path}: edge {i} is not in the stage")
+    return i
+
+
 def _parse_flow(obj: dict[str, float], edges: int, path: str) -> dict[int, float]:
     return {_edge_index(i, edges, f"{path}[{i!r}]"): float(p) for i, p in obj.items()}
 
@@ -145,8 +154,9 @@ def build_graph(obj: dict[str, Any], _path: str = "$") -> LearningGraph:
     """Materialize a graph from its JSON object form.
 
     Raises a ValueError, naming the JSON path, on a missing key, a mistyped
-    value, a load or rule position outside the input and a stage or flow
-    naming an edge the graph does not have; and on dangling vertex
+    value, a load or rule position outside the input, a stage or flow
+    naming an edge the graph does not have and a stage rebalance factor for
+    an edge outside its stage; and on dangling vertex
     references and negative or non-finite weights.  Everything else is left
     to :func:`lgkit.validate.validate`.
     """
@@ -193,18 +203,23 @@ def build_graph(obj: dict[str, Any], _path: str = "$") -> LearningGraph:
             for k, st in enumerate(obj["stages"]):
                 where = f"{_path}.stages[{k}]"
                 with _at(where):
+                    name = st["name"]
+                    edges = tuple(
+                        _edge_index(i, len(b.edges), f"{where}.edges[{pos}]")
+                        for pos, i in enumerate(st["edges"])
+                    )
+                    rebalance = None
+                    if "rebalance" in st:
+                        own = set(edges)
+                        rebalance = {
+                            _stage_edge(i, own, len(b.edges), where): float(v)
+                            for i, v in st["rebalance"].items()
+                        }
                     stages.append(
                         StageInfo(
-                            st["name"],
-                            tuple(
-                                _edge_index(i, len(b.edges), f"{where}.edges[{pos}]")
-                                for pos, i in enumerate(st["edges"])
-                            ),
-                            rebalance=(
-                                {int(i): float(v) for i, v in st["rebalance"].items()}
-                                if "rebalance" in st
-                                else None
-                            ),
+                            name,
+                            edges,
+                            rebalance=rebalance,
                             note=st.get("note", ""),
                         )
                     )

@@ -10,6 +10,11 @@ ordered lexicographically.  Three graph families detect a triangle:
 * the anchored variant: an OR over anchor vertices w of a single set walk
   that loads adjacencies to w and probes pairs of its neighbors.
 
+Every truth table is built from the domain's position columns (see
+``model.Universe``): a pair or triangle is an AND of its edges' columns, and a
+positive input is certified by the first pair or triangle, in enumeration
+order, whose bitset holds it.
+
 The module also carries the pair-set machinery (``delta_sets``) and the exact
 counting oracles the composition analysis leans on.
 """
@@ -21,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TypeVar
 
 from .combinators import (
     CompositionError,
@@ -30,13 +35,15 @@ from .combinators import (
     johnson_compose,
     or_compose,
 )
-from .indexing import num_pairs, pair_position, position_pair
+from .indexing import mask_of, num_pairs, pair_position, position_pair
 from .loads import DENSE, SPARSE, dense_load, sparse_load
-from .model import BooleanFunction, GraphBuilder, LearningGraph
+from .model import BooleanFunction, GraphBuilder, LearningGraph, Universe
 from .rules import CandidatePairRule, DenseLoadRule, ProductRule, TableRule
 
 BUILD_CAP = 5
 ORACLE_CAP = 10
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +140,54 @@ def triangle_function(n: int) -> BooleanFunction:
         raise ValueError("need at least 3 vertices for a triangle")
     if n > BUILD_CAP:
         raise ValueError(f"explicit domain capped at n <= {BUILD_CAP}")
-    values: dict[int, int] = {}
-    certs: dict[int, tuple[int, ...]] = {}
-    for z in range(1 << num_pairs(n)):
-        first = next(triangles(n, z), None)
-        values[z] = int(first is not None)
-        if first is not None:
-            u, v, w = first
-            certs[z] = tuple(
-                sorted(
-                    (
-                        pair_position(u, v, n),
-                        pair_position(u, w, n),
-                        pair_position(v, w, n),
-                    )
-                )
+    nbits = num_pairs(n)
+    univ = Universe(nbits, range(1 << nbits))
+    # the pairs of a sorted triple come in ascending position order
+    truth, first = _first_hits(
+        univ,
+        (
+            (
+                tuple(pair_position(a, b, n) for a, b in itertools.combinations(t, 2)),
+                _with_triangle(univ, n, t),
             )
-    return BooleanFunction(num_pairs(n), values, certs)
+            for t in itertools.combinations(range(n), 3)
+        ),
+    )
+    certs = {z: first[z] for z in univ.members(truth)}
+    return BooleanFunction.from_bits(univ, univ.full, truth, certs)
+
+
+def _first_hits(
+    univ: Universe, candidates: Iterable[tuple[T, int]]
+) -> tuple[int, dict[int, T]]:
+    """The union of the candidates' input bitsets, and each of its inputs
+    mapped to the first candidate whose bitset holds it."""
+    hit = 0
+    first: dict[int, T] = {}
+    for cand, bits in candidates:
+        new = bits & ~hit
+        if new:
+            hit |= new
+            first.update(dict.fromkeys(univ.members(new), cand))
+    return hit, first
+
+
+def _common_neighbour(
+    univ: Universe, n: int, a: int, b: int, vertices: Iterable[int]
+) -> int:
+    """The inputs in which some vertex of ``vertices`` is adjacent to both
+    ``a`` and ``b``."""
+    column = univ.column
+    bits = 0
+    for t in vertices:
+        bits |= column(pair_position(t, a, n)) & column(pair_position(t, b, n))
+    return bits
+
+
+def _with_triangle(univ: Universe, n: int, t: tuple[int, int, int]) -> int:
+    """The inputs that contain the triangle ``t``."""
+    a, b, c = t
+    return univ.column(pair_position(a, b, n)) & _common_neighbour(univ, n, a, b, (c,))
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +317,6 @@ def ninter_sq_exact(V1: Sequence[int], N: Iterable[int], x: int) -> Fraction:
     return Fraction(total, math.comb(len(ground), x))
 
 
-def oracle_ninter_sq(V1: Sequence[int], N: Iterable[int], x: int) -> float:
-    return float(ninter_sq_exact(V1, N, x))
-
-
 def edge_exp_exact(g: GraphInstance, x: int, y: int) -> Fraction:
     """Average directed incidence count between random vertex subsets.
 
@@ -350,7 +384,7 @@ def _check_build(n: int, params: TriangleParams) -> None:
 # Direct searches for triangles meeting X
 
 
-def _h_dense(n: int, X: tuple[int, ...], domain: tuple[int, ...]) -> OrResult:
+def _h_dense(n: int, X: tuple[int, ...], univ: Universe, dom: int) -> OrResult:
     nbits = num_pairs(n)
     children = []
     for v in X:
@@ -369,15 +403,13 @@ def _h_dense(n: int, X: tuple[int, ...], domain: tuple[int, ...]) -> OrResult:
                 b = GraphBuilder(nbits)
                 b.add_vertex("t", pos)
                 b.add_super("r", "t", dense_load(nbits, pos))
-                mask = sum(1 << p for p in pos)
-                f = BooleanFunction(
-                    nbits, {z: int(z & mask == mask) for z in domain}
-                )
+                mask = mask_of(pos)
+                f = BooleanFunction.from_bits(univ, dom, dom & univ.select(mask, mask))
                 children.append((b.graph(const_flow={0: 1.0}), f))
     return or_compose(children, 1, prefix="h")
 
 
-def _h_sparse(n: int, X: tuple[int, ...], domain: tuple[int, ...]) -> OrResult:
+def _h_sparse(n: int, X: tuple[int, ...], univ: Universe, dom: int) -> OrResult:
     nbits = num_pairs(n)
     children = []
     for v in X:
@@ -405,52 +437,22 @@ def _h_sparse(n: int, X: tuple[int, ...], domain: tuple[int, ...]) -> OrResult:
                         "m", sid, dense_load(nbits, prs), w0=ind, w1=ind
                     )
                 branch[D] = ei
-        flows: dict[int, dict[int, float]] = {}
-        values: dict[int, int] = {}
-        for z in domain:
-            nv = tuple(
-                sorted(u for u in others if (z >> pair_position(v, u, n)) & 1)
+        truth = 0
+        for p, q in itertools.combinations(others, 2):
+            truth |= univ.column(pair_position(p, q, n)) & _common_neighbour(
+                univ, n, p, q, (v,)
             )
-            pos = any(
-                (z >> pair_position(p, q, n)) & 1
-                for p, q in itertools.combinations(nv, 2)
-            )
-            values[z] = int(pos)
-            if pos:
-                flows[z] = {sl_edge: 1.0, branch[nv]: 1.0}
-        children.append((b.graph(flows=flows), BooleanFunction(nbits, values)))
+        f = BooleanFunction.from_bits(univ, dom, dom & truth)
+        flows = {}
+        for z in f.positives():
+            nv = tuple(u for u in others if (z >> pair_position(v, u, n)) & 1)
+            flows[z] = {sl_edge: 1.0, branch[nv]: 1.0}
+        children.append((b.graph(flows=flows), f))
     return or_compose(children, 1, prefix="h")
 
 
 # ---------------------------------------------------------------------------
 # Walk searches for triangles avoiding X
-
-
-def _eligible_configs(
-    n: int, z: int, X: tuple[int, ...]
-) -> Iterator[tuple[int, int, int]]:
-    """Triangles (u, v, w) fully outside X whose pair (u, v) has no common
-    neighbor in X; ordered by (u, v, w), u < v."""
-    xs = set(X)
-    for u, v in itertools.combinations(range(n), 2):
-        if u in xs or v in xs:
-            continue
-        if not (z >> pair_position(u, v, n)) & 1:
-            continue
-        blocked = any(
-            (z >> pair_position(t, u, n)) & 1 and (z >> pair_position(t, v, n)) & 1
-            for t in xs
-            if t not in (u, v)
-        )
-        if blocked:
-            continue
-        for w in range(n):
-            if w in xs or w in (u, v):
-                continue
-            if (z >> pair_position(w, u, n)) & 1 and (
-                z >> pair_position(w, v, n)
-            ) & 1:
-                yield (u, v, w)
 
 
 def _walk_positions(n: int, X: tuple[int, ...]):
@@ -469,14 +471,19 @@ def _pair_probe(
     pos_uv: int,
     required: tuple[int, int],
     blocked: tuple[tuple[int, int], ...],
-    domain: tuple[int, ...],
+    univ: Universe,
+    dom: int,
 ) -> tuple[LearningGraph, BooleanFunction]:
     b = GraphBuilder(nbits)
     b.add_vertex("q", (pos_uv,))
     rule = CandidatePairRule(required, blocked)
     b.add_ordinary("r", "q", pos_uv, rule, rule)
-    values = {z: int(bool((z >> pos_uv) & 1 and rule(z) > 0.0)) for z in domain}
-    return b.graph(const_flow={0: 1.0}), BooleanFunction(nbits, values)
+    truth = dom & univ.column(pos_uv)
+    for i in required:
+        truth &= univ.column(i)
+    for i, j in blocked:
+        truth &= ~(univ.column(i) & univ.column(j))
+    return b.graph(const_flow={0: 1.0}), BooleanFunction.from_bits(univ, dom, truth)
 
 
 def _anchor_search(
@@ -485,7 +492,8 @@ def _anchor_search(
     A: tuple[int, ...],
     w: int,
     ctx: frozenset[int],
-    domain: tuple[int, ...],
+    univ: Universe,
+    dom: int,
     b_size: int,
     kinds: Sequence[str],
 ) -> tuple[LearningGraph, BooleanFunction]:
@@ -499,38 +507,23 @@ def _anchor_search(
             pair_position(w, j, n) for j in B if j != w
         } - ctx
 
-    def eligible_pairs(z: int) -> Iterator[tuple[int, int]]:
-        if w in xs:
-            return
-        for u, v in itertools.combinations(sorted(set(A) - xs - {w}), 2):
-            if not (z >> pair_position(u, v, n)) & 1:
-                continue
-            if not (
-                (z >> pair_position(w, u, n)) & 1
-                and (z >> pair_position(w, v, n)) & 1
-            ):
-                continue
-            if any(
-                (z >> pair_position(t, u, n)) & 1
-                and (z >> pair_position(t, v, n)) & 1
-                for t in xs
-            ):
-                continue
-            yield (u, v)
+    def eligible(u: int, v: int) -> int:
+        """Inputs with the triangle (u, v, w) whose pair (u, v) has no common
+        neighbour in X."""
+        return (
+            dom
+            & univ.column(pair_position(u, v, n))
+            & _common_neighbour(univ, n, u, v, (w,))
+            & ~_common_neighbour(univ, n, u, v, X)
+        )
 
-    fn = BooleanFunction(
-        nbits, {z: int(next(eligible_pairs(z), None) is not None) for z in domain}
-    )
-
-    def cert(y: int) -> tuple[int, int]:
-        pair = next(eligible_pairs(y), None)
-        if pair is None:
-            raise CompositionError(f"no eligible pair for input {y}")
-        return pair
+    # each positive is certified by its first eligible pair
+    pairs = [] if w in xs else itertools.combinations(sorted(set(A) - xs - {w}), 2)
+    truth, first = _first_hits(univ, ((pair, eligible(*pair)) for pair in pairs))
+    fn = BooleanFunction.from_bits(univ, dom, truth)
 
     def factory(B: tuple[int, ...], kappa: int):
-        mask = sum(1 << p for p in positions(frozenset(B)))
-        sub = tuple(z for z in fn.domain if z & mask == kappa)
+        sub = dom & univ.select(mask_of(positions(frozenset(B))), kappa)
         cand = sorted(set(B) - xs - {w})
         children = []
         for u, v in itertools.combinations(cand, 2):
@@ -543,6 +536,7 @@ def _anchor_search(
                         (pair_position(t, u, n), pair_position(t, v, n))
                         for t in sorted(xs)
                     ),
+                    univ,
                     sub,
                 )
             )
@@ -558,7 +552,7 @@ def _anchor_search(
         r=2,
         positions=positions,
         function=fn,
-        cert=cert,
+        cert=first.__getitem__,
         load_kind=tuple(kinds),
         factory=factory,
         prefix="B",
@@ -571,32 +565,41 @@ def _fx(
     n: int,
     X: tuple[int, ...],
     params: TriangleParams,
-    domain: tuple[int, ...],
+    univ: Universe,
+    dom: int,
     kinds: Sequence[str],
 ) -> tuple[LearningGraph, BooleanFunction]:
     nbits = num_pairs(n)
     xs = set(X)
-    fn = BooleanFunction(
-        nbits,
-        {z: int(next(_eligible_configs(n, z, X), None) is not None) for z in domain},
-    )
+    def eligible(u: int, v: int) -> int:
+        """Inputs with a triangle (u, v, w) outside X whose pair (u, v) has no
+        common neighbour in X."""
+        thirds = [w for w in range(n) if w not in xs and w not in (u, v)]
+        return (
+            dom
+            & univ.column(pair_position(u, v, n))
+            & ~_common_neighbour(univ, n, u, v, X)
+            & _common_neighbour(univ, n, u, v, thirds)
+        )
 
-    def cert(y: int) -> tuple[int, int]:
-        cfg = next(_eligible_configs(n, y, X), None)
-        if cfg is None:
-            raise CompositionError(f"no avoiding triangle for input {y}")
-        return (cfg[0], cfg[1])
+    # each positive is certified by its first eligible pair
+    pairs = [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if u not in xs and v not in xs
+    ]
+    truth, first = _first_hits(univ, ((pair, eligible(*pair)) for pair in pairs))
+    fn = BooleanFunction.from_bits(univ, dom, truth)
 
     walk_pos = _walk_positions(n, X)
 
     def factory(A: tuple[int, ...], kappa: int):
         ctx = frozenset(walk_pos(frozenset(A)))
-        mask = sum(1 << p for p in ctx)
-        sub = tuple(z for z in domain if z & mask == kappa)
+        sub = dom & univ.select(mask_of(ctx), kappa)
         children = []
         for w in range(n):
             children.append(
-                _anchor_search(n, X, A, w, ctx, sub, params.b, kinds)
+                _anchor_search(n, X, A, w, ctx, univ, sub, params.b, kinds)
             )
         res = or_compose(children, 1, prefix="w")
         return res.graph, res.function
@@ -608,7 +611,7 @@ def _fx(
         r=2,
         positions=walk_pos,
         function=fn,
-        cert=cert,
+        cert=first.__getitem__,
         load_kind=tuple(kinds),
         factory=factory,
         prefix="A",
@@ -620,24 +623,24 @@ def _fx(
 def _build_excluded(n: int, params: TriangleParams, kind: str) -> BuildResult:
     _check_build(n, params)
     f_top = triangle_function(n)
-    domain = f_top.domain
+    univ, dom = f_top.universe, f_top.dom
     children = []
     for X in itertools.combinations(range(n), params.x):
         if kind == DENSE:
-            h = _h_dense(n, X, domain)
+            h = _h_dense(n, X, univ, dom)
         else:
-            h = _h_sparse(n, X, domain)
-        fx_graph, fx_fn = _fx(n, X, params, domain, [kind] * 3)
+            h = _h_sparse(n, X, univ, dom)
+        fx_graph, fx_fn = _fx(n, X, params, univ, dom, [kind] * 3)
         gx = or_compose(
             [(h.graph, h.function), (fx_graph, fx_fn)], 1, prefix="s"
         )
         children.append((gx.graph, gx.function))
     top = or_compose(children, math.comb(n, params.x), prefix="X")
-    if top.function.values != f_top.values:
+    if top.function.truth != f_top.truth:
         raise CompositionError("composed function disagrees with the target")
     return BuildResult(
         graph=top.graph,
-        function=BooleanFunction(f_top.n_bits, f_top.values, f_top.certs),
+        function=f_top,
         variant=params.variant,
         params={"n": n, "x": params.x, "a": params.a, "b": params.b},
         lambdas=top.lambdas,
@@ -664,30 +667,27 @@ def build_sparsenew_lg(n: int, b: int, m: int | None = None) -> BuildResult:
             stacklevel=2,
         )
     f_top = triangle_function(n)
-    domain = f_top.domain
+    univ, dom = f_top.universe, f_top.dom
     nbits = num_pairs(n)
     children = []
     for w in range(n):
-
-        def in_triangle(z: int, w: int = w) -> bool:
-            return any(w in t for t in triangles(n, z))
-
-        fn = BooleanFunction(nbits, {z: int(in_triangle(z)) for z in domain})
-
-        def cert(y: int, w: int = w) -> tuple[int, int]:
-            for t in triangles(n, y):
-                if w in t:
-                    return tuple(v for v in t if v != w)  # type: ignore[return-value]
-            raise CompositionError(f"no triangle through {w} in input {y}")
+        # a triangle through w; each positive is certified by the other two
+        # vertices of its first one
+        truth, first = _first_hits(
+            univ,
+            (
+                (tuple(v for v in t if v != w), _with_triangle(univ, n, t))
+                for t in itertools.combinations(range(n), 3)
+                if w in t
+            ),
+        )
+        fn = BooleanFunction.from_bits(univ, dom, truth)
 
         def positions(B: frozenset, w: int = w) -> set[int]:
             return {pair_position(w, j, n) for j in B if j != w}
 
-        def factory(
-            B: tuple[int, ...], kappa: int, w: int = w, fn: BooleanFunction = fn
-        ):
-            mask = sum(1 << p for p in positions(frozenset(B)))
-            sub = tuple(z for z in domain if z & mask == kappa)
+        def factory(B: tuple[int, ...], kappa: int, w: int = w):
+            sub = dom & univ.select(mask_of(positions(frozenset(B))), kappa)
             children_p = []
             for u, v in itertools.combinations(sorted(set(B) - {w}), 2):
                 children_p.append(
@@ -696,6 +696,7 @@ def build_sparsenew_lg(n: int, b: int, m: int | None = None) -> BuildResult:
                         pair_position(u, v, n),
                         (pair_position(w, u, n), pair_position(w, v, n)),
                         (),
+                        univ,
                         sub,
                     )
                 )
@@ -711,7 +712,7 @@ def build_sparsenew_lg(n: int, b: int, m: int | None = None) -> BuildResult:
             r=2,
             positions=positions,
             function=fn,
-            cert=cert,
+            cert=first.__getitem__,
             load_kind=(SPARSE, DENSE, DENSE),
             factory=factory,
             prefix="B",
@@ -719,11 +720,11 @@ def build_sparsenew_lg(n: int, b: int, m: int | None = None) -> BuildResult:
         res = johnson_compose(spec)
         children.append((res.graph, res.function))
     top = or_compose(children, 3, prefix="w")
-    if top.function.values != f_top.values:
+    if top.function.truth != f_top.truth:
         raise CompositionError("composed function disagrees with the target")
     return BuildResult(
         graph=top.graph,
-        function=BooleanFunction(f_top.n_bits, f_top.values, f_top.certs),
+        function=f_top,
         variant="sparsenew",
         params={"n": n, "b": b},
         lambdas=top.lambdas,

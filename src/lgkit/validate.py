@@ -338,8 +338,8 @@ def validate(
         _structural_linking(g, report)
     if f is None:
         return report
-    if len(f.values) > domain_cap:
-        raise ValueError(f"domain of size {len(f.values)} exceeds cap {domain_cap}")
+    if len(f.domain) > domain_cap:
+        raise ValueError(f"domain of size {len(f.domain)} exceeds cap {domain_cap}")
     ge = expand(g)
     _flows(ge, f, report, flow_atol)
     if linking == SEMANTIC:

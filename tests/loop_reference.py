@@ -5,6 +5,9 @@ that ``test_columnwise.py`` compares against.  They call each rule once per
 (edge, input) through ``Rule.__call__``.  The witness reference keeps every
 per-position matrix dense (m × m) and verifies it with a full eigenvalue
 decomposition, as the factored witness did before it stored Ψ_j.
+``or_compose_loop`` computes the disjunction's values and routing input by
+input, as ``or_compose`` did before functions were stored as bitsets;
+``test_combinators.py`` compares against it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lgkit.adversary import AdversaryError, WitnessReport
+from lgkit.combinators import CompositionError, OrResult
 from lgkit.complexity import (
     ComplexityReport,
     MissingFlowError,
@@ -26,6 +30,8 @@ from lgkit.complexity import (
 )
 from lgkit.expand import expand
 from lgkit.indexing import bitstring, mask_of
+from lgkit.model import BooleanFunction, GraphBuilder
+from lgkit.rules import scaled
 from lgkit.validate import ValidationReport, _structure
 
 
@@ -300,3 +306,67 @@ def verify_witness_loop(w, f, tol=1e-9):
         objective_ok=abs(objective - w.target) <= rel,
         checked_pairs=len(neg_rows) * len(pos_rows),
     )
+
+
+def or_compose_loop(children, k, *, routing=None, prefix="c"):
+    if k < 1:
+        raise CompositionError(f"fan-in k={k} must be at least 1")
+    if len(children) < k:
+        raise CompositionError(f"need at least k={k} children, got {len(children)}")
+    n_bits = children[0][0].n_bits
+    domain = children[0][1].domain
+    for g, f in children:
+        if g.n_bits != n_bits or f.n_bits != n_bits:
+            raise CompositionError("children disagree on input arity")
+        if f.domain != domain:
+            raise CompositionError("children disagree on the promised domain")
+        if g.label(g.root) != ():
+            raise CompositionError("child root labels must be empty")
+    lambdas = []
+    for g, f in children:
+        pos = f.positives()
+        if not pos:
+            lambdas.append(0.0)
+            continue
+        lambdas.append(max(graph_c1(g, y) for y in pos) / k)
+    b = GraphBuilder(n_bits, root="r")
+    emaps = []
+    for i, (g, _) in enumerate(children):
+        lam = lambdas[i]
+        _, emap = b.merge(
+            g,
+            prefix=f"{prefix}{i}.",
+            vmap={g.root: b.root},
+            weight_wrap=lambda side, rule, lam=lam: scaled(lam, rule),
+        )
+        emaps.append(emap)
+    values = {z: max(f(z) for _, f in children) for z in domain}
+    fn = BooleanFunction(n_bits, values)
+    flows = {}
+    for y in fn.positives():
+        live = [i for i, (_, f) in enumerate(children) if f(y)]
+        if routing is not None and y in routing:
+            chosen = list(routing[y])
+            for i in chosen:
+                if not children[i][1](y):
+                    raise CompositionError(
+                        f"routing for input {y} names negative child {i}"
+                    )
+        else:
+            chosen = live[:k]
+        if len(chosen) < k:
+            raise CompositionError(
+                f"input {y} has {len(live)} positive children, needs {k}"
+            )
+        if len(chosen) != k:
+            raise CompositionError(f"routing for input {y} must name {k} children")
+        fy = {}
+        for i in chosen:
+            child_flow = children[i][0].flow_for(y)
+            if child_flow is None:
+                raise CompositionError(f"child {i} lacks a flow for input {y}")
+            for ei, p in child_flow.items():
+                fy[emaps[i][ei]] = p / k
+        flows[y] = fy
+    graph = b.graph(flows=flows)
+    return OrResult(graph, fn, tuple(lambdas))

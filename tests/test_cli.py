@@ -277,6 +277,33 @@ def test_unknown_edge_index_exits_two(
     )
 
 
+@pytest.mark.parametrize(
+    "edge,reason",
+    [
+        (99, "unknown edge 99, the graph has 16 edges"),
+        (-1, "unknown edge -1, the graph has 16 edges"),
+        (4, "edge 4 is not in the stage"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "complexity"])
+def test_bad_rebalance_key_exits_two(
+    corpus_dir, tmp_path, capsys, command, edge, reason
+):
+    graph = json.loads((corpus_dir / "graphs" / "pairs-walk.json").read_text())
+    stage = graph["stages"][0]
+    assert stage["name"] == "walk1" and stage["edges"] == [0, 1, 2, 3]
+    stage["rebalance"][str(edge)] = 2.0
+    target = tmp_path / "bad-rebalance.json"
+    target.write_text(json.dumps(graph))
+    function = str(corpus_dir / "graphs" / "pairs-walk.fn.json")
+    code, out, err = run(capsys, command, str(target), "--function", function)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == (
+        f"$.stages[0].rebalance[{str(edge)!r}]: {reason}"
+    )
+
+
 FUZZ_GRAPHS = ("pairs-walk", "dense-load-4", "sparse-load-4", "or-of-loads")
 
 

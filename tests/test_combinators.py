@@ -3,19 +3,22 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from loop_reference import or_compose_loop
 
 from lgkit.combinators import (
     CompositionError,
     JohnsonSpec,
     edge_c1_cap,
     johnson_compose,
-    normalize_c1,
     or_compose,
     rebalance_stage,
 )
 from lgkit.complexity import complexity, graph_c0, graph_c1
-from lgkit.model import BooleanFunction, GraphBuilder
-from lgkit.rules import ONE, TableRule
+from lgkit.model import BooleanFunction, GraphBuilder, Universe
+from lgkit.rules import ONE, ConstRule, TableRule
+from lgkit.serialize import dump_graph, dumps
 from lgkit.validate import validate
 
 
@@ -116,10 +119,84 @@ def test_or_rejects_bad_fan_in():
         or_compose(children, 2)
 
 
-def test_normalize_c1_exact():
-    g, f = _and_child(2, 0, 1, tuple(range(4)))
-    scaled_g = normalize_c1(g, f)
-    assert graph_c1(scaled_g, 3) == pytest.approx(1.0, abs=1e-12)
+def _or_outcome(compose, children, k, routing):
+    """Everything ``or_compose`` returns, or the message it raises."""
+    try:
+        res = compose(children, k, routing=routing)
+    except CompositionError as exc:
+        return str(exc)
+    flows = [(y, list(fl.items())) for y, fl in res.graph.flows.items()]
+    return dumps(dump_graph(res.graph)), res.function.values, res.lambdas, flows
+
+
+def _fixture_or_cases():
+    full = {n: (0, (1 << n) - 1) for n in (6, 8)}
+    for n, k in [(8, 1), (8, 2), (8, 4), (6, 2)]:
+        yield [_bit_child(n, i, full[n]) for i in range(n)], k, None
+    ands = tuple(range(16))
+    yield [_and_child(4, 0, 1, ands), _and_child(4, 2, 3, ands)], 1, None
+    dead = (_bit_child(2, 1, (0, 3))[0], BooleanFunction(2, {0: 0, 3: 0}))
+    yield [dead, _bit_child(2, 0, (0, 3))], 1, None
+    pair = [_bit_child(2, i, (0, 3)) for i in range(2)]
+    for routing in ({3: [1]}, {3: [0, 1]}, {3: []}):
+        yield pair, 1, routing
+    yield [_bit_child(2, i, (0, 1)) for i in range(2)], 1, {1: [1]}
+    yield [_bit_child(2, i, tuple(range(4))) for i in range(2)], 2, None
+    yield [_bit_child(2, 0, (0, 3)), _bit_child(2, 1, (0, 1, 3))], 1, None
+    yield pair[:1], 0, None
+    yield pair[:1], 2, None
+
+
+@pytest.mark.parametrize("children,k,routing", list(_fixture_or_cases()))
+def test_or_matches_loop_on_fixtures(children, k, routing):
+    assert _or_outcome(or_compose, children, k, routing) == _or_outcome(
+        or_compose_loop, children, k, routing
+    )
+
+
+@st.composite
+def _or_children(draw):
+    """Children on one domain (now and then a different one), their functions
+    built from dicts or as bitsets over a larger shared universe."""
+    n_bits = draw(st.integers(1, 4))
+    inputs = sorted(draw(st.sets(st.integers(0, (1 << n_bits) - 1), min_size=1)))
+    u = Universe(n_bits, inputs)
+    domain = sorted(draw(st.sets(st.sampled_from(inputs), min_size=1)))
+    count = draw(st.integers(1, 5))
+    children = []
+    for i in range(count):
+        dom = domain
+        if draw(st.integers(0, 7)) == 0:
+            dom = sorted(draw(st.sets(st.sampled_from(inputs), min_size=1)))
+        pos = sorted(draw(st.sets(st.sampled_from(dom))))
+        if draw(st.booleans()):
+            f = BooleanFunction(n_bits, {z: int(z in pos) for z in dom})
+        else:
+            f = BooleanFunction.from_bits(u, u.bitset(dom), u.bitset(pos))
+        w = ConstRule(draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])))
+        b = GraphBuilder(n_bits)
+        b.add_vertex("s", (i % n_bits,))
+        b.add_ordinary("r", "s", i % n_bits, w, w)
+        children.append((b.graph(flows={y: {0: 1.0} for y in pos}), f))
+    k = draw(st.integers(1, 3))
+    routing = draw(
+        st.none()
+        | st.dictionaries(
+            st.sampled_from(domain),
+            st.lists(st.integers(0, count - 1), max_size=3),
+            max_size=2,
+        )
+    )
+    return children, k, routing
+
+
+@settings(max_examples=200, deadline=None)
+@given(_or_children())
+def test_or_matches_loop_on_random_children(case):
+    children, k, routing = case
+    assert _or_outcome(or_compose, children, k, routing) == _or_outcome(
+        or_compose_loop, children, k, routing
+    )
 
 
 def test_rebalance_stage_scales_to_unit_cost():

@@ -1,5 +1,6 @@
 """Cost evaluation on both sides of the flow."""
 
+import json
 import math
 
 import pytest
@@ -9,10 +10,12 @@ from lgkit.complexity import (
     complexity,
     graph_c0,
     graph_c1,
+    side1_totals,
 )
 from lgkit.loads import dense_load
 from lgkit.model import BooleanFunction, GraphBuilder, StageInfo
 from lgkit.rules import ConstRule, ONE, TableRule, ZERO
+from lgkit.serialize import build_graph
 
 
 def _single_bit(weight0=1.0, weight1=1.0):
@@ -96,3 +99,16 @@ def test_geometric_mean():
     assert rep.c0 == 4.0
     assert rep.c1 == 0.25
     assert rep.value == 1.0
+
+
+def test_side1_overflow_is_silent_as_the_scalar_call(corpus_dir):
+    # runs under the project's error::RuntimeWarning filter
+    obj = json.loads((corpus_dir / "graphs" / "or-of-loads.json").read_text())
+    key = sorted(obj["flows"])[0]
+    edge = sorted(obj["flows"][key])[0]
+    obj["flows"][key][edge] = 1e155
+    g = build_graph(obj)
+    ys = g.flow_inputs()
+    totals = side1_totals(g, ys)
+    assert totals == [graph_c1(g, y) for y in ys]
+    assert math.inf in totals

@@ -1,5 +1,6 @@
 """Triangle promise problem: oracles, instances, and the three builders."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from lgkit.complexity import complexity
 from lgkit.indexing import num_pairs, pair_position
+from lgkit.serialize import dump_graph, dumps
 from lgkit.triangle import (
     GraphInstance,
     TriangleParams,
+    build_dense_lg,
     build_sparsenew_lg,
     delta_mean_pairs,
     delta_sets,
@@ -224,3 +227,47 @@ def test_build_result_params_recorded(dense4):
     assert dense4.variant == "dense"
     assert dense4.params["x"] == 1
     assert dense4.params["n"] == 4
+
+
+# sha256 of the serialized graphs, computed before the builders moved to
+# domain bitsets; the serialized graphs must stay byte-identical
+GRAPH_SHA256 = {
+    "dense-n4": "db3e6e86c428a1389c07a02471d688dab4a10ee3b0fde25879bb65b9b02ef937",
+    "sparse-n4": "8debbb73759d3c6f08e6c1bd80164d8eb2e50ad327b019b1abee6f2221ef5784",
+    "sparsenew-n4": "3eb8d6e01047c5c513fe3a63feade90181f52eb68ab04361dd85adeb7504341b",
+    "dense-n5": "e3bc6afbf1d7bc7f17e086d89e5e86f45565d5c12a0df2142bd15df570493fbc",
+    "sparsenew-n5": "fbbd1ef9a469764ca00f0b65137c871f6bf34156a732d8bae2a7afc83ea6f315",
+}
+
+
+def _sha256(res):
+    return hashlib.sha256(dumps(dump_graph(res.graph)).encode()).hexdigest()
+
+
+def test_n4_graphs_are_byte_identical(dense4, sparse4, anchored4):
+    assert _sha256(dense4) == GRAPH_SHA256["dense-n4"]
+    assert _sha256(sparse4) == GRAPH_SHA256["sparse-n4"]
+    assert _sha256(anchored4) == GRAPH_SHA256["sparsenew-n4"]
+
+
+def test_n5_graphs_are_byte_identical():
+    dense = build_dense_lg(5, TriangleParams(1, 2, 2))
+    assert _sha256(dense) == GRAPH_SHA256["dense-n5"]
+    assert dense.function == triangle_function(5)
+    assert _sha256(build_sparsenew_lg(5, 3)) == GRAPH_SHA256["sparsenew-n5"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_triangle_function_matches_brute_force(n):
+    f = triangle_function(n)
+    certs = {}
+    for z in range(1 << num_pairs(n)):
+        first = next(triangles(n, z), None)
+        assert f(z) == int(first is not None)
+        if first is not None:
+            u, v, w = first
+            certs[z] = tuple(
+                sorted(pair_position(a, b, n) for a, b in ((u, v), (u, w), (v, w)))
+            )
+    assert f.certs == certs
+    assert list(f.certs) == sorted(certs)
