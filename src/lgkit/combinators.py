@@ -1,6 +1,6 @@
 """Composition of learning graphs.
 
-Three operations:
+Two operations:
 
 * ``or_compose`` merges child graphs at a shared root, scaling each child's
   weights by its positive cost over the fan-in, and routes each positive
@@ -8,8 +8,6 @@ Three operations:
   disjunction's truth table is the OR of the children's ``truth`` bitsets,
   and the first positive children of every input are found by walking the
   children over bitsets of the inputs still short of the fan-in.
-* ``rebalance_stage`` rescales a stage whose flow is uniform so that the
-  stage's positive cost is at most 1.
 * ``johnson_compose`` builds a set-walk: paths load the positions attached to
   a start set, walk edges extend the set one element at a time, and leaf
   subgraphs supplied by a factory are spliced onto the full sets, scaled per
@@ -161,7 +159,10 @@ def or_compose(
 # Stage rebalance
 
 
-def edge_c1_cap(e: Edge, support_cap: int = 16) -> float:
+SUPPORT_CAP = 16
+
+
+def edge_c1_cap(e: Edge) -> float:
     """Largest positive-side cost one unit of flow can incur on this edge."""
     if e.kind == "empty":
         raise CompositionError("empty transitions have no positive cost")
@@ -170,7 +171,7 @@ def edge_c1_cap(e: Edge, support_cap: int = 16) -> float:
             return e.gadget.c1_max
         inner = e.gadget.inner
         sup = sorted({i for ie in inner.edges for i in ie.w1.support})
-        if len(sup) > support_cap:
+        if len(sup) > SUPPORT_CAP:
             raise CompositionError(
                 f"inner support of {len(sup)} positions is too large to scan"
             )
@@ -180,7 +181,7 @@ def edge_c1_cap(e: Edge, support_cap: int = 16) -> float:
             best = max(best, graph_c1(inner, z))
         return best
     sup = e.w1.support
-    if len(sup) > support_cap:
+    if len(sup) > SUPPORT_CAP:
         raise CompositionError(f"support of {len(sup)} positions is too large to scan")
     vals = []
     for bits in itertools.product((0, 1), repeat=len(sup)):
@@ -191,68 +192,6 @@ def edge_c1_cap(e: Edge, support_cap: int = 16) -> float:
     if not vals:
         return 0.0
     return max(vals)
-
-
-def rebalance_stage(
-    g: LearningGraph, stage_edges: Sequence[int], *, flow_atol: float = 1e-12
-) -> tuple[LearningGraph, dict[int, float], int]:
-    """Scale a uniform-flow stage so its positive cost is at most 1.
-
-    Every recorded flow must put either 0 or exactly ``1/n_used`` on each
-    stage edge, with the same ``n_used`` for every input; each stage edge then
-    gets both weights multiplied by its cost cap over ``n_used``.  Returns the
-    rescaled graph, the factors and ``n_used``.
-    """
-    stage = list(stage_edges)
-    stage_set = set(stage)
-    n_used: int | None = None
-    flow_maps: Iterable[dict[int, float]]
-    if g.flows is not None:
-        flow_maps = g.flows.values()
-    elif g.const_flow is not None:
-        flow_maps = [g.const_flow]
-    else:
-        raise CompositionError("graph has no flows to rebalance against")
-    for flow in flow_maps:
-        vals = [p for ei, p in flow.items() if ei in stage_set and p > flow_atol]
-        if not vals:
-            raise CompositionError("a flow misses the stage entirely")
-        lo, hi = min(vals), max(vals)
-        if hi - lo > flow_atol:
-            raise CompositionError(
-                f"stage flow not uniform: values range {lo} to {hi}"
-            )
-        count = round(1.0 / hi)
-        if abs(count * hi - 1.0) > 1e-9 or count != len(vals):
-            raise CompositionError(
-                f"stage flow {hi} is not 1 over the {len(vals)} used edges"
-            )
-        if n_used is None:
-            n_used = count
-        elif n_used != count:
-            raise CompositionError(
-                f"stage usage differs across inputs: {n_used} vs {count}"
-            )
-    assert n_used is not None
-    factors: dict[int, float] = {}
-    edges = list(g.edges)
-    for ei in stage:
-        e = edges[ei]
-        if e.kind == "empty":
-            continue
-        lam = edge_c1_cap(e) / n_used
-        factors[ei] = lam
-        edges[ei] = replace(e, w0=scaled(lam, e.w0), w1=scaled(lam, e.w1))
-    out = LearningGraph(
-        n_bits=g.n_bits,
-        root=g.root,
-        vertices=dict(g.vertices),
-        edges=edges,
-        flows=g.flows,
-        const_flow=g.const_flow,
-        stages=g.stages,
-    )
-    return out, factors, n_used
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +371,6 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
             b.edges[ei] = replace(e, w0=scaled(lam, e.w0), w1=scaled(lam, e.w1))
 
     # Leaf stage.
-    strict = spec.factory is None
     leaf_edges: list[int] = []
     lambdas: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
     fn = spec.function
@@ -451,6 +389,7 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
             ref = next(iter(built.values()))[0]
             ref_shape = [(e.src, e.dst, e.load) for e in ref.edges]
             lamrow: dict[tuple[int, ...], float] = {}
+            lambdas[A] = lamrow
             for kappa, (cg, cf) in built.items():
                 if (
                     list(cg.vertices) != list(ref.vertices)
@@ -463,7 +402,6 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
                 if pos:
                     lam = max(graph_c1(cg, y) for y in pos) / n_used
                     lamrow[pack_bits(kappa, ipos)] = lam
-            lambdas[A] = {bits: v for bits, v in lamrow.items()}
             host = TableRule(ipos, lamrow, 0.0) if ipos else None
             if host is None:
                 const = lamrow.get((), 0.0)

@@ -29,6 +29,7 @@ from .serialize import dump_function, dump_graph, write_json
 from .triangle import GraphInstance, TriangleParams, build_dense_lg, build_sparse_lg, build_sparsenew_lg, triangle_function
 
 GENERATOR_NAME = "python-random-mersenne-twister"
+EXHAUSTIVE_SIZES = (2, 3, 4)
 
 
 def _instance_record(g: GraphInstance) -> dict:
@@ -118,13 +119,21 @@ def corpus_generate(
     samples: int = 50,
     p: float = 0.3,
 ) -> dict:
-    """Write the corpus under ``out`` and return its manifest."""
+    """Write the corpus under ``out`` and return its manifest; bad arguments
+    raise ``ValueError`` before anything is written."""
+    sizes = sorted(set(sizes))
+    if any(n in EXHAUSTIVE_SIZES for n in sizes):
+        raise ValueError(f"sizes {EXHAUSTIVE_SIZES} are written exhaustively")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability p={p} is outside [0, 1]")
+    if samples < 0:
+        raise ValueError(f"samples={samples} is negative")
     root = Path(out)
     rng = Random(seed)
     manifest: dict = {
         "seed": seed,
         "generator": GENERATOR_NAME,
-        "sizes": sorted(set(sizes)),
+        "sizes": sizes,
         "samples": samples,
         "p": p,
         "instances": {},
@@ -134,7 +143,7 @@ def corpus_generate(
 
     inst_dir = root / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
-    for n in (2, 3, 4):
+    for n in EXHAUSTIVE_SIZES:
         rel = f"instances/n{n}-all.json"
         write_json(
             root / rel,

@@ -8,8 +8,7 @@ single place where that shift happens.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,29 +20,12 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def bits_of(mask: int) -> tuple[int, ...]:
-    """Sorted tuple of the set bit positions of ``mask``."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 def popcount(x: int) -> int:
     return x.bit_count()
 
 
 def get_bit(z: int, i: int) -> int:
     return (z >> i) & 1
-
-
-def restrict(z: int, mask: int) -> int:
-    """Assignment of ``z`` on the positions in ``mask`` (bits kept in place)."""
-    return z & mask
 
 
 def pack_bits(z: int, indices: Sequence[int]) -> tuple[int, ...]:
@@ -124,16 +106,6 @@ def parse_assignment_key(key: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         bits.append(int(b))
     order = sorted(range(len(idx)), key=idx.__getitem__)
     return tuple(idx[k] for k in order), tuple(bits[k] for k in order)
-
-
-def subsets(items: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
-    return combinations(sorted(items), size)
-
-
-def all_inputs(n: int) -> range:
-    if n > 24:
-        raise ValueError(f"refusing to enumerate 2^{n} inputs")
-    return range(1 << n)
 
 
 # Pair positions for graph-input encodings: the n-vertex graph instance uses

@@ -7,8 +7,10 @@ ordered lexicographically.  Three graph families detect a triangle:
   X) or (a two-level set walk searching for a triangle avoiding X);
 * sparse: the same skeleton with sparse loading paths, plus a neighborhood
   based direct search;
-* the anchored variant: an OR over anchor vertices w of a single set walk
-  that loads adjacencies to w and probes pairs of its neighbors.
+* the anchored variant (sparsenew): the walk variants' anchored search with
+  no excluded set (X = ∅), ORed over anchor vertices w with fan-in 3; each
+  search is a single set walk that loads adjacencies to w and probes pairs of
+  its neighbors.
 
 Every truth table is built from the domain's position columns (see
 ``model.Universe``): a pair or triangle is an AND of its edges' columns, and a
@@ -264,10 +266,6 @@ def oracle_delta_exact(g: GraphInstance, B: Iterable[int], x: int) -> Fraction:
     return Fraction(total, count)
 
 
-def oracle_delta(g: GraphInstance, B: Iterable[int], x: int) -> float:
-    return float(oracle_delta_exact(g, B, x))
-
-
 def delta_mean_pairs(g: GraphInstance, B: Iterable[int], x: int) -> Fraction:
     """Same expectation through the per-pair decomposition.
 
@@ -296,10 +294,6 @@ def ninter_exact(V1: Sequence[int], N: Iterable[int], x: int) -> Fraction:
         len(ns & set(X)) for X in itertools.combinations(ground, x)
     )
     return Fraction(total, math.comb(len(ground), x))
-
-
-def oracle_ninter(V1: Sequence[int], N: Iterable[int], x: int) -> float:
-    return float(ninter_exact(V1, N, x))
 
 
 def ninter_sq_exact(V1: Sequence[int], N: Iterable[int], x: int) -> Fraction:
@@ -334,10 +328,6 @@ def edge_exp_exact(g: GraphInstance, x: int, y: int) -> Fraction:
         for Y in itertools.combinations(range(n), y):
             total += sum(len(g.neighbors(v) & xs) for v in Y)
     return Fraction(total, math.comb(n, x) * math.comb(n, y))
-
-
-def oracle_edge_exp(g: GraphInstance, x: int, y: int) -> float:
-    return float(edge_exp_exact(g, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +551,28 @@ def _anchor_search(
     return res.graph, res.function
 
 
+def _anchor_or(
+    n: int,
+    X: tuple[int, ...],
+    A: tuple[int, ...],
+    ctx: frozenset[int],
+    univ: Universe,
+    dom: int,
+    b_size: int,
+    kinds: Sequence[str],
+    k: int,
+) -> OrResult:
+    """The OR, with fan-in k, of the anchored searches over every anchor w."""
+    return or_compose(
+        [
+            _anchor_search(n, X, A, w, ctx, univ, dom, b_size, kinds)
+            for w in range(n)
+        ],
+        k,
+        prefix="w",
+    )
+
+
 def _fx(
     n: int,
     X: tuple[int, ...],
@@ -596,12 +608,7 @@ def _fx(
     def factory(A: tuple[int, ...], kappa: int):
         ctx = frozenset(walk_pos(frozenset(A)))
         sub = dom & univ.select(mask_of(ctx), kappa)
-        children = []
-        for w in range(n):
-            children.append(
-                _anchor_search(n, X, A, w, ctx, univ, sub, params.b, kinds)
-            )
-        res = or_compose(children, 1, prefix="w")
+        res = _anchor_or(n, X, A, ctx, univ, sub, params.b, kinds, 1)
         return res.graph, res.function
 
     spec = JohnsonSpec(
@@ -667,59 +674,10 @@ def build_sparsenew_lg(n: int, b: int, m: int | None = None) -> BuildResult:
             stacklevel=2,
         )
     f_top = triangle_function(n)
-    univ, dom = f_top.universe, f_top.dom
-    nbits = num_pairs(n)
-    children = []
-    for w in range(n):
-        # a triangle through w; each positive is certified by the other two
-        # vertices of its first one
-        truth, first = _first_hits(
-            univ,
-            (
-                (tuple(v for v in t if v != w), _with_triangle(univ, n, t))
-                for t in itertools.combinations(range(n), 3)
-                if w in t
-            ),
-        )
-        fn = BooleanFunction.from_bits(univ, dom, truth)
-
-        def positions(B: frozenset, w: int = w) -> set[int]:
-            return {pair_position(w, j, n) for j in B if j != w}
-
-        def factory(B: tuple[int, ...], kappa: int, w: int = w):
-            sub = dom & univ.select(mask_of(positions(frozenset(B))), kappa)
-            children_p = []
-            for u, v in itertools.combinations(sorted(set(B) - {w}), 2):
-                children_p.append(
-                    _pair_probe(
-                        nbits,
-                        pair_position(u, v, n),
-                        (pair_position(w, u, n), pair_position(w, v, n)),
-                        (),
-                        univ,
-                        sub,
-                    )
-                )
-            if not children_p:
-                return None
-            res = or_compose(children_p, 1, prefix="p")
-            return res.graph, res.function
-
-        spec = JohnsonSpec(
-            n_bits=nbits,
-            ground=tuple(range(n)),
-            k=b,
-            r=2,
-            positions=positions,
-            function=fn,
-            cert=first.__getitem__,
-            load_kind=(SPARSE, DENSE, DENSE),
-            factory=factory,
-            prefix="B",
-        )
-        res = johnson_compose(spec)
-        children.append((res.graph, res.function))
-    top = or_compose(children, 3, prefix="w")
+    top = _anchor_or(
+        n, (), tuple(range(n)), frozenset(), f_top.universe, f_top.dom, b,
+        (SPARSE, DENSE, DENSE), 3,
+    )
     if top.function.truth != f_top.truth:
         raise CompositionError("composed function disagrees with the target")
     return BuildResult(

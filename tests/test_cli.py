@@ -193,6 +193,24 @@ def test_corpus_round_trip(corpus_dir, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "args, words",
+    [
+        (("--sizes", "3,5"), "exhaustive"),
+        (("--p", "2"), "outside [0, 1]"),
+        (("--samples", "-1"), "negative"),
+    ],
+    ids=["exhaustive-size", "p-above-one", "negative-samples"],
+)
+def test_corpus_rejects_bad_arguments(tmp_path, capsys, args, words):
+    out_dir = tmp_path / "corpus"
+    code, out, err = run(capsys, "corpus", "--out", str(out_dir), *args)
+    assert code == 2
+    assert out == ""
+    assert words in json.loads(err)["error"]["message"]
+    assert not out_dir.exists()
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

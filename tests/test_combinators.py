@@ -1,4 +1,4 @@
-"""Disjunction, stage rebalance and set-walk composition."""
+"""Disjunction, edge cost caps and set-walk composition."""
 
 import math
 
@@ -13,9 +13,8 @@ from lgkit.combinators import (
     edge_c1_cap,
     johnson_compose,
     or_compose,
-    rebalance_stage,
 )
-from lgkit.complexity import complexity, graph_c0, graph_c1
+from lgkit.complexity import complexity, graph_c0
 from lgkit.model import BooleanFunction, GraphBuilder, Universe
 from lgkit.rules import ONE, ConstRule, TableRule
 from lgkit.serialize import dump_graph, dumps
@@ -197,35 +196,6 @@ def test_or_matches_loop_on_random_children(case):
     assert _or_outcome(or_compose, children, k, routing) == _or_outcome(
         or_compose_loop, children, k, routing
     )
-
-
-def test_rebalance_stage_scales_to_unit_cost():
-    domain = (0, 15)
-    children = [_bit_child(4, i, domain) for i in range(4)]
-    b = GraphBuilder(4)
-    emaps = []
-    for i, (g, _) in enumerate(children):
-        _, emap = b.merge(g, prefix=f"c{i}.", vmap={g.root: b.root})
-        emaps.append(emap[0])
-    flows = {15: {ei: 0.25 for ei in emaps}}
-    g = b.graph(flows=flows)
-    out, factors, n_used = rebalance_stage(g, emaps)
-    assert n_used == 4
-    assert all(lam == 0.25 for lam in factors.values())
-    assert graph_c1(out, 15) == 1.0
-
-
-def test_rebalance_stage_rejects_uneven_flow():
-    domain = (0, 3)
-    children = [_bit_child(2, i, domain) for i in range(2)]
-    b = GraphBuilder(2)
-    emaps = []
-    for i, (g, _) in enumerate(children):
-        _, emap = b.merge(g, prefix=f"c{i}.", vmap={g.root: b.root})
-        emaps.append(emap[0])
-    g = b.graph(flows={3: {emaps[0]: 0.75, emaps[1]: 0.25}})
-    with pytest.raises(CompositionError, match="uniform"):
-        rebalance_stage(g, emaps)
 
 
 def test_edge_c1_cap_reads_weight_table():

@@ -4,9 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgkit.indexing import (
-    all_inputs,
     assignment_key,
-    bits_of,
     bitstring,
     mask_of,
     num_pairs,
@@ -15,8 +13,6 @@ from lgkit.indexing import (
     parse_assignment_key,
     parse_bitstring,
     position_pair,
-    restrict,
-    subsets,
     unpack_bits,
 )
 
@@ -61,24 +57,7 @@ def test_pack_unpack(z, positions):
     assert unpack_bits(bits, positions) == z & mask_of(positions)
 
 
-def test_restrict_keeps_only_named_positions():
-    assert restrict(0b1111, mask_of((0, 2))) == 0b0101
-
-
 def test_assignment_key_round_trip():
     key = assignment_key((1, 4), (0, 1))
     assert key == "2:0,5:1"
     assert parse_assignment_key(key) == ((1, 4), (0, 1))
-
-
-def test_subsets_order_and_count():
-    got = list(subsets((0, 1, 2), 2))
-    assert got == [(0, 1), (0, 2), (1, 2)]
-
-
-def test_all_inputs_is_full_domain():
-    assert list(all_inputs(3)) == list(range(8))
-
-
-def test_bits_of_matches_manual():
-    assert bits_of(0b1010) == (1, 3)

@@ -15,6 +15,7 @@ from lgkit.triangle import (
     GraphInstance,
     TriangleParams,
     build_dense_lg,
+    build_sparse_lg,
     build_sparsenew_lg,
     delta_mean_pairs,
     delta_sets,
@@ -230,13 +231,21 @@ def test_build_result_params_recorded(dense4):
 
 
 # sha256 of the serialized graphs, computed before the builders moved to
-# domain bitsets; the serialized graphs must stay byte-identical
+# domain bitsets (the first five) and before sparsenew was built through
+# the walk variants' anchored search (the rest); the serialized graphs must
+# stay byte-identical
 GRAPH_SHA256 = {
     "dense-n4": "db3e6e86c428a1389c07a02471d688dab4a10ee3b0fde25879bb65b9b02ef937",
     "sparse-n4": "8debbb73759d3c6f08e6c1bd80164d8eb2e50ad327b019b1abee6f2221ef5784",
     "sparsenew-n4": "3eb8d6e01047c5c513fe3a63feade90181f52eb68ab04361dd85adeb7504341b",
     "dense-n5": "e3bc6afbf1d7bc7f17e086d89e5e86f45565d5c12a0df2142bd15df570493fbc",
     "sparsenew-n5": "fbbd1ef9a469764ca00f0b65137c871f6bf34156a732d8bae2a7afc83ea6f315",
+    "sparsenew-n4-b3": "c03e1623f7749deda6c58f85b2d84d04e2c1341a600401e2417199ece991f5ec",
+    "sparsenew-n4-b4": "ac653fc8476b3ca97e471d8c771e62755503f41e0dace5d452884ff913042843",
+    "sparsenew-n5-b2": "1b62a88b90b4615c82512ae82272839926e79f9200d5b911126ad49325687b2b",
+    "dense-n4-x2a3b2": "e0662ff7005bf6deb090e4c82ee2f9c02e96352977cdfcb3af90c2dabe611c74",
+    "sparse-n4-x2a3b2": "b468477e1b19e471413a80a5a856f7af7fbcd8b8ab534ea578d2c55699af18ce",
+    "dense-n4-x1a3b2": "88d93d578b5045ff7f3e8cd3634d37152e7a6227543f4aed8665dbb0126189ec",
 }
 
 
@@ -248,6 +257,13 @@ def test_n4_graphs_are_byte_identical(dense4, sparse4, anchored4):
     assert _sha256(dense4) == GRAPH_SHA256["dense-n4"]
     assert _sha256(sparse4) == GRAPH_SHA256["sparse-n4"]
     assert _sha256(anchored4) == GRAPH_SHA256["sparsenew-n4"]
+    for b in (3, 4):
+        assert _sha256(build_sparsenew_lg(4, b)) == GRAPH_SHA256[f"sparsenew-n4-b{b}"]
+    for x, a, b in ((2, 3, 2), (1, 3, 2)):
+        dense = build_dense_lg(4, TriangleParams(x, a, b))
+        assert _sha256(dense) == GRAPH_SHA256[f"dense-n4-x{x}a{a}b{b}"]
+    sparse = build_sparse_lg(4, TriangleParams(2, 3, 2, "sparse"))
+    assert _sha256(sparse) == GRAPH_SHA256["sparse-n4-x2a3b2"]
 
 
 def test_n5_graphs_are_byte_identical():
@@ -255,6 +271,7 @@ def test_n5_graphs_are_byte_identical():
     assert _sha256(dense) == GRAPH_SHA256["dense-n5"]
     assert dense.function == triangle_function(5)
     assert _sha256(build_sparsenew_lg(5, 3)) == GRAPH_SHA256["sparsenew-n5"]
+    assert _sha256(build_sparsenew_lg(5, 2)) == GRAPH_SHA256["sparsenew-n5-b2"]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
