@@ -29,7 +29,6 @@ from .serialize import dump_function, dump_graph, write_json
 from .triangle import GraphInstance, TriangleParams, build_dense_lg, build_sparse_lg, build_sparsenew_lg, triangle_function
 
 GENERATOR_NAME = "python-random-mersenne-twister"
-EXHAUSTIVE_SIZES = (2, 3, 4)
 
 
 def _instance_record(g: GraphInstance) -> dict:
@@ -122,8 +121,8 @@ def corpus_generate(
     """Write the corpus under ``out`` and return its manifest; bad arguments
     raise ``ValueError`` before anything is written."""
     sizes = sorted(set(sizes))
-    if any(n in EXHAUSTIVE_SIZES for n in sizes):
-        raise ValueError(f"sizes {EXHAUSTIVE_SIZES} are written exhaustively")
+    if sizes and sizes[0] < 5:
+        raise ValueError(f"sampled size {sizes[0]} is below 5 (2 to 4 are exhaustive)")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability p={p} is outside [0, 1]")
     if samples < 0:
@@ -143,7 +142,7 @@ def corpus_generate(
 
     inst_dir = root / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
-    for n in EXHAUSTIVE_SIZES:
+    for n in (2, 3, 4):
         rel = f"instances/n{n}-all.json"
         write_json(
             root / rel,

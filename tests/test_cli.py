@@ -197,10 +197,11 @@ def test_corpus_round_trip(corpus_dir, capsys):
     "args, words",
     [
         (("--sizes", "3,5"), "exhaustive"),
+        (("--sizes", "1"), "exhaustive"),
         (("--p", "2"), "outside [0, 1]"),
         (("--samples", "-1"), "negative"),
     ],
-    ids=["exhaustive-size", "p-above-one", "negative-samples"],
+    ids=["exhaustive-size", "size-below-two", "p-above-one", "negative-samples"],
 )
 def test_corpus_rejects_bad_arguments(tmp_path, capsys, args, words):
     out_dir = tmp_path / "corpus"
