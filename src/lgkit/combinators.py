@@ -26,8 +26,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexity import graph_c1
-from .indexing import mask_of, pack_bits
+from .complexity import c1_max, side1_totals
+from .indexing import input_array, mask_of, pack_bits, unpack_bits
 from .loads import load_gadget, single_load_rules
 from .model import (
     BooleanFunction,
@@ -89,13 +89,7 @@ def or_compose(
         if g.label(g.root) != ():
             raise CompositionError("child root labels must be empty")
         fs.append(f)
-    lambdas = []
-    for (g, _), f in zip(children, fs):
-        pos = f.positives()
-        if not pos:
-            lambdas.append(0.0)
-            continue
-        lambdas.append(max(graph_c1(g, y) for y in pos) / k)
+    lambdas = [c1_max(g, f) / k for (g, _), f in zip(children, fs)]
     b = GraphBuilder(n_bits, root="r")
     emaps: list[dict[int, int]] = []
     for i, (g, _) in enumerate(children):
@@ -175,23 +169,19 @@ def edge_c1_cap(e: Edge) -> float:
             raise CompositionError(
                 f"inner support of {len(sup)} positions is too large to scan"
             )
-        best = 0.0
-        for bits in itertools.product((0, 1), repeat=len(sup)):
-            z = sum(1 << p for p, bit in zip(sup, bits) if bit)
-            best = max(best, graph_c1(inner, z))
-        return best
+        return max([0.0, *side1_totals(inner, _support_inputs(sup))])
     sup = e.w1.support
     if len(sup) > SUPPORT_CAP:
         raise CompositionError(f"support of {len(sup)} positions is too large to scan")
-    vals = []
-    for bits in itertools.product((0, 1), repeat=len(sup)):
-        z = sum(1 << p for p, bit in zip(sup, bits) if bit)
-        w = e.w1(z)
-        if w > 0:
-            vals.append(1.0 / w)
-    if not vals:
-        return 0.0
-    return max(vals)
+    zs = _support_inputs(sup)
+    ws = e.w1.eval(input_array(zs, max(sup, default=0) + 1)).tolist()
+    return max((1.0 / w for w in ws if w > 0), default=0.0)
+
+
+def _support_inputs(sup: Sequence[int]) -> list[int]:
+    """Every input that is 0 off ``sup``, the last position varying fastest."""
+    cube = itertools.product((0, 1), repeat=len(sup))
+    return [unpack_bits(bits, sup) for bits in cube]
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +388,8 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
                     raise CompositionError(
                         f"leaf structures differ across contexts at {A}"
                     )
-                pos = cf.positives()
-                if pos:
-                    lam = max(graph_c1(cg, y) for y in pos) / n_used
-                    lamrow[pack_bits(kappa, ipos)] = lam
+                if cf.positives():
+                    lamrow[pack_bits(kappa, ipos)] = c1_max(cg, cf) / n_used
             host = TableRule(ipos, lamrow, 0.0) if ipos else None
             if host is None:
                 const = lamrow.get((), 0.0)

@@ -9,24 +9,27 @@ flow squared times the inner positive cost over the host weight on side 1.
 ``complexity`` aggregates both over a function's domain and reports per-stage
 breakdowns when the graph carries stage metadata.
 
-``edge_c0``/``graph_c0`` and ``edge_c1``/``graph_c1`` price one input at a
-time and are the reference.  ``side0_rows`` and ``side1_terms`` price a whole
-set of inputs column-wise, evaluating each rule object once per call, and are
-what ``complexity``, ``c0_max``/``c1_max``, validation and the witness use.
-Per-input totals are ``math.fsum`` over the same values, so both routes give
-the same bits.
+``side0_rows`` and ``side1_terms`` are the one place costs are evaluated.
+They price a whole set of inputs column-wise, evaluating each rule object
+once per call.  Everything that prices a graph goes through them:
+``complexity``, ``c0_max``/``c1_max`` (and so rebalancing, the witness
+target and the composition lambdas) and ``graph_c0``/``graph_c1``.
+Per-input totals are ``math.fsum`` over the per-edge values, so they do not
+depend on the order of the edges.  The input-by-input reference they are
+tested against, one ``Rule.__call__`` per (edge, input), lives in
+``tests/loop_reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, NoReturn, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .indexing import bitstring, input_array
-from .model import BooleanFunction, Edge, LearningGraph, StageInfo
+from .indexing import agreement_blocks, bitstring, input_array
+from .model import BooleanFunction, LearningGraph, StageInfo
 from .rules import Rule
 
 
@@ -36,49 +39,6 @@ class ComplexityError(ValueError):
 
 class MissingFlowError(ComplexityError):
     pass
-
-
-def edge_c0(g: LearningGraph, e: Edge, z: int) -> float:
-    if e.kind == "empty":
-        return 0.0
-    if e.gadget is None:
-        return e.w0(z)
-    host = e.w0(z)
-    if host == 0.0:
-        return 0.0
-    return host * graph_c0(e.gadget.inner, z)
-
-
-def graph_c0(g: LearningGraph, z: int) -> float:
-    # fsum keeps repeated equal prices exact (a dense path must cost K^2)
-    return math.fsum(edge_c0(g, e, z) for e in g.edges)
-
-
-def edge_c1(g: LearningGraph, e: Edge, p: float, y: int) -> float:
-    if p == 0.0:
-        return 0.0
-    if p < 0.0:
-        raise ComplexityError(f"negative flow {p} on edge {e.src}->{e.dst}")
-    if e.kind == "empty":
-        raise ComplexityError(
-            f"flow {p} on empty transition {e.src}->{e.dst} at input {y}"
-        )
-    w = e.w1(y)
-    if w == 0.0:
-        raise ComplexityError(
-            f"flow {p} on zero side-1 weight {e.src}->{e.dst} at input {y}"
-        )
-    if e.gadget is None:
-        return p * p / w
-    return p * p * graph_c1(e.gadget.inner, y) / w
-
-
-def graph_c1(g: LearningGraph, y: int, flow: dict[int, float] | None = None) -> float:
-    if flow is None:
-        flow = g.flow_for(y)
-    if flow is None:
-        raise MissingFlowError(f"no flow recorded for input {y}")
-    return math.fsum(edge_c1(g, g.edges[i], p, y) for i, p in flow.items())
 
 
 def column_fsums(rows: np.ndarray) -> list[float]:
@@ -120,11 +80,11 @@ def eval_at(rules: Sequence[Rule], zs: Sequence[np.ndarray]) -> list[np.ndarray]
 
 
 def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
-    """``edge_c0`` of every edge at every input of ``zs`` (see
+    """The side-0 weight of every edge at every input of ``zs`` (see
     :func:`lgkit.indexing.input_array`), one row per edge.
 
-    A super edge's row is its host weight times the inner graph's total, and
-    0 where the host weight is 0.
+    An empty edge's row is 0.  A super edge's row is its host weight times
+    the inner graph's total, and 0 where the host weight is 0.
     """
     rows = np.zeros((len(g.edges), len(zs)))
     live = [i for i, e in enumerate(g.edges) if e.kind != "empty"]
@@ -144,65 +104,122 @@ def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
 
 
 def side1_terms(g: LearningGraph, ys: Sequence[int]) -> list[dict[int, float]]:
-    """``edge_c1`` of every edge with nonzero flow, per input of ``ys``: one
-    ``{edge index: contribution}`` map per input.
+    """The side-1 contribution of every edge with nonzero flow, per input of
+    ``ys``: one ``{edge index: contribution}`` map per input.
 
-    ``w1`` is evaluated only where flow is.  Raises what ``graph_c1`` raises,
-    for the same input.
+    An edge's contribution is flow squared over its ``w1``, times the inner
+    positive cost for a super edge.  ``w1`` is evaluated only where flow is.
+
+    Raises :class:`ComplexityError` for the first faulty input of ``ys`` and,
+    in that input, for the first faulty edge in flow order.  The checks, in
+    order: a missing flow, an edge outside ``0..len(edges)-1`` (whatever its
+    flow), a negative flow, flow on an empty edge, flow on zero side-1
+    weight, and a fault of a super edge's inner graph at that input.
     """
-    at: dict[int, tuple[list[int], list[float]]] = {}  # edge -> (input numbers, flows)
-    for k, y in enumerate(ys):
-        flow = g.flow_for(y)
-        if flow is None:
-            _raise_first_error(g, ys)
-        for i, p in flow.items():
-            if p != 0.0:
-                ks, ps = at.setdefault(i, ([], []))
-                ks.append(k)
-                ps.append(p)
-    for i, (_, ps) in at.items():
-        if (
-            not -len(g.edges) <= i < len(g.edges)  # g.edges[i] as in graph_c1
-            or g.edges[i].kind == "empty"
-            or any(p < 0.0 for p in ps)
-        ):
-            _raise_first_error(g, ys)
-    yarr = input_array(ys, g.n_bits)
-    edges = list(at)
-    weights = eval_at(
-        [g.edges[i].w1 for i in edges], [yarr[at[i][0]] for i in edges]
-    )
-    terms: list[dict[int, float]] = [{} for _ in ys]
-    for i, w in zip(edges, weights):
-        ks, ps = at[i]
-        if (w == 0.0).any():
-            _raise_first_error(g, ys)
-        p = np.array(ps)
-        gadget = g.edges[i].gadget
-        inner = 1.0  # p * p * 1.0 is exactly p * p
-        if gadget is not None:
-            try:
-                inner = np.array(side1_totals(gadget.inner, [ys[k] for k in ks]))
-            except ComplexityError:
-                _raise_first_error(g, ys)
-        # overflow to inf and inf times 0, silent as in the scalar call
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = p * p * inner / w
-        for k, v in zip(ks, values.tolist()):
-            terms[k][i] = v
+    terms, fault = _side1(g, ys)
+    if fault is not None:
+        raise fault[1]
     return terms
 
 
-def _raise_first_error(g: LearningGraph, ys: Sequence[int]) -> NoReturn:
-    # the scalar reference names the same input and edge as it always has
-    for y in ys:
-        graph_c1(g, y)
-    raise ComplexityError("column-wise and scalar side-1 checks disagree")
+def _side1(
+    g: LearningGraph, ys: Sequence[int]
+) -> tuple[list[dict[int, float]], tuple[int, ComplexityError] | None]:
+    """``side1_terms``, or the number in ``ys`` of the first faulty input and
+    the error it raises."""
+    n_edges = len(g.edges)
+    # one entry per nonzero flow, and per flow on an unknown edge
+    ks: list[int] = []  # input number
+    es: list[int] = []  # edge
+    ps: list[float] = []  # flow
+    missing: tuple[int, ComplexityError] | None = None  # the first input without a flow
+    for k, y in enumerate(ys):
+        flow = g.flow_for(y)
+        if flow is None:
+            missing = (k, MissingFlowError(f"no flow recorded for input {y}"))
+            break
+        for i, p in flow.items():
+            if p != 0.0 or not 0 <= i < n_edges:
+                ks.append(k)
+                es.append(i)
+                ps.append(p)
+    if not ks:
+        return [{} for _ in ys], missing
+    kk = np.array(ks, dtype=np.int64)
+    ee = np.array(es, dtype=np.int64)
+    pp = np.array(ps, dtype=np.float64)
+    # the entries of each edge, in input order
+    order, bounds = agreement_blocks(ee, np.zeros_like(ee))
+    at = {es[order[a]]: order[a:b] for a, b in zip(bounds, bounds[1:])}
+    live = [i for i in at if 0 <= i < n_edges and g.edges[i].kind != "empty"]
+    yarr = input_array(ys, g.n_bits)
+    weights = eval_at([g.edges[i].w1 for i in live], [yarr[kk[at[i]]] for i in live])
+    ww = np.zeros(len(ps))  # 0 on unknown and empty edges, which are faults
+    inner = np.ones(len(ps))  # p * p * 1.0 is exactly p * p
+    inner_faults: dict[int, ComplexityError] = {}  # entry -> error
+    for i, w in zip(live, weights):
+        grp = at[i]
+        ww[grp] = w
+        gadget = g.edges[i].gadget
+        if gadget is not None:
+            sub, fault = _side1(gadget.inner, [ys[k] for k in kk[grp].tolist()])
+            if fault is None:
+                inner[grp] = [math.fsum(t.values()) for t in sub]
+            else:
+                inner_faults[int(grp[fault[0]])] = fault[1]
+    # entries are in input order, and each input's in flow order, so the
+    # first faulty entry is the one the scalar checks would meet first
+    bad = np.flatnonzero((pp < 0.0) | (ww == 0.0)).tolist() + list(inner_faults)
+    if bad:
+        n = min(bad)
+        y = ys[ks[n]]
+        error = _flow_error(g, es[n], ps[n], y, ww[n]) or inner_faults[n]
+        return [], (ks[n], error)
+    if missing is not None:
+        return [], missing
+    # overflow to inf and inf times 0, silent as in the scalar call
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = pp * pp * inner / ww
+    terms: list[dict[int, float]] = [{} for _ in ys]
+    for k, i, v in zip(ks, es, values.tolist()):
+        terms[k][i] = v
+    return terms, None
+
+
+def _flow_error(
+    g: LearningGraph, i: int, p: float, y: int, w: float
+) -> ComplexityError | None:
+    """The first plain check that flow ``p`` on edge ``i`` at input ``y``
+    fails, where ``w`` is the edge's side-1 weight there (0 if unknown)."""
+    if not 0 <= i < len(g.edges):
+        return ComplexityError(f"flow {p} on unknown edge {i} at input {y}")
+    e = g.edges[i]
+    if p < 0.0:
+        return ComplexityError(f"negative flow {p} on edge {e.src}->{e.dst}")
+    if e.kind == "empty":
+        return ComplexityError(
+            f"flow {p} on empty transition {e.src}->{e.dst} at input {y}"
+        )
+    if w == 0.0:
+        return ComplexityError(
+            f"flow {p} on zero side-1 weight {e.src}->{e.dst} at input {y}"
+        )
+    return None
 
 
 def side1_totals(g: LearningGraph, ys: Sequence[int]) -> list[float]:
-    """``graph_c1`` at every input of ``ys``."""
+    """The positive cost at every input of ``ys``."""
     return [math.fsum(t.values()) for t in side1_terms(g, ys)]
+
+
+def graph_c0(g: LearningGraph, z: int) -> float:
+    """The negative cost at one input."""
+    return column_fsums(side0_rows(g, input_array([z], g.n_bits)))[0]
+
+
+def graph_c1(g: LearningGraph, y: int) -> float:
+    """The positive cost at one input."""
+    return side1_totals(g, [y])[0]
 
 
 def c0_max(g: LearningGraph, f: BooleanFunction) -> float:

@@ -159,11 +159,6 @@ class LearningGraph:
             return None
         return self.flows.get(y)
 
-    def flow_inputs(self) -> tuple[int, ...]:
-        if self.flows is not None:
-            return tuple(sorted(self.flows))
-        return ()
-
     def has_super(self) -> bool:
         return any(e.gadget is not None for e in self.edges)
 

@@ -60,6 +60,8 @@ class GraphInstance:
     z: int
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"vertex count n={self.n} must not be negative")
         if self.z >> num_pairs(self.n):
             raise ValueError(f"edge mask has bits beyond {num_pairs(self.n)} pairs")
 
@@ -282,21 +284,15 @@ def delta_mean_pairs(g: GraphInstance, B: Iterable[int], x: int) -> Fraction:
 
 
 def ninter_exact(V1: Sequence[int], N: Iterable[int], x: int) -> Fraction:
-    ground = tuple(sorted(set(V1)))
-    if len(ground) > 12:
-        raise ValueError("ground set capped at 12 elements")
-    ns = set(N)
-    if not ns <= set(ground):
-        raise ValueError("N must sit inside V1")
-    if not 1 <= x <= len(ground):
-        raise ValueError(f"x={x} out of range")
-    total = sum(
-        len(ns & set(X)) for X in itertools.combinations(ground, x)
-    )
-    return Fraction(total, math.comb(len(ground), x))
+    return _ninter_moment(V1, N, x, 1)
 
 
 def ninter_sq_exact(V1: Sequence[int], N: Iterable[int], x: int) -> Fraction:
+    return _ninter_moment(V1, N, x, 2)
+
+
+def _ninter_moment(V1: Sequence[int], N: Iterable[int], x: int, power: int) -> Fraction:
+    """Mean of |N ∩ X| ** power over the x-subsets X of V1."""
     ground = tuple(sorted(set(V1)))
     if len(ground) > 12:
         raise ValueError("ground set capped at 12 elements")
@@ -305,9 +301,7 @@ def ninter_sq_exact(V1: Sequence[int], N: Iterable[int], x: int) -> Fraction:
         raise ValueError("N must sit inside V1")
     if not 1 <= x <= len(ground):
         raise ValueError(f"x={x} out of range")
-    total = sum(
-        len(ns & set(X)) ** 2 for X in itertools.combinations(ground, x)
-    )
+    total = sum(len(ns & set(X)) ** power for X in itertools.combinations(ground, x))
     return Fraction(total, math.comb(len(ground), x))
 
 

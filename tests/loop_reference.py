@@ -2,7 +2,9 @@
 
 These are the loops the column-wise code replaced, kept as the reference
 that ``test_columnwise.py`` compares against.  They call each rule once per
-(edge, input) through ``Rule.__call__``.  The witness reference keeps every
+(edge, input) through ``Rule.__call__`` and price a graph with their own
+scalar cost functions (``graph_c0_loop``, ``graph_c1_loop``), so they share
+no pricing code with ``lgkit.complexity``.  The witness reference keeps every
 per-position matrix dense (m × m) and verifies it with a full eigenvalue
 decomposition, as the factored witness did before it stored Ψ_j.
 ``or_compose_loop`` computes the disjunction's values and routing input by
@@ -12,6 +14,7 @@ input, as ``or_compose`` did before functions were stored as bitsets;
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,13 +23,10 @@ import numpy as np
 from lgkit.adversary import AdversaryError, WitnessReport
 from lgkit.combinators import CompositionError, OrResult
 from lgkit.complexity import (
+    ComplexityError,
     ComplexityReport,
     MissingFlowError,
     StageCost,
-    edge_c0,
-    edge_c1,
-    graph_c0,
-    graph_c1,
 )
 from lgkit.expand import expand
 from lgkit.indexing import bitstring, mask_of
@@ -35,9 +35,73 @@ from lgkit.rules import scaled
 from lgkit.validate import ValidationReport, _structure
 
 
+def edge_c0_loop(g, e, z):
+    if e.kind == "empty":
+        return 0.0
+    if e.gadget is None:
+        return e.w0(z)
+    host = e.w0(z)
+    if host == 0.0:
+        return 0.0
+    return host * graph_c0_loop(e.gadget.inner, z)
+
+
+def graph_c0_loop(g, z):
+    # fsum keeps repeated equal prices exact (a dense path must cost K^2)
+    return math.fsum(edge_c0_loop(g, e, z) for e in g.edges)
+
+
+def edge_c1_loop(g, e, p, y):
+    if p == 0.0:
+        return 0.0
+    if p < 0.0:
+        raise ComplexityError(f"negative flow {p} on edge {e.src}->{e.dst}")
+    if e.kind == "empty":
+        raise ComplexityError(
+            f"flow {p} on empty transition {e.src}->{e.dst} at input {y}"
+        )
+    w = e.w1(y)
+    if w == 0.0:
+        raise ComplexityError(
+            f"flow {p} on zero side-1 weight {e.src}->{e.dst} at input {y}"
+        )
+    if e.gadget is None:
+        return p * p / w
+    return p * p * graph_c1_loop(e.gadget.inner, y) / w
+
+
+def graph_c1_loop(g, y):
+    flow = g.flow_for(y)
+    if flow is None:
+        raise MissingFlowError(f"no flow recorded for input {y}")
+    return math.fsum(edge_c1_loop(g, g.edges[i], p, y) for i, p in flow.items())
+
+
+def edge_c1_cap_loop(e):
+    """``combinators.edge_c1_cap`` for an edge without a recorded bound, one
+    input at a time."""
+    if e.gadget is not None:
+        inner = e.gadget.inner
+        sup = sorted({i for ie in inner.edges for i in ie.w1.support})
+        best = 0.0
+        for bits in itertools.product((0, 1), repeat=len(sup)):
+            z = sum(1 << p for p, bit in zip(sup, bits) if bit)
+            best = max(best, graph_c1_loop(inner, z))
+        return best
+    vals = []
+    for bits in itertools.product((0, 1), repeat=len(e.w1.support)):
+        z = sum(1 << p for p, bit in zip(e.w1.support, bits) if bit)
+        w = e.w1(z)
+        if w > 0:
+            vals.append(1.0 / w)
+    if not vals:
+        return 0.0
+    return max(vals)
+
+
 def complexity_loop(g, f):
-    per0 = {x: graph_c0(g, x) for x in f.negatives()}
-    per1 = {y: graph_c1(g, y) for y in f.positives()}
+    per0 = {x: graph_c0_loop(g, x) for x in f.negatives()}
+    per1 = {y: graph_c1_loop(g, y) for y in f.positives()}
     report = ComplexityReport(
         c0=max(per0.values(), default=0.0),
         c1=max(per1.values(), default=0.0),
@@ -53,7 +117,7 @@ def complexity_loop(g, f):
         raw0 = 0.0 if factors else None
         raw1 = 0.0 if factors else None
         for x in f.negatives():
-            parts = [(i, edge_c0(g, g.edges[i], x)) for i in st.edges]
+            parts = [(i, edge_c0_loop(g, g.edges[i], x)) for i in st.edges]
             stage_per0[x] = math.fsum(v for _, v in parts)
             if factors:
                 raw0 = max(
@@ -67,7 +131,7 @@ def complexity_loop(g, f):
             if flow is None:
                 raise MissingFlowError(f"no flow recorded for input {y}")
             parts = [
-                (i, edge_c1(g, g.edges[i], p, y))
+                (i, edge_c1_loop(g, g.edges[i], p, y))
                 for i, p in flow.items()
                 if i in edge_ids
             ]
@@ -256,8 +320,8 @@ def build_witness_loop(g, f):
                 blocks += 1
                 v = np.asarray(val)
                 mat[np.ix_(idx, idx)] += np.outer(v, v)
-    c0 = max((graph_c0(g, x) for x in f.negatives()), default=0.0)
-    c1 = max((graph_c1(g, y) for y in f.positives()), default=0.0)
+    c0 = max((graph_c0_loop(g, x) for x in f.negatives()), default=0.0)
+    c1 = max((graph_c1_loop(g, y) for y in f.positives()), default=0.0)
     return LoopWitness(
         n_bits=g.n_bits,
         domain=domain,
@@ -328,7 +392,7 @@ def or_compose_loop(children, k, *, routing=None, prefix="c"):
         if not pos:
             lambdas.append(0.0)
             continue
-        lambdas.append(max(graph_c1(g, y) for y in pos) / k)
+        lambdas.append(max(graph_c1_loop(g, y) for y in pos) / k)
     b = GraphBuilder(n_bits, root="r")
     emaps = []
     for i, (g, _) in enumerate(children):

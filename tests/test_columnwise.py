@@ -1,5 +1,6 @@
 """Column-wise evaluation against the input-by-input reference, bit for bit."""
 
+import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from loop_reference import (
     build_witness_loop,
     complexity_loop,
+    edge_c1_cap_loop,
+    graph_c1_loop,
     validate_loop,
     verify_witness_loop,
 )
@@ -21,12 +24,14 @@ from lgkit.adversary import (
     rebalance_to_equal,
     verify_witness,
 )
-from lgkit.complexity import c0_max, c1_max, complexity
+from lgkit.combinators import edge_c1_cap
+from lgkit.complexity import c0_max, c1_max, complexity, side1_totals
 from lgkit.corpus import _pairs_walk
 from lgkit.expand import expand
 from lgkit.indexing import input_array
-from lgkit.model import BooleanFunction, GraphBuilder, LearningGraph
+from lgkit.model import BooleanFunction, GraphBuilder, LearningGraph, SuperEdge
 from lgkit.rules import (
+    RULE_TYPES,
     CandidatePairRule,
     ConstRule,
     DispatchRule,
@@ -39,7 +44,13 @@ from lgkit.rules import (
     TableRule,
     ZERO,
 )
-from lgkit.serialize import build_function, build_graph, dumps, read_json
+from lgkit.serialize import build_function, build_graph, dump_graph, dumps, read_json
+from lgkit.triangle import (
+    TriangleParams,
+    build_dense_lg,
+    build_sparse_lg,
+    build_sparsenew_lg,
+)
 from lgkit.validate import validate
 
 
@@ -390,3 +401,154 @@ def test_rules_over_many_positions():
     zs = [0, ones, 1 << 78, (1 << 80) - 1, ones ^ 1 << 40]
     for rule in rules:
         _assert_eval_matches_call(rule, zs)
+
+
+def _raised(call):
+    """The type and message of what ``call`` raises, or its result."""
+    try:
+        return call()
+    except ValueError as exc:  # ComplexityError and its subclasses
+        return type(exc), str(exc)
+
+
+def _fault_graph(flows):
+    """Five edges over two bits, each faulty at some inputs.
+
+    e0 r->s has zero w1 where bit 1 is set; e1 s->t has zero w1 where bit 0
+    is clear; e2 r->t is empty; e3 r->u is a super edge whose host w1 is zero
+    at input 0 and whose inner w1 is zero where bit 1 is clear; e4 r->u is a
+    super edge whose inner graph has a flow only for input 3.
+    """
+    inner = GraphBuilder(2, root="g0")
+    inner.add_vertex("g1", (1,))
+    inner.add_ordinary("g0", "g1", 1, ONE, TableRule((1,), {(0,): 0.0}, 1.0))
+    partial = GraphBuilder(2, root="g0")
+    partial.add_vertex("g1", (1,))
+    partial.add_ordinary("g0", "g1", 1, ONE, ONE)
+    b = GraphBuilder(2)
+    b.add_vertex("s", (0,))
+    b.add_vertex("t", (0, 1))
+    b.add_vertex("u", (1,))
+    b.add_ordinary("r", "s", 0, ONE, TableRule((1,), {(1,): 0.0}, 1.0))
+    b.add_ordinary("s", "t", 1, ONE, TableRule((0,), {(0,): 0.0}, 2.0))
+    b.add_empty("r", "t")
+    b.add_super(
+        "r",
+        "u",
+        SuperEdge(inner.graph(const_flow={0: 1.0})),
+        w1=TableRule((0, 1), {(0, 0): 0.0}, 1.0),
+    )
+    b.add_super("r", "u", SuperEdge(partial.graph(flows={3: {0: 1.0}})))
+    return b.graph(flows=flows)
+
+
+_SIDE1_FAULTS = {
+    "missing flow": ([1, 2], {1: {0: 1.0, 1: 1.0}}),
+    "negative flow": ([1], {1: {0: 1.0, 1: -0.5}}),
+    "flow on an empty edge": ([1], {1: {2: 0.5}}),
+    "negative flow on an empty edge": ([1], {1: {2: -0.5}}),
+    "zero w1": ([1, 2], {1: {0: 1.0}, 2: {0: 1.0}}),
+    "zero w1 and a negative flow at one edge": ([2], {2: {0: -0.5}}),
+    "fault inside a gadget": ([2, 1], {2: {3: 1.0}, 1: {3: 1.0}}),
+    "missing flow inside a gadget": ([3, 1], {3: {4: 1.0}, 1: {4: 1.0}}),
+    "zero host w1 before the gadget": ([0], {0: {3: 1.0}}),
+    "later edge faults at an earlier input": (
+        [1, 2],
+        {1: {0: 1.0, 3: 1.0}, 2: {0: 1.0}},
+    ),
+    "first faulty edge in flow order": ([2], {2: {1: 1.0, 0: 0.5}}),
+    "flow order unlike first use": ([1, 2], {1: {0: 1.0, 1: 1.0}, 2: {1: 1.0, 0: 0.5}}),
+    "earlier input, later edge": ([3, 2], {3: {1: 1.0, 0: 0.5}, 2: {1: 1.0}}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_SIDE1_FAULTS))
+def test_side1_errors_match_loop(fault):
+    ys, flows = _SIDE1_FAULTS[fault]
+    g = _fault_graph(flows)
+    want = _raised(lambda: [graph_c1_loop(g, y) for y in ys])
+    assert isinstance(want, tuple) and issubclass(want[0], ValueError), want
+    assert _raised(lambda: side1_totals(g, ys)) == want
+
+
+@st.composite
+def _flow_cases(draw):
+    """Inputs in any order, each with no flow or some of the five edges in
+    any order, with flows that are zero, positive or negative."""
+    ys = draw(st.permutations(range(4)))[: draw(st.integers(1, 4))]
+    flows = {}
+    for y in ys:
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        edges = draw(st.permutations(range(5)))[: draw(st.integers(0, 5))]
+        values = st.sampled_from([0.0, 0.5, 1.0, -0.5])
+        flows[y] = {i: draw(values) for i in edges}
+    return ys, flows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flow_cases())
+def test_side1_matches_loop_on_random_flows(case):
+    ys, flows = case
+    g = _fault_graph(flows)
+    got = _raised(lambda: side1_totals(g, ys))
+    want = _raised(lambda: [graph_c1_loop(g, y) for y in ys])
+    if isinstance(want, list):
+        assert np.array_equal(_bits(got), _bits(want))
+    else:
+        assert got == want
+
+
+def test_edge_c1_cap_matches_loop(dense4, sparse4, anchored4):
+    plain = [
+        TableRule((0, 2), {(0, 0): 0.0, (1, 0): 0.25, (0, 1): 4.0}, 0.5),
+        ZERO,
+        SparseLoadRule((1, 3, 4), 2, 1),
+    ]
+    b = GraphBuilder(5)
+    b.add_vertex("s", (1,))
+    for w1 in plain:
+        b.add_ordinary("r", "s", 1, ONE, w1)
+    edges = list(b.edges)
+    for res in (dense4, sparse4, anchored4):
+        for e in res.graph.edges:
+            if e.gadget is not None:
+                # without its recorded bound the cap scans the inner graph
+                e = replace(e, gadget=SuperEdge(e.gadget.inner))
+            if e.kind != "empty":
+                edges.append(e)
+    assert sum(e.gadget is not None for e in edges) > 0
+    for e in edges:
+        assert np.array_equal(_bits([edge_c1_cap(e)]), _bits([edge_c1_cap_loop(e)])), e
+
+
+def _pipeline(build):
+    """build -> serialize -> validate -> complexity -> rebalance -> witness
+    -> verify, as the benchmark runs it."""
+    res = build()
+    f = res.function
+    g = build_graph(json.loads(dumps(dump_graph(res.graph))))
+    assert validate(g, f).ok
+    complexity(g, f)
+    balanced = rebalance_to_equal(g, f)
+    assert verify_witness(build_witness(balanced, f), f).ok
+
+
+def test_pipeline_prices_column_wise(monkeypatch):
+    calls = []
+    for kind, cls in RULE_TYPES.items():
+
+        def counted(self, z, call=cls.__call__, kind=kind):
+            calls.append(kind)
+            return call(self, z)
+
+        monkeypatch.setattr(cls, "__call__", counted)
+    assert ConstRule(2.0)(0) == 2.0 and calls == ["const"]
+    calls.clear()
+    for build in (
+        lambda: build_dense_lg(4, TriangleParams(1, 2, 2, "dense")),
+        lambda: build_sparse_lg(4, TriangleParams(1, 2, 2, "sparse")),
+        lambda: build_sparsenew_lg(4, 2),
+    ):
+        _pipeline(build)
+    assert calls == []

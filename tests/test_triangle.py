@@ -62,6 +62,15 @@ def test_instance_json_round_trip():
     assert again == P3
 
 
+def test_instance_rejects_negative_vertex_count():
+    # a negative n used to make .edges loop forever in position_pair
+    with pytest.raises(ValueError, match="must not be negative"):
+        GraphInstance(-3, 1)
+    with pytest.raises(ValueError, match="must not be negative"):
+        GraphInstance(-1, 0)
+    assert GraphInstance(0, 0).edges == ()
+
+
 def test_triangle_enumeration():
     assert list(triangles(3, K3.z)) == [(0, 1, 2)]
     assert list(triangles(3, P3.z)) == []
