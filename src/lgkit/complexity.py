@@ -28,7 +28,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .indexing import agreement_blocks, bitstring, input_array
+from .indexing import bitstring, input_array
 from .model import BooleanFunction, LearningGraph, StageInfo
 from .rules import Rule
 
@@ -132,6 +132,7 @@ def _side1(
     ks: list[int] = []  # input number
     es: list[int] = []  # edge
     ps: list[float] = []  # flow
+    at: dict[int, list[int]] = {}  # edge -> its entries, in input order
     missing: tuple[int, ComplexityError] | None = None  # the first input without a flow
     for k, y in enumerate(ys):
         flow = g.flow_for(y)
@@ -140,33 +141,33 @@ def _side1(
             break
         for i, p in flow.items():
             if p != 0.0 or not 0 <= i < n_edges:
+                at.setdefault(i, []).append(len(ks))
                 ks.append(k)
                 es.append(i)
                 ps.append(p)
     if not ks:
         return [{} for _ in ys], missing
-    kk = np.array(ks, dtype=np.int64)
-    ee = np.array(es, dtype=np.int64)
     pp = np.array(ps, dtype=np.float64)
-    # the entries of each edge, in input order
-    order, bounds = agreement_blocks(ee, np.zeros_like(ee))
-    at = {es[order[a]]: order[a:b] for a, b in zip(bounds, bounds[1:])}
     live = [i for i in at if 0 <= i < n_edges and g.edges[i].kind != "empty"]
-    yarr = input_array(ys, g.n_bits)
-    weights = eval_at([g.edges[i].w1 for i in live], [yarr[kk[at[i]]] for i in live])
+    yk = input_array(ys, g.n_bits)[ks]  # the input of every entry
     ww = np.zeros(len(ps))  # 0 on unknown and empty edges, which are faults
+    by_rule: dict[int, tuple[Rule, list[int]]] = {}  # id(w1) -> w1, its entries
+    for i in live:
+        w1 = g.edges[i].w1
+        by_rule.setdefault(id(w1), (w1, []))[1].extend(at[i])
+    for w1, grp in by_rule.values():
+        ww[grp] = w1.eval(yk[grp])
     inner = np.ones(len(ps))  # p * p * 1.0 is exactly p * p
     inner_faults: dict[int, ComplexityError] = {}  # entry -> error
-    for i, w in zip(live, weights):
+    for i in live:
         grp = at[i]
-        ww[grp] = w
         gadget = g.edges[i].gadget
         if gadget is not None:
-            sub, fault = _side1(gadget.inner, [ys[k] for k in kk[grp].tolist()])
+            sub, fault = _side1(gadget.inner, [ys[ks[n]] for n in grp])
             if fault is None:
                 inner[grp] = [math.fsum(t.values()) for t in sub]
             else:
-                inner_faults[int(grp[fault[0]])] = fault[1]
+                inner_faults[grp[fault[0]]] = fault[1]
     # entries are in input order, and each input's in flow order, so the
     # first faulty entry is the one the scalar checks would meet first
     bad = np.flatnonzero((pp < 0.0) | (ww == 0.0)).tolist() + list(inner_faults)

@@ -27,7 +27,8 @@ from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
-from .indexing import assignment_key, bit_column, pack_bits, parse_assignment_key
+from .indexing import assignment_key, bit_column, mask_of, pack_bits
+from .indexing import parse_assignment_key
 
 
 class RuleError(ValueError):
@@ -269,11 +270,10 @@ class SparseLoadRule(Rule):
     def eval(self, zs: np.ndarray) -> np.ndarray:
         n = len(self.path)
         scale = 3.0 * math.log(n + 1)
-        ones = np.zeros(len(zs), dtype=np.int64)
-        for i in self.path[: self.pos - 1]:
-            ones += bit_column(zs, i)
-        cheap = bit_column(zs, self.path[self.pos - 1]) == self.side
-        return np.where(cheap, (ones + 1) * scale, n * scale)
+        ones = np.bitwise_count(zs & mask_of(self.path[: self.pos - 1]))
+        w = (ones.astype(np.int64) + 1) * scale
+        w[(zs >> self.path[self.pos - 1]) & 1 != self.side] = n * scale
+        return w
 
     def to_json(self) -> dict[str, Any]:
         return {

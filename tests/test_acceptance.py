@@ -17,17 +17,10 @@ import pytest
 from lgkit.adversary import build_witness, rebalance_to_equal, verify_witness
 from lgkit.adversary import linking_mutants
 from lgkit.combinators import or_compose
-from lgkit.complexity import (
-    column_fsums,
-    complexity,
-    graph_c0,
-    graph_c1,
-    side0_rows,
-    side1_totals,
-)
+from lgkit.complexity import complexity, graph_c0, graph_c1
 from lgkit.costmodel import fit_exponent
 from lgkit.expand import expand
-from lgkit.indexing import input_array, num_pairs, pair_position, popcount
+from lgkit.indexing import num_pairs, pair_position, popcount
 from lgkit.loads import load_gadget, single_load_rules
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.serialize import build_function, build_graph, read_json
@@ -77,18 +70,12 @@ def test_criterion_1_load_gadgets(capsys):
                 dense = load_gadget("dense", k, tuple(range(k))).inner
                 sparse = load_gadget("sparse", k, tuple(range(k))).inner
             bound_scale = 6 * k * math.log(k + 1)
-            # both costs at every input, priced column-wise as lgkit does
-            zs = range(1 << k)
-            dense0 = column_fsums(side0_rows(dense, input_array(zs, k)))
-            sparse0 = column_fsums(side0_rows(sparse, input_array(zs, k)))
-            dense1 = side1_totals(dense, zs)
-            sparse1 = side1_totals(sparse, zs)
-            for z in zs:
-                assert dense0[z] == float(k * k)
-                assert dense1[z] == 1.0
+            for z in range(1 << k):
+                assert graph_c0(dense, z) == float(k * k)
+                assert graph_c1(dense, z) == 1.0
                 ones = popcount(z)
-                assert sparse0[z] <= bound_scale * (ones + 1)
-                assert sparse1[z] <= 1.0
+                assert graph_c0(sparse, z) <= bound_scale * (ones + 1)
+                assert graph_c1(sparse, z) <= 1.0
         assert time.perf_counter() - start < 10.0
 
     _criterion(capsys, 1, "load gadget exactness", body)
