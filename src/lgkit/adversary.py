@@ -349,6 +349,8 @@ def linking_mutants(
     bit.  The crossing sum for that input pair moves off 1 by at least
     ``flow * (sqrt(factor) - 1)``.
     """
+    if count < 0:
+        raise AdversaryError(f"mutant count {count} is negative")
     ge = expand(g)
     candidates: dict[tuple[int, tuple[int, ...], tuple[int, ...]], float] = {}
     negs = f.negatives()

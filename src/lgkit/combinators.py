@@ -4,16 +4,18 @@ Two operations:
 
 * ``or_compose`` merges child graphs at a shared root, scaling each child's
   weights by its positive cost over the fan-in, and routes each positive
-  input's flow through its first (or hinted) positive children.  The
-  disjunction's truth table is the OR of the children's ``truth`` bitsets,
-  and the first positive children of every input are found by walking the
-  children over bitsets of the inputs still short of the fan-in.
+  input's flow through its first positive children.  The disjunction's
+  truth table is the OR of the children's ``truth`` bitsets, and the first
+  positive children of every input are found by walking the children over
+  bitsets of the inputs still short of the fan-in.
 * ``johnson_compose`` builds a set-walk: paths load the positions attached to
   a start set, walk edges extend the set one element at a time, and leaf
   subgraphs supplied by a factory are spliced onto the full sets, scaled per
   context so the final stage's positive cost is at most 1.  The contexts
   of a full set are the assignments its positions take on the function's
-  domain, found by splitting the domain bitset on each position.
+  domain, found by splitting the domain bitset on each position.  Positions
+  must grow along every step; each step edge is checked.  Each input's walks
+  are traced once, and the leaves where they end carry its flow.
 
 Every operation keeps exact flow bookkeeping: flows are built from unit
 fractions and recorded per positive input on the result.
@@ -22,9 +24,8 @@ fractions and recorded per positive input on the result.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .complexity import c1_max, side1_totals
 from .indexing import input_array, mask_of, pack_bits, unpack_bits
@@ -58,16 +59,15 @@ def or_compose(
     children: Sequence[tuple[LearningGraph, BooleanFunction]],
     k: int,
     *,
-    routing: Mapping[int, Sequence[int]] | None = None,
     prefix: str = "c",
 ) -> OrResult:
     """Compose child graphs disjunctively, merging their roots.
 
     Every positive input of the disjunction must have at least ``k`` positive
-    children; its flow splits equally over the first ``k`` of them (or over
-    ``routing[y]`` when given).  Children with no positive input are dead and
-    get weight zero.  The children's functions must share a domain; the
-    result's function lives on the first child's universe.
+    children; its flow splits equally over the first ``k`` of them.  Children
+    with no positive input are dead and get weight zero.  The children's
+    functions must share a domain; the result's function lives on the first
+    child's universe.
     """
     if k < 1:
         raise CompositionError(f"fan-in k={k} must be at least 1")
@@ -123,20 +123,11 @@ def or_compose(
                     first[y].append(i)
     flows: dict[int, dict[int, float]] = {}
     for y, chosen in first.items():
-        if routing is not None and y in routing:
-            chosen = list(routing[y])
-            for i in chosen:
-                if not children[i][1](y):
-                    raise CompositionError(
-                        f"routing for input {y} names negative child {i}"
-                    )
         if len(chosen) < k:
             live = sum(f(y) for f in fs)
             raise CompositionError(
                 f"input {y} has {live} positive children, needs {k}"
             )
-        if len(chosen) != k:
-            raise CompositionError(f"routing for input {y} must name {k} children")
         fy: dict[int, float] = {}
         for i in chosen:
             child_flow = children[i][0].flow_for(y)
@@ -199,8 +190,9 @@ class JohnsonSpec:
     """Parameters of a set walk.
 
     ``ground`` lists the walk elements; ``positions`` maps a subset of ground
-    elements to the input positions it owns; ``cert`` maps a positive input to
-    the ``r`` elements whose presence in the final set lets the leaf finish.
+    elements to the input positions it owns, which must grow along every step
+    (each step edge is checked); ``cert`` maps a positive input to the ``r``
+    elements whose presence in the final set lets the leaf finish.
     ``factory`` builds the leaf subgraph for a full set and a context (the
     input restricted to the set's positions); ``None`` uses a bare leaf and
     additionally enables the strict certificate check (the certificate's own
@@ -253,8 +245,6 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
             pos_cache[key] = tuple(sorted(spec.positions(key)))
         return pos_cache[key]
 
-    _spot_check_monotone(I, ground, spec.k)
-
     start = spec.k - spec.r
     b = GraphBuilder(spec.n_bits, root="r")
     vid: dict[tuple[int, ...], str] = {}
@@ -287,11 +277,18 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
     for step in range(1, spec.r + 1):
         for A in itertools.combinations(ground, start + step - 1):
             have = set(A)
+            owned = set(I(A))
             for j in ground:
                 if j in have:
                     continue
                 bigger = tuple(sorted(have | {j}))
-                inc = tuple(sorted(set(I(bigger)) - set(I(A))))
+                now = set(I(bigger))
+                if not owned <= now:
+                    raise CompositionError(
+                        f"positions not monotone along {A} + {j}: "
+                        f"lost {owned - now}"
+                    )
+                inc = tuple(sorted(now - owned))
                 ei = add_load(vid[A], vid[bigger], inc, kinds[step])
                 step_edge[(A, j)] = ei
                 stage_edges[step].append(ei)
@@ -312,12 +309,15 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
     positives = spec.function.positives()
     n_used: int | None = None
     certs: dict[int, tuple[int, ...]] = {}
+    starts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for y in positives:
         T = tuple(sorted(spec.cert(y)))
         if len(T) != spec.r or len(set(T)) != spec.r or not set(T) <= set(ground):
             raise CompositionError(f"bad certificate {T} for input {y}")
         certs[y] = T
-        count = len(usable_starts(T))
+        if T not in starts:
+            starts[T] = usable_starts(T)
+        count = len(starts[T])
         if n_used is None:
             n_used = count
         elif n_used != count:
@@ -329,12 +329,14 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
     if n_used is None:
         n_used = max(1, len(usable_starts(())))
 
+    # reached[A]: the inputs, in positive order, whose walk ends at full set A
     flows: dict[int, dict[int, float]] = {}
+    reached: dict[tuple[int, ...], list[int]] = {}
     unit = 1.0 / n_used
     for y in positives:
         T = certs[y]
         fy: dict[int, float] = {}
-        for A in usable_starts(T):
+        for A in starts[T]:
             if start >= 1:
                 fy[start_edge[A]] = fy.get(start_edge[A], 0.0) + unit
             cur = A
@@ -347,6 +349,7 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
                     )
                 fy[ei] = fy.get(ei, 0.0) + unit
                 cur = tuple(sorted(set(cur) | {j}))
+            reached.setdefault(cur, []).append(y)
         flows[y] = fy
 
     # Rebalance the loading stages against the usable start count.
@@ -413,13 +416,7 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
                 label_shift=ipos,
             )
             leaf_edges.extend(emap.values())
-            for y in positives:
-                T = certs[y]
-                if not set(T) <= set(A):
-                    continue
-                rest = tuple(sorted(set(A) - set(T)))
-                if start >= 1 and (set(rest) & set(T) or not I(rest)):
-                    continue
+            for y in reached.get(A, ()):
                 kappa = y & mask
                 if kappa not in built:
                     raise CompositionError(
@@ -497,26 +494,3 @@ def _merge_leaf_rules(
                 w.append(DispatchRule(ipos, variants, ZERO))
         out.append(replace(e, w0=w[0], w1=w[1]))
     return out
-
-
-def _spot_check_monotone(
-    I: Callable[[Iterable[int]], tuple[int, ...]],
-    ground: tuple[int, ...],
-    k: int,
-    samples: int = 8,
-) -> None:
-    rng = random.Random(0)
-    for _ in range(samples):
-        chain = list(ground)
-        rng.shuffle(chain)
-        chain = chain[: min(k, len(chain))]
-        prev: set[int] = set(I(()))
-        cur: list[int] = []
-        for j in sorted(chain):
-            cur.append(j)
-            now = set(I(cur))
-            if not prev <= now:
-                raise CompositionError(
-                    f"positions not monotone along {cur}: lost {prev - now}"
-                )
-            prev = now

@@ -104,9 +104,6 @@ class Edge:
             return self.gadget.loads
         return () if self.load is None else (self.load,)
 
-    def weight(self, side: int) -> Rule:
-        return self.w1 if side else self.w0
-
 
 @dataclass(frozen=True)
 class StageInfo:

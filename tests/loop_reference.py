@@ -372,7 +372,7 @@ def verify_witness_loop(w, f, tol=1e-9):
     )
 
 
-def or_compose_loop(children, k, *, routing=None, prefix="c"):
+def or_compose_loop(children, k, *, prefix="c"):
     if k < 1:
         raise CompositionError(f"fan-in k={k} must be at least 1")
     if len(children) < k:
@@ -409,21 +409,11 @@ def or_compose_loop(children, k, *, routing=None, prefix="c"):
     flows = {}
     for y in fn.positives():
         live = [i for i, (_, f) in enumerate(children) if f(y)]
-        if routing is not None and y in routing:
-            chosen = list(routing[y])
-            for i in chosen:
-                if not children[i][1](y):
-                    raise CompositionError(
-                        f"routing for input {y} names negative child {i}"
-                    )
-        else:
-            chosen = live[:k]
+        chosen = live[:k]
         if len(chosen) < k:
             raise CompositionError(
                 f"input {y} has {len(live)} positive children, needs {k}"
             )
-        if len(chosen) != k:
-            raise CompositionError(f"routing for input {y} must name {k} children")
         fy = {}
         for i in chosen:
             child_flow = children[i][0].flow_for(y)

@@ -92,6 +92,16 @@ def test_adversary_mutants_flag(built, capsys):
     assert rep["mutant_min_deviation"] > 1e-3
 
 
+def test_adversary_rejects_negative_mutant_count(built, capsys):
+    g, f, _ = built
+    code, out, err = run(
+        capsys, "adversary", str(g), "--function", str(f), "--mutants", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "negative" in json.loads(err)["error"]["message"]
+
+
 def test_validate_detects_broken_file(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"n": 4')

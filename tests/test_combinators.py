@@ -79,24 +79,6 @@ def test_or_dead_child_gets_zero_weight():
     assert rep.value == complexity(*live).value
 
 
-def test_or_routing_override():
-    domain = (0, 3)
-    children = [_bit_child(2, i, domain) for i in range(2)]
-    default = or_compose(children, 1)
-    assert set(default.graph.flow_for(3)) == {0}
-    routed = or_compose(children, 1, routing={3: [1]})
-    assert set(routed.graph.flow_for(3)) == {1}
-    with pytest.raises(CompositionError):
-        or_compose(children, 1, routing={3: [0, 1]})
-
-
-def test_or_routing_rejects_negative_child():
-    domain = (0, 1)
-    children = [_bit_child(2, i, domain) for i in range(2)]
-    with pytest.raises(CompositionError):
-        or_compose(children, 1, routing={1: [1]})
-
-
 def test_or_rejects_starved_input():
     children = [_bit_child(2, i, tuple(range(4))) for i in range(2)]
     with pytest.raises(CompositionError, match="positive children"):
@@ -118,10 +100,10 @@ def test_or_rejects_bad_fan_in():
         or_compose(children, 2)
 
 
-def _or_outcome(compose, children, k, routing):
+def _or_outcome(compose, children, k):
     """Everything ``or_compose`` returns, or the message it raises."""
     try:
-        res = compose(children, k, routing=routing)
+        res = compose(children, k)
     except CompositionError as exc:
         return str(exc)
     flows = [(y, list(fl.items())) for y, fl in res.graph.flows.items()]
@@ -129,27 +111,31 @@ def _or_outcome(compose, children, k, routing):
 
 
 def _fixture_or_cases():
+    """(children, k) cases.  Their ids stay stable across versions: they
+    still carry the routing hint column (None here), and 6-9 were the cases
+    that set one, dropped with ``or_compose``'s ``routing`` option."""
     full = {n: (0, (1 << n) - 1) for n in (6, 8)}
-    for n, k in [(8, 1), (8, 2), (8, 4), (6, 2)]:
-        yield [_bit_child(n, i, full[n]) for i in range(n)], k, None
+    cases = [
+        ([_bit_child(n, i, full[n]) for i in range(n)], k)
+        for n, k in [(8, 1), (8, 2), (8, 4), (6, 2)]
+    ]
     ands = tuple(range(16))
-    yield [_and_child(4, 0, 1, ands), _and_child(4, 2, 3, ands)], 1, None
+    cases.append(([_and_child(4, 0, 1, ands), _and_child(4, 2, 3, ands)], 1))
     dead = (_bit_child(2, 1, (0, 3))[0], BooleanFunction(2, {0: 0, 3: 0}))
-    yield [dead, _bit_child(2, 0, (0, 3))], 1, None
+    cases.append(([dead, _bit_child(2, 0, (0, 3))], 1))
     pair = [_bit_child(2, i, (0, 3)) for i in range(2)]
-    for routing in ({3: [1]}, {3: [0, 1]}, {3: []}):
-        yield pair, 1, routing
-    yield [_bit_child(2, i, (0, 1)) for i in range(2)], 1, {1: [1]}
-    yield [_bit_child(2, i, tuple(range(4))) for i in range(2)], 2, None
-    yield [_bit_child(2, 0, (0, 3)), _bit_child(2, 1, (0, 1, 3))], 1, None
-    yield pair[:1], 0, None
-    yield pair[:1], 2, None
+    cases.append(([_bit_child(2, i, tuple(range(4))) for i in range(2)], 2))
+    cases.append(([_bit_child(2, 0, (0, 3)), _bit_child(2, 1, (0, 1, 3))], 1))
+    cases += [(pair[:1], 0), (pair[:1], 2)]
+    ids = [*range(6), *range(10, 14)]
+    for i, (children, k) in zip(ids, cases):
+        yield pytest.param(children, k, id=f"children{i}-{k}-None")
 
 
-@pytest.mark.parametrize("children,k,routing", list(_fixture_or_cases()))
-def test_or_matches_loop_on_fixtures(children, k, routing):
-    assert _or_outcome(or_compose, children, k, routing) == _or_outcome(
-        or_compose_loop, children, k, routing
+@pytest.mark.parametrize("children,k", list(_fixture_or_cases()))
+def test_or_matches_loop_on_fixtures(children, k):
+    assert _or_outcome(or_compose, children, k) == _or_outcome(
+        or_compose_loop, children, k
     )
 
 
@@ -178,23 +164,15 @@ def _or_children(draw):
         b.add_ordinary("r", "s", i % n_bits, w, w)
         children.append((b.graph(flows={y: {0: 1.0} for y in pos}), f))
     k = draw(st.integers(1, 3))
-    routing = draw(
-        st.none()
-        | st.dictionaries(
-            st.sampled_from(domain),
-            st.lists(st.integers(0, count - 1), max_size=3),
-            max_size=2,
-        )
-    )
-    return children, k, routing
+    return children, k
 
 
 @settings(max_examples=200, deadline=None)
 @given(_or_children())
 def test_or_matches_loop_on_random_children(case):
-    children, k, routing = case
-    assert _or_outcome(or_compose, children, k, routing) == _or_outcome(
-        or_compose_loop, children, k, routing
+    children, k = case
+    assert _or_outcome(or_compose, children, k) == _or_outcome(
+        or_compose_loop, children, k
     )
 
 
@@ -320,6 +298,33 @@ def test_johnson_rejects_non_monotone_positions():
         positions=positions,
         function=f,
         cert=lambda y: (1,),
+    )
+    with pytest.raises(CompositionError, match="monotone"):
+        johnson_compose(spec)
+
+
+def test_johnson_rejects_non_monotone_step():
+    """Positions shrink only on the two steps into {1,4,5}."""
+
+    def positions(A):
+        return tuple(sorted(set(A) - {4})) if set(A) == {1, 4, 5} else tuple(A)
+
+    f = BooleanFunction.from_predicate(
+        6, lambda z: bin(z).count("1") >= 3 and bool(z & 1)
+    )
+
+    def cert(y):
+        bits = [i for i in range(6) if (y >> i) & 1]
+        return tuple(bits[:3])
+
+    spec = JohnsonSpec(
+        n_bits=6,
+        ground=tuple(range(6)),
+        k=3,
+        r=3,
+        positions=positions,
+        function=f,
+        cert=cert,
     )
     with pytest.raises(CompositionError, match="monotone"):
         johnson_compose(spec)
