@@ -30,6 +30,10 @@ access.
 Fault injection (``linking_mutants``) multiplies one side-0 weight on one
 reachable assignment by a constant, which bumps a crossing sum by the flow on
 the mutated edge; tests use it to show the checks have teeth.
+
+The bounds are fixed: ``WITNESS_CAP`` on the domain size of a witness,
+``TOL`` on every check of ``verify_witness``, and, for mutants, ``MIN_FLOW``
+on the flow a mutation site carries and ``MUTANT_FACTOR`` for the scaling.
 """
 
 from __future__ import annotations
@@ -42,11 +46,16 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .complexity import c0_max, c1_max, column_fsums, eval_at, eval_each
+from .complexity import c0_max, c1_max, column_fsums, eval_each, flow_entries
 from .expand import expand
 from .indexing import agreement_blocks, bit_column, input_array, mask_of
 from .model import BooleanFunction, LearningGraph
 from .rules import PatchRule
+
+WITNESS_CAP = 4096
+TOL = 1e-9
+MIN_FLOW = 5e-3
+MUTANT_FACTOR = 4.0
 
 
 class AdversaryError(ValueError):
@@ -145,9 +154,7 @@ class Witness:
         return np.zeros((m, m)) if fac is None else fac.outer(m)
 
 
-def build_witness(
-    g: LearningGraph, f: BooleanFunction, *, cap: int = 4096
-) -> Witness:
+def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
     """Assemble the per-position factors for ``g`` against ``f``.
 
     Super edges are flattened first; the graph should already have equal
@@ -155,8 +162,8 @@ def build_witness(
     graph complexity exactly.
     """
     domain = f.domain
-    if len(domain) > cap:
-        raise AdversaryError(f"domain size {len(domain)} exceeds cap {cap}")
+    if len(domain) > WITNESS_CAP:
+        raise AdversaryError(f"domain size {len(domain)} exceeds cap {WITNESS_CAP}")
     ge = expand(g)
     if ge.has_super():
         raise AdversaryError("expansion left a super edge behind")
@@ -164,23 +171,21 @@ def build_witness(
     zs = input_array(domain, ge.n_bits)
     xs = input_array(f.negatives(), ge.n_bits)
     x_rows = np.array([row[x] for x in f.negatives()], dtype=np.int64)
-    flows = {y: ge.flow_for(y) for y in f.positives()}
-    for y, fl in flows.items():
+    ys = f.positives()
+    flows = [ge.flow_for(y) for y in ys]
+    for y, fl in zip(ys, flows):
         if fl is None:
             raise AdversaryError(f"no flow recorded for positive input {y}")
     # positive side: flow over root side-1 weight, where the flow is nonzero
-    at: dict[int, tuple[list[int], list[float]]] = {}  # edge -> (rows, flows)
-    for y, fl in flows.items():
-        for ei, p in fl.items():
-            if p != 0.0 and 0 <= ei < len(ge.edges) and ge.edges[ei].kind == "ordinary":
-                rows, ps = at.setdefault(ei, ([], []))
-                rows.append(row[y])
-                ps.append(p)
-    pos_edges = sorted(at)
-    pos_rows = [np.array(at[ei][0], dtype=np.int64) for ei in pos_edges]
-    w1s = eval_at([ge.edges[ei].w1 for ei in pos_edges], [zs[r] for r in pos_rows])
+    ent = flow_entries(ge, flows, input_array(ys, ge.n_bits))
+    y_rows = np.array([row[y] for y in ys], dtype=np.int64)
     positive: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for ei, rows, w in zip(pos_edges, pos_rows, w1s):
+    for ei in sorted(ent.at):
+        if not (0 <= ei < len(ge.edges) and ge.edges[ei].kind == "ordinary"):
+            continue
+        grp = ent.at[ei]
+        rows = y_rows[ent.input[grp]]
+        w = ent.w1[grp]
         if (w <= 0.0).any():
             # name the first offender in block order: by the first domain
             # input of its tail assignment, then by its own place
@@ -192,7 +197,7 @@ def build_witness(
             raise AdversaryError(
                 f"flow on zero side-1 weight, edge {ei} input {domain[r]}"
             )
-        positive[ei] = (rows, np.array(at[ei][1]) / np.sqrt(w))
+        positive[ei] = (rows, ent.flow[grp] / np.sqrt(w))
     c1 = c1_max(g, f)
 
     parts: dict[int, list[tuple[np.ndarray, np.ndarray, list[int]]]] = {}
@@ -281,9 +286,7 @@ def _min_eigenvalue(psi: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(psi @ psi.T)[0])
 
 
-def verify_witness(
-    w: Witness, f: BooleanFunction, *, tol: float = 1e-9
-) -> WitnessReport:
+def verify_witness(w: Witness, f: BooleanFunction) -> WitnessReport:
     m = len(w.domain)
     zs = input_array(w.domain, w.n_bits)
     neg_rows = np.array([w.row[x] for x in f.negatives()], dtype=np.int64)
@@ -308,15 +311,15 @@ def verify_witness(
     else:
         lo = hi = 1.0
     objective = float(diag.max()) if m else 0.0
-    rel = tol * max(1.0, abs(w.target))
+    rel = TOL * max(1.0, abs(w.target))
     report = WitnessReport(
         min_eigenvalue=min_eig,
         crossing_lo=lo,
         crossing_hi=hi,
         objective=objective,
         target=w.target,
-        psd_ok=min_eig >= -tol,
-        crossing_ok=abs(lo - 1.0) <= tol and abs(hi - 1.0) <= tol,
+        psd_ok=min_eig >= -TOL,
+        crossing_ok=abs(lo - 1.0) <= TOL and abs(hi - 1.0) <= TOL,
         objective_ok=abs(objective - w.target) <= rel,
         checked_pairs=len(neg_rows) * len(pos_rows),
     )
@@ -333,51 +336,60 @@ class Mutant:
 
 
 def linking_mutants(
-    g: LearningGraph,
-    f: BooleanFunction,
-    count: int = 50,
-    *,
-    seed: int = 0,
-    min_flow: float = 5e-3,
-    factor: float = 4.0,
+    g: LearningGraph, f: BooleanFunction, count: int = 50, *, seed: int = 0
 ) -> list[Mutant]:
     """Graphs with the linking condition broken on one edge and assignment.
 
-    Each mutant scales the side-0 weight by ``factor`` on one full head-label
-    assignment that is shared by a flow-carrying positive input (flow at least
-    ``min_flow``) and a reachable negative input disagreeing on the loaded
-    bit.  The crossing sum for that input pair moves off 1 by at least
-    ``flow * (sqrt(factor) - 1)``.
+    Each mutant scales the side-0 weight by ``MUTANT_FACTOR`` on one full
+    head-label assignment that is shared by a flow-carrying positive input
+    (flow at least ``MIN_FLOW``) and a reachable negative input disagreeing
+    on the loaded bit.  The crossing sum for that input pair moves off 1 by
+    at least ``flow * (sqrt(MUTANT_FACTOR) - 1)``.
     """
     if count < 0:
         raise AdversaryError(f"mutant count {count} is negative")
     ge = expand(g)
+    ys = f.positives()
+    xs = f.negatives()
+    yz = input_array(ys, ge.n_bits)
+    xz = input_array(xs, ge.n_bits)
+    flows = [ge.flow_for(y) for y in ys]  # a missing flow offers no site
+    ent = flow_entries(ge, flows, yz)
+    # a site is a flow of at least MIN_FLOW on an ordinary edge; negated so
+    # that a NaN flow is one, as in the scalar scan
+    site = ~(ent.flow < MIN_FLOW)
+    edges = [
+        ei
+        for ei, grp in ent.at.items()
+        if 0 <= ei < len(ge.edges)
+        and ge.edges[ei].kind == "ordinary"
+        and site[grp].any()
+    ]
     candidates: dict[tuple[int, tuple[int, ...], tuple[int, ...]], float] = {}
-    negs = f.negatives()
-    for ei, e in enumerate(ge.edges):
-        if e.kind != "ordinary":
-            continue
-        j = e.load
+    for ei, w0 in zip(edges, eval_each([ge.edges[ei].w0 for ei in edges], xz)):
+        e = ge.edges[ei]
         src_mask = mask_of(ge.label(e.src))
         dst_label = ge.label(e.dst)
-        for y in f.positives():
-            fl = ge.flow_for(y)
-            if fl is None:
-                continue
-            p = fl.get(ei, 0.0)
-            if p < min_flow:
-                continue
-            ablock = y & src_mask
-            yj = (y >> j) & 1
-            for x in negs:
-                if x & src_mask != ablock or (x >> j) & 1 == yj:
-                    continue
-                if e.w0(x) <= 0.0:
-                    continue
-                bits = tuple((x >> i) & 1 for i in dst_label)
-                key = (ei, dst_label, bits)
-                candidates[key] = max(candidates.get(key, 0.0), p)
-                break
+        negs = np.flatnonzero(~(w0 <= 0.0))  # a NaN w0 is kept, as in the scan
+        if not len(negs):
+            continue
+        # key of a block: tail assignment, then loaded bit; the first
+        # negative of each block, and the block opposite each site's input
+        z = xz[negs]
+        keys, first = np.unique(
+            ((z & src_mask) << 1) | bit_column(z, e.load), return_index=True
+        )
+        grp = np.array(ent.at[ei])
+        grp = grp[site[grp]]
+        z = yz[ent.input[grp]]
+        want = ((z & src_mask) << 1) | (1 - bit_column(z, e.load))
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        hit = keys[at] == want
+        for n, x in zip(grp[hit].tolist(), negs[first[at[hit]]].tolist()):
+            p = flows[ent.input[n]][ei]
+            bits = tuple((xs[x] >> i) & 1 for i in dst_label)
+            key = (ei, dst_label, bits)
+            candidates[key] = max(candidates.get(key, 0.0), p)
     if len(candidates) < count:
         raise AdversaryError(
             f"only {len(candidates)} mutation sites available, need {count}"
@@ -388,7 +400,7 @@ def linking_mutants(
     for key in order[:count]:
         ei, dst_label, bits = key
         e = ge.edges[ei]
-        patched = PatchRule(dst_label, bits, factor, e.w0)
+        patched = PatchRule(dst_label, bits, MUTANT_FACTOR, e.w0)
         edges = list(ge.edges)
         edges[ei] = type(e)(e.src, e.dst, e.load, patched, e.w1)
         mg = LearningGraph(
@@ -407,7 +419,7 @@ def linking_mutants(
                 assignment=",".join(
                     f"{i + 1}:{b}" for i, b in zip(dst_label, bits)
                 ),
-                factor=factor,
+                factor=MUTANT_FACTOR,
                 flow=candidates[key],
             )
         )

@@ -1,9 +1,11 @@
 """The ``lg`` command line tool.
 
 Subcommands: validate, complexity, adversary, build, oracle, costmodel,
-corpus.  Reports go to standard output as JSON; every failure path emits a
-JSON error object on standard error.  Exit codes: 0 when all checks pass,
-1 when a check fails, 2 on usage or input errors.
+corpus.  Reports go to standard output as JSON.  Exit codes: 0 when all
+checks pass, 1 when a check fails, 2 on usage or input errors.  An input
+error emits a JSON error object on standard error; a usage error (an unknown
+command or option, a missing or malformed argument) prints argparse's usage
+text there instead.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _emit(obj: dict, out: str | None) -> None:
 def _cmd_validate(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     f = _load_function(args.function) if args.function else None
-    rep = validate(g, f, linking=args.linking)
+    rep = validate(g, f)
     _emit(rep.to_json(), args.out)
     return 0 if rep.ok else 1
 
@@ -98,12 +100,12 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     if not args.raw:
         g = rebalance_to_equal(g, f)
     witness = build_witness(g, f)
-    rep = verify_witness(witness, f, tol=args.tol)
+    rep = verify_witness(witness, f)
     out = rep.to_json()
     if args.mutants:
         deviations = []
         for mutant in linking_mutants(g, f, count=args.mutants, seed=args.seed):
-            mrep = verify_witness(build_witness(mutant.graph, f), f, tol=args.tol)
+            mrep = verify_witness(build_witness(mutant.graph, f), f)
             deviations.append(
                 max(abs(mrep.crossing_lo - 1.0), abs(mrep.crossing_hi - 1.0))
             )
@@ -260,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a graph against its contract")
     p.add_argument("graph")
     p.add_argument("--function")
-    p.add_argument("--linking", choices=("semantic", "structural"), default="semantic")
     p.add_argument("-o", "--out")
     p.set_defaults(func=_cmd_validate)
 
@@ -273,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adversary", help="build and verify a lower-bound witness")
     p.add_argument("graph")
     p.add_argument("--function", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--raw", action="store_true", help="skip cost-balancing rescale")
     p.add_argument("--mutants", type=int, default=0, help="also try this many corrupted graphs")
     p.add_argument("--seed", type=int, default=0)

@@ -18,6 +18,11 @@ Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
 tested against, one ``Rule.__call__`` per (edge, input), lives in
 ``tests/loop_reference.py``.
+
+``flow_entries`` is the one place flows are read: it lists the (input, edge,
+flow) entries of a set of flows with each edge's ``w1`` at them.
+``side1_terms``, ``validate``, ``build_witness`` and ``linking_mutants`` take
+their entries from it, each with its own filter and missing-flow rule.
 """
 
 from __future__ import annotations
@@ -61,22 +66,49 @@ def eval_each(rules: Sequence[Rule], zs: np.ndarray) -> Iterator[np.ndarray]:
         yield w
 
 
-def eval_at(rules: Sequence[Rule], zs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """``rules[k].eval(zs[k])`` for every k, one call per distinct rule object
-    on the concatenation of its inputs."""
-    groups: dict[int, list[int]] = {}
-    for k, r in enumerate(rules):
-        groups.setdefault(id(r), []).append(k)
-    out: list[np.ndarray] = [np.empty(0)] * len(rules)
-    for ks in groups.values():
-        if len(ks) == 1:
-            out[ks[0]] = rules[ks[0]].eval(zs[ks[0]])
-            continue
-        values = rules[ks[0]].eval(np.concatenate([zs[k] for k in ks]))
-        cuts = np.cumsum([len(zs[k]) for k in ks[:-1]])
-        for k, v in zip(ks, np.split(values, cuts)):
-            out[k] = v
-    return out
+@dataclass
+class FlowEntries:
+    """The (input, edge, flow) entries of a list of flows: one per nonzero
+    flow and one per flow on an unknown edge, in input order and, within an
+    input, in flow order.  A missing flow (``None``) gives no entries."""
+
+    input: np.ndarray  # int64: the number of the entry's flow in the list
+    edge: list[int]
+    flow: np.ndarray  # float64
+    w1: np.ndarray  # the edge's w1 there; 0 on unknown and empty edges
+    at: dict[int, list[int]]  # edge -> its entries, in input order
+
+
+def flow_entries(
+    g: LearningGraph, flows: Sequence[dict[int, float] | None], zs: np.ndarray
+) -> FlowEntries:
+    """The entries of ``flows``, where ``flows[k]`` is the flow at input
+    ``zs[k]``.  Each ``w1`` object is evaluated once, on the entries of every
+    known, non-empty edge that carries it."""
+    n_edges = len(g.edges)
+    ks: list[int] = []
+    es: list[int] = []
+    ps: list[float] = []
+    at: dict[int, list[int]] = {}
+    for k, flow in enumerate(flows):
+        for i, p in (flow or {}).items():
+            if p != 0.0 or not 0 <= i < n_edges:
+                at.setdefault(i, []).append(len(ks))
+                ks.append(k)
+                es.append(i)
+                ps.append(p)
+    by_rule: dict[int, tuple[Rule, list[int]]] = {}  # id(w1) -> w1, its entries
+    for i, grp in at.items():
+        if 0 <= i < n_edges and g.edges[i].kind != "empty":
+            w1 = g.edges[i].w1
+            by_rule.setdefault(id(w1), (w1, []))[1].extend(grp)
+    zk = zs[ks]  # the input of every entry
+    w1s = np.zeros(len(ps))
+    for w1, grp in by_rule.values():
+        w1s[grp] = w1.eval(zk[grp])
+    return FlowEntries(
+        np.array(ks, dtype=np.int64), es, np.array(ps, dtype=np.float64), w1s, at
+    )
 
 
 def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
@@ -128,36 +160,20 @@ def _side1(
     """``side1_terms``, or the number in ``ys`` of the first faulty input and
     the error it raises."""
     n_edges = len(g.edges)
-    # one entry per nonzero flow, and per flow on an unknown edge
-    ks: list[int] = []  # input number
-    es: list[int] = []  # edge
-    ps: list[float] = []  # flow
-    at: dict[int, list[int]] = {}  # edge -> its entries, in input order
+    flows: list[dict[int, float]] = []
     missing: tuple[int, ComplexityError] | None = None  # the first input without a flow
     for k, y in enumerate(ys):
         flow = g.flow_for(y)
         if flow is None:
             missing = (k, MissingFlowError(f"no flow recorded for input {y}"))
             break
-        for i, p in flow.items():
-            if p != 0.0 or not 0 <= i < n_edges:
-                at.setdefault(i, []).append(len(ks))
-                ks.append(k)
-                es.append(i)
-                ps.append(p)
+        flows.append(flow)
+    ent = flow_entries(g, flows, input_array(ys[: len(flows)], g.n_bits))
+    ks, es, pp, ww, at = ent.input.tolist(), ent.edge, ent.flow, ent.w1, ent.at
     if not ks:
         return [{} for _ in ys], missing
-    pp = np.array(ps, dtype=np.float64)
     live = [i for i in at if 0 <= i < n_edges and g.edges[i].kind != "empty"]
-    yk = input_array(ys, g.n_bits)[ks]  # the input of every entry
-    ww = np.zeros(len(ps))  # 0 on unknown and empty edges, which are faults
-    by_rule: dict[int, tuple[Rule, list[int]]] = {}  # id(w1) -> w1, its entries
-    for i in live:
-        w1 = g.edges[i].w1
-        by_rule.setdefault(id(w1), (w1, []))[1].extend(at[i])
-    for w1, grp in by_rule.values():
-        ww[grp] = w1.eval(yk[grp])
-    inner = np.ones(len(ps))  # p * p * 1.0 is exactly p * p
+    inner = np.ones(len(es))  # p * p * 1.0 is exactly p * p
     inner_faults: dict[int, ComplexityError] = {}  # entry -> error
     for i in live:
         grp = at[i]
@@ -174,7 +190,8 @@ def _side1(
     if bad:
         n = min(bad)
         y = ys[ks[n]]
-        error = _flow_error(g, es[n], ps[n], y, ww[n]) or inner_faults[n]
+        p = flows[ks[n]][es[n]]
+        error = _flow_error(g, es[n], p, y, ww[n]) or inner_faults[n]
         return [], (ks[n], error)
     if missing is not None:
         return [], missing

@@ -19,14 +19,16 @@ from typing import Any
 
 import numpy as np
 
-from .complexity import eval_at, eval_each
+from .complexity import eval_each, flow_entries
 from .expand import expand
 from .indexing import agreement_blocks, bit_column, bitstring, input_array, mask_of
 from .model import BooleanFunction, LearningGraph, ModelError, topological_order
-from .rules import ConstRule, ProductRule, Rule, ScaleRule, SparseLoadRule
+from .rules import ConstRule, DispatchRule, ProductRule, Rule, ScaleRule
+from .rules import SparseLoadRule
 
-SEMANTIC = "semantic"
-STRUCTURAL = "structural"
+FLOW_ATOL = 1e-12
+LINK_RTOL = 1e-12
+DOMAIN_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,24 +64,39 @@ class ValidationReport:
         }
 
 
-def rules_linked(w0: Rule, w1: Rule) -> bool:
-    """Side-independence check that implies the linking condition.
+def rules_linked(w0: Rule, w1: Rule, loads: tuple[int, ...]) -> bool:
+    """Side-independence check that implies the linking condition on an edge
+    that loads the positions ``loads``.
 
-    Holds when the two rules are equal, are matched sparse-path steps, or are
-    equal wrappers around linked inners.
+    Holds when the two rules are equal and read no loaded position, are
+    matched sparse-path steps whose cheap bit is the one loaded position,
+    scale linked rules by one factor, are products of linked rules, or are
+    dispatches on unloaded positions with the same cases, each case and the
+    default linked.
     """
     if w0 == w1:
-        return True
+        return not set(w0.support) & set(loads)
     if isinstance(w0, SparseLoadRule) and isinstance(w1, SparseLoadRule):
+        cheap = w0.path[w0.pos - 1]
         return (
-            w0.path == w1.path
-            and w0.pos == w1.pos
-            and (w0.side, w1.side) == (0, 1)
+            (w0.path, w0.pos, w0.side, w1.side) == (w1.path, w1.pos, 0, 1)
+            and loads == (cheap,)
+            and cheap not in w0.path[: w0.pos - 1]
         )
     if isinstance(w0, ScaleRule) and isinstance(w1, ScaleRule):
-        return w0.factor == w1.factor and rules_linked(w0.inner, w1.inner)
+        return w0.factor == w1.factor and rules_linked(w0.inner, w1.inner, loads)
     if isinstance(w0, ProductRule) and isinstance(w1, ProductRule):
-        return w0.left == w1.left and rules_linked(w0.right, w1.right)
+        return rules_linked(w0.left, w1.left, loads) and rules_linked(
+            w0.right, w1.right, loads
+        )
+    if isinstance(w0, DispatchRule) and isinstance(w1, DispatchRule):
+        return (
+            w0.indices == w1.indices
+            and not set(w0.indices) & set(loads)
+            and w0.cases.keys() == w1.cases.keys()
+            and rules_linked(w0.default, w1.default, loads)
+            and all(rules_linked(r, w1.cases[k], loads) for k, r in w0.cases.items())
+        )
     return False
 
 
@@ -144,7 +161,7 @@ def _structural_linking(g: LearningGraph, report: ValidationReport, ctx: str = "
         if e.kind == "empty":
             continue
         report.count("linking-edges")
-        if not rules_linked(e.w0, e.w1):
+        if not rules_linked(e.w0, e.w1, e.loads):
             report.add(
                 "linking",
                 f"{ctx}edge[{i}] {e.src}->{e.dst}",
@@ -158,11 +175,10 @@ def _semantic_linking(
     g: LearningGraph,
     f: BooleanFunction,
     report: ValidationReport,
-    rtol: float,
 ) -> None:
     """Per ordinary edge loading bit j, and per block of inputs that agree on
     the tail label: w0 on the negatives with bit j = c and w1 on the
-    positives with bit j != c must all be equal (within ``rtol``).
+    positives with bit j != c must all be equal (within ``LINK_RTOL``).
 
     Blocks are found by a stable sort on (tail assignment, c); each block's
     min, max and sizes come from ``reduceat``.
@@ -194,7 +210,7 @@ def _semantic_linking(
         lo = np.minimum.reduceat(vals, starts)
         hi = np.maximum.reduceat(vals, starts)
         # negated so that a NaN counts as a violation
-        bad = checked & ~(hi - lo <= rtol * np.maximum(1.0, np.abs(hi)))
+        bad = checked & ~(hi - lo <= LINK_RTOL * np.maximum(1.0, np.abs(hi)))
         head = order[starts]  # first member of each block
         found = []
         for b in np.flatnonzero(bad).tolist():
@@ -212,29 +228,16 @@ def _semantic_linking(
             )
 
 
-def _flows(
-    g: LearningGraph,
-    f: BooleanFunction,
-    report: ValidationReport,
-    atol: float,
-) -> None:
+def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> None:
     xs = f.negatives()
     ys = f.positives()
     flows = [g.flow_for(y) for y in ys]
-    # w1 at every (positive, edge) pair with flow above atol
-    at: dict[int, list[int]] = {}
-    for k, flow in enumerate(flows):
-        for ei, p in (flow or {}).items():
-            if 0 <= ei < len(g.edges) and p > atol and g.edges[ei].kind != "empty":
-                at.setdefault(ei, []).append(k)
-    yarr = input_array(ys, g.n_bits)
-    weights = eval_at(
-        [g.edges[ei].w1 for ei in at], [yarr[ks] for ks in at.values()]
-    )
+    ent = flow_entries(g, flows, input_array(ys, g.n_bits))
+    # w1 is 0 on unknown and empty edges too, which other checks report
     zero_w1 = {
-        (k, ei)
-        for (ei, ks), w in zip(at.items(), weights)
-        for k in np.asarray(ks)[w == 0.0].tolist()
+        (int(ent.input[n]), ent.edge[n])
+        for n in np.flatnonzero((ent.flow > FLOW_ATOL) & (ent.w1 == 0.0)).tolist()
+        if 0 <= ent.edge[n] < len(g.edges) and g.edges[ent.edge[n]].kind != "empty"
     }
     vertex_order = {vid: k for k, vid in enumerate(g.vertices)}
     first_negative: dict[str, dict[int, int]] = {}  # sink -> {assignment: input}
@@ -252,11 +255,11 @@ def _flows(
             e = g.edges[ei]
             if not math.isfinite(p):
                 report.add("non-finite", f"edge[{ei}] {ystr}", f"flow {p} not finite")
-            if p < -atol:
+            if p < -FLOW_ATOL:
                 report.add(
                     "flow-negative", f"edge[{ei}] {ystr}", f"flow {p} negative"
                 )
-            if p > atol and e.kind == "empty":
+            if p > FLOW_ATOL and e.kind == "empty":
                 report.add(
                     "empty-flow",
                     f"edge[{ei}] {ystr}",
@@ -271,7 +274,7 @@ def _flows(
             balance[e.src] = balance.get(e.src, 0.0) - p
             balance[e.dst] = balance.get(e.dst, 0.0) + p
         root_balance = balance.get(g.root, 0.0)
-        if abs(root_balance + 1.0) > atol:
+        if abs(root_balance + 1.0) > FLOW_ATOL:
             report.add(
                 "flow-unit",
                 ystr,
@@ -282,20 +285,20 @@ def _flows(
             if vid == g.root:
                 continue
             if g.out_edges(vid):
-                if abs(b) > atol:
+                if abs(b) > FLOW_ATOL:
                     report.add(
                         "flow-conservation",
                         f"{vid} {ystr}",
                         f"imbalance {b:.3e}",
                     )
             else:
-                if b < -atol:
+                if b < -FLOW_ATOL:
                     report.add(
                         "flow-conservation",
                         f"{vid} {ystr}",
                         f"sink emits {-b:.3e}",
                     )
-                if b > atol:
+                if b > FLOW_ATOL:
                     mask = mask_of(g.label(vid))
                     firsts = first_negative.get(vid)
                     if firsts is None:
@@ -313,35 +316,23 @@ def _flows(
                     report.count("certified-sinks")
 
 
-def validate(
-    g: LearningGraph,
-    f: BooleanFunction | None = None,
-    *,
-    linking: str = SEMANTIC,
-    flow_atol: float = 1e-12,
-    link_rtol: float = 1e-12,
-    domain_cap: int = 1 << 20,
-) -> ValidationReport:
+def validate(g: LearningGraph, f: BooleanFunction | None = None) -> ValidationReport:
     """Check a graph, optionally against a function.
 
-    Without ``f`` only structure (and structural linking) is checked.  With
+    Without ``f`` only structure and structural linking are checked.  With
     ``f``, super edges are expanded first and flows, sink certification and
     the linking condition are checked over the function's domain.
     """
-    if linking not in (SEMANTIC, STRUCTURAL):
-        raise ValueError(f"unknown linking mode {linking!r}")
     report = ValidationReport()
     _structure(g, report)
     if any(v.kind in ("cycle", "root") for v in report.entries):
         return report
-    if f is None or linking == STRUCTURAL:
-        _structural_linking(g, report)
     if f is None:
+        _structural_linking(g, report)
         return report
-    if len(f.domain) > domain_cap:
-        raise ValueError(f"domain of size {len(f.domain)} exceeds cap {domain_cap}")
+    if len(f.domain) > DOMAIN_CAP:
+        raise ValueError(f"domain of size {len(f.domain)} exceeds cap {DOMAIN_CAP}")
     ge = expand(g)
-    _flows(ge, f, report, flow_atol)
-    if linking == SEMANTIC:
-        _semantic_linking(ge, f, report, link_rtol)
+    _flows(ge, f, report)
+    _semantic_linking(ge, f, report)
     return report

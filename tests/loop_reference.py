@@ -9,18 +9,27 @@ per-position matrix dense (m × m) and verifies it with a full eigenvalue
 decomposition, as the factored witness did before it stored Ψ_j.
 ``or_compose_loop`` computes the disjunction's values and routing input by
 input, as ``or_compose`` did before functions were stored as bitsets;
-``test_combinators.py`` compares against it.
+``test_combinators.py`` compares against it.  ``linking_mutants_loop`` finds
+mutation sites by scanning (edge, positive, negative) triples, calling each
+``w0`` at one negative at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from lgkit.adversary import AdversaryError, WitnessReport
+from lgkit.adversary import (
+    MIN_FLOW,
+    MUTANT_FACTOR,
+    AdversaryError,
+    Mutant,
+    WitnessReport,
+)
 from lgkit.combinators import CompositionError, OrResult
 from lgkit.complexity import (
     ComplexityError,
@@ -30,8 +39,8 @@ from lgkit.complexity import (
 )
 from lgkit.expand import expand
 from lgkit.indexing import bitstring, mask_of
-from lgkit.model import BooleanFunction, GraphBuilder
-from lgkit.rules import scaled
+from lgkit.model import BooleanFunction, GraphBuilder, LearningGraph
+from lgkit.rules import PatchRule, scaled
 from lgkit.validate import ValidationReport, _structure
 
 
@@ -370,6 +379,64 @@ def verify_witness_loop(w, f, tol=1e-9):
         objective_ok=abs(objective - w.target) <= rel,
         checked_pairs=len(neg_rows) * len(pos_rows),
     )
+
+
+def linking_mutants_loop(g, f, count=50, *, seed=0):
+    """``linking_mutants``, one (edge, positive, negative) triple at a time."""
+    if count < 0:
+        raise AdversaryError(f"mutant count {count} is negative")
+    ge = expand(g)
+    candidates = {}
+    negs = f.negatives()
+    for ei, e in enumerate(ge.edges):
+        if e.kind != "ordinary":
+            continue
+        j = e.load
+        src_mask = mask_of(ge.label(e.src))
+        dst_label = ge.label(e.dst)
+        for y in f.positives():
+            fl = ge.flow_for(y)
+            if fl is None:
+                continue
+            p = fl.get(ei, 0.0)
+            if p < MIN_FLOW:
+                continue
+            ablock = y & src_mask
+            yj = (y >> j) & 1
+            for x in negs:
+                if x & src_mask != ablock or (x >> j) & 1 == yj:
+                    continue
+                if e.w0(x) <= 0.0:
+                    continue
+                bits = tuple((x >> i) & 1 for i in dst_label)
+                key = (ei, dst_label, bits)
+                candidates[key] = max(candidates.get(key, 0.0), p)
+                break
+    if len(candidates) < count:
+        raise AdversaryError(
+            f"only {len(candidates)} mutation sites available, need {count}"
+        )
+    order = sorted(candidates)
+    random.Random(seed).shuffle(order)
+    out = []
+    for key in order[:count]:
+        ei, dst_label, bits = key
+        e = ge.edges[ei]
+        edges = list(ge.edges)
+        patched = PatchRule(dst_label, bits, MUTANT_FACTOR, e.w0)
+        edges[ei] = type(e)(e.src, e.dst, e.load, patched, e.w1)
+        mg = LearningGraph(
+            n_bits=ge.n_bits,
+            root=ge.root,
+            vertices=dict(ge.vertices),
+            edges=edges,
+            flows=ge.flows,
+            const_flow=ge.const_flow,
+            stages=ge.stages,
+        )
+        assignment = ",".join(f"{i + 1}:{b}" for i, b in zip(dst_label, bits))
+        out.append(Mutant(mg, ei, assignment, MUTANT_FACTOR, candidates[key]))
+    return out
 
 
 def or_compose_loop(children, k, *, prefix="c"):

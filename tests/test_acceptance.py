@@ -183,9 +183,7 @@ def test_criterion_4_witnesses(capsys, dense4, sparse4, anchored4):
             t0 = time.perf_counter()
             target = complexity(res.graph, res.function).value
             g2 = rebalance_to_equal(res.graph, res.function)
-            rep = verify_witness(
-                build_witness(g2, res.function), res.function, tol=1e-9
-            )
+            rep = verify_witness(build_witness(g2, res.function), res.function)
             assert rep.psd_ok, f"{res.variant}: min eig {rep.min_eigenvalue}"
             assert rep.crossing_ok, f"{res.variant}: {rep.crossing_lo}..{rep.crossing_hi}"
             assert rep.objective_ok

@@ -77,7 +77,7 @@ def test_witness_to_json_shape():
 
 def test_mutant_moves_crossing_sum():
     g, f = _or_two_bits()
-    muts = linking_mutants(g, f, 1, seed=3, factor=4.0)
+    muts = linking_mutants(g, f, 1, seed=3)
     assert len(muts) == 1
     m = muts[0]
     w = build_witness(m.graph, f)

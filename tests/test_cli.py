@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgkit.adversary import linking_mutants
 from lgkit.cli import main
 from lgkit.corpus import load_instances
+from lgkit.serialize import (
+    build_function,
+    build_graph,
+    dump_graph,
+    read_json,
+    write_json,
+)
 
 
 def run(capsys, *argv):
@@ -100,6 +108,54 @@ def test_adversary_rejects_negative_mutant_count(built, capsys):
     assert code == 2
     assert out == ""
     assert "negative" in json.loads(err)["error"]["message"]
+
+
+def test_verdict_has_no_options(built, tmp_path, capsys):
+    """A loosened tolerance once certified this mutant, whose crossing sum
+    is 1.25; the verdict takes no tolerance or linking mode now."""
+    g, f, _ = built
+    mutant = linking_mutants(build_graph(read_json(g)), build_function(read_json(f)), 1)
+    target = tmp_path / "mutant.json"
+    write_json(target, dump_graph(mutant[0].graph))
+    code, out, _err = run(capsys, "adversary", str(target), "--function", str(f))
+    assert code == 1
+    assert _parse(out)["crossing"][1] == pytest.approx(1.25, abs=1e-9)
+    for argv in (
+        ["adversary", str(target), "--function", str(f), "--tol", "0.5"],
+        ["validate", str(g), "--linking", "structural"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_validate_without_function_checks_linking(tmp_path, capsys):
+    """Structural linking: equal rules that read the loaded bit are not
+    linked; the sparse build's dispatch and sparse-step rules are."""
+    table = {"rule": "table", "rows": {"1:0": 1.0, "1:1": 2.0}, "default": 0.0}
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "n": 1,
+                "root": "r",
+                "vertices": [{"id": "r", "label": []}, {"id": "s", "label": [1]}],
+                "edges": [
+                    {"from": "r", "to": "s", "loads": [1], "w0": table, "w1": table}
+                ],
+                "flows": {"1": {"0": 1.0}},
+            }
+        )
+    )
+    code, out, _err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert [v["kind"] for v in _parse(out)["violations"]] == ["linking"]
+    gs = tmp_path / "gs.json"
+    build = ["build", "triangle-sparse", "--n", "4", "--x", "1", "--a", "2", "--b", "2"]
+    code, _out, _err = run(capsys, *build, "-o", str(gs))
+    assert code == 0
+    code, out, _err = run(capsys, "validate", str(gs))
+    assert code == 0, out
 
 
 def test_validate_detects_broken_file(tmp_path, capsys):
@@ -384,11 +440,15 @@ def test_mutated_corpus_files_keep_exit_contract(corpus_dir, tmp_path_factory, d
     target = tmp_path_factory.mktemp("fuzz") / "graph.json"
     target.write_text(json.dumps(graph))
     function = str(corpus_dir / "graphs" / f"{name}.fn.json")
-    for command in ("validate", "complexity", "adversary"):
+    commands = ("validate", "complexity", "adversary")
+    for argv in (
+        ["validate", str(target)],
+        *([c, str(target), "--function", function] for c in commands),
+    ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(target), "--function", function])
-        assert code in (0, 1, 2), (command, code)
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue()
 
 

@@ -13,6 +13,7 @@ from loop_reference import (
     complexity_loop,
     edge_c1_cap_loop,
     graph_c1_loop,
+    linking_mutants_loop,
     validate_loop,
     verify_witness_loop,
 )
@@ -309,6 +310,51 @@ def test_witness_matches_loop(corpus_dir, dense4, sparse4, anchored4):
     )
 
 
+def _sites(find, g, f):
+    """The error that names how many mutation sites ``g`` offers."""
+    with pytest.raises(AdversaryError, match="mutation sites") as exc:
+        find(g, f, 10**9)
+    return str(exc.value)
+
+
+def _mutant_fields(mutants):
+    """Every mutant's fields, and the first one's serialized graph (the
+    graphs differ only in the mutated edge, and serializing is slow)."""
+    fields = [(m.edge, m.assignment, m.factor, m.flow) for m in mutants]
+    return fields, dumps(dump_graph(mutants[0].graph))
+
+
+def _nan_sites():
+    """A mutation site at a NaN w0 and one at a NaN flow, both of which the
+    scalar scan keeps: neither NaN <= 0 nor NaN < MIN_FLOW holds."""
+    nan = ProductRule(ScaleRule(1e300, ScaleRule(1e300, ONE)), ZERO)
+    f = BooleanFunction(2, {0: 0, 3: 1})
+    out = []
+    for name, w0, p in (("nan w0", nan, 0.5), ("nan flow", ONE, float("nan"))):
+        b = GraphBuilder(2)
+        b.add_vertex("s0", (0,))
+        b.add_vertex("s1", (1,))
+        b.add_ordinary("r", "s0", 0, w0, ONE)
+        b.add_ordinary("r", "s1", 1, ONE, ONE)
+        out.append((name, b.graph(flows={3: {0: p, 1: 0.5}}), f))
+    return out
+
+
+def test_mutants_match_loop(corpus_dir, dense4, sparse4, anchored4):
+    triangles = _triangles(dense4, sparse4, anchored4)
+    graphs = _corpus(corpus_dir) + triangles
+    graphs += [(f"{n} balanced", rebalance_to_equal(g, f), f) for n, g, f in triangles]
+    graphs += [("wide", *_wide_and())] + _nan_sites()
+    for name, g, f in graphs:
+        message = _sites(linking_mutants, g, f)
+        assert message == _sites(linking_mutants_loop, g, f), name
+        count = min(int(message.split()[1]), 12)
+        for seed in (0, 1, 7):
+            got = linking_mutants(g, f, count, seed=seed)
+            want = linking_mutants_loop(g, f, count, seed=seed)
+            assert _mutant_fields(got) == _mutant_fields(want), (name, seed)
+
+
 def test_position_without_blocks():
     g, f = _idle_position()
     w = build_witness(g, f)
@@ -524,7 +570,7 @@ def test_edge_c1_cap_matches_loop(dense4, sparse4, anchored4):
 
 def _pipeline(build):
     """build -> serialize -> validate -> complexity -> rebalance -> witness
-    -> verify, as the benchmark runs it."""
+    -> verify, as the benchmark runs it, then one linking mutant's witness."""
     res = build()
     f = res.function
     g = build_graph(json.loads(dumps(dump_graph(res.graph))))
@@ -532,6 +578,8 @@ def _pipeline(build):
     complexity(g, f)
     balanced = rebalance_to_equal(g, f)
     assert verify_witness(build_witness(balanced, f), f).ok
+    mutant = linking_mutants(balanced, f, 1)[0].graph
+    assert not verify_witness(build_witness(mutant, f), f).ok
 
 
 def test_pipeline_prices_column_wise(monkeypatch):

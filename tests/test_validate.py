@@ -2,10 +2,20 @@
 
 import pytest
 
+from lgkit.adversary import linking_mutants
 from lgkit.loads import dense_load, sparse_load
 from lgkit.model import BooleanFunction, GraphBuilder
-from lgkit.rules import ConstRule, ONE, PatchRule, ProductRule, ScaleRule, TableRule
-from lgkit.validate import validate
+from lgkit.rules import (
+    ConstRule,
+    DispatchRule,
+    ONE,
+    PatchRule,
+    ProductRule,
+    ScaleRule,
+    SparseLoadRule,
+    TableRule,
+)
+from lgkit.validate import rules_linked, validate
 
 
 def _and_graph(n_bits=2):
@@ -158,3 +168,60 @@ def test_nan_weight_fails_linking():
     rep = validate(b.graph(flows={1: {0: 1.0}}), f)
     assert not rep.ok
     assert [v.kind for v in rep.entries] == ["linking"]
+
+
+TABLE_1 = TableRule((1,), {(0,): 1.0, (1,): 2.0})  # reads position 1
+STEP = (SparseLoadRule((0, 1), 2, 0), SparseLoadRule((0, 1), 2, 1))  # cheap bit 1
+
+
+@pytest.mark.parametrize(
+    "w0, w1, loads, linked",
+    [
+        (TABLE_1, TABLE_1, (0,), True),
+        (TABLE_1, TABLE_1, (1,), False),
+        (*STEP, (1,), True),
+        (*STEP, (0,), False),
+        (STEP[1], STEP[0], (1,), False),
+        (SparseLoadRule((1, 1), 2, 0), SparseLoadRule((1, 1), 2, 1), (1,), False),
+        (ProductRule(TABLE_1, STEP[0]), ProductRule(TABLE_1, STEP[1]), (1,), False),
+        (ProductRule(ONE, STEP[0]), ProductRule(ONE, STEP[1]), (1,), True),
+        (ScaleRule(2.0, STEP[0]), ScaleRule(2.0, STEP[1]), (1,), True),
+        (ScaleRule(2.0, STEP[0]), ScaleRule(3.0, STEP[1]), (1,), False),
+        (
+            DispatchRule((0,), {(1,): STEP[0]}, ONE),
+            DispatchRule((0,), {(1,): STEP[1]}, ONE),
+            (1,),
+            True,
+        ),
+        (
+            DispatchRule((0,), {(1,): STEP[0]}, ONE),
+            DispatchRule((0,), {(0,): STEP[1]}, ONE),
+            (1,),
+            False,
+        ),
+        (
+            DispatchRule((1,), {(1,): ONE}, ONE),
+            DispatchRule((1,), {(1,): ONE}, ConstRule(2.0)),
+            (0,),
+            False,
+        ),
+        (
+            DispatchRule((1,), {(1,): ONE}, ONE),
+            DispatchRule((1,), {(1,): ONE}, ONE),
+            (1,),
+            False,
+        ),
+    ],
+)
+def test_rules_linked(w0, w1, loads, linked):
+    assert rules_linked(w0, w1, loads) is linked
+
+
+def test_structural_linking_agrees_with_semantic(dense4, sparse4, anchored4):
+    for res in (dense4, sparse4, anchored4):
+        assert validate(res.graph).ok, res.variant
+        assert validate(res.graph, res.function).ok, res.variant
+        for m in linking_mutants(res.graph, res.function, 3, seed=5):
+            kinds = {v.kind for v in validate(m.graph).entries}
+            assert kinds == {"linking"}, (res.variant, m.edge)
+            assert not validate(m.graph, res.function).ok, (res.variant, m.edge)
