@@ -1,7 +1,11 @@
 """The ``lg`` command line tool.
 
-Subcommands: validate, complexity, adversary, build, oracle, costmodel,
-corpus.  Reports go to standard output as JSON.  Exit codes: 0 when all
+Subcommands: validate, complexity, adversary, build, report, oracle,
+costmodel, corpus.  ``report`` runs build, validate, complexity and the
+witness for each triangle variant and prints one JSON line per variant;
+``costmodel --fit`` puts the paper's exponent and the drift from it next to
+the fitted one; ``corpus`` prints the sha256 digest of the tree it wrote.
+Reports go to standard output as JSON.  Exit codes: 0 when all
 checks pass, 1 when a check fails, 2 on usage or input errors.  An input
 error emits a JSON error object on standard error; a usage error (an unknown
 command or option, a missing or malformed argument) prints argparse's usage
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,10 +25,11 @@ import numpy as np
 
 from .adversary import build_witness, linking_mutants, rebalance_to_equal, verify_witness
 from .complexity import complexity
-from .corpus import corpus_generate
-from .costmodel import fit_exponent, optimize_params, parse_m_law, default_grid
+from .corpus import corpus_generate, tree_digest
+from .costmodel import VARIANTS, default_grid, fit_exponent, optimize_params, parse_m_law
 from .serialize import build_function, build_graph, dump_function, dump_graph, dumps, read_json, write_json
 from .triangle import (
+    BuildResult,
     GraphInstance,
     TriangleParams,
     build_dense_lg,
@@ -115,18 +121,22 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     return 0 if rep.ok else 1
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    if args.target == "triangle-sparsenew":
-        if args.b is None:
+def _build_variant(
+    variant: str, n: int, x: int | None, a: int | None, b: int | None, m: int | None = None
+) -> BuildResult:
+    if variant == "sparsenew":
+        if b is None:
             raise ValueError("triangle-sparsenew needs --b")
-        res = build_sparsenew_lg(args.n, args.b, m=args.m)
-    else:
-        if None in (args.x, args.a, args.b):
-            raise ValueError(f"{args.target} needs --x, --a and --b")
-        variant = args.target.split("-", 1)[1]
-        params = TriangleParams(args.x, args.a, args.b, variant)
-        build = build_dense_lg if variant == "dense" else build_sparse_lg
-        res = build(args.n, params)
+        return build_sparsenew_lg(n, b, m=m)
+    if None in (x, a, b):
+        raise ValueError(f"triangle-{variant} needs --x, --a and --b")
+    build = build_dense_lg if variant == "dense" else build_sparse_lg
+    return build(n, TriangleParams(x, a, b, variant))
+
+
+def _cmd_build(args: argparse.Namespace) -> int:
+    variant = args.target.split("-", 1)[1]
+    res = _build_variant(variant, args.n, args.x, args.a, args.b, args.m)
     rep = complexity(res.graph, res.function)
     summary = {
         "variant": res.variant,
@@ -145,6 +155,30 @@ def _cmd_build(args: argparse.Namespace) -> int:
         summary["function"] = args.function_out
     sys.stdout.write(dumps(summary))
     return 0
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    failed = False
+    for variant in VARIANTS:
+        t0 = time.perf_counter()
+        res = _build_variant(variant, args.n, args.x, args.a, args.b)
+        g, f = res.graph, res.function
+        valid = validate(g, f).ok
+        rep = complexity(g, f)
+        certified = verify_witness(build_witness(rebalance_to_equal(g, f), f), f).ok
+        failed |= not (valid and certified)
+        sys.stdout.write(dumps({
+            "variant": variant,
+            "params": res.params,
+            "edges": len(g.edges),
+            "c0_max": rep.c0,
+            "c1_max": rep.c1,
+            "complexity": rep.value,
+            "valid": valid,
+            "certified": certified,
+            "seconds": time.perf_counter() - t0,
+        }))
+    return 1 if failed else 0
 
 
 def _parse_vertex_list(text: str) -> tuple[int, ...]:
@@ -244,7 +278,12 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     manifest = corpus_generate(
         args.out, seed=args.seed, sizes=sizes, samples=args.samples, p=args.p
     )
-    sys.stdout.write(dumps({"out": args.out, "seed": manifest["seed"], "graphs": len(manifest["graphs"])}))
+    sys.stdout.write(dumps({
+        "out": args.out,
+        "seed": manifest["seed"],
+        "graphs": len(manifest["graphs"]),
+        "digest": tree_digest(args.out),
+    }))
     return 0
 
 
@@ -281,10 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adversary)
 
     p = sub.add_parser("build", help="materialize a triangle graph")
-    p.add_argument(
-        "target",
-        choices=("triangle-dense", "triangle-sparse", "triangle-sparsenew"),
-    )
+    p.add_argument("target", choices=tuple(f"triangle-{v}" for v in VARIANTS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=int)
     p.add_argument("--a", type=int)
@@ -293,6 +329,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
     p.add_argument("--function-out")
     p.set_defaults(func=_cmd_build)
+
+    p = sub.add_parser("report", help="build, validate and certify every triangle variant")
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--x", type=int, default=1)
+    p.add_argument("--a", type=int, default=2)
+    p.add_argument("--b", type=int, default=2)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("oracle", help="exact counting oracles")
     which = p.add_subparsers(dest="which", required=True)
@@ -319,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("costmodel", help="evaluate and fit the cost estimates")
-    p.add_argument("--variant", choices=("dense", "sparse", "sparsenew"), required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--m-law", default="n^1.5")
     p.add_argument("--fit", action="store_true")
     p.add_argument("--csv", action="store_true")

@@ -27,12 +27,11 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from .complexity import c1_max, side1_totals
-from .indexing import input_array, mask_of, pack_bits, unpack_bits
-from .loads import load_gadget, single_load_rules
+from .complexity import c1_max
+from .indexing import mask_of, pack_bits
+from .loads import load_c1_max, load_gadget, single_load_rules
 from .model import (
     BooleanFunction,
-    Edge,
     GraphBuilder,
     LearningGraph,
     StageInfo,
@@ -141,41 +140,6 @@ def or_compose(
 
 
 # ---------------------------------------------------------------------------
-# Stage rebalance
-
-
-SUPPORT_CAP = 16
-
-
-def edge_c1_cap(e: Edge) -> float:
-    """Largest positive-side cost one unit of flow can incur on this edge."""
-    if e.kind == "empty":
-        raise CompositionError("empty transitions have no positive cost")
-    if e.gadget is not None:
-        if e.gadget.c1_max is not None:
-            return e.gadget.c1_max
-        inner = e.gadget.inner
-        sup = sorted({i for ie in inner.edges for i in ie.w1.support})
-        if len(sup) > SUPPORT_CAP:
-            raise CompositionError(
-                f"inner support of {len(sup)} positions is too large to scan"
-            )
-        return max([0.0, *side1_totals(inner, _support_inputs(sup))])
-    sup = e.w1.support
-    if len(sup) > SUPPORT_CAP:
-        raise CompositionError(f"support of {len(sup)} positions is too large to scan")
-    zs = _support_inputs(sup)
-    ws = e.w1.eval(input_array(zs, max(sup, default=0) + 1)).tolist()
-    return max((1.0 / w for w in ws if w > 0), default=0.0)
-
-
-def _support_inputs(sup: Sequence[int]) -> list[int]:
-    """Every input that is 0 off ``sup``, the last position varying fastest."""
-    cube = itertools.product((0, 1), repeat=len(sup))
-    return [unpack_bits(bits, sup) for bits in cube]
-
-
-# ---------------------------------------------------------------------------
 # Set walk
 
 
@@ -261,13 +225,19 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
     step_edge: dict[tuple[tuple[int, ...], int], int] = {}
     start_edge: dict[tuple[int, ...], int] = {}
 
+    # caps[ei]: the closed-form positive cost bound of load edge ei
+    caps: dict[int, float] = {}
+
     def add_load(src: str, dst: str, loads: tuple[int, ...], kind: str) -> int:
         if not loads:
             return b.add_empty(src, dst)
         if len(loads) == 1:
             w0, w1 = single_load_rules(kind, loads[0])
-            return b.add_ordinary(src, dst, loads[0], w0, w1)
-        return b.add_super(src, dst, load_gadget(kind, spec.n_bits, loads))
+            ei = b.add_ordinary(src, dst, loads[0], w0, w1)
+        else:
+            ei = b.add_super(src, dst, load_gadget(kind, spec.n_bits, loads))
+        caps[ei] = load_c1_max(kind, len(loads))
+        return ei
 
     if start >= 1:
         for A in itertools.combinations(ground, start):
@@ -353,15 +323,10 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
         flows[y] = fy
 
     # Rebalance the loading stages against the usable start count.
-    factors: dict[int, float] = {}
-    for step in range(spec.r + 1):
-        for ei in stage_edges[step]:
-            e = b.edges[ei]
-            if e.kind == "empty":
-                continue
-            lam = edge_c1_cap(e) / n_used
-            factors[ei] = lam
-            b.edges[ei] = replace(e, w0=scaled(lam, e.w0), w1=scaled(lam, e.w1))
+    factors = {ei: cap / n_used for ei, cap in caps.items()}
+    for ei, lam in factors.items():
+        e = b.edges[ei]
+        b.edges[ei] = replace(e, w0=scaled(lam, e.w0), w1=scaled(lam, e.w1))
 
     # Leaf stage.
     leaf_edges: list[int] = []

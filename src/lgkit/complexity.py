@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .indexing import bitstring, input_array
-from .model import BooleanFunction, LearningGraph, StageInfo
+from .model import BooleanFunction, LearningGraph
 from .rules import Rule
 
 
@@ -316,15 +316,9 @@ class ComplexityReport:
         }
 
 
-def complexity(
-    g: LearningGraph,
-    f: BooleanFunction,
-    stages: Iterable[StageInfo] | None = None,
-) -> ComplexityReport:
-    """Evaluate both costs of ``g`` against ``f`` over its whole domain."""
-    if stages is None:
-        stages = g.stages or ()
-    stage_list = list(stages)
+def complexity(g: LearningGraph, f: BooleanFunction) -> ComplexityReport:
+    """Evaluate both costs of ``g`` against ``f`` over its whole domain, with
+    a breakdown per stage of ``g.stages``."""
     xs = f.negatives()
     ys = f.positives()
     rows0 = side0_rows(g, input_array(xs, g.n_bits))
@@ -338,7 +332,7 @@ def complexity(
         per_input_c0=per0,
         per_input_c1=per1,
     )
-    for st in stage_list:
+    for st in g.stages or ():
         edge_ids = set(st.edges)
         factors = dict(st.rebalance or {})
         rows = rows0[list(st.edges)]

@@ -10,12 +10,13 @@
   round-trip, expansion and complexity sweeps.
 
 All randomness comes from one ``random.Random`` seed (the stdlib Mersenne
-Twister); reruns with the same arguments are byte-identical.
+Twister); reruns with the same arguments are byte-identical, which
+``tree_digest`` checks in one string.
 """
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,7 +24,7 @@ from random import Random
 
 from .combinators import JohnsonSpec, johnson_compose, or_compose
 from .indexing import num_pairs
-from .loads import DENSE, SPARSE, dense_load, sparse_load
+from .loads import DENSE, SPARSE, load_gadget
 from .model import BooleanFunction, GraphBuilder, LearningGraph
 from .serialize import dump_function, dump_graph, write_json
 from .triangle import GraphInstance, TriangleParams, build_dense_lg, build_sparse_lg, build_sparsenew_lg, triangle_function
@@ -61,8 +62,7 @@ def _load_gadget_pair(kind: str, n_bits: int, positions: Sequence[int]):
     b = GraphBuilder(n_bits)
     pos = sorted(positions)
     b.add_vertex("s", pos)
-    gadget = (dense_load if kind == DENSE else sparse_load)(n_bits, pos)
-    b.add_super("r", "s", gadget)
+    b.add_super("r", "s", load_gadget(kind, n_bits, pos))
     mask = sum(1 << p for p in pos)
     f = BooleanFunction.from_predicate(n_bits, lambda z: z & mask == mask)
     return b.graph(const_flow={0: 1.0}), f
@@ -198,6 +198,18 @@ def corpus_generate(
 
     write_json(root / "meta.json", manifest)
     return manifest
+
+
+def tree_digest(root: "str | Path") -> str:
+    """sha256 over the relative path and bytes of every file under ``root``,
+    in sorted order: two corpus runs with the same arguments agree on it."""
+    root = Path(root)
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(str(path.relative_to(root)).encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def load_instances(path: "str | Path") -> list[GraphInstance]:

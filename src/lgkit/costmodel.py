@@ -4,7 +4,8 @@ Each variant has a bracket: the sum of the per-stage contributions to the
 squared complexity (the positive-side cost stays at most 1, so the total is
 the square root of the bracket).  The functions here evaluate the brackets at
 arbitrary scale, optimize the tunables (x, a, b), and fit the growth exponent
-of the optimized cost against n.
+of the optimized cost against n, next to the exponent the paper states for
+the same growth law of m.
 
 Scale parameters are continuous; nothing here materializes a graph.
 """
@@ -214,13 +215,21 @@ class FitResult:
     n_lo: int
     n_hi: int
     log_divided: str | None
+    paper_exponent: float
     dominant: str | None = None
     total_exponent: float | None = None
     points: tuple[tuple[float, float, float], ...] = field(default=())
 
+    @property
+    def drift(self) -> float:
+        """Fitted exponent minus the paper's."""
+        return self.exponent - self.paper_exponent
+
     def to_json(self) -> dict:
         return {
             "exponent": self.exponent,
+            "paper_exponent": self.paper_exponent,
+            "drift": self.drift,
             "residual": self.residual,
             "n_lo": self.n_lo,
             "n_hi": self.n_hi,
@@ -265,6 +274,20 @@ def _slope(ns: Sequence[float], vals: Sequence[float]) -> tuple[float, float]:
     return float(coeffs[0]), rms
 
 
+def _paper_exponent(variant: str, m_exponent: float, dominant: str | None) -> float:
+    """The paper's exponent in n of the variant's bound when m grows like
+    n^m_exponent: n^(5/4) for dense, n^(11/12) m^(1/6) for sparse, and for
+    sparsenew n^(5/6) m^(1/6) (``power``) or d2 sqrt(n) with d2 = 2m/n
+    (``degree``)."""
+    if variant == "dense":
+        return 5 / 4
+    if variant == "sparse":
+        return 11 / 12 + m_exponent / 6
+    if dominant == "degree":
+        return m_exponent - 1 / 2
+    return 5 / 6 + m_exponent / 6
+
+
 def fit_exponent(
     variant: str,
     m_law: "str | float | Callable[[float], float]" = "n^1.5",
@@ -274,8 +297,10 @@ def fit_exponent(
 
     The declared logarithmic factor is divided out first (square root of
     log n for sparse, sixth root for the anchored variant).  The anchored
-    variant has two candidate growth terms; both are fitted and the one that
-    dominates at the top of the range is reported.
+    variant has two candidate growth terms; the one that dominates at the
+    top of the range is fitted and reported.  The paper's exponent takes
+    m's growth as the log-log slope of the m law between the first and last
+    grid point.
     """
     mf = parse_m_law(m_law)
     grid = tuple(n_range) if n_range is not None else default_grid()
@@ -284,7 +309,6 @@ def fit_exponent(
     if len(grid) < 3:
         raise ValueError(f"need at least 3 grid points, got {len(grid)}")
     ns: list[float] = []
-    totals: list[float] = []
     power_vals: list[float] = []
     degree_vals: list[float] = []
     points: list[tuple[float, float, float]] = []
@@ -307,31 +331,22 @@ def fit_exponent(
             )
             degree_vals.append(d2 * math.sqrt(n))
         ns.append(float(n))
-        totals.append(opt.cost)
         points.append((float(n), opt.cost, corrected))
-    corrected_vals = [p[2] for p in points]
-    total_slope, total_res = _slope(ns, corrected_vals)
-    if variant != "sparsenew":
-        return FitResult(
-            exponent=total_slope,
-            residual=total_res,
-            n_lo=int(grid[0]),
-            n_hi=int(grid[-1]),
-            log_divided=divided,
-            points=tuple(points),
-        )
-    power_slope, power_res = _slope(ns, power_vals)
-    degree_slope, degree_res = _slope(ns, degree_vals)
-    if power_vals[-1] >= degree_vals[-1]:
-        dominant, slope, res = "power", power_slope, power_res
-    else:
-        dominant, slope, res = "degree", degree_slope, degree_res
+    slope, res = _slope(ns, [p[2] for p in points])
+    dominant = total_slope = None
+    if variant == "sparsenew":
+        total_slope = slope
+        dominant = "power" if power_vals[-1] >= degree_vals[-1] else "degree"
+        vals = power_vals if dominant == "power" else degree_vals
+        slope, res = _slope(ns, vals)
+    m_exponent = math.log(mf(grid[-1]) / mf(grid[0])) / math.log(grid[-1] / grid[0])
     return FitResult(
         exponent=slope,
         residual=res,
         n_lo=int(grid[0]),
         n_hi=int(grid[-1]),
         log_divided=divided,
+        paper_exponent=_paper_exponent(variant, m_exponent, dominant),
         dominant=dominant,
         total_exponent=total_slope,
         points=tuple(points),

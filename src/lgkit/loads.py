@@ -50,7 +50,7 @@ def dense_load(n_bits: int, positions: Sequence[int]) -> SuperEdge:
     k = len(pos)
     rule = DenseLoadRule(k)
     gadget = _path(n_bits, pos, lambda _: (rule, rule))
-    return SuperEdge(gadget, c1_max=1.0)
+    return SuperEdge(gadget, c1_max=load_c1_max(DENSE, k))
 
 
 def sparse_load(n_bits: int, positions: Sequence[int]) -> SuperEdge:
@@ -60,7 +60,7 @@ def sparse_load(n_bits: int, positions: Sequence[int]) -> SuperEdge:
         pos,
         lambda k: (SparseLoadRule(pos, k, 0), SparseLoadRule(pos, k, 1)),
     )
-    return SuperEdge(gadget, c1_max=sparse_c1_max(len(pos)))
+    return SuperEdge(gadget, c1_max=load_c1_max(SPARSE, len(pos)))
 
 
 def load_gadget(kind: str, n_bits: int, positions: Sequence[int]) -> SuperEdge:
@@ -68,6 +68,16 @@ def load_gadget(kind: str, n_bits: int, positions: Sequence[int]) -> SuperEdge:
         return dense_load(n_bits, positions)
     if kind == SPARSE:
         return sparse_load(n_bits, positions)
+    raise ValueError(f"unknown load kind {kind!r}")
+
+
+def load_c1_max(kind: str, k: int) -> float:
+    """Largest positive-side cost of a ``k``-position load of this kind: the
+    gadget for k >= 2, the ``single_load_rules`` edge for k = 1."""
+    if kind == DENSE:
+        return 1.0
+    if kind == SPARSE:
+        return sparse_c1_max(k)
     raise ValueError(f"unknown load kind {kind!r}")
 
 

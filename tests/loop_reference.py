@@ -87,8 +87,9 @@ def graph_c1_loop(g, y):
 
 
 def edge_c1_cap_loop(e):
-    """``combinators.edge_c1_cap`` for an edge without a recorded bound, one
-    input at a time."""
+    """Largest positive-side cost one unit of flow can incur on an edge
+    without a recorded bound, scanning every input of its support one at a
+    time: the reference for ``loads.load_c1_max``."""
     if e.gadget is not None:
         inner = e.gadget.inner
         sup = sorted({i for ie in inner.edges for i in ie.w1.support})

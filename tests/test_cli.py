@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgkit import cli
 from lgkit.adversary import linking_mutants
 from lgkit.cli import main
 from lgkit.corpus import load_instances
@@ -18,6 +19,7 @@ from lgkit.serialize import (
     read_json,
     write_json,
 )
+from lgkit.validate import validate
 
 
 def run(capsys, *argv):
@@ -242,6 +244,70 @@ def test_costmodel_fit(capsys):
     assert code == 0
     rep = _parse(out)
     assert 1.0 < rep["exponent"] < 1.5
+
+
+@pytest.mark.parametrize(
+    "law, paper",
+    [
+        ("n^1.5", {"dense": 5 / 4, "sparse": 7 / 6, "sparsenew": 13 / 12}),
+        ("n^1.3", {"dense": 5 / 4, "sparse": 11 / 12 + 1.3 / 6, "sparsenew": 5 / 6 + 1.3 / 6}),
+    ],
+    ids=["m-n1.5", "m-n1.3"],
+)
+def test_costmodel_fit_reports_paper_exponent(capsys, law, paper):
+    # slopes of the parent's fit on 6 points from 2^10 to 2^24; the m law
+    # does not move the dense one
+    slopes = {
+        "n^1.5": {"dense": 1.2495, "sparse": 1.1634, "sparsenew": 1.0833},
+        "n^1.3": {"dense": 1.2495, "sparse": 1.1305, "sparsenew": 1.0500},
+    }[law]
+    for variant, want in paper.items():
+        code, out, _err = run(
+            capsys, "costmodel", "--variant", variant, "--fit", "--points", "6", "--m-law", law
+        )
+        assert code == 0
+        rep = _parse(out)
+        assert round(rep["exponent"], 4) == slopes[variant]
+        assert rep["paper_exponent"] == pytest.approx(want, abs=1e-12)
+        assert rep["drift"] == rep["exponent"] - rep["paper_exponent"]
+        assert abs(rep["drift"]) < 0.005
+
+
+def test_report_certifies_every_variant(capsys):
+    code, out, _err = run(capsys, "report", "--n", "4")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["variant"] for r in rows] == ["dense", "sparse", "sparsenew"]
+    assert [r["edges"] for r in rows] == [496, 492, 76]
+    assert [r["c0_max"] for r in rows] == [198.0, 179.953298500158, 52.0]
+    assert [r["c1_max"] for r in rows] == [1.0, 1.0, 1.0]
+    assert all(r["valid"] and r["certified"] for r in rows)
+    assert rows[2]["params"] == {"b": 2, "n": 4}
+
+
+def test_report_exits_one_on_a_failed_variant(capsys, monkeypatch):
+    def failing(g, f=None):
+        rep = validate(g, f)
+        rep.add("forced", "$", "a violation the test injects")
+        return rep
+
+    monkeypatch.setattr(cli, "validate", failing)
+    code, out, _err = run(capsys, "report", "--n", "3")
+    assert code == 1
+    assert not any(json.loads(line)["valid"] for line in out.splitlines())
+
+
+# sha256 of the corpus tree for seed 0, sizes 5 and 2 samples
+CORPUS_DIGEST = "ff7e1313f20c32eb68a924c65af8de6d3149f5d7ee0d2bec3f0d3a7b517e5a1d"
+
+
+def test_corpus_prints_pinned_digest(tmp_path, capsys):
+    for name in ("a", "b"):
+        code, out, _err = run(
+            capsys, "corpus", "--out", str(tmp_path / name), "--sizes", "5", "--samples", "2"
+        )
+        assert code == 0
+        assert _parse(out)["digest"] == CORPUS_DIGEST
 
 
 def test_corpus_round_trip(corpus_dir, capsys):

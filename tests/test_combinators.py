@@ -10,13 +10,12 @@ from loop_reference import or_compose_loop
 from lgkit.combinators import (
     CompositionError,
     JohnsonSpec,
-    edge_c1_cap,
     johnson_compose,
     or_compose,
 )
 from lgkit.complexity import complexity, graph_c0
 from lgkit.model import BooleanFunction, GraphBuilder, Universe
-from lgkit.rules import ONE, ConstRule, TableRule
+from lgkit.rules import ONE, ConstRule
 from lgkit.serialize import dump_graph, dumps
 from lgkit.validate import validate
 
@@ -174,15 +173,6 @@ def test_or_matches_loop_on_random_children(case):
     assert _or_outcome(or_compose, children, k) == _or_outcome(
         or_compose_loop, children, k
     )
-
-
-def test_edge_c1_cap_reads_weight_table():
-    b = GraphBuilder(2)
-    b.add_vertex("s", (0, 1))
-    w1 = TableRule((0,), {(1,): 4.0}, 0.5)
-    b.add_ordinary("r", "s", 1, ONE, w1)
-    g = b.graph(const_flow={0: 1.0})
-    assert edge_c1_cap(g.edges[0]) == 2.0
 
 
 # ---------------------------------------------------------------------------

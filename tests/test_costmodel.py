@@ -145,3 +145,11 @@ def test_fit_sparsenew_reports_dominant_term():
     res = fit_exponent("sparsenew", n_range=default_grid(2**10, 2**18, 5))
     assert res.dominant in ("power", "degree")
     assert res.total_exponent is not None
+
+
+def test_fit_paper_exponent_follows_the_degree_term():
+    # at m = n^1.9 the d2 sqrt(n) term, d2 = 2m/n, outgrows n^(5/6) m^(1/6)
+    res = fit_exponent("sparsenew", m_law="n^1.9", n_range=default_grid(2**10, 2**24, 6))
+    assert res.dominant == "degree"
+    assert res.paper_exponent == pytest.approx(1.9 - 0.5, abs=1e-12)
+    assert abs(res.drift) < 1e-12
