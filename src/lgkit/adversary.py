@@ -47,6 +47,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from .complexity import c0_max, c1_max, column_fsums, eval_each, flow_entries
+from .complexity import side1_totals
 from .expand import expand
 from .indexing import agreement_blocks, bit_column, input_array, mask_of
 from .model import BooleanFunction, LearningGraph
@@ -198,14 +199,19 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
                 f"flow on zero side-1 weight, edge {ei} input {domain[r]}"
             )
         positive[ei] = (rows, ent.flow[grp] / np.sqrt(w))
-    c1 = c1_max(g, f)
+    # without super edges ge is g, and ent holds the entries c1_max would
+    # gather again
+    if g.has_super():
+        c1 = c1_max(g, f)
+    else:
+        c1 = max(side1_totals(ge, ys, ent), default=0.0)
 
     parts: dict[int, list[tuple[np.ndarray, np.ndarray, list[int]]]] = {}
     blocks = 0
     no_rows = np.zeros(0, dtype=np.int64)
     ordinary = [(ei, e) for ei, e in enumerate(ge.edges) if e.kind == "ordinary"]
-    # without super edges ge is g, and these are the rows c0_max sums, less
-    # the zero rows of empty edges, which do not change an fsum
+    # likewise these are the rows c0_max sums, less the zero rows of empty
+    # edges, which do not change an fsum
     w0_rows = None if g.has_super() else np.zeros((len(ordinary), len(xs)))
     for k, ((ei, e), w0) in enumerate(
         zip(ordinary, eval_each([e.w0 for _, e in ordinary], xs))

@@ -108,17 +108,21 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     witness = build_witness(g, f)
     rep = verify_witness(witness, f)
     out = rep.to_json()
+    caught = 0
     if args.mutants:
         deviations = []
         for mutant in linking_mutants(g, f, count=args.mutants, seed=args.seed):
             mrep = verify_witness(build_witness(mutant.graph, f), f)
+            caught += not mrep.crossing_ok
             deviations.append(
                 max(abs(mrep.crossing_lo - 1.0), abs(mrep.crossing_hi - 1.0))
             )
         out["mutant_min_deviation"] = min(deviations)
         out["mutants"] = args.mutants
+        out["mutants_caught"] = caught
     _emit(out, args.out)
-    return 0 if rep.ok else 1
+    # a mutant whose witness passes the crossing check escaped
+    return 0 if rep.ok and caught == args.mutants else 1
 
 
 def _build_variant(

@@ -11,9 +11,10 @@ breakdowns when the graph carries stage metadata.
 
 ``side0_rows`` and ``side1_terms`` are the one place costs are evaluated.
 They price a whole set of inputs column-wise, evaluating each rule object
-once per call.  Everything that prices a graph goes through them:
-``complexity``, ``c0_max``/``c1_max`` (and so rebalancing, the witness
-target and the composition lambdas) and ``graph_c0``/``graph_c1``.
+once per call, as a lookup in the rule's table (see :mod:`lgkit.rules`).
+Everything that prices a graph goes through them: ``complexity``,
+``c0_max``/``c1_max`` (and so rebalancing, the witness target and the
+composition lambdas) and ``graph_c0``/``graph_c1``.
 Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
 tested against, one ``Rule.__call__`` per (edge, input), lives in
@@ -54,13 +55,18 @@ def column_fsums(rows: np.ndarray) -> list[float]:
 
 def eval_each(rules: Sequence[Rule], zs: np.ndarray) -> Iterator[np.ndarray]:
     """Yield each rule's weights over ``zs`` in turn.  A rule object met
-    again is evaluated once and its weights kept only until its last use."""
+    again is evaluated once and its weights kept only until its last use;
+    likewise ``zs`` is packed once per support."""
     last = {id(r): k for k, r in enumerate(rules)}
+    last_pack = {r.support: k for k, r in enumerate(rules)}
     kept: dict[int, np.ndarray] = {}
+    packs: dict[tuple[int, ...], np.ndarray] = {}
     for k, r in enumerate(rules):
         w = kept.pop(id(r), None)
         if w is None:
-            w = r.eval(zs)
+            w = r.eval(zs, packs)
+        if last_pack[r.support] == k:
+            packs.pop(r.support, None)
         if last[id(r)] > k:
             kept[id(r)] = w
         yield w
@@ -135,12 +141,16 @@ def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def side1_terms(g: LearningGraph, ys: Sequence[int]) -> list[dict[int, float]]:
+def side1_terms(
+    g: LearningGraph, ys: Sequence[int], ent: FlowEntries | None = None
+) -> list[dict[int, float]]:
     """The side-1 contribution of every edge with nonzero flow, per input of
     ``ys``: one ``{edge index: contribution}`` map per input.
 
     An edge's contribution is flow squared over its ``w1``, times the inner
     positive cost for a super edge.  ``w1`` is evaluated only where flow is.
+    A caller that has already gathered the entries of the flows at ``ys``
+    (every one recorded) with :func:`flow_entries` passes them as ``ent``.
 
     Raises :class:`ComplexityError` for the first faulty input of ``ys`` and,
     in that input, for the first faulty edge in flow order.  The checks, in
@@ -148,27 +158,28 @@ def side1_terms(g: LearningGraph, ys: Sequence[int]) -> list[dict[int, float]]:
     flow), a negative flow, flow on an empty edge, flow on zero side-1
     weight, and a fault of a super edge's inner graph at that input.
     """
-    terms, fault = _side1(g, ys)
+    terms, fault = _side1(g, ys, ent)
     if fault is not None:
         raise fault[1]
     return terms
 
 
 def _side1(
-    g: LearningGraph, ys: Sequence[int]
+    g: LearningGraph, ys: Sequence[int], ent: FlowEntries | None = None
 ) -> tuple[list[dict[int, float]], tuple[int, ComplexityError] | None]:
     """``side1_terms``, or the number in ``ys`` of the first faulty input and
     the error it raises."""
     n_edges = len(g.edges)
-    flows: list[dict[int, float]] = []
     missing: tuple[int, ComplexityError] | None = None  # the first input without a flow
-    for k, y in enumerate(ys):
-        flow = g.flow_for(y)
-        if flow is None:
-            missing = (k, MissingFlowError(f"no flow recorded for input {y}"))
-            break
-        flows.append(flow)
-    ent = flow_entries(g, flows, input_array(ys[: len(flows)], g.n_bits))
+    if ent is None:
+        flows: list[dict[int, float]] = []
+        for k, y in enumerate(ys):
+            flow = g.flow_for(y)
+            if flow is None:
+                missing = (k, MissingFlowError(f"no flow recorded for input {y}"))
+                break
+            flows.append(flow)
+        ent = flow_entries(g, flows, input_array(ys[: len(flows)], g.n_bits))
     ks, es, pp, ww, at = ent.input.tolist(), ent.edge, ent.flow, ent.w1, ent.at
     if not ks:
         return [{} for _ in ys], missing
@@ -190,7 +201,7 @@ def _side1(
     if bad:
         n = min(bad)
         y = ys[ks[n]]
-        p = flows[ks[n]][es[n]]
+        p = g.flow_for(y)[es[n]]
         error = _flow_error(g, es[n], p, y, ww[n]) or inner_faults[n]
         return [], (ks[n], error)
     if missing is not None:
@@ -225,9 +236,12 @@ def _flow_error(
     return None
 
 
-def side1_totals(g: LearningGraph, ys: Sequence[int]) -> list[float]:
-    """The positive cost at every input of ``ys``."""
-    return [math.fsum(t.values()) for t in side1_terms(g, ys)]
+def side1_totals(
+    g: LearningGraph, ys: Sequence[int], ent: FlowEntries | None = None
+) -> list[float]:
+    """The positive cost at every input of ``ys`` (``ent`` as in
+    :func:`side1_terms`)."""
+    return [math.fsum(t.values()) for t in side1_terms(g, ys, ent)]
 
 
 def graph_c0(g: LearningGraph, z: int) -> float:

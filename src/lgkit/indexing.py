@@ -8,6 +8,7 @@ single place where that shift happens.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,14 +34,6 @@ def pack_bits(z: int, indices: Sequence[int]) -> tuple[int, ...]:
     return tuple((z >> i) & 1 for i in indices)
 
 
-def unpack_bits(bits: Sequence[int], indices: Sequence[int]) -> int:
-    z = 0
-    for b, i in zip(bits, indices):
-        if b:
-            z |= 1 << i
-    return z
-
-
 def input_array(zs: Iterable[int], n_bits: int) -> np.ndarray:
     """``n_bits``-bit inputs for :meth:`Rule.eval`: int64 when inputs and
     position masks fit in it, else Python ints (dtype object)."""
@@ -51,6 +44,20 @@ def input_array(zs: Iterable[int], n_bits: int) -> np.ndarray:
         except OverflowError:
             pass
     return np.array(zs, dtype=object)
+
+
+@lru_cache(maxsize=1024)
+def all_assignments(indices: tuple[int, ...]) -> np.ndarray:
+    """Every assignment of the positions ``indices`` as an input array, all
+    other bits 0: entry ``k`` sets bit ``indices[j]`` to bit ``j`` of ``k``.
+    Cached per tuple and read-only; int64 or Python ints as in
+    :func:`input_array`."""
+    ks = np.arange(1 << len(indices), dtype=np.int64)
+    zs = input_array([0] * len(ks), max(indices, default=-1) + 1)
+    for j, i in enumerate(indices):
+        zs |= ((ks >> j) & 1).astype(zs.dtype) << i
+    zs.flags.writeable = False
+    return zs
 
 
 def bit_column(zs: np.ndarray, i: int) -> np.ndarray:

@@ -8,12 +8,33 @@ composition code relies on when collapsing identical inner structures.
 Weights are finite: constructors reject NaN and infinities.
 
 A rule is evaluated either at one input (``rule(z)``, the scalar reference)
-or column-wise at an array of inputs (``rule.eval(zs)``).  ``eval`` performs
-the same IEEE operations in the same order as the scalar call, so both give
-the same bits.  The cost, validation and witness code evaluate column-wise,
-one array per edge, and sum per input with ``math.fsum``, which is exactly
-rounded and so independent of the order of the edges: exact identities (a
-dense load of k positions costs k^2) hold with ``==``.
+or column-wise at an array of inputs (``rule.eval(zs)``).  ``eval`` is one
+method on the base class.  It looks every input up in the rule's table,
+the weights at the 2^|support| assignments of its support, packed as
+:func:`_pack` packs an input.  The table is cached on the (immutable) rule
+object, so a rule shared by the steps of a pipeline or by the mutants of a
+graph is computed at most twice: a first call on few inputs (under
+``_TABLE_FIRST``) runs the body on them instead, and a later call builds
+the table.  Each class fills its table with its column-wise body
+(``_body``), which performs the same IEEE operations in the same order as
+the scalar call, so both give the same bits.  Children of a composite rule
+(scale, product, patch, dispatch) run their bodies on the parent's
+assignments and get no table of their own.
+
+The table is exact only because every rule reads nothing but its declared
+support: a table entry is the body at an input that carries the same
+support bits as the inputs mapped to it, and 0 elsewhere.  The eval-vs-call
+tests in ``tests/test_columnwise.py`` (random rules over 8 positions on all
+256 inputs, and again with bit 70 set, plus every rule of the corpus and
+triangle graphs) fail if a rule reads outside its support.  A rule whose
+support has more than ``_PACKED_BITS`` positions gets no table: ``eval``
+runs its body on the inputs directly, and a table or dispatch keyed by that
+many positions is evaluated input by input.
+
+The cost, validation and witness code evaluate column-wise, one array per
+edge, and sum per input with ``math.fsum``, which is exactly rounded and so
+independent of the order of the edges: exact identities (a dense load of k
+positions costs k^2) hold with ``==``.
 
 JSON forms use 1-based indices, matching the on-disk graph format.
 """
@@ -22,22 +43,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
-from .indexing import assignment_key, bit_column, mask_of, pack_bits
-from .indexing import parse_assignment_key
+from .indexing import all_assignments, assignment_key, bit_column, mask_of
+from .indexing import pack_bits, parse_assignment_key
 
 
 class RuleError(ValueError):
     pass
 
 
-# Lookup arrays have 2^len(indices) entries; a table or dispatch that reads
-# more positions than this is evaluated input by input.
+# Lookup arrays have 2^len(indices) entries.  A rule whose support is wider
+# than this has no table, and a table or dispatch keyed by more positions
+# than this is evaluated input by input.
 _PACKED_BITS = 16
+
+# A rule's first call runs its body unless it has at least this many inputs
+# (and at least as many as the table has entries).  A table pays when it is
+# used again, or at once when a call is large: the composition code prices
+# most of the rules it makes once, on fewer inputs (at n=5, over 90% of its
+# calls have under 256), while a chain prices every edge over all negatives
+# or all positives.
+_TABLE_FIRST = 256
 
 
 def _each_input(rule: "Rule", zs: np.ndarray) -> np.ndarray:
@@ -46,11 +76,26 @@ def _each_input(rule: "Rule", zs: np.ndarray) -> np.ndarray:
 
 def _pack(zs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
     """Bits ``indices`` of every input, packed into an index: bit ``k`` of
-    the index is bit ``indices[k]`` of the input."""
-    idx = np.zeros(len(zs), dtype=np.int64)
-    for k, i in enumerate(indices):
-        idx |= bit_column(zs, i) << k
-    return idx
+    the index is bit ``indices[k]`` of the input.  The inverse of
+    :func:`lgkit.indexing.all_assignments`."""
+    idx = np.zeros(len(zs), dtype=zs.dtype)
+    for shift, mask in _runs(tuple(indices)):
+        idx |= (zs >> shift if shift >= 0 else zs << -shift) & mask
+    return idx.astype(np.int64, copy=False)
+
+
+@lru_cache(maxsize=1024)
+def _runs(indices: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """``(shift, mask)`` per run of consecutive positions in ``indices``:
+    the run's bits of the packed index are ``(z >> shift) & mask``, with a
+    negative shift meaning a left shift."""
+    runs = []
+    start = 0
+    for k in range(1, len(indices) + 1):
+        if k == len(indices) or indices[k] != indices[k - 1] + 1:
+            runs.append((indices[start] - start, ((1 << (k - start)) - 1) << start))
+            start = k
+    return tuple(runs)
 
 
 def _packed_key(bits: Sequence[int]) -> int:
@@ -82,9 +127,46 @@ class Rule:
     def __call__(self, z: int) -> float:
         raise NotImplementedError
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
+    def eval(
+        self, zs: np.ndarray, packs: dict[tuple[int, ...], np.ndarray] | None = None
+    ) -> np.ndarray:
         """Weights at every input of ``zs`` as float64, bit for bit equal to
-        calling the rule at each input (see :func:`lgkit.indexing.input_array`)."""
+        calling the rule at each input (see :func:`lgkit.indexing.input_array`):
+        a lookup in the table, or the body on a first call on few inputs and
+        when the support is too wide for a table.
+
+        ``packs``, when given, keeps ``zs`` packed per support, for rules
+        evaluated on the same ``zs`` one after another."""
+        support = self.support
+        if len(support) > _PACKED_BITS:
+            return self._body(zs)
+        if "_seen" not in self.__dict__ and len(zs) < max(
+            _TABLE_FIRST, 1 << len(support)
+        ):
+            # frozen dataclass: record the call in the instance dict, as
+            # cached_property stores its value
+            self.__dict__["_seen"] = True
+            return self._body(zs)
+        if packs is None:
+            return self._table[_pack(zs, support)]
+        idx = packs.get(support)
+        if idx is None:
+            idx = packs[support] = _pack(zs, support)
+        return self._table[idx]
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """Weight per packed assignment of the support: 2^len(support)
+        entries, read-only."""
+        table = self._body(all_assignments(self.support))
+        table.flags.writeable = False
+        return table
+
+    def _body(self, zs: np.ndarray) -> np.ndarray:
+        """Weights at every input of ``zs``, column-wise, reading only the
+        support bits: fills the table, and runs directly on a first call on
+        few inputs, for a support wider than ``_PACKED_BITS`` and for the
+        children of a composite rule."""
         raise NotImplementedError
 
     def to_json(self) -> dict[str, Any]:
@@ -116,7 +198,7 @@ class ConstRule(Rule):
     def __call__(self, z: int) -> float:
         return self.value
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
+    def _body(self, zs: np.ndarray) -> np.ndarray:
         return np.full(len(zs), self.value, dtype=np.float64)
 
     def to_json(self) -> dict[str, Any]:
@@ -167,19 +249,20 @@ class TableRule(Rule):
         return self.table.get(pack_bits(z, self.indices), self.default)
 
     @cached_property
-    def _lookup(self) -> np.ndarray:
-        """Weight per packed index: 2^len(indices) entries."""
+    def _table(self) -> np.ndarray:
+        """The rows' weights per packed index, built from the rows."""
         lut = np.full(1 << len(self.indices), self.default, dtype=np.float64)
         for bits, v in self.table.items():
             key = _packed_key(bits)
             if key >= 0:
                 lut[key] = v
+        lut.flags.writeable = False
         return lut
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
+    def _body(self, zs: np.ndarray) -> np.ndarray:
         if len(self.indices) > _PACKED_BITS:
             return _each_input(self, zs)
-        return self._lookup[_pack(zs, self.indices)]
+        return self._table[_pack(zs, self.indices)]
 
     def to_json(self) -> dict[str, Any]:
         rows = {
@@ -223,7 +306,7 @@ class DenseLoadRule(Rule):
     def __call__(self, z: int) -> float:
         return float(self.size)
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
+    def _body(self, zs: np.ndarray) -> np.ndarray:
         return np.full(len(zs), float(self.size))
 
     def to_json(self) -> dict[str, Any]:
@@ -255,7 +338,7 @@ class SparseLoadRule(Rule):
         if self.side not in (0, 1):
             raise RuleError("side must be 0 or 1")
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return self.path[: self.pos]
 
@@ -267,7 +350,7 @@ class SparseLoadRule(Rule):
             return (ones + 1) * scale
         return n * scale
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
+    def _body(self, zs: np.ndarray) -> np.ndarray:
         n = len(self.path)
         scale = 3.0 * math.log(n + 1)
         ones = np.bitwise_count(zs & mask_of(self.path[: self.pos - 1]))
@@ -310,8 +393,8 @@ class ScaleRule(Rule):
     def __call__(self, z: int) -> float:
         return self.factor * self.inner(z)
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
-        w = self.inner.eval(zs)
+    def _body(self, zs: np.ndarray) -> np.ndarray:
+        w = self.inner._body(zs)
         with _quiet():
             return self.factor * w
 
@@ -331,16 +414,16 @@ class ProductRule(Rule):
     right: Rule
     kind: ClassVar[str] = "product"
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.left.support) | set(self.right.support)))
 
     def __call__(self, z: int) -> float:
         return self.left(z) * self.right(z)
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
-        left = self.left.eval(zs)
-        right = self.right.eval(zs)
+    def _body(self, zs: np.ndarray) -> np.ndarray:
+        left = self.left._body(zs)
+        right = self.right._body(zs)
         with _quiet():
             return left * right
 
@@ -371,7 +454,7 @@ class CandidatePairRule(Rule):
     blocked: tuple[tuple[int, int], ...] = ()
     kind: ClassVar[str] = "candidate-pair"
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         flat = set(self.required)
         for a, b in self.blocked:
@@ -388,7 +471,7 @@ class CandidatePairRule(Rule):
                 return 0.0
         return 1.0
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
+    def _body(self, zs: np.ndarray) -> np.ndarray:
         fires = np.ones(len(zs), dtype=bool)
         for i in self.required:
             fires &= bit_column(zs, i) == 1
@@ -432,7 +515,7 @@ class PatchRule(Rule):
         if self.factor < 0:
             raise RuleError("negative patch factor")
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.indices) | set(self.inner.support)))
 
@@ -442,8 +525,8 @@ class PatchRule(Rule):
             return self.factor * w
         return w
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
-        w = self.inner.eval(zs)
+    def _body(self, zs: np.ndarray) -> np.ndarray:
+        w = self.inner._body(zs)
         # a bit value other than 0 or 1 never matches, as in the scalar call
         hit = np.ones(len(zs), dtype=bool)
         for i, b in zip(self.indices, self.bits):
@@ -485,7 +568,7 @@ class DispatchRule(Rule):
             if len(bits) != len(self.indices):
                 raise RuleError("dispatch key arity mismatch")
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         flat = set(self.indices) | set(self.default.support)
         for rule in self.cases.values():
@@ -497,7 +580,7 @@ class DispatchRule(Rule):
         return rule(z)
 
     @cached_property
-    def _lookup(self) -> tuple[np.ndarray, list[Rule]]:
+    def _routes(self) -> tuple[np.ndarray, list[Rule]]:
         """Rule number per packed index (2^len(indices) entries), and the
         rules: the cases, then the default."""
         rules = list(self.cases.values())
@@ -508,17 +591,17 @@ class DispatchRule(Rule):
                 lut[key] = k
         return lut, rules + [self.default]
 
-    def eval(self, zs: np.ndarray) -> np.ndarray:
+    def _body(self, zs: np.ndarray) -> np.ndarray:
         if len(self.indices) > _PACKED_BITS:
             return _each_input(self, zs)
-        lut, rules = self._lookup
+        lut, rules = self._routes
         which = lut[_pack(zs, self.indices)]
         # each rule is evaluated only on the inputs routed to it
         out = np.empty(len(zs), dtype=np.float64)
         order = np.argsort(which, kind="stable")
         cuts = np.flatnonzero(np.diff(which[order])) + 1
         for sel in np.split(order, cuts) if len(zs) else ():
-            out[sel] = rules[which[sel[0]]].eval(zs[sel])
+            out[sel] = rules[which[sel[0]]]._body(zs[sel])
         return out
 
     def to_json(self) -> dict[str, Any]:

@@ -98,8 +98,31 @@ def test_adversary_mutants_flag(built, capsys):
     )
     assert code == 0
     rep = _parse(out)
-    assert rep["mutants"] == 5
+    assert rep["mutants"] == rep["mutants_caught"] == 5
     assert rep["mutant_min_deviation"] > 1e-3
+
+
+def test_adversary_fails_when_a_mutant_escapes(built, capsys, monkeypatch):
+    """A verifier that certifies every witness lets the mutants escape."""
+    g, f, _ = built
+    certify = cli.verify_witness
+    calls = []
+
+    def lenient(w, fn):
+        rep = certify(w, fn)
+        calls.append(rep.crossing_ok)
+        if len(calls) == 3:  # the second mutant
+            rep.crossing_ok = True
+        return rep
+
+    monkeypatch.setattr(cli, "verify_witness", lenient)
+    argv = ["adversary", str(g), "--function", str(f), "--mutants", "4"]
+    code, out, _err = run(capsys, *argv)
+    assert code == 1
+    rep = _parse(out)
+    assert rep["ok"] is True
+    assert (rep["mutants"], rep["mutants_caught"]) == (4, 3)
+    assert calls == [True, False, False, False, False]
 
 
 def test_adversary_rejects_negative_mutant_count(built, capsys):

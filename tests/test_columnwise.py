@@ -90,11 +90,15 @@ def _rules(g):
             yield from _rules(e.gadget.inner)
 
 
-def _assert_eval_matches_call(rule, zs):
-    """On int64 inputs, and on the same inputs plus bit 70 (Python ints)."""
+def _assert_eval_matches_call(rule, zs, body=True):
+    """On int64 inputs, and on the same inputs plus bit 70 (Python ints);
+    ``eval`` and, unless ``body`` is false, the body that fills the table."""
     for arr in (input_array(zs, 62), input_array([z + (1 << 70) for z in zs], 71)):
-        want = [rule(z) for z in arr.tolist()]
-        assert np.array_equal(_bits(rule.eval(arr)), _bits(want)), rule
+        want = _bits([rule(z) for z in arr.tolist()])
+        # a first call may run the body, a later one looks the table up
+        for got in (rule.eval(arr), rule.eval(arr)):
+            assert np.array_equal(_bits(got), want), rule
+        assert not body or np.array_equal(_bits(rule._body(arr)), want), rule
 
 
 def test_eval_matches_call_on_graph_rules(corpus_dir, dense4, sparse4, anchored4):
@@ -370,7 +374,7 @@ def test_position_without_blocks():
 
 @dataclass(frozen=True, eq=False)
 class _CountEvals(Rule):
-    """Another rule, recording the size of every ``eval`` call."""
+    """Another rule, recording the size of every run of its body."""
 
     inner: Rule
     sizes: list = field(default_factory=list)
@@ -382,57 +386,110 @@ class _CountEvals(Rule):
     def __call__(self, z):
         return self.inner(z)
 
-    def eval(self, zs):
+    def _body(self, zs):
         self.sizes.append(len(zs))
-        return self.inner.eval(zs)
+        return self.inner._body(zs)
 
 
 def test_witness_evaluates_each_w0_once(anchored4):
+    """Across validate, complexity, rebalance, the witness and 24 mutants'
+    witnesses, a rule object's body runs at most twice: on its first call
+    (on fewer than 64 inputs here) and to fill its table on the second.  A
+    counter runs once per run of the graph's rule, of its rebalanced copy
+    and of each mutant's patch."""
     f = anchored4.function
-    balanced = rebalance_to_equal(anchored4.graph, f)
-    mutant = linking_mutants(balanced, f, 1, seed=11)[0].graph
-    assert not mutant.has_super()
-    counted = {}
-    edges = [
-        replace(e, w0=counted.setdefault(id(e.w0), _CountEvals(e.w0)))
-        if e.kind == "ordinary"
-        else e
-        for e in mutant.edges
+    g = expand(anchored4.graph)
+    assert not g.has_super()
+    counted = []  # (edge, side, counter); one counter per edge and side
+    edges = []
+    for ei, e in enumerate(g.edges):
+        if e.kind == "ordinary":
+            w0, w1 = _CountEvals(e.w0), _CountEvals(e.w1)
+            counted += [(ei, 0, w0), (ei, 1, w1)]
+            e = replace(e, w0=w0, w1=w1)
+        edges.append(e)
+    g = replace(g, edges=edges, _out=None, _in=None)
+
+    def runs():
+        return [len(c.sizes) for _, _, c in counted]
+
+    # a w1 is evaluated again only where flow is
+    flow = {i for y in f.positives() for i, p in g.flow_for(y).items() if p}
+    assert validate(g, f).ok
+    complexity(g, f)
+    balanced = rebalance_to_equal(g, f)
+    assert runs() == [1 + (ei in flow) if side else 2 for ei, side, _ in counted]
+    for _, _, c in counted:  # the second run fills the table
+        assert c.sizes[1:2] == [1 << len(c.support)] * len(c.sizes[1:2])
+    assert verify_witness(build_witness(balanced, f), f).ok
+    patched = {}
+    for m in linking_mutants(balanced, f, 24, seed=11):
+        assert not verify_witness(build_witness(m.graph, f), f).crossing_ok
+        patched[m.edge] = patched.get(m.edge, 0) + 1
+    assert runs() == [
+        1 + 3 * (ei in flow) if side else 4 + patched.get(ei, 0)
+        for ei, side, _ in counted
     ]
-    g = replace(mutant, edges=edges, _out=None, _in=None)
-    got = build_witness(g, f)
-    assert {len(c.sizes) for c in counted.values()} == {1}
-    _assert_same_witness(got, build_witness(mutant, f), "counted")
+    plain = expand(anchored4.graph)
+    _assert_same_witness(
+        build_witness(balanced, f),
+        build_witness(rebalance_to_equal(plain, f), f),
+        "counted",
+    )
 
 
 @dataclass(frozen=True)
 class _Counting(Rule):
-    """A constant that records the size of every ``eval`` call."""
+    """A constant over no positions that records the size of every run of
+    its body."""
 
     value: float
     sizes: list = field(default_factory=list, compare=False, hash=False)
 
+    @property
+    def support(self):
+        return ()
+
     def __call__(self, z):
         return self.value
 
-    def eval(self, zs):
+    def _body(self, zs):
         self.sizes.append(len(zs))
         return np.full(len(zs), self.value)
 
 
-def test_dispatch_evaluates_each_case_on_its_inputs():
-    # case k is keyed by the low four bits of k; 15 falls to the default
+def _counting_dispatch():
+    """Case k is keyed by the low four bits of k for k < 12; 12..15 fall to
+    the default."""
     cases = {
-        tuple((k >> i) & 1 for i in range(4)): _Counting(float(k)) for k in range(15)
+        tuple((k >> i) & 1 for i in range(4)): _Counting(float(k)) for k in range(12)
     }
-    default = _Counting(99.0)
-    rule = DispatchRule((0, 1, 2, 3), cases, default)
+    return DispatchRule((0, 1, 2, 3), cases, _Counting(99.0))
+
+
+def test_dispatch_evaluates_each_case_on_its_inputs():
+    """A first call on few inputs routes them to their cases.  The next
+    call builds the table, running each case's body once on the assignments
+    routed to it; later calls, on any inputs, only look the table up.  A
+    first call on many inputs builds the table at once."""
+    rule = _counting_dispatch()
+    cases, default = list(rule.cases.values()), rule.default
     zs = [0, 5, 5, 21, 15, 31, 7]  # keys 0, 5, 5, 5, 15, 15, 7
-    _assert_eval_matches_call(rule, zs)  # evaluates twice
-    sizes = {k: c.sizes for k, c in enumerate(cases.values()) if c.sizes}
-    assert sizes == {0: [1, 1], 5: [3, 3], 7: [1, 1]}
-    assert default.sizes == [2, 2]
+    rule.eval(input_array(zs, 62))
+    sizes = {k: c.sizes for k, c in enumerate(cases) if c.sizes}
+    assert sizes == {0: [1], 5: [3], 7: [1]}
+    assert default.sizes == [2]
+    for c in (*cases, default):
+        c.sizes.clear()
+    for zs in (zs, list(range(40)), [3, 19, 35, 12], []):
+        _assert_eval_matches_call(rule, zs, body=False)
+    assert [c.sizes for c in cases] == [[1]] * 12
+    assert default.sizes == [4]
     assert rule.eval(input_array([], 4)).shape == (0,)
+    rule = _counting_dispatch()
+    _assert_eval_matches_call(rule, list(range(300)), body=False)
+    assert [c.sizes for c in rule.cases.values()] == [[1]] * 12
+    assert rule.default.sizes == [4]
 
 
 def test_rules_over_many_positions():

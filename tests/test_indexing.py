@@ -1,9 +1,11 @@
 """Bit conventions and the pair-position encoding."""
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lgkit.indexing import (
+    all_assignments,
     assignment_key,
     bitstring,
     mask_of,
@@ -13,8 +15,8 @@ from lgkit.indexing import (
     parse_assignment_key,
     parse_bitstring,
     position_pair,
-    unpack_bits,
 )
+from lgkit.rules import _pack
 
 
 def test_pair_position_lexicographic():
@@ -52,9 +54,20 @@ def test_bitstring_first_char_is_lowest_bit():
     st.lists(st.integers(min_value=0, max_value=7), unique=True, min_size=1),
 )
 def test_pack_unpack(z, positions):
-    positions = sorted(positions)
+    positions = tuple(sorted(positions))
     bits = pack_bits(z, positions)
-    assert unpack_bits(bits, positions) == z & mask_of(positions)
+    k = sum(b << j for j, b in enumerate(bits))
+    assert all_assignments(positions)[k] == z & mask_of(positions)
+
+
+def test_all_assignments_inverts_pack():
+    for positions in ((), (3,), (0, 2, 5), (1, 62), (4, 70)):
+        zs = all_assignments(positions)
+        assert len(zs) == 1 << len(positions)
+        assert zs.dtype == (object if positions[-1:] == (70,) else np.int64)
+        assert _pack(zs, positions).tolist() == list(range(len(zs)))
+        assert all(z & ~mask_of(positions) == 0 for z in zs.tolist())
+        assert not zs.flags.writeable
 
 
 def test_assignment_key_round_trip():

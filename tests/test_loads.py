@@ -24,7 +24,7 @@ from lgkit.loads import (
     sparse_c1_max,
     sparse_load,
 )
-from lgkit.indexing import unpack_bits
+from lgkit.indexing import parse_bitstring
 
 
 def _sparse_c0_by_hand(positions, z):
@@ -70,7 +70,7 @@ def test_dense_cost_is_square():
 def test_sparse_closed_form_matches_hand_walk(k, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
     positions = tuple(range(k))
-    z = unpack_bits(bits, positions)
+    z = parse_bitstring("".join(map(str, bits)))
     assert sparse_c0(positions, z) == pytest.approx(
         _sparse_c0_by_hand(positions, z), rel=1e-12
     )
@@ -81,7 +81,7 @@ def test_sparse_closed_form_matches_hand_walk(k, data):
 def test_sparse_c0_bound(k, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
     positions = tuple(range(k))
-    z = unpack_bits(bits, positions)
+    z = parse_bitstring("".join(map(str, bits)))
     ones = sum(bits)
     assert sparse_c0(positions, z) <= sparse_c0_bound(k, ones) + 1e-9
     assert sparse_c0_bound(k, ones) <= 6 * k * (ones + 1) * math.log(k + 1) + 1e-9
