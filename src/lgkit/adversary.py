@@ -9,10 +9,13 @@ diagonal sums reproduce the two graph costs, and for inputs of opposite value
 the entries on disagreeing positions sum to the flow crossing the agreement
 cut, which is exactly 1.
 
-The witness stores each M_j as its factor Ψ_j, with one column per block
-(:class:`Factor`), so M_j = Ψ_j Ψ_jᵀ and is positive semidefinite by
-construction.  Its memory is Σ_j nnz(Ψ_j), not positions × m² floats for a
-domain of m inputs.  Verification works from the factors:
+The blocks of position j come from one stable sort over the entries of all
+the edges that load j (:func:`lgkit.indexing.agreement_sort`), as do the
+sites of ``linking_mutants``.  The witness stores each M_j as its factor
+Ψ_j, with one column per block (:class:`Factor`), so M_j = Ψ_j Ψ_jᵀ and is
+positive semidefinite by construction.  Its memory is Σ_j nnz(Ψ_j), not
+positions × m² floats for a domain of m inputs.  Verification works from
+the factors:
 
 * crossing sums: per position, the (negatives × k_j) by (k_j × positives)
   product of Ψ_j's rows, kept where the two inputs disagree on j;
@@ -41,15 +44,16 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import Any, Iterator
 
 import numpy as np
 
-from .complexity import c0_max, c1_max, column_fsums, eval_each, flow_entries
-from .complexity import side1_totals
+from .complexity import FlowEntries, c0_max, c1_max, column_fsums, eval_each
+from .complexity import flow_entries, side1_totals
 from .expand import expand
-from .indexing import agreement_blocks, bit_column, input_array, mask_of
+from .indexing import agreement_sort, bit_column, input_array, mask_of
 from .model import BooleanFunction, LearningGraph
 from .rules import PatchRule
 
@@ -105,19 +109,6 @@ class Factor:
         return mat
 
 
-def _join(parts: list[tuple[np.ndarray, np.ndarray, list[int]]]) -> Factor:
-    """One factor from per-edge (rows, vals, block bounds), in edge order."""
-    starts = [0]
-    for _, _, bounds in parts:
-        base = starts[-1]
-        starts += [base + b for b in bounds[1:]]
-    return Factor(
-        rows=np.concatenate([r for r, _, _ in parts] or [np.zeros(0, np.int64)]),
-        vals=np.concatenate([v for _, v, _ in parts] or [np.zeros(0)]),
-        starts=np.array(starts, dtype=np.int64),
-    )
-
-
 class _Matrices(Mapping):
     """Read-only view of the dense M_j, each built when it is looked up."""
 
@@ -155,6 +146,17 @@ class Witness:
         return np.zeros((m, m)) if fac is None else fac.outer(m)
 
 
+def _ordinary_entries(
+    ge: LearningGraph, ent: FlowEntries
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``ent`` on ordinary edges, in entry order, and their
+    edges."""
+    edge = [ei if 0 <= ei < len(ge.edges) else -1 for ei in ent.edge]
+    ordinary = [ei for ei, e in enumerate(ge.edges) if e.kind == "ordinary"]
+    sel = np.flatnonzero(np.isin(edge, ordinary))
+    return sel, np.array(edge, dtype=np.int64)[sel]
+
+
 def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
     """Assemble the per-position factors for ``g`` against ``f``.
 
@@ -165,8 +167,9 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
     domain = f.domain
     if len(domain) > WITNESS_CAP:
         raise AdversaryError(f"domain size {len(domain)} exceeds cap {WITNESS_CAP}")
-    ge = expand(g)
-    if ge.has_super():
+    flat = not g.has_super()
+    ge = g if flat else expand(g)
+    if not flat and ge.has_super():
         raise AdversaryError("expansion left a super edge behind")
     row = {z: i for i, z in enumerate(domain)}
     zs = input_array(domain, ge.n_bits)
@@ -180,70 +183,64 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
     # positive side: flow over root side-1 weight, where the flow is nonzero
     ent = flow_entries(ge, flows, input_array(ys, ge.n_bits))
     y_rows = np.array([row[y] for y in ys], dtype=np.int64)
-    positive: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for ei in sorted(ent.at):
-        if not (0 <= ei < len(ge.edges) and ge.edges[ei].kind == "ordinary"):
-            continue
+    sel, p_edge = _ordinary_entries(ge, ent)
+    w = ent.w1[sel]
+    if (w <= 0.0).any():
+        # name the first offender on the lowest edge in block order: by the
+        # first domain input of its tail assignment, then by its own place
+        ei = int(p_edge[w <= 0.0].min())
         grp = ent.at[ei]
         rows = y_rows[ent.input[grp]]
-        w = ent.w1[grp]
-        if (w <= 0.0).any():
-            # name the first offender in block order: by the first domain
-            # input of its tail assignment, then by its own place
-            alpha = zs & mask_of(ge.label(ge.edges[ei].src))
-            r = min(
-                rows[w <= 0.0].tolist(),
-                key=lambda r: (int(np.argmax(alpha == alpha[r])), r),
-            )
-            raise AdversaryError(
-                f"flow on zero side-1 weight, edge {ei} input {domain[r]}"
-            )
-        positive[ei] = (rows, ent.flow[grp] / np.sqrt(w))
+        alpha = zs & mask_of(ge.label(ge.edges[ei].src))
+        r = min(
+            rows[ent.w1[grp] <= 0.0].tolist(),
+            key=lambda r: (int(np.argmax(alpha == alpha[r])), r),
+        )
+        raise AdversaryError(
+            f"flow on zero side-1 weight, edge {ei} input {domain[r]}"
+        )
+    p_rows = y_rows[ent.input[sel]]
+    p_vals = ent.flow[sel] / np.sqrt(w)
     # without super edges ge is g, and ent holds the entries c1_max would
     # gather again
-    if g.has_super():
-        c1 = c1_max(g, f)
-    else:
-        c1 = max(side1_totals(ge, ys, ent), default=0.0)
+    c1 = max(side1_totals(ge, ys, ent), default=0.0) if flat else c1_max(g, f)
 
-    parts: dict[int, list[tuple[np.ndarray, np.ndarray, list[int]]]] = {}
-    blocks = 0
-    no_rows = np.zeros(0, dtype=np.int64)
-    ordinary = [(ei, e) for ei, e in enumerate(ge.edges) if e.kind == "ordinary"]
+    by_load = ge.by_load()
+    ordinary = [ei for ids in by_load.values() for ei in ids]
+    w0s = eval_each([ge.edges[ei].w0 for ei in ordinary], xs)
     # likewise these are the rows c0_max sums, less the zero rows of empty
     # edges, which do not change an fsum
-    w0_rows = None if g.has_super() else np.zeros((len(ordinary), len(xs)))
-    for k, ((ei, e), w0) in enumerate(
-        zip(ordinary, eval_each([e.w0 for _, e in ordinary], xs))
-    ):
+    w0_rows = np.zeros((len(ordinary), len(xs))) if flat else None
+    factors: dict[int, Factor] = {}
+    blocks = done = 0
+    for j, ids in by_load.items():
+        w0 = np.array(list(islice(w0s, len(ids))))
         if w0_rows is not None:
-            w0_rows[k] = w0
-        edge_parts = parts.setdefault(e.load, [])
+            w0_rows[done : done + len(ids)] = w0
+        done += len(ids)
+        # negatives by edge, then the positives; negatives go to side 0 on
+        # loaded bit 0, positives on loaded bit 1
         keep = w0 != 0.0
-        prow, pval = positive.get(ei, (no_rows, np.zeros(0)))
-        rows = np.concatenate((x_rows[keep], prow))
-        if not len(rows):
-            continue
-        vals = np.concatenate((np.sqrt(w0[keep]), pval))
-        z = zs[rows]
-        # negatives go to side 0 on loaded bit 0, positives on loaded bit 1
-        is_pos = np.repeat(
-            np.array([0, 1], dtype=np.int64), [len(rows) - len(prow), len(prow)]
+        n_edge, n_x = np.nonzero(keep)
+        mine = np.isin(p_edge, ids)
+        rows = np.concatenate((x_rows[n_x], p_rows[mine]))
+        vals = np.concatenate((np.sqrt(w0[keep]), p_vals[mine]))
+        is_pos = np.repeat(np.array([0, 1], np.int64), [len(n_x), mine.sum()])
+        order, starts = agreement_sort(
+            zs,
+            {ei: ge.label(ge.edges[ei].src) for ei in ids},
+            np.concatenate((np.array(ids)[n_edge], p_edge[mine])),
+            rows,
+            bit_column(zs, j)[rows] ^ is_pos,
         )
-        order, bounds = agreement_blocks(
-            z & mask_of(ge.label(e.src)), bit_column(z, e.load) ^ is_pos
-        )
-        edge_parts.append((rows[order], vals[order], bounds))
-        blocks += len(bounds) - 1
-    if w0_rows is None:
-        c0 = c0_max(g, f)
-    else:
-        c0 = max(column_fsums(w0_rows), default=0.0)
+        factors[j] = Factor(rows=rows[order], vals=vals[order], starts=starts)
+        blocks += len(starts) - 1
+    c0 = max(column_fsums(w0_rows), default=0.0) if flat else c0_max(g, f)
     return Witness(
         n_bits=g.n_bits,
         domain=domain,
         row=row,
-        factors={j: _join(ps) for j, ps in parts.items()},
+        factors=factors,
         target=math.sqrt(c0 * c1),
         blocks=blocks,
     )
@@ -363,39 +360,43 @@ def linking_mutants(
     ent = flow_entries(ge, flows, yz)
     # a site is a flow of at least MIN_FLOW on an ordinary edge; negated so
     # that a NaN flow is one, as in the scalar scan
-    site = ~(ent.flow < MIN_FLOW)
-    edges = [
-        ei
-        for ei, grp in ent.at.items()
-        if 0 <= ei < len(ge.edges)
-        and ge.edges[ei].kind == "ordinary"
-        and site[grp].any()
-    ]
-    candidates: dict[tuple[int, tuple[int, ...], tuple[int, ...]], float] = {}
-    for ei, w0 in zip(edges, eval_each([ge.edges[ei].w0 for ei in edges], xz)):
-        e = ge.edges[ei]
-        src_mask = mask_of(ge.label(e.src))
-        dst_label = ge.label(e.dst)
-        negs = np.flatnonzero(~(w0 <= 0.0))  # a NaN w0 is kept, as in the scan
-        if not len(negs):
-            continue
-        # key of a block: tail assignment, then loaded bit; the first
-        # negative of each block, and the block opposite each site's input
-        z = xz[negs]
-        keys, first = np.unique(
-            ((z & src_mask) << 1) | bit_column(z, e.load), return_index=True
+    sel, s_edge = _ordinary_entries(ge, ent)
+    site = ~(ent.flow[sel] < MIN_FLOW)
+    sel, s_edge = sel[site], s_edge[site]
+    by_load: dict[int, list[int]] = {}  # the edges with a site
+    for ei in sorted(set(s_edge.tolist())):
+        by_load.setdefault(ge.edges[ei].load, []).append(ei)
+    zs = np.concatenate((xz, yz))
+    w0s = eval_each([ge.edges[ei].w0 for ids in by_load.values() for ei in ids], xz)
+    hits = [np.zeros((2, 0), dtype=np.int64)]  # (site entry, negative) pairs
+    for j, ids in by_load.items():
+        w0 = np.array(list(islice(w0s, len(ids))))
+        n_edge, n_x = np.nonzero(~(w0 <= 0.0))  # a NaN w0 is kept, as in the scan
+        mine = np.isin(s_edge, ids)
+        grp = sel[mine]
+        # a negative joins the block of its loaded bit, a site's input the
+        # block opposite its own; a block's first member is its first negative
+        inp = np.concatenate((n_x, len(xz) + ent.input[grp]))
+        is_pos = np.repeat(np.array([0, 1], dtype=np.int64), [len(n_x), len(grp)])
+        order, starts = agreement_sort(
+            zs,
+            {ei: ge.label(ge.edges[ei].src) for ei in ids},
+            np.concatenate((np.array(ids)[n_edge], s_edge[mine])),
+            inp,
+            bit_column(zs, j)[inp] ^ is_pos,
         )
-        grp = np.array(ent.at[ei])
-        grp = grp[site[grp]]
-        z = yz[ent.input[grp]]
-        want = ((z & src_mask) << 1) | (1 - bit_column(z, e.load))
-        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        hit = keys[at] == want
-        for n, x in zip(grp[hit].tolist(), negs[first[at[hit]]].tolist()):
-            p = flows[ent.input[n]][ei]
-            bits = tuple((xs[x] >> i) & 1 for i in dst_label)
-            key = (ei, dst_label, bits)
-            candidates[key] = max(candidates.get(key, 0.0), p)
+        head = order[np.repeat(starts[:-1], np.diff(starts))]
+        hit = (order >= len(n_x)) & (head < len(n_x))
+        hits.append(np.stack((grp[order[hit] - len(n_x)], n_x[head[hit]])))
+    pairs = np.concatenate(hits, axis=1)
+    flow = ent.flow.tolist()
+    candidates: dict[tuple[int, tuple[int, ...], tuple[int, ...]], float] = {}
+    # in entry order, as the scalar scan meets them
+    for n, x in zip(*pairs[:, np.argsort(pairs[0])].tolist()):
+        ei = ent.edge[n]
+        dst_label = ge.label(ge.edges[ei].dst)
+        key = (ei, dst_label, tuple((xs[x] >> i) & 1 for i in dst_label))
+        candidates[key] = max(candidates.get(key, 0.0), flow[n])
     if len(candidates) < count:
         raise AdversaryError(
             f"only {len(candidates)} mutation sites available, need {count}"
@@ -405,28 +406,10 @@ def linking_mutants(
     out: list[Mutant] = []
     for key in order[:count]:
         ei, dst_label, bits = key
-        e = ge.edges[ei]
-        patched = PatchRule(dst_label, bits, MUTANT_FACTOR, e.w0)
         edges = list(ge.edges)
-        edges[ei] = type(e)(e.src, e.dst, e.load, patched, e.w1)
-        mg = LearningGraph(
-            n_bits=ge.n_bits,
-            root=ge.root,
-            vertices=dict(ge.vertices),
-            edges=edges,
-            flows=ge.flows,
-            const_flow=ge.const_flow,
-            stages=ge.stages,
-        )
-        out.append(
-            Mutant(
-                graph=mg,
-                edge=ei,
-                assignment=",".join(
-                    f"{i + 1}:{b}" for i, b in zip(dst_label, bits)
-                ),
-                factor=MUTANT_FACTOR,
-                flow=candidates[key],
-            )
-        )
+        patched = PatchRule(dst_label, bits, MUTANT_FACTOR, edges[ei].w0)
+        edges[ei] = replace(edges[ei], w0=patched)
+        mg = replace(ge, vertices=dict(ge.vertices), edges=edges, _out=None, _in=None)
+        assignment = ",".join(f"{i + 1}:{b}" for i, b in zip(dst_label, bits))
+        out.append(Mutant(mg, ei, assignment, MUTANT_FACTOR, candidates[key]))
     return out

@@ -21,7 +21,8 @@ tested against, one ``Rule.__call__`` per (edge, input), lives in
 ``tests/loop_reference.py``.
 
 ``flow_entries`` is the one place flows are read: it lists the (input, edge,
-flow) entries of a set of flows with each edge's ``w1`` at them.
+flow) entries of a set of flows, with each edge's ``w1`` at them evaluated
+on first use.
 ``side1_terms``, ``validate``, ``build_witness`` and ``linking_mutants`` take
 their entries from it, each with its own filter and missing-flow rule.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -81,16 +83,31 @@ class FlowEntries:
     input: np.ndarray  # int64: the number of the entry's flow in the list
     edge: list[int]
     flow: np.ndarray  # float64
-    w1: np.ndarray  # the edge's w1 there; 0 on unknown and empty edges
     at: dict[int, list[int]]  # edge -> its entries, in input order
+    graph: LearningGraph
+    zs: np.ndarray  # the input of every entry
+
+    @cached_property
+    def w1(self) -> np.ndarray:
+        """The edge's w1 at every entry; 0 on unknown and empty edges.  Each
+        ``w1`` object is evaluated once, on first access, on the entries of
+        every known, non-empty edge that carries it."""
+        edges = self.graph.edges
+        by_rule: dict[int, tuple[Rule, list[int]]] = {}  # id(w1) -> w1, entries
+        for i, grp in self.at.items():
+            if 0 <= i < len(edges) and edges[i].kind != "empty":
+                by_rule.setdefault(id(edges[i].w1), (edges[i].w1, []))[1].extend(grp)
+        w1s = np.zeros(len(self.flow))
+        for w1, grp in by_rule.values():
+            w1s[grp] = w1.eval(self.zs[grp])
+        return w1s
 
 
 def flow_entries(
     g: LearningGraph, flows: Sequence[dict[int, float] | None], zs: np.ndarray
 ) -> FlowEntries:
     """The entries of ``flows``, where ``flows[k]`` is the flow at input
-    ``zs[k]``.  Each ``w1`` object is evaluated once, on the entries of every
-    known, non-empty edge that carries it."""
+    ``zs[k]``."""
     n_edges = len(g.edges)
     ks: list[int] = []
     es: list[int] = []
@@ -103,17 +120,8 @@ def flow_entries(
                 ks.append(k)
                 es.append(i)
                 ps.append(p)
-    by_rule: dict[int, tuple[Rule, list[int]]] = {}  # id(w1) -> w1, its entries
-    for i, grp in at.items():
-        if 0 <= i < n_edges and g.edges[i].kind != "empty":
-            w1 = g.edges[i].w1
-            by_rule.setdefault(id(w1), (w1, []))[1].extend(grp)
-    zk = zs[ks]  # the input of every entry
-    w1s = np.zeros(len(ps))
-    for w1, grp in by_rule.values():
-        w1s[grp] = w1.eval(zk[grp])
     return FlowEntries(
-        np.array(ks, dtype=np.int64), es, np.array(ps, dtype=np.float64), w1s, at
+        np.array(ks, dtype=np.int64), es, np.array(ps, dtype=np.float64), at, g, zs[ks]
     )
 
 

@@ -9,7 +9,7 @@ single place where that shift happens.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,20 +65,64 @@ def bit_column(zs: np.ndarray, i: int) -> np.ndarray:
     return ((zs >> i) & 1).astype(np.int64, copy=False)
 
 
-def agreement_blocks(
-    keys: np.ndarray, side: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """Group inputs by (key, side) with a stable sort.
+@lru_cache(maxsize=1024)
+def _runs(indices: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """``(shift, mask)`` per run of consecutive positions in ``indices``:
+    the run's bits of the packed index are ``(z >> shift) & mask``, with a
+    negative shift meaning a left shift."""
+    runs = []
+    start = 0
+    for k in range(1, len(indices) + 1):
+        if k == len(indices) or indices[k] != indices[k - 1] + 1:
+            runs.append((indices[start] - start, ((1 << (k - start)) - 1) << start))
+            start = k
+    return tuple(runs)
 
-    Returns the sorting order and the block bounds in it: block ``b`` is
-    ``order[bounds[b]:bounds[b + 1]]``, its members in their original order.
-    ``keys`` must not be empty.
+
+def pack_index(zs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
+    """Bits ``indices`` of every input, packed into an index: bit ``k`` of
+    the index is bit ``indices[k]`` of the input.  The inverse of
+    :func:`all_assignments`."""
+    idx = np.zeros(len(zs), dtype=zs.dtype)
+    for shift, mask in _runs(tuple(indices)):
+        idx |= (zs >> shift if shift >= 0 else zs << -shift) & mask
+    return idx.astype(np.int64, copy=False)
+
+
+def agreement_sort(
+    zs: np.ndarray,
+    tails: Mapping[int, tuple[int, ...]],
+    edge: np.ndarray,
+    inp: np.ndarray,
+    side: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Agreement blocks of entries on the edges that load one position.
+
+    Entry ``n`` puts input ``zs[inp[n]]`` on side ``side[n]`` (0 or 1) of
+    edge ``edge[n]``, whose tail label is ``tails[edge[n]]``.  Returns the
+    entries stably sorted by (edge, tail assignment, side), and the block
+    starts in that order plus the end: block ``b`` is
+    ``order[starts[b]:starts[b + 1]]``, its members in their given order.
+    The key is one int64, with the tail bits packed over the union of the
+    labels (which keeps their order), where it fits; else a ``lexsort``.
     """
-    order = np.lexsort((side, keys))
-    k = keys[order]
-    s = side[order]
-    changes = (k[1:] != k[:-1]) | (s[1:] != s[:-1])
-    return order, [0, *(np.flatnonzero(changes) + 1).tolist(), len(keys)]
+    union = sorted(set().union(*tails.values()))
+    width = len(union) + 1
+    ids = list(tails)
+    masks = input_array([0] * (max(ids, default=0) + 1), max(union, default=0) + 1)
+    masks[ids] = [mask_of(t) for t in tails.values()]
+    if width + max(ids, default=0).bit_length() <= 63:
+        alpha = pack_index(zs, union)[inp] & pack_index(masks, union)[edge]
+        key = (edge << width) | (alpha << 1) | side
+        order = np.argsort(key, kind="stable")
+        keys = [key[order]]
+    else:
+        keys = [side, zs[inp] & masks[edge], edge]
+        order = np.lexsort(keys)
+        keys = [k[order] for k in keys]
+    new = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    starts = np.flatnonzero(np.concatenate(([len(order) > 0], new)))
+    return order, np.append(starts, len(order))
 
 
 def bitstring(z: int, n: int) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .indexing import get_bit
 from .model import GraphBuilder, SuperEdge
 from .rules import DenseLoadRule, Rule, SparseLoadRule
 
@@ -92,47 +91,10 @@ def single_load_rules(kind: str, position: int) -> tuple[Rule, Rule]:
     raise ValueError(f"unknown load kind {kind!r}")
 
 
-# Closed forms, used by tests as independent checks and by stage rebalancing.
+# Closed forms behind the caps of load_c1_max.
 
 def harmonic(n: int) -> float:
     return sum(1.0 / j for j in range(1, n + 1))
-
-
-def dense_c0(k: int) -> float:
-    return float(k * k)
-
-
-def dense_c1(k: int) -> float:
-    return 1.0
-
-
-def sparse_c0(positions: Sequence[int], z: int) -> float:
-    """Negative-side cost of the sparse path at input ``z``.
-
-    Equals ``3 (s*K + sum_i i*m_i) log(K+1)`` where ``s`` counts ones among
-    the loaded positions and ``m_i`` counts the zeros between the (i-1)-th and
-    i-th ones in path order (``m_{s+1}`` trails the last one).
-    """
-    pos = tuple(sorted(positions))
-    k = len(pos)
-    ones = 0
-    acc = 0
-    for p in pos:
-        if get_bit(z, p):
-            acc += k
-            ones += 1
-        else:
-            acc += ones + 1
-    return 3.0 * acc * math.log(k + 1)
-
-
-def sparse_c0_bound(k: int, ones: int) -> float:
-    return 6.0 * k * (ones + 1) * math.log(k + 1)
-
-
-def sparse_c1(k: int, ones: int) -> float:
-    """Positive-side cost of the sparse path for an input with ``ones`` ones."""
-    return ((k - ones) / k + harmonic(ones)) / (3.0 * math.log(k + 1))
 
 
 def sparse_c1_max(k: int) -> float:

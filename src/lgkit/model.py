@@ -159,6 +159,15 @@ class LearningGraph:
     def has_super(self) -> bool:
         return any(e.gadget is not None for e in self.edges)
 
+    def by_load(self) -> dict[int, list[int]]:
+        """The ordinary edges by the position they load: positions in order
+        of first load, each one's edges in edge order."""
+        out: dict[int, list[int]] = {}
+        for i, e in enumerate(self.edges):
+            if e.kind == "ordinary":
+                out.setdefault(e.load, []).append(i)
+        return out
+
     def sinks(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self.out_edges(v))
 

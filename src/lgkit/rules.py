@@ -11,11 +11,11 @@ A rule is evaluated either at one input (``rule(z)``, the scalar reference)
 or column-wise at an array of inputs (``rule.eval(zs)``).  ``eval`` is one
 method on the base class.  It looks every input up in the rule's table,
 the weights at the 2^|support| assignments of its support, packed as
-:func:`_pack` packs an input.  The table is cached on the (immutable) rule
-object, so a rule shared by the steps of a pipeline or by the mutants of a
-graph is computed at most twice: a first call on few inputs (under
-``_TABLE_FIRST``) runs the body on them instead, and a later call builds
-the table.  Each class fills its table with its column-wise body
+:func:`lgkit.indexing.pack_index` packs an input.  The table is cached on
+the (immutable) rule object, so a rule shared by the steps of a pipeline
+or by the mutants of a graph is computed at most twice: a first call on
+few inputs (under ``_TABLE_FIRST``) runs the body on them instead, and a
+later call builds the table.  Each class fills its table with its column-wise body
 (``_body``), which performs the same IEEE operations in the same order as
 the scalar call, so both give the same bits.  Children of a composite rule
 (scale, product, patch, dispatch) run their bodies on the parent's
@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
 from .indexing import all_assignments, assignment_key, bit_column, mask_of
-from .indexing import pack_bits, parse_assignment_key
+from .indexing import pack_bits, pack_index, parse_assignment_key
 
 
 class RuleError(ValueError):
@@ -74,33 +74,9 @@ def _each_input(rule: "Rule", zs: np.ndarray) -> np.ndarray:
     return np.array([rule(z) for z in zs.tolist()], dtype=np.float64)
 
 
-def _pack(zs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
-    """Bits ``indices`` of every input, packed into an index: bit ``k`` of
-    the index is bit ``indices[k]`` of the input.  The inverse of
-    :func:`lgkit.indexing.all_assignments`."""
-    idx = np.zeros(len(zs), dtype=zs.dtype)
-    for shift, mask in _runs(tuple(indices)):
-        idx |= (zs >> shift if shift >= 0 else zs << -shift) & mask
-    return idx.astype(np.int64, copy=False)
-
-
-@lru_cache(maxsize=1024)
-def _runs(indices: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """``(shift, mask)`` per run of consecutive positions in ``indices``:
-    the run's bits of the packed index are ``(z >> shift) & mask``, with a
-    negative shift meaning a left shift."""
-    runs = []
-    start = 0
-    for k in range(1, len(indices) + 1):
-        if k == len(indices) or indices[k] != indices[k - 1] + 1:
-            runs.append((indices[start] - start, ((1 << (k - start)) - 1) << start))
-            start = k
-    return tuple(runs)
-
-
 def _packed_key(bits: Sequence[int]) -> int:
-    """Index :func:`_pack` gives an input with these bits; -1 (no input)
-    when a bit is neither 0 nor 1."""
+    """Index :func:`lgkit.indexing.pack_index` gives an input with these
+    bits; -1 (no input) when a bit is neither 0 nor 1."""
     if any(b not in (0, 1) for b in bits):
         return -1
     return sum(b << k for k, b in enumerate(bits))
@@ -148,10 +124,10 @@ class Rule:
             self.__dict__["_seen"] = True
             return self._body(zs)
         if packs is None:
-            return self._table[_pack(zs, support)]
+            return self._table[pack_index(zs, support)]
         idx = packs.get(support)
         if idx is None:
-            idx = packs[support] = _pack(zs, support)
+            idx = packs[support] = pack_index(zs, support)
         return self._table[idx]
 
     @cached_property
@@ -262,7 +238,7 @@ class TableRule(Rule):
     def _body(self, zs: np.ndarray) -> np.ndarray:
         if len(self.indices) > _PACKED_BITS:
             return _each_input(self, zs)
-        return self._table[_pack(zs, self.indices)]
+        return self._table[pack_index(zs, self.indices)]
 
     def to_json(self) -> dict[str, Any]:
         rows = {
@@ -595,7 +571,7 @@ class DispatchRule(Rule):
         if len(self.indices) > _PACKED_BITS:
             return _each_input(self, zs)
         lut, rules = self._routes
-        which = lut[_pack(zs, self.indices)]
+        which = lut[pack_index(zs, self.indices)]
         # each rule is evaluated only on the inputs routed to it
         out = np.empty(len(zs), dtype=np.float64)
         order = np.argsort(which, kind="stable")

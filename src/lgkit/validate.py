@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any
 
 import numpy as np
 
 from .complexity import eval_each, flow_entries
 from .expand import expand
-from .indexing import agreement_blocks, bit_column, bitstring, input_array, mask_of
+from .indexing import agreement_sort, bit_column, bitstring, input_array, mask_of
 from .model import BooleanFunction, LearningGraph, ModelError, topological_order
 from .rules import ConstRule, DispatchRule, ProductRule, Rule, ScaleRule
 from .rules import SparseLoadRule
@@ -180,8 +181,10 @@ def _semantic_linking(
     the tail label: w0 on the negatives with bit j = c and w1 on the
     positives with bit j != c must all be equal (within ``LINK_RTOL``).
 
-    Blocks are found by a stable sort on (tail assignment, c); each block's
-    min, max and sizes come from ``reduceat``.
+    The blocks of every edge that loads j are found by one stable sort on
+    (edge, tail assignment, c) (:func:`lgkit.indexing.agreement_sort`); each
+    block's min, max and sizes come from ``reduceat``.  Violations are
+    reported by edge.
     """
     xs = f.negatives()
     ys = f.positives()
@@ -190,42 +193,48 @@ def _semantic_linking(
     # negatives first, so a block's first member is its first negative
     zs = input_array(xs + ys, g.n_bits)
     positive = np.repeat(np.array([0, 1], dtype=np.int64), [len(xs), len(ys)])
-    ordinary = [(i, e) for i, e in enumerate(g.edges) if e.kind == "ordinary"]
+    by_load = g.by_load()
+    ordinary = [i for ids in by_load.values() for i in ids]
     # w0 on the negatives, w1 on the positives
-    w0s = eval_each([e.w0 for _, e in ordinary], zs[: len(xs)])
-    w1s = eval_each([e.w1 for _, e in ordinary], zs[len(xs) :])
-    for (i, e), w0, w1 in zip(ordinary, w0s, w1s):
-        j = e.load
-        alpha = zs & mask_of(g.label(e.src))
+    weights = zip(
+        eval_each([g.edges[i].w0 for i in ordinary], zs[: len(xs)]),
+        eval_each([g.edges[i].w1 for i in ordinary], zs[len(xs) :]),
+    )
+    pairs = 0
+    found = []
+    for j, ids in by_load.items():
+        vals = np.concatenate([w for ws in islice(weights, len(ids)) for w in ws])
+        edge = np.repeat(np.array(ids, dtype=np.int64), len(zs))
+        inp = np.tile(np.arange(len(zs)), len(ids))
         side = bit_column(zs, j) ^ positive  # the c of the block an input joins
-        order, bounds = agreement_blocks(alpha, side)
+        tails = {i: g.label(g.edges[i].src) for i in ids}
+        order, bounds = agreement_sort(zs, tails, edge, inp, side[inp])
         starts = bounds[:-1]
-        n_pos = np.add.reduceat(positive[order], starts)
+        n_pos = np.add.reduceat(positive[inp[order]], starts)
         n_neg = np.diff(bounds) - n_pos
-        checked = (n_neg > 0) & (n_pos > 0)
-        if not checked.any():
-            continue
-        report.count("linking-pairs", int((n_neg * n_pos).sum()))
-        vals = np.concatenate((w0, w1))[order]
+        pairs += int((n_neg * n_pos).sum())
+        vals = vals[order]
         lo = np.minimum.reduceat(vals, starts)
         hi = np.maximum.reduceat(vals, starts)
         # negated so that a NaN counts as a violation
-        bad = checked & ~(hi - lo <= LINK_RTOL * np.maximum(1.0, np.abs(hi)))
-        head = order[starts]  # first member of each block
-        found = []
+        bad = (n_neg > 0) & (n_pos > 0)
+        bad &= ~(hi - lo <= LINK_RTOL * np.maximum(1.0, np.abs(hi)))
         for b in np.flatnonzero(bad).tolist():
-            # blocks go in order of their assignment's first input, then c
-            first = int(np.argmax(alpha == alpha[head[b]]))
-            found.append((first, int(side[head[b]]), b))
-        for _, c, b in sorted(found):
-            w0_first = float(vals[starts[b]])
-            w1_first = float(vals[starts[b] + n_neg[b]])
-            report.add(
-                "linking",
-                f"edge[{i}] {e.src}->{e.dst}",
-                f"w0={w0_first:.12g} vs w1={w1_first:.12g} on the block "
-                f"{bitstring(int(alpha[head[b]]), g.n_bits)} (bit {j + 1}={c})",
+            head = order[starts[b]]  # first member of the block
+            i, z, c = int(edge[head]), inp[head], int(side[inp[head]])
+            alpha = zs & mask_of(tails[i])
+            w0, w1 = vals[starts[b]], vals[starts[b] + n_neg[b]]
+            message = (
+                f"w0={w0:.12g} vs w1={w1:.12g} on the block "
+                f"{bitstring(int(alpha[z]), g.n_bits)} (bit {j + 1}={c})"
             )
+            # by edge, then by the first input of the block's assignment, then c
+            found.append((i, int(np.argmax(alpha == alpha[z])), c, message))
+    if pairs:
+        report.count("linking-pairs", pairs)
+    for i, _, _, message in sorted(found):
+        e = g.edges[i]
+        report.add("linking", f"edge[{i}] {e.src}->{e.dst}", message)
 
 
 def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> None:

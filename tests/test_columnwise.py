@@ -237,6 +237,31 @@ def test_validate_matches_loop(corpus_dir, dense4, sparse4, anchored4):
     assert broken == 18 + 9
 
 
+def _breaches_out_of_position_order():
+    """Linking breaches on edges 1 and 2; edge 2 loads bit 0, which edge 0
+    loads first, and edge 1 loads bit 1."""
+    b = GraphBuilder(2)
+    b.add_vertex("a", (0,))
+    b.add_vertex("b", (1,))
+    b.add_vertex("c", (0,))
+    b.add_ordinary("r", "a", 0, ONE, ONE)
+    b.add_ordinary("r", "b", 1, ONE, ConstRule(2.0))
+    b.add_ordinary("r", "c", 0, ONE, ConstRule(3.0))
+    f = BooleanFunction(2, {z: z & 1 for z in range(4)})
+    return b.graph(flows={1: {0: 1.0}, 3: {0: 1.0}}), f
+
+
+def test_validate_reports_linking_in_edge_order():
+    g, f = _breaches_out_of_position_order()
+    got = validate(g, f)
+    assert dumps(got.to_json()) == dumps(validate_loop(g, f).to_json())
+    assert [v.where for v in got.entries if v.kind == "linking"] == [
+        "edge[1] r->b",
+        "edge[1] r->b",
+        "edge[2] r->c",
+    ]
+
+
 def _assert_same_witness(got, want, name):
     assert (got.blocks, got.target, list(got.matrices)) == (
         want.blocks,
@@ -312,6 +337,27 @@ def test_witness_matches_loop(corpus_dir, dense4, sparse4, anchored4):
         build_witness(g, f)
     assert str(got.value) == str(want.value) == (
         "flow on zero side-1 weight, edge 1 input 4"
+    )
+
+
+def test_witness_names_the_lowest_zero_w1_edge():
+    """Flow on zero side-1 weight on edges 1 (bit 1) and 2 (bit 0, which
+    edge 0 loads first): the error names edge 1."""
+    b = GraphBuilder(2)
+    b.add_vertex("a", (0,))
+    b.add_vertex("s", (0, 1))
+    b.add_vertex("t", (0,))
+    b.add_ordinary("r", "a", 0, ONE, ONE)
+    b.add_ordinary("a", "s", 1, ONE, ZERO)
+    b.add_ordinary("r", "t", 0, ONE, ZERO)
+    g = b.graph(flows={3: {0: 1.0, 1: 1.0, 2: 1.0}})
+    f = BooleanFunction(2, {0: 0, 1: 0, 2: 0, 3: 1})
+    with pytest.raises(AdversaryError) as want:
+        build_witness_loop(g, f)
+    with pytest.raises(AdversaryError) as got:
+        build_witness(g, f)
+    assert str(got.value) == str(want.value) == (
+        "flow on zero side-1 weight, edge 1 input 3"
     )
 
 

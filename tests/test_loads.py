@@ -13,18 +13,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgkit.complexity import graph_c0, graph_c1
-from lgkit.loads import (
-    dense_c0,
-    dense_c1,
-    dense_load,
-    harmonic,
-    sparse_c0,
-    sparse_c0_bound,
-    sparse_c1,
-    sparse_c1_max,
-    sparse_load,
-)
-from lgkit.indexing import parse_bitstring
+from lgkit.loads import dense_load, harmonic, sparse_c1_max, sparse_load
+from lgkit.indexing import get_bit, parse_bitstring
+
+# Closed forms of the two load paths, checked against the gadget graphs.
+
+
+def dense_c0(k):
+    return float(k * k)
+
+
+def dense_c1(k):
+    return 1.0
+
+
+def sparse_c0(positions, z):
+    """Negative-side cost of the sparse path at input ``z``.
+
+    Equals ``3 (s*K + sum_i i*m_i) log(K+1)`` where ``s`` counts ones among
+    the loaded positions and ``m_i`` counts the zeros between the (i-1)-th and
+    i-th ones in path order (``m_{s+1}`` trails the last one).
+    """
+    pos = tuple(sorted(positions))
+    k = len(pos)
+    ones = 0
+    acc = 0
+    for p in pos:
+        if get_bit(z, p):
+            acc += k
+            ones += 1
+        else:
+            acc += ones + 1
+    return 3.0 * acc * math.log(k + 1)
+
+
+def sparse_c0_bound(k, ones):
+    return 6.0 * k * (ones + 1) * math.log(k + 1)
+
+
+def sparse_c1(k, ones):
+    """Positive-side cost of the sparse path for an input with ``ones`` ones."""
+    return ((k - ones) / k + harmonic(ones)) / (3.0 * math.log(k + 1))
 
 
 def _sparse_c0_by_hand(positions, z):
