@@ -21,11 +21,11 @@ the factors:
   product of Ψ_j's rows, kept where the two inputs disagree on j;
 * objective: the largest diagonal entry of Σ_j M_j, the row sums of squares
   of every Ψ_j added in edge → block order, so it has the bits the dense
-  matrices would give;
-* PSD: ``min_eigenvalue`` is the smallest eigenvalue over all M_j, taken
-  from the smaller of Ψ_jᵀΨ_j (k_j × k_j) and Ψ_jΨ_jᵀ.  When k_j < m, M_j
-  has a null space and its smallest eigenvalue is 0, so the Gram value is
-  capped at 0.0; a position with no block reports 0.0.
+  matrices would give.
+
+No eigenvalue is checked: M_j = Ψ_jΨ_jᵀ is positive semidefinite for any
+real Ψ_j.  A NaN or infinite entry of some Ψ_j reaches its row of the
+diagonal, so the objective check fails on it.
 
 ``Witness.matrices`` still gives the dense M_j, built from the factor on
 access.
@@ -45,7 +45,7 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Iterator
 
 import numpy as np
@@ -139,11 +139,6 @@ class Witness:
     @property
     def matrices(self) -> Mapping[int, np.ndarray]:
         return _Matrices(self.factors, len(self.domain))
-
-    def matrix(self, j: int) -> np.ndarray:
-        m = len(self.domain)
-        fac = self.factors.get(j)
-        return np.zeros((m, m)) if fac is None else fac.outer(m)
 
 
 def _ordinary_entries(
@@ -248,29 +243,25 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
 
 @dataclass
 class WitnessReport:
-    min_eigenvalue: float
     crossing_lo: float
     crossing_hi: float
     objective: float
     target: float
-    psd_ok: bool
     crossing_ok: bool
     objective_ok: bool
     checked_pairs: int
 
     @property
     def ok(self) -> bool:
-        return self.psd_ok and self.crossing_ok and self.objective_ok
+        return self.crossing_ok and self.objective_ok
 
     def to_json(self) -> dict[str, Any]:
         return {
             "ok": self.ok,
-            "min_eigenvalue": self.min_eigenvalue,
             "crossing": [self.crossing_lo, self.crossing_hi],
             "objective": self.objective,
             "target": self.target,
             "checks": {
-                "psd": self.psd_ok,
                 "crossing": self.crossing_ok,
                 "objective": self.objective_ok,
             },
@@ -278,36 +269,22 @@ class WitnessReport:
         }
 
 
-def _min_eigenvalue(psi: np.ndarray) -> float:
-    """Smallest eigenvalue of ψ ψᵀ, from the smaller of its two Gram forms."""
-    m, k = psi.shape
-    if k == 0:
-        return 0.0
-    if k < m:
-        # ψ ψᵀ has rank at most k < m, so 0 is one of its eigenvalues
-        return min(float(np.linalg.eigvalsh(psi.T @ psi)[0]), 0.0)
-    return float(np.linalg.eigvalsh(psi @ psi.T)[0])
-
-
 def verify_witness(w: Witness, f: BooleanFunction) -> WitnessReport:
     m = len(w.domain)
     zs = input_array(w.domain, w.n_bits)
     neg_rows = np.array([w.row[x] for x in f.negatives()], dtype=np.int64)
     pos_rows = np.array([w.row[y] for y in f.positives()], dtype=np.int64)
-    eigs = []
     # crossing sums: for x negative, y positive, the sum over positions where
     # the two inputs disagree of M_j[x, y] = <Ψ_j[x], Ψ_j[y]>
     cross = np.zeros((len(neg_rows), len(pos_rows)))
     diag = np.zeros(m)
     for j, fac in w.factors.items():
         psi = fac.dense(m)
-        eigs.append(_min_eigenvalue(psi))
         bit = bit_column(zs, j)
         differs = bit[neg_rows][:, None] != bit[pos_rows][None, :]
         cross += np.where(differs, psi[neg_rows] @ psi[pos_rows].T, 0.0)
         # bincount adds in edge → block order, as the dense diagonal was added
         diag += np.bincount(fac.rows, weights=fac.vals * fac.vals, minlength=m)
-    min_eig = min(eigs, default=0.0)
     if cross.size:
         lo = float(cross.min())
         hi = float(cross.max())
@@ -315,18 +292,15 @@ def verify_witness(w: Witness, f: BooleanFunction) -> WitnessReport:
         lo = hi = 1.0
     objective = float(diag.max()) if m else 0.0
     rel = TOL * max(1.0, abs(w.target))
-    report = WitnessReport(
-        min_eigenvalue=min_eig,
+    return WitnessReport(
         crossing_lo=lo,
         crossing_hi=hi,
         objective=objective,
         target=w.target,
-        psd_ok=min_eig >= -TOL,
         crossing_ok=abs(lo - 1.0) <= TOL and abs(hi - 1.0) <= TOL,
         objective_ok=abs(objective - w.target) <= rel,
         checked_pairs=len(neg_rows) * len(pos_rows),
     )
-    return report
 
 
 @dataclass

@@ -179,9 +179,6 @@ class JohnsonSpec:
 class JohnsonResult:
     graph: LearningGraph
     function: BooleanFunction
-    n_used: int
-    c1_stage_bound: float
-    lambdas: dict[tuple[int, ...], dict[tuple[int, ...], float]]
 
 
 def _subset_id(prefix: str, A: Sequence[int]) -> str:
@@ -330,7 +327,6 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
 
     # Leaf stage.
     leaf_edges: list[int] = []
-    lambdas: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
     fn = spec.function
     if spec.factory is not None:
         for A in itertools.combinations(ground, spec.k):
@@ -347,7 +343,6 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
             ref = next(iter(built.values()))[0]
             ref_shape = [(e.src, e.dst, e.load) for e in ref.edges]
             lamrow: dict[tuple[int, ...], float] = {}
-            lambdas[A] = lamrow
             for kappa, (cg, cf) in built.items():
                 if (
                     list(cg.vertices) != list(ref.vertices)
@@ -424,10 +419,7 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
     ]
     if leaf_edges:
         stages.append(StageInfo("leaf", tuple(leaf_edges)))
-    graph = b.graph(flows=flows, stages=stages)
-    # each assembled stage carries positive cost at most 1
-    bound = float(len(stages))
-    return JohnsonResult(graph, spec.function, n_used, bound, lambdas)
+    return JohnsonResult(b.graph(flows=flows, stages=stages), spec.function)
 
 
 def _merge_leaf_rules(

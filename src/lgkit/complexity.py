@@ -17,7 +17,7 @@ Everything that prices a graph goes through them: ``complexity``,
 composition lambdas) and ``graph_c0``/``graph_c1``.
 Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
-tested against, one ``Rule.__call__`` per (edge, input), lives in
+tested against, one scalar ``rule_at`` per (edge, input), lives in
 ``tests/loop_reference.py``.
 
 ``flow_entries`` is the one place flows are read: it lists the (input, edge,

@@ -211,10 +211,3 @@ def tree_digest(root: "str | Path") -> str:
             h.update(path.read_bytes())
     return h.hexdigest()
 
-
-def load_instances(path: "str | Path") -> list[GraphInstance]:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return [GraphInstance.from_json(rec) for rec in obj["instances"]]

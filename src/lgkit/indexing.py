@@ -21,14 +21,6 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
-def get_bit(z: int, i: int) -> int:
-    return (z >> i) & 1
-
-
 def pack_bits(z: int, indices: Sequence[int]) -> tuple[int, ...]:
     """Project ``z`` onto ``indices`` as an ordered bit tuple."""
     return tuple((z >> i) & 1 for i in indices)
@@ -82,11 +74,15 @@ def _runs(indices: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 def pack_index(zs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
     """Bits ``indices`` of every input, packed into an index: bit ``k`` of
     the index is bit ``indices[k]`` of the input.  The inverse of
-    :func:`all_assignments`."""
+    :func:`all_assignments`.  The index is int64, or Python ints (dtype
+    object) for more than 62 positions."""
+    wide = len(indices) > 62
+    if wide:
+        zs = zs.astype(object, copy=False)
     idx = np.zeros(len(zs), dtype=zs.dtype)
     for shift, mask in _runs(tuple(indices)):
         idx |= (zs >> shift if shift >= 0 else zs << -shift) & mask
-    return idx.astype(np.int64, copy=False)
+    return idx if wide else idx.astype(np.int64, copy=False)
 
 
 def agreement_sort(

@@ -7,29 +7,33 @@ the edge's head.  Rules are immutable and compare by value, which the
 composition code relies on when collapsing identical inner structures.
 Weights are finite: constructors reject NaN and infinities.
 
-A rule is evaluated either at one input (``rule(z)``, the scalar reference)
-or column-wise at an array of inputs (``rule.eval(zs)``).  ``eval`` is one
-method on the base class.  It looks every input up in the rule's table,
-the weights at the 2^|support| assignments of its support, packed as
-:func:`lgkit.indexing.pack_index` packs an input.  The table is cached on
-the (immutable) rule object, so a rule shared by the steps of a pipeline
-or by the mutants of a graph is computed at most twice: a first call on
-few inputs (under ``_TABLE_FIRST``) runs the body on them instead, and a
-later call builds the table.  Each class fills its table with its column-wise body
-(``_body``), which performs the same IEEE operations in the same order as
-the scalar call, so both give the same bits.  Children of a composite rule
-(scale, product, patch, dispatch) run their bodies on the parent's
-assignments and get no table of their own.
+A rule is evaluated column-wise, at an array of inputs (``rule.eval(zs)``);
+it has no call at one input.  ``eval`` is one method on the base class.  It
+looks every input up in the rule's table, the weights at the 2^|support|
+assignments of its support, packed as :func:`lgkit.indexing.pack_index`
+packs an input.  The table is cached on the (immutable) rule object, so a
+rule shared by the steps of a pipeline or by the mutants of a graph is
+computed at most twice: a first call on few inputs (under ``_TABLE_FIRST``)
+runs the body on them instead, and a later call builds the table.  Each
+class fills its table with its column-wise body (``_body``), which performs
+the same IEEE operations in the same order as the scalar reference (below),
+so both give the same bits.  Children of a composite rule (scale, product,
+patch, dispatch) run their bodies on the parent's assignments and get no
+table of their own.
 
 The table is exact only because every rule reads nothing but its declared
 support: a table entry is the body at an input that carries the same
-support bits as the inputs mapped to it, and 0 elsewhere.  The eval-vs-call
-tests in ``tests/test_columnwise.py`` (random rules over 8 positions on all
-256 inputs, and again with bit 70 set, plus every rule of the corpus and
-triangle graphs) fail if a rule reads outside its support.  A rule whose
-support has more than ``_PACKED_BITS`` positions gets no table: ``eval``
-runs its body on the inputs directly, and a table or dispatch keyed by that
-many positions is evaluated input by input.
+support bits as the inputs mapped to it, and 0 elsewhere.  The tests in
+``tests/test_columnwise.py`` compare ``eval`` and ``_body`` bit for bit with
+``rule_at`` in ``tests/loop_reference.py``, the scalar body of each class
+applied one input at a time (random rules over 8 positions on all 256
+inputs, and again with bit 70 set, plus every rule of the corpus and
+triangle graphs); they fail if a rule reads outside its support.  A rule
+whose support has more than ``_PACKED_BITS`` positions gets no table:
+``eval`` runs its body on the inputs directly.  A table or dispatch keyed
+by that many positions finds each input's row with ``np.searchsorted`` over
+its sorted packed row keys, cached on the rule, so its memory stays
+O(rows + inputs).
 
 The cost, validation and witness code evaluate column-wise, one array per
 edge, and sum per input with ``math.fsum``, which is exactly rounded and so
@@ -49,7 +53,7 @@ from typing import Any, ClassVar, Sequence
 import numpy as np
 
 from .indexing import all_assignments, assignment_key, bit_column, mask_of
-from .indexing import pack_bits, pack_index, parse_assignment_key
+from .indexing import pack_index, parse_assignment_key
 
 
 class RuleError(ValueError):
@@ -58,7 +62,7 @@ class RuleError(ValueError):
 
 # Lookup arrays have 2^len(indices) entries.  A rule whose support is wider
 # than this has no table, and a table or dispatch keyed by more positions
-# than this is evaluated input by input.
+# than this searches its sorted row keys instead.
 _PACKED_BITS = 16
 
 # A rule's first call runs its body unless it has at least this many inputs
@@ -70,10 +74,6 @@ _PACKED_BITS = 16
 _TABLE_FIRST = 256
 
 
-def _each_input(rule: "Rule", zs: np.ndarray) -> np.ndarray:
-    return np.array([rule(z) for z in zs.tolist()], dtype=np.float64)
-
-
 def _packed_key(bits: Sequence[int]) -> int:
     """Index :func:`lgkit.indexing.pack_index` gives an input with these
     bits; -1 (no input) when a bit is neither 0 nor 1."""
@@ -82,8 +82,33 @@ def _packed_key(bits: Sequence[int]) -> int:
     return sum(b << k for k, b in enumerate(bits))
 
 
+def _sorted_rows(
+    rows: dict[tuple[int, ...], Any], default: Any, width: int, dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """The packed keys of the rows some input can match, sorted, and their
+    values followed by ``default``: the lookup of a table or dispatch keyed
+    by more than ``_PACKED_BITS`` positions.  Keys are int64, or Python ints
+    past 62 positions, as :func:`lgkit.indexing.pack_index` gives them."""
+    pairs = sorted(
+        ((key, v) for bits, v in rows.items() if (key := _packed_key(bits)) >= 0),
+        key=lambda kv: kv[0],
+    )
+    keys = np.array([k for k, _ in pairs], dtype=np.int64 if width <= 62 else object)
+    return keys, np.array([v for _, v in pairs] + [default], dtype=dtype)
+
+
+def _lookup(sorted_rows: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """The value of each packed input's row, or the default where no row
+    matches it."""
+    keys, values = sorted_rows
+    at = np.searchsorted(keys, idx)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == idx[hit]
+    return values[np.where(hit, at, len(keys))]
+
+
 def _quiet() -> np.errstate:
-    """Overflow to inf and inf times 0, silent as in the scalar call."""
+    """Overflow to inf and inf times 0, silent as in Python float arithmetic."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -100,16 +125,13 @@ class Rule:
     def support(self) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def __call__(self, z: int) -> float:
-        raise NotImplementedError
-
     def eval(
         self, zs: np.ndarray, packs: dict[tuple[int, ...], np.ndarray] | None = None
     ) -> np.ndarray:
-        """Weights at every input of ``zs`` as float64, bit for bit equal to
-        calling the rule at each input (see :func:`lgkit.indexing.input_array`):
-        a lookup in the table, or the body on a first call on few inputs and
-        when the support is too wide for a table.
+        """Weights at every input of ``zs`` (see
+        :func:`lgkit.indexing.input_array`) as float64: a lookup in the
+        table, or the body on a first call on few inputs and when the
+        support is too wide for a table.
 
         ``packs``, when given, keeps ``zs`` packed per support, for rules
         evaluated on the same ``zs`` one after another."""
@@ -171,9 +193,6 @@ class ConstRule(Rule):
     def support(self) -> tuple[int, ...]:
         return ()
 
-    def __call__(self, z: int) -> float:
-        return self.value
-
     def _body(self, zs: np.ndarray) -> np.ndarray:
         return np.full(len(zs), self.value, dtype=np.float64)
 
@@ -221,9 +240,6 @@ class TableRule(Rule):
     def support(self) -> tuple[int, ...]:
         return self.indices
 
-    def __call__(self, z: int) -> float:
-        return self.table.get(pack_bits(z, self.indices), self.default)
-
     @cached_property
     def _table(self) -> np.ndarray:
         """The rows' weights per packed index, built from the rows."""
@@ -235,10 +251,15 @@ class TableRule(Rule):
         lut.flags.writeable = False
         return lut
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return _sorted_rows(self.table, self.default, len(self.indices), np.float64)
+
     def _body(self, zs: np.ndarray) -> np.ndarray:
+        idx = pack_index(zs, self.indices)
         if len(self.indices) > _PACKED_BITS:
-            return _each_input(self, zs)
-        return self._table[pack_index(zs, self.indices)]
+            return _lookup(self._rows, idx)
+        return self._table[idx]
 
     def to_json(self) -> dict[str, Any]:
         rows = {
@@ -279,9 +300,6 @@ class DenseLoadRule(Rule):
     def support(self) -> tuple[int, ...]:
         return ()
 
-    def __call__(self, z: int) -> float:
-        return float(self.size)
-
     def _body(self, zs: np.ndarray) -> np.ndarray:
         return np.full(len(zs), float(self.size))
 
@@ -317,14 +335,6 @@ class SparseLoadRule(Rule):
     @cached_property
     def support(self) -> tuple[int, ...]:
         return self.path[: self.pos]
-
-    def __call__(self, z: int) -> float:
-        n = len(self.path)
-        scale = 3.0 * math.log(n + 1)
-        if (z >> self.path[self.pos - 1]) & 1 == self.side:
-            ones = sum((z >> i) & 1 for i in self.path[: self.pos - 1])
-            return (ones + 1) * scale
-        return n * scale
 
     def _body(self, zs: np.ndarray) -> np.ndarray:
         n = len(self.path)
@@ -366,9 +376,6 @@ class ScaleRule(Rule):
     def support(self) -> tuple[int, ...]:
         return self.inner.support
 
-    def __call__(self, z: int) -> float:
-        return self.factor * self.inner(z)
-
     def _body(self, zs: np.ndarray) -> np.ndarray:
         w = self.inner._body(zs)
         with _quiet():
@@ -393,9 +400,6 @@ class ProductRule(Rule):
     @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.left.support) | set(self.right.support)))
-
-    def __call__(self, z: int) -> float:
-        return self.left(z) * self.right(z)
 
     def _body(self, zs: np.ndarray) -> np.ndarray:
         left = self.left._body(zs)
@@ -437,15 +441,6 @@ class CandidatePairRule(Rule):
             flat.add(a)
             flat.add(b)
         return tuple(sorted(flat))
-
-    def __call__(self, z: int) -> float:
-        for i in self.required:
-            if not (z >> i) & 1:
-                return 0.0
-        for a, b in self.blocked:
-            if (z >> a) & 1 and (z >> b) & 1:
-                return 0.0
-        return 1.0
 
     def _body(self, zs: np.ndarray) -> np.ndarray:
         fires = np.ones(len(zs), dtype=bool)
@@ -495,15 +490,9 @@ class PatchRule(Rule):
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.indices) | set(self.inner.support)))
 
-    def __call__(self, z: int) -> float:
-        w = self.inner(z)
-        if pack_bits(z, self.indices) == self.bits:
-            return self.factor * w
-        return w
-
     def _body(self, zs: np.ndarray) -> np.ndarray:
         w = self.inner._body(zs)
-        # a bit value other than 0 or 1 never matches, as in the scalar call
+        # a bit value other than 0 or 1 never matches
         hit = np.ones(len(zs), dtype=bool)
         for i, b in zip(self.indices, self.bits):
             hit &= bit_column(zs, i) == b
@@ -551,27 +540,30 @@ class DispatchRule(Rule):
             flat |= set(rule.support)
         return tuple(sorted(flat))
 
-    def __call__(self, z: int) -> float:
-        rule = self.cases.get(pack_bits(z, self.indices), self.default)
-        return rule(z)
-
     @cached_property
-    def _routes(self) -> tuple[np.ndarray, list[Rule]]:
-        """Rule number per packed index (2^len(indices) entries), and the
-        rules: the cases, then the default."""
-        rules = list(self.cases.values())
-        lut = np.full(1 << len(self.indices), len(rules), dtype=np.int64)
+    def _routes(self) -> np.ndarray:
+        """Rule number per packed index (2^len(indices) entries): the
+        case's place among the cases, or their count for the default."""
+        lut = np.full(1 << len(self.indices), len(self.cases), dtype=np.int64)
         for k, bits in enumerate(self.cases):
             key = _packed_key(bits)
             if key >= 0:
                 lut[key] = k
-        return lut, rules + [self.default]
+        return lut
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rule numbers of ``_routes`` by sorted packed key."""
+        cases = {bits: k for k, bits in enumerate(self.cases)}
+        return _sorted_rows(cases, len(cases), len(self.indices), np.int64)
 
     def _body(self, zs: np.ndarray) -> np.ndarray:
+        idx = pack_index(zs, self.indices)
         if len(self.indices) > _PACKED_BITS:
-            return _each_input(self, zs)
-        lut, rules = self._routes
-        which = lut[pack_index(zs, self.indices)]
+            which = _lookup(self._rows, idx)
+        else:
+            which = self._routes[idx]
+        rules = [*self.cases.values(), self.default]
         # each rule is evaluated only on the inputs routed to it
         out = np.empty(len(zs), dtype=np.float64)
         order = np.argsort(which, kind="stable")

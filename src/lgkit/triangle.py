@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Iterable, Sequence, TypeVar
 
 from .combinators import (
     CompositionError,
@@ -117,21 +117,6 @@ class GraphInstance:
         return cls.from_edges(
             int(obj["n"]), [(int(u) - 1, int(v) - 1) for u, v in obj["edges"]]
         )
-
-
-def triangles(n: int, z: int) -> Iterator[tuple[int, int, int]]:
-    for t in itertools.combinations(range(n), 3):
-        u, v, w = t
-        if (
-            (z >> pair_position(u, v, n)) & 1
-            and (z >> pair_position(u, w, n)) & 1
-            and (z >> pair_position(v, w, n)) & 1
-        ):
-            yield t
-
-
-def has_triangle(n: int, z: int) -> bool:
-    return next(triangles(n, z), None) is not None
 
 
 def triangle_function(n: int) -> BooleanFunction:

@@ -1,12 +1,14 @@
-"""Input-by-input versions of the column-wise cost, validation and witness code.
+"""Input-by-input versions of the rule, cost, validation and witness code.
 
 These are the loops the column-wise code replaced, kept as the reference
-that ``test_columnwise.py`` compares against.  They call each rule once per
-(edge, input) through ``Rule.__call__`` and price a graph with their own
-scalar cost functions (``graph_c0_loop``, ``graph_c1_loop``), so they share
-no pricing code with ``lgkit.complexity``.  The witness reference keeps every
-per-position matrix dense (m × m) and verifies it with a full eigenvalue
-decomposition, as the factored witness did before it stored Ψ_j.
+that ``test_columnwise.py`` compares against.  ``rule_at`` evaluates a rule
+at one input with the scalar body of its class, and shares no code with
+``Rule.eval``.  The loops call it once per (edge, input) and price a graph
+with their own scalar cost functions (``graph_c0_loop``, ``graph_c1_loop``),
+so they share no pricing code with ``lgkit.complexity``.  The witness
+reference keeps every per-position matrix dense (m × m) and reports the
+smallest eigenvalue of any of them from a full decomposition, which the
+factored witness does not compute: M_j = Ψ_jΨ_jᵀ is PSD by construction.
 ``or_compose_loop`` computes the disjunction's values and routing input by
 input, as ``or_compose`` did before functions were stored as bitsets;
 ``test_combinators.py`` compares against it.  ``linking_mutants_loop`` finds
@@ -38,18 +40,68 @@ from lgkit.complexity import (
     StageCost,
 )
 from lgkit.expand import expand
-from lgkit.indexing import bitstring, mask_of
+from lgkit.indexing import bitstring, mask_of, pack_bits
 from lgkit.model import BooleanFunction, GraphBuilder, LearningGraph
-from lgkit.rules import PatchRule, scaled
+from lgkit.rules import (
+    CandidatePairRule,
+    ConstRule,
+    DenseLoadRule,
+    DispatchRule,
+    PatchRule,
+    ProductRule,
+    ScaleRule,
+    SparseLoadRule,
+    TableRule,
+    scaled,
+)
 from lgkit.validate import ValidationReport, _structure
+
+
+def rule_at(rule, z):
+    """The weight of ``rule`` at the one input ``z`` (an int), by the scalar
+    body of the rule's class.  ``Rule.eval`` must give the same bits."""
+    if isinstance(rule, ConstRule):
+        return rule.value
+    if isinstance(rule, TableRule):
+        return rule.table.get(pack_bits(z, rule.indices), rule.default)
+    if isinstance(rule, DenseLoadRule):
+        return float(rule.size)
+    if isinstance(rule, SparseLoadRule):
+        n = len(rule.path)
+        scale = 3.0 * math.log(n + 1)
+        if (z >> rule.path[rule.pos - 1]) & 1 == rule.side:
+            ones = sum((z >> i) & 1 for i in rule.path[: rule.pos - 1])
+            return (ones + 1) * scale
+        return n * scale
+    if isinstance(rule, ScaleRule):
+        return rule.factor * rule_at(rule.inner, z)
+    if isinstance(rule, ProductRule):
+        return rule_at(rule.left, z) * rule_at(rule.right, z)
+    if isinstance(rule, CandidatePairRule):
+        for i in rule.required:
+            if not (z >> i) & 1:
+                return 0.0
+        for a, b in rule.blocked:
+            if (z >> a) & 1 and (z >> b) & 1:
+                return 0.0
+        return 1.0
+    if isinstance(rule, PatchRule):
+        w = rule_at(rule.inner, z)
+        if pack_bits(z, rule.indices) == rule.bits:
+            return rule.factor * w
+        return w
+    if isinstance(rule, DispatchRule):
+        case = rule.cases.get(pack_bits(z, rule.indices), rule.default)
+        return rule_at(case, z)
+    raise TypeError(f"no scalar body for {type(rule).__name__}")
 
 
 def edge_c0_loop(g, e, z):
     if e.kind == "empty":
         return 0.0
     if e.gadget is None:
-        return e.w0(z)
-    host = e.w0(z)
+        return rule_at(e.w0, z)
+    host = rule_at(e.w0, z)
     if host == 0.0:
         return 0.0
     return host * graph_c0_loop(e.gadget.inner, z)
@@ -69,7 +121,7 @@ def edge_c1_loop(g, e, p, y):
         raise ComplexityError(
             f"flow {p} on empty transition {e.src}->{e.dst} at input {y}"
         )
-    w = e.w1(y)
+    w = rule_at(e.w1, y)
     if w == 0.0:
         raise ComplexityError(
             f"flow {p} on zero side-1 weight {e.src}->{e.dst} at input {y}"
@@ -101,7 +153,7 @@ def edge_c1_cap_loop(e):
     vals = []
     for bits in itertools.product((0, 1), repeat=len(e.w1.support)):
         z = sum(1 << p for p, bit in zip(e.w1.support, bits) if bit)
-        w = e.w1(z)
+        w = rule_at(e.w1, z)
         if w > 0:
             vals.append(1.0 / w)
     if not vals:
@@ -182,8 +234,8 @@ def _linking_loop(g, f, report, rtol):
             groups.setdefault(y & src_mask, ([], []))[1].append(y)
         for alpha, (gx, gy) in groups.items():
             for c in (0, 1):
-                vals0 = [e.w0(x) for x in gx if (x >> j) & 1 == c]
-                vals1 = [e.w1(y) for y in gy if (y >> j) & 1 != c]
+                vals0 = [rule_at(e.w0, x) for x in gx if (x >> j) & 1 == c]
+                vals1 = [rule_at(e.w1, y) for y in gy if (y >> j) & 1 != c]
                 if not vals0 or not vals1:
                     continue
                 report.count("linking-pairs", len(vals0) * len(vals1))
@@ -221,7 +273,7 @@ def _flows_loop(g, f, report, atol):
                     f"edge[{ei}] {ystr}",
                     f"empty transition carries flow {p}",
                 )
-            if p > atol and e.kind != "empty" and e.w1(y) == 0.0:
+            if p > atol and e.kind != "empty" and rule_at(e.w1, y) == 0.0:
                 report.add(
                     "flow-on-zero",
                     f"edge[{ei}] {ystr}",
@@ -311,7 +363,7 @@ def build_witness_loop(g, f):
                     p = flows[z].get(ei, 0.0)
                     if p == 0.0:
                         continue
-                    w = e.w1(z)
+                    w = rule_at(e.w1, z)
                     if w <= 0.0:
                         raise AdversaryError(
                             f"flow on zero side-1 weight, edge {ei} input {z}"
@@ -319,7 +371,7 @@ def build_witness_loop(g, f):
                     (psi0_idx if zj == 1 else psi1_idx).append(row[z])
                     (psi0_val if zj == 1 else psi1_val).append(p / math.sqrt(w))
                 else:
-                    w = e.w0(z)
+                    w = rule_at(e.w0, z)
                     if w == 0.0:
                         continue
                     (psi0_idx if zj == 0 else psi1_idx).append(row[z])
@@ -342,8 +394,14 @@ def build_witness_loop(g, f):
     )
 
 
+@dataclass
+class LoopWitnessReport(WitnessReport):
+    min_eigenvalue: float = 0.0  # over every M_j; 0.0 with no position
+
+
 def verify_witness_loop(w, f, tol=1e-9):
-    """``verify_witness`` on the dense matrices of a :class:`LoopWitness`."""
+    """``verify_witness`` on the dense matrices of a :class:`LoopWitness`,
+    and the smallest eigenvalue of any of them."""
     m = len(w.domain)
     mats = list(w.matrices.items())
     eigs = [np.linalg.eigvalsh(mat) for _, mat in mats]
@@ -369,16 +427,15 @@ def verify_witness_loop(w, f, tol=1e-9):
         diag += np.diag(mat)
     objective = float(diag.max()) if m else 0.0
     rel = tol * max(1.0, abs(w.target))
-    return WitnessReport(
-        min_eigenvalue=min_eig,
+    return LoopWitnessReport(
         crossing_lo=lo,
         crossing_hi=hi,
         objective=objective,
         target=w.target,
-        psd_ok=min_eig >= -tol,
         crossing_ok=abs(lo - 1.0) <= tol and abs(hi - 1.0) <= tol,
         objective_ok=abs(objective - w.target) <= rel,
         checked_pairs=len(neg_rows) * len(pos_rows),
+        min_eigenvalue=min_eig,
     )
 
 
@@ -407,7 +464,7 @@ def linking_mutants_loop(g, f, count=50, *, seed=0):
             for x in negs:
                 if x & src_mask != ablock or (x >> j) & 1 == yj:
                     continue
-                if e.w0(x) <= 0.0:
+                if rule_at(e.w0, x) <= 0.0:
                     continue
                 bits = tuple((x >> i) & 1 for i in dst_label)
                 key = (ei, dst_label, bits)

@@ -20,7 +20,7 @@ from lgkit.combinators import or_compose
 from lgkit.complexity import complexity, graph_c0, graph_c1
 from lgkit.costmodel import fit_exponent
 from lgkit.expand import expand
-from lgkit.indexing import num_pairs, pair_position, popcount
+from lgkit.indexing import num_pairs, pair_position
 from lgkit.loads import load_gadget, single_load_rules
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.serialize import build_function, build_graph, read_json
@@ -73,7 +73,7 @@ def test_criterion_1_load_gadgets(capsys):
             for z in range(1 << k):
                 assert graph_c0(dense, z) == float(k * k)
                 assert graph_c1(dense, z) == 1.0
-                ones = popcount(z)
+                ones = z.bit_count()
                 assert graph_c0(sparse, z) <= bound_scale * (ones + 1)
                 assert graph_c1(sparse, z) <= 1.0
         assert time.perf_counter() - start < 10.0
@@ -183,8 +183,12 @@ def test_criterion_4_witnesses(capsys, dense4, sparse4, anchored4):
             t0 = time.perf_counter()
             target = complexity(res.graph, res.function).value
             g2 = rebalance_to_equal(res.graph, res.function)
-            rep = verify_witness(build_witness(g2, res.function), res.function)
-            assert rep.psd_ok, f"{res.variant}: min eig {rep.min_eigenvalue}"
+            wit = build_witness(g2, res.function)
+            rep = verify_witness(wit, res.function)
+            for j, fac in wit.factors.items():
+                psi = fac.dense(len(wit.domain))
+                min_eig = np.linalg.eigvalsh(psi @ psi.T)[0]
+                assert min_eig >= -1e-9, f"{res.variant}: M_{j} min eig {min_eig}"
             assert rep.crossing_ok, f"{res.variant}: {rep.crossing_lo}..{rep.crossing_hi}"
             assert rep.objective_ok
             assert abs(rep.objective - target) <= 1e-9 * target
@@ -349,7 +353,7 @@ def test_criterion_8_triangle_count(capsys):
 def test_criterion_9_sparse_advantage(capsys, dense4, sparse4):
     def body():
         for z in range(1 << 6):
-            if popcount(z) > 3:
+            if z.bit_count() > 3:
                 continue
             dense_cost = graph_c0(dense4.graph, z)
             sparse_cost = graph_c0(sparse4.graph, z)

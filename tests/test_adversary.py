@@ -40,10 +40,9 @@ def test_single_bit_witness_matrix_frozen():
     g, f = _identity_bit()
     w = build_witness(g, f)
     assert w.blocks == 1
-    assert np.array_equal(w.matrix(0), np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert np.array_equal(w.matrices[0], np.array([[1.0, 1.0], [1.0, 1.0]]))
     rep = verify_witness(w, f)
     assert rep.ok
-    assert rep.min_eigenvalue >= 0.0
     assert rep.crossing_lo == 1.0 == rep.crossing_hi
     assert rep.objective == 1.0 == rep.target
     assert rep.checked_pairs == 1
@@ -72,7 +71,8 @@ def test_witness_to_json_shape():
     obj = verify_witness(build_witness(g, f), f).to_json()
     assert obj["ok"] is True
     assert obj["crossing"] == [1.0, 1.0]
-    assert set(obj["checks"]) == {"psd", "crossing", "objective"}
+    assert set(obj) == {"ok", "crossing", "objective", "target", "checks", "pairs"}
+    assert set(obj["checks"]) == {"crossing", "objective"}
 
 
 def test_mutant_moves_crossing_sum():

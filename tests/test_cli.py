@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 from lgkit import cli
 from lgkit.adversary import linking_mutants
 from lgkit.cli import main
-from lgkit.corpus import load_instances
+from lgkit.expand import expand
+from lgkit.rules import ONE, ZERO, ProductRule, ScaleRule
 from lgkit.serialize import (
     build_function,
     build_graph,
     dump_graph,
     read_json,
+    dump_function,
     write_json,
 )
+from lgkit.triangle import GraphInstance, build_sparsenew_lg
 from lgkit.validate import validate
 
 
@@ -123,6 +127,29 @@ def test_adversary_fails_when_a_mutant_escapes(built, capsys, monkeypatch):
     assert rep["ok"] is True
     assert (rep["mutants"], rep["mutants_caught"]) == (4, 3)
     assert calls == [True, False, False, False, False]
+
+
+def test_adversary_nan_weight_fails_checks(tmp_path, capsys):
+    """Edge 1's w0 overflows to inf and meets a zero, so it is NaN at every
+    input.  The graph is well formed, so the witness is built: its crossing
+    and objective checks fail, and the command prints the report and exits
+    1, with or without mutants."""
+    res = build_sparsenew_lg(4, 2)
+    g = expand(res.graph)
+    edges = list(g.edges)
+    nan = ProductRule(ScaleRule(1e300, ScaleRule(1e300, ONE)), ZERO)
+    edges[1] = replace(edges[1], w0=nan)
+    g = replace(g, edges=edges, _out=None, _in=None)
+    gp, fp = tmp_path / "g.json", tmp_path / "f.json"
+    write_json(gp, dump_graph(g))
+    write_json(fp, dump_function(res.function))
+    for extra in ([], ["--mutants", "3"]):
+        argv = ["adversary", str(gp), "--function", str(fp), "--raw", *extra]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, ""), argv
+        rep = _parse(out)
+        assert rep["ok"] is False
+        assert rep["checks"] == {"crossing": False, "objective": False}, argv
 
 
 def test_adversary_rejects_negative_mutant_count(built, capsys):
@@ -336,7 +363,8 @@ def test_corpus_prints_pinned_digest(tmp_path, capsys):
 def test_corpus_round_trip(corpus_dir, capsys):
     meta = json.loads((corpus_dir / "meta.json").read_text())
     assert meta["seed"] == 0
-    small = load_instances(corpus_dir / "instances" / "n4-all.json")
+    records = json.loads((corpus_dir / "instances" / "n4-all.json").read_text())
+    small = [GraphInstance.from_json(rec) for rec in records["instances"]]
     assert len(small) == 64
     code, out, _err = run(
         capsys,

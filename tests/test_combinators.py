@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from loop_reference import or_compose_loop
+from loop_reference import or_compose_loop, rule_at
 
 from lgkit.combinators import (
     CompositionError,
@@ -15,7 +15,7 @@ from lgkit.combinators import (
 )
 from lgkit.complexity import complexity, graph_c0
 from lgkit.model import BooleanFunction, GraphBuilder, Universe
-from lgkit.rules import ONE, ConstRule
+from lgkit.rules import ONE, ConstRule, ProductRule, TableRule
 from lgkit.serialize import dump_graph, dumps
 from lgkit.validate import validate
 
@@ -203,8 +203,11 @@ def test_johnson_identity_walk_shape():
     g = res.graph
     assert len(g.vertices) == 11
     assert len(g.edges) == 16
-    assert res.n_used == 1
-    assert res.c1_stage_bound == 2.0
+    # one usable start, so every walk carries the whole unit of flow
+    assert {p for y in res.function.positives() for p in g.flow_for(y).values()} == {
+        1.0
+    }
+    assert len(g.stages) == 2
     assert validate(g, res.function).ok
 
 
@@ -215,13 +218,13 @@ def test_johnson_stage_cost_at_most_one_each():
         flow = g.flow_for(y)
         for stage in g.stages:
             cost = sum(
-                p * p / g.edges[ei].w1(y)
+                p * p / rule_at(g.edges[ei].w1, y)
                 for ei, p in flow.items()
                 if ei in set(stage.edges) and p > 0
             )
             assert cost <= 1.0 + 1e-12
     rep = complexity(g, res.function)
-    assert rep.c1 <= res.c1_stage_bound + 1e-12
+    assert rep.c1 <= len(g.stages) + 1e-12
 
 
 def test_johnson_report_carries_raw_stage_totals():
@@ -358,10 +361,16 @@ def _leaf_factory_walk():
 def test_johnson_leaf_factory():
     res = johnson_compose(_leaf_factory_walk())
     assert validate(res.graph, res.function).ok
-    assert res.c1_stage_bound == 3.0
+    stages = res.graph.stages
+    assert len(stages) == 3
     rep = complexity(res.graph, res.function)
-    assert rep.c1 <= res.c1_stage_bound + 1e-9
-    assert res.lambdas, "per-context leaf weights recorded"
+    assert rep.c1 <= len(stages) + 1e-9
+    # per-context leaf weights: a table over the full set's positions
+    # scales every leaf edge
+    assert stages[-1].name == "leaf"
+    for ei in stages[-1].edges:
+        e = res.graph.edges[ei]
+        assert isinstance(e.w1, ProductRule) and isinstance(e.w1.left, TableRule)
 
 
 def test_johnson_super_edge_loads():

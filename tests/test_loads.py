@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from lgkit.complexity import graph_c0, graph_c1
 from lgkit.loads import dense_load, harmonic, sparse_c1_max, sparse_load
-from lgkit.indexing import get_bit, parse_bitstring
+from lgkit.indexing import parse_bitstring
 
 # Closed forms of the two load paths, checked against the gadget graphs.
 
@@ -39,7 +39,7 @@ def sparse_c0(positions, z):
     ones = 0
     acc = 0
     for p in pos:
-        if get_bit(z, p):
+        if (z >> p) & 1:
             acc += k
             ones += 1
         else:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loop_reference import rule_at
+
 from lgkit.model import (
     BooleanFunction,
     GraphBuilder,
@@ -117,8 +119,8 @@ def test_flow_for_prefers_const():
 def test_rescaled_scales_both_sides():
     g = _chain().graph()
     h = g.rescaled(2.0)
-    assert h.edges[0].w0(0) == 2.0 * g.edges[0].w0(0)
-    assert h.edges[0].w1(0) == 2.0 * g.edges[0].w1(0)
+    assert rule_at(h.edges[0].w0, 0) == 2.0 * rule_at(g.edges[0].w0, 0)
+    assert rule_at(h.edges[0].w1, 0) == 2.0 * rule_at(g.edges[0].w1, 0)
 
 
 def test_boolean_function_from_predicate():
