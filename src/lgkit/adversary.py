@@ -27,6 +27,11 @@ No eigenvalue is checked: M_j = Ψ_jΨ_jᵀ is positive semidefinite for any
 real Ψ_j.  A NaN or infinite entry of some Ψ_j reaches its row of the
 diagonal, so the objective check fails on it.
 
+The objective is checked against the target √(C0·C1), the complexity of
+the expanded graph the factors come from: C1 from the positive side's flow
+entries, C0 from the side-0 rows of the ordinary edges.  Expansion keeps
+both costs, up to rounding in the last place.
+
 ``Witness.matrices`` still gives the dense M_j, built from the factor on
 access.
 
@@ -133,7 +138,7 @@ class Witness:
     row: dict[int, int]
     # every position some ordinary edge loads, in order of first load
     factors: dict[int, Factor]
-    target: float  # complexity of the source graph
+    target: float  # complexity of the expanded graph
     blocks: int
 
     @property
@@ -155,17 +160,14 @@ def _ordinary_entries(
 def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
     """Assemble the per-position factors for ``g`` against ``f``.
 
-    Super edges are flattened first; the graph should already have equal
-    costs (see :func:`rebalance_to_equal`) if the objective is to match the
-    graph complexity exactly.
+    Super edges are flattened first, and the target is the complexity of
+    the expansion; the graph should already have equal costs (see
+    :func:`rebalance_to_equal`) if the objective is to match it.
     """
     domain = f.domain
     if len(domain) > WITNESS_CAP:
         raise AdversaryError(f"domain size {len(domain)} exceeds cap {WITNESS_CAP}")
-    flat = not g.has_super()
-    ge = g if flat else expand(g)
-    if not flat and ge.has_super():
-        raise AdversaryError("expansion left a super edge behind")
+    ge = expand(g)
     row = {z: i for i, z in enumerate(domain)}
     zs = input_array(domain, ge.n_bits)
     xs = input_array(f.negatives(), ge.n_bits)
@@ -196,22 +198,19 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
         )
     p_rows = y_rows[ent.input[sel]]
     p_vals = ent.flow[sel] / np.sqrt(w)
-    # without super edges ge is g, and ent holds the entries c1_max would
-    # gather again
-    c1 = max(side1_totals(ge, ys, ent), default=0.0) if flat else c1_max(g, f)
+    c1 = max(side1_totals(ge, ys, ent), default=0.0)
 
     by_load = ge.by_load()
     ordinary = [ei for ids in by_load.values() for ei in ids]
     w0s = eval_each([ge.edges[ei].w0 for ei in ordinary], xs)
-    # likewise these are the rows c0_max sums, less the zero rows of empty
-    # edges, which do not change an fsum
-    w0_rows = np.zeros((len(ordinary), len(xs))) if flat else None
+    # the side-0 rows c0_max would sum, less the zero rows of empty edges,
+    # which do not change an fsum
+    w0_rows = np.zeros((len(ordinary), len(xs)))
     factors: dict[int, Factor] = {}
     blocks = done = 0
     for j, ids in by_load.items():
         w0 = np.array(list(islice(w0s, len(ids))))
-        if w0_rows is not None:
-            w0_rows[done : done + len(ids)] = w0
+        w0_rows[done : done + len(ids)] = w0
         done += len(ids)
         # negatives by edge, then the positives; negatives go to side 0 on
         # loaded bit 0, positives on loaded bit 1
@@ -230,7 +229,7 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
         )
         factors[j] = Factor(rows=rows[order], vals=vals[order], starts=starts)
         blocks += len(starts) - 1
-    c0 = max(column_fsums(w0_rows), default=0.0) if flat else c0_max(g, f)
+    c0 = max(column_fsums(w0_rows), default=0.0)
     return Witness(
         n_bits=g.n_bits,
         domain=domain,

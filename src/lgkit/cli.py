@@ -5,21 +5,23 @@ costmodel, corpus.  ``report`` runs build, validate, complexity and the
 witness for each triangle variant and prints one JSON line per variant;
 ``costmodel --fit`` puts the paper's exponent and the drift from it next to
 the fitted one; ``corpus`` prints the sha256 digest of the tree it wrote.
-Reports go to standard output as JSON.  Exit codes: 0 when all
-checks pass, 1 when a check fails, 2 on usage or input errors.  An input
-error emits a JSON error object on standard error; a usage error (an unknown
-command or option, a missing or malformed argument) prints argparse's usage
-text there instead.
+Reports go to standard output as strict JSON: a NaN or infinite value is
+printed as null.  Exit codes: 0 when all checks pass, 1 when a check fails,
+2 on usage or input errors.  An input error emits a JSON error object on
+standard error; a usage error (an unknown command or option, a missing or
+malformed argument) prints argparse's usage text there instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -73,8 +75,19 @@ def _load_instance(path: str) -> GraphInstance:
     return GraphInstance.from_json(_read(path))
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    text = dumps(obj)
+def _finite(obj: Any) -> Any:
+    """``obj`` with every NaN or infinite float replaced by None (null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _emit(obj: dict, out: str | None = None) -> None:
+    text = dumps(_finite(obj))
     if out:
         Path(out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -157,7 +170,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.function_out:
         write_json(args.function_out, dump_function(res.function))
         summary["function"] = args.function_out
-    sys.stdout.write(dumps(summary))
+    _emit(summary)
     return 0
 
 
@@ -171,7 +184,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         rep = complexity(g, f)
         certified = verify_witness(build_witness(rebalance_to_equal(g, f), f), f).ok
         failed |= not (valid and certified)
-        sys.stdout.write(dumps({
+        _emit({
             "variant": variant,
             "params": res.params,
             "edges": len(g.edges),
@@ -181,7 +194,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "valid": valid,
             "certified": certified,
             "seconds": time.perf_counter() - t0,
-        }))
+        })
     return 1 if failed else 0
 
 
@@ -282,12 +295,12 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     manifest = corpus_generate(
         args.out, seed=args.seed, sizes=sizes, samples=args.samples, p=args.p
     )
-    sys.stdout.write(dumps({
+    _emit({
         "out": args.out,
         "seed": manifest["seed"],
         "graphs": len(manifest["graphs"]),
         "digest": tree_digest(args.out),
-    }))
+    })
     return 0
 
 

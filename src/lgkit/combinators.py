@@ -36,7 +36,7 @@ from .model import (
     LearningGraph,
     StageInfo,
 )
-from .rules import DispatchRule, ProductRule, TableRule, ZERO, scaled
+from .rules import ConstRule, DispatchRule, TableRule, ZERO
 
 
 class CompositionError(ValueError):
@@ -91,13 +91,10 @@ def or_compose(
     lambdas = [c1_max(g, f) / k for (g, _), f in zip(children, fs)]
     b = GraphBuilder(n_bits, root="r")
     emaps: list[dict[int, int]] = []
-    for i, (g, _) in enumerate(children):
-        lam = lambdas[i]
+    for i, ((g, _), lam) in enumerate(zip(children, lambdas)):
+        host = ConstRule(lam)
         _, emap = b.merge(
-            g,
-            prefix=f"{prefix}{i}.",
-            vmap={g.root: b.root},
-            weight_wrap=lambda side, rule, lam=lam: scaled(lam, rule),
+            g, prefix=f"{prefix}{i}.", vmap={g.root: b.root}, hosts=(host, host)
         )
         emaps.append(emap)
     truth = 0
@@ -322,8 +319,7 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
     # Rebalance the loading stages against the usable start count.
     factors = {ei: cap / n_used for ei, cap in caps.items()}
     for ei, lam in factors.items():
-        e = b.edges[ei]
-        b.edges[ei] = replace(e, w0=scaled(lam, e.w0), w1=scaled(lam, e.w1))
+        b.edges[ei] = b.edges[ei].hosted(ConstRule(lam), ConstRule(lam))
 
     # Leaf stage.
     leaf_edges: list[int] = []
@@ -353,26 +349,12 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
                     )
                 if cf.positives():
                     lamrow[pack_bits(kappa, ipos)] = c1_max(cg, cf) / n_used
-            host = TableRule(ipos, lamrow, 0.0) if ipos else None
-            if host is None:
-                const = lamrow.get((), 0.0)
-                wrap = lambda side, rule, c=const: scaled(c, rule)
-            else:
-                wrap = lambda side, rule, h=host: ProductRule(h, rule)
-            merged_rules = _merge_leaf_rules(built, ref, ipos)
-            shell = LearningGraph(
-                n_bits=ref.n_bits,
-                root=ref.root,
-                vertices=dict(ref.vertices),
-                edges=merged_rules,
-                flows=None,
-                const_flow=None,
-            )
+            host = TableRule(ipos, lamrow) if ipos else ConstRule(lamrow.get((), 0.0))
             _, emap = b.merge(
-                shell,
+                replace(ref, edges=_merge_leaf_rules(built, ref, ipos)),
                 prefix=_subset_id(spec.prefix, A) + "/",
                 vmap={ref.root: vid[A]},
-                weight_wrap=wrap,
+                hosts=(host, host),
                 label_shift=ipos,
             )
             leaf_edges.extend(emap.values())

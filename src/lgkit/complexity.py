@@ -13,8 +13,8 @@ breakdowns when the graph carries stage metadata.
 They price a whole set of inputs column-wise, evaluating each rule object
 once per call, as a lookup in the rule's table (see :mod:`lgkit.rules`).
 Everything that prices a graph goes through them: ``complexity``,
-``c0_max``/``c1_max`` (and so rebalancing, the witness target and the
-composition lambdas) and ``graph_c0``/``graph_c1``.
+``c0_max``/``c1_max`` (and so rebalancing and the composition lambdas) and
+``graph_c0``/``graph_c1``.
 Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
 tested against, one scalar ``rule_at`` per (edge, input), lives in

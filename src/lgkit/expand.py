@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Edge, GraphBuilder, LearningGraph, StageInfo
-from .rules import ConstRule, ProductRule, Rule, scaled
 
 
 @dataclass
@@ -22,12 +21,6 @@ class _Part:
 
     new_edges: list[tuple[int, int | None]]  # (new index, inner edge index)
     inner: LearningGraph | None = None
-
-
-def _host_wrap(host: Rule):
-    if isinstance(host, ConstRule):
-        return lambda inner: scaled(host.value, inner)
-    return lambda inner: ProductRule(host, inner)
 
 
 def expand(g: LearningGraph) -> LearningGraph:
@@ -49,16 +42,12 @@ def expand(g: LearningGraph) -> LearningGraph:
                 b.edges.append(Edge(e.src, e.dst, e.load, e.w0, e.w1))
                 parts[i] = _Part([(len(b.edges) - 1, None)])
             continue
-        inner = expand(e.gadget.inner)
-        sinks = inner.sinks()
-        assert len(sinks) == 1
-        wrap0 = _host_wrap(e.w0)
-        wrap1 = _host_wrap(e.w1)
+        inner = expand(e.gadget.inner)  # keeps the gadget's root and sink
         _, inner_map = b.merge(
             inner,
             prefix=f"e{i}.",
-            vmap={inner.root: e.src, sinks[0]: e.dst},
-            weight_wrap=lambda side, r, w0=wrap0, w1=wrap1: (w1 if side else w0)(r),
+            vmap={inner.root: e.src, e.gadget.sink: e.dst},
+            hosts=(e.w0, e.w1),
             label_shift=g.label(e.src),
         )
         parts[i] = _Part(

@@ -25,7 +25,7 @@ from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .indexing import mask_of
-from .rules import Rule, ZERO, ONE, scaled
+from .rules import ConstRule, Rule, ZERO, ONE, host_product
 
 
 class ModelError(ValueError):
@@ -62,11 +62,7 @@ class SuperEdge:
     c1_max: float | None = None
 
     def __post_init__(self) -> None:
-        sinks = [
-            v.id
-            for v in self.inner.vertices.values()
-            if not self.inner.out_edges(v.id)
-        ]
+        sinks = self.inner.sinks()
         if len(sinks) != 1:
             raise ModelError(f"super edge inner graph has sinks {sinks}, need one")
         self._sink = sinks[0]
@@ -103,6 +99,14 @@ class Edge:
         if self.gadget is not None:
             return self.gadget.loads
         return () if self.load is None else (self.load,)
+
+    def hosted(self, h0: Rule, h1: Rule) -> "Edge":
+        """This edge with its side-0 weight multiplied by the host rule
+        ``h0`` and its side-1 weight by ``h1``; an empty edge is unchanged."""
+        if self.kind == "empty":
+            return self
+        w0, w1 = host_product(h0, self.w0), host_product(h1, self.w1)
+        return Edge(self.src, self.dst, self.load, w0, w1, self.gadget)
 
 
 @dataclass(frozen=True)
@@ -175,23 +179,9 @@ class LearningGraph:
         """Multiply every weight (both sides) by ``factor``; flows unchanged."""
         if factor <= 0:
             raise ModelError(f"rescale factor must be positive, got {factor}")
-        edges = []
-        for e in self.edges:
-            if e.kind == "empty":
-                edges.append(replace(e))
-            else:
-                edges.append(
-                    replace(e, w0=scaled(factor, e.w0), w1=scaled(factor, e.w1))
-                )
-        return LearningGraph(
-            n_bits=self.n_bits,
-            root=self.root,
-            vertices=dict(self.vertices),
-            edges=edges,
-            flows=self.flows,
-            const_flow=self.const_flow,
-            stages=self.stages,
-        )
+        host = ConstRule(factor)
+        edges = [e.hosted(host, host) for e in self.edges]
+        return replace(self, vertices=dict(self.vertices), edges=edges)
 
 
 # format(bits, "b") reversed, as bytes: bit k of a bitset becomes byte k, 0 or 1
@@ -462,7 +452,7 @@ class GraphBuilder:
         child: LearningGraph,
         prefix: str,
         vmap: Mapping[str, str] | None = None,
-        weight_wrap: Callable[[int, Rule], Rule] | None = None,
+        hosts: tuple[Rule, Rule] = (ONE, ONE),
         label_shift: Sequence[int] = (),
     ) -> tuple[dict[str, str], dict[int, int]]:
         """Copy ``child`` into this builder.
@@ -470,9 +460,9 @@ class GraphBuilder:
         ``vmap`` identifies child vertices with existing ones (typically the
         child root with a host vertex).  Remaining vertices get ``prefix``
         prepended to their ids and ``label_shift`` unioned into their labels.
-        ``weight_wrap`` transforms the weight rules of every non-empty edge;
-        it receives the side (0 or 1) and the rule.  Returns the vertex and
-        edge index mappings.
+        ``hosts`` are the (side-0, side-1) host rules that multiply the
+        weights of every non-empty edge (see :meth:`Edge.hosted`).  Returns
+        the vertex and edge index mappings.
         """
         if child.n_bits != self.n_bits:
             raise ModelError("child graph input arity mismatch")
@@ -497,11 +487,9 @@ class GraphBuilder:
             if e.kind == "empty":
                 emap[i] = self.add_empty(vout[e.src], vout[e.dst])
                 continue
-            w0, w1 = e.w0, e.w1
-            if weight_wrap is not None:
-                w0, w1 = weight_wrap(0, w0), weight_wrap(1, w1)
+            w = e.hosted(*hosts)
             self.edges.append(
-                Edge(vout[e.src], vout[e.dst], e.load, w0, w1, gadget=e.gadget)
+                Edge(vout[e.src], vout[e.dst], e.load, w.w0, w.w1, gadget=e.gadget)
             )
             emap[i] = len(self.edges) - 1
         return vout, emap

@@ -608,6 +608,14 @@ def scaled(factor: float, rule: Rule) -> Rule:
     return ScaleRule(factor, rule)
 
 
+def host_product(host: Rule, rule: Rule) -> Rule:
+    """``rule`` multiplied by the host rule ``host``: a constant host folds
+    through :func:`scaled`, any other host gives their product."""
+    if isinstance(host, ConstRule):
+        return scaled(host.value, rule)
+    return ProductRule(host, rule)
+
+
 RULE_TYPES: dict[str, type[Rule]] = {
     cls.kind: cls
     for cls in (

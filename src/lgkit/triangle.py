@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .combinators import (
     CompositionError,
@@ -335,7 +335,6 @@ class BuildResult:
     function: BooleanFunction
     variant: str
     params: dict[str, int]
-    lambdas: tuple[float, ...]
 
 
 def _check_build(n: int, params: TriangleParams) -> None:
@@ -455,6 +454,32 @@ def _pair_probe(
     return b.graph(const_flow={0: 1.0}), BooleanFunction.from_bits(univ, dom, truth)
 
 
+def _pair_walk(
+    univ: Universe,
+    dom: int,
+    pairs: Iterable[tuple[int, int]],
+    eligible: Callable[[int, int], int],
+    kinds: Sequence[str],
+    **walk: Any,
+) -> tuple[LearningGraph, BooleanFunction]:
+    """The two-step set walk with the ``JohnsonSpec`` fields ``walk``
+    (ground, k, positions, factory, prefix) that certifies each positive
+    input by its first pair, in the order of ``pairs``, whose ``eligible``
+    bitset holds it."""
+    truth, first = _first_hits(univ, ((pair, eligible(*pair)) for pair in pairs))
+    res = johnson_compose(
+        JohnsonSpec(
+            n_bits=univ.n_bits,
+            r=2,
+            function=BooleanFunction.from_bits(univ, dom, truth),
+            cert=first.__getitem__,
+            load_kind=tuple(kinds),
+            **walk,
+        )
+    )
+    return res.graph, res.function
+
+
 def _anchor_search(
     n: int,
     X: tuple[int, ...],
@@ -486,11 +511,6 @@ def _anchor_search(
             & ~_common_neighbour(univ, n, u, v, X)
         )
 
-    # each positive is certified by its first eligible pair
-    pairs = [] if w in xs else itertools.combinations(sorted(set(A) - xs - {w}), 2)
-    truth, first = _first_hits(univ, ((pair, eligible(*pair)) for pair in pairs))
-    fn = BooleanFunction.from_bits(univ, dom, truth)
-
     def factory(B: tuple[int, ...], kappa: int):
         sub = dom & univ.select(mask_of(positions(frozenset(B))), kappa)
         cand = sorted(set(B) - xs - {w})
@@ -514,20 +534,11 @@ def _anchor_search(
         res = or_compose(children, 1, prefix="p")
         return res.graph, res.function
 
-    spec = JohnsonSpec(
-        n_bits=nbits,
-        ground=A,
-        k=b_size,
-        r=2,
-        positions=positions,
-        function=fn,
-        cert=first.__getitem__,
-        load_kind=tuple(kinds),
-        factory=factory,
-        prefix="B",
+    pairs = [] if w in xs else itertools.combinations(sorted(set(A) - xs - {w}), 2)
+    return _pair_walk(
+        univ, dom, pairs, eligible, kinds,
+        ground=A, k=b_size, positions=positions, factory=factory, prefix="B",
     )
-    res = johnson_compose(spec)
-    return res.graph, res.function
 
 
 def _anchor_or(
@@ -560,8 +571,8 @@ def _fx(
     dom: int,
     kinds: Sequence[str],
 ) -> tuple[LearningGraph, BooleanFunction]:
-    nbits = num_pairs(n)
     xs = set(X)
+
     def eligible(u: int, v: int) -> int:
         """Inputs with a triangle (u, v, w) outside X whose pair (u, v) has no
         common neighbour in X."""
@@ -573,15 +584,6 @@ def _fx(
             & _common_neighbour(univ, n, u, v, thirds)
         )
 
-    # each positive is certified by its first eligible pair
-    pairs = [
-        (u, v)
-        for u, v in itertools.combinations(range(n), 2)
-        if u not in xs and v not in xs
-    ]
-    truth, first = _first_hits(univ, ((pair, eligible(*pair)) for pair in pairs))
-    fn = BooleanFunction.from_bits(univ, dom, truth)
-
     walk_pos = _walk_positions(n, X)
 
     def factory(A: tuple[int, ...], kappa: int):
@@ -590,23 +592,21 @@ def _fx(
         res = _anchor_or(n, X, A, ctx, univ, sub, params.b, kinds, 1)
         return res.graph, res.function
 
-    spec = JohnsonSpec(
-        n_bits=nbits,
-        ground=tuple(range(n)),
-        k=params.a,
-        r=2,
-        positions=walk_pos,
-        function=fn,
-        cert=first.__getitem__,
-        load_kind=tuple(kinds),
-        factory=factory,
+    pairs = [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if u not in xs and v not in xs
+    ]
+    return _pair_walk(
+        univ, dom, pairs, eligible, kinds,
+        ground=tuple(range(n)), k=params.a, positions=walk_pos, factory=factory,
         prefix="A",
     )
-    res = johnson_compose(spec)
-    return res.graph, res.function
 
 
 def _build_excluded(n: int, params: TriangleParams, kind: str) -> BuildResult:
+    if params.variant != kind:
+        raise ValueError(f"a {kind} build got {params.variant!r} parameters")
     _check_build(n, params)
     f_top = triangle_function(n)
     univ, dom = f_top.universe, f_top.dom
@@ -627,9 +627,8 @@ def _build_excluded(n: int, params: TriangleParams, kind: str) -> BuildResult:
     return BuildResult(
         graph=top.graph,
         function=f_top,
-        variant=params.variant,
+        variant=kind,
         params={"n": n, "x": params.x, "a": params.a, "b": params.b},
-        lambdas=top.lambdas,
     )
 
 
@@ -664,5 +663,4 @@ def build_sparsenew_lg(n: int, b: int, m: int | None = None) -> BuildResult:
         function=f_top,
         variant="sparsenew",
         params={"n": n, "b": b},
-        lambdas=top.lambdas,
     )

@@ -52,7 +52,6 @@ from lgkit.rules import (
     ScaleRule,
     SparseLoadRule,
     TableRule,
-    scaled,
 )
 from lgkit.validate import ValidationReport, _structure
 
@@ -382,8 +381,8 @@ def build_witness_loop(g, f):
                 blocks += 1
                 v = np.asarray(val)
                 mat[np.ix_(idx, idx)] += np.outer(v, v)
-    c0 = max((graph_c0_loop(g, x) for x in f.negatives()), default=0.0)
-    c1 = max((graph_c1_loop(g, y) for y in f.positives()), default=0.0)
+    c0 = max((graph_c0_loop(ge, x) for x in f.negatives()), default=0.0)
+    c1 = max((graph_c1_loop(ge, y) for y in f.positives()), default=0.0)
     return LoopWitness(
         n_bits=g.n_bits,
         domain=domain,
@@ -521,12 +520,12 @@ def or_compose_loop(children, k, *, prefix="c"):
     b = GraphBuilder(n_bits, root="r")
     emaps = []
     for i, (g, _) in enumerate(children):
-        lam = lambdas[i]
+        host = ConstRule(lambdas[i])
         _, emap = b.merge(
             g,
             prefix=f"{prefix}{i}.",
             vmap={g.root: b.root},
-            weight_wrap=lambda side, rule, lam=lam: scaled(lam, rule),
+            hosts=(host, host),
         )
         emaps.append(emap)
     values = {z: max(f(z) for _, f in children) for z in domain}

@@ -1,10 +1,12 @@
 """Dual witnesses: frozen small cases, exact objectives, mutant detection."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from lgkit import adversary
 from lgkit.adversary import (
     AdversaryError,
     build_witness,
@@ -12,9 +14,11 @@ from lgkit.adversary import (
     rebalance_to_equal,
     verify_witness,
 )
-from lgkit.complexity import complexity
+from lgkit.complexity import c0_max, c1_max, complexity
+from lgkit.expand import expand
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.rules import ONE
+from lgkit.serialize import build_function, build_graph, read_json
 
 
 def _identity_bit():
@@ -112,3 +116,41 @@ def test_witness_rejects_missing_flow():
     )
     with pytest.raises(AdversaryError, match="flow"):
         build_witness(g, f)
+
+
+def _corpus_and_n4(corpus_dir, builds):
+    """(name, graph, function) for every corpus graph and every n=4 build."""
+    meta = json.loads((corpus_dir / "meta.json").read_text())
+    for rec in meta["graphs"]:
+        g = build_graph(read_json(corpus_dir / rec["graph"]))
+        yield rec["name"], g, build_function(read_json(corpus_dir / rec["function"]))
+    for res in builds:
+        yield f"{res.variant}-n4", res.graph, res.function
+
+
+def test_witness_target_is_the_expansion_complexity(
+    corpus_dir, dense4, sparse4, anchored4
+):
+    """The target is the complexity of the expanded graph, bit for bit, and
+    within one ulp of the source graph's, raw and rebalanced."""
+    cases = _corpus_and_n4(corpus_dir, (dense4, sparse4, anchored4))
+    for name, g, f in cases:
+        for h in (g, rebalance_to_equal(g, f)):
+            ge = expand(h)
+            target = build_witness(h, f).target
+            assert target == math.sqrt(c0_max(ge, f) * c1_max(ge, f)), name
+            source = math.sqrt(c0_max(h, f) * c1_max(h, f))
+            assert abs(target - source) <= math.ulp(source), name
+
+
+def test_witness_prices_from_its_own_entries(dense4, monkeypatch):
+    """The witness takes its target from the entries it gathers for the
+    factors, not from a second pricing of the graph."""
+    g = rebalance_to_equal(dense4.graph, dense4.function)
+
+    def refuse(*args):
+        raise AssertionError("the witness priced the graph again")
+
+    monkeypatch.setattr(adversary, "c0_max", refuse)
+    monkeypatch.setattr(adversary, "c1_max", refuse)
+    assert verify_witness(build_witness(g, dense4.function), dense4.function).ok

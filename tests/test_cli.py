@@ -32,8 +32,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
 def _parse(out):
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject)
 
 
 @pytest.fixture
@@ -132,8 +136,9 @@ def test_adversary_fails_when_a_mutant_escapes(built, capsys, monkeypatch):
 def test_adversary_nan_weight_fails_checks(tmp_path, capsys):
     """Edge 1's w0 overflows to inf and meets a zero, so it is NaN at every
     input.  The graph is well formed, so the witness is built: its crossing
-    and objective checks fail, and the command prints the report and exits
-    1, with or without mutants."""
+    and objective checks fail, and the command prints the report, with the
+    NaN values as null, and exits 1, with or without mutants.  ``lg
+    complexity`` prints the NaN costs as null too."""
     res = build_sparsenew_lg(4, 2)
     g = expand(res.graph)
     edges = list(g.edges)
@@ -150,6 +155,12 @@ def test_adversary_nan_weight_fails_checks(tmp_path, capsys):
         rep = _parse(out)
         assert rep["ok"] is False
         assert rep["checks"] == {"crossing": False, "objective": False}, argv
+        assert rep["target"] is None and rep["crossing"] == [None, None], argv
+    code, out, err = run(capsys, "complexity", str(gp), "--function", str(fp))
+    assert (code, err) == (0, "")
+    total = _parse(out)["total"]
+    assert total["c0_max"] is None and total["c"] is None
+    assert total["c1_max"] == 1.0
 
 
 def test_adversary_rejects_negative_mutant_count(built, capsys):

@@ -89,7 +89,6 @@ def test_merge_shifts_labels():
         child,
         prefix="c.",
         vmap={child.root: "mid"},
-        weight_wrap=lambda side, rule: rule,
         label_shift=(2,),
     )
     g = b.graph()
@@ -106,7 +105,6 @@ def test_merge_rejects_label_conflicts():
             child,
             prefix="c.",
             vmap={child.root: "mid"},
-            weight_wrap=lambda side, rule: rule,
         )
 
 

@@ -256,6 +256,18 @@ def test_build_result_params_recorded(dense4):
     assert dense4.params["n"] == 4
 
 
+def test_builders_label_what_they_build():
+    """A builder names its own variant, and refuses parameters made out for
+    another builder instead of building its graph under their label."""
+    assert build_sparse_lg(3, TriangleParams(1, 2, 2, "sparse")).variant == "sparse"
+    assert build_sparsenew_lg(3, 2).variant == "sparsenew"
+    with pytest.raises(ValueError, match="'sparse' parameters"):
+        build_dense_lg(4, TriangleParams(1, 2, 2, "sparse"))
+    for variant in ("dense", "sparsenew"):
+        with pytest.raises(ValueError, match=f"'{variant}' parameters"):
+            build_sparse_lg(3, TriangleParams(1, 2, 2, variant))
+
+
 # sha256 of the serialized graphs, computed before the builders moved to
 # domain bitsets (the first five) and before sparsenew was built through
 # the walk variants' anchored search (the rest); the serialized graphs must
