@@ -10,12 +10,11 @@ the entries on disagreeing positions sum to the flow crossing the agreement
 cut, which is exactly 1.
 
 The blocks of position j come from one stable sort over the entries of all
-the edges that load j (:func:`lgkit.indexing.agreement_sort`), as do the
-sites of ``linking_mutants``.  The witness stores each M_j as its factor
-Ψ_j, with one column per block (:class:`Factor`), so M_j = Ψ_j Ψ_jᵀ and is
-positive semidefinite by construction.  Its memory is Σ_j nnz(Ψ_j), not
-positions × m² floats for a domain of m inputs.  Verification works from
-the factors:
+the edges that load j (:func:`lgkit.indexing.agreement_sort`).  The witness
+stores each M_j as its factor Ψ_j, with one column per block
+(:class:`Factor`), so M_j = Ψ_j Ψ_jᵀ and is positive semidefinite by
+construction.  Its memory is Σ_j nnz(Ψ_j), not positions × m² floats for a
+domain of m inputs.  Verification works from the factors:
 
 * crossing sums: per position, the (negatives × k_j) by (k_j × positives)
   product of Ψ_j's rows, kept where the two inputs disagree on j;
@@ -37,7 +36,9 @@ access.
 
 Fault injection (``linking_mutants``) multiplies one side-0 weight on one
 reachable assignment by a constant, which bumps a crossing sum by the flow on
-the mutated edge; tests use it to show the checks have teeth.
+the mutated edge; tests use it to show the checks have teeth.  It forms no
+blocks: each site's negative is found by a sorted search per edge
+(:func:`lgkit.indexing.lookup`).
 
 The bounds are fixed: ``WITNESS_CAP`` on the domain size of a witness,
 ``TOL`` on every check of ``verify_witness``, and, for mutants, ``MIN_FLOW``
@@ -58,7 +59,8 @@ import numpy as np
 from .complexity import FlowEntries, c0_max, c1_max, column_fsums, eval_each
 from .complexity import flow_entries, side1_totals
 from .expand import expand
-from .indexing import agreement_sort, bit_column, input_array, mask_of
+from .indexing import agreement_sort, bit_column, input_array, lookup, mask_of
+from .indexing import pack_bits
 from .model import BooleanFunction, LearningGraph
 from .rules import PatchRule
 
@@ -326,9 +328,8 @@ def linking_mutants(
         raise AdversaryError(f"mutant count {count} is negative")
     ge = expand(g)
     ys = f.positives()
-    xs = f.negatives()
     yz = input_array(ys, ge.n_bits)
-    xz = input_array(xs, ge.n_bits)
+    xz = input_array(f.negatives(), ge.n_bits)
     flows = [ge.flow_for(y) for y in ys]  # a missing flow offers no site
     ent = flow_entries(ge, flows, yz)
     # a site is a flow of at least MIN_FLOW on an ordinary edge; negated so
@@ -336,40 +337,36 @@ def linking_mutants(
     sel, s_edge = _ordinary_entries(ge, ent)
     site = ~(ent.flow[sel] < MIN_FLOW)
     sel, s_edge = sel[site], s_edge[site]
-    by_load: dict[int, list[int]] = {}  # the edges with a site
-    for ei in sorted(set(s_edge.tolist())):
-        by_load.setdefault(ge.edges[ei].load, []).append(ei)
-    zs = np.concatenate((xz, yz))
-    w0s = eval_each([ge.edges[ei].w0 for ids in by_load.values() for ei in ids], xz)
-    hits = [np.zeros((2, 0), dtype=np.int64)]  # (site entry, negative) pairs
-    for j, ids in by_load.items():
-        w0 = np.array(list(islice(w0s, len(ids))))
-        n_edge, n_x = np.nonzero(~(w0 <= 0.0))  # a NaN w0 is kept, as in the scan
-        mine = np.isin(s_edge, ids)
-        grp = sel[mine]
-        # a negative joins the block of its loaded bit, a site's input the
-        # block opposite its own; a block's first member is its first negative
-        inp = np.concatenate((n_x, len(xz) + ent.input[grp]))
-        is_pos = np.repeat(np.array([0, 1], dtype=np.int64), [len(n_x), len(grp)])
-        order, starts = agreement_sort(
-            zs,
-            {ei: ge.label(ge.edges[ei].src) for ei in ids},
-            np.concatenate((np.array(ids)[n_edge], s_edge[mine])),
-            inp,
-            bit_column(zs, j)[inp] ^ is_pos,
-        )
-        head = order[np.repeat(starts[:-1], np.diff(starts))]
-        hit = (order >= len(n_x)) & (head < len(n_x))
-        hits.append(np.stack((grp[order[hit] - len(n_x)], n_x[head[hit]])))
-    pairs = np.concatenate(hits, axis=1)
-    flow = ent.flow.tolist()
+    order = np.argsort(s_edge, kind="stable")
+    ids, starts = np.unique(s_edge[order], return_index=True)
     candidates: dict[tuple[int, tuple[int, ...], tuple[int, ...]], float] = {}
-    # in entry order, as the scalar scan meets them
-    for n, x in zip(*pairs[:, np.argsort(pairs[0])].tolist()):
-        ei = ent.edge[n]
-        dst_label = ge.label(ge.edges[ei].dst)
-        key = (ei, dst_label, tuple((xs[x] >> i) & 1 for i in dst_label))
-        candidates[key] = max(candidates.get(key, 0.0), flow[n])
+    w0s = eval_each([ge.edges[ei].w0 for ei in ids.tolist()], xz)
+    for ei, grp, w0 in zip(ids.tolist(), np.split(sel[order], starts[1:]), w0s):
+        # a site's partner is the first negative x with a positive w0 (or a
+        # NaN one, as in the scalar scan) that agrees with its positive y on
+        # the tail label and not on the loaded bit j: x & m == (y ^ 1 << j) & m
+        e = ge.edges[ei]
+        j, tail = e.load, mask_of(ge.label(e.src))
+        if tail >> j & 1:
+            continue  # a negative agreeing on the tail agrees on bit j too
+        m = tail | 1 << j
+        live = xz[~(w0 <= 0.0)]
+        keys = live & m
+        by_key = np.argsort(keys, kind="stable")
+        partner = lookup(
+            (keys[by_key], np.append(live[by_key], -1)),
+            (yz[ent.input[grp]] ^ 1 << j) & m,
+        )
+        hit = partner >= 0
+        dst_label = ge.label(e.dst)
+        alpha = (partner[hit] & mask_of(dst_label)).tolist()
+        # the largest flow per head assignment of the partners; the 0.0
+        # default keeps out a NaN flow, so the order of the sites is free
+        top: dict[int, float] = {}
+        for a, p in zip(alpha, ent.flow[grp[hit]].tolist()):
+            top[a] = max(top.get(a, 0.0), p)
+        for a, p in top.items():
+            candidates[(ei, dst_label, pack_bits(a, dst_label))] = p
     if len(candidates) < count:
         raise AdversaryError(
             f"only {len(candidates)} mutation sites available, need {count}"

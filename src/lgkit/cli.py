@@ -110,7 +110,7 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
     f = _load_function(args.function)
     rep = complexity(g, f)
     _emit(rep.to_json(), args.out)
-    return 0
+    return 0 if all(map(math.isfinite, (rep.c0, rep.c1, rep.value))) else 1
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .complexity import c1_max
 from .indexing import mask_of, pack_bits
@@ -47,11 +47,11 @@ class CompositionError(ValueError):
 # OR
 
 
-@dataclass
-class OrResult:
+class Composed(NamedTuple):
+    """A composed graph and the function it computes."""
+
     graph: LearningGraph
     function: BooleanFunction
-    lambdas: tuple[float, ...]
 
 
 def or_compose(
@@ -59,7 +59,7 @@ def or_compose(
     k: int,
     *,
     prefix: str = "c",
-) -> OrResult:
+) -> Composed:
     """Compose child graphs disjunctively, merging their roots.
 
     Every positive input of the disjunction must have at least ``k`` positive
@@ -132,8 +132,7 @@ def or_compose(
             for ei, p in child_flow.items():
                 fy[emaps[i][ei]] = p / k
         flows[y] = fy
-    graph = b.graph(flows=flows)
-    return OrResult(graph, fn, tuple(lambdas))
+    return Composed(b.graph(flows=flows), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +171,11 @@ class JohnsonSpec:
     prefix: str = "A"
 
 
-@dataclass
-class JohnsonResult:
-    graph: LearningGraph
-    function: BooleanFunction
-
-
 def _subset_id(prefix: str, A: Sequence[int]) -> str:
     return prefix + ":" + ",".join(str(a) for a in A)
 
 
-def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
+def johnson_compose(spec: JohnsonSpec) -> Composed:
     ground = tuple(sorted(spec.ground))
     n_g = len(ground)
     if not 0 <= spec.r <= spec.k <= n_g:
@@ -401,7 +394,7 @@ def johnson_compose(spec: JohnsonSpec) -> JohnsonResult:
     ]
     if leaf_edges:
         stages.append(StageInfo("leaf", tuple(leaf_edges)))
-    return JohnsonResult(b.graph(flows=flows, stages=stages), spec.function)
+    return Composed(b.graph(flows=flows, stages=stages), spec.function)
 
 
 def _merge_leaf_rules(

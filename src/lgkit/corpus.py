@@ -107,8 +107,7 @@ def _pairs_walk():
         cert=cert,
         load_kind=DENSE,
     )
-    res = johnson_compose(spec)
-    return res.graph, res.function
+    return johnson_compose(spec)
 
 
 def corpus_generate(
@@ -182,8 +181,7 @@ def corpus_generate(
 
     emit("dense-load-4", *_load_gadget_pair(DENSE, 4, (0, 1, 2, 3)))
     emit("sparse-load-4", *_load_gadget_pair(SPARSE, 4, (0, 1, 2, 3)))
-    orres = _or_of_loads()
-    emit("or-of-loads", orres.graph, orres.function)
+    emit("or-of-loads", *_or_of_loads())
     emit("pairs-walk", *_pairs_walk())
 
     tri3 = triangle_function(3)

@@ -85,6 +85,17 @@ def pack_index(zs: np.ndarray, indices: Sequence[int]) -> np.ndarray:
     return idx if wide else idx.astype(np.int64, copy=False)
 
 
+def lookup(sorted_rows: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """The value of each key of ``idx`` in ``sorted_rows``: sorted keys and
+    their values followed by a default, which is the value of a key not
+    found.  Of equal keys, the first is found."""
+    keys, values = sorted_rows
+    at = np.searchsorted(keys, idx)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == idx[hit]
+    return values[np.where(hit, at, len(keys))]
+
+
 def agreement_sort(
     zs: np.ndarray,
     tails: Mapping[int, tuple[int, ...]],

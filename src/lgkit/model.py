@@ -54,8 +54,9 @@ class SuperEdge:
 
     ``inner`` is a standalone graph whose labels are relative to the host tail
     (its root label is empty).  ``c1_max`` optionally records a closed-form
-    bound on the inner positive-side cost, used when a stage containing this
-    edge is rebalanced.
+    bound on the inner positive-side cost.  It is serialized with the graph
+    and read by nothing else: the set walk takes its stage caps from
+    :func:`lgkit.loads.load_c1_max`.
     """
 
     inner: "LearningGraph"

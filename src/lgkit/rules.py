@@ -52,7 +52,7 @@ from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
-from .indexing import all_assignments, assignment_key, bit_column, mask_of
+from .indexing import all_assignments, assignment_key, bit_column, lookup, mask_of
 from .indexing import pack_index, parse_assignment_key
 
 
@@ -95,16 +95,6 @@ def _sorted_rows(
     )
     keys = np.array([k for k, _ in pairs], dtype=np.int64 if width <= 62 else object)
     return keys, np.array([v for _, v in pairs] + [default], dtype=dtype)
-
-
-def _lookup(sorted_rows: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """The value of each packed input's row, or the default where no row
-    matches it."""
-    keys, values = sorted_rows
-    at = np.searchsorted(keys, idx)
-    hit = at < len(keys)
-    hit[hit] = keys[at[hit]] == idx[hit]
-    return values[np.where(hit, at, len(keys))]
 
 
 def _quiet() -> np.errstate:
@@ -258,7 +248,7 @@ class TableRule(Rule):
     def _body(self, zs: np.ndarray) -> np.ndarray:
         idx = pack_index(zs, self.indices)
         if len(self.indices) > _PACKED_BITS:
-            return _lookup(self._rows, idx)
+            return lookup(self._rows, idx)
         return self._table[idx]
 
     def to_json(self) -> dict[str, Any]:
@@ -560,7 +550,7 @@ class DispatchRule(Rule):
     def _body(self, zs: np.ndarray) -> np.ndarray:
         idx = pack_index(zs, self.indices)
         if len(self.indices) > _PACKED_BITS:
-            which = _lookup(self._rows, idx)
+            which = lookup(self._rows, idx)
         else:
             which = self._routes[idx]
         rules = [*self.cases.values(), self.default]

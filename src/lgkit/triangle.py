@@ -31,9 +31,9 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .combinators import (
+    Composed,
     CompositionError,
     JohnsonSpec,
-    OrResult,
     johnson_compose,
     or_compose,
 )
@@ -352,7 +352,7 @@ def _check_build(n: int, params: TriangleParams) -> None:
 # Direct searches for triangles meeting X
 
 
-def _h_dense(n: int, X: tuple[int, ...], univ: Universe, dom: int) -> OrResult:
+def _h_dense(n: int, X: tuple[int, ...], univ: Universe, dom: int) -> Composed:
     nbits = num_pairs(n)
     children = []
     for v in X:
@@ -377,7 +377,7 @@ def _h_dense(n: int, X: tuple[int, ...], univ: Universe, dom: int) -> OrResult:
     return or_compose(children, 1, prefix="h")
 
 
-def _h_sparse(n: int, X: tuple[int, ...], univ: Universe, dom: int) -> OrResult:
+def _h_sparse(n: int, X: tuple[int, ...], univ: Universe, dom: int) -> Composed:
     nbits = num_pairs(n)
     children = []
     for v in X:
@@ -461,13 +461,13 @@ def _pair_walk(
     eligible: Callable[[int, int], int],
     kinds: Sequence[str],
     **walk: Any,
-) -> tuple[LearningGraph, BooleanFunction]:
+) -> Composed:
     """The two-step set walk with the ``JohnsonSpec`` fields ``walk``
     (ground, k, positions, factory, prefix) that certifies each positive
     input by its first pair, in the order of ``pairs``, whose ``eligible``
     bitset holds it."""
     truth, first = _first_hits(univ, ((pair, eligible(*pair)) for pair in pairs))
-    res = johnson_compose(
+    return johnson_compose(
         JohnsonSpec(
             n_bits=univ.n_bits,
             r=2,
@@ -477,7 +477,6 @@ def _pair_walk(
             **walk,
         )
     )
-    return res.graph, res.function
 
 
 def _anchor_search(
@@ -490,7 +489,7 @@ def _anchor_search(
     dom: int,
     b_size: int,
     kinds: Sequence[str],
-) -> tuple[LearningGraph, BooleanFunction]:
+) -> Composed:
     """Walk over b-subsets of A, loading adjacencies to the anchor w, then
     probe pairs of loaded vertices for a triangle with w avoiding X."""
     nbits = num_pairs(n)
@@ -531,8 +530,7 @@ def _anchor_search(
             )
         if not children:
             return None
-        res = or_compose(children, 1, prefix="p")
-        return res.graph, res.function
+        return or_compose(children, 1, prefix="p")
 
     pairs = [] if w in xs else itertools.combinations(sorted(set(A) - xs - {w}), 2)
     return _pair_walk(
@@ -551,7 +549,7 @@ def _anchor_or(
     b_size: int,
     kinds: Sequence[str],
     k: int,
-) -> OrResult:
+) -> Composed:
     """The OR, with fan-in k, of the anchored searches over every anchor w."""
     return or_compose(
         [
@@ -570,7 +568,7 @@ def _fx(
     univ: Universe,
     dom: int,
     kinds: Sequence[str],
-) -> tuple[LearningGraph, BooleanFunction]:
+) -> Composed:
     xs = set(X)
 
     def eligible(u: int, v: int) -> int:
@@ -589,8 +587,7 @@ def _fx(
     def factory(A: tuple[int, ...], kappa: int):
         ctx = frozenset(walk_pos(frozenset(A)))
         sub = dom & univ.select(mask_of(ctx), kappa)
-        res = _anchor_or(n, X, A, ctx, univ, sub, params.b, kinds, 1)
-        return res.graph, res.function
+        return _anchor_or(n, X, A, ctx, univ, sub, params.b, kinds, 1)
 
     pairs = [
         (u, v)
@@ -612,15 +609,9 @@ def _build_excluded(n: int, params: TriangleParams, kind: str) -> BuildResult:
     univ, dom = f_top.universe, f_top.dom
     children = []
     for X in itertools.combinations(range(n), params.x):
-        if kind == DENSE:
-            h = _h_dense(n, X, univ, dom)
-        else:
-            h = _h_sparse(n, X, univ, dom)
-        fx_graph, fx_fn = _fx(n, X, params, univ, dom, [kind] * 3)
-        gx = or_compose(
-            [(h.graph, h.function), (fx_graph, fx_fn)], 1, prefix="s"
-        )
-        children.append((gx.graph, gx.function))
+        h = (_h_dense if kind == DENSE else _h_sparse)(n, X, univ, dom)
+        fx = _fx(n, X, params, univ, dom, [kind] * 3)
+        children.append(or_compose([h, fx], 1, prefix="s"))
     top = or_compose(children, math.comb(n, params.x), prefix="X")
     if top.function.truth != f_top.truth:
         raise CompositionError("composed function disagrees with the target")

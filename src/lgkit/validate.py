@@ -238,7 +238,6 @@ def _semantic_linking(
 
 
 def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> None:
-    xs = f.negatives()
     ys = f.positives()
     flows = [g.flow_for(y) for y in ys]
     ent = flow_entries(g, flows, input_array(ys, g.n_bits))
@@ -249,7 +248,6 @@ def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> No
         if 0 <= ent.edge[n] < len(g.edges) and g.edges[ent.edge[n]].kind != "empty"
     }
     vertex_order = {vid: k for k, vid in enumerate(g.vertices)}
-    first_negative: dict[str, dict[int, int]] = {}  # sink -> {assignment: input}
     for k, (y, flow) in enumerate(zip(ys, flows)):
         ystr = bitstring(y, g.n_bits)
         if flow is None:
@@ -309,13 +307,9 @@ def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> No
                     )
                 if b > FLOW_ATOL:
                     mask = mask_of(g.label(vid))
-                    firsts = first_negative.get(vid)
-                    if firsts is None:
-                        firsts = first_negative[vid] = {}
-                        for x in xs:
-                            firsts.setdefault(x & mask, x)
-                    z = firsts.get(y & mask)
-                    if z is not None:
+                    bad = f.dom & ~f.truth & f.universe.select(mask, y & mask)
+                    if bad:
+                        z = f.universe.members(bad)[0]  # the smallest
                         report.add(
                             "uncertified-sink",
                             f"{vid} {ystr}",

@@ -32,7 +32,7 @@ from lgkit.adversary import (
     Mutant,
     WitnessReport,
 )
-from lgkit.combinators import CompositionError, OrResult
+from lgkit.combinators import Composed, CompositionError
 from lgkit.complexity import (
     ComplexityError,
     ComplexityReport,
@@ -546,5 +546,4 @@ def or_compose_loop(children, k, *, prefix="c"):
             for ei, p in child_flow.items():
                 fy[emaps[i][ei]] = p / k
         flows[y] = fy
-    graph = b.graph(flows=flows)
-    return OrResult(graph, fn, tuple(lambdas))
+    return Composed(b.graph(flows=flows), fn)

@@ -17,7 +17,7 @@ import pytest
 from lgkit.adversary import build_witness, rebalance_to_equal, verify_witness
 from lgkit.adversary import linking_mutants
 from lgkit.combinators import or_compose
-from lgkit.complexity import complexity, graph_c0, graph_c1
+from lgkit.complexity import c1_max, complexity, graph_c0, graph_c1
 from lgkit.costmodel import fit_exponent
 from lgkit.expand import expand
 from lgkit.indexing import num_pairs, pair_position
@@ -153,9 +153,8 @@ def test_criterion_3_or_combinator(capsys):
             res = or_compose(children, k)
             assert graph_c1(res.graph, full) <= 1.0
             lhs = graph_c0(res.graph, 0)
-            rhs = sum(
-                lam * graph_c0(g, 0) for lam, (g, _) in zip(res.lambdas, children)
-            )
+            # each child is weighted by its lambda, c1_max / k
+            rhs = sum(c1_max(g, f) / k * graph_c0(g, 0) for g, f in children)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
         for n in range(1, 65):

@@ -138,7 +138,7 @@ def test_adversary_nan_weight_fails_checks(tmp_path, capsys):
     input.  The graph is well formed, so the witness is built: its crossing
     and objective checks fail, and the command prints the report, with the
     NaN values as null, and exits 1, with or without mutants.  ``lg
-    complexity`` prints the NaN costs as null too."""
+    complexity`` prints the NaN costs as null too, and exits 1."""
     res = build_sparsenew_lg(4, 2)
     g = expand(res.graph)
     edges = list(g.edges)
@@ -157,7 +157,7 @@ def test_adversary_nan_weight_fails_checks(tmp_path, capsys):
         assert rep["checks"] == {"crossing": False, "objective": False}, argv
         assert rep["target"] is None and rep["crossing"] == [None, None], argv
     code, out, err = run(capsys, "complexity", str(gp), "--function", str(fp))
-    assert (code, err) == (0, "")
+    assert (code, err) == (1, "")
     total = _parse(out)["total"]
     assert total["c0_max"] is None and total["c"] is None
     assert total["c1_max"] == 1.0

@@ -219,10 +219,20 @@ def _broken_flows(name, g, f):
     return out
 
 
+def _two_negatives_at_a_sink():
+    """AND of bits 0 and 1 on 3 bits, certified by bit 0 alone: the sink
+    matches the negatives 1 and 5 for both positives, and names 1."""
+    b = GraphBuilder(3)
+    b.add_vertex("s", (0,))
+    b.add_ordinary("r", "s", 0, ONE, ONE)
+    f = BooleanFunction(3, {z: int(z & 3 == 3) for z in range(8)})
+    return b.graph(flows={3: {0: 1.0}, 7: {0: 1.0}}), f
+
+
 def test_validate_matches_loop(corpus_dir, dense4, sparse4, anchored4):
     triangles = _triangles(dense4, sparse4, anchored4)
     graphs = _corpus(corpus_dir) + triangles + _mutants(triangles, 6)
-    graphs += [("wide", *_wide_and())]
+    graphs += [("wide", *_wide_and()), ("two negatives", *_two_negatives_at_a_sink())]
     for name, g, f in triangles:
         graphs += _broken_flows(name, expand(g), f)
     broken = 0
@@ -230,7 +240,7 @@ def test_validate_matches_loop(corpus_dir, dense4, sparse4, anchored4):
         got = validate(g, f)
         assert dumps(got.to_json()) == dumps(validate_loop(g, f).to_json()), name
         broken += not got.ok
-    assert broken == 18 + 9
+    assert broken == 18 + 9 + 1
 
 
 def _breaches_out_of_position_order():
@@ -388,11 +398,33 @@ def _nan_sites():
     return out
 
 
+def _broken_label_steps():
+    """Sites on edges whose head label is not the tail plus the loaded bit,
+    with f = bit 0 and flow at every positive.  On 3 bits, r->s loads bit 0
+    into the label (0, 2): the scan finds one site, ``1:0,3:0``, where a
+    key on the head label would find two.  On 2 bits, a->s reloads bit 0,
+    so no negative agrees with a positive on its tail and not on bit 0."""
+    out = []
+    b = GraphBuilder(3)
+    b.add_vertex("s", (0, 2))
+    b.add_ordinary("r", "s", 0, ONE, ONE)
+    f = BooleanFunction(3, {z: z & 1 for z in range(8)})
+    out.append(("head label", b.graph(flows={y: {0: 1.0} for y in (1, 3, 5, 7)}), f))
+    b = GraphBuilder(2)
+    b.add_vertex("a", (0,))
+    b.add_vertex("s", (0,))
+    b.add_ordinary("r", "a", 0, ONE, ONE)
+    b.add_ordinary("a", "s", 0, ONE, ONE)
+    f = BooleanFunction(2, {z: z & 1 for z in range(4)})
+    out.append(("reload", b.graph(flows={y: {0: 1.0, 1: 1.0} for y in (1, 3)}), f))
+    return out
+
+
 def test_mutants_match_loop(corpus_dir, dense4, sparse4, anchored4):
     triangles = _triangles(dense4, sparse4, anchored4)
     graphs = _corpus(corpus_dir) + triangles
     graphs += [(f"{n} balanced", rebalance_to_equal(g, f), f) for n, g, f in triangles]
-    graphs += [("wide", *_wide_and())] + _nan_sites()
+    graphs += [("wide", *_wide_and())] + _nan_sites() + _broken_label_steps()
     for name, g, f in graphs:
         message = _sites(linking_mutants, g, f)
         assert message == _sites(linking_mutants_loop, g, f), name

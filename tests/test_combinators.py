@@ -13,7 +13,7 @@ from lgkit.combinators import (
     johnson_compose,
     or_compose,
 )
-from lgkit.complexity import complexity, graph_c0
+from lgkit.complexity import c1_max, complexity, graph_c0
 from lgkit.model import BooleanFunction, GraphBuilder, Universe
 from lgkit.rules import ONE, ConstRule, ProductRule, TableRule
 from lgkit.serialize import dump_graph, dumps
@@ -58,11 +58,11 @@ def test_or_negative_cost_is_weighted_sum_of_children():
     domain = tuple(range(16))
     c0_ = _and_child(4, 0, 1, domain)
     c1_ = _and_child(4, 2, 3, domain)
-    res = or_compose([c0_, c1_], 1)
+    k = 1
+    res = or_compose([c0_, c1_], k)
     for z in domain:
-        expected = sum(
-            lam * graph_c0(g, z) for lam, (g, _) in zip(res.lambdas, [c0_, c1_])
-        )
+        # each child is weighted by its lambda, c1_max / k
+        expected = sum(c1_max(g, f) / k * graph_c0(g, z) for g, f in [c0_, c1_])
         assert graph_c0(res.graph, z) == pytest.approx(expected, rel=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_or_dead_child_gets_zero_weight():
     dead_f = BooleanFunction(2, {0: 0, 3: 0})
     dead = (_bit_child(2, 1, {0: 0, 3: 1})[0], dead_f)
     res = or_compose([dead, live], 1)
-    assert res.lambdas[0] == 0.0
+    assert c1_max(*dead) == 0.0
     assert res.function.values == live[1].values
     rep = complexity(res.graph, res.function)
     assert rep.value == complexity(*live).value
@@ -106,7 +106,7 @@ def _or_outcome(compose, children, k):
     except CompositionError as exc:
         return str(exc)
     flows = [(y, list(fl.items())) for y, fl in res.graph.flows.items()]
-    return dumps(dump_graph(res.graph)), res.function.values, res.lambdas, flows
+    return dumps(dump_graph(res.graph)), res.function.values, flows
 
 
 def _fixture_or_cases():
