@@ -38,7 +38,22 @@ Fault injection (``linking_mutants``) multiplies one side-0 weight on one
 reachable assignment by a constant, which bumps a crossing sum by the flow on
 the mutated edge; tests use it to show the checks have teeth.  It forms no
 blocks: each site's negative is found by a sorted search per edge
-(:func:`lgkit.indexing.lookup`).
+(:func:`lgkit.indexing.lookup`).  A mutant shares its parent expansion's
+vertex dict, flows and every edge but the patched one, and records the
+parent and the patched edge (a private lineage, never serialized).
+
+``build_witness`` on a mutant rebuilds only what the mutation changed: Ψ_j
+of the position j the patched edge loads, and the side-0 totals of the
+negatives whose ``w0`` changed.  Every other factor, the positive-side
+entries and C1 come from the parts of the parent's witness, computed once,
+for the first function object asked for, and kept on the parent.  Nothing
+is reused unless O(E) identity checks pass: the same function object; the
+same vertices, flows, const_flow and stages objects; every other edge the
+same object; and the patched edge ordinary, with the same ends, load and
+``w1``.  Otherwise the same per-position routine builds every factor, so a
+stale or false lineage can cost time but never change a witness.
+``verify_witness`` trusts none of this: it checks every pair from the
+factors.
 
 The bounds are fixed: ``WITNESS_CAP`` on the domain size of a witness,
 ``TOL`` on every check of ``verify_witness``, and, for mutants, ``MIN_FLOW``
@@ -51,7 +66,8 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import accumulate
+from operator import is_
 from typing import Any, Iterator
 
 import numpy as np
@@ -61,7 +77,7 @@ from .complexity import flow_entries, side1_totals
 from .expand import expand
 from .indexing import agreement_sort, bit_column, input_array, lookup, mask_of
 from .indexing import pack_bits
-from .model import BooleanFunction, LearningGraph
+from .model import BooleanFunction, Edge, LearningGraph
 from .rules import PatchRule
 
 WITNESS_CAP = 4096
@@ -159,21 +175,67 @@ def _ordinary_entries(
     return sel, np.array(edge, dtype=np.int64)[sel]
 
 
-def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
-    """Assemble the per-position factors for ``g`` against ``f``.
+@dataclass(frozen=True, eq=False)
+class _Source:
+    """The objects a witness of an expanded graph is built from."""
 
-    Super edges are flattened first, and the target is the complexity of
-    the expansion; the graph should already have equal costs (see
-    :func:`rebalance_to_equal`) if the objective is to match it.
-    """
+    f: BooleanFunction
+    n_bits: int
+    fields: tuple[Any, ...]  # the graph's vertices, flows, const_flow, stages
+    edges: tuple[Edge, ...]
+
+    @classmethod
+    def of(cls, g: LearningGraph, f: BooleanFunction) -> "_Source":
+        fields = (g.vertices, g.flows, g.const_flow, g.stages)
+        return cls(f, g.n_bits, fields, tuple(g.edges))
+
+    def admits(self, other: "_Source", ei: int) -> bool:
+        """Whether ``other`` holds the same objects, but for the ``w0`` of
+        edge ``ei``, which is ordinary in both with the same ends, load and
+        ``w1``."""
+        if other.f is not self.f or other.n_bits != self.n_bits:
+            return False
+        if not all(map(is_, other.fields, self.fields)):
+            return False
+        if len(other.edges) != len(self.edges) or not 0 <= ei < len(self.edges):
+            return False
+        old, new = self.edges[ei], other.edges[ei]
+        if not old.kind == new.kind == "ordinary" or new.w1 is not old.w1:
+            return False
+        if (new.src, new.dst, new.load) != (old.src, old.dst, old.load):
+            return False
+        return all(map(is_, other.edges[:ei], self.edges[:ei])) and all(
+            map(is_, other.edges[ei + 1 :], self.edges[ei + 1 :])
+        )
+
+
+@dataclass(eq=False)
+class _Parts:
+    """What :func:`build_witness` computes for an expanded graph, and what
+    from."""
+
+    source: _Source
+    by_load: dict[int, list[int]]
+    spans: dict[int, slice]  # position -> the w0_rows of the edges loading it
+    zs: np.ndarray  # the domain
+    xs: np.ndarray  # the negatives
+    x_rows: np.ndarray
+    # the positive entries on ordinary edges: edge, row and value in Ψ
+    p_edge: np.ndarray
+    p_rows: np.ndarray
+    p_vals: np.ndarray
+    c1: float
+    # w0 at every negative, one row per ordinary edge in by_load order
+    w0_rows: np.ndarray
+    c0s: list[float]  # the column fsums of w0_rows
+    factors: dict[int, Factor]
+
+
+def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
+    """Every part of the witness of the expanded graph ``ge``."""
     domain = f.domain
-    if len(domain) > WITNESS_CAP:
-        raise AdversaryError(f"domain size {len(domain)} exceeds cap {WITNESS_CAP}")
-    ge = expand(g)
     row = {z: i for i, z in enumerate(domain)}
     zs = input_array(domain, ge.n_bits)
-    xs = input_array(f.negatives(), ge.n_bits)
-    x_rows = np.array([row[x] for x in f.negatives()], dtype=np.int64)
     ys = f.positives()
     flows = [ge.flow_for(y) for y in ys]
     for y, fl in zip(ys, flows):
@@ -198,47 +260,118 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
         raise AdversaryError(
             f"flow on zero side-1 weight, edge {ei} input {domain[r]}"
         )
-    p_rows = y_rows[ent.input[sel]]
-    p_vals = ent.flow[sel] / np.sqrt(w)
-    c1 = max(side1_totals(ge, ys, ent), default=0.0)
-
     by_load = ge.by_load()
     ordinary = [ei for ids in by_load.values() for ei in ids]
-    w0s = eval_each([ge.edges[ei].w0 for ei in ordinary], xs)
+    ends = accumulate(map(len, by_load.values()))
+    xs = input_array(f.negatives(), ge.n_bits)
     # the side-0 rows c0_max would sum, less the zero rows of empty edges,
     # which do not change an fsum
     w0_rows = np.zeros((len(ordinary), len(xs)))
-    factors: dict[int, Factor] = {}
-    blocks = done = 0
-    for j, ids in by_load.items():
-        w0 = np.array(list(islice(w0s, len(ids))))
-        w0_rows[done : done + len(ids)] = w0
-        done += len(ids)
-        # negatives by edge, then the positives; negatives go to side 0 on
-        # loaded bit 0, positives on loaded bit 1
-        keep = w0 != 0.0
-        n_edge, n_x = np.nonzero(keep)
-        mine = np.isin(p_edge, ids)
-        rows = np.concatenate((x_rows[n_x], p_rows[mine]))
-        vals = np.concatenate((np.sqrt(w0[keep]), p_vals[mine]))
-        is_pos = np.repeat(np.array([0, 1], np.int64), [len(n_x), mine.sum()])
-        order, starts = agreement_sort(
-            zs,
-            {ei: ge.label(ge.edges[ei].src) for ei in ids},
-            np.concatenate((np.array(ids)[n_edge], p_edge[mine])),
-            rows,
-            bit_column(zs, j)[rows] ^ is_pos,
-        )
-        factors[j] = Factor(rows=rows[order], vals=vals[order], starts=starts)
-        blocks += len(starts) - 1
-    c0 = max(column_fsums(w0_rows), default=0.0)
+    for k, w0 in enumerate(eval_each([ge.edges[ei].w0 for ei in ordinary], xs)):
+        w0_rows[k] = w0
+    parts = _Parts(
+        source=_Source.of(ge, f),
+        by_load=by_load,
+        spans={j: slice(e - len(ids), e) for (j, ids), e in zip(by_load.items(), ends)},
+        zs=zs,
+        xs=xs,
+        x_rows=np.array([row[x] for x in f.negatives()], dtype=np.int64),
+        p_edge=p_edge,
+        p_rows=y_rows[ent.input[sel]],
+        p_vals=ent.flow[sel] / np.sqrt(w),
+        c1=max(side1_totals(ge, ys, ent), default=0.0),
+        w0_rows=w0_rows,
+        c0s=column_fsums(w0_rows),
+        factors={},
+    )
+    for j, span in parts.spans.items():
+        parts.factors[j] = _factor(ge, parts, j, w0_rows[span])
+    return parts
+
+
+def _factor(ge: LearningGraph, parts: _Parts, j: int, w0: np.ndarray) -> Factor:
+    """Ψ_j from ``w0``, the side-0 rows of the edges that load ``j``, and
+    from the positive entries of ``parts``.  Its arrays are read-only, as
+    mutants share the factors they do not change."""
+    ids = parts.by_load[j]
+    # negatives by edge, then the positives; negatives go to side 0 on
+    # loaded bit 0, positives on loaded bit 1
+    keep = w0 != 0.0
+    n_edge, n_x = np.nonzero(keep)
+    mine = np.isin(parts.p_edge, ids)
+    rows = np.concatenate((parts.x_rows[n_x], parts.p_rows[mine]))
+    vals = np.concatenate((np.sqrt(w0[keep]), parts.p_vals[mine]))
+    is_pos = np.repeat(np.array([0, 1], np.int64), [len(n_x), mine.sum()])
+    order, starts = agreement_sort(
+        parts.zs,
+        {ei: ge.label(ge.edges[ei].src) for ei in ids},
+        np.concatenate((np.array(ids)[n_edge], parts.p_edge[mine])),
+        rows,
+        bit_column(parts.zs, j)[rows] ^ is_pos,
+    )
+    fac = Factor(rows=rows[order], vals=vals[order], starts=starts)
+    for a in (fac.rows, fac.vals, fac.starts):
+        a.flags.writeable = False
+    return fac
+
+
+def _inherited(ge: LearningGraph, f: BooleanFunction) -> _Parts | None:
+    """The parts of a mutant (see :func:`linking_mutants`) from its
+    parent's, which are computed once and kept on the parent.
+
+    None unless the mutant holds the same objects as its parent, but for
+    the ``w0`` of its patched edge, and the parent's parts are for ``f``.
+    Then only Ψ_j of the position j the edge loads is rebuilt, and only the
+    side-0 totals of the negatives whose ``w0`` changed are summed again.
+    """
+    if ge._lineage is None:
+        return None
+    parent, ei = ge._lineage
+    here = _Source.of(ge, f)
+    base = parent._witness_parts
+    if base is None:
+        if not _Source.of(parent, f).admits(here, ei):
+            return None
+        # an error here is the mutant's own: it can only come from the
+        # flows and w1s, which the two share
+        base = parent._witness_parts = _parts(parent, f)
+    if not base.source.admits(here, ei):
+        return None
+    j = ge.edges[ei].load
+    r = base.spans[j].start + base.by_load[j].index(ei)
+    w0_rows = base.w0_rows.copy()
+    w0_rows[r] = ge.edges[ei].w0.eval(base.xs)
+    # every bit is compared, so a NaN or a -0.0 counts as a change
+    new, old = w0_rows[r].view(np.int64), base.w0_rows[r].view(np.int64)
+    changed = np.flatnonzero(new != old)
+    c0s = list(base.c0s)
+    for k, total in zip(changed.tolist(), column_fsums(w0_rows[:, changed])):
+        c0s[k] = total
+    factors = dict(base.factors)
+    factors[j] = _factor(ge, base, j, w0_rows[base.spans[j]])
+    return replace(base, source=here, w0_rows=w0_rows, c0s=c0s, factors=factors)
+
+
+def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
+    """Assemble the per-position factors for ``g`` against ``f``.
+
+    Super edges are flattened first, and the target is the complexity of
+    the expansion; the graph should already have equal costs (see
+    :func:`rebalance_to_equal`) if the objective is to match it.  A mutant
+    from :func:`linking_mutants` reuses its parent's parts where it can.
+    """
+    domain = f.domain
+    if len(domain) > WITNESS_CAP:
+        raise AdversaryError(f"domain size {len(domain)} exceeds cap {WITNESS_CAP}")
+    ge = expand(g)
+    parts = _inherited(ge, f) or _parts(ge, f)
     return Witness(
         n_bits=g.n_bits,
         domain=domain,
-        row=row,
-        factors=factors,
-        target=math.sqrt(c0 * c1),
-        blocks=blocks,
+        row={z: i for i, z in enumerate(domain)},
+        factors=parts.factors,
+        target=math.sqrt(max(parts.c0s, default=0.0) * parts.c1),
+        blocks=sum(fac.columns for fac in parts.factors.values()),
     )
 
 
@@ -379,7 +512,10 @@ def linking_mutants(
         edges = list(ge.edges)
         patched = PatchRule(dst_label, bits, MUTANT_FACTOR, edges[ei].w0)
         edges[ei] = replace(edges[ei], w0=patched)
-        mg = replace(ge, vertices=dict(ge.vertices), edges=edges, _out=None, _in=None)
+        # the vertex dict and the adjacency are shared: Vertex is frozen,
+        # and the patched edge keeps its ends
+        mg = replace(ge, edges=edges)
+        mg._lineage = (ge, ei)
         assignment = ",".join(f"{i + 1}:{b}" for i, b in zip(dst_label, bits))
         out.append(Mutant(mg, ei, assignment, MUTANT_FACTOR, candidates[key]))
     return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .indexing import mask_of
 from .rules import ConstRule, Rule, ZERO, ONE, host_product
@@ -131,6 +131,14 @@ class LearningGraph:
     stages: tuple[StageInfo, ...] | None = None
     _out: dict[str, tuple[int, ...]] | None = field(default=None, repr=False)
     _in: dict[str, tuple[int, ...]] | None = field(default=None, repr=False)
+    # Set by adversary.linking_mutants on a mutant: (the expansion it was
+    # made from, the patched edge).  The parent keeps the parts of its own
+    # witness for its mutants to reuse.  Neither is serialized, compared or
+    # carried over by dataclasses.replace.
+    _lineage: tuple["LearningGraph", int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _witness_parts: Any = field(default=None, init=False, repr=False, compare=False)
 
     def _adjacency(self) -> None:
         out: dict[str, list[int]] = {v: [] for v in self.vertices}

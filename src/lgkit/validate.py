@@ -248,6 +248,9 @@ def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> No
         if 0 <= ent.edge[n] < len(g.edges) and g.edges[ent.edge[n]].kind != "empty"
     }
     vertex_order = {vid: k for k, vid in enumerate(g.vertices)}
+    negatives = f.dom & ~f.truth
+    # (sink, assignment of its label) -> the smallest negative that matches it
+    matches: dict[tuple[str, int], int | None] = {}
     for k, (y, flow) in enumerate(zip(ys, flows)):
         ystr = bitstring(y, g.n_bits)
         if flow is None:
@@ -307,9 +310,12 @@ def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> No
                     )
                 if b > FLOW_ATOL:
                     mask = mask_of(g.label(vid))
-                    bad = f.dom & ~f.truth & f.universe.select(mask, y & mask)
-                    if bad:
-                        z = f.universe.members(bad)[0]  # the smallest
+                    key = (vid, y & mask)
+                    if key not in matches:
+                        bad = negatives & f.universe.select(mask, y & mask)
+                        matches[key] = f.universe.members(bad)[0] if bad else None
+                    z = matches[key]
+                    if z is not None:
                         report.add(
                             "uncertified-sink",
                             f"{vid} {ystr}",

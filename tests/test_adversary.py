@@ -2,9 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from loop_reference import build_witness_loop
 
 from lgkit import adversary
 from lgkit.adversary import (
@@ -17,7 +19,7 @@ from lgkit.adversary import (
 from lgkit.complexity import c0_max, c1_max, complexity
 from lgkit.expand import expand
 from lgkit.model import BooleanFunction, GraphBuilder
-from lgkit.rules import ONE
+from lgkit.rules import ONE, ScaleRule
 from lgkit.serialize import build_function, build_graph, read_json
 
 
@@ -154,3 +156,132 @@ def test_witness_prices_from_its_own_entries(dense4, monkeypatch):
     monkeypatch.setattr(adversary, "c0_max", refuse)
     monkeypatch.setattr(adversary, "c1_max", refuse)
     assert verify_witness(build_witness(g, dense4.function), dense4.function).ok
+
+
+def _balanced_n4(*builds):
+    return [
+        (res.variant, rebalance_to_equal(res.graph, res.function), res.function)
+        for res in builds
+    ]
+
+
+def _bits(a):
+    return a.dtype, a.view(np.int64).tolist()
+
+
+def _assert_bit_identical(got, want, name):
+    assert (got.n_bits, got.domain, got.row) == (want.n_bits, want.domain, want.row)
+    assert (got.blocks, _bits(np.array(got.target))) == (
+        want.blocks,
+        _bits(np.array(want.target)),
+    ), name
+    assert list(got.factors) == list(want.factors), name
+    for j, fac in want.factors.items():
+        for part in ("rows", "vals", "starts"):
+            same = _bits(getattr(got.factors[j], part)) == _bits(getattr(fac, part))
+            assert same, (name, j, part)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The positions whose factor each build makes, in order."""
+    calls = []
+    factor = adversary._factor
+
+    def spy(ge, parts, j, w0):
+        calls.append(j)
+        return factor(ge, parts, j, w0)
+
+    monkeypatch.setattr(adversary, "_factor", spy)
+    return calls
+
+
+def test_mutant_witness_reuses_its_parent_bit_for_bit(
+    dense4, sparse4, anchored4, factor_calls
+):
+    """At every mutation site of the balanced n=4 graphs, the witness built
+    from the parent's parts, which remakes one factor, equals a full build
+    of the same graph (``replace`` carries no lineage), and on a sample of
+    sites the dense reference."""
+    sites = {}
+    for name, g, f in _balanced_n4(dense4, sparse4, anchored4):
+        with pytest.raises(AdversaryError, match="mutation sites") as exc:
+            linking_mutants(g, f, 10**9)
+        sites[name] = int(str(exc.value).split()[1])
+        mutants = linking_mutants(g, f, sites[name], seed=5)
+        build_witness(mutants[0].graph, f)  # the parent's parts, once
+        for k, m in enumerate(mutants):
+            where = f"{name} edge {m.edge} {m.assignment}"
+            factor_calls.clear()
+            got = build_witness(m.graph, f)
+            assert factor_calls == [m.graph.edges[m.edge].load], where
+            full = replace(m.graph)
+            assert full._lineage is None
+            _assert_bit_identical(got, build_witness(full, f), where)
+            if k % 16 == 0:
+                want = build_witness_loop(m.graph, f)
+                assert (got.blocks, got.target) == (want.blocks, want.target)
+                for j, mat in want.matrices.items():
+                    assert _bits(got.matrices[j]) == _bits(mat), (where, j)
+    assert sites == {"dense": 92, "sparse": 116, "sparsenew": 32}
+
+
+def _claiming(lineage, mg, edits=None, **fields):
+    """``mg`` with its edges ``edits`` (index -> edge) and ``fields``
+    replaced, which claims the lineage ``lineage``."""
+    edges = list(mg.edges)
+    for k, edge in (edits or {}).items():
+        edges[k] = edge
+    out = replace(mg, edges=edges, **fields)
+    out._lineage = lineage
+    return out
+
+
+def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
+    """A graph whose lineage names a parent it differs from in more than
+    the patched edge's w0, or that is built for another function object,
+    gets every factor made anew, and the witness of a full build."""
+    _, g, f = _balanced_n4(dense4)[0]
+    first, second = linking_mutants(g, f, 2, seed=3)
+    assert first.edge != second.edge
+    parent, ei = lineage = first.graph._lineage
+    build_witness(first.graph, f)
+    assert parent._witness_parts is not None
+    other = next(k for k, e in enumerate(parent.edges) if k not in (ei, second.edge))
+    patched = first.graph.edges[ei]
+    flows = {y: dict(p) for y, p in parent.flows.items()}
+    twice = _claiming(
+        lineage, first.graph, {second.edge: second.graph.edges[second.edge]}
+    )
+    liars = [
+        # equal to the parent's edge, but another object
+        ("second swapped edge", {other: replace(parent.edges[other])}, {}),
+        ("patched edge w1", {ei: replace(patched, w1=ScaleRule(2.0, patched.w1))}, {}),
+        ("replaced flows", {}, {"flows": flows}),
+    ]
+    liars = [
+        (name, _claiming(lineage, first.graph, edits, **fields), f)
+        for name, edits, fields in liars
+    ]
+    liars += [
+        ("mutant of a mutant", twice, f),
+        ("mutant of a mutant, other edge", _claiming((parent, second.edge), twice), f),
+        (
+            "another function object",
+            first.graph,
+            BooleanFunction.from_bits(f.universe, f.dom, f.truth, f.certs),
+        ),
+    ]
+    for name, lg, fn in liars:
+        factor_calls.clear()
+        got = build_witness(lg, fn)
+        assert factor_calls == list(parent.by_load()), name
+        _assert_bit_identical(got, build_witness(replace(lg), fn), name)
+    # a true mutant of a mutant names the mutant as its parent
+    (grand,) = linking_mutants(first.graph, f, 1, seed=0)
+    assert grand.graph._lineage[0] is first.graph
+    build_witness(grand.graph, f)
+    factor_calls.clear()
+    got = build_witness(grand.graph, f)
+    assert factor_calls == [grand.graph.edges[grand.edge].load]
+    _assert_bit_identical(got, build_witness(replace(grand.graph), f), "grandchild")

@@ -229,10 +229,23 @@ def _two_negatives_at_a_sink():
     return b.graph(flows={3: {0: 1.0}, 7: {0: 1.0}}), f
 
 
+def _one_sink_two_assignments():
+    """OR of 2 bits, every positive flowing to one sink labelled (bit 0,):
+    1 and 3 reach it with bit 0 = 1, which no negative matches, and 2 with
+    bit 0 = 0, which the negative 0 matches, so the sink is uncertified for
+    2 alone."""
+    b = GraphBuilder(2)
+    b.add_vertex("s", (0,))
+    b.add_ordinary("r", "s", 0, ONE, ONE)
+    f = BooleanFunction(2, {z: int(z != 0) for z in range(4)})
+    return b.graph(flows={y: {0: 1.0} for y in (1, 2, 3)}), f
+
+
 def test_validate_matches_loop(corpus_dir, dense4, sparse4, anchored4):
     triangles = _triangles(dense4, sparse4, anchored4)
     graphs = _corpus(corpus_dir) + triangles + _mutants(triangles, 6)
     graphs += [("wide", *_wide_and()), ("two negatives", *_two_negatives_at_a_sink())]
+    graphs += [("two assignments", *_one_sink_two_assignments())]
     for name, g, f in triangles:
         graphs += _broken_flows(name, expand(g), f)
     broken = 0
@@ -240,7 +253,7 @@ def test_validate_matches_loop(corpus_dir, dense4, sparse4, anchored4):
         got = validate(g, f)
         assert dumps(got.to_json()) == dumps(validate_loop(g, f).to_json()), name
         broken += not got.ok
-    assert broken == 18 + 9 + 1
+    assert broken == 18 + 9 + 2
 
 
 def _breaches_out_of_position_order():
