@@ -9,7 +9,7 @@ from .model import (
     SuperEdge,
     Vertex,
 )
-from .complexity import ComplexityReport, complexity, graph_c0, graph_c1
+from .complexity import ComplexityReport, complexity
 from .expand import expand
 from .validate import ValidationReport, validate
 
@@ -25,7 +25,5 @@ __all__ = [
     "Vertex",
     "complexity",
     "expand",
-    "graph_c0",
-    "graph_c1",
     "validate",
 ]

@@ -72,8 +72,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .complexity import FlowEntries, c0_max, c1_max, column_fsums, eval_each
-from .complexity import flow_entries, side1_totals
+from .complexity import c0_max, c1_max, column_fsums, eval_each, flow_entries
+from .complexity import side1_totals
 from .expand import expand
 from .indexing import agreement_sort, bit_column, input_array, lookup, mask_of
 from .indexing import pack_bits
@@ -164,17 +164,6 @@ class Witness:
         return _Matrices(self.factors, len(self.domain))
 
 
-def _ordinary_entries(
-    ge: LearningGraph, ent: FlowEntries
-) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of ``ent`` on ordinary edges, in entry order, and their
-    edges."""
-    edge = [ei if 0 <= ei < len(ge.edges) else -1 for ei in ent.edge]
-    ordinary = [ei for ei, e in enumerate(ge.edges) if e.kind == "ordinary"]
-    sel = np.flatnonzero(np.isin(edge, ordinary))
-    return sel, np.array(edge, dtype=np.int64)[sel]
-
-
 @dataclass(frozen=True, eq=False)
 class _Source:
     """The objects a witness of an expanded graph is built from."""
@@ -244,13 +233,16 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
     # positive side: flow over root side-1 weight, where the flow is nonzero
     ent = flow_entries(ge, flows, input_array(ys, ge.n_bits))
     y_rows = np.array([row[y] for y in ys], dtype=np.int64)
-    sel, p_edge = _ordinary_entries(ge, ent)
+    # the entries on ordinary edges, by edge
+    groups = [grp for ei, grp in ent.by_edge.items() if ge.edges[ei].kind == "ordinary"]
+    sel = np.concatenate([np.zeros(0, np.int64), *groups])
+    p_edge = ent.edge[sel]
     w = ent.w1[sel]
     if (w <= 0.0).any():
         # name the first offender on the lowest edge in block order: by the
         # first domain input of its tail assignment, then by its own place
         ei = int(p_edge[w <= 0.0].min())
-        grp = ent.at[ei]
+        grp = ent.by_edge[ei]
         rows = y_rows[ent.input[grp]]
         alpha = zs & mask_of(ge.label(ge.edges[ei].src))
         r = min(
@@ -467,14 +459,15 @@ def linking_mutants(
     ent = flow_entries(ge, flows, yz)
     # a site is a flow of at least MIN_FLOW on an ordinary edge; negated so
     # that a NaN flow is one, as in the scalar scan
-    sel, s_edge = _ordinary_entries(ge, ent)
-    site = ~(ent.flow[sel] < MIN_FLOW)
-    sel, s_edge = sel[site], s_edge[site]
-    order = np.argsort(s_edge, kind="stable")
-    ids, starts = np.unique(s_edge[order], return_index=True)
+    sites = {
+        ei: grp[~(ent.flow[grp] < MIN_FLOW)]
+        for ei, grp in ent.by_edge.items()
+        if ge.edges[ei].kind == "ordinary"
+    }
+    sites = {ei: grp for ei, grp in sites.items() if len(grp)}
     candidates: dict[tuple[int, tuple[int, ...], tuple[int, ...]], float] = {}
-    w0s = eval_each([ge.edges[ei].w0 for ei in ids.tolist()], xz)
-    for ei, grp, w0 in zip(ids.tolist(), np.split(sel[order], starts[1:]), w0s):
+    w0s = eval_each([ge.edges[ei].w0 for ei in sites], xz)
+    for (ei, grp), w0 in zip(sites.items(), w0s):
         # a site's partner is the first negative x with a positive w0 (or a
         # NaN one, as in the scalar scan) that agrees with its positive y on
         # the tail label and not on the loaded bit j: x & m == (y ^ 1 << j) & m

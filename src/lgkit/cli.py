@@ -260,18 +260,7 @@ def _cmd_costmodel(args: argparse.Namespace) -> int:
     if args.fit:
         grid = default_grid(args.n_lo, args.n_hi, args.points)
         fit = fit_exponent(args.variant, args.m_law, grid)
-        if args.csv:
-            mf = parse_m_law(args.m_law)
-            print("n,cost,x,a,b")
-            for n in grid:
-                m = mf(n)
-                d2 = 2.0 * m / n if args.variant == "sparsenew" else None
-                opt = optimize_params(args.variant, float(n), m, d2)
-                print(
-                    f"{n},{opt.cost!r},{opt.x!r},{opt.a!r},{opt.b!r}"
-                )
-        else:
-            _emit(fit.to_json(), args.out)
+        _emit(fit.to_json(), args.out)
         return 0
     if args.n is None:
         raise ValueError("give --n for a single optimization, or --fit")
@@ -382,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--m-law", default="n^1.5")
     p.add_argument("--fit", action="store_true")
-    p.add_argument("--csv", action="store_true")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=float)
     p.add_argument("--d2", type=float)

@@ -9,22 +9,25 @@ flow squared times the inner positive cost over the host weight on side 1.
 ``complexity`` aggregates both over a function's domain and reports per-stage
 breakdowns when the graph carries stage metadata.
 
-``side0_rows`` and ``side1_terms`` are the one place costs are evaluated.
+``side0_rows`` and ``_side1``, the positive side behind ``side1_totals``,
+are the one place costs are evaluated.
 They price a whole set of inputs column-wise, evaluating each rule object
 once per call, as a lookup in the rule's table (see :mod:`lgkit.rules`).
-Everything that prices a graph goes through them: ``complexity``,
-``c0_max``/``c1_max`` (and so rebalancing and the composition lambdas) and
-``graph_c0``/``graph_c1``.
+Everything that prices a graph goes through them: ``complexity`` and
+``c0_max``/``c1_max`` (and so rebalancing and the composition lambdas).
 Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
 tested against, one scalar ``rule_at`` per (edge, input), lives in
 ``tests/loop_reference.py``.
 
-``flow_entries`` is the one place flows are read: it lists the (input, edge,
-flow) entries of a set of flows, with each edge's ``w1`` at them evaluated
-on first use.
-``side1_terms``, ``validate``, ``build_witness`` and ``linking_mutants`` take
-their entries from it, each with its own filter and missing-flow rule.
+``flow_entries`` is the one place flows are read.  It turns a list of flows
+into ``FlowEntries``: arrays of the input, edge and flow of every entry, in
+input order and, within an input, in flow order.  Their one grouping by
+edge (``by_edge``) serves the ``w1`` values, evaluated on first use, the
+super-edge recursion of the positive side, the witness and the mutant
+search.  The positive side prices one term per entry, and a total is the
+fsum of a group of entries: per input, and per input within a stage.
+``validate`` checks flows from the same arrays.
 """
 
 from __future__ import annotations
@@ -81,11 +84,19 @@ class FlowEntries:
     input, in flow order.  A missing flow (``None``) gives no entries."""
 
     input: np.ndarray  # int64: the number of the entry's flow in the list
-    edge: list[int]
+    edge: np.ndarray  # int64, or Python ints past its range
     flow: np.ndarray  # float64
-    at: dict[int, list[int]]  # edge -> its entries, in input order
     graph: LearningGraph
     zs: np.ndarray  # the input of every entry
+
+    @cached_property
+    def by_edge(self) -> dict[int, np.ndarray]:
+        """Every known edge with entries, in edge order, to its entries in
+        entry order: the one grouping of the entries by edge."""
+        order = np.argsort(self.edge, kind="stable")
+        ids, starts = np.unique(self.edge[order], return_index=True)
+        groups = zip(ids.tolist(), np.split(order, starts[1:]))
+        return {i: grp for i, grp in groups if 0 <= i < len(self.graph.edges)}
 
     @cached_property
     def w1(self) -> np.ndarray:
@@ -93,12 +104,13 @@ class FlowEntries:
         ``w1`` object is evaluated once, on first access, on the entries of
         every known, non-empty edge that carries it."""
         edges = self.graph.edges
-        by_rule: dict[int, tuple[Rule, list[int]]] = {}  # id(w1) -> w1, entries
-        for i, grp in self.at.items():
-            if 0 <= i < len(edges) and edges[i].kind != "empty":
-                by_rule.setdefault(id(edges[i].w1), (edges[i].w1, []))[1].extend(grp)
+        by_rule: dict[int, tuple[Rule, list[np.ndarray]]] = {}  # id(w1) -> w1, entries
+        for i, grp in self.by_edge.items():
+            if edges[i].kind != "empty":
+                by_rule.setdefault(id(edges[i].w1), (edges[i].w1, []))[1].append(grp)
         w1s = np.zeros(len(self.flow))
-        for w1, grp in by_rule.values():
+        for w1, grps in by_rule.values():
+            grp = np.concatenate(grps)
             w1s[grp] = w1.eval(self.zs[grp])
         return w1s
 
@@ -112,17 +124,27 @@ def flow_entries(
     ks: list[int] = []
     es: list[int] = []
     ps: list[float] = []
-    at: dict[int, list[int]] = {}
     for k, flow in enumerate(flows):
         for i, p in (flow or {}).items():
             if p != 0.0 or not 0 <= i < n_edges:
-                at.setdefault(i, []).append(len(ks))
                 ks.append(k)
                 es.append(i)
                 ps.append(p)
+    try:
+        edge = np.array(es, dtype=np.int64)
+    except OverflowError:  # an unknown edge past int64
+        edge = np.array(es, dtype=object)
     return FlowEntries(
-        np.array(ks, dtype=np.int64), es, np.array(ps, dtype=np.float64), at, g, zs[ks]
+        np.array(ks, dtype=np.int64), edge, np.array(ps, dtype=np.float64), g, zs[ks]
     )
+
+
+def _group_fsums(keys: np.ndarray, values: np.ndarray, n: int) -> list[float]:
+    """The ``math.fsum`` of the ``values`` of each key ``0..n-1``, where
+    ``keys`` is sorted (as the inputs of flow entries are)."""
+    bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
+    vals = values.tolist()
+    return [math.fsum(vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
@@ -149,35 +171,23 @@ def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def side1_terms(
+def _side1(
     g: LearningGraph, ys: Sequence[int], ent: FlowEntries | None = None
-) -> list[dict[int, float]]:
-    """The side-1 contribution of every edge with nonzero flow, per input of
-    ``ys``: one ``{edge index: contribution}`` map per input.
+) -> tuple[FlowEntries, np.ndarray, tuple[int, ComplexityError] | None]:
+    """The entries of the flows at ``ys`` and the side-1 term of each, or the
+    number in ``ys`` of the first faulty input and the error it raises.
 
-    An edge's contribution is flow squared over its ``w1``, times the inner
+    An entry's term is flow squared over its edge's ``w1``, times the inner
     positive cost for a super edge.  ``w1`` is evaluated only where flow is.
     A caller that has already gathered the entries of the flows at ``ys``
     (every one recorded) with :func:`flow_entries` passes them as ``ent``.
 
-    Raises :class:`ComplexityError` for the first faulty input of ``ys`` and,
-    in that input, for the first faulty edge in flow order.  The checks, in
-    order: a missing flow, an edge outside ``0..len(edges)-1`` (whatever its
-    flow), a negative flow, flow on an empty edge, flow on zero side-1
-    weight, and a fault of a super edge's inner graph at that input.
+    The first faulty input is the first of ``ys`` and, in that input, the
+    first faulty edge in flow order.  The checks, in order: a missing flow,
+    an edge outside ``0..len(edges)-1`` (whatever its flow), a negative
+    flow, flow on an empty edge, flow on zero side-1 weight, and a fault of
+    a super edge's inner graph at that input.
     """
-    terms, fault = _side1(g, ys, ent)
-    if fault is not None:
-        raise fault[1]
-    return terms
-
-
-def _side1(
-    g: LearningGraph, ys: Sequence[int], ent: FlowEntries | None = None
-) -> tuple[list[dict[int, float]], tuple[int, ComplexityError] | None]:
-    """``side1_terms``, or the number in ``ys`` of the first faulty input and
-    the error it raises."""
-    n_edges = len(g.edges)
     missing: tuple[int, ComplexityError] | None = None  # the first input without a flow
     if ent is None:
         flows: list[dict[int, float]] = []
@@ -188,39 +198,34 @@ def _side1(
                 break
             flows.append(flow)
         ent = flow_entries(g, flows, input_array(ys[: len(flows)], g.n_bits))
-    ks, es, pp, ww, at = ent.input.tolist(), ent.edge, ent.flow, ent.w1, ent.at
-    if not ks:
-        return [{} for _ in ys], missing
-    live = [i for i in at if 0 <= i < n_edges and g.edges[i].kind != "empty"]
-    inner = np.ones(len(es))  # p * p * 1.0 is exactly p * p
+    if not len(ent.flow):  # as for most composition lambdas: no grouping to do
+        return ent, ent.flow, missing
+    pp, ww = ent.flow, ent.w1
+    inner = np.ones(len(pp))  # p * p * 1.0 is exactly p * p
     inner_faults: dict[int, ComplexityError] = {}  # entry -> error
-    for i in live:
-        grp = at[i]
+    for i, grp in ent.by_edge.items():
         gadget = g.edges[i].gadget
         if gadget is not None:
-            sub, fault = _side1(gadget.inner, [ys[ks[n]] for n in grp])
+            sub_ys = [ys[k] for k in ent.input[grp].tolist()]
+            sub, terms, fault = _side1(gadget.inner, sub_ys)
             if fault is None:
-                inner[grp] = [math.fsum(t.values()) for t in sub]
+                inner[grp] = _group_fsums(sub.input, terms, len(grp))
             else:
-                inner_faults[grp[fault[0]]] = fault[1]
+                inner_faults[int(grp[fault[0]])] = fault[1]
     # entries are in input order, and each input's in flow order, so the
     # first faulty entry is the one the scalar checks would meet first
     bad = np.flatnonzero((pp < 0.0) | (ww == 0.0)).tolist() + list(inner_faults)
     if bad:
         n = min(bad)
-        y = ys[ks[n]]
-        p = g.flow_for(y)[es[n]]
-        error = _flow_error(g, es[n], p, y, ww[n]) or inner_faults[n]
-        return [], (ks[n], error)
+        i = int(ent.edge[n])
+        y = ys[int(ent.input[n])]
+        error = _flow_error(g, i, g.flow_for(y)[i], y, ww[n]) or inner_faults[n]
+        return ent, pp[:0], (int(ent.input[n]), error)
     if missing is not None:
-        return [], missing
+        return ent, pp[:0], missing
     # overflow to inf and inf times 0, silent as in the scalar call
     with np.errstate(over="ignore", invalid="ignore"):
-        values = pp * pp * inner / ww
-    terms: list[dict[int, float]] = [{} for _ in ys]
-    for k, i, v in zip(ks, es, values.tolist()):
-        terms[k][i] = v
-    return terms, None
+        return ent, pp * pp * inner / ww, None
 
 
 def _flow_error(
@@ -247,19 +252,12 @@ def _flow_error(
 def side1_totals(
     g: LearningGraph, ys: Sequence[int], ent: FlowEntries | None = None
 ) -> list[float]:
-    """The positive cost at every input of ``ys`` (``ent`` as in
-    :func:`side1_terms`)."""
-    return [math.fsum(t.values()) for t in side1_terms(g, ys, ent)]
-
-
-def graph_c0(g: LearningGraph, z: int) -> float:
-    """The negative cost at one input."""
-    return column_fsums(side0_rows(g, input_array([z], g.n_bits)))[0]
-
-
-def graph_c1(g: LearningGraph, y: int) -> float:
-    """The positive cost at one input."""
-    return side1_totals(g, [y])[0]
+    """The positive cost at every input of ``ys``: the ``math.fsum`` of its
+    entries' terms (``ent`` and the errors raised as in :func:`_side1`)."""
+    ent, terms, fault = _side1(g, ys, ent)
+    if fault is not None:
+        raise fault[1]
+    return _group_fsums(ent.input, terms, len(ys))
 
 
 def c0_max(g: LearningGraph, f: BooleanFunction) -> float:
@@ -344,9 +342,11 @@ def complexity(g: LearningGraph, f: BooleanFunction) -> ComplexityReport:
     xs = f.negatives()
     ys = f.positives()
     rows0 = side0_rows(g, input_array(xs, g.n_bits))
-    terms1 = side1_terms(g, ys)
+    ent, terms, fault = _side1(g, ys)
+    if fault is not None:
+        raise fault[1]
     per0 = dict(zip(xs, column_fsums(rows0)))
-    per1 = {y: math.fsum(t.values()) for y, t in zip(ys, terms1)}
+    per1 = dict(zip(ys, _group_fsums(ent.input, terms, len(ys))))
     report = ComplexityReport(
         c0=max(per0.values(), default=0.0),
         c1=max(per1.values(), default=0.0),
@@ -355,23 +355,22 @@ def complexity(g: LearningGraph, f: BooleanFunction) -> ComplexityReport:
         per_input_c1=per1,
     )
     for st in g.stages or ():
-        edge_ids = set(st.edges)
         factors = dict(st.rebalance or {})
         rows = rows0[list(st.edges)]
-        parts1 = [{i: v for i, v in t.items() if i in edge_ids} for t in terms1]
+        on = np.isin(ent.edge, st.edges)
+        keys, parts1 = ent.input[on], terms[on]
         stage_per0 = dict(zip(xs, column_fsums(rows)))
-        stage_per1 = {y: math.fsum(t.values()) for y, t in zip(ys, parts1)}
+        stage_per1 = dict(zip(ys, _group_fsums(keys, parts1, len(ys))))
         raw0 = raw1 = None
         if factors:
             # side-0 contributions were multiplied by the factor, side-1
             # contributions divided by it
             divisors = np.array([factors.get(i) or 1.0 for i in st.edges])
             raw0 = max([0.0, *column_fsums(rows / divisors[:, None])])
-            sums1 = [
-                math.fsum(v * (factors.get(i) or 1.0) for i, v in t.items())
-                for t in parts1
-            ]
-            raw1 = max([0.0, *sums1])
+            scale = np.array([factors.get(i) or 1.0 for i in range(len(g.edges))])
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw_parts = parts1 * scale[ent.edge[on]]
+            raw1 = max([0.0, *_group_fsums(keys, raw_parts, len(ys))])
         report.stages.append(
             StageCost(
                 st.name,

@@ -53,12 +53,13 @@ def expand(g: LearningGraph) -> LearningGraph:
         parts[i] = _Part(
             [(new, old) for old, new in sorted(inner_map.items())], inner=inner
         )
+    grown = len(b.edges) - len(g.edges)
     flows = None
     const_flow = None
     if g.const_flow is not None:
-        const_flow = _translate(g.const_flow, parts, y=None)
+        const_flow = _translate(g.const_flow, parts, grown, y=None)
     if g.flows is not None:
-        flows = {y: _translate(p, parts, y=y) for y, p in g.flows.items()}
+        flows = {y: _translate(p, parts, grown, y=y) for y, p in g.flows.items()}
     stages = None
     if g.stages is not None:
         stages = tuple(
@@ -83,11 +84,17 @@ def expand(g: LearningGraph) -> LearningGraph:
 
 
 def _translate(
-    flow: dict[int, float], parts: dict[int, _Part], y: int | None
+    flow: dict[int, float], parts: dict[int, _Part], grown: int, y: int | None
 ) -> dict[int, float]:
+    """``flow`` on the expanded edges, where expansion added ``grown`` edges.
+    Flow on an unknown edge stays on an unknown one: a negative index is
+    kept, and one past the end is shifted by ``grown``."""
     out: dict[int, float] = {}
     for old, p in flow.items():
-        part = parts[old]
+        part = parts.get(old)
+        if part is None:
+            out[old if old < 0 else old + grown] = p
+            continue
         if part.inner is None:
             out[part.new_edges[0][0]] = p
             continue

@@ -13,7 +13,6 @@ Nothing raises on a finding; everything lands in the report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any
@@ -238,91 +237,100 @@ def _semantic_linking(
 
 
 def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> None:
+    """The flow checks, from the flow entries: the per-entry checks as
+    masks, the vertex balances as one ``bincount``, and each sink certified
+    once per assignment of its label.
+
+    A positive's findings come in order: a missing flow, the entry checks
+    in flow order, the unit check at the root, then the touched vertices in
+    vertex order.  A balance adds src −p, then dst +p, per entry in entry
+    order, so it has the bits of a walk over the flow.  A zero flow has no
+    entry: it would fail no check, and adding ±0 leaves every balance as it
+    is, as none is ever −0.0.
+    """
     ys = f.positives()
     flows = [g.flow_for(y) for y in ys]
     ent = flow_entries(g, flows, input_array(ys, g.n_bits))
+    vids = list(g.vertices)
+    vertex = {vid: v for v, vid in enumerate(vids)}
+    # (input, phase, place in the phase, kind, vertex or edge, message)
+    found: list[tuple[int, int, int, str, str, str]] = []
+
+    def add(k: int, phase: int, at: int, kind: str, where: str, message: str) -> None:
+        y = bitstring(ys[k], g.n_bits)
+        found.append((k, phase, at, kind, f"{where} {y}" if where else y, message))
+
+    missing = [k for k, flow in enumerate(flows) if flow is None]
+    for k in missing:
+        add(k, 0, 0, "missing-flow", "", "no flow recorded")
+    if len(ys) > len(missing):
+        report.count("flows", len(ys) - len(missing))
+
+    n_edges = len(g.edges)
+    known = (ent.edge >= 0) & (ent.edge < n_edges)
+    # the unknown edges share one more slot, past the end
+    edge = np.where(known, ent.edge, n_edges).astype(np.int64)
+    empty = np.array([e.kind == "empty" for e in g.edges] + [False])[edge]
+    p = ent.flow
+    live = known & (p > FLOW_ATOL)
     # w1 is 0 on unknown and empty edges too, which other checks report
-    zero_w1 = {
-        (int(ent.input[n]), ent.edge[n])
-        for n in np.flatnonzero((ent.flow > FLOW_ATOL) & (ent.w1 == 0.0)).tolist()
-        if 0 <= ent.edge[n] < len(g.edges) and g.edges[ent.edge[n]].kind != "empty"
-    }
-    vertex_order = {vid: k for k, vid in enumerate(g.vertices)}
+    zero_w1 = live & ~empty & (ent.w1 == 0.0)
+    checks = (
+        ("flow-edge", ~known, "flow names unknown edge {i}"),
+        ("non-finite", known & ~np.isfinite(p), "flow {p} not finite"),
+        ("flow-negative", known & (p < -FLOW_ATOL), "flow {p} negative"),
+        ("empty-flow", live & empty, "empty transition carries flow {p}"),
+        ("flow-on-zero", zero_w1, "flow on an edge with zero side-1 weight"),
+    )
+    for c, (kind, mask, text) in enumerate(checks):
+        for n in np.flatnonzero(mask).tolist():
+            k, i = int(ent.input[n]), int(ent.edge[n])
+            where = "" if kind == "flow-edge" else f"edge[{i}]"
+            add(k, 1, n * len(checks) + c, kind, where, text.format(i=i, p=float(p[n])))
+
+    # the balance of every touched (input, vertex), keyed input * V + vertex
+    n_v = len(vids)
+    src = np.array([vertex[e.src] for e in g.edges], dtype=np.int64)
+    dst = np.array([vertex[e.dst] for e in g.edges], dtype=np.int64)
+    ks, es, ps = ent.input[known], edge[known], p[known]
+    keys = np.stack((ks * n_v + src[es], ks * n_v + dst[es]), axis=1).ravel()
+    touched, slot = np.unique(keys, return_inverse=True)
+    balance = np.bincount(slot, np.stack((-ps, ps), axis=1).ravel(), len(touched))
+    t_input, t_vertex = np.divmod(touched, n_v)
+    at_root = t_vertex == vertex[g.root]
+    root_balance = np.zeros(len(ys))
+    root_balance[t_input[at_root]] = balance[at_root]
+    for k in np.flatnonzero(np.abs(root_balance + 1.0) > FLOW_ATOL).tolist():
+        if flows[k] is not None:
+            sent = -float(root_balance[k])
+            add(k, 2, 0, "flow-unit", "", f"root sends {sent:.15g}, expected 1")
+    has_out = [bool(g.out_edges(vid)) for vid in vids]
+    masks = [mask_of(g.label(vid)) for vid in vids]
     negatives = f.dom & ~f.truth
     # (sink, assignment of its label) -> the smallest negative that matches it
-    matches: dict[tuple[str, int], int | None] = {}
-    for k, (y, flow) in enumerate(zip(ys, flows)):
-        ystr = bitstring(y, g.n_bits)
-        if flow is None:
-            report.add("missing-flow", ystr, "no flow recorded")
-            continue
-        report.count("flows")
-        balance: dict[str, float] = {}
-        for ei, p in flow.items():
-            if not 0 <= ei < len(g.edges):
-                report.add("flow-edge", ystr, f"flow names unknown edge {ei}")
-                continue
-            e = g.edges[ei]
-            if not math.isfinite(p):
-                report.add("non-finite", f"edge[{ei}] {ystr}", f"flow {p} not finite")
-            if p < -FLOW_ATOL:
-                report.add(
-                    "flow-negative", f"edge[{ei}] {ystr}", f"flow {p} negative"
-                )
-            if p > FLOW_ATOL and e.kind == "empty":
-                report.add(
-                    "empty-flow",
-                    f"edge[{ei}] {ystr}",
-                    f"empty transition carries flow {p}",
-                )
-            if (k, ei) in zero_w1:
-                report.add(
-                    "flow-on-zero",
-                    f"edge[{ei}] {ystr}",
-                    "flow on an edge with zero side-1 weight",
-                )
-            balance[e.src] = balance.get(e.src, 0.0) - p
-            balance[e.dst] = balance.get(e.dst, 0.0) + p
-        root_balance = balance.get(g.root, 0.0)
-        if abs(root_balance + 1.0) > FLOW_ATOL:
-            report.add(
-                "flow-unit",
-                ystr,
-                f"root sends {-root_balance:.15g}, expected 1",
-            )
-        for vid in sorted(balance, key=vertex_order.__getitem__):
-            b = balance[vid]
-            if vid == g.root:
-                continue
-            if g.out_edges(vid):
-                if abs(b) > FLOW_ATOL:
-                    report.add(
-                        "flow-conservation",
-                        f"{vid} {ystr}",
-                        f"imbalance {b:.3e}",
-                    )
-            else:
-                if b < -FLOW_ATOL:
-                    report.add(
-                        "flow-conservation",
-                        f"{vid} {ystr}",
-                        f"sink emits {-b:.3e}",
-                    )
-                if b > FLOW_ATOL:
-                    mask = mask_of(g.label(vid))
-                    key = (vid, y & mask)
-                    if key not in matches:
-                        bad = negatives & f.universe.select(mask, y & mask)
-                        matches[key] = f.universe.members(bad)[0] if bad else None
-                    z = matches[key]
-                    if z is not None:
-                        report.add(
-                            "uncertified-sink",
-                            f"{vid} {ystr}",
-                            f"sink also matches negative input "
-                            f"{bitstring(z, g.n_bits)}",
-                        )
-                    report.count("certified-sinks")
+    matches: dict[tuple[int, int], int | None] = {}
+    reached = 0  # sinks with inflow, one per input
+    for n in np.flatnonzero(~at_root & (np.abs(balance) > FLOW_ATOL)).tolist():
+        k, v, b = int(t_input[n]), int(t_vertex[n]), float(balance[n])
+        if has_out[v]:
+            add(k, 3, v, "flow-conservation", vids[v], f"imbalance {b:.3e}")
+        elif b < 0.0:
+            add(k, 3, v, "flow-conservation", vids[v], f"sink emits {-b:.3e}")
+        else:
+            reached += 1
+            key = (v, ys[k] & masks[v])
+            if key not in matches:
+                bad = negatives & f.universe.select(masks[v], key[1])
+                matches[key] = f.universe.members(bad)[0] if bad else None
+            z = matches[key]
+            if z is not None:
+                message = f"sink also matches negative input {bitstring(z, g.n_bits)}"
+                add(k, 3, v, "uncertified-sink", vids[v], message)
+    if reached:
+        report.count("certified-sinks", reached)
+    found.sort(key=lambda t: t[:3])
+    for *_, kind, where, message in found:
+        report.add(kind, where, message)
 
 
 def validate(g: LearningGraph, f: BooleanFunction | None = None) -> ValidationReport:

@@ -264,6 +264,8 @@ def _flows_loop(g, f, report, atol):
                 report.add("flow-edge", ystr, f"flow names unknown edge {ei}")
                 continue
             e = g.edges[ei]
+            if not math.isfinite(p):
+                report.add("non-finite", f"edge[{ei}] {ystr}", f"flow {p} not finite")
             if p < -atol:
                 report.add("flow-negative", f"edge[{ei}] {ystr}", f"flow {p} negative")
             if p > atol and e.kind == "empty":
@@ -310,7 +312,7 @@ def _flows_loop(g, f, report, atol):
 
 
 def validate_loop(g, f, flow_atol=1e-12, link_rtol=1e-12):
-    """``validate(g, f)`` with semantic linking, for finite flows."""
+    """``validate(g, f)`` with semantic linking."""
     report = ValidationReport()
     _structure(g, report)
     if any(v.kind in ("cycle", "root") for v in report.entries):

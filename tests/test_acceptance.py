@@ -13,11 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from pricing import c0_at, c1_at
 
 from lgkit.adversary import build_witness, rebalance_to_equal, verify_witness
 from lgkit.adversary import linking_mutants
 from lgkit.combinators import or_compose
-from lgkit.complexity import c1_max, complexity, graph_c0, graph_c1
+from lgkit.complexity import c1_max, complexity
 from lgkit.costmodel import fit_exponent
 from lgkit.expand import expand
 from lgkit.indexing import num_pairs, pair_position
@@ -71,11 +72,11 @@ def test_criterion_1_load_gadgets(capsys):
                 sparse = load_gadget("sparse", k, tuple(range(k))).inner
             bound_scale = 6 * k * math.log(k + 1)
             for z in range(1 << k):
-                assert graph_c0(dense, z) == float(k * k)
-                assert graph_c1(dense, z) == 1.0
+                assert c0_at(dense, z) == float(k * k)
+                assert c1_at(dense, z) == 1.0
                 ones = z.bit_count()
-                assert graph_c0(sparse, z) <= bound_scale * (ones + 1)
-                assert graph_c1(sparse, z) <= 1.0
+                assert c0_at(sparse, z) <= bound_scale * (ones + 1)
+                assert c1_at(sparse, z) <= 1.0
         assert time.perf_counter() - start < 10.0
 
     _criterion(capsys, 1, "load gadget exactness", body)
@@ -151,10 +152,10 @@ def test_criterion_3_or_combinator(capsys):
                 children.append(_or_child(kind, nb, bits, domain))
             k = rng.choice([v for v in (1, 2, 4) if v <= len(children)])
             res = or_compose(children, k)
-            assert graph_c1(res.graph, full) <= 1.0
-            lhs = graph_c0(res.graph, 0)
+            assert c1_at(res.graph, full) <= 1.0
+            lhs = c0_at(res.graph, 0)
             # each child is weighted by its lambda, c1_max / k
-            rhs = sum(c1_max(g, f) / k * graph_c0(g, 0) for g, f in children)
+            rhs = sum(c1_max(g, f) / k * c0_at(g, 0) for g, f in children)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
         for n in range(1, 65):
@@ -354,8 +355,8 @@ def test_criterion_9_sparse_advantage(capsys, dense4, sparse4):
         for z in range(1 << 6):
             if z.bit_count() > 3:
                 continue
-            dense_cost = graph_c0(dense4.graph, z)
-            sparse_cost = graph_c0(sparse4.graph, z)
+            dense_cost = c0_at(dense4.graph, z)
+            sparse_cost = c0_at(sparse4.graph, z)
             assert sparse_cost < dense_cost, f"instance {z:06b}"
 
     _criterion(capsys, 9, "sparse advantage", body)

@@ -715,6 +715,33 @@ def test_side1_matches_loop_on_random_flows(case):
         assert got == want
 
 
+@st.composite
+def _validate_cases(draw):
+    """A function on some inputs of two bits, and flows on the fault graph
+    at its positives: each missing, empty, or on known and unknown edges
+    (negative ones and one past int64 too) with zero, signed, NaN and
+    infinite values.  The sinks t and u match a negative or not, as the
+    function falls."""
+    domain = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    f = BooleanFunction(2, {z: draw(st.integers(0, 1)) for z in domain})
+    values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, math.nan, math.inf, -math.inf])
+    flows = {}
+    for y in f.positives():
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        edges = draw(st.permutations([*range(-2, 8), 2**64]))[: draw(st.integers(0, 6))]
+        flows[y] = {i: draw(values) for i in edges}
+    return _fault_graph(flows), f
+
+
+@settings(max_examples=300, deadline=None)
+@given(_validate_cases())
+def test_validate_matches_loop_on_random_flows(case):
+    g, f = case
+    got = _raised(lambda: dumps(validate(g, f).to_json()))
+    assert got == _raised(lambda: dumps(validate_loop(g, f).to_json()))
+
+
 def test_load_c1_max_matches_loop():
     """The closed-form cap the set walk rescales its load edges by against a
     scan over every input of the load's support: the one-position edge for

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from loop_reference import or_compose_loop, rule_at
+from pricing import c0_at
 
 from lgkit.combinators import (
     CompositionError,
@@ -13,7 +14,7 @@ from lgkit.combinators import (
     johnson_compose,
     or_compose,
 )
-from lgkit.complexity import c1_max, complexity, graph_c0
+from lgkit.complexity import c1_max, complexity
 from lgkit.model import BooleanFunction, GraphBuilder, Universe
 from lgkit.rules import ONE, ConstRule, ProductRule, TableRule
 from lgkit.serialize import dump_graph, dumps
@@ -62,8 +63,8 @@ def test_or_negative_cost_is_weighted_sum_of_children():
     res = or_compose([c0_, c1_], k)
     for z in domain:
         # each child is weighted by its lambda, c1_max / k
-        expected = sum(c1_max(g, f) / k * graph_c0(g, z) for g, f in [c0_, c1_])
-        assert graph_c0(res.graph, z) == pytest.approx(expected, rel=1e-12)
+        expected = sum(c1_max(g, f) / k * c0_at(g, z) for g, f in [c0_, c1_])
+        assert c0_at(res.graph, z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_or_dead_child_gets_zero_weight():

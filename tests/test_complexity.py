@@ -6,13 +6,12 @@ import math
 import pytest
 
 from loop_reference import graph_c1_loop
+from pricing import c0_at, c1_at
 
 from lgkit.complexity import (
     ComplexityError,
     MissingFlowError,
     complexity,
-    graph_c0,
-    graph_c1,
     side1_totals,
 )
 from lgkit.loads import dense_load
@@ -30,8 +29,8 @@ def _single_bit(weight0=1.0, weight1=1.0):
 
 def test_costs_of_unit_edge():
     g = _single_bit().graph(const_flow={0: 1.0})
-    assert graph_c0(g, 0) == 1.0
-    assert graph_c1(g, 1) == 1.0
+    assert c0_at(g, 0) == 1.0
+    assert c1_at(g, 1) == 1.0
 
 
 def test_c0_sums_weights_only():
@@ -41,27 +40,27 @@ def test_c0_sums_weights_only():
     b.add_ordinary("r", "s", 0, ConstRule(2.0), ONE)
     b.add_ordinary("s", "t", 1, ConstRule(3.0), ONE)
     g = b.graph()
-    assert graph_c0(g, 0) == 5.0
+    assert c0_at(g, 0) == 5.0
 
 
 def test_zero_flow_on_zero_weight_is_free():
     """An unused zero-weight edge costs nothing on the flow side."""
     b = _single_bit(weight1=0.0)
     g = b.graph(flows={1: {0: 0.0}})
-    assert graph_c1(g, 1) == 0.0
+    assert c1_at(g, 1) == 0.0
 
 
 def test_flow_on_zero_weight_errors():
     b = _single_bit(weight1=0.0)
     g = b.graph(flows={1: {0: 0.5}})
     with pytest.raises(ValueError):
-        graph_c1(g, 1)
+        c1_at(g, 1)
 
 
 def test_missing_flow_errors():
     g = _single_bit().graph()
     with pytest.raises(MissingFlowError):
-        graph_c1(g, 1)
+        c1_at(g, 1)
 
 
 def test_super_edge_cost_scaling():
@@ -71,8 +70,8 @@ def test_super_edge_cost_scaling():
     b.add_super("r", "s", dense_load(4, (1, 2)), w0=host, w1=host)
     g = b.graph(const_flow={0: 1.0})
     # side 0: host times inner cost 4; side 1: p^2 / host times inner cost 1
-    assert graph_c0(g, 0) == pytest.approx(2.0)
-    assert graph_c1(g, 0b110) == pytest.approx(2.0)
+    assert c0_at(g, 0) == pytest.approx(2.0)
+    assert c1_at(g, 0b110) == pytest.approx(2.0)
 
 
 def test_complexity_report_shape():
@@ -127,4 +126,4 @@ def test_flow_on_unknown_edge_errors(edge, p):
     with pytest.raises(ComplexityError, match=message):
         complexity(g, f)
     with pytest.raises(ComplexityError, match=message):
-        graph_c1(g, 1)
+        c1_at(g, 1)

@@ -1,12 +1,17 @@
 """Flattening nested gadget edges."""
 
 import pytest
+from loop_reference import validate_loop
+from pricing import c0_at, c1_at
 
-from lgkit.complexity import graph_c0, graph_c1
+from lgkit.adversary import build_witness, linking_mutants
+from lgkit.complexity import ComplexityError
 from lgkit.expand import expand
 from lgkit.loads import dense_load, sparse_load
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.combinators import or_compose
+from lgkit.serialize import dumps
+from lgkit.validate import validate
 
 
 def _gadget_graph(kind_positions):
@@ -36,8 +41,8 @@ def test_expand_preserves_both_costs():
     g = _gadget_graph([("dense", (0, 1, 2)), ("sparse", (3, 4))])
     flat = expand(g)
     for z in range(256):
-        assert graph_c0(flat, z) == pytest.approx(graph_c0(g, z), rel=1e-12)
-        assert graph_c1(flat, z) == pytest.approx(graph_c1(g, z), rel=1e-12)
+        assert c0_at(flat, z) == pytest.approx(c0_at(g, z), rel=1e-12)
+        assert c1_at(flat, z) == pytest.approx(c1_at(g, z), rel=1e-12)
 
 
 def test_expand_is_stable_when_flat():
@@ -45,7 +50,7 @@ def test_expand_is_stable_when_flat():
     flat = expand(g)
     again = expand(flat)
     assert [e.kind for e in again.edges] == [e.kind for e in flat.edges]
-    assert graph_c0(again, 17) == graph_c0(flat, 17)
+    assert c0_at(again, 17) == c0_at(flat, 17)
 
 
 def test_expand_through_composition():
@@ -64,9 +69,9 @@ def test_expand_through_composition():
     flat = expand(res.graph)
     assert not flat.has_super()
     for y in res.function.positives():
-        assert graph_c1(flat, y) == pytest.approx(graph_c1(res.graph, y), rel=1e-12)
+        assert c1_at(flat, y) == pytest.approx(c1_at(res.graph, y), rel=1e-12)
     for z in res.function.negatives():
-        assert graph_c0(flat, z) == pytest.approx(graph_c0(res.graph, z), rel=1e-12)
+        assert c0_at(flat, z) == pytest.approx(c0_at(res.graph, z), rel=1e-12)
 
 
 def test_expand_keeps_rebalance_factors():
@@ -79,3 +84,25 @@ def test_expand_keeps_rebalance_factors():
     assert raw == flat
     assert raw["walk1"][0] == 16.0
     assert raw["walk2"][0] == 48.0
+
+
+def test_unknown_flow_edges_stay_unknown():
+    """Flow on an edge a graph with a super edge does not have stays on an
+    unknown edge of the expansion: a negative index as it is, one past the
+    end shifted by the one edge the expansion adds.  validate reports both,
+    and the witness refuses the flow with a cost error."""
+    b = GraphBuilder(2)
+    b.add_vertex("s", (0, 1))
+    b.add_super("r", "s", dense_load(2, (0, 1)))
+    g = b.graph(flows={3: {0: 1.0, 7: 0.5, -2: 0.25}})
+    f = BooleanFunction(2, {z: int(z == 3) for z in range(4)})
+    assert list(expand(g).flows[3].items())[-2:] == [(8, 0.5), (-2, 0.25)]
+    report = validate(g, f)
+    assert [v.message for v in report.entries if v.kind == "flow-edge"] == [
+        "flow names unknown edge 8",
+        "flow names unknown edge -2",
+    ]
+    assert dumps(report.to_json()) == dumps(validate_loop(g, f).to_json())
+    with pytest.raises(ComplexityError, match="unknown edge 8"):
+        build_witness(g, f)
+    assert [m.edge for m in linking_mutants(g, f, count=2)] in ([0, 1], [1, 0])

@@ -11,8 +11,8 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pricing import c0_at, c1_at
 
-from lgkit.complexity import graph_c0, graph_c1
 from lgkit.loads import dense_load, harmonic, sparse_c1_max, sparse_load
 from lgkit.indexing import parse_bitstring
 
@@ -131,15 +131,15 @@ def test_gadget_graphs_reproduce_closed_forms():
         sparse = sparse_load(16, positions).inner
         for _ in range(20):
             z = rng.getrandbits(16)
-            assert graph_c0(dense, z) == pytest.approx(dense_c0(k), rel=1e-12)
-            assert graph_c0(sparse, z) == pytest.approx(
+            assert c0_at(dense, z) == pytest.approx(dense_c0(k), rel=1e-12)
+            assert c0_at(sparse, z) == pytest.approx(
                 sparse_c0(positions, z), rel=1e-12
             )
             ones = sum((z >> p) & 1 for p in positions)
-            assert graph_c1(sparse, z) == pytest.approx(
+            assert c1_at(sparse, z) == pytest.approx(
                 sparse_c1(k, ones), rel=1e-12
             )
-            assert graph_c1(dense, z) == pytest.approx(1.0, rel=1e-12)
+            assert c1_at(dense, z) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gadget_c1_max_annotation():

@@ -156,6 +156,29 @@ def test_non_finite_flow_reported(p):
     assert any(v.kind == "non-finite" for v in rep.entries)
 
 
+def test_balances_add_in_flow_order():
+    """Three parallel edges from the root, with flows 1e17, -1e17 and 1.
+    In that order the root's balance is 0 - 1e17 + 1e17 - 1 = -1, exactly;
+    with the 1 first, -1 - 1e17 rounds to -1e17 and the balance ends at 0,
+    as does the sink's.  So each input's balances are summed in its own
+    flow order."""
+    b = GraphBuilder(1)
+    b.add_vertex("s", (0,))
+    for _ in range(3):
+        b.add_ordinary("r", "s", 0, ONE, ONE)
+    f = BooleanFunction(1, {0: 0, 1: 1})
+    big = 1e17
+    rep = validate(b.graph(flows={1: {0: big, 1: -big, 2: 1.0}}), f)
+    assert [v.kind for v in rep.entries] == ["flow-negative"]
+    assert rep.checked["certified-sinks"] == 1
+    rep = validate(b.graph(flows={1: {2: 1.0, 0: big, 1: -big}}), f)
+    assert [(v.kind, v.message) for v in rep.entries] == [
+        ("flow-negative", "flow -1e+17 negative"),
+        ("flow-unit", "root sends -0, expected 1"),
+    ]
+    assert "certified-sinks" not in rep.checked
+
+
 def test_nan_weight_fails_linking():
     """A weight that overflows to inf and then meets a zero is NaN; the
     linking check must not let it through."""
