@@ -311,8 +311,10 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
 
     # Rebalance the loading stages against the usable start count.
     factors = {ei: cap / n_used for ei, cap in caps.items()}
+    hosts = {lam: ConstRule(lam) for lam in set(factors.values())}
+    products: dict = {}
     for ei, lam in factors.items():
-        b.edges[ei] = b.edges[ei].hosted(ConstRule(lam), ConstRule(lam))
+        b.edges[ei] = b.edges[ei].hosted(hosts[lam], hosts[lam], products)
 
     # Leaf stage.
     leaf_edges: list[int] = []

@@ -101,12 +101,14 @@ class Edge:
             return self.gadget.loads
         return () if self.load is None else (self.load,)
 
-    def hosted(self, h0: Rule, h1: Rule) -> "Edge":
+    def hosted(self, h0: Rule, h1: Rule, products: dict) -> "Edge":
         """This edge with its side-0 weight multiplied by the host rule
-        ``h0`` and its side-1 weight by ``h1``; an empty edge is unchanged."""
+        ``h0`` and its side-1 weight by ``h1``; an empty edge is unchanged.
+        ``products`` is the memo of :func:`lgkit.rules.host_product`."""
         if self.kind == "empty":
             return self
-        w0, w1 = host_product(h0, self.w0), host_product(h1, self.w1)
+        w0 = host_product(h0, self.w0, products)
+        w1 = host_product(h1, self.w1, products)
         return Edge(self.src, self.dst, self.load, w0, w1, self.gadget)
 
 
@@ -189,7 +191,8 @@ class LearningGraph:
         if factor <= 0:
             raise ModelError(f"rescale factor must be positive, got {factor}")
         host = ConstRule(factor)
-        edges = [e.hosted(host, host) for e in self.edges]
+        products: dict = {}
+        edges = [e.hosted(host, host, products) for e in self.edges]
         return replace(self, vertices=dict(self.vertices), edges=edges)
 
 
@@ -416,6 +419,7 @@ class GraphBuilder:
         self.root = root
         self.vertices: dict[str, Vertex] = {root: Vertex(root, ())}
         self.edges: list[Edge] = []
+        self._products: dict = {}  # host_product's memo, for every merge
 
     def add_vertex(self, vid: str, label: Sequence[int]) -> str:
         lab = tuple(sorted(label))
@@ -470,7 +474,8 @@ class GraphBuilder:
         child root with a host vertex).  Remaining vertices get ``prefix``
         prepended to their ids and ``label_shift`` unioned into their labels.
         ``hosts`` are the (side-0, side-1) host rules that multiply the
-        weights of every non-empty edge (see :meth:`Edge.hosted`).  Returns
+        weights of every non-empty edge (see :meth:`Edge.hosted`), with one
+        product per (host, rule) pair over all the builder's merges.  Returns
         the vertex and edge index mappings.
         """
         if child.n_bits != self.n_bits:
@@ -496,7 +501,7 @@ class GraphBuilder:
             if e.kind == "empty":
                 emap[i] = self.add_empty(vout[e.src], vout[e.dst])
                 continue
-            w = e.hosted(*hosts)
+            w = e.hosted(*hosts, self._products)
             self.edges.append(
                 Edge(vout[e.src], vout[e.dst], e.load, w.w0, w.w1, gadget=e.gadget)
             )

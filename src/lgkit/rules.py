@@ -14,12 +14,15 @@ assignments of its support, packed as :func:`lgkit.indexing.pack_index`
 packs an input.  The table is cached on the (immutable) rule object, so a
 rule shared by the steps of a pipeline or by the mutants of a graph is
 computed at most twice: a first call on few inputs (under ``_TABLE_FIRST``)
-runs the body on them instead, and a later call builds the table.  Each
-class fills its table with its column-wise body (``_body``), which performs
-the same IEEE operations in the same order as the scalar reference (below),
-so both give the same bits.  Children of a composite rule (scale, product,
-patch, dispatch) run their bodies on the parent's assignments and get no
-table of their own.
+runs the body on them instead, and a later call builds the table.  A
+parsed graph holds one rule object per rule value, and an expansion or a
+rebalanced graph one per (host, rule) pair (:func:`host_product`), so each
+table is built once.  Each class fills its table with its column-wise body
+(``_body``), which performs the same IEEE operations in the same order as
+the scalar reference (below), so both give the same bits.  Children of a
+composite rule (scale, product, dispatch) run their bodies on the parent's
+assignments and get no table of their own; a patch reads the table of the
+edge rule it patches.
 
 The table is exact only because every rule reads nothing but its declared
 support: a table entry is the body at an input that carries the same
@@ -481,7 +484,8 @@ class PatchRule(Rule):
         return tuple(sorted(set(self.indices) | set(self.inner.support)))
 
     def _body(self, zs: np.ndarray) -> np.ndarray:
-        w = self.inner._body(zs)
+        # the inner rule is a whole edge's rule, which keeps its own table
+        w = self.inner.eval(zs)
         # a bit value other than 0 or 1 never matches
         hit = np.ones(len(zs), dtype=bool)
         for i, b in zip(self.indices, self.bits):
@@ -598,12 +602,18 @@ def scaled(factor: float, rule: Rule) -> Rule:
     return ScaleRule(factor, rule)
 
 
-def host_product(host: Rule, rule: Rule) -> Rule:
+def host_product(host: Rule, rule: Rule, products: dict) -> Rule:
     """``rule`` multiplied by the host rule ``host``: a constant host folds
-    through :func:`scaled`, any other host gives their product."""
-    if isinstance(host, ConstRule):
-        return scaled(host.value, rule)
-    return ProductRule(host, rule)
+    through :func:`scaled`, any other host gives their product.  ``products``
+    maps the ids of each (host, rule) pair met so far to the pair and its
+    product, so a pair met again gives the same object; holding both objects
+    keeps their ids from being reused."""
+    key = (id(host), id(rule))
+    if key not in products:
+        const = isinstance(host, ConstRule)
+        out = scaled(host.value, rule) if const else ProductRule(host, rule)
+        products[key] = (host, rule, out)
+    return products[key][2]
 
 
 RULE_TYPES: dict[str, type[Rule]] = {

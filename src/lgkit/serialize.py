@@ -141,17 +141,28 @@ def _position(value: Any, n: int, path: str) -> int:
     return i
 
 
-def _rule(rec: dict[str, Any], key: str, path: str, n: int) -> Rule:
+def _rule(rec: dict[str, Any], key: str, path: str, n: int, rules: dict) -> Rule:
+    """The rule of ``rec[key]``, parsed once per spec text in ``rules``."""
     spec = rec[key]
     with _at(f"{path}.{key}"):
-        rule = Rule.from_json(spec)
+        try:
+            text: object = json.dumps(spec, sort_keys=True)
+        except (TypeError, ValueError):  # not JSON: a key no other spec has
+            text = object()
+        if text not in rules:
+            rules[text] = Rule.from_json(spec)
+        rule = rules[text]
     for i in rule.support:
         _position(i + 1, n, f"{path}.{key}")
     return rule
 
 
-def build_graph(obj: dict[str, Any], _path: str = "$") -> LearningGraph:
+def build_graph(obj: dict[str, Any]) -> LearningGraph:
     """Materialize a graph from its JSON object form.
+
+    Equal rule specs (equal JSON text) give one rule object, shared by the
+    edges of the graph and of its gadgets, so each table is built once.
+    The memo lives for one call: two graphs share no parsed rule.
 
     Raises a ValueError, naming the JSON path, on a missing key, a mistyped
     value, a load or rule position outside the input, a stage or flow
@@ -160,6 +171,10 @@ def build_graph(obj: dict[str, Any], _path: str = "$") -> LearningGraph:
     references and negative or non-finite weights.  Everything else is left
     to :func:`lgkit.validate.validate`.
     """
+    return _graph(obj, "$", {})
+
+
+def _graph(obj: dict[str, Any], _path: str, rules: dict) -> LearningGraph:
     with _at(_path):
         n = int(obj["n"])
         b = GraphBuilder(n, root=_text(obj["root"], f"{_path}.root"))
@@ -172,11 +187,11 @@ def build_graph(obj: dict[str, Any], _path: str = "$") -> LearningGraph:
             where = f"{_path}.edges[{k}]"
             with _at(where):
                 loads = rec["loads"]
-                w0 = _rule(rec, "w0", where, n)
-                w1 = _rule(rec, "w1", where, n)
+                w0 = _rule(rec, "w0", where, n, rules)
+                w1 = _rule(rec, "w1", where, n, rules)
                 if isinstance(loads, dict):
                     sup = loads["super"]
-                    inner = build_graph(sup["graph"], f"{where}.loads.super.graph")
+                    inner = _graph(sup["graph"], f"{where}.loads.super.graph", rules)
                     gadget = SuperEdge(inner, c1_max=sup.get("c1_max"))
                     b.add_super(rec["from"], rec["to"], gadget, w0, w1)
                 elif loads:

@@ -2,11 +2,11 @@
 
 Structure: rooted DAG, empty root label, labels grow by exactly the loaded
 positions along each edge, weight rules read only loaded positions, empty
-transitions weigh zero.  Semantics (given a function): every positive input
-has a recorded unit flow that conserves at interior vertices, avoids empty and
-zero-weight edges, and ends only at sinks whose loaded positions force the
-function to 1; and the linking condition ties side-0 and side-1 weights across
-each edge's loaded bit.
+transitions weigh zero, stages name edges of the graph.  Semantics (given a
+function): every positive input has a recorded unit flow that conserves at
+interior vertices, avoids empty and zero-weight edges, and ends only at
+sinks whose loaded positions force the function to 1; and the linking
+condition ties side-0 and side-1 weights across each edge's loaded bit.
 
 Nothing raises on a finding; everything lands in the report.
 """
@@ -154,6 +154,9 @@ def _structure(g: LearningGraph, report: ValidationReport, ctx: str = "") -> Non
                 )
         if e.gadget is not None:
             _structure(e.gadget.inner, report, ctx=f"{ctx}edge[{i}].")
+    for k, s in enumerate(g.stages or ()):
+        for i in sorted(set(s.edges) - set(range(len(g.edges)))):
+            report.add("stage", f"{ctx}stages[{k}] {s.name}", f"names unknown edge {i}")
 
 
 def _structural_linking(g: LearningGraph, report: ValidationReport, ctx: str = "") -> None:
@@ -349,6 +352,8 @@ def validate(g: LearningGraph, f: BooleanFunction | None = None) -> ValidationRe
         return report
     if len(f.domain) > DOMAIN_CAP:
         raise ValueError(f"domain of size {len(f.domain)} exceeds cap {DOMAIN_CAP}")
+    if any(v.kind == "stage" for v in report.entries):
+        return report  # expand cannot place the stage
     ge = expand(g)
     _flows(ge, f, report)
     _semantic_linking(ge, f, report)

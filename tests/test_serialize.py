@@ -1,4 +1,5 @@
-"""JSON persistence: canonical bytes, graph and function round trips."""
+"""JSON persistence: canonical bytes, graph and function round trips, and
+one rule object per rule value in a parsed graph."""
 
 import json
 
@@ -6,10 +7,12 @@ import pytest
 
 from loop_reference import rule_at
 
+from lgkit.expand import expand
 from lgkit.loads import dense_load
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.rules import ONE, TableRule
 from lgkit.serialize import (
+    FormatError,
     build_function,
     build_graph,
     dump_function,
@@ -88,4 +91,91 @@ def test_unknown_rule_kind_rejected():
     obj = dump_graph(g)
     obj["edges"][1]["w0"] = {"rule": "mystery"}
     with pytest.raises(ValueError):
+        build_graph(obj)
+
+
+def _slots(g):
+    """The rules of every non-empty edge, gadget edges included."""
+    for e in g.edges:
+        if e.kind != "empty":
+            yield e.w0
+            yield e.w1
+        if e.gadget is not None:
+            yield from _slots(e.gadget.inner)
+
+
+def _value(rule):
+    return json.dumps(rule.to_json(), sort_keys=True)
+
+
+def _hosted_values(g, h0=(), h1=()):
+    """(host values, rule value) of every non-empty slot of ``expand(g)``:
+    each rule with the host rules of the super edges it sits in."""
+    for e in g.edges:
+        if e.gadget is not None:
+            yield from _hosted_values(
+                e.gadget.inner, h0 + (_value(e.w0),), h1 + (_value(e.w1),)
+            )
+        elif e.kind != "empty":
+            yield h0, _value(e.w0)
+            yield h1, _value(e.w1)
+
+
+def _parsed(request, build):
+    text = dumps(dump_graph(request.getfixturevalue(build).graph))
+    return text, build_graph(json.loads(text))
+
+
+@pytest.mark.parametrize("build", ["dense4", "anchored4"])
+def test_parsed_graph_holds_one_object_per_rule_value(request, build):
+    text, g = _parsed(request, build)
+    rules = list(_slots(g))
+    assert len({id(r) for r in rules}) == len({_value(r) for r in rules})
+    assert len(rules) > 2 * len({id(r) for r in rules})
+    assert dumps(dump_graph(g)) == text
+
+
+@pytest.mark.parametrize("build", ["dense4", "anchored4"])
+def test_rescale_and_expand_host_each_pair_once(request, build):
+    _, g = _parsed(request, build)
+    values = {_value(r) for r in _slots(g)}
+    assert len({id(r) for r in _slots(g.rescaled(2.0))}) <= len(values)
+    pairs = set(_hosted_values(g))
+    assert len({id(r) for r in _slots(expand(g))}) <= len(pairs)
+
+
+def test_parses_share_no_rule_object(dense4):
+    obj = json.loads(dumps(dump_graph(dense4.graph)))
+    first, second = build_graph(obj), build_graph(obj)
+    assert not {id(r) for r in _slots(first)} & {id(r) for r in _slots(second)}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"rule": "const"}, "missing key 'value'"),
+        ({"rule": "table", "rows": {"9:1": 2.0}}, "position 9 outside 1..4"),
+        # no JSON text, so no memo key: parsed as it stands
+        ({"rule": "const", "value": {1.0}}, r"float\(\) argument must be"),
+    ],
+)
+def test_repeated_bad_rule_names_the_first_edge(spec, message):
+    obj = dump_graph(_graph()[0])
+    for rec in obj["edges"]:
+        rec["w0"] = spec
+    with pytest.raises(FormatError, match=r"^\$\.edges\[0\]\.w0: " + message):
+        build_graph(obj)
+
+
+def test_shared_rule_is_checked_at_every_edge():
+    """A rule parsed once is still checked against each graph's input size:
+    position 3 is in range at the top and outside the 2-bit gadget."""
+    obj = dump_graph(_graph()[0])
+    spec = {"rule": "table", "rows": {"3:1": 2.0}}
+    obj["edges"][0]["w0"] = spec
+    inner = obj["edges"][0]["loads"]["super"]["graph"]
+    inner["n"] = 2
+    inner["edges"][0]["w0"] = spec
+    where = r"\$\.edges\[0\]\.loads\.super\.graph\.edges\[0\]\.w0"
+    with pytest.raises(FormatError, match=f"^{where}: position 3 outside 1..2"):
         build_graph(obj)

@@ -1,10 +1,12 @@
 """Contract checking: structure, linking, flows, certificates."""
 
+from dataclasses import replace
+
 import pytest
 
 from lgkit.adversary import linking_mutants
 from lgkit.loads import dense_load, sparse_load
-from lgkit.model import BooleanFunction, GraphBuilder
+from lgkit.model import BooleanFunction, GraphBuilder, StageInfo
 from lgkit.rules import (
     ConstRule,
     DispatchRule,
@@ -248,3 +250,19 @@ def test_structural_linking_agrees_with_semantic(dense4, sparse4, anchored4):
             kinds = {v.kind for v in validate(m.graph).entries}
             assert kinds == {"linking"}, (res.variant, m.edge)
             assert not validate(m.graph, res.function).ok, (res.variant, m.edge)
+
+
+def test_stage_on_unknown_edge_is_reported():
+    """A stage naming an edge the graph does not have is a finding, with or
+    without a function; the super edge is not expanded."""
+    b = GraphBuilder(2)
+    b.add_vertex("s", (0, 1))
+    b.add_super("r", "s", dense_load(2, (0, 1)))
+    f = BooleanFunction(2, {0: 0, 3: 1}, {3: (0, 1)})
+    g = b.graph(flows={3: {0: 1.0}}, stages=[StageInfo("x", (0, 7))])
+    for fn in (f, None):
+        rep = validate(g, fn)
+        assert [v.to_json() for v in rep.entries] == [
+            {"kind": "stage", "where": "stages[0] x", "message": "names unknown edge 7"}
+        ]
+    assert validate(replace(g, stages=None), f).ok
