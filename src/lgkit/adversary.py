@@ -27,9 +27,11 @@ real Ψ_j.  A NaN or infinite entry of some Ψ_j reaches its row of the
 diagonal, so the objective check fails on it.
 
 The objective is checked against the target √(C0·C1), the complexity of
-the expanded graph the factors come from: C1 from the positive side's flow
-entries, C0 from the side-0 rows of the ordinary edges.  Expansion keeps
-both costs, up to rounding in the last place.
+the expanded graph the factors come from, as :mod:`lgkit.complexity`
+prices it: C1 from ``side1_totals``, priced first, so every flow fault
+(a missing flow, flow on zero side-1 weight, ...) raises its error there,
+and C0 from ``side0_rows``, one row per edge, which the factors are formed
+from.  Expansion keeps both costs, up to rounding in the last place.
 
 ``Witness.matrices`` still gives the dense M_j, built from the factor on
 access.
@@ -66,14 +68,13 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from operator import is_
 from typing import Any, Iterator
 
 import numpy as np
 
 from .complexity import c0_max, c1_max, column_fsums, eval_each, flow_entries
-from .complexity import side1_totals
+from .complexity import side0_rows, side1_totals
 from .expand import expand
 from .indexing import agreement_sort, bit_column, input_array, lookup, mask_of
 from .indexing import pack_bits
@@ -205,7 +206,6 @@ class _Parts:
 
     source: _Source
     by_load: dict[int, list[int]]
-    spans: dict[int, slice]  # position -> the w0_rows of the edges loading it
     zs: np.ndarray  # the domain
     xs: np.ndarray  # the negatives
     x_rows: np.ndarray
@@ -214,8 +214,7 @@ class _Parts:
     p_rows: np.ndarray
     p_vals: np.ndarray
     c1: float
-    # w0 at every negative, one row per ordinary edge in by_load order
-    w0_rows: np.ndarray
+    w0_rows: np.ndarray  # the side-0 rows at the negatives, one per edge
     c0s: list[float]  # the column fsums of w0_rows
     factors: dict[int, Factor]
 
@@ -224,68 +223,39 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
     """Every part of the witness of the expanded graph ``ge``."""
     domain = f.domain
     row = {z: i for i, z in enumerate(domain)}
-    zs = input_array(domain, ge.n_bits)
     ys = f.positives()
-    flows = [ge.flow_for(y) for y in ys]
-    for y, fl in zip(ys, flows):
-        if fl is None:
-            raise AdversaryError(f"no flow recorded for positive input {y}")
-    # positive side: flow over root side-1 weight, where the flow is nonzero
-    ent = flow_entries(ge, flows, input_array(ys, ge.n_bits))
+    ent = flow_entries(ge, ys)
+    # priced first, so every flow fault raises here; then every entry is on
+    # an ordinary edge with nonzero w1
+    c1 = max(side1_totals(ge, ys, ent), default=0.0)
     y_rows = np.array([row[y] for y in ys], dtype=np.int64)
-    # the entries on ordinary edges, by edge
-    groups = [grp for ei, grp in ent.by_edge.items() if ge.edges[ei].kind == "ordinary"]
-    sel = np.concatenate([np.zeros(0, np.int64), *groups])
-    p_edge = ent.edge[sel]
-    w = ent.w1[sel]
-    if (w <= 0.0).any():
-        # name the first offender on the lowest edge in block order: by the
-        # first domain input of its tail assignment, then by its own place
-        ei = int(p_edge[w <= 0.0].min())
-        grp = ent.by_edge[ei]
-        rows = y_rows[ent.input[grp]]
-        alpha = zs & mask_of(ge.label(ge.edges[ei].src))
-        r = min(
-            rows[ent.w1[grp] <= 0.0].tolist(),
-            key=lambda r: (int(np.argmax(alpha == alpha[r])), r),
-        )
-        raise AdversaryError(
-            f"flow on zero side-1 weight, edge {ei} input {domain[r]}"
-        )
-    by_load = ge.by_load()
-    ordinary = [ei for ids in by_load.values() for ei in ids]
-    ends = accumulate(map(len, by_load.values()))
     xs = input_array(f.negatives(), ge.n_bits)
-    # the side-0 rows c0_max would sum, less the zero rows of empty edges,
-    # which do not change an fsum
-    w0_rows = np.zeros((len(ordinary), len(xs)))
-    for k, w0 in enumerate(eval_each([ge.edges[ei].w0 for ei in ordinary], xs)):
-        w0_rows[k] = w0
+    w0_rows = side0_rows(ge, xs)
     parts = _Parts(
         source=_Source.of(ge, f),
-        by_load=by_load,
-        spans={j: slice(e - len(ids), e) for (j, ids), e in zip(by_load.items(), ends)},
-        zs=zs,
+        by_load=ge.by_load(),
+        zs=input_array(domain, ge.n_bits),
         xs=xs,
         x_rows=np.array([row[x] for x in f.negatives()], dtype=np.int64),
-        p_edge=p_edge,
-        p_rows=y_rows[ent.input[sel]],
-        p_vals=ent.flow[sel] / np.sqrt(w),
-        c1=max(side1_totals(ge, ys, ent), default=0.0),
+        p_edge=ent.edge,
+        p_rows=y_rows[ent.input],
+        p_vals=ent.flow / np.sqrt(ent.w1),  # flow over root side-1 weight
+        c1=c1,
         w0_rows=w0_rows,
         c0s=column_fsums(w0_rows),
         factors={},
     )
-    for j, span in parts.spans.items():
-        parts.factors[j] = _factor(ge, parts, j, w0_rows[span])
+    for j in parts.by_load:
+        parts.factors[j] = _factor(ge, parts, j, w0_rows)
     return parts
 
 
-def _factor(ge: LearningGraph, parts: _Parts, j: int, w0: np.ndarray) -> Factor:
-    """Ψ_j from ``w0``, the side-0 rows of the edges that load ``j``, and
-    from the positive entries of ``parts``.  Its arrays are read-only, as
-    mutants share the factors they do not change."""
+def _factor(ge: LearningGraph, parts: _Parts, j: int, w0_rows: np.ndarray) -> Factor:
+    """Ψ_j from ``w0_rows``, the side-0 rows of every edge, and from the
+    positive entries of ``parts``.  Its arrays are read-only, as mutants
+    share the factors they do not change."""
     ids = parts.by_load[j]
+    w0 = w0_rows[ids]
     # negatives by edge, then the positives; negatives go to side 0 on
     # loaded bit 0, positives on loaded bit 1
     keep = w0 != 0.0
@@ -329,18 +299,17 @@ def _inherited(ge: LearningGraph, f: BooleanFunction) -> _Parts | None:
         base = parent._witness_parts = _parts(parent, f)
     if not base.source.admits(here, ei):
         return None
-    j = ge.edges[ei].load
-    r = base.spans[j].start + base.by_load[j].index(ei)
     w0_rows = base.w0_rows.copy()
-    w0_rows[r] = ge.edges[ei].w0.eval(base.xs)
+    w0_rows[ei] = ge.edges[ei].w0.eval(base.xs)
     # every bit is compared, so a NaN or a -0.0 counts as a change
-    new, old = w0_rows[r].view(np.int64), base.w0_rows[r].view(np.int64)
+    new, old = w0_rows[ei].view(np.int64), base.w0_rows[ei].view(np.int64)
     changed = np.flatnonzero(new != old)
     c0s = list(base.c0s)
     for k, total in zip(changed.tolist(), column_fsums(w0_rows[:, changed])):
         c0s[k] = total
     factors = dict(base.factors)
-    factors[j] = _factor(ge, base, j, w0_rows[base.spans[j]])
+    j = ge.edges[ei].load
+    factors[j] = _factor(ge, base, j, w0_rows)
     return replace(base, source=here, w0_rows=w0_rows, c0s=c0s, factors=factors)
 
 
@@ -452,11 +421,8 @@ def linking_mutants(
     if count < 0:
         raise AdversaryError(f"mutant count {count} is negative")
     ge = expand(g)
-    ys = f.positives()
-    yz = input_array(ys, ge.n_bits)
     xz = input_array(f.negatives(), ge.n_bits)
-    flows = [ge.flow_for(y) for y in ys]  # a missing flow offers no site
-    ent = flow_entries(ge, flows, yz)
+    ent = flow_entries(ge, f.positives())  # a missing flow offers no site
     # a site is a flow of at least MIN_FLOW on an ordinary edge; negated so
     # that a NaN flow is one, as in the scalar scan
     sites = {
@@ -481,7 +447,7 @@ def linking_mutants(
         by_key = np.argsort(keys, kind="stable")
         partner = lookup(
             (keys[by_key], np.append(live[by_key], -1)),
-            (yz[ent.input[grp]] ^ 1 << j) & m,
+            (ent.zs[grp] ^ 1 << j) & m,
         )
         hit = partner >= 0
         dst_label = ge.label(e.dst)

@@ -13,20 +13,22 @@ breakdowns when the graph carries stage metadata.
 are the one place costs are evaluated.
 They price a whole set of inputs column-wise, evaluating each rule object
 once per call, as a lookup in the rule's table (see :mod:`lgkit.rules`).
-Everything that prices a graph goes through them: ``complexity`` and
-``c0_max``/``c1_max`` (and so rebalancing and the composition lambdas).
+Everything that prices a graph goes through them: ``complexity``,
+``c0_max``/``c1_max`` (and so rebalancing and the composition lambdas) and
+the witness.
 Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
 tested against, one scalar ``rule_at`` per (edge, input), lives in
 ``tests/loop_reference.py``.
 
-``flow_entries`` is the one place flows are read.  It turns a list of flows
-into ``FlowEntries``: arrays of the input, edge and flow of every entry, in
-input order and, within an input, in flow order.  Their one grouping by
-edge (``by_edge``) serves the ``w1`` values, evaluated on first use, the
-super-edge recursion of the positive side, the witness and the mutant
-search.  The positive side prices one term per entry, and a total is the
-fsum of a group of entries: per input, and per input within a stage.
+``flow_entries`` is the one place flows are read.  It reads the flows a
+graph records at a list of inputs into ``FlowEntries``: arrays of the
+input, edge and flow of every entry, in input order and, within an input,
+in flow order, and the list of the inputs that have no flow.  Their one
+grouping by edge (``by_edge``) serves the ``w1`` values, evaluated on first
+use, the super-edge recursion of the positive side, the witness and the
+mutant search.  The positive side prices one term per entry, and a total is
+the fsum of a group of entries: per input, and per input within a stage.
 ``validate`` checks flows from the same arrays.
 """
 
@@ -79,15 +81,17 @@ def eval_each(rules: Sequence[Rule], zs: np.ndarray) -> Iterator[np.ndarray]:
 
 @dataclass
 class FlowEntries:
-    """The (input, edge, flow) entries of a list of flows: one per nonzero
-    flow and one per flow on an unknown edge, in input order and, within an
-    input, in flow order.  A missing flow (``None``) gives no entries."""
+    """The (input, edge, flow) entries of the flows of a graph at a list of
+    inputs: one per nonzero flow and one per flow on an unknown edge, in
+    input order and, within an input, in flow order.  An input with no flow
+    gives no entries, and its number is in ``missing``."""
 
-    input: np.ndarray  # int64: the number of the entry's flow in the list
+    input: np.ndarray  # int64: the number of the entry's input in the list
     edge: np.ndarray  # int64, or Python ints past its range
     flow: np.ndarray  # float64
     graph: LearningGraph
     zs: np.ndarray  # the input of every entry
+    missing: list[int]  # the numbers of the inputs with no flow, in order
 
     @cached_property
     def by_edge(self) -> dict[int, np.ndarray]:
@@ -115,16 +119,17 @@ class FlowEntries:
         return w1s
 
 
-def flow_entries(
-    g: LearningGraph, flows: Sequence[dict[int, float] | None], zs: np.ndarray
-) -> FlowEntries:
-    """The entries of ``flows``, where ``flows[k]`` is the flow at input
-    ``zs[k]``."""
+def flow_entries(g: LearningGraph, ys: Sequence[int]) -> FlowEntries:
+    """The entries of the flows ``g`` records at the inputs ``ys``."""
     n_edges = len(g.edges)
+    missing: list[int] = []
     ks: list[int] = []
     es: list[int] = []
     ps: list[float] = []
-    for k, flow in enumerate(flows):
+    for k, y in enumerate(ys):
+        flow = g.flow_for(y)
+        if flow is None:
+            missing.append(k)
         for i, p in (flow or {}).items():
             if p != 0.0 or not 0 <= i < n_edges:
                 ks.append(k)
@@ -134,9 +139,9 @@ def flow_entries(
         edge = np.array(es, dtype=np.int64)
     except OverflowError:  # an unknown edge past int64
         edge = np.array(es, dtype=object)
-    return FlowEntries(
-        np.array(ks, dtype=np.int64), edge, np.array(ps, dtype=np.float64), g, zs[ks]
-    )
+    inputs = np.array(ks, dtype=np.int64)
+    zs = input_array(ys, g.n_bits)[inputs]
+    return FlowEntries(inputs, edge, np.array(ps, dtype=np.float64), g, zs, missing)
 
 
 def _group_fsums(keys: np.ndarray, values: np.ndarray, n: int) -> list[float]:
@@ -156,18 +161,13 @@ def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
     """
     rows = np.zeros((len(g.edges), len(zs)))
     live = [i for i, e in enumerate(g.edges) if e.kind != "empty"]
-    totals: dict[int, np.ndarray] = {}  # id(inner graph) -> its column sums
     for i, host in zip(live, eval_each([g.edges[i].w0 for i in live], zs)):
         gadget = g.edges[i].gadget
         if gadget is None:
             rows[i] = host
-            continue
-        inner = totals.get(id(gadget.inner))
-        if inner is None:
-            inner = totals[id(gadget.inner)] = np.array(
-                column_fsums(side0_rows(gadget.inner, zs))
-            )
-        rows[i] = np.where(host == 0.0, 0.0, host * inner)
+        else:
+            inner = np.array(column_fsums(side0_rows(gadget.inner, zs)))
+            rows[i] = np.where(host == 0.0, 0.0, host * inner)
     return rows
 
 
@@ -180,7 +180,7 @@ def _side1(
     An entry's term is flow squared over its edge's ``w1``, times the inner
     positive cost for a super edge.  ``w1`` is evaluated only where flow is.
     A caller that has already gathered the entries of the flows at ``ys``
-    (every one recorded) with :func:`flow_entries` passes them as ``ent``.
+    with :func:`flow_entries` passes them as ``ent``.
 
     The first faulty input is the first of ``ys`` and, in that input, the
     first faulty edge in flow order.  The checks, in order: a missing flow,
@@ -188,16 +188,11 @@ def _side1(
     flow, flow on an empty edge, flow on zero side-1 weight, and a fault of
     a super edge's inner graph at that input.
     """
+    ent = flow_entries(g, ys) if ent is None else ent
     missing: tuple[int, ComplexityError] | None = None  # the first input without a flow
-    if ent is None:
-        flows: list[dict[int, float]] = []
-        for k, y in enumerate(ys):
-            flow = g.flow_for(y)
-            if flow is None:
-                missing = (k, MissingFlowError(f"no flow recorded for input {y}"))
-                break
-            flows.append(flow)
-        ent = flow_entries(g, flows, input_array(ys[: len(flows)], g.n_bits))
+    if ent.missing:
+        k = ent.missing[0]
+        missing = (k, MissingFlowError(f"no flow recorded for input {ys[k]}"))
     if not len(ent.flow):  # as for most composition lambdas: no grouping to do
         return ent, ent.flow, missing
     pp, ww = ent.flow, ent.w1
@@ -215,12 +210,11 @@ def _side1(
     # entries are in input order, and each input's in flow order, so the
     # first faulty entry is the one the scalar checks would meet first
     bad = np.flatnonzero((pp < 0.0) | (ww == 0.0)).tolist() + list(inner_faults)
-    if bad:
+    if bad and (missing is None or ent.input[min(bad)] < missing[0]):
         n = min(bad)
-        i = int(ent.edge[n])
-        y = ys[int(ent.input[n])]
-        error = _flow_error(g, i, g.flow_for(y)[i], y, ww[n]) or inner_faults[n]
-        return ent, pp[:0], (int(ent.input[n]), error)
+        k = int(ent.input[n])
+        error = _flow_error(g, int(ent.edge[n]), ys[k], ww[n]) or inner_faults[n]
+        return ent, pp[:0], (k, error)
     if missing is not None:
         return ent, pp[:0], missing
     # overflow to inf and inf times 0, silent as in the scalar call
@@ -228,11 +222,10 @@ def _side1(
         return ent, pp * pp * inner / ww, None
 
 
-def _flow_error(
-    g: LearningGraph, i: int, p: float, y: int, w: float
-) -> ComplexityError | None:
-    """The first plain check that flow ``p`` on edge ``i`` at input ``y``
-    fails, where ``w`` is the edge's side-1 weight there (0 if unknown)."""
+def _flow_error(g: LearningGraph, i: int, y: int, w: float) -> ComplexityError | None:
+    """The first plain check that the flow recorded on edge ``i`` at input
+    ``y`` fails, where ``w`` is the edge's side-1 weight there (0 if unknown)."""
+    p = g.flow_for(y)[i]
     if not 0 <= i < len(g.edges):
         return ComplexityError(f"flow {p} on unknown edge {i} at input {y}")
     e = g.edges[i]
@@ -338,7 +331,8 @@ class ComplexityReport:
 
 def complexity(g: LearningGraph, f: BooleanFunction) -> ComplexityReport:
     """Evaluate both costs of ``g`` against ``f`` over its whole domain, with
-    a breakdown per stage of ``g.stages``."""
+    a breakdown per stage of ``g.stages`` (an unknown stage edge raises)."""
+    g.check_stages()
     xs = f.negatives()
     ys = f.positives()
     rows0 = side0_rows(g, input_array(xs, g.n_bits))

@@ -27,9 +27,11 @@ def expand(g: LearningGraph) -> LearningGraph:
     """Return an equivalent graph without super edges.
 
     Inner gadgets containing super edges themselves are flattened recursively.
+    A stage that names an edge the graph does not have raises ``ModelError``.
     """
     if not g.has_super():
         return g
+    g.check_stages()  # every stage edge is translated below
     b = GraphBuilder(g.n_bits, root=g.root)
     for vid, v in g.vertices.items():
         b.add_vertex(vid, v.label)

@@ -171,6 +171,20 @@ class LearningGraph:
             return None
         return self.flows.get(y)
 
+    def unknown_stage_edges(self) -> list[tuple[str, int]]:
+        """(``stages[k] name``, edge) for each unknown edge a stage names."""
+        known = range(len(self.edges))
+        return [
+            (f"stages[{k}] {s.name}", i)
+            for k, s in enumerate(self.stages or ())
+            for i in sorted({i for i in s.edges if i not in known})
+        ]
+
+    def check_stages(self) -> None:
+        """Raise a :class:`ModelError` on the first unknown stage edge."""
+        for where, i in self.unknown_stage_edges():
+            raise ModelError(f"{where} names unknown edge {i}")
+
     def has_super(self) -> bool:
         return any(e.gadget is not None for e in self.edges)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Any, Iterator
 
 from .indexing import bitstring, parse_bitstring
@@ -198,8 +199,9 @@ def _graph(obj: dict[str, Any], _path: str, rules: dict) -> LearningGraph:
                     (pos,) = loads
                     load = _position(pos, n, f"{where}.loads[0]")
                     b.add_ordinary(rec["from"], rec["to"], load, w0, w1)
-                else:
+                else:  # with its weights as written, which validate checks
                     b.add_empty(rec["from"], rec["to"])
+                    b.edges[-1] = replace(b.edges[-1], w0=w0, w1=w1)
         const_flow = None
         flows: dict[int, dict[int, float]] | None = None
         for key, fl in obj.get("flows", {}).items():

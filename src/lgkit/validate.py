@@ -154,9 +154,8 @@ def _structure(g: LearningGraph, report: ValidationReport, ctx: str = "") -> Non
                 )
         if e.gadget is not None:
             _structure(e.gadget.inner, report, ctx=f"{ctx}edge[{i}].")
-    for k, s in enumerate(g.stages or ()):
-        for i in sorted(set(s.edges) - set(range(len(g.edges)))):
-            report.add("stage", f"{ctx}stages[{k}] {s.name}", f"names unknown edge {i}")
+    for where, i in g.unknown_stage_edges():
+        report.add("stage", ctx + where, f"names unknown edge {i}")
 
 
 def _structural_linking(g: LearningGraph, report: ValidationReport, ctx: str = "") -> None:
@@ -252,8 +251,7 @@ def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> No
     is, as none is ever −0.0.
     """
     ys = f.positives()
-    flows = [g.flow_for(y) for y in ys]
-    ent = flow_entries(g, flows, input_array(ys, g.n_bits))
+    ent = flow_entries(g, ys)
     vids = list(g.vertices)
     vertex = {vid: v for v, vid in enumerate(vids)}
     # (input, phase, place in the phase, kind, vertex or edge, message)
@@ -263,11 +261,10 @@ def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> No
         y = bitstring(ys[k], g.n_bits)
         found.append((k, phase, at, kind, f"{where} {y}" if where else y, message))
 
-    missing = [k for k, flow in enumerate(flows) if flow is None]
-    for k in missing:
+    for k in ent.missing:
         add(k, 0, 0, "missing-flow", "", "no flow recorded")
-    if len(ys) > len(missing):
-        report.count("flows", len(ys) - len(missing))
+    if len(ys) > len(ent.missing):
+        report.count("flows", len(ys) - len(ent.missing))
 
     n_edges = len(g.edges)
     known = (ent.edge >= 0) & (ent.edge < n_edges)
@@ -303,10 +300,10 @@ def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> No
     at_root = t_vertex == vertex[g.root]
     root_balance = np.zeros(len(ys))
     root_balance[t_input[at_root]] = balance[at_root]
+    root_balance[ent.missing] = -1.0  # a missing flow is reported as such
     for k in np.flatnonzero(np.abs(root_balance + 1.0) > FLOW_ATOL).tolist():
-        if flows[k] is not None:
-            sent = -float(root_balance[k])
-            add(k, 2, 0, "flow-unit", "", f"root sends {sent:.15g}, expected 1")
+        sent = -float(root_balance[k])
+        add(k, 2, 0, "flow-unit", "", f"root sends {sent:.15g}, expected 1")
     has_out = [bool(g.out_edges(vid)) for vid in vids]
     masks = [mask_of(g.label(vid)) for vid in vids]
     negatives = f.dom & ~f.truth

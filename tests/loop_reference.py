@@ -340,10 +340,9 @@ def build_witness_loop(g, f):
     m = len(domain)
     mats = {}
     values = f.values
+    # priced first, so a flow fault raises the scalar positive side's error
+    c1 = max((graph_c1_loop(ge, y) for y in f.positives()), default=0.0)
     flows = {y: ge.flow_for(y) for y in f.positives()}
-    for y, fl in flows.items():
-        if fl is None:
-            raise AdversaryError(f"no flow recorded for positive input {y}")
     blocks = 0
     for ei, e in enumerate(ge.edges):
         if e.kind != "ordinary":
@@ -365,10 +364,6 @@ def build_witness_loop(g, f):
                     if p == 0.0:
                         continue
                     w = rule_at(e.w1, z)
-                    if w <= 0.0:
-                        raise AdversaryError(
-                            f"flow on zero side-1 weight, edge {ei} input {z}"
-                        )
                     (psi0_idx if zj == 1 else psi1_idx).append(row[z])
                     (psi0_val if zj == 1 else psi1_val).append(p / math.sqrt(w))
                 else:
@@ -384,7 +379,6 @@ def build_witness_loop(g, f):
                 v = np.asarray(val)
                 mat[np.ix_(idx, idx)] += np.outer(v, v)
     c0 = max((graph_c0_loop(ge, x) for x in f.negatives()), default=0.0)
-    c1 = max((graph_c1_loop(ge, y) for y in f.positives()), default=0.0)
     return LoopWitness(
         n_bits=g.n_bits,
         domain=domain,

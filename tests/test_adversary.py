@@ -16,7 +16,7 @@ from lgkit.adversary import (
     rebalance_to_equal,
     verify_witness,
 )
-from lgkit.complexity import c0_max, c1_max, complexity
+from lgkit.complexity import MissingFlowError, c0_max, c1_max, complexity
 from lgkit.expand import expand
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.rules import ONE, ScaleRule
@@ -29,6 +29,17 @@ def _identity_bit():
     b.add_ordinary("r", "s", 0, ONE, ONE)
     f = BooleanFunction(1, {0: 0, 1: 1})
     return b.graph(flows={1: {0: 1.0}}), f
+
+
+def test_verify_without_negatives_checks_no_pair():
+    """With no negative there is no crossing sum to check; the objective
+    (1) still misses the target, which C0 = 0 makes 0."""
+    g, _ = _identity_bit()
+    f = BooleanFunction(1, {1: 1})
+    rep = verify_witness(build_witness(g, f), f)
+    assert (rep.crossing_lo, rep.crossing_hi, rep.checked_pairs) == (1.0, 1.0, 0)
+    assert rep.crossing_ok and not rep.objective_ok
+    assert (rep.objective, rep.target) == (1.0, 0.0)
 
 
 def _or_two_bits():
@@ -116,7 +127,7 @@ def test_witness_rejects_missing_flow():
         flows={},
         const_flow=None,
     )
-    with pytest.raises(AdversaryError, match="flow"):
+    with pytest.raises(MissingFlowError, match="no flow recorded for input"):
         build_witness(g, f)
 
 
@@ -257,7 +268,9 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
         # equal to the parent's edge, but another object
         ("second swapped edge", {other: replace(parent.edges[other])}, {}),
         ("patched edge w1", {ei: replace(patched, w1=ScaleRule(2.0, patched.w1))}, {}),
+        ("patched edge head", {ei: replace(patched, dst=patched.src)}, {}),
         ("replaced flows", {}, {"flows": flows}),
+        ("more input bits", {}, {"n_bits": parent.n_bits + 1}),
     ]
     liars = [
         (name, _claiming(lineage, first.graph, edits, **fields), f)
@@ -277,6 +290,15 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
         got = build_witness(lg, fn)
         assert factor_calls == list(parent.by_load()), name
         _assert_bit_identical(got, build_witness(replace(lg), fn), name)
+    # a lie told before the parent's parts exist keeps them from being made
+    (fresh,) = linking_mutants(g, f, 1, seed=3)
+    fresh_parent = fresh.graph._lineage[0]
+    liar = _claiming(fresh.graph._lineage, fresh.graph, n_bits=parent.n_bits + 1)
+    factor_calls.clear()
+    got = build_witness(liar, f)
+    _assert_bit_identical(got, build_witness(replace(liar), f), "fresh")
+    assert factor_calls == 2 * list(parent.by_load())
+    assert fresh_parent._witness_parts is None
     # a true mutant of a mutant names the mutant as its parent
     (grand,) = linking_mutants(first.graph, f, 1, seed=0)
     assert grand.graph._lineage[0] is first.graph

@@ -27,7 +27,14 @@ from lgkit.adversary import (
     rebalance_to_equal,
     verify_witness,
 )
-from lgkit.complexity import c0_max, c1_max, complexity, side1_totals
+from lgkit.complexity import (
+    ComplexityError,
+    MissingFlowError,
+    c0_max,
+    c1_max,
+    complexity,
+    side1_totals,
+)
 from lgkit.corpus import _pairs_walk
 from lgkit.expand import expand
 from lgkit.indexing import input_array
@@ -350,19 +357,21 @@ def test_witness_matches_loop(corpus_dir, dense4, sparse4, anchored4):
         _assert_same_verdict(report, verify_witness_loop(want, f), name)
         caught += "mutant" in name and not report.crossing_ok
     assert caught == 12
+    # the first fault in input order, as the positive side reports it
     g, f = _zero_w1_flows()
-    with pytest.raises(AdversaryError) as want:
+    with pytest.raises(ComplexityError) as want:
         build_witness_loop(g, f)
-    with pytest.raises(AdversaryError) as got:
+    with pytest.raises(ComplexityError) as got:
         build_witness(g, f)
     assert str(got.value) == str(want.value) == (
-        "flow on zero side-1 weight, edge 1 input 4"
+        "flow 1.0 on zero side-1 weight a->s at input 3"
     )
 
 
-def test_witness_names_the_lowest_zero_w1_edge():
-    """Flow on zero side-1 weight on edges 1 (bit 1) and 2 (bit 0, which
-    edge 0 loads first): the error names edge 1."""
+def test_witness_raises_the_positive_side_flow_error():
+    """A flow fault in the witness is the error of ``side1_totals`` on the
+    expansion: the first faulty input in input order, a missing flow
+    included.  Edges 1 (bit 1) and 2 (bit 0) have zero side-1 weight."""
     b = GraphBuilder(2)
     b.add_vertex("a", (0,))
     b.add_vertex("s", (0, 1))
@@ -370,15 +379,25 @@ def test_witness_names_the_lowest_zero_w1_edge():
     b.add_ordinary("r", "a", 0, ONE, ONE)
     b.add_ordinary("a", "s", 1, ONE, ZERO)
     b.add_ordinary("r", "t", 0, ONE, ZERO)
-    g = b.graph(flows={3: {0: 1.0, 1: 1.0, 2: 1.0}})
-    f = BooleanFunction(2, {0: 0, 1: 0, 2: 0, 3: 1})
-    with pytest.raises(AdversaryError) as want:
-        build_witness_loop(g, f)
-    with pytest.raises(AdversaryError) as got:
-        build_witness(g, f)
-    assert str(got.value) == str(want.value) == (
-        "flow on zero side-1 weight, edge 1 input 3"
-    )
+    zero_w1 = {0: 1.0, 1: 1.0, 2: 1.0}
+    one = BooleanFunction(2, {0: 0, 1: 0, 2: 0, 3: 1})
+    two = BooleanFunction(2, {0: 0, 1: 1, 2: 0, 3: 1})
+    zero = ComplexityError, "flow 1.0 on zero side-1 weight {} at input {}"
+    missing = MissingFlowError, "no flow recorded for input {}"
+    cases = [
+        (one, {3: zero_w1}, zero, ("a->s", 3)),
+        (one, {}, missing, (3,)),
+        (two, {1: {0: 1.0, 2: 1.0}}, zero, ("r->t", 1)),  # before the missing 3
+        (two, {3: zero_w1}, missing, (1,)),
+    ]
+    for f, flows, (kind, text), args in cases:
+        g = b.graph(flows=flows)
+        with pytest.raises(ComplexityError) as want:
+            side1_totals(expand(g), f.positives())
+        with pytest.raises(ComplexityError) as got:
+            build_witness(g, f)
+        assert type(got.value) is type(want.value) is kind
+        assert str(got.value) == str(want.value) == text.format(*args)
 
 
 def _sites(find, g, f):

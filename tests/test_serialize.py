@@ -21,6 +21,7 @@ from lgkit.serialize import (
     read_json,
     write_json,
 )
+from lgkit.validate import validate
 
 
 def _graph():
@@ -179,3 +180,37 @@ def test_shared_rule_is_checked_at_every_edge():
     where = r"\$\.edges\[0\]\.loads\.super\.graph\.edges\[0\]\.w0"
     with pytest.raises(FormatError, match=f"^{where}: position 3 outside 1..2"):
         build_graph(obj)
+
+
+def test_empty_edge_keeps_its_weights_as_written():
+    """An empty edge with nonzero weights in its JSON is parsed as written,
+    so validate reports it and the graph re-dumps to its bytes."""
+    obj = {
+        "n": 1,
+        "root": "r",
+        "vertices": [{"id": "r", "label": []}, {"id": "a", "label": []}],
+        "edges": [
+            {
+                "from": "r",
+                "to": "a",
+                "loads": [],
+                "w0": {"rule": "const", "value": 5.0},
+                "w1": {"rule": "const", "value": 3.0},
+            }
+        ],
+    }
+    g = build_graph(obj)
+    assert dumps(dump_graph(g)) == dumps(obj)
+    rep = validate(g)
+    assert not rep.ok
+    assert [(v.kind, v.message) for v in rep.entries] == [
+        ("empty-weight", "side-0 weight not zero"),
+        ("empty-weight", "side-1 weight not zero"),
+    ]
+
+
+@pytest.mark.parametrize("build", ["dense4", "sparse4", "anchored4"])
+def test_built_graph_re_dumps_to_its_bytes(request, build):
+    text, g = _parsed(request, build)
+    assert any(e.kind == "empty" for e in g.edges)
+    assert dumps(dump_graph(g)) == text

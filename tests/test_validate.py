@@ -4,9 +4,19 @@ from dataclasses import replace
 
 import pytest
 
-from lgkit.adversary import linking_mutants
+from lgkit.adversary import build_witness, linking_mutants
+from lgkit.complexity import complexity
+from lgkit.expand import expand
 from lgkit.loads import dense_load, sparse_load
-from lgkit.model import BooleanFunction, GraphBuilder, StageInfo
+from lgkit.model import (
+    BooleanFunction,
+    Edge,
+    GraphBuilder,
+    LearningGraph,
+    ModelError,
+    StageInfo,
+    Vertex,
+)
 from lgkit.rules import (
     ConstRule,
     DispatchRule,
@@ -16,6 +26,7 @@ from lgkit.rules import (
     ScaleRule,
     SparseLoadRule,
     TableRule,
+    ZERO,
 )
 from lgkit.validate import rules_linked, validate
 
@@ -252,17 +263,72 @@ def test_structural_linking_agrees_with_semantic(dense4, sparse4, anchored4):
             assert not validate(m.graph, res.function).ok, (res.variant, m.edge)
 
 
-def test_stage_on_unknown_edge_is_reported():
-    """A stage naming an edge the graph does not have is a finding, with or
-    without a function; the super edge is not expanded."""
+def _stage_on_unknown_edge():
     b = GraphBuilder(2)
     b.add_vertex("s", (0, 1))
     b.add_super("r", "s", dense_load(2, (0, 1)))
     f = BooleanFunction(2, {0: 0, 3: 1}, {3: (0, 1)})
-    g = b.graph(flows={3: {0: 1.0}}, stages=[StageInfo("x", (0, 7))])
+    return b.graph(flows={3: {0: 1.0}}, stages=[StageInfo("x", (0, 7))]), f
+
+
+def test_stage_on_unknown_edge_is_reported():
+    """A stage naming an edge the graph does not have is a finding, with or
+    without a function; the super edge is not expanded."""
+    g, f = _stage_on_unknown_edge()
     for fn in (f, None):
         rep = validate(g, fn)
         assert [v.to_json() for v in rep.entries] == [
             {"kind": "stage", "where": "stages[0] x", "message": "names unknown edge 7"}
         ]
     assert validate(replace(g, stages=None), f).ok
+
+
+def test_stage_on_unknown_edge_raises_one_error():
+    """Pricing and expansion name the stage and the edge, as validate does."""
+    g, f = _stage_on_unknown_edge()
+    calls = [
+        lambda: complexity(g, f),
+        lambda: expand(g),
+        lambda: build_witness(g, f),
+        lambda: linking_mutants(g, f, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ModelError, match=r"^stages\[0\] x names unknown edge 7$"):
+            call()
+
+
+def _graph(labels, edges, root="r"):
+    """A 1-bit graph: ``labels`` maps each vertex to its label, and an edge
+    is (tail, head, load, w0), with w1 ONE, or ZERO on an empty edge."""
+    vertices = {v: Vertex(v, label) for v, label in labels.items()}
+    edges = [Edge(t, h, j, w0, ONE if j is not None else ZERO) for t, h, j, w0 in edges]
+    return LearningGraph(1, root, vertices, edges)
+
+
+RAS = {"r": (), "a": (0,), "s": (0,)}
+CYCLE = [("r", "a", 0, ONE), ("a", "s", None, ZERO), ("s", "a", None, ZERO)]
+
+
+@pytest.mark.parametrize(
+    "g, kind, message",
+    [
+        (_graph({"r": ()}, [], root="q"), "root", "root vertex missing"),
+        (_graph({"r": (0,)}, []), "root", "root label (0,) not empty"),
+        (_graph(RAS, CYCLE), "cycle", "graph contains a cycle"),
+        (
+            _graph(RAS, [("r", "a", 0, ONE), ("a", "s", 0, ONE)]),
+            "label-step",
+            "reloads positions {0}",
+        ),
+        (
+            _graph({"r": (), "a": ()}, [("r", "a", None, ConstRule(5.0))]),
+            "empty-weight",
+            "side-0 weight not zero",
+        ),
+    ],
+    ids=["root-missing", "root-label", "cycle", "reload", "empty-weight"],
+)
+def test_broken_structure_reports_its_kind(g, kind, message):
+    rep = validate(g)
+    assert not rep.ok
+    assert [(v.kind, v.message) for v in rep.entries] == [(kind, message)]
