@@ -41,19 +41,22 @@ reachable assignment by a constant, which bumps a crossing sum by the flow on
 the mutated edge; tests use it to show the checks have teeth.  It forms no
 blocks: each site's negative is found by a sorted search per edge
 (:func:`lgkit.indexing.lookup`).  A mutant shares its parent expansion's
-vertex dict, flows and every edge but the patched one, and records the
-parent and the patched edge (a private lineage, never serialized).
+vertex dict, flows and every edge but the patched one, and records its
+search and the patched edge (a private lineage, never serialized).
 
 ``build_witness`` on a mutant rebuilds only what the mutation changed: Ψ_j
 of the position j the patched edge loads, and the side-0 totals of the
 negatives whose ``w0`` changed.  Every other factor, the positive-side
-entries and C1 come from the parts of the parent's witness, computed once,
-for the first function object asked for, and kept on the parent.  Nothing
-is reused unless O(E) identity checks pass: the same function object; the
-same vertices, flows, const_flow and stages objects; every other edge the
-same object; and the patched edge ordinary, with the same ends, load and
+entries and C1 come from the parts of the parent's witness, computed once
+per search, for the first function object asked for, and kept by the
+search, not the parent, so they die with its mutants.  Nothing is reused
+unless O(E) identity checks pass: the same function object; the same
+vertices, flows, const_flow and stages objects; every other edge the same
+object; and the patched edge ordinary, with the same ends, load and
 ``w1``.  Otherwise the same per-position routine builds every factor, so a
-stale or false lineage can cost time but never change a witness.
+false lineage can cost time but never change a witness.  Graphs are
+values: an in-place edit of a dict that a parent shares with its mutants,
+made within one search, is not detected.
 ``verify_witness`` trusts none of this: it checks every pair from the
 factors.
 
@@ -78,7 +81,7 @@ from .complexity import side0_rows, side1_totals
 from .expand import expand
 from .indexing import agreement_sort, bit_column, input_array, lookup, mask_of
 from .indexing import pack_bits
-from .model import BooleanFunction, Edge, LearningGraph
+from .model import BooleanFunction, LearningGraph
 from .rules import PatchRule
 
 WITNESS_CAP = 4096
@@ -165,46 +168,31 @@ class Witness:
         return _Matrices(self.factors, len(self.domain))
 
 
-@dataclass(frozen=True, eq=False)
-class _Source:
-    """The objects a witness of an expanded graph is built from."""
-
-    f: BooleanFunction
-    n_bits: int
-    fields: tuple[Any, ...]  # the graph's vertices, flows, const_flow, stages
-    edges: tuple[Edge, ...]
-
-    @classmethod
-    def of(cls, g: LearningGraph, f: BooleanFunction) -> "_Source":
-        fields = (g.vertices, g.flows, g.const_flow, g.stages)
-        return cls(f, g.n_bits, fields, tuple(g.edges))
-
-    def admits(self, other: "_Source", ei: int) -> bool:
-        """Whether ``other`` holds the same objects, but for the ``w0`` of
-        edge ``ei``, which is ordinary in both with the same ends, load and
-        ``w1``."""
-        if other.f is not self.f or other.n_bits != self.n_bits:
-            return False
-        if not all(map(is_, other.fields, self.fields)):
-            return False
-        if len(other.edges) != len(self.edges) or not 0 <= ei < len(self.edges):
-            return False
-        old, new = self.edges[ei], other.edges[ei]
-        if not old.kind == new.kind == "ordinary" or new.w1 is not old.w1:
-            return False
-        if (new.src, new.dst, new.load) != (old.src, old.dst, old.load):
-            return False
-        return all(map(is_, other.edges[:ei], self.edges[:ei])) and all(
-            map(is_, other.edges[ei + 1 :], self.edges[ei + 1 :])
-        )
+def _patched(parent: LearningGraph, ge: LearningGraph, ei: int) -> bool:
+    """Whether ``ge`` holds the same objects as ``parent``, but for the
+    ``w0`` of edge ``ei``, which is ordinary in both with the same ends,
+    load and ``w1``."""
+    fields = ("vertices", "flows", "const_flow", "stages")
+    if ge.n_bits != parent.n_bits:
+        return False
+    if not all(getattr(ge, k) is getattr(parent, k) for k in fields):
+        return False
+    if len(ge.edges) != len(parent.edges) or not 0 <= ei < len(parent.edges):
+        return False
+    old, new = parent.edges[ei], ge.edges[ei]
+    if not old.kind == new.kind == "ordinary" or new.w1 is not old.w1:
+        return False
+    if (new.src, new.dst, new.load) != (old.src, old.dst, old.load):
+        return False
+    return all(map(is_, ge.edges[:ei], parent.edges[:ei])) and all(
+        map(is_, ge.edges[ei + 1 :], parent.edges[ei + 1 :])
+    )
 
 
 @dataclass(eq=False)
 class _Parts:
-    """What :func:`build_witness` computes for an expanded graph, and what
-    from."""
+    """What :func:`build_witness` computes for an expanded graph."""
 
-    source: _Source
     by_load: dict[int, list[int]]
     zs: np.ndarray  # the domain
     xs: np.ndarray  # the negatives
@@ -232,7 +220,6 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
     xs = input_array(f.negatives(), ge.n_bits)
     w0_rows = side0_rows(ge, xs)
     parts = _Parts(
-        source=_Source.of(ge, f),
         by_load=ge.by_load(),
         zs=input_array(domain, ge.n_bits),
         xs=xs,
@@ -277,28 +264,37 @@ def _factor(ge: LearningGraph, parts: _Parts, j: int, w0_rows: np.ndarray) -> Fa
     return fac
 
 
+@dataclass(eq=False)
+class _Search:
+    """The expansion that one :func:`linking_mutants` call mutates, and its
+    witness parts for ``f`` once made; only the call's mutants reference it."""
+
+    parent: LearningGraph
+    f: BooleanFunction | None = None
+    parts: _Parts | None = None
+
+
 def _inherited(ge: LearningGraph, f: BooleanFunction) -> _Parts | None:
     """The parts of a mutant (see :func:`linking_mutants`) from its
-    parent's, which are computed once and kept on the parent.
+    parent's, which are computed once per search and kept by the search.
 
     None unless the mutant holds the same objects as its parent, but for
-    the ``w0`` of its patched edge, and the parent's parts are for ``f``.
+    the ``w0`` of its patched edge, and the search's parts are for ``f``.
     Then only Ψ_j of the position j the edge loads is rebuilt, and only the
     side-0 totals of the negatives whose ``w0`` changed are summed again.
     """
     if ge._lineage is None:
         return None
-    parent, ei = ge._lineage
-    here = _Source.of(ge, f)
-    base = parent._witness_parts
-    if base is None:
-        if not _Source.of(parent, f).admits(here, ei):
-            return None
+    search, ei = ge._lineage
+    if search.parts is not None and search.f is not f:
+        return None
+    if not _patched(search.parent, ge, ei):
+        return None
+    if search.parts is None:
         # an error here is the mutant's own: it can only come from the
         # flows and w1s, which the two share
-        base = parent._witness_parts = _parts(parent, f)
-    if not base.source.admits(here, ei):
-        return None
+        search.f, search.parts = f, _parts(search.parent, f)
+    base = search.parts
     w0_rows = base.w0_rows.copy()
     w0_rows[ei] = ge.edges[ei].w0.eval(base.xs)
     # every bit is compared, so a NaN or a -0.0 counts as a change
@@ -310,7 +306,7 @@ def _inherited(ge: LearningGraph, f: BooleanFunction) -> _Parts | None:
     factors = dict(base.factors)
     j = ge.edges[ei].load
     factors[j] = _factor(ge, base, j, w0_rows)
-    return replace(base, source=here, w0_rows=w0_rows, c0s=c0s, factors=factors)
+    return replace(base, w0_rows=w0_rows, c0s=c0s, factors=factors)
 
 
 def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
@@ -465,16 +461,16 @@ def linking_mutants(
         )
     order = sorted(candidates)
     random.Random(seed).shuffle(order)
+    search = _Search(ge)
     out: list[Mutant] = []
     for key in order[:count]:
         ei, dst_label, bits = key
         edges = list(ge.edges)
         patched = PatchRule(dst_label, bits, MUTANT_FACTOR, edges[ei].w0)
         edges[ei] = replace(edges[ei], w0=patched)
-        # the vertex dict and the adjacency are shared: Vertex is frozen,
-        # and the patched edge keeps its ends
+        # the vertex dict is shared: Vertex is frozen
         mg = replace(ge, edges=edges)
-        mg._lineage = (ge, ei)
+        mg._lineage = (search, ei)
         assignment = ",".join(f"{i + 1}:{b}" for i, b in zip(dst_label, bits))
         out.append(Mutant(mg, ei, assignment, MUTANT_FACTOR, candidates[key]))
     return out

@@ -197,62 +197,12 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
         return pos_cache[key]
 
     start = spec.k - spec.r
-    b = GraphBuilder(spec.n_bits, root="r")
-    vid: dict[tuple[int, ...], str] = {}
-    for size in range(start, spec.k + 1):
-        for A in itertools.combinations(ground, size):
-            if size == 0:
-                vid[A] = b.root
-            else:
-                vid[A] = b.add_vertex(_subset_id(spec.prefix, A), I(A))
     if start == 0 and I(()) != ():
         raise CompositionError("the empty set must own no positions")
 
-    stage_edges: list[list[int]] = [[] for _ in range(spec.r + 1)]
-    step_edge: dict[tuple[tuple[int, ...], int], int] = {}
-    start_edge: dict[tuple[int, ...], int] = {}
-
-    # caps[ei]: the closed-form positive cost bound of load edge ei
-    caps: dict[int, float] = {}
-
-    def add_load(src: str, dst: str, loads: tuple[int, ...], kind: str) -> int:
-        if not loads:
-            return b.add_empty(src, dst)
-        if len(loads) == 1:
-            w0, w1 = single_load_rules(kind, loads[0])
-            ei = b.add_ordinary(src, dst, loads[0], w0, w1)
-        else:
-            ei = b.add_super(src, dst, load_gadget(kind, spec.n_bits, loads))
-        caps[ei] = load_c1_max(kind, len(loads))
-        return ei
-
-    if start >= 1:
-        for A in itertools.combinations(ground, start):
-            ei = add_load(b.root, vid[A], I(A), kinds[0])
-            start_edge[A] = ei
-            stage_edges[0].append(ei)
-    for step in range(1, spec.r + 1):
-        for A in itertools.combinations(ground, start + step - 1):
-            have = set(A)
-            owned = set(I(A))
-            for j in ground:
-                if j in have:
-                    continue
-                bigger = tuple(sorted(have | {j}))
-                now = set(I(bigger))
-                if not owned <= now:
-                    raise CompositionError(
-                        f"positions not monotone along {A} + {j}: "
-                        f"lost {owned - now}"
-                    )
-                inc = tuple(sorted(now - owned))
-                ei = add_load(vid[A], vid[bigger], inc, kinds[step])
-                step_edge[(A, j)] = ei
-                stage_edges[step].append(ei)
-
-    # Flow walks. A start set is usable for an input when it avoids the
-    # certificate and owns at least one position (otherwise its path would be
-    # an empty transition, which cannot carry flow).
+    # A start set is usable for an input when it avoids the certificate and
+    # owns at least one position (otherwise its path would be an empty
+    # transition, which cannot carry flow).
     def usable_starts(T: Sequence[int]) -> list[tuple[int, ...]]:
         if start == 0:
             return [()]
@@ -286,6 +236,62 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
     if n_used is None:
         n_used = max(1, len(usable_starts(())))
 
+    b = GraphBuilder(spec.n_bits, root="r")
+    vid: dict[tuple[int, ...], str] = {}
+    for size in range(start, spec.k + 1):
+        for A in itertools.combinations(ground, size):
+            if size == 0:
+                vid[A] = b.root
+            else:
+                vid[A] = b.add_vertex(_subset_id(spec.prefix, A), I(A))
+
+    stage_edges: list[list[int]] = [[] for _ in range(spec.r + 1)]
+    step_edge: dict[tuple[tuple[int, ...], int], int] = {}
+    start_edge: dict[tuple[int, ...], int] = {}
+
+    # factors[ei]: load edge ei's cost cap over the usable start count,
+    # which hosts both of its weights
+    factors: dict[int, float] = {}
+    hosts: dict[float, ConstRule] = {}
+    products: dict = {}
+
+    def add_load(src: str, dst: str, loads: tuple[int, ...], kind: str) -> int:
+        if not loads:
+            return b.add_empty(src, dst)
+        if len(loads) == 1:
+            w0, w1 = single_load_rules(kind, loads[0])
+            ei = b.add_ordinary(src, dst, loads[0], w0, w1)
+        else:
+            ei = b.add_super(src, dst, load_gadget(kind, spec.n_bits, loads))
+        lam = factors[ei] = load_c1_max(kind, len(loads)) / n_used
+        host = hosts.setdefault(lam, ConstRule(lam))
+        b.edges[ei] = b.edges[ei].hosted(host, host, products)
+        return ei
+
+    if start >= 1:
+        for A in itertools.combinations(ground, start):
+            ei = add_load(b.root, vid[A], I(A), kinds[0])
+            start_edge[A] = ei
+            stage_edges[0].append(ei)
+    for step in range(1, spec.r + 1):
+        for A in itertools.combinations(ground, start + step - 1):
+            have = set(A)
+            owned = set(I(A))
+            for j in ground:
+                if j in have:
+                    continue
+                bigger = tuple(sorted(have | {j}))
+                now = set(I(bigger))
+                if not owned <= now:
+                    raise CompositionError(
+                        f"positions not monotone along {A} + {j}: "
+                        f"lost {owned - now}"
+                    )
+                inc = tuple(sorted(now - owned))
+                ei = add_load(vid[A], vid[bigger], inc, kinds[step])
+                step_edge[(A, j)] = ei
+                stage_edges[step].append(ei)
+
     # reached[A]: the inputs, in positive order, whose walk ends at full set A
     flows: dict[int, dict[int, float]] = {}
     reached: dict[tuple[int, ...], list[int]] = {}
@@ -308,13 +314,6 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
                 cur = tuple(sorted(set(cur) | {j}))
             reached.setdefault(cur, []).append(y)
         flows[y] = fy
-
-    # Rebalance the loading stages against the usable start count.
-    factors = {ei: cap / n_used for ei, cap in caps.items()}
-    hosts = {lam: ConstRule(lam) for lam in set(factors.values())}
-    products: dict = {}
-    for ei, lam in factors.items():
-        b.edges[ei] = b.edges[ei].hosted(hosts[lam], hosts[lam], products)
 
     # Leaf stage.
     leaf_edges: list[int] = []

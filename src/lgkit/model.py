@@ -11,6 +11,10 @@ loaded input positions.  Edges come in three kinds:
 Flows are stored per positive input as ``{edge index: value}`` maps; gadgets
 whose flow does not depend on the input use a single shared map instead.
 
+A graph is a value: its fields are its whole data.  Each vertex's out- and
+in-edges are a cache, computed on first use, that ``dataclasses.replace``
+does not copy and ``==`` does not compare.
+
 A partial boolean function is two bitsets (Python ints) over a
 :class:`Universe`, the sorted inputs it may be defined on: ``dom`` marks the
 promised inputs and ``truth`` the positive ones.  Functions that share a
@@ -21,6 +25,7 @@ dict is built only when asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -131,35 +136,25 @@ class LearningGraph:
     flows: dict[int, dict[int, float]] | None = None
     const_flow: dict[int, float] | None = None
     stages: tuple[StageInfo, ...] | None = None
-    _out: dict[str, tuple[int, ...]] | None = field(default=None, repr=False)
-    _in: dict[str, tuple[int, ...]] | None = field(default=None, repr=False)
-    # Set by adversary.linking_mutants on a mutant: (the expansion it was
-    # made from, the patched edge).  The parent keeps the parts of its own
-    # witness for its mutants to reuse.  Neither is serialized, compared or
-    # carried over by dataclasses.replace.
-    _lineage: tuple["LearningGraph", int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _witness_parts: Any = field(default=None, init=False, repr=False, compare=False)
+    # Set by adversary.linking_mutants on a mutant, and read only there.
+    # Never serialized, compared or carried over by dataclasses.replace.
+    _lineage: Any = field(default=None, init=False, repr=False, compare=False)
 
-    def _adjacency(self) -> None:
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, tuple[int, ...]], ...]:
+        """Each vertex's out-edges, then its in-edges: a cache, not a field."""
         out: dict[str, list[int]] = {v: [] for v in self.vertices}
         inc: dict[str, list[int]] = {v: [] for v in self.vertices}
         for i, e in enumerate(self.edges):
             out[e.src].append(i)
             inc[e.dst].append(i)
-        self._out = {v: tuple(ix) for v, ix in out.items()}
-        self._in = {v: tuple(ix) for v, ix in inc.items()}
+        return tuple({v: tuple(ix) for v, ix in d.items()} for d in (out, inc))
 
     def out_edges(self, vid: str) -> tuple[int, ...]:
-        if self._out is None:
-            self._adjacency()
-        return self._out[vid]
+        return self._adjacency[0][vid]
 
     def in_edges(self, vid: str) -> tuple[int, ...]:
-        if self._in is None:
-            self._adjacency()
-        return self._in[vid]
+        return self._adjacency[1][vid]
 
     def label(self, vid: str) -> tuple[int, ...]:
         return self.vertices[vid].label

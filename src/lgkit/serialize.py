@@ -1,10 +1,11 @@
 """On-disk formats.
 
 Graphs and truth tables are stored as JSON with 1-based indices and input bit
-strings whose first character is bit 1.  Serialization is canonical: object
-keys are sorted, floats use the shortest round-tripping decimal (Python's
-default), and list order is structural (vertex and edge order is meaningful
-and preserved).  ``dumps(load(s)) == dumps(obj)`` byte for byte.
+strings of exactly ``n`` characters, whose first character is bit 1.
+Serialization is canonical: object keys are sorted, floats use the shortest
+round-tripping decimal (Python's default), and list order is structural
+(vertex and edge order is meaningful and preserved).
+``dumps(load(s)) == dumps(obj)`` byte for byte.
 
 Layout:
 
@@ -57,6 +58,13 @@ def _stage_edge(value: Any, stage: set[int], edges: int, where: str) -> int:
     if i not in stage:
         raise FormatError(f"{path}: edge {i} is not in the stage")
     return i
+
+
+def _input(key: Any, n: int, where: str) -> int:
+    """The input that ``where[key]`` names: ``n`` characters, each 0 or 1."""
+    if not isinstance(key, str) or len(key) != n or not set(key) <= {"0", "1"}:
+        raise FormatError(f"{where}[{key!r}]: expected {n} bits of 0 and 1")
+    return parse_bitstring(key)
 
 
 def _parse_flow(obj: dict[str, float], edges: int, path: str) -> dict[int, float]:
@@ -167,10 +175,10 @@ def build_graph(obj: dict[str, Any]) -> LearningGraph:
 
     Raises a ValueError, naming the JSON path, on a missing key, a mistyped
     value, a load or rule position outside the input, a stage or flow
-    naming an edge the graph does not have and a stage rebalance factor for
-    an edge outside its stage; and on dangling vertex
-    references and negative or non-finite weights.  Everything else is left
-    to :func:`lgkit.validate.validate`.
+    naming an edge the graph does not have, a flow key that is not ``n``
+    bits and a stage rebalance factor for an edge outside its stage; and on
+    dangling vertex references and negative or non-finite weights.
+    Everything else is left to :func:`lgkit.validate.validate`.
     """
     return _graph(obj, "$", {})
 
@@ -213,7 +221,7 @@ def _graph(obj: dict[str, Any], _path: str, rules: dict) -> LearningGraph:
                 else:
                     if flows is None:
                         flows = {}
-                    flows[parse_bitstring(key)] = flow
+                    flows[_input(key, n, f"{_path}.flows")] = flow
         stages = None
         if "stages" in obj:
             stages = []
@@ -259,11 +267,11 @@ def dump_function(f: BooleanFunction) -> dict[str, Any]:
 def build_function(obj: dict[str, Any]) -> BooleanFunction:
     with _at("$"):
         n = int(obj["n"])
-        values = {parse_bitstring(k): int(v) for k, v in obj["values"].items()}
+        values = {_input(k, n, "$.values"): int(v) for k, v in obj["values"].items()}
         certs = None
         if "certs" in obj:
             certs = {
-                parse_bitstring(k): tuple(sorted(int(i) - 1 for i in c))
+                _input(k, n, "$.certs"): tuple(sorted(int(i) - 1 for i in c))
                 for k, c in obj["certs"].items()
             }
         return BooleanFunction(n, values, certs)

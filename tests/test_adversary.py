@@ -237,6 +237,27 @@ def test_mutant_witness_reuses_its_parent_bit_for_bit(
     assert sites == {"dense": 92, "sparse": 116, "sparsenew": 32}
 
 
+def test_a_later_search_makes_its_own_parts(anchored4):
+    """The parts a search's mutants reuse are kept by that search, not on
+    the graph passed in (for sparsenew, ``expand(g) is g``): after a flow
+    is edited in place, a later search's mutant witness equals a full
+    build, and no graph passed to ``linking_mutants`` holds parts."""
+    _, g, f = _balanced_n4(anchored4)[0]
+    g = replace(g, flows={y: dict(p) for y, p in g.flows.items()})
+    assert expand(g) is g
+    (first,) = linking_mutants(g, f, 1, seed=3)
+    build_witness(first.graph, f)
+    flow = g.flows[min(g.flows)]
+    for ei in flow:
+        flow[ei] /= 2
+    (again,) = linking_mutants(g, f, 1, seed=3)
+    got = build_witness(again.graph, f)
+    want = build_witness(replace(again.graph), f)
+    _assert_bit_identical(got, want, "after the edit")
+    assert verify_witness(got, f).crossing_lo == verify_witness(want, f).crossing_lo
+    assert not [v for v in vars(g).values() if isinstance(v, adversary._Parts)]
+
+
 def _claiming(lineage, mg, edits=None, **fields):
     """``mg`` with its edges ``edits`` (index -> edge) and ``fields``
     replaced, which claims the lineage ``lineage``."""
@@ -255,9 +276,10 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
     _, g, f = _balanced_n4(dense4)[0]
     first, second = linking_mutants(g, f, 2, seed=3)
     assert first.edge != second.edge
-    parent, ei = lineage = first.graph._lineage
+    search, ei = lineage = first.graph._lineage
+    parent = search.parent
     build_witness(first.graph, f)
-    assert parent._witness_parts is not None
+    assert search.parts is not None
     other = next(k for k, e in enumerate(parent.edges) if k not in (ei, second.edge))
     patched = first.graph.edges[ei]
     flows = {y: dict(p) for y, p in parent.flows.items()}
@@ -278,7 +300,7 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
     ]
     liars += [
         ("mutant of a mutant", twice, f),
-        ("mutant of a mutant, other edge", _claiming((parent, second.edge), twice), f),
+        ("mutant of a mutant, other edge", _claiming((search, second.edge), twice), f),
         (
             "another function object",
             first.graph,
@@ -290,18 +312,18 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
         got = build_witness(lg, fn)
         assert factor_calls == list(parent.by_load()), name
         _assert_bit_identical(got, build_witness(replace(lg), fn), name)
-    # a lie told before the parent's parts exist keeps them from being made
+    # a lie told before the search's parts exist keeps them from being made
     (fresh,) = linking_mutants(g, f, 1, seed=3)
-    fresh_parent = fresh.graph._lineage[0]
+    fresh_search = fresh.graph._lineage[0]
     liar = _claiming(fresh.graph._lineage, fresh.graph, n_bits=parent.n_bits + 1)
     factor_calls.clear()
     got = build_witness(liar, f)
     _assert_bit_identical(got, build_witness(replace(liar), f), "fresh")
     assert factor_calls == 2 * list(parent.by_load())
-    assert fresh_parent._witness_parts is None
+    assert fresh_search.parts is None
     # a true mutant of a mutant names the mutant as its parent
     (grand,) = linking_mutants(first.graph, f, 1, seed=0)
-    assert grand.graph._lineage[0] is first.graph
+    assert grand.graph._lineage[0].parent is first.graph
     build_witness(grand.graph, f)
     factor_calls.clear()
     got = build_witness(grand.graph, f)

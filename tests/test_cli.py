@@ -144,7 +144,7 @@ def test_adversary_nan_weight_fails_checks(tmp_path, capsys):
     edges = list(g.edges)
     nan = ProductRule(ScaleRule(1e300, ScaleRule(1e300, ONE)), ZERO)
     edges[1] = replace(edges[1], w0=nan)
-    g = replace(g, edges=edges, _out=None, _in=None)
+    g = replace(g, edges=edges)
     gp, fp = tmp_path / "g.json", tmp_path / "f.json"
     write_json(gp, dump_graph(g))
     write_json(fp, dump_function(res.function))
@@ -515,6 +515,46 @@ def test_bad_rebalance_key_exits_two(
     assert json.loads(err)["error"]["message"] == (
         f"$.stages[0].rebalance[{str(edge)!r}]: {reason}"
     )
+
+
+def _spelled_twice(graph, function, case):
+    """Give one input a second key of the wrong length: input 101010's
+    flow, halved, under 10101 (before or after 101010), f(0) flipped under
+    00000000, or a certificate repeated under its key and 00."""
+    if case.startswith("flows"):
+        flows = graph["flows"]
+        half = {i: p / 2 for i, p in flows["101010"].items()}
+        pairs = [("10101", half), ("101010", flows.pop("101010"))]
+        if case == "flows, short key last":
+            pairs.reverse()
+        flows.update(pairs)
+        return "$.flows['10101']: expected 6 bits of 0 and 1"
+    if case == "values":
+        function["values"]["00000000"] = 1 - function["values"]["000000"]
+        key = "00000000"
+    else:
+        cert = next(iter(function["certs"]))
+        key = cert + "00"
+        function["certs"][key] = function["certs"][cert]
+    return f"$.{case}[{key!r}]: expected 6 bits of 0 and 1"
+
+
+@pytest.mark.parametrize(
+    "case", ["flows, short key first", "flows, short key last", "values", "certs"]
+)
+@pytest.mark.parametrize("command", ["validate", "complexity"])
+def test_wrong_length_input_key_exits_two(anchored4, tmp_path, capsys, command, case):
+    """An input key must have exactly n characters: otherwise one input has
+    two spellings, and the last key would silently win."""
+    graph = dump_graph(anchored4.graph)
+    function = dump_function(anchored4.function)
+    message = _spelled_twice(graph, function, case)
+    gp, fp = tmp_path / "g.json", tmp_path / "f.json"
+    gp.write_text(json.dumps(graph))  # in insertion order, not sorted
+    fp.write_text(json.dumps(function))
+    code, out, err = run(capsys, command, str(gp), "--function", str(fp))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == message
 
 
 FUZZ_GRAPHS = ("pairs-walk", "dense-load-4", "sparse-load-4", "or-of-loads")

@@ -510,7 +510,7 @@ def test_witness_evaluates_each_w0_once(anchored4):
             counted += [(ei, 0, w0), (ei, 1, w1)]
             e = replace(e, w0=w0, w1=w1)
         edges.append(e)
-    g = replace(g, edges=edges, _out=None, _in=None)
+    g = replace(g, edges=edges)
 
     def runs():
         return [len(c.sizes) for _, _, c in counted]

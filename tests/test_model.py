@@ -1,5 +1,7 @@
 """Graph construction and structural bookkeeping."""
 
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,9 @@ from loop_reference import rule_at
 
 from lgkit.model import (
     BooleanFunction,
+    Edge,
     GraphBuilder,
+    LearningGraph,
     ModelError,
     Universe,
     Vertex,
@@ -16,6 +20,8 @@ from lgkit.model import (
 )
 from lgkit.loads import dense_load
 from lgkit.rules import ConstRule, ONE
+from lgkit.serialize import dumps
+from lgkit.validate import validate
 
 
 def _chain(n_bits=3):
@@ -112,6 +118,43 @@ def test_flow_for_prefers_const():
     b = _chain()
     g = b.graph(flows={5: {0: 1.0}}, const_flow={0: 1.0, 1: 1.0})
     assert g.flow_for(3) == {0: 1.0, 1: 1.0}
+
+
+def _two_paths(last):
+    """r→a→s and r→c→d, then ``last`` (src, dst, load) into t; flow on the
+    first path for the inputs 3 and 7, where f(z) = (z & 3 == 3)."""
+    b = GraphBuilder(3)
+    labels = {"a": (0,), "s": (0, 1), "c": (2,), "d": (0, 2), "t": (0, 1, 2)}
+    for vid, label in labels.items():
+        b.add_vertex(vid, label)
+    for src, dst, load in [("r", "a", 0), ("a", "s", 1), ("r", "c", 2)]:
+        b.add_ordinary(src, dst, load, ONE, ONE)
+    b.add_ordinary("c", "d", 0, ONE, ONE)
+    b.add_ordinary(*last, ONE, ONE)
+    f = BooleanFunction.from_predicate(3, lambda z: z & 3 == 3)
+    return b.graph(flows={3: {0: 1.0, 1: 1.0}, 7: {0: 1.0, 1: 1.0}}), f
+
+
+def test_replace_recomputes_the_adjacency():
+    """Adjacency is a cache, not a field: a ``replace`` copy with new edges
+    gets its own, so flow ending at s, which is no longer a sink, is
+    reported; and ``==`` ignores the cache."""
+    names = [fl.name for fl in fields(LearningGraph)]
+    assert not {"_out", "_in", "_adjacency", "_witness_parts"} & set(names)
+    g, f = _two_paths(("d", "t", 1))
+    assert g == _two_paths(("d", "t", 1))[0]
+    assert validate(g, f).ok and g.sinks() == ("s", "t")
+    assert g == _two_paths(("d", "t", 1))[0]
+    edges = list(g.edges)
+    edges[4] = Edge("s", "t", 2, ONE, ONE)
+    copy = replace(g, edges=edges)
+    fresh, _ = _two_paths(("s", "t", 2))
+    assert copy == fresh
+    assert copy.sinks() == fresh.sinks() == ("d", "t")
+    rep = validate(copy, f).to_json()
+    assert dumps(rep) == dumps(validate(fresh, f).to_json())
+    where = [(v["kind"], v["where"]) for v in rep["violations"]]
+    assert where == [("flow-conservation", "s 110"), ("flow-conservation", "s 111")]
 
 
 def test_rescaled_scales_both_sides():
