@@ -16,15 +16,18 @@ stores each M_j as its factor Ψ_j, with one column per block
 construction.  Its memory is Σ_j nnz(Ψ_j), not positions × m² floats for a
 domain of m inputs.  Verification works from the factors:
 
-* crossing sums: per position, the (negatives × k_j) by (k_j × positives)
-  product of Ψ_j's rows, kept where the two inputs disagree on j;
+* crossing sums: half b of a column of Ψ_j holds its negatives with
+  bit j = b and its positives with bit j = 1 − b, so it joins exactly the
+  pairs that disagree on j.  The live halves, those holding a negative and
+  a positive, form N (negatives × k) and P (k × positives), and the sums
+  are the entries of N P.  Rows of other inputs take no part;
 * objective: the largest diagonal entry of Σ_j M_j, the row sums of squares
   of every Ψ_j added in edge → block order, so it has the bits the dense
   matrices would give.
 
 No eigenvalue is checked: M_j = Ψ_jΨ_jᵀ is positive semidefinite for any
-real Ψ_j.  A NaN or infinite entry of some Ψ_j reaches its row of the
-diagonal, so the objective check fails on it.
+real Ψ_j.  A NaN or infinite entry of some Ψ_j fails the crossing check,
+and it reaches its row of the diagonal, so the objective check too.
 
 The objective is checked against the target √(C0·C1), the complexity of
 the expanded graph the factors come from, as :mod:`lgkit.complexity`
@@ -95,12 +98,14 @@ class AdversaryError(ValueError):
 
 
 def rebalance_to_equal(g: LearningGraph, f: BooleanFunction) -> LearningGraph:
-    """Scale weights so both costs equal the graph complexity."""
+    """Scale weights so both costs equal the graph complexity; a graph with
+    a non-finite cost, which no factor equalizes, is returned unscaled."""
     c0 = c0_max(g, f)
     c1 = c1_max(g, f)
     if c0 <= 0.0 or c1 <= 0.0:
         raise AdversaryError(f"cannot equalize costs c0={c0}, c1={c1}")
-    return g.rescaled(math.sqrt(c1 / c0))
+    factor = math.sqrt(c1 / c0)
+    return g.rescaled(factor) if 0.0 < factor < math.inf else g
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,33 +123,21 @@ class Factor:
     def columns(self) -> int:
         return len(self.starts) - 1
 
-    def dense(self, m: int) -> np.ndarray:
-        """Ψ_j as an m × columns array."""
-        psi = np.zeros((m, self.columns))
-        psi[self.rows, np.repeat(np.arange(self.columns), np.diff(self.starts))] = (
-            self.vals
-        )
-        return psi
-
-    def outer(self, m: int) -> np.ndarray:
-        """M_j = Ψ_j Ψ_jᵀ as an m × m array, summed column by column."""
-        mat = np.zeros((m, m))
-        for lo, hi in zip(self.starts[:-1].tolist(), self.starts[1:].tolist()):
-            idx = self.rows[lo:hi]
-            v = self.vals[lo:hi]
-            mat[np.ix_(idx, idx)] += np.outer(v, v)
-        return mat
-
 
 class _Matrices(Mapping):
-    """Read-only view of the dense M_j, each built when it is looked up."""
+    """Read-only view of the dense M_j = Ψ_j Ψ_jᵀ, each built when it is
+    looked up, summed column by column."""
 
     def __init__(self, factors: dict[int, Factor], m: int) -> None:
         self._factors = factors
         self._m = m
 
     def __getitem__(self, j: int) -> np.ndarray:
-        return self._factors[j].outer(self._m)
+        fac, mat = self._factors[j], np.zeros((self._m, self._m))
+        for lo, hi in zip(fac.starts[:-1].tolist(), fac.starts[1:].tolist()):
+            idx, v = fac.rows[lo:hi], fac.vals[lo:hi]
+            mat[np.ix_(idx, idx)] += np.outer(v, v)
+        return mat
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._factors)
@@ -360,37 +353,67 @@ class WitnessReport:
         }
 
 
-def verify_witness(w: Witness, f: BooleanFunction) -> WitnessReport:
-    m = len(w.domain)
-    zs = input_array(w.domain, w.n_bits)
+def _live_halves(w: Witness, f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
+    """N (negatives × k) and P (k × positives) of ``f``: the k live halves
+    of the columns of every Ψ_j."""
     neg_rows = np.array([w.row[x] for x in f.negatives()], dtype=np.int64)
     pos_rows = np.array([w.row[y] for y in f.positives()], dtype=np.int64)
-    # crossing sums: for x negative, y positive, the sum over positions where
-    # the two inputs disagree of M_j[x, y] = <Ψ_j[x], Ψ_j[y]>
-    cross = np.zeros((len(neg_rows), len(pos_rows)))
+    zs = input_array(w.domain, w.n_bits)
+    bits = (zs[:, None] >> np.array(list(w.factors), dtype=np.int64)) & 1
+    # a column of Ψ_j has three halves of two slots, 2 * half + side: half
+    # b for a negative with bit j = b (side 0) or a positive with bit j =
+    # 1 - b (side 1), and half 2, which is never live, for any other row
+    slot = np.full(bits.shape, 4, dtype=np.int64)
+    slot[neg_rows] = 2 * bits[neg_rows]
+    slot[pos_rows] = 3 - 2 * bits[pos_rows]
+    rows = np.concatenate((neg_rows, pos_rows))
+    place = np.zeros(len(zs), dtype=np.int64)
+    place[rows] = np.arange(len(rows))
+    # place, live half and value per entry; empty first, for a witness with no position
+    entries = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+    k = 0
+    for t, fac in enumerate(w.factors.values()):
+        # array methods, not numpy functions: this runs per position and call
+        key = np.arange(0, 6 * fac.columns, 6).repeat(fac.starts[1:] - fac.starts[:-1])
+        key += slot[fac.rows, t]
+        seen = np.zeros(6 * fac.columns, dtype=bool)
+        seen[key] = True
+        live = seen[0::2] & seen[1::2]
+        keep = live[key >> 1]
+        ids = live.cumsum() + (k - 1)
+        entries.append((place[fac.rows[keep]], ids[key[keep] >> 1], fac.vals[keep]))
+        k += int(np.count_nonzero(live))
+    at, half, vals = map(np.concatenate, zip(*entries))
+    # two arrays: a single one holding both stayed resident in the heap once
+    # freed, which raised the peak RSS of whole chains
+    neg = at < len(neg_rows)
+    n_mat, p_mat = np.zeros((len(neg_rows), k)), np.zeros((len(pos_rows), k))
+    n_mat[at[neg], half[neg]] = vals[neg]
+    p_mat[at[~neg] - len(neg_rows), half[~neg]] = vals[~neg]
+    return n_mat, p_mat.T
+
+
+def verify_witness(w: Witness, f: BooleanFunction) -> WitnessReport:
+    m = len(w.domain)
+    # crossing sums: for x negative, y positive, the sum over positions j
+    # where the two inputs disagree of M_j[x, y] = <Ψ_j[x], Ψ_j[y]>
+    cross = np.matmul(*_live_halves(w, f))
     diag = np.zeros(m)
-    for j, fac in w.factors.items():
-        psi = fac.dense(m)
-        bit = bit_column(zs, j)
-        differs = bit[neg_rows][:, None] != bit[pos_rows][None, :]
-        cross += np.where(differs, psi[neg_rows] @ psi[pos_rows].T, 0.0)
+    for fac in w.factors.values():
         # bincount adds in edge → block order, as the dense diagonal was added
         diag += np.bincount(fac.rows, weights=fac.vals * fac.vals, minlength=m)
-    if cross.size:
-        lo = float(cross.min())
-        hi = float(cross.max())
-    else:
-        lo = hi = 1.0
+    lo, hi = (float(cross.min()), float(cross.max())) if cross.size else (1.0, 1.0)
+    if not all(np.isfinite(fac.vals).all() for fac in w.factors.values()):
+        lo = hi = math.nan  # a non-finite entry fails, in a live half or not
     objective = float(diag.max()) if m else 0.0
-    rel = TOL * max(1.0, abs(w.target))
     return WitnessReport(
         crossing_lo=lo,
         crossing_hi=hi,
         objective=objective,
         target=w.target,
         crossing_ok=abs(lo - 1.0) <= TOL and abs(hi - 1.0) <= TOL,
-        objective_ok=abs(objective - w.target) <= rel,
-        checked_pairs=len(neg_rows) * len(pos_rows),
+        objective_ok=abs(objective - w.target) <= TOL * max(1.0, abs(w.target)),
+        checked_pairs=cross.size,
     )
 
 

@@ -139,12 +139,12 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def _build_variant(
-    variant: str, n: int, x: int | None, a: int | None, b: int | None, m: int | None = None
+    variant: str, n: int, x: int | None, a: int | None, b: int | None
 ) -> BuildResult:
     if variant == "sparsenew":
         if b is None:
             raise ValueError("triangle-sparsenew needs --b")
-        return build_sparsenew_lg(n, b, m=m)
+        return build_sparsenew_lg(n, b)
     if None in (x, a, b):
         raise ValueError(f"triangle-{variant} needs --x, --a and --b")
     build = build_dense_lg if variant == "dense" else build_sparse_lg
@@ -153,7 +153,7 @@ def _build_variant(
 
 def _cmd_build(args: argparse.Namespace) -> int:
     variant = args.target.split("-", 1)[1]
-    res = _build_variant(variant, args.n, args.x, args.a, args.b, args.m)
+    res = _build_variant(variant, args.n, args.x, args.a, args.b)
     rep = complexity(res.graph, res.function)
     summary = {
         "variant": res.variant,
@@ -215,44 +215,27 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise ValueError(f"--b must lie in 1..{g.n}")
         B = range(args.b)
         exact = oracle_delta_exact(g, B, args.x)
-        check = delta_mean_pairs(g, B, args.x)
-        if exact != check:
+        if exact != delta_mean_pairs(g, B, args.x):
             raise ValueError("internal disagreement between counting routes")
-        out = {
-            "value": float(exact),
-            "exact": str(exact),
-            "bound": args.b ** 2 / args.x,
-        }
-    elif args.which == "ninter":
+        out = {"bound": args.b ** 2 / args.x}
+    elif args.which in ("ninter", "ninter-sq"):
         ground = range(args.v1)
         nset = _parse_vertex_list(args.nset)
-        exact = ninter_exact(ground, nset, args.x)
-        out = {
-            "value": float(exact),
-            "exact": str(exact),
-            "equality": str(Fraction(args.x * len(nset), args.v1)),
-        }
-    elif args.which == "ninter-sq":
-        ground = range(args.v1)
-        nset = _parse_vertex_list(args.nset)
-        exact = ninter_sq_exact(ground, nset, args.x)
-        bound = 2 * Fraction(args.x * len(nset), args.v1) ** 2
-        out = {
-            "value": float(exact),
-            "exact": str(exact),
-            "bound": float(bound),
-            "precondition_met": args.x * len(nset) >= args.v1,
-        }
+        mean = Fraction(args.x * len(nset), args.v1)
+        if args.which == "ninter":
+            exact = ninter_exact(ground, nset, args.x)
+            out = {"equality": str(mean)}
+        else:
+            exact = ninter_sq_exact(ground, nset, args.x)
+            out = {
+                "bound": float(2 * mean**2),
+                "precondition_met": args.x * len(nset) >= args.v1,
+            }
     else:
         g = _load_instance(args.graph)
         exact = edge_exp_exact(g, args.x, args.y)
-        formula = Fraction(2 * args.x * args.y * g.m, g.n * g.n)
-        out = {
-            "value": float(exact),
-            "exact": str(exact),
-            "formula": str(formula),
-        }
-    _emit(out, args.out)
+        out = {"formula": str(Fraction(2 * args.x * args.y * g.m, g.n * g.n))}
+    _emit({"value": float(exact), "exact": str(exact), **out}, args.out)
     return 0
 
 
@@ -331,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
-    p.add_argument("--m", type=int, help="edge count hint for analysis warnings")
     p.add_argument("-o", "--out")
     p.add_argument("--function-out")
     p.set_defaults(func=_cmd_build)

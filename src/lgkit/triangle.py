@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence, TypeVar
@@ -631,17 +630,11 @@ def build_sparse_lg(n: int, params: TriangleParams) -> BuildResult:
     return _build_excluded(n, params, SPARSE)
 
 
-def build_sparsenew_lg(n: int, b: int, m: int | None = None) -> BuildResult:
+def build_sparsenew_lg(n: int, b: int) -> BuildResult:
     if n > BUILD_CAP:
         raise ValueError(f"materialization capped at n <= {BUILD_CAP}")
     if n < 3 or not 2 <= b <= n:
         raise ValueError("need 3 <= n and 2 <= b <= n")
-    if m is not None and m > 0 and b < n * n / m:
-        warnings.warn(
-            f"b={b} below n^2/m={n * n / m:.1f}; the cost analysis assumes "
-            "denser anchor coverage",
-            stacklevel=2,
-        )
     f_top = triangle_function(n)
     top = _anchor_or(
         n, (), tuple(range(n)), frozenset(), f_top.universe, f_top.dom, b,

@@ -185,9 +185,8 @@ def test_criterion_4_witnesses(capsys, dense4, sparse4, anchored4):
             g2 = rebalance_to_equal(res.graph, res.function)
             wit = build_witness(g2, res.function)
             rep = verify_witness(wit, res.function)
-            for j, fac in wit.factors.items():
-                psi = fac.dense(len(wit.domain))
-                min_eig = np.linalg.eigvalsh(psi @ psi.T)[0]
+            for j, mat in wit.matrices.items():
+                min_eig = np.linalg.eigvalsh(mat)[0]
                 assert min_eig >= -1e-9, f"{res.variant}: M_{j} min eig {min_eig}"
             assert rep.crossing_ok, f"{res.variant}: {rep.crossing_lo}..{rep.crossing_hi}"
             assert rep.objective_ok

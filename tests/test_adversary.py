@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from loop_reference import build_witness_loop
+from loop_reference import build_witness_loop, verify_witness_loop
 
 from lgkit import adversary
 from lgkit.adversary import (
     AdversaryError,
+    Factor,
+    Witness,
     build_witness,
     linking_mutants,
     rebalance_to_equal,
@@ -40,6 +42,81 @@ def test_verify_without_negatives_checks_no_pair():
     assert (rep.crossing_lo, rep.crossing_hi, rep.checked_pairs) == (1.0, 1.0, 0)
     assert rep.crossing_ok and not rep.objective_ok
     assert (rep.objective, rep.target) == (1.0, 0.0)
+
+
+def _hand_witness(columns, target):
+    """A witness over the 2-bit domain, row z for input z, that no builder
+    makes: Ψ_j given column by column, each column as {row: value}."""
+    factors = {}
+    for j, cols in columns.items():
+        starts = np.cumsum([0] + [len(col) for col in cols])
+        rows = np.array([z for col in cols for z in col], dtype=np.int64)
+        vals = np.array([v for col in cols for v in col.values()])
+        factors[j] = Factor(rows, vals, starts)
+    blocks = sum(fac.columns for fac in factors.values())
+    return Witness(2, (0, 1, 2, 3), {z: z for z in range(4)}, factors, target, blocks)
+
+
+# bit 1 decides: negatives 0 and 1, positives 2 and 3
+_BIT1 = BooleanFunction(2, {0: 0, 1: 0, 2: 1, 3: 1})
+# position 0: one column with both values of bit 0 on each side, so both
+# of its halves are live, {0, 3} and {1, 2}; position 1 adds 2·0.5, 2·1,
+# 1·0.5 and 1·1, so every crossing sum is exactly 1
+_BOTH_HALVES = {
+    0: [{0: 1.0, 1: 1.0, 2: 0.5, 3: -1.0}],
+    1: [{0: 2.0, 1: 1.0, 2: 0.5, 3: 1.0}],
+}
+# position 0: each column is one-sided, its negatives and positives agree
+# on bit 0 or it holds negatives only, so no half of it is live
+_ONE_SIDED = {
+    0: [{0: 3.0, 2: 3.0}, {1: 2.0, 3: 2.0}, {0: 1.0, 1: 1.0}],
+    1: [{0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}],
+}
+
+
+def _assert_same_as_loop(w, f):
+    got, want = verify_witness(w, f), verify_witness_loop(w, f)
+    assert (got.ok, got.crossing_ok, got.objective_ok, got.checked_pairs) == (
+        want.ok,
+        want.crossing_ok,
+        want.objective_ok,
+        want.checked_pairs,
+    )
+    assert abs(got.crossing_lo - want.crossing_lo) <= 1e-12
+    assert abs(got.crossing_hi - want.crossing_hi) <= 1e-12
+    return got
+
+
+def test_a_column_can_hold_two_live_halves():
+    rep = _assert_same_as_loop(_hand_witness(_BOTH_HALVES, 5.0), _BIT1)
+    assert rep.ok and (rep.crossing_lo, rep.crossing_hi) == (1.0, 1.0)
+
+
+def test_a_position_with_no_live_half_adds_nothing():
+    rep = _assert_same_as_loop(_hand_witness(_ONE_SIDED, 11.0), _BIT1)
+    assert rep.ok and (rep.crossing_lo, rep.crossing_hi) == (1.0, 1.0)
+
+
+def test_a_nan_in_a_one_sided_column_fails_the_crossing_check():
+    """The NaN takes the place of a 1 that meets no positive, where every
+    crossing sum is 1; the dense reference takes no eigenvalues of a NaN,
+    so it checks the finite witness.  Any non-finite entry fails."""
+    columns = {**_ONE_SIDED, 0: [*_ONE_SIDED[0][:2], {0: math.nan, 1: 1.0}]}
+    got = verify_witness(_hand_witness(columns, 11.0), _BIT1)
+    want = _assert_same_as_loop(_hand_witness(_ONE_SIDED, 11.0), _BIT1)
+    assert want.crossing_ok and not got.crossing_ok
+    assert math.isnan(got.crossing_lo) and math.isnan(got.crossing_hi)
+    assert math.isnan(got.objective) and not got.objective_ok
+    assert got.checked_pairs == want.checked_pairs == 4
+
+
+def test_rows_off_the_function_take_no_part():
+    """Input 1 is in the witness but not in the domain of f: its entries
+    join no pair, and the half it shares with input 2 is not live."""
+    f = BooleanFunction(2, {0: 0, 2: 1, 3: 1})
+    rep = _assert_same_as_loop(_hand_witness(_BOTH_HALVES, 5.0), f)
+    assert rep.ok and rep.checked_pairs == 2
+    assert (rep.crossing_lo, rep.crossing_hi) == (1.0, 1.0)
 
 
 def _or_two_bits():

@@ -134,33 +134,40 @@ def test_adversary_fails_when_a_mutant_escapes(built, capsys, monkeypatch):
 
 
 def test_adversary_nan_weight_fails_checks(tmp_path, capsys):
-    """Edge 1's w0 overflows to inf and meets a zero, so it is NaN at every
-    input.  The graph is well formed, so the witness is built: its crossing
-    and objective checks fail, and the command prints the report, with the
-    NaN values as null, and exits 1, with or without mutants.  ``lg
-    complexity`` prints the NaN costs as null too, and exits 1."""
+    """Edge 1's w0 overflows to inf at every input, and meeting a zero it
+    is NaN.  Either graph is well formed, so the witness is built: its
+    crossing and objective checks fail, and the command prints the report,
+    with the non-finite values as null, and exits 1, with or without
+    mutants.  No factor equalizes a non-finite cost, so without ``--raw``
+    the graph is left unscaled and the report is the same.  ``lg
+    complexity`` prints the non-finite costs as null too, and exits 1."""
     res = build_sparsenew_lg(4, 2)
     g = expand(res.graph)
-    edges = list(g.edges)
-    nan = ProductRule(ScaleRule(1e300, ScaleRule(1e300, ONE)), ZERO)
-    edges[1] = replace(edges[1], w0=nan)
-    g = replace(g, edges=edges)
-    gp, fp = tmp_path / "g.json", tmp_path / "f.json"
-    write_json(gp, dump_graph(g))
+    fp = tmp_path / "f.json"
     write_json(fp, dump_function(res.function))
-    for extra in ([], ["--mutants", "3"]):
-        argv = ["adversary", str(gp), "--function", str(fp), "--raw", *extra]
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (1, ""), argv
-        rep = _parse(out)
-        assert rep["ok"] is False
-        assert rep["checks"] == {"crossing": False, "objective": False}, argv
-        assert rep["target"] is None and rep["crossing"] == [None, None], argv
-    code, out, err = run(capsys, "complexity", str(gp), "--function", str(fp))
-    assert (code, err) == (1, "")
-    total = _parse(out)["total"]
-    assert total["c0_max"] is None and total["c"] is None
-    assert total["c1_max"] == 1.0
+    inf = ScaleRule(1e300, ScaleRule(1e300, ONE))
+    for name, w0 in (("nan", ProductRule(inf, ZERO)), ("inf", inf)):
+        edges = list(g.edges)
+        edges[1] = replace(edges[1], w0=w0)
+        gp = tmp_path / f"g{name}.json"
+        write_json(gp, dump_graph(replace(g, edges=edges)))
+        for extra in ([], ["--mutants", "3"]):
+            outs = []
+            for raw in (["--raw"], []):
+                argv = ["adversary", str(gp), "--function", str(fp), *raw, *extra]
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (1, ""), argv
+                rep = _parse(out)
+                assert rep["ok"] is False
+                assert rep["checks"] == {"crossing": False, "objective": False}, argv
+                assert rep["target"] is None and rep["crossing"] == [None, None], argv
+                outs.append(out)
+            assert outs[0] == outs[1], (name, extra)
+        code, out, err = run(capsys, "complexity", str(gp), "--function", str(fp))
+        assert (code, err) == (1, "")
+        total = _parse(out)["total"]
+        assert total["c0_max"] is None and total["c"] is None
+        assert total["c1_max"] == 1.0
 
 
 def test_adversary_rejects_negative_mutant_count(built, capsys):

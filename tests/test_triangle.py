@@ -245,11 +245,6 @@ def test_builders_match_fixture_functions(tri4, dense4, sparse4, anchored4):
         assert res.function.values == tri4.values
 
 
-def test_sparsenew_warns_when_walk_too_small():
-    with pytest.warns(UserWarning, match="b="):
-        build_sparsenew_lg(4, 2, m=6)
-
-
 def test_build_result_params_recorded(dense4):
     assert dense4.variant == "dense"
     assert dense4.params["x"] == 1
