@@ -9,8 +9,9 @@ diagonal sums reproduce the two graph costs, and for inputs of opposite value
 the entries on disagreeing positions sum to the flow crossing the agreement
 cut, which is exactly 1.
 
-The blocks of position j come from one stable sort over the entries of all
-the edges that load j (:func:`lgkit.indexing.agreement_sort`).  The witness
+The edges that load j from one tail label share their blocks
+(:func:`lgkit.indexing.agreement_blocks`); each edge's column in a block
+holds its nonzero entries there.  The witness
 stores each M_j as its factor Ψ_j, with one column per block
 (:class:`Factor`), so M_j = Ψ_j Ψ_jᵀ and is positive semidefinite by
 construction.  Its memory is Σ_j nnz(Ψ_j), not positions × m² floats for a
@@ -79,10 +80,10 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .complexity import c0_max, c1_max, column_fsums, eval_each, flow_entries
-from .complexity import side0_rows, side1_totals
+from .complexity import FlowEntries, c0_max, c1_max, column_fsums, eval_each
+from .complexity import flow_entries, side0_rows, side1_totals
 from .expand import expand
-from .indexing import agreement_sort, bit_column, input_array, lookup, mask_of
+from .indexing import agreement_blocks, input_array, lookup, mask_of
 from .indexing import pack_bits
 from .model import BooleanFunction, LearningGraph
 from .rules import PatchRule
@@ -186,14 +187,14 @@ def _patched(parent: LearningGraph, ge: LearningGraph, ei: int) -> bool:
 class _Parts:
     """What :func:`build_witness` computes for an expanded graph."""
 
-    by_load: dict[int, list[int]]
-    zs: np.ndarray  # the domain
+    # per position: its edges in edge order and the group of each (see
+    # :meth:`LearningGraph.by_load`), and per group the inputs in block
+    # order and the block at each place, in the smallest type that holds a
+    # place, as a search keeps them for its mutants
+    blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     xs: np.ndarray  # the negatives
-    x_rows: np.ndarray
-    # the positive entries on ordinary edges: edge, row and value in Ψ
-    p_edge: np.ndarray
-    p_rows: np.ndarray
-    p_vals: np.ndarray
+    rows: np.ndarray  # the domain rows of the negatives, then of the positives
+    ent: FlowEntries  # the positive entries, on ordinary edges
     c1: float
     w0_rows: np.ndarray  # the side-0 rows at the negatives, one per edge
     c0s: list[float]  # the column fsums of w0_rows
@@ -202,56 +203,71 @@ class _Parts:
 
 def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
     """Every part of the witness of the expanded graph ``ge``."""
-    domain = f.domain
-    row = {z: i for i, z in enumerate(domain)}
-    ys = f.positives()
+    xs, ys = f.negatives(), f.positives()
     ent = flow_entries(ge, ys)
     # priced first, so every flow fault raises here; then every entry is on
     # an ordinary edge with nonzero w1
     c1 = max(side1_totals(ge, ys, ent), default=0.0)
-    y_rows = np.array([row[y] for y in ys], dtype=np.int64)
-    xs = input_array(f.negatives(), ge.n_bits)
-    w0_rows = side0_rows(ge, xs)
+    zs = input_array(xs + ys, ge.n_bits)
+    positive = np.repeat(np.array([0, 1], dtype=np.int64), [len(xs), len(ys)])
+    place = np.min_scalar_type(len(zs))
+    blocks = {}
+    for j, by_tail in ge.by_load().items():
+        sorts = [agreement_blocks(zs, tail, j, positive) for tail in by_tail]
+        group = {i: g for g, ids in enumerate(by_tail.values()) for i in ids}
+        ids = sorted(group)
+        blocks[j] = (
+            np.array(ids, dtype=np.int64),
+            np.array([group[i] for i in ids], dtype=np.int64),
+            np.array([order for order, _ in sorts], place),
+            np.array([np.arange(len(b) - 1).repeat(np.diff(b)) for _, b in sorts], place),
+        )
+    w0_rows = side0_rows(ge, zs[: len(xs)])
     parts = _Parts(
-        by_load=ge.by_load(),
-        zs=input_array(domain, ge.n_bits),
-        xs=xs,
-        x_rows=np.array([row[x] for x in f.negatives()], dtype=np.int64),
-        p_edge=ent.edge,
-        p_rows=y_rows[ent.input],
-        p_vals=ent.flow / np.sqrt(ent.w1),  # flow over root side-1 weight
+        blocks=blocks,
+        xs=zs[: len(xs)],
+        rows=np.searchsorted(input_array(f.domain, ge.n_bits), zs),
+        ent=ent,
         c1=c1,
         w0_rows=w0_rows,
         c0s=column_fsums(w0_rows),
         factors={},
     )
-    for j in parts.by_load:
-        parts.factors[j] = _factor(ge, parts, j, w0_rows)
+    for j in blocks:
+        parts.factors[j] = _factor(parts, j, w0_rows)
     return parts
 
 
-def _factor(ge: LearningGraph, parts: _Parts, j: int, w0_rows: np.ndarray) -> Factor:
+def _factor(parts: _Parts, j: int, w0_rows: np.ndarray) -> Factor:
     """Ψ_j from ``w0_rows``, the side-0 rows of every edge, and from the
-    positive entries of ``parts``.  Its arrays are read-only, as mutants
-    share the factors they do not change."""
-    ids = parts.by_load[j]
-    w0 = w0_rows[ids]
-    # negatives by edge, then the positives; negatives go to side 0 on
-    # loaded bit 0, positives on loaded bit 1
-    keep = w0 != 0.0
-    n_edge, n_x = np.nonzero(keep)
-    mine = np.isin(parts.p_edge, ids)
-    rows = np.concatenate((parts.x_rows[n_x], parts.p_rows[mine]))
-    vals = np.concatenate((np.sqrt(w0[keep]), parts.p_vals[mine]))
-    is_pos = np.repeat(np.array([0, 1], np.int64), [len(n_x), mine.sum()])
-    order, starts = agreement_sort(
-        parts.zs,
-        {ei: ge.label(ge.edges[ei].src) for ei in ids},
-        np.concatenate((np.array(ids)[n_edge], parts.p_edge[mine])),
-        rows,
-        bit_column(parts.zs, j)[rows] ^ is_pos,
+    blocks and positive entries of ``parts``.  Its arrays are read-only, as
+    mutants share the factors they do not change."""
+    ids, group, order, block = parts.blocks[j]
+    k, m, n_x = len(ids), len(parts.rows), len(parts.xs)
+    # each edge's entries at the inputs, negatives then positives; those of
+    # negatives with w0 = 0 and of positives with no flow are dropped
+    vals = np.zeros((k, m))
+    vals[:, :n_x] = w0_rows[ids]
+    keep = vals != 0.0
+    np.sqrt(vals, out=vals)
+    ent = parts.ent
+    mine = np.isin(ent.edge, ids)
+    at = np.searchsorted(ids, ent.edge[mine]) * m + n_x + ent.input[mine]
+    # flow over root side-1 weight
+    vals.flat[at] = ent.flow[mine] / np.sqrt(ent.w1[mine])
+    keep.flat[at] = True
+    # each edge's entries in its group's block order, at edge * m + place:
+    # a column is the run of one block in one edge's row
+    at = (order[group] + np.arange(k)[:, None] * m).ravel()
+    kept = keep.ravel()[at]
+    at = at[kept]
+    column = at - at % m + block[group].ravel()[kept]
+    new = np.concatenate(([column.size > 0], column[1:] != column[:-1]))
+    fac = Factor(
+        rows=parts.rows[at % m],
+        vals=vals.ravel()[at],
+        starts=np.append(np.flatnonzero(new), column.size),
     )
-    fac = Factor(rows=rows[order], vals=vals[order], starts=starts)
     for a in (fac.rows, fac.vals, fac.starts):
         a.flags.writeable = False
     return fac
@@ -298,7 +314,7 @@ def _inherited(ge: LearningGraph, f: BooleanFunction) -> _Parts | None:
         c0s[k] = total
     factors = dict(base.factors)
     j = ge.edges[ei].load
-    factors[j] = _factor(ge, base, j, w0_rows)
+    factors[j] = _factor(base, j, w0_rows)
     return replace(base, w0_rows=w0_rows, c0s=c0s, factors=factors)
 
 

@@ -9,7 +9,7 @@ single place where that shift happens.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,40 +96,25 @@ def lookup(sorted_rows: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.nd
     return values[np.where(hit, at, len(keys))]
 
 
-def agreement_sort(
-    zs: np.ndarray,
-    tails: Mapping[int, tuple[int, ...]],
-    edge: np.ndarray,
-    inp: np.ndarray,
-    side: np.ndarray,
+def agreement_blocks(
+    zs: np.ndarray, label: Sequence[int], j: int, positive: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Agreement blocks of entries on the edges that load one position.
+    """Agreement blocks of the edges with tail label ``label`` that load
+    position ``j``.
 
-    Entry ``n`` puts input ``zs[inp[n]]`` on side ``side[n]`` (0 or 1) of
-    edge ``edge[n]``, whose tail label is ``tails[edge[n]]``.  Returns the
-    entries stably sorted by (edge, tail assignment, side), and the block
-    starts in that order plus the end: block ``b`` is
-    ``order[starts[b]:starts[b + 1]]``, its members in their given order.
-    The key is one int64, with the tail bits packed over the union of the
-    labels (which keeps their order), where it fits; else a ``lexsort``.
+    ``zs`` holds the negatives, then the positives; ``positive`` is 0 or
+    1 for each.  Returns the inputs stably sorted by (assignment of
+    ``label``, bit ``j`` xor positive), and the block starts in that order
+    plus the end: block ``b`` is ``order[bounds[b]:bounds[b + 1]]``, its
+    negatives first.
     """
-    union = sorted(set().union(*tails.values()))
-    width = len(union) + 1
-    ids = list(tails)
-    masks = input_array([0] * (max(ids, default=0) + 1), max(union, default=0) + 1)
-    masks[ids] = [mask_of(t) for t in tails.values()]
-    if width + max(ids, default=0).bit_length() <= 63:
-        alpha = pack_index(zs, union)[inp] & pack_index(masks, union)[edge]
-        key = (edge << width) | (alpha << 1) | side
-        order = np.argsort(key, kind="stable")
-        keys = [key[order]]
-    else:
-        keys = [side, zs[inp] & masks[edge], edge]
-        order = np.lexsort(keys)
-        keys = [k[order] for k in keys]
-    new = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
-    starts = np.flatnonzero(np.concatenate(([len(order) > 0], new)))
-    return order, np.append(starts, len(order))
+    key = (pack_index(zs, label) << 1) | (bit_column(zs, j) ^ positive)
+    if len(label) < 15:
+        key = key.astype(np.int16)  # sorted by radix
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([len(key) > 0], key[1:] != key[:-1])))
+    return order, np.append(starts, len(key))
 
 
 def bitstring(z: int, n: int) -> str:

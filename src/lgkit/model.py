@@ -183,13 +183,14 @@ class LearningGraph:
     def has_super(self) -> bool:
         return any(e.gadget is not None for e in self.edges)
 
-    def by_load(self) -> dict[int, list[int]]:
-        """The ordinary edges by the position they load: positions in order
-        of first load, each one's edges in edge order."""
-        out: dict[int, list[int]] = {}
+    def by_load(self) -> dict[int, dict[tuple[int, ...], list[int]]]:
+        """The ordinary edges by the position they load, then by their tail
+        label: positions and labels in order of first load, edges in edge
+        order.  The edges of one group share their agreement blocks."""
+        out: dict[int, dict[tuple[int, ...], list[int]]] = {}
         for i, e in enumerate(self.edges):
             if e.kind == "ordinary":
-                out.setdefault(e.load, []).append(i)
+                out.setdefault(e.load, {}).setdefault(self.label(e.src), []).append(i)
         return out
 
     def sinks(self) -> tuple[str, ...]:

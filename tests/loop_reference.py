@@ -396,11 +396,15 @@ class LoopWitnessReport(WitnessReport):
 
 def verify_witness_loop(w, f, tol=1e-9):
     """``verify_witness`` on the dense matrices of a :class:`LoopWitness`,
-    and the smallest eigenvalue of any of them."""
+    and the smallest eigenvalue of any of them, NaN if one of them is not
+    finite (``eigvalsh`` does not converge on it)."""
     m = len(w.domain)
     mats = list(w.matrices.items())
-    eigs = [np.linalg.eigvalsh(mat) for _, mat in mats]
-    min_eig = min((float(e[0]) for e in eigs), default=0.0)
+    eigs = [
+        np.linalg.eigvalsh(mat)[0] if np.isfinite(mat).all() else math.nan
+        for _, mat in mats
+    ]
+    min_eig = float(np.min(eigs)) if eigs else 0.0
 
     # crossing sums: for x negative, y positive, sum the entries of the
     # matrices at positions where the two inputs disagree

@@ -44,6 +44,16 @@ def test_verify_without_negatives_checks_no_pair():
     assert (rep.objective, rep.target) == (1.0, 0.0)
 
 
+def test_an_empty_domain_has_no_columns():
+    """With no input, every factor has no column and there is nothing to
+    check: objective and target are both 0."""
+    g, _ = _identity_bit()
+    f = BooleanFunction(1, {})
+    w = build_witness(g, f)
+    assert w.blocks == 0 and w.factors[0].starts.tolist() == [0]
+    assert verify_witness(w, f).ok
+
+
 def _hand_witness(columns, target):
     """A witness over the 2-bit domain, row z for input z, that no builder
     makes: Ψ_j given column by column, each column as {row: value}."""
@@ -98,15 +108,18 @@ def test_a_position_with_no_live_half_adds_nothing():
 
 
 def test_a_nan_in_a_one_sided_column_fails_the_crossing_check():
-    """The NaN takes the place of a 1 that meets no positive, where every
-    crossing sum is 1; the dense reference takes no eigenvalues of a NaN,
-    so it checks the finite witness.  Any non-finite entry fails."""
+    """The NaN takes the place of a 1 that meets no positive: every
+    crossing sum stays 1, as the dense reference finds, which takes no
+    eigenvalue of the NaN matrix.  Any non-finite entry fails."""
     columns = {**_ONE_SIDED, 0: [*_ONE_SIDED[0][:2], {0: math.nan, 1: 1.0}]}
-    got = verify_witness(_hand_witness(columns, 11.0), _BIT1)
-    want = _assert_same_as_loop(_hand_witness(_ONE_SIDED, 11.0), _BIT1)
-    assert want.crossing_ok and not got.crossing_ok
+    w = _hand_witness(columns, 11.0)
+    got, want = verify_witness(w, _BIT1), verify_witness_loop(w, _BIT1)
+    assert want.crossing_ok and (want.crossing_lo, want.crossing_hi) == (1.0, 1.0)
+    assert not got.crossing_ok
     assert math.isnan(got.crossing_lo) and math.isnan(got.crossing_hi)
-    assert math.isnan(got.objective) and not got.objective_ok
+    assert math.isnan(got.objective) and math.isnan(want.objective)
+    assert not got.objective_ok and not want.objective_ok
+    assert math.isnan(want.min_eigenvalue)
     assert got.checked_pairs == want.checked_pairs == 4
 
 
@@ -276,9 +289,9 @@ def factor_calls(monkeypatch):
     calls = []
     factor = adversary._factor
 
-    def spy(ge, parts, j, w0):
+    def spy(parts, j, w0):
         calls.append(j)
-        return factor(ge, parts, j, w0)
+        return factor(parts, j, w0)
 
     monkeypatch.setattr(adversary, "_factor", spy)
     return calls

@@ -248,11 +248,27 @@ def _one_sink_two_assignments():
     return b.graph(flows={y: {0: 1.0} for y in (1, 2, 3)}), f
 
 
+def _one_breach_in_a_shared_group():
+    """AND of 2 bits: edges 1 and 2 both load bit 1 from the tail label
+    (bit 0,), so they share their agreement blocks, and only edge 2 breaks
+    linking, on the block of the negative 1 and the positive 3."""
+    b = GraphBuilder(2)
+    b.add_vertex("a", (0,))
+    b.add_vertex("b", (0, 1))
+    b.add_vertex("c", (0, 1))
+    b.add_ordinary("r", "a", 0, ONE, ONE)
+    b.add_ordinary("a", "b", 1, ONE, ONE)
+    b.add_ordinary("a", "c", 1, ONE, ConstRule(2.0))
+    f = BooleanFunction(2, {z: int(z == 3) for z in range(4)})
+    return b.graph(flows={3: {0: 1.0, 1: 1.0}}), f
+
+
 def test_validate_matches_loop(corpus_dir, dense4, sparse4, anchored4):
     triangles = _triangles(dense4, sparse4, anchored4)
     graphs = _corpus(corpus_dir) + triangles + _mutants(triangles, 6)
     graphs += [("wide", *_wide_and()), ("two negatives", *_two_negatives_at_a_sink())]
     graphs += [("two assignments", *_one_sink_two_assignments())]
+    graphs += [("shared group", *_one_breach_in_a_shared_group())]
     for name, g, f in triangles:
         graphs += _broken_flows(name, expand(g), f)
     broken = 0
@@ -260,7 +276,11 @@ def test_validate_matches_loop(corpus_dir, dense4, sparse4, anchored4):
         got = validate(g, f)
         assert dumps(got.to_json()) == dumps(validate_loop(g, f).to_json()), name
         broken += not got.ok
-    assert broken == 18 + 9 + 2
+    assert broken == 18 + 9 + 3
+    got = validate(*_one_breach_in_a_shared_group())
+    assert [(v.kind, v.where) for v in got.entries] == [("linking", "edge[2] a->c")]
+    # edge 0 joins 0 and 2 with 3; edges 1 and 2 each join 1 with 3
+    assert got.checked["linking-pairs"] == 2 + 2 * 1
 
 
 def _breaches_out_of_position_order():

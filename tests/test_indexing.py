@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgkit.indexing import (
-    agreement_sort,
+    agreement_blocks,
     all_assignments,
     assignment_key,
     bitstring,
@@ -78,40 +78,32 @@ def test_assignment_key_round_trip():
     assert parse_assignment_key(key) == ((1, 4), (0, 1))
 
 
-def _sorted_blocks(zs, tails, edge, inp, side):
-    """Entries sorted by (edge, tail assignment, side, place), and where each
-    new key starts, one entry at a time."""
+def _sorted_blocks(zs, label, j, positive):
+    """Inputs sorted by (tail assignment, bit j xor positive, place), and
+    where each new key starts, one input at a time."""
     def key(n):
-        return (edge[n], zs[inp[n]] & mask_of(tails[edge[n]]), side[n])
+        return (zs[n] & mask_of(label), (zs[n] >> j & 1) ^ positive[n])
 
-    order = sorted(range(len(edge)), key=lambda n: (key(n), n))
+    order = sorted(range(len(zs)), key=lambda n: (key(n), n))
     starts = [b for b, n in enumerate(order) if not b or key(n) != key(order[b - 1])]
     return order, starts + [len(order)]
 
 
 @given(st.data())
-def test_agreement_sort_matches_sorted(data):
-    """On int64 inputs with one packed key, on 70-bit inputs, and on tails
-    of more than 62 positions (the lexsort fallback)."""
-    n_bits = data.draw(st.sampled_from([6, 70, 130]))
-    zs = data.draw(st.lists(st.integers(0, (1 << n_bits) - 1), min_size=1, max_size=8))
-    ids = data.draw(st.lists(st.integers(0, 3000), min_size=1, max_size=4))
-    size = (63, 80) if n_bits > 70 else (0, 5)
-    label = st.sets(st.integers(0, n_bits - 1), min_size=size[0], max_size=size[1])
-    tails = {i: tuple(sorted(data.draw(label))) for i in ids}
-    entries = data.draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(ids),
-                st.integers(0, len(zs) - 1),
-                st.integers(0, 1),
-            ),
-            max_size=30,
-        )
+def test_agreement_blocks_match_sorted(data):
+    """On int64 inputs, with keys of 16 bits or more, on 70-bit inputs, and
+    on labels of more than 62 positions (packed into Python ints)."""
+    n_bits = data.draw(st.sampled_from([6, 40, 70, 130]))
+    # uniform bits, so the high positions of a label are set as often as the low
+    rnd = data.draw(st.randoms(use_true_random=False))
+    zs = [rnd.getrandbits(n_bits) for _ in range(data.draw(st.integers(0, 40)))]
+    size = {6: (0, 5), 40: (15, 20), 70: (0, 5), 130: (63, 80)}[n_bits]
+    k = data.draw(st.integers(*size))
+    label = tuple(sorted(data.draw(st.permutations(range(n_bits)))[:k]))
+    j = data.draw(st.integers(0, n_bits - 1))
+    n_x = data.draw(st.integers(0, len(zs)))
+    positive = [0] * n_x + [1] * (len(zs) - n_x)
+    order, bounds = agreement_blocks(
+        input_array(zs, n_bits), label, j, np.array(positive, dtype=np.int64)
     )
-    edge, inp, side = (
-        np.array([e[k] for e in entries], dtype=np.int64) for k in range(3)
-    )
-    order, starts = agreement_sort(input_array(zs, n_bits), tails, edge, inp, side)
-    want = _sorted_blocks(zs, tails, edge.tolist(), inp.tolist(), side.tolist())
-    assert (order.tolist(), starts.tolist()) == want
+    assert (order.tolist(), bounds.tolist()) == _sorted_blocks(zs, label, j, positive)
