@@ -9,13 +9,14 @@ diagonal sums reproduce the two graph costs, and for inputs of opposite value
 the entries on disagreeing positions sum to the flow crossing the agreement
 cut, which is exactly 1.
 
-The edges that load j from one tail label share their blocks
-(:func:`lgkit.indexing.agreement_blocks`); each edge's column in a block
-holds its nonzero entries there.  The witness
-stores each M_j as its factor Ψ_j, with one column per block
-(:class:`Factor`), so M_j = Ψ_j Ψ_jᵀ and is positive semidefinite by
-construction.  Its memory is Σ_j nnz(Ψ_j), not positions × m² floats for a
-domain of m inputs.  Verification works from the factors:
+The edges that load j from one tail label share their blocks, which one
+:func:`lgkit.indexing.agreement_layout` call lays out for every label of
+position j; each edge's column in a block holds its nonzero entries
+there, and no block outlives its factor.  The witness stores each M_j as
+its factor Ψ_j, one column per block (:class:`Factor`), so M_j = Ψ_j Ψ_jᵀ
+is positive semidefinite by construction.  Its memory is Σ_j nnz(Ψ_j),
+not positions × m² floats for a domain of m inputs.  Verification works
+from the factors:
 
 * crossing sums: half b of a column of Ψ_j holds its negatives with
   bit j = b and its positives with bit j = 1 − b, so it joins exactly the
@@ -36,9 +37,7 @@ prices it: C1 from ``side1_totals``, priced first, so every flow fault
 (a missing flow, flow on zero side-1 weight, ...) raises its error there,
 and C0 from ``side0_rows``, one row per edge, which the factors are formed
 from.  Expansion keeps both costs, up to rounding in the last place.
-
-``Witness.matrices`` still gives the dense M_j, built from the factor on
-access.
+``Witness.matrices`` gives the dense M_j, built from the factor on access.
 
 Fault injection (``linking_mutants``) multiplies one side-0 weight on one
 reachable assignment by a constant, which bumps a crossing sum by the flow on
@@ -48,21 +47,18 @@ blocks: each site's negative is found by a sorted search per edge
 vertex dict, flows and every edge but the patched one, and records its
 search and the patched edge (a private lineage, never serialized).
 
-``build_witness`` on a mutant rebuilds only what the mutation changed: Ψ_j
-of the position j the patched edge loads, and the side-0 totals of the
-negatives whose ``w0`` changed.  Every other factor, the positive-side
-entries and C1 come from the parts of the parent's witness, computed once
-per search, for the first function object asked for, and kept by the
-search, not the parent, so they die with its mutants.  Nothing is reused
-unless O(E) identity checks pass: the same function object; the same
-vertices, flows, const_flow and stages objects; every other edge the same
-object; and the patched edge ordinary, with the same ends, load and
-``w1``.  Otherwise the same per-position routine builds every factor, so a
-false lineage can cost time but never change a witness.  Graphs are
-values: an in-place edit of a dict that a parent shares with its mutants,
-made within one search, is not detected.
-``verify_witness`` trusts none of this: it checks every pair from the
-factors.
+``build_witness`` on a mutant lays out and rebuilds only Ψ_j of the
+position j the patched edge loads, and sums again only the side-0 totals
+of the negatives whose ``w0`` changed.  The rest comes from the parts of
+the parent's witness, made once per search for the first function object
+asked for and kept by the search, so they die with its mutants.  Nothing
+is reused unless O(E) identity checks pass: the same function object; the
+same vertices, flows, const_flow and stages objects; every other edge the
+same object; and the patched edge ordinary, with the same ends, load and
+``w1``.  Otherwise every factor is built anew, so a false lineage can cost
+time but never change a witness.  Graphs are values: an in-place edit of
+a dict that a parent shares with its mutants, made within one search, is
+not detected.  ``verify_witness`` trusts none of this.
 
 The bounds are fixed: ``WITNESS_CAP`` on the domain size of a witness,
 ``TOL`` on every check of ``verify_witness``, and, for mutants, ``MIN_FLOW``
@@ -83,7 +79,7 @@ import numpy as np
 from .complexity import FlowEntries, c0_max, c1_max, column_fsums, eval_each
 from .complexity import flow_entries, side0_rows, side1_totals
 from .expand import expand
-from .indexing import agreement_blocks, input_array, lookup, mask_of
+from .indexing import agreement_layout, bitstring, input_array, lookup, mask_of
 from .indexing import pack_bits
 from .model import BooleanFunction, LearningGraph
 from .rules import PatchRule
@@ -150,8 +146,7 @@ class _Matrices(Mapping):
 @dataclass
 class Witness:
     n_bits: int
-    domain: tuple[int, ...]
-    row: dict[int, int]
+    domain: tuple[int, ...]  # ascending
     # every position some ordinary edge loads, in order of first load
     factors: dict[int, Factor]
     target: float  # complexity of the expanded graph
@@ -187,13 +182,10 @@ def _patched(parent: LearningGraph, ge: LearningGraph, ei: int) -> bool:
 class _Parts:
     """What :func:`build_witness` computes for an expanded graph."""
 
-    # per position: its edges in edge order and the group of each (see
-    # :meth:`LearningGraph.by_load`), and per group the inputs in block
-    # order and the block at each place, in the smallest type that holds a
-    # place, as a search keeps them for its mutants
-    blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    xs: np.ndarray  # the negatives
-    rows: np.ndarray  # the domain rows of the negatives, then of the positives
+    by_load: dict[int, dict[tuple[int, ...], list[int]]]  # see LearningGraph
+    zs: np.ndarray  # the negatives, then the positives
+    n_neg: int
+    rows: np.ndarray  # the domain rows of zs
     ent: FlowEntries  # the positive entries, on ordinary edges
     c1: float
     w0_rows: np.ndarray  # the side-0 rows at the negatives, one per edge
@@ -209,23 +201,11 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
     # an ordinary edge with nonzero w1
     c1 = max(side1_totals(ge, ys, ent), default=0.0)
     zs = input_array(xs + ys, ge.n_bits)
-    positive = np.repeat(np.array([0, 1], dtype=np.int64), [len(xs), len(ys)])
-    place = np.min_scalar_type(len(zs))
-    blocks = {}
-    for j, by_tail in ge.by_load().items():
-        sorts = [agreement_blocks(zs, tail, j, positive) for tail in by_tail]
-        group = {i: g for g, ids in enumerate(by_tail.values()) for i in ids}
-        ids = sorted(group)
-        blocks[j] = (
-            np.array(ids, dtype=np.int64),
-            np.array([group[i] for i in ids], dtype=np.int64),
-            np.array([order for order, _ in sorts], place),
-            np.array([np.arange(len(b) - 1).repeat(np.diff(b)) for _, b in sorts], place),
-        )
     w0_rows = side0_rows(ge, zs[: len(xs)])
     parts = _Parts(
-        blocks=blocks,
-        xs=zs[: len(xs)],
+        by_load=ge.by_load(),
+        zs=zs,
+        n_neg=len(xs),
         rows=np.searchsorted(input_array(f.domain, ge.n_bits), zs),
         ent=ent,
         c1=c1,
@@ -233,17 +213,22 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
         c0s=column_fsums(w0_rows),
         factors={},
     )
-    for j in blocks:
-        parts.factors[j] = _factor(parts, j, w0_rows)
+    packed: dict = {}  # each tail label packed once, over all positions
+    for j in parts.by_load:
+        parts.factors[j] = _factor(parts, j, w0_rows, packed)
     return parts
 
 
-def _factor(parts: _Parts, j: int, w0_rows: np.ndarray) -> Factor:
-    """Ψ_j from ``w0_rows``, the side-0 rows of every edge, and from the
-    blocks and positive entries of ``parts``.  Its arrays are read-only, as
-    mutants share the factors they do not change."""
-    ids, group, order, block = parts.blocks[j]
-    k, m, n_x = len(ids), len(parts.rows), len(parts.xs)
+def _factor(parts: _Parts, j: int, w0_rows: np.ndarray, packed: dict) -> Factor:
+    """Ψ_j from ``w0_rows``, the side-0 rows of every edge, and the positive
+    entries of ``parts``, over the blocks of :func:`agreement_layout`.  Its
+    arrays are read-only, as mutants share the factors they do not change."""
+    by_tail, n_x = parts.by_load[j], parts.n_neg
+    order, bounds = agreement_layout(parts.zs, n_x, j, list(by_tail), packed)
+    # the edges in edge order, and the label group of each
+    group = dict(sorted((i, g) for g, ids in enumerate(by_tail.values()) for i in ids))
+    ids, group = np.array(list(group)), np.array(list(group.values()))
+    k, m = len(ids), len(parts.zs)
     # each edge's entries at the inputs, negatives then positives; those of
     # negatives with w0 = 0 and of positives with no flow are dropped
     vals = np.zeros((k, m))
@@ -258,6 +243,7 @@ def _factor(parts: _Parts, j: int, w0_rows: np.ndarray) -> Factor:
     keep.flat[at] = True
     # each edge's entries in its group's block order, at edge * m + place:
     # a column is the run of one block in one edge's row
+    block = np.stack([np.arange(len(b) - 1).repeat(b[1:] - b[:-1]) for b in bounds])
     at = (order[group] + np.arange(k)[:, None] * m).ravel()
     kept = keep.ravel()[at]
     at = at[kept]
@@ -305,16 +291,15 @@ def _inherited(ge: LearningGraph, f: BooleanFunction) -> _Parts | None:
         search.f, search.parts = f, _parts(search.parent, f)
     base = search.parts
     w0_rows = base.w0_rows.copy()
-    w0_rows[ei] = ge.edges[ei].w0.eval(base.xs)
+    w0_rows[ei] = ge.edges[ei].w0.eval(base.zs[: base.n_neg])
     # every bit is compared, so a NaN or a -0.0 counts as a change
     new, old = w0_rows[ei].view(np.int64), base.w0_rows[ei].view(np.int64)
     changed = np.flatnonzero(new != old)
     c0s = list(base.c0s)
     for k, total in zip(changed.tolist(), column_fsums(w0_rows[:, changed])):
         c0s[k] = total
-    factors = dict(base.factors)
     j = ge.edges[ei].load
-    factors[j] = _factor(base, j, w0_rows)
+    factors = {**base.factors, j: _factor(base, j, w0_rows, {})}
     return replace(base, w0_rows=w0_rows, c0s=c0s, factors=factors)
 
 
@@ -334,7 +319,6 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
     return Witness(
         n_bits=g.n_bits,
         domain=domain,
-        row={z: i for i, z in enumerate(domain)},
         factors=parts.factors,
         target=math.sqrt(max(parts.c0s, default=0.0) * parts.c1),
         blocks=sum(fac.columns for fac in parts.factors.values()),
@@ -371,10 +355,17 @@ class WitnessReport:
 
 def _live_halves(w: Witness, f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
     """N (negatives × k) and P (k × positives) of ``f``: the k live halves
-    of the columns of every Ψ_j."""
-    neg_rows = np.array([w.row[x] for x in f.negatives()], dtype=np.int64)
-    pos_rows = np.array([w.row[y] for y in f.positives()], dtype=np.int64)
+    of the columns of every Ψ_j.  ``f`` must be on the witness's inputs."""
+    if f.n_bits != w.n_bits:
+        raise AdversaryError(f"{f.n_bits}-bit function, {w.n_bits}-bit witness")
     zs = input_array(w.domain, w.n_bits)
+    xs, ys = f.negatives(), f.positives()
+    # the row of each input of f, or -1 for an input the witness lacks
+    rows = lookup((zs, np.append(np.arange(len(zs)), -1)), input_array(xs + ys, f.n_bits))
+    if (rows < 0).any():
+        z = bitstring((xs + ys)[int(np.argmax(rows < 0))], f.n_bits)
+        raise AdversaryError(f"input {z} of the function is not in the witness domain")
+    neg_rows, pos_rows = rows[: len(xs)], rows[len(xs) :]
     bits = (zs[:, None] >> np.array(list(w.factors), dtype=np.int64)) & 1
     # a column of Ψ_j has three halves of two slots, 2 * half + side: half
     # b for a negative with bit j = b (side 0) or a positive with bit j =
@@ -382,7 +373,6 @@ def _live_halves(w: Witness, f: BooleanFunction) -> tuple[np.ndarray, np.ndarray
     slot = np.full(bits.shape, 4, dtype=np.int64)
     slot[neg_rows] = 2 * bits[neg_rows]
     slot[pos_rows] = 3 - 2 * bits[pos_rows]
-    rows = np.concatenate((neg_rows, pos_rows))
     place = np.zeros(len(zs), dtype=np.int64)
     place[rows] = np.arange(len(rows))
     # place, live half and value per entry; empty first, for a witness with no position

@@ -219,6 +219,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise ValueError("internal disagreement between counting routes")
         out = {"bound": args.b ** 2 / args.x}
     elif args.which in ("ninter", "ninter-sq"):
+        if args.v1 < 1:
+            raise ValueError("--v1 must be at least 1")
         ground = range(args.v1)
         nset = _parse_vertex_list(args.nset)
         mean = Fraction(args.x * len(nset), args.v1)
@@ -332,16 +334,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--b", type=int, required=True, help="size of B (first b vertices)")
     q.add_argument("--x", type=int, required=True)
     q.add_argument("-o", "--out")
-    q = which.add_parser("ninter", help="average intersection size")
-    q.add_argument("--v1", type=int, required=True)
-    q.add_argument("--nset", required=True, help="1-based list like 1,2,3")
-    q.add_argument("--x", type=int, required=True)
-    q.add_argument("-o", "--out")
-    q = which.add_parser("ninter-sq", help="average squared intersection size")
-    q.add_argument("--v1", type=int, required=True)
-    q.add_argument("--nset", required=True)
-    q.add_argument("--x", type=int, required=True)
-    q.add_argument("-o", "--out")
+    for name, power in (("ninter", ""), ("ninter-sq", "squared ")):
+        q = which.add_parser(name, help=f"average {power}intersection size")
+        q.add_argument("--v1", type=int, required=True, help="ground set 1..v1")
+        q.add_argument("--nset", required=True, help="1-based list like 1,2,3")
+        q.add_argument("--x", type=int, required=True)
+        q.add_argument("-o", "--out")
     q = which.add_parser("edge-exp", help="average subset incidence count")
     q.add_argument("--graph", required=True)
     q.add_argument("--x", type=int, required=True)

@@ -69,6 +69,8 @@ def eval_cost(
         if check and not (b <= a <= n and x <= n):
             raise ValueError(f"need b <= a <= n and x <= n, got {x},{a},{b},{n}")
         return math.sqrt(_dense_bracket(n, x, a, b))
+    if variant != "dense" and not n >= 2:
+        raise ValueError(f"n must be at least 2 for a log n factor, got {n}")
     if variant == "sparse":
         _require_positive(m=m, x=x, a=a)
         if check and not (b <= a <= n and x <= n):
@@ -109,6 +111,8 @@ def analytic_params(
         return {"x": xb, "a": n ** 0.75, "b": xb}
     if variant == "sparsenew":
         _require_positive(m=m)
+        if not n >= 2:
+            raise ValueError(f"n must be at least 2 for a log n factor, got {n}")
         b = n ** (4.0 / 3.0) / (m * math.log(n)) ** (1.0 / 3.0)
         return {"b": min(max(b, 2.0), float(n))}
     raise ValueError(f"unknown variant {variant!r}")

@@ -96,25 +96,32 @@ def lookup(sorted_rows: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.nd
     return values[np.where(hit, at, len(keys))]
 
 
-def agreement_blocks(
-    zs: np.ndarray, label: Sequence[int], j: int, positive: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Agreement blocks of the edges with tail label ``label`` that load
-    position ``j``.
-
-    ``zs`` holds the negatives, then the positives; ``positive`` is 0 or
-    1 for each.  Returns the inputs stably sorted by (assignment of
-    ``label``, bit ``j`` xor positive), and the block starts in that order
-    plus the end: block ``b`` is ``order[bounds[b]:bounds[b + 1]]``, its
-    negatives first.
+def agreement_layout(
+    zs: np.ndarray, n_neg: int, j: int, labels: list, packed: dict
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The agreement blocks of position ``j``, one group per tail label:
+    row ``g`` of the order holds ``zs`` (``n_neg`` negatives, then the
+    positives) stably sorted by (assignment of ``labels[g]``, bit ``j`` xor
+    positive), and block ``b`` is ``order[g, bounds[g][b]:bounds[g][b + 1]]``,
+    negatives first.  One ``argsort`` sorts all rows, on keys in the
+    narrowest type that holds the widest label (radix under 15 positions).
+    ``packed`` maps labels to their packed assignments and gains the rest.
     """
-    key = (pack_index(zs, label) << 1) | (bit_column(zs, j) ^ positive)
-    if len(label) < 15:
-        key = key.astype(np.int16)  # sorted by radix
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([len(key) > 0], key[1:] != key[:-1])))
-    return order, np.append(starts, len(key))
+    # the narrowest signed type that holds k bits is that of -2^k
+    width = max(map(len, labels)) + 1
+    keys = np.empty((len(labels), len(zs)), np.min_scalar_type(-(1 << width)))
+    for row, label in zip(keys, labels):
+        if label not in packed:  # any position's key type holds the label
+            packed[label] = pack_index(zs, label).astype(keys.dtype)
+        row[:] = packed[label]
+    keys <<= 1
+    keys |= ((zs >> j & 1) ^ (np.arange(len(zs)) >= n_neg)).astype(keys.dtype)
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = keys.ravel()[order + np.arange(len(labels))[:, None] * len(zs)]
+    # a block starts where the key changes; the last column marks the end
+    new = np.ones((len(labels), len(zs) + 1), dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=new[:, 1:-1])
+    return order, [np.flatnonzero(row) for row in new]
 
 
 def bitstring(z: int, n: int) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .complexity import eval_each, flow_entries
 from .expand import expand
-from .indexing import agreement_blocks, bitstring, input_array, mask_of
+from .indexing import agreement_layout, bitstring, input_array, mask_of
 from .model import BooleanFunction, LearningGraph, ModelError, topological_order
 from .rules import ConstRule, DispatchRule, ProductRule, Rule, ScaleRule
 from .rules import SparseLoadRule
@@ -182,52 +182,52 @@ def _semantic_linking(
     the tail label: w0 on the negatives with bit j = c and w1 on the
     positives with bit j != c must all be equal (within ``LINK_RTOL``).
 
-    The edges that load j from one tail label share their blocks
-    (:func:`lgkit.indexing.agreement_blocks`).  Each edge's row, w0 on the
-    negatives then w1 on the positives, is reduced over them by
-    ``reduceat``, one matrix per group.  Violations are reported by edge.
+    The edges that load j from one tail label share their blocks, which
+    :func:`lgkit.indexing.agreement_layout` lays out per position.  Each
+    edge's row, w0 on the negatives then w1 on the positives, is reduced
+    over them by ``reduceat``, one matrix per label.  Reported by edge.
     """
-    xs = f.negatives()
-    ys = f.positives()
+    xs, ys = f.negatives(), f.positives()
     if not xs or not ys:
         return
     # negatives first, so a block's first member is its first negative
     zs = input_array(xs + ys, g.n_bits)
-    positive = np.repeat(np.array([0, 1], dtype=np.int64), [len(xs), len(ys)])
-    groups = [(j, *grp) for j, by_tail in g.by_load().items() for grp in by_tail.items()]
-    ordinary = [i for *_, ids in groups for i in ids]
+    by_load = g.by_load()
+    ordinary = [i for grp in by_load.values() for ids in grp.values() for i in ids]
     # w0 on the negatives, w1 on the positives
     weights = zip(
         eval_each([g.edges[i].w0 for i in ordinary], zs[: len(xs)]),
         eval_each([g.edges[i].w1 for i in ordinary], zs[len(xs) :]),
     )
+    packed: dict = {}
     pairs = 0
     found = []
-    for j, tail, ids in groups:
-        order, bounds = agreement_blocks(zs, tail, j, positive)
-        starts = bounds[:-1]
-        n_pos = np.add.reduceat(positive[order], starts)
-        n_neg = bounds[1:] - starts - n_pos
-        pairs += len(ids) * int(n_neg @ n_pos)
-        vals = np.stack([np.concatenate(ws)[order] for ws in islice(weights, len(ids))])
-        lo = np.minimum.reduceat(vals, starts, axis=1)
-        hi = np.maximum.reduceat(vals, starts, axis=1)
-        if not (hi - lo).any():
-            continue  # no block spreads, so none is reported (inf - inf is NaN)
-        # negated so that a NaN counts as a violation
-        bad = (n_neg > 0) & (n_pos > 0)
-        bad = bad & ~(hi - lo <= LINK_RTOL * np.maximum(1.0, np.abs(hi)))
-        for r, b in zip(*np.nonzero(bad)):
-            z = order[starts[b]]  # first member of the block
-            c = int(((zs[z] >> j) & 1) ^ positive[z])
-            alpha = zs & mask_of(tail)
-            w0, w1 = vals[r, starts[b]], vals[r, starts[b] + n_neg[b]]
-            message = (
-                f"w0={w0:.12g} vs w1={w1:.12g} on the block "
-                f"{bitstring(int(alpha[z]), g.n_bits)} (bit {j + 1}={c})"
-            )
-            # by edge, then by the first input of the block's assignment, then c
-            found.append((ids[r], int(np.argmax(alpha == alpha[z])), c, message))
+    for j, by_tail in by_load.items():
+        layout = agreement_layout(zs, len(xs), j, list(by_tail), packed)
+        for (tail, ids), order, bounds in zip(by_tail.items(), *layout):
+            starts = bounds[:-1]
+            n_neg = np.add.reduceat(order < len(xs), starts)
+            n_pos = bounds[1:] - starts - n_neg
+            pairs += len(ids) * int(n_neg @ n_pos)
+            vals = np.stack([np.concatenate(ws)[order] for ws in islice(weights, len(ids))])
+            lo = np.minimum.reduceat(vals, starts, axis=1)
+            hi = np.maximum.reduceat(vals, starts, axis=1)
+            if not (hi - lo).any():
+                continue  # no block spreads, so none is reported (inf - inf is NaN)
+            # negated so that a NaN counts as a violation
+            bad = (n_neg > 0) & (n_pos > 0)
+            bad = bad & ~(hi - lo <= LINK_RTOL * np.maximum(1.0, np.abs(hi)))
+            for r, b in zip(*np.nonzero(bad)):
+                z = order[starts[b]]  # the block's first negative
+                c = int((zs[z] >> j) & 1)
+                alpha = zs & mask_of(tail)
+                w0, w1 = vals[r, starts[b]], vals[r, starts[b] + n_neg[b]]
+                message = (
+                    f"w0={w0:.12g} vs w1={w1:.12g} on the block "
+                    f"{bitstring(int(alpha[z]), g.n_bits)} (bit {j + 1}={c})"
+                )
+                # by edge, then the first input of the block's assignment, then c
+                found.append((ids[r], int(np.argmax(alpha == alpha[z])), c, message))
     if pairs:
         report.count("linking-pairs", pairs)
     for i, _, _, message in sorted(found):

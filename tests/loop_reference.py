@@ -413,8 +413,9 @@ def verify_witness_loop(w, f, tol=1e-9):
         bit = np.array([(z >> j) & 1 for z in w.domain])
         differs = bit[:, None] != bit[None, :]
         cross += np.where(differs, mat, 0.0)
-    neg_rows = [w.row[x] for x in f.negatives()]
-    pos_rows = [w.row[y] for y in f.positives()]
+    row = {z: i for i, z in enumerate(w.domain)}
+    neg_rows = [row[x] for x in f.negatives()]
+    pos_rows = [row[y] for y in f.positives()]
     if neg_rows and pos_rows:
         sums = cross[np.ix_(neg_rows, pos_rows)]
         lo = float(sums.min())

@@ -1,5 +1,6 @@
 """Dual witnesses: frozen small cases, exact objectives, mutant detection."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -23,6 +24,7 @@ from lgkit.expand import expand
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.rules import ONE, ScaleRule
 from lgkit.serialize import build_function, build_graph, read_json
+from lgkit.triangle import build_sparsenew_lg
 
 
 def _identity_bit():
@@ -64,7 +66,7 @@ def _hand_witness(columns, target):
         vals = np.array([v for col in cols for v in col.values()])
         factors[j] = Factor(rows, vals, starts)
     blocks = sum(fac.columns for fac in factors.values())
-    return Witness(2, (0, 1, 2, 3), {z: z for z in range(4)}, factors, target, blocks)
+    return Witness(2, (0, 1, 2, 3), factors, target, blocks)
 
 
 # bit 1 decides: negatives 0 and 1, positives 2 and 3
@@ -153,6 +155,20 @@ def test_single_bit_witness_matrix_frozen():
     assert rep.crossing_lo == 1.0 == rep.crossing_hi
     assert rep.objective == 1.0 == rep.target
     assert rep.checked_pairs == 1
+
+
+def test_verify_rejects_a_function_off_the_witness(anchored4):
+    """A function of another width, or with an input the witness lacks, is
+    an error, not a verdict."""
+    w = build_witness(anchored4.graph, anchored4.function)
+    wide = BooleanFunction(7, {0: 0, 64: 1})
+    with pytest.raises(AdversaryError, match="7-bit function, 6-bit witness"):
+        verify_witness(w, wide)
+    g, f = _or_two_bits()
+    w = build_witness(g, f)
+    with pytest.raises(AdversaryError, match="input 10 of the function is not in"):
+        verify_witness(w, BooleanFunction(2, {0: 0, 1: 0, 3: 1}))
+    assert verify_witness(w, f).checked_pairs == 1
 
 
 def test_rebalance_to_equal_equalizes_costs():
@@ -271,7 +287,7 @@ def _bits(a):
 
 
 def _assert_bit_identical(got, want, name):
-    assert (got.n_bits, got.domain, got.row) == (want.n_bits, want.domain, want.row)
+    assert (got.n_bits, got.domain) == (want.n_bits, want.domain)
     assert (got.blocks, _bits(np.array(got.target))) == (
         want.blocks,
         _bits(np.array(want.target)),
@@ -289,9 +305,9 @@ def factor_calls(monkeypatch):
     calls = []
     factor = adversary._factor
 
-    def spy(parts, j, w0):
+    def spy(parts, j, w0, packed):
         calls.append(j)
-        return factor(parts, j, w0)
+        return factor(parts, j, w0, packed)
 
     monkeypatch.setattr(adversary, "_factor", spy)
     return calls
@@ -419,3 +435,57 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
     got = build_witness(grand.graph, f)
     assert factor_calls == [grand.graph.edges[grand.edge].load]
     _assert_bit_identical(got, build_witness(replace(grand.graph), f), "grandchild")
+
+
+def _witness_digest(witnesses):
+    """sha256 over every position's factor arrays, with their dtypes, the
+    column count and the bits of the target of each witness in turn."""
+    h = hashlib.sha256()
+    for w in witnesses:
+        h.update(f"{w.blocks} {np.array(w.target).view(np.int64)}".encode())
+        for j, fac in w.factors.items():
+            for a in (fac.rows, fac.vals, fac.starts):
+                h.update(f"{j} {a.dtype.str} {a.size}".encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# computed before the agreement blocks were laid out per loaded position;
+# the witnesses, their column order within a position included, must stay
+# byte-identical
+WITNESS_SHA256 = {
+    "dense/raw": "5afc22572b7ad5a3890ae8cf41eb2244803f872cec6f5eb8d546240e9b1fe3c1",
+    "dense/balanced": "9703569fb33f8f282bc9697d09207a4da67bd420a63cfb36b7fe33354e10734a",
+    "dense/mutants": "4397e442050867aa893bee538b10158cb0e2d120a69b9f7db4bdd1a7515ef097",
+    "sparse/raw": "82ad3ba3028fbff57656d420c184968591af5324297518f9ac011c1d32232349",
+    "sparse/balanced": "88c5709e6a5d422e36ccea882366719209a7a978e53cff0047398f09bf14a5c4",
+    "sparse/mutants": "fbf64c81eb4af104eb4b3225d1af0813c3eab7b9e15ccebbce6dd827ff1e1956",
+    "sparsenew-b2/raw": "e20f4a1439d972ba92024d72a81b14f6ee9a40184a524733a2e80e8776884e5b",
+    "sparsenew-b2/balanced": "db07af77e30e47b6bfb1ab4281d3771258c8ea697fd78da1d2ae9ecd07ea09b2",
+    "sparsenew-b2/mutants": "e02ace63a621071af2735fd4428d364d0ad878c48f2dd82ab34b1c5468b1b0be",
+    "sparsenew-b3/raw": "bbc5772755ae98fe6dfc71bebce4625da36ac89e64d880f0d6a80d362a3c8add",
+    "sparsenew-b3/balanced": "4c84d829a9b88cf15ef017ef557f241bd6db93d0ce3ef6ef76cc9fa7105c925e",
+    "sparsenew-b3/mutants": "9b2c75b2d11c64a2981e2604e5631e5b2b6164c53bdc99ef7704ffaf28b45825",
+}
+
+
+def test_witness_bytes_are_pinned(dense4, sparse4):
+    """The n=4 witnesses, raw and rebalanced, and those of six linking
+    mutants of each rebalanced graph."""
+    builds = {
+        "dense": dense4,
+        "sparse": sparse4,
+        "sparsenew-b2": build_sparsenew_lg(4, 2),
+        "sparsenew-b3": build_sparsenew_lg(4, 3),
+    }
+    got = {}
+    for name, res in builds.items():
+        g, f = res.graph, res.function
+        balanced = rebalance_to_equal(g, f)
+        got[f"{name}/raw"] = _witness_digest([build_witness(g, f)])
+        got[f"{name}/balanced"] = _witness_digest([build_witness(balanced, f)])
+        mutants = linking_mutants(balanced, f, 6, seed=11)
+        got[f"{name}/mutants"] = _witness_digest(
+            build_witness(m.graph, f) for m in mutants
+        )
+    assert got == WITNESS_SHA256

@@ -267,6 +267,27 @@ def test_oracle_ninter_frozen(capsys):
     assert rep["bound"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("costmodel", "--variant", "sparsenew", "--n", "1"), "at least 2"),
+        (("costmodel", "--variant", "sparse", "--n", "1"), "at least 2"),
+        (
+            ("costmodel", "--variant", "sparsenew", "--fit")
+            + ("--n-lo", "1", "--n-hi", "4", "--points", "3"),
+            "at least 2",
+        ),
+        (("oracle", "ninter", "--v1", "0", "--nset", "1", "--x", "1"), "--v1"),
+    ],
+)
+def test_degenerate_sizes_are_bad_input(capsys, argv, message):
+    """A log n factor at n = 1 and an empty ground set are rejected as bad
+    input, not reported as a cost of 0 or left to raise a traceback."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in json.loads(err)["error"]["message"]
+
+
 def test_oracle_edge_exp(tmp_path, capsys):
     inst = tmp_path / "p3.json"
     inst.write_text('{"n": 3, "edges": [[1, 2], [2, 3]]}')

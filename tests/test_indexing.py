@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgkit.indexing import (
-    agreement_blocks,
+    agreement_layout,
     all_assignments,
     assignment_key,
     bitstring,
@@ -89,21 +89,44 @@ def _sorted_blocks(zs, label, j, positive):
     return order, starts + [len(order)]
 
 
+def _layout_matches_sorted(zs, n_neg, j, labels, packed):
+    positive = [0] * n_neg + [1] * (len(zs) - n_neg)
+    order, bounds = agreement_layout(input_array(zs, 70), n_neg, j, labels, packed)
+    assert order.shape == (len(labels), len(zs))
+    for g, label in enumerate(labels):
+        want = _sorted_blocks(zs, label, j, positive)
+        assert (order[g].tolist(), bounds[g].tolist()) == want, label
+
+
 @given(st.data())
-def test_agreement_blocks_match_sorted(data):
-    """On int64 inputs, with keys of 16 bits or more, on 70-bit inputs, and
-    on labels of more than 62 positions (packed into Python ints)."""
-    n_bits = data.draw(st.sampled_from([6, 40, 70, 130]))
+def test_agreement_layout_matches_sorted(data):
+    """Every group of one position, on 70-bit inputs, with labels of under
+    15, 15 to 62 and over 62 positions, so that keys of a small type, of
+    int64 and of Python ints meet in one call; a label map shared by two
+    positions gives what fresh ones give."""
     # uniform bits, so the high positions of a label are set as often as the low
     rnd = data.draw(st.randoms(use_true_random=False))
-    zs = [rnd.getrandbits(n_bits) for _ in range(data.draw(st.integers(0, 40)))]
-    size = {6: (0, 5), 40: (15, 20), 70: (0, 5), 130: (63, 80)}[n_bits]
-    k = data.draw(st.integers(*size))
-    label = tuple(sorted(data.draw(st.permutations(range(n_bits)))[:k]))
-    j = data.draw(st.integers(0, n_bits - 1))
-    n_x = data.draw(st.integers(0, len(zs)))
-    positive = [0] * n_x + [1] * (len(zs) - n_x)
-    order, bounds = agreement_blocks(
-        input_array(zs, n_bits), label, j, np.array(positive, dtype=np.int64)
-    )
-    assert (order.tolist(), bounds.tolist()) == _sorted_blocks(zs, label, j, positive)
+    zs = [rnd.getrandbits(70) for _ in range(data.draw(st.integers(0, 40)))]
+    j = data.draw(st.integers(0, 69))
+    others = [i for i in range(70) if i != j]
+    # sizes at either side of each key type's limit
+    sizes = st.sampled_from([0, 1, 6, 7, 14, 15, 30, 31, 62, 63, 69])
+    labels = [
+        tuple(sorted(data.draw(st.permutations(others))[:k]))
+        for k in data.draw(st.lists(sizes, min_size=1, max_size=4))
+    ]
+    labels = list(dict.fromkeys(labels))
+    n_neg = data.draw(st.integers(0, len(zs)))
+    packed = {}
+    _layout_matches_sorted(zs, n_neg, j, labels, packed)
+    j2 = data.draw(st.sampled_from(others))
+    if rest := [t for t in labels if j2 not in t]:
+        _layout_matches_sorted(zs, n_neg, j2, rest, packed)
+
+
+def test_agreement_layout_edge_cases():
+    """An empty domain, and a position with a single group."""
+    order, bounds = agreement_layout(input_array([], 70), 0, 3, [(0, 1), (2,)], {})
+    assert order.shape == (2, 0) and [b.tolist() for b in bounds] == [[0], [0]]
+    _layout_matches_sorted([5, 1, 7, 3, 2, 6], 3, 2, [(0, 1)], {})
+    _layout_matches_sorted([5, 1, 7], 3, 0, [()], {})
