@@ -41,20 +41,23 @@ from.  Expansion keeps both costs, up to rounding in the last place.
 
 Fault injection (``linking_mutants``) multiplies one side-0 weight on one
 reachable assignment by a constant, which bumps a crossing sum by the flow on
-the mutated edge; tests use it to show the checks have teeth.  It forms no
-blocks: each site's negative is found by a sorted search per edge
-(:func:`lgkit.indexing.lookup`).  A mutant shares its parent expansion's
-vertex dict, flows and every edge but the patched one, and records its
-search and the patched edge (a private lineage, never serialized).
+the mutated edge; tests use it to show the checks have teeth.  A search
+prices its parent expansion by making its witness parts, so it refuses
+what ``build_witness`` refuses, and reads its sites' flows, negatives and
+``w0`` rows from them; each site's negative is found by a sorted search
+per edge (:func:`lgkit.indexing.lookup`).  A mutant shares its parent
+expansion's vertex dict, flows and every edge but the patched one, and
+records its search and the patched edge (a private lineage, never
+serialized).
 
-``build_witness`` on a mutant lays out and rebuilds only Ψ_j of the
-position j the patched edge loads, and sums again only the side-0 totals
-of the negatives whose ``w0`` changed.  The rest comes from the parts of
-the parent's witness, made once per search for the first function object
-asked for and kept by the search, so they die with its mutants.  Nothing
-is reused unless O(E) identity checks pass: the same function object; the
-same vertices, flows, const_flow and stages objects; every other edge the
-same object; and the patched edge ordinary, with the same ends, load and
+``build_witness`` on a mutant, which is flat, expands nothing and packs no
+label: it lays out and rebuilds only Ψ_j of the position j the patched
+edge loads, over the search's label packs, and sums again only the side-0
+totals of the negatives whose ``w0`` changed.  The rest comes from the
+search's parts, which die with its mutants.  Nothing is reused unless
+O(E) identity checks pass: the function object of the search; the same
+vertices, flows, const_flow and stages objects; every other edge the same
+object; and the patched edge ordinary, with the same ends, load and
 ``w1``.  Otherwise every factor is built anew, so a false lineage can cost
 time but never change a witness.  Graphs are values: an in-place edit of
 a dict that a parent shares with its mutants, made within one search, is
@@ -76,8 +79,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .complexity import FlowEntries, c0_max, c1_max, column_fsums, eval_each
-from .complexity import flow_entries, side0_rows, side1_totals
+from .complexity import FlowEntries, c0_max, c1_max, column_fsums, flow_entries
+from .complexity import side0_rows, side1_totals
 from .expand import expand
 from .indexing import agreement_layout, bitstring, input_array, lookup, mask_of
 from .indexing import pack_bits
@@ -186,15 +189,19 @@ class _Parts:
     zs: np.ndarray  # the negatives, then the positives
     n_neg: int
     rows: np.ndarray  # the domain rows of zs
-    ent: FlowEntries  # the positive entries, on ordinary edges
+    ent: FlowEntries  # the positive entries, each on an ordinary edge
     c1: float
     w0_rows: np.ndarray  # the side-0 rows at the negatives, one per edge
     c0s: list[float]  # the column fsums of w0_rows
+    packed: dict  # each tail label packed once, over all positions
     factors: dict[int, Factor]
 
 
 def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
-    """Every part of the witness of the expanded graph ``ge``."""
+    """Every part of the witness of the expanded graph ``ge``; a domain
+    over ``WITNESS_CAP`` and every flow fault raise here."""
+    if len(f.domain) > WITNESS_CAP:
+        raise AdversaryError(f"domain size {len(f.domain)} exceeds cap {WITNESS_CAP}")
     xs, ys = f.negatives(), f.positives()
     ent = flow_entries(ge, ys)
     # priced first, so every flow fault raises here; then every entry is on
@@ -211,11 +218,11 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
         c1=c1,
         w0_rows=w0_rows,
         c0s=column_fsums(w0_rows),
+        packed={},
         factors={},
     )
-    packed: dict = {}  # each tail label packed once, over all positions
     for j in parts.by_load:
-        parts.factors[j] = _factor(parts, j, w0_rows, packed)
+        parts.factors[j] = _factor(parts, j, w0_rows, parts.packed)
     return parts
 
 
@@ -261,45 +268,41 @@ def _factor(parts: _Parts, j: int, w0_rows: np.ndarray, packed: dict) -> Factor:
 
 @dataclass(eq=False)
 class _Search:
-    """The expansion that one :func:`linking_mutants` call mutates, and its
-    witness parts for ``f`` once made; only the call's mutants reference it."""
+    """The expansion that one :func:`linking_mutants` call mutates, the
+    function it was called with, and the witness parts of the two, which
+    the call makes first; only the call's mutants reference it."""
 
     parent: LearningGraph
-    f: BooleanFunction | None = None
-    parts: _Parts | None = None
+    f: BooleanFunction
+    parts: _Parts
 
 
-def _inherited(ge: LearningGraph, f: BooleanFunction) -> _Parts | None:
-    """The parts of a mutant (see :func:`linking_mutants`) from its
-    parent's, which are computed once per search and kept by the search.
+def _inherited(g: LearningGraph, f: BooleanFunction) -> _Parts | None:
+    """The parts of a mutant (see :func:`linking_mutants`) from those of
+    its search.
 
-    None unless the mutant holds the same objects as its parent, but for
-    the ``w0`` of its patched edge, and the search's parts are for ``f``.
-    Then only Ψ_j of the position j the edge loads is rebuilt, and only the
-    side-0 totals of the negatives whose ``w0`` changed are summed again.
+    None unless the mutant holds the same objects as its search's parent,
+    but for the ``w0`` of its patched edge, and the search was against
+    ``f``.  Then only Ψ_j of the position j the edge loads is rebuilt, over
+    the search's label packs, and only the side-0 totals of the negatives
+    whose ``w0`` changed are summed again.
     """
-    if ge._lineage is None:
+    if g._lineage is None:
         return None
-    search, ei = ge._lineage
-    if search.parts is not None and search.f is not f:
+    search, ei = g._lineage
+    if search.f is not f or not _patched(search.parent, g, ei):
         return None
-    if not _patched(search.parent, ge, ei):
-        return None
-    if search.parts is None:
-        # an error here is the mutant's own: it can only come from the
-        # flows and w1s, which the two share
-        search.f, search.parts = f, _parts(search.parent, f)
     base = search.parts
     w0_rows = base.w0_rows.copy()
-    w0_rows[ei] = ge.edges[ei].w0.eval(base.zs[: base.n_neg])
+    w0_rows[ei] = g.edges[ei].w0.eval(base.zs[: base.n_neg])
     # every bit is compared, so a NaN or a -0.0 counts as a change
     new, old = w0_rows[ei].view(np.int64), base.w0_rows[ei].view(np.int64)
     changed = np.flatnonzero(new != old)
     c0s = list(base.c0s)
     for k, total in zip(changed.tolist(), column_fsums(w0_rows[:, changed])):
         c0s[k] = total
-    j = ge.edges[ei].load
-    factors = {**base.factors, j: _factor(base, j, w0_rows, {})}
+    j = g.edges[ei].load
+    factors = {**base.factors, j: _factor(base, j, w0_rows, base.packed)}
     return replace(base, w0_rows=w0_rows, c0s=c0s, factors=factors)
 
 
@@ -309,16 +312,13 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
     Super edges are flattened first, and the target is the complexity of
     the expansion; the graph should already have equal costs (see
     :func:`rebalance_to_equal`) if the objective is to match it.  A mutant
-    from :func:`linking_mutants` reuses its parent's parts where it can.
+    from :func:`linking_mutants`, flat by construction, reuses its search's
+    parts where it can.
     """
-    domain = f.domain
-    if len(domain) > WITNESS_CAP:
-        raise AdversaryError(f"domain size {len(domain)} exceeds cap {WITNESS_CAP}")
-    ge = expand(g)
-    parts = _inherited(ge, f) or _parts(ge, f)
+    parts = _inherited(g, f) or _parts(expand(g), f)
     return Witness(
         n_bits=g.n_bits,
-        domain=domain,
+        domain=f.domain,
         factors=parts.factors,
         target=math.sqrt(max(parts.c0s, default=0.0) * parts.c1),
         blocks=sum(fac.columns for fac in parts.factors.values()),
@@ -446,19 +446,14 @@ def linking_mutants(
     if count < 0:
         raise AdversaryError(f"mutant count {count} is negative")
     ge = expand(g)
-    xz = input_array(f.negatives(), ge.n_bits)
-    ent = flow_entries(ge, f.positives())  # a missing flow offers no site
-    # a site is a flow of at least MIN_FLOW on an ordinary edge; negated so
-    # that a NaN flow is one, as in the scalar scan
-    sites = {
-        ei: grp[~(ent.flow[grp] < MIN_FLOW)]
-        for ei, grp in ent.by_edge.items()
-        if ge.edges[ei].kind == "ordinary"
-    }
-    sites = {ei: grp for ei, grp in sites.items() if len(grp)}
+    parts = _parts(ge, f)
+    xz, ent = parts.zs[: parts.n_neg], parts.ent
     candidates: dict[tuple[int, tuple[int, ...], tuple[int, ...]], float] = {}
-    w0s = eval_each([ge.edges[ei].w0 for ei in sites], xz)
-    for (ei, grp), w0 in zip(sites.items(), w0s):
+    # priced, so every entry is on an ordinary edge
+    for ei, grp in ent.by_edge.items():
+        # a site is a flow of at least MIN_FLOW; negated so that a NaN flow
+        # is one, as in the scalar scan
+        grp = grp[~(ent.flow[grp] < MIN_FLOW)]
         # a site's partner is the first negative x with a positive w0 (or a
         # NaN one, as in the scalar scan) that agrees with its positive y on
         # the tail label and not on the loaded bit j: x & m == (y ^ 1 << j) & m
@@ -467,7 +462,7 @@ def linking_mutants(
         if tail >> j & 1:
             continue  # a negative agreeing on the tail agrees on bit j too
         m = tail | 1 << j
-        live = xz[~(w0 <= 0.0)]
+        live = xz[~(parts.w0_rows[ei] <= 0.0)]
         keys = live & m
         by_key = np.argsort(keys, kind="stable")
         partner = lookup(
@@ -490,7 +485,7 @@ def linking_mutants(
         )
     order = sorted(candidates)
     random.Random(seed).shuffle(order)
-    search = _Search(ge)
+    search = _Search(ge, f, parts)
     out: list[Mutant] = []
     for key in order[:count]:
         ei, dst_label, bits = key

@@ -33,12 +33,7 @@ GENERATOR_NAME = "python-random-mersenne-twister"
 
 
 def _instance_record(g: GraphInstance) -> dict:
-    return {
-        "n": g.n,
-        "edges": [[u + 1, v + 1] for u, v in g.edges],
-        "m": g.m,
-        "d2": g.d2,
-    }
+    return {**g.to_json(), "m": g.m, "d2": g.d2}
 
 
 def all_instances(n: int) -> list[GraphInstance]:

@@ -336,15 +336,24 @@ class BuildResult:
     params: dict[str, int]
 
 
-def _check_build(n: int, params: TriangleParams) -> None:
+def _check_build(n: int, x: int, a: int, b: int) -> None:
+    """Refuse a search over x-subsets X, a-subsets A and walks over
+    b-subsets of A that cannot be built; sparsenew has x = 0 and a = n."""
     if n > BUILD_CAP:
         raise ValueError(f"materialization capped at n <= {BUILD_CAP}")
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    if params.a > n or params.x > n:
+    if a > n or x > n:
         raise ValueError("subset sizes exceed the vertex count")
-    if params.b < 2 or params.a < 2:
+    if b < 2 or a < 2:
         raise ValueError("both set walks need at least 2 elements")
+    if b >= 3 and max(0, a - x) <= 3 <= min(a, n - x):
+        # the walk anchored at one of 3 vertices of A outside X has two
+        # candidates, and the certificate pair takes both
+        raise ValueError(
+            f"no usable start sets: with b={b} >= 3, an a-subset with 3 vertices"
+            f" outside X leaves no start set of size {b - 2} that owns a position"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +612,7 @@ def _fx(
 def _build_excluded(n: int, params: TriangleParams, kind: str) -> BuildResult:
     if params.variant != kind:
         raise ValueError(f"a {kind} build got {params.variant!r} parameters")
-    _check_build(n, params)
+    _check_build(n, params.x, params.a, params.b)
     f_top = triangle_function(n)
     univ, dom = f_top.universe, f_top.dom
     children = []
@@ -631,10 +640,9 @@ def build_sparse_lg(n: int, params: TriangleParams) -> BuildResult:
 
 
 def build_sparsenew_lg(n: int, b: int) -> BuildResult:
-    if n > BUILD_CAP:
-        raise ValueError(f"materialization capped at n <= {BUILD_CAP}")
-    if n < 3 or not 2 <= b <= n:
-        raise ValueError("need 3 <= n and 2 <= b <= n")
+    if not 2 <= b <= n:
+        raise ValueError("need 2 <= b <= n")
+    _check_build(n, 0, n, b)
     f_top = triangle_function(n)
     top = _anchor_or(
         n, (), tuple(range(n)), frozenset(), f_top.universe, f_top.dom, b,

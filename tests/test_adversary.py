@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from loop_reference import build_witness_loop, verify_witness_loop
 
-from lgkit import adversary
+from lgkit import adversary, indexing
 from lgkit.adversary import (
     AdversaryError,
     Factor,
@@ -19,8 +19,10 @@ from lgkit.adversary import (
     rebalance_to_equal,
     verify_witness,
 )
-from lgkit.complexity import MissingFlowError, c0_max, c1_max, complexity
+from lgkit.complexity import ComplexityError, MissingFlowError, c0_max, c1_max
+from lgkit.complexity import complexity
 from lgkit.expand import expand
+from lgkit.loads import dense_load
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.rules import ONE, ScaleRule
 from lgkit.serialize import build_function, build_graph, read_json
@@ -237,6 +239,36 @@ def test_witness_rejects_missing_flow():
         build_witness(g, f)
 
 
+def _unknown_flow_edges():
+    """Flow on edges 7 and -2 of a graph whose one super edge expands to
+    two edges, as in ``test_expand.test_unknown_flow_edges_stay_unknown``."""
+    b = GraphBuilder(2)
+    b.add_vertex("s", (0, 1))
+    b.add_super("r", "s", dense_load(2, (0, 1)))
+    f = BooleanFunction(2, {z: int(z == 3) for z in range(4)})
+    return b.graph(flows={3: {0: 1.0, 7: 0.5, -2: 0.25}}), f
+
+
+@pytest.mark.parametrize("case", ["missing flow", "unknown flow edge", "over cap"])
+def test_the_search_refuses_what_the_witness_refuses(case, monkeypatch):
+    """A mutant search prices its parent as the witness does, so it raises
+    the witness's error, of the same type and with the same message."""
+    if case == "missing flow":
+        g, f = _identity_bit()
+        g, want = replace(g, flows={}), MissingFlowError
+    elif case == "unknown flow edge":
+        (g, f), want = _unknown_flow_edges(), ComplexityError
+    else:
+        (g, f), want = _or_two_bits(), AdversaryError
+        monkeypatch.setattr(adversary, "WITNESS_CAP", len(f.domain) - 1)
+    errors = []
+    for call in (build_witness, lambda g, f: linking_mutants(g, f, 1)):
+        with pytest.raises(want) as exc:
+            call(g, f)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1], case
+
+
 def _corpus_and_n4(corpus_dir, builds):
     """(name, graph, function) for every corpus graph and every n=4 build."""
     meta = json.loads((corpus_dir / "meta.json").read_text())
@@ -343,6 +375,30 @@ def test_mutant_witness_reuses_its_parent_bit_for_bit(
     assert sites == {"dense": 92, "sparse": 116, "sparsenew": 32}
 
 
+def test_a_mutant_witness_packs_no_label_and_does_not_expand(dense4, monkeypatch):
+    """A mutant's witness lays out its position over the search's label
+    packs, and the mutant is flat, so it is not expanded; a full build of
+    the same graph does both."""
+    _, g, f = _balanced_n4(dense4)[0]
+    mutants = linking_mutants(g, f, 6, seed=11)
+    calls = []
+
+    def spy(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(indexing, "pack_index", spy("pack_index", indexing.pack_index))
+    monkeypatch.setattr(adversary, "expand", spy("expand", adversary.expand))
+    for m in mutants:
+        build_witness(m.graph, f)
+    assert calls == []
+    build_witness(replace(mutants[0].graph), f)
+    assert {"pack_index", "expand"} <= set(calls)
+
+
 def test_a_later_search_makes_its_own_parts(anchored4):
     """The parts a search's mutants reuse are kept by that search, not on
     the graph passed in (for sparsenew, ``expand(g) is g``): after a flow
@@ -418,15 +474,6 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
         got = build_witness(lg, fn)
         assert factor_calls == list(parent.by_load()), name
         _assert_bit_identical(got, build_witness(replace(lg), fn), name)
-    # a lie told before the search's parts exist keeps them from being made
-    (fresh,) = linking_mutants(g, f, 1, seed=3)
-    fresh_search = fresh.graph._lineage[0]
-    liar = _claiming(fresh.graph._lineage, fresh.graph, n_bits=parent.n_bits + 1)
-    factor_calls.clear()
-    got = build_witness(liar, f)
-    _assert_bit_identical(got, build_witness(replace(liar), f), "fresh")
-    assert factor_calls == 2 * list(parent.by_load())
-    assert fresh_search.parts is None
     # a true mutant of a mutant names the mutant as its parent
     (grand,) = linking_mutants(first.graph, f, 1, seed=0)
     assert grand.graph._lineage[0].parent is first.graph

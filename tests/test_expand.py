@@ -90,7 +90,7 @@ def test_unknown_flow_edges_stay_unknown():
     """Flow on an edge a graph with a super edge does not have stays on an
     unknown edge of the expansion: a negative index as it is, one past the
     end shifted by the one edge the expansion adds.  validate reports both,
-    and the witness refuses the flow with a cost error."""
+    and the witness and a mutant search refuse the flow with a cost error."""
     b = GraphBuilder(2)
     b.add_vertex("s", (0, 1))
     b.add_super("r", "s", dense_load(2, (0, 1)))
@@ -103,6 +103,6 @@ def test_unknown_flow_edges_stay_unknown():
         "flow names unknown edge -2",
     ]
     assert dumps(report.to_json()) == dumps(validate_loop(g, f).to_json())
-    with pytest.raises(ComplexityError, match="unknown edge 8"):
-        build_witness(g, f)
-    assert [m.edge for m in linking_mutants(g, f, count=2)] in ([0, 1], [1, 0])
+    for call in (build_witness, lambda g, f: linking_mutants(g, f, count=2)):
+        with pytest.raises(ComplexityError, match="unknown edge 8"):
+            call(g, f)

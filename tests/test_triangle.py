@@ -263,6 +263,32 @@ def test_builders_label_what_they_build():
             build_sparse_lg(3, TriangleParams(1, 2, 2, variant))
 
 
+def test_sets_without_usable_starts_are_refused_before_building(monkeypatch):
+    """With b >= 3, a search where some a-subset has exactly three vertices
+    outside X has no usable start set: it is refused with that reason
+    before any composition runs, and its neighbours still build."""
+    from lgkit import triangle
+
+    calls = []
+    compose = triangle.johnson_compose
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(triangle, "johnson_compose", spy)
+    for x, a, b in ((1, 3, 3), (1, 4, 3), (1, 4, 4)):
+        for variant, build in (("dense", build_dense_lg), ("sparse", build_sparse_lg)):
+            with pytest.raises(ValueError, match="^no usable start sets: with b="):
+                build(4, TriangleParams(x, a, b, variant))
+    with pytest.raises(ValueError, match="^no usable start sets: with b=3"):
+        build_sparsenew_lg(3, 3)
+    assert calls == []
+    build_dense_lg(4, TriangleParams(2, 3, 3))
+    build_sparsenew_lg(4, 3)
+    assert calls
+
+
 # sha256 of the serialized graphs, computed before the builders moved to
 # domain bitsets (the first five) and before sparsenew was built through
 # the walk variants' anchored search (the rest); the serialized graphs must
