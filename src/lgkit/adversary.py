@@ -47,15 +47,16 @@ what ``build_witness`` refuses, and reads its sites' flows, negatives and
 ``w0`` rows from them; each site's negative is found by a sorted search
 per edge (:func:`lgkit.indexing.lookup`).  A mutant shares its parent
 expansion's vertex dict, flows and every edge but the patched one, and
-records its search and the patched edge (a private lineage, never
-serialized).
+records the parent's witness parts, which hold the parent and the
+function they were made from, and the patched edge (a private lineage,
+never serialized).
 
 ``build_witness`` on a mutant, which is flat, expands nothing and packs no
 label: it lays out and rebuilds only Ψ_j of the position j the patched
-edge loads, over the search's label packs, and sums again only the side-0
+edge loads, over the parent's label packs, and sums again only the side-0
 totals of the negatives whose ``w0`` changed.  The rest comes from the
-search's parts, which die with its mutants.  Nothing is reused unless
-O(E) identity checks pass: the function object of the search; the same
+parent's parts, which die with its mutants.  Nothing is reused unless
+O(E) identity checks pass: the function object of the parts; the same
 vertices, flows, const_flow and stages objects; every other edge the same
 object; and the patched edge ordinary, with the same ends, load and
 ``w1``.  Otherwise every factor is built anew, so a false lineage can cost
@@ -183,8 +184,11 @@ def _patched(parent: LearningGraph, ge: LearningGraph, ei: int) -> bool:
 
 @dataclass(eq=False)
 class _Parts:
-    """What :func:`build_witness` computes for an expanded graph."""
+    """What :func:`build_witness` computes for an expanded graph against a
+    function, with the two it was made from."""
 
+    graph: LearningGraph  # the expanded graph
+    f: BooleanFunction
     by_load: dict[int, dict[tuple[int, ...], list[int]]]  # see LearningGraph
     zs: np.ndarray  # the negatives, then the positives
     n_neg: int
@@ -210,6 +214,8 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
     zs = input_array(xs + ys, ge.n_bits)
     w0_rows = side0_rows(ge, zs[: len(xs)])
     parts = _Parts(
+        graph=ge,
+        f=f,
         by_load=ge.by_load(),
         zs=zs,
         n_neg=len(xs),
@@ -266,33 +272,21 @@ def _factor(parts: _Parts, j: int, w0_rows: np.ndarray, packed: dict) -> Factor:
     return fac
 
 
-@dataclass(eq=False)
-class _Search:
-    """The expansion that one :func:`linking_mutants` call mutates, the
-    function it was called with, and the witness parts of the two, which
-    the call makes first; only the call's mutants reference it."""
-
-    parent: LearningGraph
-    f: BooleanFunction
-    parts: _Parts
-
-
 def _inherited(g: LearningGraph, f: BooleanFunction) -> _Parts | None:
     """The parts of a mutant (see :func:`linking_mutants`) from those of
-    its search.
+    its parent expansion.
 
-    None unless the mutant holds the same objects as its search's parent,
-    but for the ``w0`` of its patched edge, and the search was against
-    ``f``.  Then only Ψ_j of the position j the edge loads is rebuilt, over
-    the search's label packs, and only the side-0 totals of the negatives
-    whose ``w0`` changed are summed again.
+    None unless the mutant holds the same objects as the parent, but for
+    the ``w0`` of its patched edge, and the parts were made against ``f``.
+    Then only Ψ_j of the position j the edge loads is rebuilt, over the
+    parent's label packs, and only the side-0 totals of the negatives whose
+    ``w0`` changed are summed again.
     """
     if g._lineage is None:
         return None
-    search, ei = g._lineage
-    if search.f is not f or not _patched(search.parent, g, ei):
+    base, ei = g._lineage
+    if base.f is not f or not _patched(base.graph, g, ei):
         return None
-    base = search.parts
     w0_rows = base.w0_rows.copy()
     w0_rows[ei] = g.edges[ei].w0.eval(base.zs[: base.n_neg])
     # every bit is compared, so a NaN or a -0.0 counts as a change
@@ -312,7 +306,7 @@ def build_witness(g: LearningGraph, f: BooleanFunction) -> Witness:
     Super edges are flattened first, and the target is the complexity of
     the expansion; the graph should already have equal costs (see
     :func:`rebalance_to_equal`) if the objective is to match it.  A mutant
-    from :func:`linking_mutants`, flat by construction, reuses its search's
+    from :func:`linking_mutants`, flat by construction, reuses its parent's
     parts where it can.
     """
     parts = _inherited(g, f) or _parts(expand(g), f)
@@ -485,7 +479,6 @@ def linking_mutants(
         )
     order = sorted(candidates)
     random.Random(seed).shuffle(order)
-    search = _Search(ge, f, parts)
     out: list[Mutant] = []
     for key in order[:count]:
         ei, dst_label, bits = key
@@ -494,7 +487,7 @@ def linking_mutants(
         edges[ei] = replace(edges[ei], w0=patched)
         # the vertex dict is shared: Vertex is frozen
         mg = replace(ge, edges=edges)
-        mg._lineage = (search, ei)
+        mg._lineage = (parts, ei)
         assignment = ",".join(f"{i + 1}:{b}" for i, b in zip(dst_label, bits))
         out.append(Mutant(mg, ei, assignment, MUTANT_FACTOR, candidates[key]))
     return out

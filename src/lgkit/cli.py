@@ -29,8 +29,10 @@ from .adversary import build_witness, linking_mutants, rebalance_to_equal, verif
 from .complexity import complexity
 from .corpus import corpus_generate, tree_digest
 from .costmodel import VARIANTS, default_grid, fit_exponent, optimize_params, parse_m_law
-from .serialize import build_function, build_graph, dump_function, dump_graph, dumps, read_json, write_json
+from .serialize import _at, build_function, build_graph, dump_function, dump_graph, dumps
+from .serialize import read_json, write_json
 from .triangle import (
+    ORACLE_CAP,
     BuildResult,
     GraphInstance,
     TriangleParams,
@@ -72,7 +74,12 @@ def _load_function(path: str):
 
 
 def _load_instance(path: str) -> GraphInstance:
-    return GraphInstance.from_json(_read(path))
+    obj = _read(path)
+    with _at("$"):
+        # the edge mask has n(n-1)/2 bits; no oracle runs past ORACLE_CAP
+        if int(obj["n"]) > ORACLE_CAP:
+            raise ValueError(f"$.n: {obj['n']} exceeds the oracle cap {ORACLE_CAP}")
+        return GraphInstance.from_json(obj)
 
 
 def _finite(obj: Any) -> Any:
@@ -130,7 +137,10 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             deviations.append(
                 max(abs(mrep.crossing_lo - 1.0), abs(mrep.crossing_hi - 1.0))
             )
-        out["mutant_min_deviation"] = min(deviations)
+        # a NaN crossing gives a NaN deviation, which min() would keep only
+        # when it came first
+        finite = [d for d in deviations if math.isfinite(d)]
+        out["mutant_min_deviation"] = min(finite, default=math.nan)
         out["mutants"] = args.mutants
         out["mutants_caught"] = caught
     _emit(out, args.out)

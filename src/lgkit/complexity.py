@@ -11,8 +11,8 @@ breakdowns when the graph carries stage metadata.
 
 ``side0_rows`` and ``_side1``, the positive side behind ``side1_totals``,
 are the one place costs are evaluated.
-They price a whole set of inputs column-wise, evaluating each rule object
-once per call, as a lookup in the rule's table (see :mod:`lgkit.rules`).
+They price a whole set of inputs column-wise, one rule evaluation per
+edge, a lookup in the rule's table (see :mod:`lgkit.rules`).
 Everything that prices a graph goes through them: ``complexity``,
 ``c0_max``/``c1_max`` (and so rebalancing and the composition lambdas) and
 the witness.
@@ -61,21 +61,15 @@ def column_fsums(rows: np.ndarray) -> list[float]:
 
 
 def eval_each(rules: Sequence[Rule], zs: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield each rule's weights over ``zs`` in turn.  A rule object met
-    again is evaluated once and its weights kept only until its last use;
-    likewise ``zs`` is packed once per support."""
-    last = {id(r): k for k, r in enumerate(rules)}
+    """Yield each rule's weights over ``zs`` in turn, a lookup in its table
+    per rule (see :meth:`Rule.eval`); ``zs`` is packed once per support and
+    the packing kept only until the support's last use."""
     last_pack = {r.support: k for k, r in enumerate(rules)}
-    kept: dict[int, np.ndarray] = {}
     packs: dict[tuple[int, ...], np.ndarray] = {}
     for k, r in enumerate(rules):
-        w = kept.pop(id(r), None)
-        if w is None:
-            w = r.eval(zs, packs)
+        w = r.eval(zs, packs)
         if last_pack[r.support] == k:
             packs.pop(r.support, None)
-        if last[id(r)] > k:
-            kept[id(r)] = w
         yield w
 
 

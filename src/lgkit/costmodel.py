@@ -244,16 +244,9 @@ class FitResult:
         }
 
 
-def parse_m_law(law: "str | float | Callable[[float], float]") -> Callable[[float], float]:
-    """Turn a growth law for m into a callable.
-
-    Accepts a callable, an exponent, or a string like ``n^1.5``.
-    """
-    if callable(law):
-        return law
-    if isinstance(law, (int, float)):
-        exp = float(law)
-        return lambda n: n ** exp
+def parse_m_law(law: str) -> Callable[[float], float]:
+    """Turn a growth law for m, ``n`` or a string like ``n^1.5``, into a
+    callable."""
     text = law.strip().replace(" ", "")
     if text.startswith("n^"):
         exp = float(text[2:])
@@ -294,7 +287,7 @@ def _paper_exponent(variant: str, m_exponent: float, dominant: str | None) -> fl
 
 def fit_exponent(
     variant: str,
-    m_law: "str | float | Callable[[float], float]" = "n^1.5",
+    m_law: str = "n^1.5",
     n_range: Sequence[int] | None = None,
 ) -> FitResult:
     """Least-squares growth exponent of the optimized cost.

@@ -90,10 +90,9 @@ def lookup(sorted_rows: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.nd
     their values followed by a default, which is the value of a key not
     found.  Of equal keys, the first is found."""
     keys, values = sorted_rows
-    at = np.searchsorted(keys, idx)
-    hit = at < len(keys)
-    hit[hit] = keys[at[hit]] == idx[hit]
-    return values[np.where(hit, at, len(keys))]
+    # a key is found where it has a run: its first place differs from its end
+    at = keys.searchsorted(idx)
+    return values[np.where(keys.searchsorted(idx, "right") > at, at, len(keys))]
 
 
 def agreement_layout(

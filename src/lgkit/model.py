@@ -11,9 +11,9 @@ loaded input positions.  Edges come in three kinds:
 Flows are stored per positive input as ``{edge index: value}`` maps; gadgets
 whose flow does not depend on the input use a single shared map instead.
 
-A graph is a value: its fields are its whole data.  Each vertex's out- and
-in-edges are a cache, computed on first use, that ``dataclasses.replace``
-does not copy and ``==`` does not compare.
+A graph is a value: its fields are its whole data.  Each vertex's out-edges
+are a cache, computed on first use, that ``dataclasses.replace`` does not
+copy and ``==`` does not compare.
 
 A partial boolean function is two bitsets (Python ints) over a
 :class:`Universe`, the sorted inputs it may be defined on: ``dom`` marks the
@@ -29,7 +29,6 @@ from functools import cached_property
 from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .indexing import mask_of
 from .rules import ConstRule, Rule, ZERO, ONE, host_product
 
 
@@ -47,10 +46,6 @@ class Vertex:
             self.label
         ):
             raise ModelError(f"vertex {self.id!r} label must be a sorted set")
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.label)
 
 
 @dataclass
@@ -141,20 +136,15 @@ class LearningGraph:
     _lineage: Any = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[str, tuple[int, ...]], ...]:
-        """Each vertex's out-edges, then its in-edges: a cache, not a field."""
+    def _adjacency(self) -> dict[str, tuple[int, ...]]:
+        """Each vertex's out-edges: a cache, not a field."""
         out: dict[str, list[int]] = {v: [] for v in self.vertices}
-        inc: dict[str, list[int]] = {v: [] for v in self.vertices}
         for i, e in enumerate(self.edges):
             out[e.src].append(i)
-            inc[e.dst].append(i)
-        return tuple({v: tuple(ix) for v, ix in d.items()} for d in (out, inc))
+        return {v: tuple(ix) for v, ix in out.items()}
 
     def out_edges(self, vid: str) -> tuple[int, ...]:
-        return self._adjacency[0][vid]
-
-    def in_edges(self, vid: str) -> tuple[int, ...]:
-        return self._adjacency[1][vid]
+        return self._adjacency[vid]
 
     def label(self, vid: str) -> tuple[int, ...]:
         return self.vertices[vid].label
@@ -406,19 +396,9 @@ class BooleanFunction:
         )
 
     @classmethod
-    def from_predicate(
-        cls,
-        n_bits: int,
-        pred: Callable[[int], bool],
-        domain: Iterable[int] | None = None,
-        certs: Mapping[int, Sequence[int]] | None = None,
-    ) -> "BooleanFunction":
-        zs = range(1 << n_bits) if domain is None else domain
-        values = {z: int(bool(pred(z))) for z in zs}
-        cm = None
-        if certs is not None:
-            cm = {z: tuple(sorted(c)) for z, c in certs.items()}
-        return cls(n_bits, values, cm)
+    def from_predicate(cls, n_bits: int, pred: Callable[[int], bool]) -> "BooleanFunction":
+        """The function on every ``n_bits``-bit input, 1 where ``pred`` holds."""
+        return cls(n_bits, {z: int(bool(pred(z))) for z in range(1 << n_bits)})
 
 
 class GraphBuilder:
@@ -537,20 +517,19 @@ class GraphBuilder:
 
 def topological_order(g: LearningGraph) -> list[str]:
     """Vertices in a topological order; raises on cycles."""
-    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
-    queue = sorted(v for v, d in indeg.items() if d == 0)
+    indeg = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        indeg[e.dst] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
     out: list[str] = []
-    import heapq
-
-    heapq.heapify(queue)
-    while queue:
-        v = heapq.heappop(queue)
+    while ready:
+        v = ready.pop()
         out.append(v)
         for ei in g.out_edges(v):
             w = g.edges[ei].dst
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(queue, w)
+                ready.append(w)
     if len(out) != len(g.vertices):
         raise ModelError("graph contains a cycle")
     return out

@@ -33,10 +33,10 @@ applied one input at a time (random rules over 8 positions on all 256
 inputs, and again with bit 70 set, plus every rule of the corpus and
 triangle graphs); they fail if a rule reads outside its support.  A rule
 whose support has more than ``_PACKED_BITS`` positions gets no table:
-``eval`` runs its body on the inputs directly.  A table or dispatch keyed
-by that many positions finds each input's row with ``np.searchsorted`` over
-its sorted packed row keys, cached on the rule, so its memory stays
-O(rows + inputs).
+``eval`` runs its body on the inputs directly.  At any width, the body of a
+table or dispatch rule finds each input's row by a sorted search
+(:func:`lgkit.indexing.lookup`) over its packed row keys, cached on the
+rule, so its memory stays O(rows + inputs) past ``_PACKED_BITS``.
 
 The cost, validation and witness code evaluate column-wise, one array per
 edge, and sum per input with ``math.fsum``, which is exactly rounded and so
@@ -63,9 +63,8 @@ class RuleError(ValueError):
     pass
 
 
-# Lookup arrays have 2^len(indices) entries.  A rule whose support is wider
-# than this has no table, and a table or dispatch keyed by more positions
-# than this searches its sorted row keys instead.
+# A table has 2^len(support) entries: a rule whose support is wider than
+# this has none.
 _PACKED_BITS = 16
 
 # A rule's first call runs its body unless it has at least this many inputs
@@ -89,9 +88,10 @@ def _sorted_rows(
     rows: dict[tuple[int, ...], Any], default: Any, width: int, dtype: type
 ) -> tuple[np.ndarray, np.ndarray]:
     """The packed keys of the rows some input can match, sorted, and their
-    values followed by ``default``: the lookup of a table or dispatch keyed
-    by more than ``_PACKED_BITS`` positions.  Keys are int64, or Python ints
-    past 62 positions, as :func:`lgkit.indexing.pack_index` gives them."""
+    values followed by ``default``: the rows of a table or dispatch rule, as
+    :func:`lgkit.indexing.lookup` reads them.  Keys are int64, or Python
+    ints past 62 positions, as :func:`lgkit.indexing.pack_index` gives
+    them."""
     pairs = sorted(
         ((key, v) for bits, v in rows.items() if (key := _packed_key(bits)) >= 0),
         key=lambda kv: kv[0],
@@ -234,25 +234,11 @@ class TableRule(Rule):
         return self.indices
 
     @cached_property
-    def _table(self) -> np.ndarray:
-        """The rows' weights per packed index, built from the rows."""
-        lut = np.full(1 << len(self.indices), self.default, dtype=np.float64)
-        for bits, v in self.table.items():
-            key = _packed_key(bits)
-            if key >= 0:
-                lut[key] = v
-        lut.flags.writeable = False
-        return lut
-
-    @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         return _sorted_rows(self.table, self.default, len(self.indices), np.float64)
 
     def _body(self, zs: np.ndarray) -> np.ndarray:
-        idx = pack_index(zs, self.indices)
-        if len(self.indices) > _PACKED_BITS:
-            return lookup(self._rows, idx)
-        return self._table[idx]
+        return lookup(self._rows, pack_index(zs, self.indices))
 
     def to_json(self) -> dict[str, Any]:
         rows = {
@@ -535,28 +521,14 @@ class DispatchRule(Rule):
         return tuple(sorted(flat))
 
     @cached_property
-    def _routes(self) -> np.ndarray:
-        """Rule number per packed index (2^len(indices) entries): the
-        case's place among the cases, or their count for the default."""
-        lut = np.full(1 << len(self.indices), len(self.cases), dtype=np.int64)
-        for k, bits in enumerate(self.cases):
-            key = _packed_key(bits)
-            if key >= 0:
-                lut[key] = k
-        return lut
-
-    @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rule numbers of ``_routes`` by sorted packed key."""
+        """Each case's place among the cases by sorted packed key, and
+        their count for the default."""
         cases = {bits: k for k, bits in enumerate(self.cases)}
         return _sorted_rows(cases, len(cases), len(self.indices), np.int64)
 
     def _body(self, zs: np.ndarray) -> np.ndarray:
-        idx = pack_index(zs, self.indices)
-        if len(self.indices) > _PACKED_BITS:
-            which = lookup(self._rows, idx)
-        else:
-            which = self._routes[idx]
+        which = lookup(self._rows, pack_index(zs, self.indices))
         rules = [*self.cases.values(), self.default]
         # each rule is evaluated only on the inputs routed to it
         out = np.empty(len(zs), dtype=np.float64)

@@ -17,7 +17,7 @@ Every truth table is built from the domain's position columns (see
 positive input is certified by the first pair or triangle, in enumeration
 order, whose bitset holds it.
 
-The module also carries the pair-set machinery (``delta_sets``) and the exact
+The module also carries the anchored pair sets (``delta_sets``) and the exact
 counting oracles the composition analysis leans on.
 """
 
@@ -182,47 +182,19 @@ def _with_triangle(univ: Universe, n: int, t: tuple[int, int, int]) -> int:
 # Pair sets
 
 
-@dataclass(frozen=True)
-class DeltaSets:
-    """Ordered vertex pairs (diagonal included) with no common neighbor in X.
-
-    The diagonal entry (u, u) uses the plain neighborhood of u.  ``base`` is
-    over all of V squared; ``restricted`` intersects with B squared when B is
-    given; ``anchored`` further requires both components adjacent to the
-    anchor w.
-    """
-
-    base: frozenset[tuple[int, int]]
-    restricted: frozenset[tuple[int, int]] | None = None
-    anchored: frozenset[tuple[int, int]] | None = None
-
-
 def delta_sets(
-    g: GraphInstance,
-    X: Iterable[int],
-    B: Iterable[int] | None = None,
-    w: int | None = None,
-) -> DeltaSets:
-    xs = frozenset(X)
-    base = frozenset(
+    g: GraphInstance, X: Iterable[int], B: Iterable[int], w: int
+) -> frozenset[tuple[int, int]]:
+    """The anchored pairs: ordered pairs (u, v) of B, diagonal included,
+    both adjacent to the anchor ``w``, with no common neighbor in X.  The
+    diagonal entry (u, u) uses the plain neighborhood of u."""
+    xs, bs, nw = frozenset(X), frozenset(B), g.neighbors(w)
+    return frozenset(
         (u, v)
-        for u in range(g.n)
-        for v in range(g.n)
+        for u in bs & nw
+        for v in bs & nw
         if not (g.common_neighbors(u, v) & xs)
     )
-    restricted = None
-    anchored = None
-    if B is not None:
-        bs = frozenset(B)
-        restricted = frozenset((u, v) for u, v in base if u in bs and v in bs)
-        if w is not None:
-            nw = g.neighbors(w)
-            anchored = frozenset(
-                (u, v) for u, v in restricted if u in nw and v in nw
-            )
-    elif w is not None:
-        raise ValueError("anchored pairs need B as well")
-    return DeltaSets(base, restricted, anchored)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +219,7 @@ def oracle_delta_exact(g: GraphInstance, B: Iterable[int], x: int) -> Fraction:
     count = 0
     for X in itertools.combinations(range(g.n), x):
         for w in range(g.n):
-            total += len(delta_sets(g, X, bs, w).anchored or ())
+            total += len(delta_sets(g, X, bs, w))
             count += 1
     return Fraction(total, count)
 

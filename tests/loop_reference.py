@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lgkit import adversary
 from lgkit.adversary import (
     MIN_FLOW,
     MUTANT_FACTOR,
@@ -134,7 +135,13 @@ def graph_c1_loop(g, y):
     flow = g.flow_for(y)
     if flow is None:
         raise MissingFlowError(f"no flow recorded for input {y}")
-    return math.fsum(edge_c1_loop(g, g.edges[i], p, y) for i, p in flow.items())
+    return math.fsum(_flow_c1_loop(g, i, p, y) for i, p in flow.items())
+
+
+def _flow_c1_loop(g, i, p, y):
+    if not 0 <= i < len(g.edges):  # whatever its flow
+        raise ComplexityError(f"flow {p} on unknown edge {i} at input {y}")
+    return edge_c1_loop(g, g.edges[i], p, y)
 
 
 def edge_c1_cap_loop(e):
@@ -440,10 +447,18 @@ def verify_witness_loop(w, f, tol=1e-9):
 
 
 def linking_mutants_loop(g, f, count=50, *, seed=0):
-    """``linking_mutants``, one (edge, positive, negative) triple at a time."""
+    """``linking_mutants``, one (edge, positive, negative) triple at a time.
+    It refuses what the witness refuses: a domain over ``WITNESS_CAP``, then,
+    as the expansion is priced first, every flow fault."""
     if count < 0:
         raise AdversaryError(f"mutant count {count} is negative")
     ge = expand(g)
+    if len(f.domain) > adversary.WITNESS_CAP:
+        raise AdversaryError(
+            f"domain size {len(f.domain)} exceeds cap {adversary.WITNESS_CAP}"
+        )
+    for y in f.positives():
+        graph_c1_loop(ge, y)
     candidates = {}
     negs = f.negatives()
     for ei, e in enumerate(ge.edges):
@@ -453,10 +468,7 @@ def linking_mutants_loop(g, f, count=50, *, seed=0):
         src_mask = mask_of(ge.label(e.src))
         dst_label = ge.label(e.dst)
         for y in f.positives():
-            fl = ge.flow_for(y)
-            if fl is None:
-                continue
-            p = fl.get(ei, 0.0)
+            p = ge.flow_for(y).get(ei, 0.0)
             if p < MIN_FLOW:
                 continue
             ablock = y & src_mask

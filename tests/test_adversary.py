@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from loop_reference import build_witness_loop, verify_witness_loop
+from loop_reference import build_witness_loop, linking_mutants_loop, verify_witness_loop
 
 from lgkit import adversary, indexing
 from lgkit.adversary import (
@@ -252,7 +252,8 @@ def _unknown_flow_edges():
 @pytest.mark.parametrize("case", ["missing flow", "unknown flow edge", "over cap"])
 def test_the_search_refuses_what_the_witness_refuses(case, monkeypatch):
     """A mutant search prices its parent as the witness does, so it raises
-    the witness's error, of the same type and with the same message."""
+    the witness's error, of the same type and with the same message; so
+    does the search's scalar reference."""
     if case == "missing flow":
         g, f = _identity_bit()
         g, want = replace(g, flows={}), MissingFlowError
@@ -262,11 +263,16 @@ def test_the_search_refuses_what_the_witness_refuses(case, monkeypatch):
         (g, f), want = _or_two_bits(), AdversaryError
         monkeypatch.setattr(adversary, "WITNESS_CAP", len(f.domain) - 1)
     errors = []
-    for call in (build_witness, lambda g, f: linking_mutants(g, f, 1)):
+    calls = (
+        build_witness,
+        lambda g, f: linking_mutants(g, f, 1),
+        lambda g, f: linking_mutants_loop(g, f, 1),
+    )
+    for call in calls:
         with pytest.raises(want) as exc:
             call(g, f)
         errors.append((type(exc.value), str(exc.value)))
-    assert errors[0] == errors[1], case
+    assert errors[0] == errors[1] == errors[2], case
 
 
 def _corpus_and_n4(corpus_dir, builds):
@@ -438,10 +444,10 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
     _, g, f = _balanced_n4(dense4)[0]
     first, second = linking_mutants(g, f, 2, seed=3)
     assert first.edge != second.edge
-    search, ei = lineage = first.graph._lineage
-    parent = search.parent
+    parts, ei = lineage = first.graph._lineage
+    parent = parts.graph
+    assert isinstance(parts, adversary._Parts) and parts.f is f
     build_witness(first.graph, f)
-    assert search.parts is not None
     other = next(k for k, e in enumerate(parent.edges) if k not in (ei, second.edge))
     patched = first.graph.edges[ei]
     flows = {y: dict(p) for y, p in parent.flows.items()}
@@ -462,7 +468,7 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
     ]
     liars += [
         ("mutant of a mutant", twice, f),
-        ("mutant of a mutant, other edge", _claiming((search, second.edge), twice), f),
+        ("mutant of a mutant, other edge", _claiming((parts, second.edge), twice), f),
         (
             "another function object",
             first.graph,
@@ -476,7 +482,7 @@ def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
         _assert_bit_identical(got, build_witness(replace(lg), fn), name)
     # a true mutant of a mutant names the mutant as its parent
     (grand,) = linking_mutants(first.graph, f, 1, seed=0)
-    assert grand.graph._lineage[0].parent is first.graph
+    assert grand.graph._lineage[0].graph is first.graph
     build_witness(grand.graph, f)
     factor_calls.clear()
     got = build_witness(grand.graph, f)

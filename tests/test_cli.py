@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -170,6 +171,50 @@ def test_adversary_nan_weight_fails_checks(tmp_path, capsys):
         assert total["c1_max"] == 1.0
 
 
+def test_mutant_min_deviation_skips_a_nan_crossing(tmp_path, capsys, monkeypatch):
+    """Both weights of one site edge scaled by 1e308: its mutant's w0
+    overflows to inf and its crossing is NaN, while every other mutant
+    deviates by 1/3.  The least deviation is taken over the finite ones,
+    whether the verifier meets the NaN mutant first or last."""
+    res = build_sparsenew_lg(4, 2)
+    g, f = expand(res.graph), res.function
+    ei = linking_mutants(g, f, 6)[0].edge
+    edges = list(g.edges)
+    edges[ei] = replace(
+        edges[ei], w0=ScaleRule(1e308, edges[ei].w0), w1=ScaleRule(1e308, edges[ei].w1)
+    )
+    gp, fp = tmp_path / "g.json", tmp_path / "f.json"
+    write_json(gp, dump_graph(replace(g, edges=edges)))
+    write_json(fp, dump_function(f))
+    mutants, certify = cli.linking_mutants, cli.verify_witness
+    crossings = []
+
+    def verify(w, fn):
+        rep = certify(w, fn)
+        crossings.append(rep.crossing_lo)
+        return rep
+
+    monkeypatch.setattr(cli, "verify_witness", verify)
+    outs = []
+    for nan_last in (False, True):
+
+        def ordered(*args, **kwargs):
+            out = mutants(*args, **kwargs)
+            return sorted(out, key=lambda m: (m.edge == ei) == nan_last)
+
+        monkeypatch.setattr(cli, "linking_mutants", ordered)
+        crossings.clear()
+        argv = ["adversary", str(gp), "--function", str(fp), "--raw", "--mutants", "6"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        # the parent's witness, then the mutants'
+        nans = [math.isnan(c) for c in crossings[1:]]
+        assert nans == ([False] * 5 + [True] if nan_last else [True] + [False] * 5)
+        assert _parse(out)["mutant_min_deviation"] == pytest.approx(1 / 3)
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_adversary_rejects_negative_mutant_count(built, capsys):
     g, f, _ = built
     code, out, err = run(
@@ -297,6 +342,32 @@ def test_oracle_edge_exp(tmp_path, capsys):
     assert code == 0
     rep = _parse(out)
     assert rep["value"] == pytest.approx(4 / 9)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{}", "$: missing key 'n'"),
+        ('{"n": 4, "edges": 5}', "$: 'int' object is not iterable"),
+        ("[1, 2]", "$: list indices must be integers or slices, not str"),
+        ('{"n": 4, "edges": [[1, null]]}', "$: int() argument must be"),
+        ('{"n": 1e400, "edges": []}', "$: cannot convert float infinity to integer"),
+        ('{"n": 10000000000, "edges": [[2, 3]]}', "$.n: 10000000000 exceeds"),
+    ],
+)
+@pytest.mark.parametrize(
+    "oracle", [("delta", "--b", "2", "--x", "1"), ("edge-exp", "--x", "1", "--y", "1")]
+)
+def test_malformed_instance_exits_two(tmp_path, capsys, text, message, oracle):
+    """A missing key or a mistyped value in an instance file is bad input,
+    reported at its JSON path, as in a graph file; so is a vertex count
+    past the oracles' cap, whose edge mask would be too large to build."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(text)
+    which, *rest = oracle
+    code, out, err = run(capsys, "oracle", which, "--graph", str(inst), *rest)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"].startswith(message)
 
 
 def test_costmodel_single_point(capsys):
@@ -640,6 +711,42 @@ def test_mutated_corpus_files_keep_exit_contract(corpus_dir, tmp_path_factory, d
     for argv in (
         ["validate", str(target)],
         *([c, str(target), "--function", function] for c in commands),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_instance_files_keep_exit_contract(corpus_dir, tmp_path_factory, data):
+    """Replace or delete up to three values of a corpus instance file, or of
+    one instance record in it: both oracles that read an instance still
+    exit 0, 1 or 2 and never with a traceback."""
+    path = data.draw(st.sampled_from(sorted((corpus_dir / "instances").iterdir())))
+    inst = json.loads(path.read_text())
+    if data.draw(st.booleans()):
+        inst = data.draw(st.sampled_from(inst["instances"]))
+    paths = list(_value_paths(inst))[1:]
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.sampled_from(paths))
+        record = inst
+        try:
+            for step in at[:-1]:
+                record = record[step]
+            if data.draw(st.booleans()):
+                del record[at[-1]]
+            else:
+                record[at[-1]] = data.draw(json_values)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this path
+    target = tmp_path_factory.mktemp("fuzz") / "instance.json"
+    target.write_text(json.dumps(inst))
+    for argv in (
+        ["oracle", "delta", "--graph", str(target), "--b", "2", "--x", "1"],
+        ["oracle", "edge-exp", "--graph", str(target), "--x", "1", "--y", "1"],
     ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

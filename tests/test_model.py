@@ -15,7 +15,6 @@ from lgkit.model import (
     LearningGraph,
     ModelError,
     Universe,
-    Vertex,
     topological_order,
 )
 from lgkit.loads import dense_load
@@ -169,11 +168,6 @@ def test_boolean_function_from_predicate():
     assert f.positives() == tuple(z for z in range(8) if z % 2)
     assert f.negatives() == tuple(z for z in range(8) if not z % 2)
     assert f(5) == 1
-
-
-def test_vertex_mask():
-    v = Vertex("x", (0, 3))
-    assert v.mask == 0b1001
 
 
 def _dict_semantics(f, table, n_bits, absent):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgkit.complexity import complexity
-from lgkit.indexing import num_pairs, pair_position
+from lgkit.indexing import num_pairs, pair_position, position_pair
 from lgkit.serialize import dump_graph, dumps
 from lgkit.triangle import (
     GraphInstance,
@@ -130,30 +130,27 @@ def test_certificate_bits_force_a_triangle(g):
 
 
 def test_delta_sets_path_by_hand():
-    d = delta_sets(P3, (1,), B=(0, 1), w=0)
-    assert d.base == {(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)}
-    assert d.restricted == {(0, 1), (1, 0), (1, 1)}
-    assert d.anchored == {(1, 1)}
-
-
-def test_delta_sets_requires_b_for_anchor():
-    with pytest.raises(ValueError):
-        delta_sets(P3, (0,), w=1)
+    assert delta_sets(P3, (1,), B=(0, 1), w=0) == {(1, 1)}
 
 
 @given(graph_instances(5), st.data())
 @settings(max_examples=60, deadline=None)
-def test_adding_edges_shrinks_base_pairs(g, data):
+def test_adding_edges_shrinks_anchored_pairs(g, data):
+    """With B = V and an anchor off the added edge, the anchor keeps its
+    neighbors and every pair gains common neighbors: the set can only
+    shrink."""
     missing = [
         p for p in range(num_pairs(g.n)) if not (g.z >> p) & 1
     ]
     if not missing:
         return
     p = data.draw(st.sampled_from(missing))
+    w = data.draw(st.sampled_from(sorted(set(range(g.n)) - set(position_pair(p, g.n)))))
     x = data.draw(st.integers(1, g.n - 1))
     X = tuple(range(x))
+    V = range(g.n)
     denser = GraphInstance(g.n, g.z | (1 << p))
-    assert delta_sets(denser, X).base <= delta_sets(g, X).base
+    assert delta_sets(denser, X, V, w) <= delta_sets(g, X, V, w)
 
 
 def test_delta_oracle_frozen():
