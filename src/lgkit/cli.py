@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .adversary import build_witness, linking_mutants, rebalance_to_equal, verif
 from .complexity import complexity
 from .corpus import corpus_generate, tree_digest
 from .costmodel import VARIANTS, default_grid, fit_exponent, optimize_params, parse_m_law
-from .serialize import _at, build_function, build_graph, dump_function, dump_graph, dumps
-from .serialize import read_json, write_json
+from .serialize import _at, _integer, build_function, build_graph, dump_function, dump_graph
+from .serialize import dumps, read_json, write_json
 from .triangle import (
     ORACLE_CAP,
     BuildResult,
@@ -47,6 +47,8 @@ from .triangle import (
 )
 from .validate import validate
 
+T = TypeVar("T")
+
 
 def _fail(message: str, *, where: str | None = None, code: int = 2) -> int:
     obj: dict = {"error": {"message": message}}
@@ -56,28 +58,25 @@ def _fail(message: str, *, where: str | None = None, code: int = 2) -> int:
     return code
 
 
-def _read(path: str) -> dict:
+def _load(path: str, parse: Callable[[Any], T]) -> T:
+    """``parse`` of the JSON in ``path``.  A file that cannot be read, is not
+    JSON or nests too deeply to read or parse is bad input: a ValueError
+    that names the file."""
     try:
-        return read_json(path)
+        return parse(read_json(path))
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON at line {exc.lineno}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to read") from None
 
 
-def _load_graph(path: str):
-    return build_graph(_read(path))
-
-
-def _load_function(path: str):
-    return build_function(_read(path))
-
-
-def _load_instance(path: str) -> GraphInstance:
-    obj = _read(path)
+def _instance(obj: Any) -> GraphInstance:
+    """The instance file ``obj``, refused past ``ORACLE_CAP`` vertices."""
     with _at("$"):
         # the edge mask has n(n-1)/2 bits; no oracle runs past ORACLE_CAP
-        if int(obj["n"]) > ORACLE_CAP:
+        if _integer(obj["n"], "$.n") > ORACLE_CAP:
             raise ValueError(f"$.n: {obj['n']} exceeds the oracle cap {ORACLE_CAP}")
         return GraphInstance.from_json(obj)
 
@@ -105,24 +104,24 @@ def _emit(obj: dict, out: str | None = None) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    f = _load_function(args.function) if args.function else None
+    g = _load(args.graph, build_graph)
+    f = _load(args.function, build_function) if args.function else None
     rep = validate(g, f)
     _emit(rep.to_json(), args.out)
     return 0 if rep.ok else 1
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    f = _load_function(args.function)
+    g = _load(args.graph, build_graph)
+    f = _load(args.function, build_function)
     rep = complexity(g, f)
     _emit(rep.to_json(), args.out)
     return 0 if all(map(math.isfinite, (rep.c0, rep.c1, rep.value))) else 1
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    f = _load_function(args.function)
+    g = _load(args.graph, build_graph)
+    f = _load(args.function, build_function)
     if not args.raw:
         g = rebalance_to_equal(g, f)
     witness = build_witness(g, f)
@@ -220,7 +219,7 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.which == "delta":
-        g = _load_instance(args.graph)
+        g = _load(args.graph, _instance)
         if not 1 <= args.b <= g.n:
             raise ValueError(f"--b must lie in 1..{g.n}")
         B = range(args.b)
@@ -244,7 +243,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 "precondition_met": args.x * len(nset) >= args.v1,
             }
     else:
-        g = _load_instance(args.graph)
+        g = _load(args.graph, _instance)
         exact = edge_exp_exact(g, args.x, args.y)
         out = {"formula": str(Fraction(2 * args.x * args.y * g.m, g.n * g.n))}
     _emit({"value": float(exact), "exact": str(exact), **out}, args.out)

@@ -4,18 +4,20 @@ Two operations:
 
 * ``or_compose`` merges child graphs at a shared root, scaling each child's
   weights by its positive cost over the fan-in, and routes each positive
-  input's flow through its first positive children.  The disjunction's
-  truth table is the OR of the children's ``truth`` bitsets, and the first
-  positive children of every input are found by walking the children over
-  bitsets of the inputs still short of the fan-in.
+  input's flow through its first positive children.  The children's
+  functions must range over the same inputs: the disjunction's truth table
+  is the OR of their ``truth`` bitsets, and the first positive children of
+  every input are found by walking the children over bitsets of the inputs
+  still short of the fan-in.
 * ``johnson_compose`` builds a set-walk: paths load the positions attached to
-  a start set, walk edges extend the set one element at a time, and leaf
-  subgraphs supplied by a factory are spliced onto the full sets, scaled per
-  context so the final stage's positive cost is at most 1.  The contexts
-  of a full set are the assignments its positions take on the function's
-  domain, found by splitting the domain bitset on each position.  Positions
-  must grow along every step; each step edge is checked.  Each input's walks
-  are traced once, and the leaves where they end carry its flow.
+  a start set, walk edges extend the set one element at a time (each of the
+  r + 1 stages with its own load kind), and leaf subgraphs supplied by a
+  factory are spliced onto the full sets, scaled per context so the final
+  stage's positive cost is at most 1.  The contexts of a full set are the
+  assignments its positions take on the function's domain, found by
+  splitting the domain bitset on each position.  Positions must grow along
+  every step; each step edge is checked.  Each input's walks are traced
+  once, and the leaves where they end carry its flow.
 
 Every operation keeps exact flow bookkeeping: flows are built from unit
 fractions and recorded per positive input on the result.
@@ -24,7 +26,7 @@ fractions and recorded per positive input on the result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .complexity import c1_max
@@ -65,30 +67,26 @@ def or_compose(
     Every positive input of the disjunction must have at least ``k`` positive
     children; its flow splits equally over the first ``k`` of them.  Children
     with no positive input are dead and get weight zero.  The children's
-    functions must share a domain; the result's function lives on the first
-    child's universe.
+    functions must range over the same inputs and share a domain; the
+    result's function lives on the first child's universe.
     """
     if k < 1:
         raise CompositionError(f"fan-in k={k} must be at least 1")
     if len(children) < k:
         raise CompositionError(f"need at least k={k} children, got {len(children)}")
     n_bits = children[0][0].n_bits
-    f0 = children[0][1]
-    universe, dom = f0.universe, f0.dom
-    fs: list[BooleanFunction] = []
+    fs = [f for _, f in children]
+    universe, dom = fs[0].universe, fs[0].dom
     for g, f in children:
         if g.n_bits != n_bits or f.n_bits != n_bits:
             raise CompositionError("children disagree on input arity")
         if f.universe is not universe and f.universe.inputs != universe.inputs:
-            if f.domain != f0.domain:
-                raise CompositionError("children disagree on the promised domain")
-            f = f.on(universe)
+            raise CompositionError("children disagree on the input universe")
         if f.dom != dom:
             raise CompositionError("children disagree on the promised domain")
         if g.label(g.root) != ():
             raise CompositionError("child root labels must be empty")
-        fs.append(f)
-    lambdas = [c1_max(g, f) / k for (g, _), f in zip(children, fs)]
+    lambdas = [c1_max(g, f) / k for g, f in children]
     b = GraphBuilder(n_bits, root="r")
     emaps: list[dict[int, int]] = []
     for i, ((g, _), lam) in enumerate(zip(children, lambdas)):
@@ -145,58 +143,51 @@ Factory = Callable[
 ]
 
 
-@dataclass
-class JohnsonSpec:
-    """Parameters of a set walk.
+def _subset_id(prefix: str, A: Sequence[int]) -> str:
+    return prefix + ":" + ",".join(str(a) for a in A)
+
+
+def johnson_compose(
+    *,
+    n_bits: int,
+    ground: Sequence[int],
+    k: int,
+    r: int,
+    positions: Callable[[frozenset], Iterable[int]],
+    function: BooleanFunction,
+    cert: Callable[[int], Sequence[int]],
+    load_kinds: Sequence[str],
+    factory: Factory | None = None,
+    prefix: str = "A",
+) -> Composed:
+    """Build a set walk.
 
     ``ground`` lists the walk elements; ``positions`` maps a subset of ground
     elements to the input positions it owns, which must grow along every step
     (each step edge is checked); ``cert`` maps a positive input to the ``r``
     elements whose presence in the final set lets the leaf finish.
+    ``load_kinds`` gives the load kind of each of the ``r + 1`` stages.
     ``factory`` builds the leaf subgraph for a full set and a context (the
     input restricted to the set's positions); ``None`` uses a bare leaf and
     additionally enables the strict certificate check (the certificate's own
     positions must force the function to 1).
     """
-
-    n_bits: int
-    ground: tuple[int, ...]
-    k: int
-    r: int
-    positions: Callable[[frozenset], Iterable[int]]
-    function: BooleanFunction
-    cert: Callable[[int], Sequence[int]]
-    load_kind: str | Sequence[str] = "dense"
-    factory: Factory | None = None
-    prefix: str = "A"
-
-
-def _subset_id(prefix: str, A: Sequence[int]) -> str:
-    return prefix + ":" + ",".join(str(a) for a in A)
-
-
-def johnson_compose(spec: JohnsonSpec) -> Composed:
-    ground = tuple(sorted(spec.ground))
+    ground = tuple(sorted(ground))
     n_g = len(ground)
-    if not 0 <= spec.r <= spec.k <= n_g:
-        raise CompositionError(f"need r <= k <= |ground|, got {spec.r},{spec.k},{n_g}")
-    kinds = (
-        [spec.load_kind] * (spec.r + 1)
-        if isinstance(spec.load_kind, str)
-        else list(spec.load_kind)
-    )
-    if len(kinds) != spec.r + 1:
-        raise CompositionError(f"need {spec.r + 1} load kinds, got {len(kinds)}")
+    if not 0 <= r <= k <= n_g:
+        raise CompositionError(f"need r <= k <= |ground|, got {r},{k},{n_g}")
+    if len(load_kinds) != r + 1:
+        raise CompositionError(f"need {r + 1} load kinds, got {len(load_kinds)}")
 
     pos_cache: dict[frozenset, tuple[int, ...]] = {}
 
     def I(A: Iterable[int]) -> tuple[int, ...]:
         key = frozenset(A)
         if key not in pos_cache:
-            pos_cache[key] = tuple(sorted(spec.positions(key)))
+            pos_cache[key] = tuple(sorted(positions(key)))
         return pos_cache[key]
 
-    start = spec.k - spec.r
+    start = k - r
     if start == 0 and I(()) != ():
         raise CompositionError("the empty set must own no positions")
 
@@ -213,13 +204,13 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
             if not (set(A) & avoid) and I(A)
         ]
 
-    positives = spec.function.positives()
+    positives = function.positives()
     n_used: int | None = None
     certs: dict[int, tuple[int, ...]] = {}
     starts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for y in positives:
-        T = tuple(sorted(spec.cert(y)))
-        if len(T) != spec.r or len(set(T)) != spec.r or not set(T) <= set(ground):
+        T = tuple(sorted(cert(y)))
+        if len(T) != r or len(set(T)) != r or not set(T) <= set(ground):
             raise CompositionError(f"bad certificate {T} for input {y}")
         certs[y] = T
         if T not in starts:
@@ -236,16 +227,16 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
     if n_used is None:
         n_used = max(1, len(usable_starts(())))
 
-    b = GraphBuilder(spec.n_bits, root="r")
+    b = GraphBuilder(n_bits, root="r")
     vid: dict[tuple[int, ...], str] = {}
-    for size in range(start, spec.k + 1):
+    for size in range(start, k + 1):
         for A in itertools.combinations(ground, size):
             if size == 0:
                 vid[A] = b.root
             else:
-                vid[A] = b.add_vertex(_subset_id(spec.prefix, A), I(A))
+                vid[A] = b.add_vertex(_subset_id(prefix, A), I(A))
 
-    stage_edges: list[list[int]] = [[] for _ in range(spec.r + 1)]
+    stage_edges: list[list[int]] = [[] for _ in range(r + 1)]
     step_edge: dict[tuple[tuple[int, ...], int], int] = {}
     start_edge: dict[tuple[int, ...], int] = {}
 
@@ -253,7 +244,6 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
     # which hosts both of its weights
     factors: dict[int, float] = {}
     hosts: dict[float, ConstRule] = {}
-    products: dict = {}
 
     def add_load(src: str, dst: str, loads: tuple[int, ...], kind: str) -> int:
         if not loads:
@@ -262,18 +252,18 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
             w0, w1 = single_load_rules(kind, loads[0])
             ei = b.add_ordinary(src, dst, loads[0], w0, w1)
         else:
-            ei = b.add_super(src, dst, load_gadget(kind, spec.n_bits, loads))
+            ei = b.add_super(src, dst, load_gadget(kind, n_bits, loads))
         lam = factors[ei] = load_c1_max(kind, len(loads)) / n_used
         host = hosts.setdefault(lam, ConstRule(lam))
-        b.edges[ei] = b.edges[ei].hosted(host, host, products)
+        b.edges[ei] = b.edges[ei].hosted(host, host, b._products)
         return ei
 
     if start >= 1:
         for A in itertools.combinations(ground, start):
-            ei = add_load(b.root, vid[A], I(A), kinds[0])
+            ei = add_load(b.root, vid[A], I(A), load_kinds[0])
             start_edge[A] = ei
             stage_edges[0].append(ei)
-    for step in range(1, spec.r + 1):
+    for step in range(1, r + 1):
         for A in itertools.combinations(ground, start + step - 1):
             have = set(A)
             owned = set(I(A))
@@ -288,7 +278,7 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
                         f"lost {owned - now}"
                     )
                 inc = tuple(sorted(now - owned))
-                ei = add_load(vid[A], vid[bigger], inc, kinds[step])
+                ei = add_load(vid[A], vid[bigger], inc, load_kinds[step])
                 step_edge[(A, j)] = ei
                 stage_edges[step].append(ei)
 
@@ -317,15 +307,14 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
 
     # Leaf stage.
     leaf_edges: list[int] = []
-    fn = spec.function
-    if spec.factory is not None:
-        for A in itertools.combinations(ground, spec.k):
+    if factory is not None:
+        for A in itertools.combinations(ground, k):
             ipos = I(A)
             mask = mask_of(ipos)
-            contexts = sorted(fn.universe.split(fn.dom, ipos))
+            contexts = sorted(function.universe.split(function.dom, ipos))
             built: dict[int, tuple[LearningGraph, BooleanFunction]] = {}
             for kappa in contexts:
-                child = spec.factory(A, kappa)
+                child = factory(A, kappa)
                 if child is not None:
                     built[kappa] = child
             if not built:
@@ -346,7 +335,7 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
             host = TableRule(ipos, lamrow) if ipos else ConstRule(lamrow.get((), 0.0))
             _, emap = b.merge(
                 replace(ref, edges=_merge_leaf_rules(built, ref, ipos)),
-                prefix=_subset_id(spec.prefix, A) + "/",
+                prefix=_subset_id(prefix, A) + "/",
                 vmap={ref.root: vid[A]},
                 hosts=(host, host),
                 label_shift=ipos,
@@ -374,9 +363,10 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
             T = certs[y]
             tpos = I(T)
             tmask = mask_of(tpos)
-            bad = fn.dom & ~fn.truth & fn.universe.select(tmask, y & tmask)
+            bad = function.universe.select(tmask, y & tmask)
+            bad &= function.dom & ~function.truth
             if bad:
-                z = fn.universe.members(bad)[0]
+                z = function.universe.members(bad)[0]
                 raise CompositionError(
                     f"certificate {T} of input {y} does not force the "
                     f"function (input {z} is negative)"
@@ -390,12 +380,12 @@ def johnson_compose(spec: JohnsonSpec) -> Composed:
                 ei: factors[ei] for ei in stage_edges[step] if ei in factors
             },
         )
-        for step in range(spec.r + 1)
+        for step in range(r + 1)
         if stage_edges[step]
     ]
     if leaf_edges:
         stages.append(StageInfo("leaf", tuple(leaf_edges)))
-    return Composed(b.graph(flows=flows, stages=stages), spec.function)
+    return Composed(b.graph(flows=flows, stages=stages), function)
 
 
 def _merge_leaf_rules(

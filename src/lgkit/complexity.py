@@ -25,11 +25,11 @@ tested against, one scalar ``rule_at`` per (edge, input), lives in
 graph records at a list of inputs into ``FlowEntries``: arrays of the
 input, edge and flow of every entry, in input order and, within an input,
 in flow order, and the list of the inputs that have no flow.  Their one
-grouping by edge (``by_edge``) serves the ``w1`` values, evaluated on first
-use, the super-edge recursion of the positive side, the witness and the
-mutant search.  The positive side prices one term per entry, and a total is
-the fsum of a group of entries: per input, and per input within a stage.
-``validate`` checks flows from the same arrays.
+grouping by edge (``by_edge``) serves the ``w1`` values, evaluated edge by
+edge on first use, the super-edge recursion of the positive side, the
+witness and the mutant search.  The positive side prices one term per
+entry, and a total is the fsum of a group of entries: per input, and per
+input within a stage.  ``validate`` checks flows from the same arrays.
 """
 
 from __future__ import annotations
@@ -98,18 +98,14 @@ class FlowEntries:
 
     @cached_property
     def w1(self) -> np.ndarray:
-        """The edge's w1 at every entry; 0 on unknown and empty edges.  Each
-        ``w1`` object is evaluated once, on first access, on the entries of
-        every known, non-empty edge that carries it."""
+        """The edge's w1 at every entry; 0 on unknown and empty edges.  On
+        first access, each known, non-empty edge evaluates its ``w1`` on its
+        own entries."""
         edges = self.graph.edges
-        by_rule: dict[int, tuple[Rule, list[np.ndarray]]] = {}  # id(w1) -> w1, entries
+        w1s = np.zeros(len(self.flow))
         for i, grp in self.by_edge.items():
             if edges[i].kind != "empty":
-                by_rule.setdefault(id(edges[i].w1), (edges[i].w1, []))[1].append(grp)
-        w1s = np.zeros(len(self.flow))
-        for w1, grps in by_rule.values():
-            grp = np.concatenate(grps)
-            w1s[grp] = w1.eval(self.zs[grp])
+                w1s[grp] = edges[i].w1.eval(self.zs[grp])
         return w1s
 
 

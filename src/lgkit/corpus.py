@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from random import Random
 
-from .combinators import JohnsonSpec, johnson_compose, or_compose
+from .combinators import johnson_compose, or_compose
 from .indexing import num_pairs
 from .loads import DENSE, SPARSE, load_gadget
 from .model import BooleanFunction, GraphBuilder, LearningGraph
@@ -92,7 +92,7 @@ def _pairs_walk():
         done = [j for j in range(4) if full(y, j)]
         return (done[0], done[1])
 
-    spec = JohnsonSpec(
+    return johnson_compose(
         n_bits=n_bits,
         ground=(0, 1, 2, 3),
         k=2,
@@ -100,9 +100,8 @@ def _pairs_walk():
         positions=positions,
         function=fn,
         cert=cert,
-        load_kind=DENSE,
+        load_kinds=(DENSE,) * 3,
     )
-    return johnson_compose(spec)
 
 
 def corpus_generate(

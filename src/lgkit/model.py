@@ -17,9 +17,10 @@ copy and ``==`` does not compare.
 
 A partial boolean function is two bitsets (Python ints) over a
 :class:`Universe`, the sorted inputs it may be defined on: ``dom`` marks the
-promised inputs and ``truth`` the positive ones.  Functions that share a
-universe restrict and combine by bit operations; the input-keyed ``values``
-dict is built only when asked for.
+promised inputs and ``truth`` the positive ones.  Functions over the same
+inputs restrict and combine by bit operations, and nothing moves a function
+to a universe with other inputs; the input-keyed ``values`` dict is built
+only when asked for.
 """
 
 from __future__ import annotations
@@ -334,15 +335,6 @@ class BooleanFunction:
         f = cls.__new__(cls)
         f._init(universe, dom, truth, certs)
         return f
-
-    def on(self, universe: Universe) -> "BooleanFunction":
-        """This function over ``universe``, which must hold its domain."""
-        return BooleanFunction.from_bits(
-            universe,
-            universe.bitset(self.domain),
-            universe.bitset(self.positives()),
-            self.certs,
-        )
 
     @property
     def n_bits(self) -> int:

@@ -136,6 +136,17 @@ def _at(path: str) -> Iterator[None]:
         raise FormatError(f"{path}: {exc}") from None
 
 
+def _integer(value: Any, path: str) -> int:
+    """``value``, which must be a JSON integer.  Null, a list or an infinity
+    fails in int(), with int()'s message; any other value that is not an int
+    (a bool, a float, a string) is refused at ``path``."""
+    if type(value) is not int:
+        if not isinstance(value, str):
+            int(value)
+        raise FormatError(f"{path}: expected an integer, got {type(value).__name__}")
+    return value
+
+
 def _text(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise FormatError(f"{path}: expected a string, got {type(value).__name__}")
@@ -264,10 +275,19 @@ def dump_function(f: BooleanFunction) -> dict[str, Any]:
     return out
 
 
+def _bit(value: Any, key: str) -> int:
+    """The function value at input ``key``: the JSON integer 0 or 1."""
+    where = f"$.values[{key!r}]"
+    v = _integer(value, where)
+    if v not in (0, 1):
+        raise FormatError(f"{where}: function value {v} is not 0 or 1")
+    return v
+
+
 def build_function(obj: dict[str, Any]) -> BooleanFunction:
     with _at("$"):
-        n = int(obj["n"])
-        values = {_input(k, n, "$.values"): int(v) for k, v in obj["values"].items()}
+        n = _integer(obj["n"], "$.n")
+        values = {_input(k, n, "$.values"): _bit(v, k) for k, v in obj["values"].items()}
         certs = None
         if "certs" in obj:
             certs = {

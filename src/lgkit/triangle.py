@@ -32,7 +32,6 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 from .combinators import (
     Composed,
     CompositionError,
-    JohnsonSpec,
     johnson_compose,
     or_compose,
 )
@@ -40,6 +39,7 @@ from .indexing import mask_of, num_pairs, pair_position, position_pair
 from .loads import DENSE, SPARSE, dense_load, sparse_load
 from .model import BooleanFunction, GraphBuilder, LearningGraph, Universe
 from .rules import CandidatePairRule, DenseLoadRule, ProductRule, TableRule
+from .serialize import FormatError, _integer
 
 BUILD_CAP = 5
 ORACLE_CAP = 10
@@ -113,9 +113,17 @@ class GraphInstance:
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "GraphInstance":
-        return cls.from_edges(
-            int(obj["n"]), [(int(u) - 1, int(v) - 1) for u, v in obj["edges"]]
-        )
+        """The instance of ``obj``.  An ``n`` or edge end that is not a JSON
+        integer, or an edge without exactly two ends, raises a FormatError
+        at its JSON path."""
+        n = _integer(obj["n"], "$.n")
+        edges = []
+        for k, edge in enumerate(obj["edges"]):
+            where = f"$.edges[{k}]"
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise FormatError(f"{where}: expected two vertices")
+            edges.append([_integer(u, f"{where}[{i}]") - 1 for i, u in enumerate(edge)])
+        return cls.from_edges(n, edges)
 
 
 def triangle_function(n: int) -> BooleanFunction:
@@ -442,20 +450,18 @@ def _pair_walk(
     kinds: Sequence[str],
     **walk: Any,
 ) -> Composed:
-    """The two-step set walk with the ``JohnsonSpec`` fields ``walk``
-    (ground, k, positions, factory, prefix) that certifies each positive
-    input by its first pair, in the order of ``pairs``, whose ``eligible``
-    bitset holds it."""
+    """The two-step set walk, with the load ``kinds`` of its three stages
+    and the rest of :func:`johnson_compose`'s parameters in ``walk``, that
+    certifies each positive input by its first pair, in the order of
+    ``pairs``, whose ``eligible`` bitset holds it."""
     truth, first = _first_hits(univ, ((pair, eligible(*pair)) for pair in pairs))
     return johnson_compose(
-        JohnsonSpec(
-            n_bits=univ.n_bits,
-            r=2,
-            function=BooleanFunction.from_bits(univ, dom, truth),
-            cert=first.__getitem__,
-            load_kind=tuple(kinds),
-            **walk,
-        )
+        n_bits=univ.n_bits,
+        r=2,
+        function=BooleanFunction.from_bits(univ, dom, truth),
+        cert=first.__getitem__,
+        load_kinds=kinds,
+        **walk,
     )
 
 

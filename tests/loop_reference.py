@@ -515,10 +515,13 @@ def or_compose_loop(children, k, *, prefix="c"):
     if len(children) < k:
         raise CompositionError(f"need at least k={k} children, got {len(children)}")
     n_bits = children[0][0].n_bits
+    inputs = children[0][1].universe.inputs
     domain = children[0][1].domain
     for g, f in children:
         if g.n_bits != n_bits or f.n_bits != n_bits:
             raise CompositionError("children disagree on input arity")
+        if f.universe.inputs != inputs:
+            raise CompositionError("children disagree on the input universe")
         if f.domain != domain:
             raise CompositionError("children disagree on the promised domain")
         if g.label(g.root) != ():

@@ -353,6 +353,13 @@ def test_oracle_edge_exp(tmp_path, capsys):
         ('{"n": 4, "edges": [[1, null]]}', "$: int() argument must be"),
         ('{"n": 1e400, "edges": []}', "$: cannot convert float infinity to integer"),
         ('{"n": 10000000000, "edges": [[2, 3]]}', "$.n: 10000000000 exceeds"),
+        ('{"n": 4, "edges": ["12", "23", "13"]}', "$.edges[0]: expected two vertices"),
+        ('{"n": 4, "edges": [[1, 2, 3]]}', "$.edges[0]: expected two vertices"),
+        ('{"n": 4, "edges": [[1.9, 3]]}', "$.edges[0][0]: expected an integer, got float"),
+        ('{"n": 4, "edges": [[1, true]]}', "$.edges[0][1]: expected an integer, got bool"),
+        ('{"n": 4, "edges": [["1", "2"]]}', "$.edges[0][0]: expected an integer, got str"),
+        ('{"n": 4.7, "edges": []}', "$.n: expected an integer, got float"),
+        ('{"n": "4", "edges": []}', "$.n: expected an integer, got str"),
     ],
 )
 @pytest.mark.parametrize(
@@ -361,13 +368,111 @@ def test_oracle_edge_exp(tmp_path, capsys):
 def test_malformed_instance_exits_two(tmp_path, capsys, text, message, oracle):
     """A missing key or a mistyped value in an instance file is bad input,
     reported at its JSON path, as in a graph file; so is a vertex count
-    past the oracles' cap, whose edge mask would be too large to build."""
+    past the oracles' cap, whose edge mask would be too large to build.
+    The vertex count and the edge ends are JSON integers, two per edge: a
+    string, a float or a bool is refused, not read through int() (which
+    would read the string "12" as the edge (1, 2) and 1.9 as 1)."""
     inst = tmp_path / "inst.json"
     inst.write_text(text)
     which, *rest = oracle
     code, out, err = run(capsys, "oracle", which, "--graph", str(inst), *rest)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0.9, "expected an integer, got float"),
+        (1.0, "expected an integer, got float"),
+        (True, "expected an integer, got bool"),
+        ("1", "expected an integer, got str"),
+        (2, "function value 2 is not 0 or 1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "complexity", "adversary"])
+def test_mistyped_function_values_exit_two(
+    corpus_dir, tmp_path, capsys, command, value, message
+):
+    """A function value is the JSON integer 0 or 1; anything else is bad
+    input at its JSON path (0.9 was read as 0, so validate reported
+    uncertified sinks and exited 1)."""
+    graph = str(corpus_dir / "graphs" / "pairs-walk.json")
+    function = json.loads((corpus_dir / "graphs" / "pairs-walk.fn.json").read_text())
+    key = max(function["values"])
+    function["values"][key] = value
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps(function))
+    code, out, err = run(capsys, command, graph, "--function", str(fp))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == f"$.values[{key!r}]: {message}"
+
+
+def _nested(rule, kind, depth):
+    """``rule`` under ``depth`` scale or product rules that multiply by 1."""
+    for _ in range(depth):
+        if kind == "scale":
+            rule = {"rule": "scale", "factor": 1.0, "inner": rule}
+        else:
+            one = {"rule": "const", "value": 1.0}
+            rule = {"rule": "product", "left": one, "right": rule}
+    return rule
+
+
+def test_deeply_nested_json_exits_two(corpus_dir, tmp_path, capsys):
+    """A file of 100,000 nested arrays is too deep for the JSON decoder:
+    every command that reads it, in any role, reports it as bad input
+    named by its file."""
+    deep = str(tmp_path / "deep.json")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    graph = str(corpus_dir / "graphs" / "pairs-walk.json")
+    function = str(corpus_dir / "graphs" / "pairs-walk.fn.json")
+    for argv in (
+        ["validate", deep],
+        ["validate", graph, "--function", deep],
+        ["complexity", deep, "--function", function],
+        ["adversary", graph, "--function", deep],
+        ["oracle", "delta", "--graph", deep, "--b", "2", "--x", "1"],
+        ["oracle", "edge-exp", "--graph", deep, "--x", "1", "--y", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"]["message"] == f"{deep}: nested too deeply to read"
+
+
+@pytest.mark.parametrize("kind", ["scale", "product"])
+def test_deeply_nested_rules_exit_two(corpus_dir, tmp_path, capsys, kind):
+    """A w0 that nests 600 scale or product rules is too deep to parse: bad
+    input named by its file, not a traceback."""
+    graph = json.loads((corpus_dir / "graphs" / "pairs-walk.json").read_text())
+    graph["edges"][0]["w0"] = _nested(graph["edges"][0]["w0"], kind, 600)
+    gp = tmp_path / "g.json"
+    gp.write_text(json.dumps(graph))
+    function = str(corpus_dir / "graphs" / "pairs-walk.fn.json")
+    for argv in (
+        ["validate", str(gp)],
+        ["validate", str(gp), "--function", function],
+        ["complexity", str(gp), "--function", function],
+        ["adversary", str(gp), "--function", function],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"]["message"] == f"{gp}: nested too deeply to read"
+
+
+def test_a_450_deep_scale_chain_is_priced(corpus_dir, tmp_path, capsys):
+    """Refusing what is too deep leaves a 450-deep chain of scale rules
+    readable: it prices like the rule it wraps."""
+    path = corpus_dir / "graphs" / "pairs-walk.json"
+    function = str(corpus_dir / "graphs" / "pairs-walk.fn.json")
+    graph = json.loads(path.read_text())
+    graph["edges"][0]["w0"] = _nested(graph["edges"][0]["w0"], "scale", 450)
+    gp = tmp_path / "g.json"
+    gp.write_text(json.dumps(graph))
+    code, want, _ = run(capsys, "complexity", str(path), "--function", function)
+    assert code == 0
+    assert run(capsys, "complexity", str(gp), "--function", function) == (0, want, "")
+    assert run(capsys, "validate", str(gp), "--function", function)[0] == 0
 
 
 def test_costmodel_single_point(capsys):

@@ -10,7 +10,6 @@ from pricing import c0_at
 
 from lgkit.combinators import (
     CompositionError,
-    JohnsonSpec,
     johnson_compose,
     or_compose,
 )
@@ -92,6 +91,19 @@ def test_or_rejects_domain_mismatch():
         or_compose([a, c], 1)
 
 
+def test_or_refuses_children_over_other_inputs():
+    """A child whose function ranges over other inputs is refused, even
+    where the promised domains agree, by both implementations alike."""
+    u = Universe(2, (0, 1, 3))
+    g, _ = _bit_child(2, 1, (0, 3))
+    other = (g, BooleanFunction.from_bits(u, u.bitset((0, 3)), u.bitset((3,))))
+    children = [_bit_child(2, 0, (0, 3)), other]
+    for compose in (or_compose, or_compose_loop):
+        with pytest.raises(CompositionError) as info:
+            compose(children, 1)
+        assert str(info.value) == "children disagree on the input universe"
+
+
 def test_or_rejects_bad_fan_in():
     children = [_bit_child(2, 0, (0, 3))]
     with pytest.raises(CompositionError):
@@ -142,19 +154,20 @@ def test_or_matches_loop_on_fixtures(children, k):
 @st.composite
 def _or_children(draw):
     """Children on one domain (now and then a different one), their functions
-    built from dicts or as bitsets over a larger shared universe."""
+    all built from dicts or all as bitsets over a larger shared universe."""
     n_bits = draw(st.integers(1, 4))
     inputs = sorted(draw(st.sets(st.integers(0, (1 << n_bits) - 1), min_size=1)))
     u = Universe(n_bits, inputs)
     domain = sorted(draw(st.sets(st.sampled_from(inputs), min_size=1)))
     count = draw(st.integers(1, 5))
+    from_dicts = draw(st.booleans())
     children = []
     for i in range(count):
         dom = domain
         if draw(st.integers(0, 7)) == 0:
             dom = sorted(draw(st.sets(st.sampled_from(inputs), min_size=1)))
         pos = sorted(draw(st.sets(st.sampled_from(dom))))
-        if draw(st.booleans()):
+        if from_dicts:
             f = BooleanFunction(n_bits, {z: int(z in pos) for z in dom})
         else:
             f = BooleanFunction.from_bits(u, u.bitset(dom), u.bitset(pos))
@@ -188,7 +201,7 @@ def _identity_walk():
         bits = [i for i in range(4) if (y >> i) & 1]
         return tuple(bits[:2])
 
-    return JohnsonSpec(
+    return dict(
         n_bits=4,
         ground=ground,
         k=2,
@@ -196,11 +209,12 @@ def _identity_walk():
         positions=lambda A: tuple(sorted(A)),
         function=f,
         cert=cert,
+        load_kinds=("dense",) * 3,
     )
 
 
 def test_johnson_identity_walk_shape():
-    res = johnson_compose(_identity_walk())
+    res = johnson_compose(**_identity_walk())
     g = res.graph
     assert len(g.vertices) == 11
     assert len(g.edges) == 16
@@ -213,7 +227,7 @@ def test_johnson_identity_walk_shape():
 
 
 def test_johnson_stage_cost_at_most_one_each():
-    res = johnson_compose(_identity_walk())
+    res = johnson_compose(**_identity_walk())
     g = res.graph
     for y in res.function.positives():
         flow = g.flow_for(y)
@@ -229,7 +243,7 @@ def test_johnson_stage_cost_at_most_one_each():
 
 
 def test_johnson_report_carries_raw_stage_totals():
-    res = johnson_compose(_identity_walk())
+    res = johnson_compose(**_identity_walk())
     obj = complexity(res.graph, res.function).to_json()
     assert [s["name"] for s in obj["stages"]] == ["walk1", "walk2"]
     for s in obj["stages"]:
@@ -251,7 +265,7 @@ def test_johnson_rejects_uneven_start_counts():
 
     f = BooleanFunction(3, {1: 1, 4: 1})
     certs = {1: (0,), 4: (2,)}
-    spec = JohnsonSpec(
+    spec = dict(
         n_bits=3,
         ground=(0, 1, 2),
         k=2,
@@ -259,14 +273,15 @@ def test_johnson_rejects_uneven_start_counts():
         positions=positions,
         function=f,
         cert=lambda y: certs[y],
+        load_kinds=("dense",) * 2,
     )
     with pytest.raises(CompositionError, match="start count"):
-        johnson_compose(spec)
+        johnson_compose(**spec)
 
 
 def test_johnson_strict_mode_rejects_weak_certificate():
     f = BooleanFunction.from_predicate(2, lambda z: z == 3)
-    spec = JohnsonSpec(
+    spec = dict(
         n_bits=2,
         ground=(0, 1),
         k=1,
@@ -274,9 +289,10 @@ def test_johnson_strict_mode_rejects_weak_certificate():
         positions=lambda A: tuple(sorted(A)),
         function=f,
         cert=lambda y: (0,),
+        load_kinds=("dense",) * 2,
     )
     with pytest.raises(CompositionError, match="force"):
-        johnson_compose(spec)
+        johnson_compose(**spec)
 
 
 def test_johnson_rejects_non_monotone_positions():
@@ -284,7 +300,7 @@ def test_johnson_rejects_non_monotone_positions():
         return (0,) if len(A) == 1 else ()
 
     f = BooleanFunction(2, {3: 1})
-    spec = JohnsonSpec(
+    spec = dict(
         n_bits=2,
         ground=(0, 1),
         k=2,
@@ -292,9 +308,10 @@ def test_johnson_rejects_non_monotone_positions():
         positions=positions,
         function=f,
         cert=lambda y: (1,),
+        load_kinds=("dense",) * 2,
     )
     with pytest.raises(CompositionError, match="monotone"):
-        johnson_compose(spec)
+        johnson_compose(**spec)
 
 
 def test_johnson_rejects_non_monotone_step():
@@ -311,7 +328,7 @@ def test_johnson_rejects_non_monotone_step():
         bits = [i for i in range(6) if (y >> i) & 1]
         return tuple(bits[:3])
 
-    spec = JohnsonSpec(
+    spec = dict(
         n_bits=6,
         ground=tuple(range(6)),
         k=3,
@@ -319,9 +336,10 @@ def test_johnson_rejects_non_monotone_step():
         positions=positions,
         function=f,
         cert=cert,
+        load_kinds=("dense",) * 4,
     )
     with pytest.raises(CompositionError, match="monotone"):
-        johnson_compose(spec)
+        johnson_compose(**spec)
 
 
 def _leaf_factory_walk():
@@ -347,7 +365,7 @@ def _leaf_factory_walk():
         bits = [i for i in range(4) if (y >> i) & 1]
         return tuple(bits[:2])
 
-    return JohnsonSpec(
+    return dict(
         n_bits=5,
         ground=ground,
         k=2,
@@ -355,12 +373,13 @@ def _leaf_factory_walk():
         positions=lambda A: tuple(sorted(A)),
         function=f,
         cert=cert,
+        load_kinds=("dense",) * 3,
         factory=factory,
     )
 
 
 def test_johnson_leaf_factory():
-    res = johnson_compose(_leaf_factory_walk())
+    res = johnson_compose(**_leaf_factory_walk())
     assert validate(res.graph, res.function).ok
     stages = res.graph.stages
     assert len(stages) == 3
@@ -395,7 +414,7 @@ def test_johnson_super_edge_loads():
         done = [j for j in range(3) if block_done(y, j)]
         return tuple(done[:2])
 
-    spec = JohnsonSpec(
+    spec = dict(
         n_bits=6,
         ground=ground,
         k=2,
@@ -403,8 +422,15 @@ def test_johnson_super_edge_loads():
         positions=positions,
         function=f,
         cert=cert,
-        load_kind="dense",
+        load_kinds=("dense",) * 3,
     )
-    res = johnson_compose(spec)
+    res = johnson_compose(**spec)
     assert res.graph.has_super()
     assert validate(res.graph, res.function).ok
+
+
+@pytest.mark.parametrize("kinds", [(), ("dense",) * 2, ("dense",) * 4])
+def test_johnson_needs_one_load_kind_per_stage(kinds):
+    spec = {**_identity_walk(), "load_kinds": kinds}
+    with pytest.raises(CompositionError, match=f"^need 3 load kinds, got {len(kinds)}$"):
+        johnson_compose(**spec)

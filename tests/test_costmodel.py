@@ -26,13 +26,20 @@ def test_unknown_variant_rejected():
         eval_cost("cubic", 16, x=4, a=8, b=4)
 
 
-def test_shape_constraints_enforced():
-    with pytest.raises(ValueError):
-        eval_cost("dense", 16, x=4, a=32, b=4)
-    with pytest.raises(ValueError):
-        eval_cost("dense", 16, x=4, a=8, b=16)
-    with pytest.raises(ValueError):
-        eval_cost("sparsenew", 16, m=64.0, b=32)
+@pytest.mark.parametrize(
+    "variant,kwargs,message",
+    [
+        ("dense", dict(n=0.0, x=4, a=8, b=4), "n must be positive"),
+        ("dense", dict(n=16, x=4, a=8), "b must be positive"),
+        ("dense", dict(n=16, x=-1.0, a=8, b=4), "x must be positive"),
+        ("sparse", dict(n=16, m=0.0, x=4, a=8, b=4), "m must be positive"),
+        ("sparse", dict(n=1.5, m=64.0, x=4, a=8, b=4), "at least 2"),
+        ("sparsenew", dict(n=16, m=64.0, d2=-1.0, b=4), "nonnegative"),
+    ],
+)
+def test_eval_cost_refuses_bad_arguments(variant, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        eval_cost(variant, **kwargs)
 
 
 @pytest.mark.parametrize("n,x,a,b", [(16, 4, 8, 4), (64, 8, 22, 8), (256, 16, 64, 10)])
@@ -42,16 +49,6 @@ def test_full_density_matches_dense_up_to_log(n, x, a, b):
     ratio = sparse**2 / (dense**2 * math.log(n))
     assert 1.0 <= ratio <= 2.0
     assert sparse**2 == pytest.approx(math.log(n) * (dense**2 + x * n), rel=1e-12)
-
-
-def test_sparse_warns_on_thin_graphs():
-    with pytest.warns(UserWarning, match="n\\^\\(5/4\\)"):
-        eval_cost("sparse", 256, m=300.0, x=4, a=16, b=4)
-
-
-def test_sparsenew_warns_on_narrow_walks():
-    with pytest.warns(UserWarning, match="n\\^2/m"):
-        eval_cost("sparsenew", 256, m=1024.0, b=8)
 
 
 def test_sparsenew_default_degree_spread():
@@ -71,18 +68,16 @@ def test_cost_grows_with_edge_count(n, exp1, factor):
     m1 = n**exp1
     m2 = m1 * factor
     p = analytic_params("sparse", n, m1)
-    c1 = eval_cost("sparse", n, m1, **p, check=False)
-    c2 = eval_cost("sparse", n, m2, **p, check=False)
+    c1 = eval_cost("sparse", n, m1, **p)
+    c2 = eval_cost("sparse", n, m2, **p)
     assert c2 >= c1
     b = analytic_params("sparsenew", n, m1)["b"]
-    assert eval_cost("sparsenew", n, m2, b=b, check=False) >= eval_cost(
-        "sparsenew", n, m1, b=b, check=False
-    )
+    assert eval_cost("sparsenew", n, m2, b=b) >= eval_cost("sparsenew", n, m1, b=b)
 
 
 def test_cost_grows_with_degree_spread():
-    lo = eval_cost("sparsenew", 1024.0, 32768.0, d2=8.0, b=64.0, check=False)
-    hi = eval_cost("sparsenew", 1024.0, 32768.0, d2=80.0, b=64.0, check=False)
+    lo = eval_cost("sparsenew", 1024.0, 32768.0, d2=8.0, b=64.0)
+    hi = eval_cost("sparsenew", 1024.0, 32768.0, d2=80.0, b=64.0)
     assert hi > lo
 
 
