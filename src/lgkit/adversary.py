@@ -33,10 +33,11 @@ and it reaches its row of the diagonal, so the objective check too.
 
 The objective is checked against the target √(C0·C1), the complexity of
 the expanded graph the factors come from, as :mod:`lgkit.complexity`
-prices it: C1 from ``side1_totals``, priced first, so every flow fault
-(a missing flow, flow on zero side-1 weight, ...) raises its error there,
-and C0 from ``side0_rows``, one row per edge, which the factors are formed
-from.  Expansion keeps both costs, up to rounding in the last place.
+prices it: C1 and the flow entries the factors are formed from come from
+one ``side1_totals`` call, made first, so every flow fault (a missing
+flow, flow on zero side-1 weight, ...) raises its error there, and C0
+from ``side0_rows``, one row per edge, which the factors are formed from
+too.  Expansion keeps both costs, up to rounding in the last place.
 ``Witness.matrices`` gives the dense M_j, built from the factor on access.
 
 Fault injection (``linking_mutants``) multiplies one side-0 weight on one
@@ -80,8 +81,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .complexity import FlowEntries, c0_max, c1_max, column_fsums, flow_entries
-from .complexity import side0_rows, side1_totals
+from .complexity import FlowEntries, column_fsums, complexity, side0_rows, side1_totals
 from .expand import expand
 from .indexing import agreement_layout, bitstring, input_array, lookup, mask_of
 from .indexing import pack_bits
@@ -99,10 +99,11 @@ class AdversaryError(ValueError):
 
 
 def rebalance_to_equal(g: LearningGraph, f: BooleanFunction) -> LearningGraph:
-    """Scale weights so both costs equal the graph complexity; a graph with
-    a non-finite cost, which no factor equalizes, is returned unscaled."""
-    c0 = c0_max(g, f)
-    c1 = c1_max(g, f)
+    """Scale weights so both costs of :func:`complexity` equal the graph
+    complexity; a graph with a non-finite cost, which no factor equalizes,
+    is returned unscaled."""
+    rep = complexity(g, f)
+    c0, c1 = rep.c0, rep.c1
     if c0 <= 0.0 or c1 <= 0.0:
         raise AdversaryError(f"cannot equalize costs c0={c0}, c1={c1}")
     factor = math.sqrt(c1 / c0)
@@ -207,10 +208,9 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
     if len(f.domain) > WITNESS_CAP:
         raise AdversaryError(f"domain size {len(f.domain)} exceeds cap {WITNESS_CAP}")
     xs, ys = f.negatives(), f.positives()
-    ent = flow_entries(ge, ys)
     # priced first, so every flow fault raises here; then every entry is on
     # an ordinary edge with nonzero w1
-    c1 = max(side1_totals(ge, ys, ent), default=0.0)
+    ent, _, c1s = side1_totals(ge, ys)
     zs = input_array(xs + ys, ge.n_bits)
     w0_rows = side0_rows(ge, zs[: len(xs)])
     parts = _Parts(
@@ -221,7 +221,7 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
         n_neg=len(xs),
         rows=np.searchsorted(input_array(f.domain, ge.n_bits), zs),
         ent=ent,
-        c1=c1,
+        c1=max(c1s, default=0.0),
         w0_rows=w0_rows,
         c0s=column_fsums(w0_rows),
         packed={},

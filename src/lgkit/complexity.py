@@ -9,13 +9,14 @@ flow squared times the inner positive cost over the host weight on side 1.
 ``complexity`` aggregates both over a function's domain and reports per-stage
 breakdowns when the graph carries stage metadata.
 
-``side0_rows`` and ``_side1``, the positive side behind ``side1_totals``,
-are the one place costs are evaluated.
+``side0_rows`` and ``side1_totals`` are the one place costs are evaluated.
 They price a whole set of inputs column-wise, one rule evaluation per
 edge, a lookup in the rule's table (see :mod:`lgkit.rules`).
-Everything that prices a graph goes through them: ``complexity``,
-``c0_max``/``c1_max`` (and so rebalancing and the composition lambdas) and
-the witness.
+``side1_totals`` is the one positive-side call: it gathers the flow
+entries itself, prices one term per entry and raises the first flow
+fault.  Everything that prices a graph goes through the two:
+``complexity`` (and so rebalancing), ``c1_max`` (the composition lambdas)
+and the witness.
 Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
 tested against, one scalar ``rule_at`` per (edge, input), lives in
@@ -162,15 +163,13 @@ def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
 
 
 def _side1(
-    g: LearningGraph, ys: Sequence[int], ent: FlowEntries | None = None
+    g: LearningGraph, ys: Sequence[int]
 ) -> tuple[FlowEntries, np.ndarray, tuple[int, ComplexityError] | None]:
     """The entries of the flows at ``ys`` and the side-1 term of each, or the
     number in ``ys`` of the first faulty input and the error it raises.
 
     An entry's term is flow squared over its edge's ``w1``, times the inner
     positive cost for a super edge.  ``w1`` is evaluated only where flow is.
-    A caller that has already gathered the entries of the flows at ``ys``
-    with :func:`flow_entries` passes them as ``ent``.
 
     The first faulty input is the first of ``ys`` and, in that input, the
     first faulty edge in flow order.  The checks, in order: a missing flow,
@@ -178,7 +177,7 @@ def _side1(
     flow, flow on an empty edge, flow on zero side-1 weight, and a fault of
     a super edge's inner graph at that input.
     """
-    ent = flow_entries(g, ys) if ent is None else ent
+    ent = flow_entries(g, ys)
     missing: tuple[int, ComplexityError] | None = None  # the first input without a flow
     if ent.missing:
         k = ent.missing[0]
@@ -203,8 +202,8 @@ def _side1(
     if bad and (missing is None or ent.input[min(bad)] < missing[0]):
         n = min(bad)
         k = int(ent.input[n])
-        error = _flow_error(g, int(ent.edge[n]), ys[k], ww[n]) or inner_faults[n]
-        return ent, pp[:0], (k, error)
+        error = _flow_error(g, int(ent.edge[n]), ys[k], float(pp[n]), ww[n])
+        return ent, pp[:0], (k, error or inner_faults[n])
     if missing is not None:
         return ent, pp[:0], missing
     # overflow to inf and inf times 0, silent as in the scalar call
@@ -212,10 +211,11 @@ def _side1(
         return ent, pp * pp * inner / ww, None
 
 
-def _flow_error(g: LearningGraph, i: int, y: int, w: float) -> ComplexityError | None:
-    """The first plain check that the flow recorded on edge ``i`` at input
-    ``y`` fails, where ``w`` is the edge's side-1 weight there (0 if unknown)."""
-    p = g.flow_for(y)[i]
+def _flow_error(
+    g: LearningGraph, i: int, y: int, p: float, w: float
+) -> ComplexityError | None:
+    """The first plain check that the flow ``p`` on edge ``i`` at input ``y``
+    fails, where ``w`` is the edge's side-1 weight there (0 if unknown)."""
     if not 0 <= i < len(g.edges):
         return ComplexityError(f"flow {p} on unknown edge {i} at input {y}")
     e = g.edges[i]
@@ -233,23 +233,20 @@ def _flow_error(g: LearningGraph, i: int, y: int, w: float) -> ComplexityError |
 
 
 def side1_totals(
-    g: LearningGraph, ys: Sequence[int], ent: FlowEntries | None = None
-) -> list[float]:
-    """The positive cost at every input of ``ys``: the ``math.fsum`` of its
-    entries' terms (``ent`` and the errors raised as in :func:`_side1`)."""
-    ent, terms, fault = _side1(g, ys, ent)
+    g: LearningGraph, ys: Sequence[int]
+) -> tuple[FlowEntries, np.ndarray, list[float]]:
+    """The positive side at the inputs ``ys``: the entries of their flows,
+    the side-1 term of each entry and the positive cost at every input, the
+    ``math.fsum`` of its entries' terms.  Raises the first fault, as found
+    by :func:`_side1`."""
+    ent, terms, fault = _side1(g, ys)
     if fault is not None:
         raise fault[1]
-    return _group_fsums(ent.input, terms, len(ys))
-
-
-def c0_max(g: LearningGraph, f: BooleanFunction) -> float:
-    xs = input_array(f.negatives(), g.n_bits)
-    return max(column_fsums(side0_rows(g, xs)), default=0.0)
+    return ent, terms, _group_fsums(ent.input, terms, len(ys))
 
 
 def c1_max(g: LearningGraph, f: BooleanFunction) -> float:
-    return max(side1_totals(g, f.positives()), default=0.0)
+    return max(side1_totals(g, f.positives())[2], default=0.0)
 
 
 def _cost_entry(
@@ -326,11 +323,9 @@ def complexity(g: LearningGraph, f: BooleanFunction) -> ComplexityReport:
     xs = f.negatives()
     ys = f.positives()
     rows0 = side0_rows(g, input_array(xs, g.n_bits))
-    ent, terms, fault = _side1(g, ys)
-    if fault is not None:
-        raise fault[1]
+    ent, terms, totals = side1_totals(g, ys)
     per0 = dict(zip(xs, column_fsums(rows0)))
-    per1 = dict(zip(ys, _group_fsums(ent.input, terms, len(ys))))
+    per1 = dict(zip(ys, totals))
     report = ComplexityReport(
         c0=max(per0.values(), default=0.0),
         c1=max(per1.values(), default=0.0),

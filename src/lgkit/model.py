@@ -438,6 +438,9 @@ class GraphBuilder:
         w0: Rule = ONE,
         w1: Rule = ONE,
     ) -> int:
+        width = gadget.inner.n_bits
+        if width != self.n_bits:
+            raise ModelError(f"a {width}-bit gadget in a {self.n_bits}-bit graph")
         self._check_ends(src, dst)
         self.edges.append(Edge(src, dst, None, w0, w1, gadget=gadget))
         return len(self.edges) - 1

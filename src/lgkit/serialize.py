@@ -23,13 +23,14 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .indexing import bitstring, parse_bitstring
 from .model import (
     BooleanFunction,
     GraphBuilder,
     LearningGraph,
+    ModelError,
     StageInfo,
     SuperEdge,
 )
@@ -155,10 +156,22 @@ def _text(value: Any, path: str) -> str:
 
 def _position(value: Any, n: int, path: str) -> int:
     """A 1-based position of an ``n``-bit input, as a 0-based index."""
-    i = int(value) - 1
+    i = _integer(value, path) - 1
     if not 0 <= i < n:
         raise FormatError(f"{path}: position {i + 1} outside 1..{n}")
     return i
+
+
+def _positions(values: Any, n: int, path: Callable[[], str]) -> tuple[int, ...]:
+    """The list ``values`` of 1-based positions of an ``n``-bit input, as
+    0-based indices.  ``path()`` names the list; it is called only to report
+    a refused value."""
+    values = list(values)
+    if not all(type(v) is int and 0 < v <= n for v in values):
+        where = path()
+        for k, v in enumerate(values):
+            _position(v, n, f"{where}[{k}]")
+    return tuple(v - 1 for v in values)
 
 
 def _rule(rec: dict[str, Any], key: str, path: str, n: int, rules: dict) -> Rule:
@@ -185,10 +198,11 @@ def build_graph(obj: dict[str, Any]) -> LearningGraph:
     The memo lives for one call: two graphs share no parsed rule.
 
     Raises a ValueError, naming the JSON path, on a missing key, a mistyped
-    value, a load or rule position outside the input, a stage or flow
-    naming an edge the graph does not have, a flow key that is not ``n``
-    bits and a stage rebalance factor for an edge outside its stage; and on
-    dangling vertex references and negative or non-finite weights.
+    value, a label, load or rule position outside the input, a gadget whose
+    ``n`` is not its host's, a stage or flow naming an edge the graph does
+    not have, a flow key that is not ``n`` bits and a stage rebalance factor
+    for an edge outside its stage; and on dangling vertex references and
+    negative or non-finite weights.
     Everything else is left to :func:`lgkit.validate.validate`.
     """
     return _graph(obj, "$", {})
@@ -196,13 +210,13 @@ def build_graph(obj: dict[str, Any]) -> LearningGraph:
 
 def _graph(obj: dict[str, Any], _path: str, rules: dict) -> LearningGraph:
     with _at(_path):
-        n = int(obj["n"])
+        n = _integer(obj["n"], f"{_path}.n")
         b = GraphBuilder(n, root=_text(obj["root"], f"{_path}.root"))
         for k, v in enumerate(obj["vertices"]):
             where = f"{_path}.vertices[{k}]"
             with _at(where):
                 vid = _text(v["id"], f"{where}.id")
-                b.add_vertex(vid, tuple(int(i) - 1 for i in v["label"]))
+                b.add_vertex(vid, _positions(v["label"], n, lambda: f"{where}.label"))
         for k, rec in enumerate(obj["edges"]):
             where = f"{_path}.edges[{k}]"
             with _at(where):
@@ -211,9 +225,15 @@ def _graph(obj: dict[str, Any], _path: str, rules: dict) -> LearningGraph:
                 w1 = _rule(rec, "w1", where, n, rules)
                 if isinstance(loads, dict):
                     sup = loads["super"]
-                    inner = _graph(sup["graph"], f"{where}.loads.super.graph", rules)
+                    sub = f"{where}.loads.super.graph"
+                    inner = _graph(sup["graph"], sub, rules)
                     gadget = SuperEdge(inner, c1_max=sup.get("c1_max"))
-                    b.add_super(rec["from"], rec["to"], gadget, w0, w1)
+                    try:
+                        b.add_super(rec["from"], rec["to"], gadget, w0, w1)
+                    except ModelError as exc:
+                        if inner.n_bits == n:
+                            raise
+                        raise FormatError(f"{sub}.n: {exc}") from None
                 elif loads:
                     (pos,) = loads
                     load = _position(pos, n, f"{where}.loads[0]")
@@ -291,7 +311,9 @@ def build_function(obj: dict[str, Any]) -> BooleanFunction:
         certs = None
         if "certs" in obj:
             certs = {
-                _input(k, n, "$.certs"): tuple(sorted(int(i) - 1 for i in c))
+                _input(k, n, "$.certs"): tuple(
+                    sorted(_positions(c, n, lambda: f"$.certs[{k!r}]"))
+                )
                 for k, c in obj["certs"].items()
             }
         return BooleanFunction(n, values, certs)

@@ -100,17 +100,22 @@ def rules_linked(w0: Rule, w1: Rule, loads: tuple[int, ...]) -> bool:
     return False
 
 
-def _structure(g: LearningGraph, report: ValidationReport, ctx: str = "") -> None:
+def _structure(g: LearningGraph, report: ValidationReport, ctx: str = "") -> bool:
+    """Report the structural findings of ``g``, and return whether
+    :func:`lgkit.expand.expand` can place every edge and stage: not when a
+    stage names an unknown edge, or a super edge's head label is not its
+    tail label plus its gadget's loads, here or in a gadget."""
     if g.root not in g.vertices:
         report.add("root", ctx + g.root, "root vertex missing")
-        return
+        return False
     if g.label(g.root) != ():
         report.add("root", ctx + g.root, f"root label {g.label(g.root)} not empty")
     try:
         topological_order(g)
     except ModelError:
         report.add("cycle", ctx + "graph", "graph contains a cycle")
-        return
+        return False
+    expandable = True
     seen = {g.root}
     frontier = [g.root]
     while frontier:
@@ -137,6 +142,7 @@ def _structure(g: LearningGraph, report: ValidationReport, ctx: str = "") -> Non
                 where,
                 f"head label {sorted(dst)} is not tail plus {sorted(new)}",
             )
+            expandable &= e.gadget is None
         if e.kind == "empty":
             for side, w in ((0, e.w0), (1, e.w1)):
                 if not (isinstance(w, ConstRule) and w.value == 0.0):
@@ -153,9 +159,11 @@ def _structure(g: LearningGraph, report: ValidationReport, ctx: str = "") -> Non
                     f"side-{side} rule reads unloaded positions {sorted(extra)}",
                 )
         if e.gadget is not None:
-            _structure(e.gadget.inner, report, ctx=f"{ctx}edge[{i}].")
+            expandable &= _structure(e.gadget.inner, report, ctx=f"{ctx}edge[{i}].")
     for where, i in g.unknown_stage_edges():
         report.add("stage", ctx + where, f"names unknown edge {i}")
+        expandable = False
+    return expandable
 
 
 def _structural_linking(g: LearningGraph, report: ValidationReport, ctx: str = "") -> None:
@@ -335,10 +343,12 @@ def validate(g: LearningGraph, f: BooleanFunction | None = None) -> ValidationRe
 
     Without ``f`` only structure and structural linking are checked.  With
     ``f``, super edges are expanded first and flows, sink certification and
-    the linking condition are checked over the function's domain.
+    the linking condition are checked over the function's domain; a graph
+    that cannot be expanded (see :func:`_structure`) reports its structure
+    alone.
     """
     report = ValidationReport()
-    _structure(g, report)
+    expandable = _structure(g, report)
     if any(v.kind in ("cycle", "root") for v in report.entries):
         return report
     if f is None:
@@ -346,8 +356,8 @@ def validate(g: LearningGraph, f: BooleanFunction | None = None) -> ValidationRe
         return report
     if len(f.domain) > DOMAIN_CAP:
         raise ValueError(f"domain of size {len(f.domain)} exceeds cap {DOMAIN_CAP}")
-    if any(v.kind == "stage" for v in report.entries):
-        return report  # expand cannot place the stage
+    if not expandable:
+        return report
     ge = expand(g)
     _flows(ge, f, report)
     _semantic_linking(ge, f, report)

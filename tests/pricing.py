@@ -12,4 +12,4 @@ def c0_at(g, z):
 
 def c1_at(g, y):
     """The positive cost at the input ``y``."""
-    return side1_totals(g, [y])[0]
+    return side1_totals(g, [y])[2][0]

@@ -19,13 +19,12 @@ from lgkit.adversary import (
     rebalance_to_equal,
     verify_witness,
 )
-from lgkit.complexity import ComplexityError, MissingFlowError, c0_max, c1_max
-from lgkit.complexity import complexity
+from lgkit.complexity import ComplexityError, MissingFlowError, complexity
 from lgkit.expand import expand
 from lgkit.loads import dense_load
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.rules import ONE, ScaleRule
-from lgkit.serialize import build_function, build_graph, read_json
+from lgkit.serialize import build_function, build_graph, dump_graph, dumps, read_json
 from lgkit.triangle import build_sparsenew_lg
 
 
@@ -295,22 +294,40 @@ def test_witness_target_is_the_expansion_complexity(
         for h in (g, rebalance_to_equal(g, f)):
             ge = expand(h)
             target = build_witness(h, f).target
-            assert target == math.sqrt(c0_max(ge, f) * c1_max(ge, f)), name
-            source = math.sqrt(c0_max(h, f) * c1_max(h, f))
+            assert target == complexity(ge, f).value, name
+            source = complexity(h, f).value
             assert abs(target - source) <= math.ulp(source), name
 
 
 def test_witness_prices_from_its_own_entries(dense4, monkeypatch):
-    """The witness takes its target from the entries it gathers for the
-    factors, not from a second pricing of the graph."""
+    """The witness takes its target from the one positive-side call that
+    gathers the entries for its factors, not from a second pricing of the
+    graph."""
     g = rebalance_to_equal(dense4.graph, dense4.function)
+    calls, priced = [], adversary.side1_totals
 
     def refuse(*args):
         raise AssertionError("the witness priced the graph again")
 
-    monkeypatch.setattr(adversary, "c0_max", refuse)
-    monkeypatch.setattr(adversary, "c1_max", refuse)
+    def side1_totals(*args):
+        calls.append(args)
+        return priced(*args)
+
+    monkeypatch.setattr(adversary, "complexity", refuse)
+    monkeypatch.setattr(adversary, "side1_totals", side1_totals)
     assert verify_witness(build_witness(g, dense4.function), dense4.function).ok
+    assert len(calls) == 1
+
+
+def test_rebalance_scales_by_the_complexity_report(
+    corpus_dir, dense4, sparse4, anchored4
+):
+    """Rebalancing rescales by the factor that equalizes the two costs
+    ``complexity`` reports, on every corpus graph and every n=4 build."""
+    for name, g, f in _corpus_and_n4(corpus_dir, (dense4, sparse4, anchored4)):
+        rep = complexity(g, f)
+        want = dumps(dump_graph(g.rescaled(math.sqrt(rep.c1 / rep.c0))))
+        assert dumps(dump_graph(rebalance_to_equal(g, f))) == want, name
 
 
 def _balanced_n4(*builds):

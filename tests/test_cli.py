@@ -408,6 +408,90 @@ def test_mistyped_function_values_exit_two(
     assert json.loads(err)["error"]["message"] == f"$.values[{key!r}]: {message}"
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1.5, "expected an integer, got float"),
+        (4.0, "expected an integer, got float"),
+        (True, "expected an integer, got bool"),
+        ("4", "expected an integer, got str"),
+        (0, "position 0 outside 1..6"),
+        (7, "position 7 outside 1..6"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "complexity", "adversary"])
+def test_mistyped_certificate_positions_exit_two(
+    corpus_dir, tmp_path, capsys, command, value, message
+):
+    """A certificate position is a JSON integer in 1..n; anything else is
+    bad input at its JSON path (1.5 was read as position 1, and 7 was kept,
+    and validate passed)."""
+    graph = str(corpus_dir / "graphs" / "triangle-sparsenew-n4.json")
+    fn = corpus_dir / "graphs" / "triangle-sparsenew-n4.fn.json"
+    function = json.loads(fn.read_text())
+    key = min(function["certs"])
+    function["certs"][key][0] = value
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps(function))
+    code, out, err = run(capsys, command, graph, "--function", str(fp))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == f"$.certs[{key!r}][0]: {message}"
+
+
+def _dense4_files(dense4, tmp_path, mutate):
+    """The dense n=4 graph and function as files, the first super edge's
+    inner graph changed by ``mutate``; and the index of that edge."""
+    obj = dump_graph(dense4.graph)
+    k = next(k for k, e in enumerate(obj["edges"]) if isinstance(e["loads"], dict))
+    mutate(obj["edges"][k]["loads"]["super"]["graph"])
+    gp, fp = tmp_path / "g.json", tmp_path / "f.json"
+    write_json(str(gp), obj)
+    write_json(str(fp), dump_function(dense4.function))
+    return str(gp), str(fp), k
+
+
+def test_gadget_of_another_width_exits_two(dense4, tmp_path, capsys):
+    """An inner graph whose n is not its host's is bad input for every
+    command, at the path of the inner n (validate without a function
+    reported ok, and complexity priced the graph)."""
+    graph, function, k = _dense4_files(dense4, tmp_path, lambda g: g.update(n=7))
+    message = f"$.edges[{k}].loads.super.graph.n: a 7-bit gadget in a 6-bit graph"
+    for argv in (
+        ("validate", graph),
+        ("validate", graph, "--function", function),
+        ("complexity", graph, "--function", function),
+        ("adversary", graph, "--function", function),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"]["message"] == message, argv
+
+
+def test_super_edge_label_step_exits_one(dense4, tmp_path, capsys):
+    """A gadget sink label that does not make its host edge's head label is
+    a label step on the super edge: validate reports it, with or without a
+    function, and expands nothing (expand's merge refused the edge, so
+    validate --function exited 2).  Complexity still prices the graph."""
+
+    def relabel(inner):
+        ends = {e["from"] for e in inner["edges"]}
+        (sink,) = [v for v in inner["vertices"] if v["id"] not in ends]
+        assert sink["label"] == [1, 2, 4]
+        sink["label"] = [1, 3, 4]
+
+    graph, function, k = _dense4_files(dense4, tmp_path, relabel)
+    reports = []
+    for argv in (("validate", graph), ("validate", graph, "--function", function)):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, ""), argv
+        reports.append(_parse(out)["violations"])
+    assert reports[0] == reports[1]
+    step = [v for v in reports[0] if v["where"].startswith(f"edge[{k}] ")]
+    assert [v["kind"] for v in step] == ["label-step"]
+    code, out, err = run(capsys, "complexity", graph, "--function", function)
+    assert (code, err) == (0, "")
+
+
 def _nested(rule, kind, depth):
     """``rule`` under ``depth`` scale or product rules that multiply by 1."""
     for _ in range(depth):
@@ -890,6 +974,27 @@ INNER = "$.edges[0].loads.super.graph.edges[1]"
         (
             lambda g: g["vertices"][0].update(id=None),
             "$.vertices[0].id: expected a string, got NoneType",
+        ),
+        (lambda g: g.update(n=4.0), "$.n: expected an integer, got float"),
+        (
+            lambda g: g["vertices"][1].update(label=[1, 2.0, 3, 4]),
+            "$.vertices[1].label[1]: expected an integer, got float",
+        ),
+        (
+            lambda g: g["vertices"][1].update(label="1234"),
+            "$.vertices[1].label[0]: expected an integer, got str",
+        ),
+        (
+            lambda g: g["vertices"][1].update(label=[1, 2, 3, 5]),
+            "$.vertices[1].label[3]: position 5 outside 1..4",
+        ),
+        (
+            lambda g: _inner_edge(g).update(loads=[2.0]),
+            f"{INNER}.loads[0]: expected an integer, got float",
+        ),
+        (
+            lambda g: g["edges"][0]["loads"]["super"]["graph"].update(n=5),
+            "$.edges[0].loads.super.graph.n: a 5-bit gadget in a 4-bit graph",
         ),
     ],
 )

@@ -72,6 +72,13 @@ def test_super_edge_endpoint_labels():
     assert g.edges[0].loads == (1, 2)
 
 
+
+def test_super_edge_gadget_has_the_host_width():
+    b = GraphBuilder(4)
+    b.add_vertex("s", (1, 2))
+    with pytest.raises(ModelError, match=r"^a 5-bit gadget in a 4-bit graph$"):
+        b.add_super("r", "s", dense_load(5, (1, 2)))
+
 def test_topological_order_detects_cycles():
     b = _chain()
     b.add_ordinary("b", "a", 2, ONE, ONE)

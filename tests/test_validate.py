@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from lgkit.adversary import build_witness, linking_mutants
+from lgkit.adversary import build_witness, linking_mutants, rebalance_to_equal
 from lgkit.complexity import complexity
 from lgkit.expand import expand
 from lgkit.loads import dense_load, sparse_load
@@ -288,6 +288,7 @@ def test_stage_on_unknown_edge_raises_one_error():
     g, f = _stage_on_unknown_edge()
     calls = [
         lambda: complexity(g, f),
+        lambda: rebalance_to_equal(g, f),
         lambda: expand(g),
         lambda: build_witness(g, f),
         lambda: linking_mutants(g, f, 1),
@@ -296,6 +297,36 @@ def test_stage_on_unknown_edge_raises_one_error():
         with pytest.raises(ModelError, match=r"^stages\[0\] x names unknown edge 7$"):
             call()
 
+
+
+def test_super_edge_label_step_skips_the_function_checks():
+    """A super edge whose head label is not its tail plus its gadget's
+    loads cannot be expanded: validate reports the label step, with or
+    without a function, and runs no flow check.  A label fault on an
+    ordinary edge keeps the full report."""
+    b = GraphBuilder(2)
+    b.add_vertex("s", (0,))
+    b.add_super("r", "s", dense_load(2, (0, 1)))
+    g = b.graph(flows={3: {0: 1.0}})
+    f = BooleanFunction(2, {0: 0, 3: 1}, {3: (0, 1)})
+    for fn in (f, None):
+        rep = validate(g, fn)
+        assert [v.to_json() for v in rep.entries] == [
+            {
+                "kind": "label-step",
+                "where": "edge[0] r->s",
+                "message": "head label [0] is not tail plus [0, 1]",
+            }
+        ]
+        assert "flows" not in rep.checked
+    b = GraphBuilder(2)
+    b.add_vertex("a", (0,))
+    b.add_vertex("s", (0,))
+    b.add_ordinary("r", "a", 0, ONE, ONE)
+    b.add_ordinary("a", "s", 1, ONE, ONE)
+    rep = validate(b.graph(flows={3: {0: 1.0, 1: 1.0}}), f)
+    assert [v.kind for v in rep.entries] == ["label-step"]
+    assert rep.checked["flows"] == 1
 
 def _graph(labels, edges, root="r"):
     """A 1-bit graph: ``labels`` maps each vertex to its label, and an edge
