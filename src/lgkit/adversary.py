@@ -48,22 +48,20 @@ what ``build_witness`` refuses, and reads its sites' flows, negatives and
 ``w0`` rows from them; each site's negative is found by a sorted search
 per edge (:func:`lgkit.indexing.lookup`).  A mutant shares its parent
 expansion's vertex dict, flows and every edge but the patched one, and
-records the parent's witness parts, which hold the parent and the
-function they were made from, and the patched edge (a private lineage,
-never serialized).
+records the parent's witness parts, which hold the function they were
+made against, and the patched edge (a private lineage, never serialized).
 
 ``build_witness`` on a mutant, which is flat, expands nothing and packs no
 label: it lays out and rebuilds only Ψ_j of the position j the patched
 edge loads, over the parent's label packs, and sums again only the side-0
 totals of the negatives whose ``w0`` changed.  The rest comes from the
-parent's parts, which die with its mutants.  Nothing is reused unless
-O(E) identity checks pass: the function object of the parts; the same
-vertices, flows, const_flow and stages objects; every other edge the same
-object; and the patched edge ordinary, with the same ends, load and
-``w1``.  Otherwise every factor is built anew, so a false lineage can cost
-time but never change a witness.  Graphs are values: an in-place edit of
-a dict that a parent shares with its mutants, made within one search, is
-not detected.  ``verify_witness`` trusts none of this.
+parent's parts, which die with its mutants.  Parts are reused when the
+search set the lineage and the function is the object the parts were
+made against; otherwise every factor is built anew.  A graph is frozen
+and ``dataclasses.replace`` drops the lineage, so a graph that carries
+one is the mutant the search made; an in-place edit of a dict or an edge
+that a parent shares with its mutants, made within one search, is not
+detected.  ``verify_witness`` trusts none of this.
 
 The bounds are fixed: ``WITNESS_CAP`` on the domain size of a witness,
 ``TOL`` on every check of ``verify_witness``, and, for mutants, ``MIN_FLOW``
@@ -76,7 +74,6 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from operator import is_
 from typing import Any, Iterator
 
 import numpy as np
@@ -162,33 +159,11 @@ class Witness:
         return _Matrices(self.factors, len(self.domain))
 
 
-def _patched(parent: LearningGraph, ge: LearningGraph, ei: int) -> bool:
-    """Whether ``ge`` holds the same objects as ``parent``, but for the
-    ``w0`` of edge ``ei``, which is ordinary in both with the same ends,
-    load and ``w1``."""
-    fields = ("vertices", "flows", "const_flow", "stages")
-    if ge.n_bits != parent.n_bits:
-        return False
-    if not all(getattr(ge, k) is getattr(parent, k) for k in fields):
-        return False
-    if len(ge.edges) != len(parent.edges) or not 0 <= ei < len(parent.edges):
-        return False
-    old, new = parent.edges[ei], ge.edges[ei]
-    if not old.kind == new.kind == "ordinary" or new.w1 is not old.w1:
-        return False
-    if (new.src, new.dst, new.load) != (old.src, old.dst, old.load):
-        return False
-    return all(map(is_, ge.edges[:ei], parent.edges[:ei])) and all(
-        map(is_, ge.edges[ei + 1 :], parent.edges[ei + 1 :])
-    )
-
-
 @dataclass(eq=False)
 class _Parts:
     """What :func:`build_witness` computes for an expanded graph against a
-    function, with the two it was made from."""
+    function, with the function it was made against."""
 
-    graph: LearningGraph  # the expanded graph
     f: BooleanFunction
     by_load: dict[int, dict[tuple[int, ...], list[int]]]  # see LearningGraph
     zs: np.ndarray  # the negatives, then the positives
@@ -214,7 +189,6 @@ def _parts(ge: LearningGraph, f: BooleanFunction) -> _Parts:
     zs = input_array(xs + ys, ge.n_bits)
     w0_rows = side0_rows(ge, zs[: len(xs)])
     parts = _Parts(
-        graph=ge,
         f=f,
         by_load=ge.by_load(),
         zs=zs,
@@ -276,16 +250,15 @@ def _inherited(g: LearningGraph, f: BooleanFunction) -> _Parts | None:
     """The parts of a mutant (see :func:`linking_mutants`) from those of
     its parent expansion.
 
-    None unless the mutant holds the same objects as the parent, but for
-    the ``w0`` of its patched edge, and the parts were made against ``f``.
-    Then only Ψ_j of the position j the edge loads is rebuilt, over the
-    parent's label packs, and only the side-0 totals of the negatives whose
-    ``w0`` changed are summed again.
+    None unless the search set the lineage, and the parts were made
+    against the function object ``f``.  Then only Ψ_j of the position j
+    the edge loads is rebuilt, over the parent's label packs, and only the
+    side-0 totals of the negatives whose ``w0`` changed are summed again.
     """
     if g._lineage is None:
         return None
     base, ei = g._lineage
-    if base.f is not f or not _patched(base.graph, g, ei):
+    if base.f is not f:
         return None
     w0_rows = base.w0_rows.copy()
     w0_rows[ei] = g.edges[ei].w0.eval(base.zs[: base.n_neg])
@@ -482,12 +455,10 @@ def linking_mutants(
     out: list[Mutant] = []
     for key in order[:count]:
         ei, dst_label, bits = key
-        edges = list(ge.edges)
-        patched = PatchRule(dst_label, bits, MUTANT_FACTOR, edges[ei].w0)
-        edges[ei] = replace(edges[ei], w0=patched)
-        # the vertex dict is shared: Vertex is frozen
-        mg = replace(ge, edges=edges)
-        mg._lineage = (parts, ei)
+        patched = PatchRule(dst_label, bits, MUTANT_FACTOR, ge.edges[ei].w0)
+        edge = replace(ge.edges[ei], w0=patched)
+        mg = replace(ge, edges=ge.edges[:ei] + (edge,) + ge.edges[ei + 1 :])
+        object.__setattr__(mg, "_lineage", (parts, ei))
         assignment = ",".join(f"{i + 1}:{b}" for i, b in zip(dst_label, bits))
         out.append(Mutant(mg, ei, assignment, MUTANT_FACTOR, candidates[key]))
     return out

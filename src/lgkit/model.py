@@ -11,9 +11,11 @@ loaded input positions.  Edges come in three kinds:
 Flows are stored per positive input as ``{edge index: value}`` maps; gadgets
 whose flow does not depend on the input use a single shared map instead.
 
-A graph is a value: its fields are its whole data.  Each vertex's out-edges
-are a cache, computed on first use, that ``dataclasses.replace`` does not
-copy and ``==`` does not compare.
+A graph is a value: a frozen dataclass whose fields are its whole data,
+with its edges in a tuple; edit one through ``dataclasses.replace``.  Its
+dicts and edges are not frozen, and an in-place edit of one is not
+detected.  Each vertex's out-edges are a cache, computed on first use,
+that ``replace`` does not copy and ``==`` does not compare.
 
 A partial boolean function is two bitsets (Python ints) over a
 :class:`Universe`, the sorted inputs it may be defined on: ``dom`` marks the
@@ -123,18 +125,23 @@ class StageInfo:
     note: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearningGraph:
     n_bits: int
     root: str
     vertices: dict[str, Vertex]
-    edges: list[Edge]
+    edges: tuple[Edge, ...]
     flows: dict[int, dict[int, float]] | None = None
     const_flow: dict[int, float] | None = None
     stages: tuple[StageInfo, ...] | None = None
-    # Set by adversary.linking_mutants on a mutant, and read only there.
-    # Never serialized, compared or carried over by dataclasses.replace.
+    # Set by adversary.linking_mutants on the mutant it has just made, and
+    # read only there.  Never serialized or compared, and dataclasses.replace
+    # makes a graph without it.
     _lineage: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.edges, tuple):
+            object.__setattr__(self, "edges", tuple(self.edges))
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[int, ...]]:
@@ -193,8 +200,8 @@ class LearningGraph:
             raise ModelError(f"rescale factor must be positive, got {factor}")
         host = ConstRule(factor)
         products: dict = {}
-        edges = [e.hosted(host, host, products) for e in self.edges]
-        return replace(self, vertices=dict(self.vertices), edges=edges)
+        edges = tuple(e.hosted(host, host, products) for e in self.edges)
+        return replace(self, edges=edges)
 
 
 # format(bits, "b") reversed, as bytes: bit k of a bitset becomes byte k, 0 or 1
@@ -394,7 +401,7 @@ class BooleanFunction:
 
 
 class GraphBuilder:
-    """Mutable construction helper; produces an immutable-by-convention graph."""
+    """Mutable construction helper; produces a frozen graph."""
 
     def __init__(self, n_bits: int, root: str = "r") -> None:
         self.n_bits = n_bits
@@ -503,7 +510,7 @@ class GraphBuilder:
             n_bits=self.n_bits,
             root=self.root,
             vertices=dict(self.vertices),
-            edges=list(self.edges),
+            edges=tuple(self.edges),
             flows=flows,
             const_flow=const_flow,
             stages=tuple(stages) if stages is not None else None,

@@ -43,7 +43,9 @@ edge, and sum per input with ``math.fsum``, which is exactly rounded and so
 independent of the order of the edges: exact identities (a dense load of k
 positions costs k^2) hold with ``==``.
 
-JSON forms use 1-based indices, matching the on-disk graph format.
+JSON forms use 1-based indices, matching the on-disk graph format, and
+read their numbers with :func:`json_integer` and :func:`json_number`, which
+:mod:`lgkit.serialize` reads graph numbers with too.
 """
 
 from __future__ import annotations
@@ -61,6 +63,32 @@ from .indexing import pack_index, parse_assignment_key
 
 class RuleError(ValueError):
     pass
+
+
+class NumberError(TypeError):
+    """A JSON value that is not the kind of number read."""
+
+
+def json_integer(value: Any) -> int:
+    """``value``, which must be a JSON integer.  Null, a list or an infinity
+    fails in int(), with int()'s message; any other value that is not an int
+    (a bool, a float, a string) raises a :class:`NumberError`."""
+    if type(value) is not int:
+        if not isinstance(value, str):
+            int(value)
+        raise NumberError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def json_number(value: Any) -> float:
+    """``value``, which must be a JSON number (an int or a float), as a
+    float.  Null or a list fails in float(), with float()'s message; a bool
+    or a string raises a :class:`NumberError`."""
+    if type(value) is not float and type(value) is not int:
+        if not isinstance(value, str):
+            float(value)
+        raise NumberError(f"expected a number, got {type(value).__name__}")
+    return float(value)
 
 
 # A table has 2^len(support) entries: a rule whose support is wider than
@@ -194,7 +222,7 @@ class ConstRule(Rule):
 
     @classmethod
     def _parse(cls, obj: dict[str, Any]) -> "ConstRule":
-        return cls(float(obj["value"]))
+        return cls(json_number(obj["value"]))
 
 
 ZERO = ConstRule(0.0)
@@ -260,8 +288,8 @@ class TableRule(Rule):
                 indices = idx
             elif idx != indices:
                 raise RuleError("table rows disagree on indices")
-            table[bits] = float(v)
-        return cls(indices or (), table, float(obj.get("default", 0.0)))
+            table[bits] = json_number(v)
+        return cls(indices or (), table, json_number(obj.get("default", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -287,7 +315,7 @@ class DenseLoadRule(Rule):
 
     @classmethod
     def _parse(cls, obj: dict[str, Any]) -> "DenseLoadRule":
-        return cls(int(obj["size"]))
+        return cls(json_integer(obj["size"]))
 
 
 @dataclass(frozen=True)
@@ -334,10 +362,10 @@ class SparseLoadRule(Rule):
 
     @classmethod
     def _parse(cls, obj: dict[str, Any]) -> "SparseLoadRule":
-        path = tuple(int(i) - 1 for i in obj["path"])
-        if len(path) != int(obj["N"]):
+        path = tuple(json_integer(i) - 1 for i in obj["path"])
+        if len(path) != json_integer(obj["N"]):
             raise RuleError("sparse load path length disagrees with N")
-        return cls(path, int(obj["pos"]), int(obj["side"]))
+        return cls(path, json_integer(obj["pos"]), json_integer(obj["side"]))
 
 
 @dataclass(frozen=True)
@@ -365,7 +393,7 @@ class ScaleRule(Rule):
 
     @classmethod
     def _parse(cls, obj: dict[str, Any]) -> "ScaleRule":
-        return cls(float(obj["factor"]), Rule.from_json(obj["inner"]))
+        return cls(json_number(obj["factor"]), Rule.from_json(obj["inner"]))
 
 
 @dataclass(frozen=True)
@@ -439,8 +467,11 @@ class CandidatePairRule(Rule):
     @classmethod
     def _parse(cls, obj: dict[str, Any]) -> "CandidatePairRule":
         return cls(
-            tuple(int(i) - 1 for i in obj["required"]),
-            tuple((int(a) - 1, int(b) - 1) for a, b in obj.get("blocked", [])),
+            tuple(json_integer(i) - 1 for i in obj["required"]),
+            tuple(
+                (json_integer(a) - 1, json_integer(b) - 1)
+                for a, b in obj.get("blocked", [])
+            ),
         )
 
 
@@ -490,7 +521,7 @@ class PatchRule(Rule):
     @classmethod
     def _parse(cls, obj: dict[str, Any]) -> "PatchRule":
         idx, bits = parse_assignment_key(obj["at"])
-        return cls(idx, bits, float(obj["factor"]), Rule.from_json(obj["inner"]))
+        return cls(idx, bits, json_number(obj["factor"]), Rule.from_json(obj["inner"]))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .model import (
     StageInfo,
     SuperEdge,
 )
-from .rules import Rule
+from .rules import NumberError, Rule, json_integer, json_number
 
 
 def dumps(obj: Any) -> str:
@@ -45,20 +45,22 @@ def dump_flow(flow: dict[int, float]) -> dict[str, float]:
     return {str(i): p for i, p in sorted(flow.items())}
 
 
-def _edge_index(value: Any, edges: int, path: str) -> int:
-    i = int(value)
+def _edge_index(i: int, edges: int, path: str) -> int:
     if not 0 <= i < edges:
         raise FormatError(f"{path}: unknown edge {i}, the graph has {edges} edges")
     return i
 
 
-def _stage_edge(value: Any, stage: set[int], edges: int, where: str) -> int:
-    """A rebalance key of the stage at ``where``: one of its own edges."""
-    path = f"{where}.rebalance[{value!r}]"
-    i = _edge_index(value, edges, path)
+def _stage_factor(
+    key: Any, value: Any, stage: set[int], edges: int, where: str
+) -> tuple[int, float]:
+    """A rebalance entry of the stage at ``where``: one of its own edges and
+    its factor."""
+    path = f"{where}.rebalance[{key!r}]"
+    i = _edge_index(int(key), edges, path)
     if i not in stage:
         raise FormatError(f"{path}: edge {i} is not in the stage")
-    return i
+    return i, _number(value, path)
 
 
 def _input(key: Any, n: int, where: str) -> int:
@@ -69,7 +71,11 @@ def _input(key: Any, n: int, where: str) -> int:
 
 
 def _parse_flow(obj: dict[str, float], edges: int, path: str) -> dict[int, float]:
-    return {_edge_index(i, edges, f"{path}[{i!r}]"): float(p) for i, p in obj.items()}
+    flow = {}
+    for i, p in obj.items():
+        where = f"{path}[{i!r}]"
+        flow[_edge_index(int(i), edges, where)] = _number(p, where)
+    return flow
 
 
 def dump_graph(g: LearningGraph) -> dict[str, Any]:
@@ -138,14 +144,21 @@ def _at(path: str) -> Iterator[None]:
 
 
 def _integer(value: Any, path: str) -> int:
-    """``value``, which must be a JSON integer.  Null, a list or an infinity
-    fails in int(), with int()'s message; any other value that is not an int
-    (a bool, a float, a string) is refused at ``path``."""
-    if type(value) is not int:
-        if not isinstance(value, str):
-            int(value)
-        raise FormatError(f"{path}: expected an integer, got {type(value).__name__}")
-    return value
+    """:func:`lgkit.rules.json_integer`, with a refused value reported at
+    ``path``."""
+    try:
+        return json_integer(value)
+    except NumberError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _number(value: Any, path: str) -> float:
+    """:func:`lgkit.rules.json_number`, with a refused value reported at
+    ``path``."""
+    try:
+        return json_number(value)
+    except NumberError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _text(value: Any, path: str) -> str:
@@ -227,7 +240,10 @@ def _graph(obj: dict[str, Any], _path: str, rules: dict) -> LearningGraph:
                     sup = loads["super"]
                     sub = f"{where}.loads.super.graph"
                     inner = _graph(sup["graph"], sub, rules)
-                    gadget = SuperEdge(inner, c1_max=sup.get("c1_max"))
+                    c1_max = None
+                    if "c1_max" in sup:
+                        c1_max = _number(sup["c1_max"], f"{where}.loads.super.c1_max")
+                    gadget = SuperEdge(inner, c1_max=c1_max)
                     try:
                         b.add_super(rec["from"], rec["to"], gadget, w0, w1)
                     except ModelError as exc:
@@ -260,21 +276,21 @@ def _graph(obj: dict[str, Any], _path: str, rules: dict) -> LearningGraph:
                 where = f"{_path}.stages[{k}]"
                 with _at(where):
                     name = st["name"]
-                    edges = tuple(
-                        _edge_index(i, len(b.edges), f"{where}.edges[{pos}]")
-                        for pos, i in enumerate(st["edges"])
-                    )
+                    edges = []
+                    for pos, i in enumerate(st["edges"]):
+                        at = f"{where}.edges[{pos}]"
+                        edges.append(_edge_index(_integer(i, at), len(b.edges), at))
                     rebalance = None
                     if "rebalance" in st:
                         own = set(edges)
-                        rebalance = {
-                            _stage_edge(i, own, len(b.edges), where): float(v)
+                        rebalance = dict(
+                            _stage_factor(i, v, own, len(b.edges), where)
                             for i, v in st["rebalance"].items()
-                        }
+                        )
                     stages.append(
                         StageInfo(
                             name,
-                            edges,
+                            tuple(edges),
                             rebalance=rebalance,
                             note=st.get("note", ""),
                         )

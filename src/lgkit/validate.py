@@ -1,12 +1,13 @@
 """Structural and semantic checks for learning graphs.
 
-Structure: rooted DAG, empty root label, labels grow by exactly the loaded
-positions along each edge, weight rules read only loaded positions, empty
-transitions weigh zero, stages name edges of the graph.  Semantics (given a
-function): every positive input has a recorded unit flow that conserves at
-interior vertices, avoids empty and zero-weight edges, and ends only at
-sinks whose loaded positions force the function to 1; and the linking
-condition ties side-0 and side-1 weights across each edge's loaded bit.
+Structure: rooted DAG whose edges join its vertices, empty root label,
+labels grow by exactly the loaded positions along each edge, weight rules
+read only loaded positions, empty transitions weigh zero, stages name
+edges of the graph.  Semantics (given a function): every positive input
+has a recorded unit flow that conserves at interior vertices, avoids empty
+and zero-weight edges, and ends only at sinks whose loaded positions force
+the function to 1; and the linking condition ties side-0 and side-1
+weights across each edge's loaded bit.
 
 Nothing raises on a finding; everything lands in the report.
 """
@@ -102,14 +103,25 @@ def rules_linked(w0: Rule, w1: Rule, loads: tuple[int, ...]) -> bool:
 
 def _structure(g: LearningGraph, report: ValidationReport, ctx: str = "") -> bool:
     """Report the structural findings of ``g``, and return whether
-    :func:`lgkit.expand.expand` can place every edge and stage: not when a
-    stage names an unknown edge, or a super edge's head label is not its
-    tail label plus its gadget's loads, here or in a gadget."""
+    :func:`lgkit.expand.expand` can place every edge and stage: not when an
+    edge names no vertex, a stage names an unknown edge, or a super edge's
+    head label is not its tail label plus its gadget's loads, here or in a
+    gadget."""
     if g.root not in g.vertices:
         report.add("root", ctx + g.root, "root vertex missing")
         return False
     if g.label(g.root) != ():
         report.add("root", ctx + g.root, f"root label {g.label(g.root)} not empty")
+    dangling = [
+        (f"{ctx}edge[{i}] {e.src}->{e.dst}", end, v)
+        for i, e in enumerate(g.edges)
+        for end, v in (("tail", e.src), ("head", e.dst))
+        if v not in g.vertices
+    ]
+    for where, end, v in dangling:
+        report.add("edge-end", where, f"{end} {v!r} is not a vertex")
+    if dangling:
+        return False
     try:
         topological_order(g)
     except ModelError:
@@ -349,7 +361,7 @@ def validate(g: LearningGraph, f: BooleanFunction | None = None) -> ValidationRe
     """
     report = ValidationReport()
     expandable = _structure(g, report)
-    if any(v.kind in ("cycle", "root") for v in report.entries):
+    if any(v.kind in ("cycle", "root", "edge-end") for v in report.entries):
         return report
     if f is None:
         _structural_linking(g, report)

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from lgkit.adversary import (
 from lgkit.complexity import ComplexityError, MissingFlowError, complexity
 from lgkit.expand import expand
 from lgkit.loads import dense_load
-from lgkit.model import BooleanFunction, GraphBuilder
+from lgkit.model import BooleanFunction, GraphBuilder, LearningGraph
 from lgkit.rules import ONE, ScaleRule
 from lgkit.serialize import build_function, build_graph, dump_graph, dumps, read_json
 from lgkit.triangle import build_sparsenew_lg
@@ -443,64 +443,54 @@ def test_a_later_search_makes_its_own_parts(anchored4):
     assert not [v for v in vars(g).values() if isinstance(v, adversary._Parts)]
 
 
-def _claiming(lineage, mg, edits=None, **fields):
-    """``mg`` with its edges ``edits`` (index -> edge) and ``fields``
-    replaced, which claims the lineage ``lineage``."""
-    edges = list(mg.edges)
-    for k, edge in (edits or {}).items():
-        edges[k] = edge
-    out = replace(mg, edges=edges, **fields)
-    out._lineage = lineage
-    return out
-
-
-def test_a_lying_lineage_gets_a_full_build(dense4, factor_calls):
-    """A graph whose lineage names a parent it differs from in more than
-    the patched edge's w0, or that is built for another function object,
-    gets every factor made anew, and the witness of a full build."""
+def test_a_frozen_graph_keeps_its_lineage(dense4, factor_calls):
+    """No field of a graph can be assigned, its edges are a tuple, and
+    ``dataclasses.replace`` makes a graph with no lineage.  So each graph
+    that differs from a mutant in more than the patched edge's w0 gets
+    every factor made anew and the witness of a fresh build, as does a
+    mutant built for another function object; a mutant of a mutant
+    rebuilds one factor."""
     _, g, f = _balanced_n4(dense4)[0]
     first, second = linking_mutants(g, f, 2, seed=3)
     assert first.edge != second.edge
-    parts, ei = lineage = first.graph._lineage
-    parent = parts.graph
-    assert isinstance(parts, adversary._Parts) and parts.f is f
-    build_witness(first.graph, f)
-    other = next(k for k, e in enumerate(parent.edges) if k not in (ei, second.edge))
-    patched = first.graph.edges[ei]
-    flows = {y: dict(p) for y, p in parent.flows.items()}
-    twice = _claiming(
-        lineage, first.graph, {second.edge: second.graph.edges[second.edge]}
-    )
-    liars = [
-        # equal to the parent's edge, but another object
-        ("second swapped edge", {other: replace(parent.edges[other])}, {}),
-        ("patched edge w1", {ei: replace(patched, w1=ScaleRule(2.0, patched.w1))}, {}),
-        ("patched edge head", {ei: replace(patched, dst=patched.src)}, {}),
-        ("replaced flows", {}, {"flows": flows}),
-        ("more input bits", {}, {"n_bits": parent.n_bits + 1}),
+    mg, ei = first.graph, first.edge
+    assert isinstance(mg.edges, tuple) and mg._lineage[1] == ei
+    names = [fd.name for fd in fields(mg)]
+    assert names[-1] == "_lineage"
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(mg, name, None)
+    b = GraphBuilder(1)
+    b.add_vertex("s", (0,))
+    b.add_ordinary("r", "s", 0, ONE, ONE)
+    built = LearningGraph(1, "r", b.vertices, b.edges)
+    assert isinstance(b.edges, list) and built.edges == tuple(b.edges)
+    everything = list(expand(g).by_load())
+    other = next(k for k in range(len(mg.edges)) if k not in (ei, second.edge))
+    patched = mg.edges[ei]
+    doubled = ScaleRule(2.0, patched.w1)
+
+    def edited(k, edge):
+        return replace(mg, edges=mg.edges[:k] + (edge,) + mg.edges[k + 1 :])
+
+    others = [
+        ("second swapped edge", edited(other, replace(mg.edges[other]))),
+        ("patched edge w1", edited(ei, replace(patched, w1=doubled))),
+        ("patched edge head", edited(ei, replace(patched, dst=patched.src))),
+        ("two patched edges", edited(second.edge, second.graph.edges[second.edge])),
+        ("new flows", replace(mg, flows={y: dict(p) for y, p in mg.flows.items()})),
+        ("more input bits", replace(mg, n_bits=mg.n_bits + 1)),
     ]
-    liars = [
-        (name, _claiming(lineage, first.graph, edits, **fields), f)
-        for name, edits, fields in liars
-    ]
-    liars += [
-        ("mutant of a mutant", twice, f),
-        ("mutant of a mutant, other edge", _claiming((parts, second.edge), twice), f),
-        (
-            "another function object",
-            first.graph,
-            BooleanFunction.from_bits(f.universe, f.dom, f.truth, f.certs),
-        ),
-    ]
-    for name, lg, fn in liars:
+    assert all(lg._lineage is None for _, lg in others)
+    others = [(name, lg, f) for name, lg in others]
+    copy = BooleanFunction.from_bits(f.universe, f.dom, f.truth, f.certs)
+    for name, lg, fn in others + [("another function object", mg, copy)]:
         factor_calls.clear()
         got = build_witness(lg, fn)
-        assert factor_calls == list(parent.by_load()), name
-        _assert_bit_identical(got, build_witness(replace(lg), fn), name)
-    # a true mutant of a mutant names the mutant as its parent
-    (grand,) = linking_mutants(first.graph, f, 1, seed=0)
-    assert grand.graph._lineage[0].graph is first.graph
-    build_witness(grand.graph, f)
+        assert factor_calls == everything, name
+        _assert_bit_identical(got, build_witness(build_graph(dump_graph(lg)), fn), name)
+    (grand,) = linking_mutants(mg, f, 1, seed=0)
+    assert grand.graph._lineage[0] is not mg._lineage[0]
     factor_calls.clear()
     got = build_witness(grand.graph, f)
     assert factor_calls == [grand.graph.edges[grand.edge].load]

@@ -996,6 +996,53 @@ INNER = "$.edges[0].loads.super.graph.edges[1]"
             lambda g: g["edges"][0]["loads"]["super"]["graph"].update(n=5),
             "$.edges[0].loads.super.graph.n: a 5-bit gadget in a 4-bit graph",
         ),
+        # numbers: a rule's at the rule's path, the others at their own
+        (
+            lambda g: g["edges"][0].update(w0={"rule": "dense-load", "size": 2.5}),
+            "$.edges[0].w0: expected an integer, got float",
+        ),
+        (
+            lambda g: g["edges"][0]["w0"].update(value="5"),
+            "$.edges[0].w0: expected a number, got str",
+        ),
+        (
+            lambda g: g["edges"][0]["w1"].update(value=True),
+            "$.edges[0].w1: expected a number, got bool",
+        ),
+        (
+            lambda g: g["edges"][0].update(
+                w0={"rule": "scale", "factor": "2", "inner": g["edges"][0]["w0"]}
+            ),
+            "$.edges[0].w0: expected a number, got str",
+        ),
+        (
+            lambda g: _inner_edge(g)["w1"].update(pos=1.9),
+            f"{INNER}.w1: expected an integer, got float",
+        ),
+        (
+            lambda g: g["edges"][0].update(
+                w0={"rule": "candidate-pair", "required": [1.5, 2]}
+            ),
+            "$.edges[0].w0: expected an integer, got float",
+        ),
+        (
+            lambda g: g["flows"]["*"].update({"0": "1.0"}),
+            "$.flows['*']['0']: expected a number, got str",
+        ),
+        (
+            lambda g: g["edges"][0]["loads"]["super"].update(c1_max="one"),
+            "$.edges[0].loads.super.c1_max: expected a number, got str",
+        ),
+        (
+            lambda g: g.update(
+                stages=[{"name": "s", "edges": [0], "rebalance": {"0": "2"}}]
+            ),
+            "$.stages[0].rebalance['0']: expected a number, got str",
+        ),
+        (
+            lambda g: g.update(stages=[{"name": "s", "edges": [0.0]}]),
+            "$.stages[0].edges[0]: expected an integer, got float",
+        ),
     ],
 )
 def test_malformed_positions_and_ids_exit_two(

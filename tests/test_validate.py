@@ -363,3 +363,28 @@ def test_broken_structure_reports_its_kind(g, kind, message):
     rep = validate(g)
     assert not rep.ok
     assert [(v.kind, v.message) for v in rep.entries] == [(kind, message)]
+
+
+@pytest.mark.parametrize(
+    "edges, found",
+    [
+        ([("r", "x", 0, ONE)], [("edge[0] r->x", "head 'x' is not a vertex")]),
+        (
+            [("r", "a", 0, ONE), ("y", "x", None, ZERO)],
+            [
+                ("edge[1] y->x", "tail 'y' is not a vertex"),
+                ("edge[1] y->x", "head 'x' is not a vertex"),
+            ],
+        ),
+    ],
+    ids=["head", "both-ends"],
+)
+def test_an_edge_end_that_is_no_vertex_is_reported(edges, found):
+    """An edge naming no vertex is reported, with or without a function,
+    and validate stops there, as for a missing root."""
+    g = _graph({"r": (), "a": (0,)}, edges)
+    f = BooleanFunction(1, {0: 0, 1: 1})
+    for rep in (validate(g), validate(g, f)):
+        assert [(v.kind, v.where, v.message) for v in rep.entries] == [
+            ("edge-end", where, message) for where, message in found
+        ]
