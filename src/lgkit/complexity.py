@@ -77,12 +77,12 @@ def eval_each(rules: Sequence[Rule], zs: np.ndarray) -> Iterator[np.ndarray]:
 @dataclass
 class FlowEntries:
     """The (input, edge, flow) entries of the flows of a graph at a list of
-    inputs: one per nonzero flow and one per flow on an unknown edge, in
-    input order and, within an input, in flow order.  An input with no flow
-    gives no entries, and its number is in ``missing``."""
+    inputs: one per nonzero flow, in input order and, within an input, in
+    flow order.  An input with no flow gives no entries, and its number is
+    in ``missing``."""
 
     input: np.ndarray  # int64: the number of the entry's input in the list
-    edge: np.ndarray  # int64, or Python ints past its range
+    edge: np.ndarray  # int64
     flow: np.ndarray  # float64
     graph: LearningGraph
     zs: np.ndarray  # the input of every entry
@@ -90,18 +90,17 @@ class FlowEntries:
 
     @cached_property
     def by_edge(self) -> dict[int, np.ndarray]:
-        """Every known edge with entries, in edge order, to its entries in
-        entry order: the one grouping of the entries by edge."""
+        """Every edge with entries, in edge order, to its entries in entry
+        order: the one grouping of the entries by edge."""
         order = np.argsort(self.edge, kind="stable")
         ids, starts = np.unique(self.edge[order], return_index=True)
-        groups = zip(ids.tolist(), np.split(order, starts[1:]))
-        return {i: grp for i, grp in groups if 0 <= i < len(self.graph.edges)}
+        return dict(zip(ids.tolist(), np.split(order, starts[1:])))
 
     @cached_property
     def w1(self) -> np.ndarray:
-        """The edge's w1 at every entry; 0 on unknown and empty edges.  On
-        first access, each known, non-empty edge evaluates its ``w1`` on its
-        own entries."""
+        """The edge's w1 at every entry; 0 on empty edges.  On first
+        access, each non-empty edge evaluates its ``w1`` on its own
+        entries."""
         edges = self.graph.edges
         w1s = np.zeros(len(self.flow))
         for i, grp in self.by_edge.items():
@@ -112,7 +111,6 @@ class FlowEntries:
 
 def flow_entries(g: LearningGraph, ys: Sequence[int]) -> FlowEntries:
     """The entries of the flows ``g`` records at the inputs ``ys``."""
-    n_edges = len(g.edges)
     missing: list[int] = []
     ks: list[int] = []
     es: list[int] = []
@@ -122,14 +120,11 @@ def flow_entries(g: LearningGraph, ys: Sequence[int]) -> FlowEntries:
         if flow is None:
             missing.append(k)
         for i, p in (flow or {}).items():
-            if p != 0.0 or not 0 <= i < n_edges:
+            if p != 0.0:
                 ks.append(k)
                 es.append(i)
                 ps.append(p)
-    try:
-        edge = np.array(es, dtype=np.int64)
-    except OverflowError:  # an unknown edge past int64
-        edge = np.array(es, dtype=object)
+    edge = np.array(es, dtype=np.int64)
     inputs = np.array(ks, dtype=np.int64)
     zs = input_array(ys, g.n_bits)[inputs]
     return FlowEntries(inputs, edge, np.array(ps, dtype=np.float64), g, zs, missing)
@@ -173,9 +168,8 @@ def _side1(
 
     The first faulty input is the first of ``ys`` and, in that input, the
     first faulty edge in flow order.  The checks, in order: a missing flow,
-    an edge outside ``0..len(edges)-1`` (whatever its flow), a negative
-    flow, flow on an empty edge, flow on zero side-1 weight, and a fault of
-    a super edge's inner graph at that input.
+    a negative flow, flow on an empty edge, flow on zero side-1 weight, and
+    a fault of a super edge's inner graph at that input.
     """
     ent = flow_entries(g, ys)
     missing: tuple[int, ComplexityError] | None = None  # the first input without a flow
@@ -215,9 +209,7 @@ def _flow_error(
     g: LearningGraph, i: int, y: int, p: float, w: float
 ) -> ComplexityError | None:
     """The first plain check that the flow ``p`` on edge ``i`` at input ``y``
-    fails, where ``w`` is the edge's side-1 weight there (0 if unknown)."""
-    if not 0 <= i < len(g.edges):
-        return ComplexityError(f"flow {p} on unknown edge {i} at input {y}")
+    fails, where ``w`` is the edge's side-1 weight there."""
     e = g.edges[i]
     if p < 0.0:
         return ComplexityError(f"negative flow {p} on edge {e.src}->{e.dst}")
@@ -318,8 +310,7 @@ class ComplexityReport:
 
 def complexity(g: LearningGraph, f: BooleanFunction) -> ComplexityReport:
     """Evaluate both costs of ``g`` against ``f`` over its whole domain, with
-    a breakdown per stage of ``g.stages`` (an unknown stage edge raises)."""
-    g.check_stages()
+    a breakdown per stage of ``g.stages``."""
     xs = f.negatives()
     ys = f.positives()
     rows0 = side0_rows(g, input_array(xs, g.n_bits))

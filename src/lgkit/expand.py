@@ -6,6 +6,10 @@ labels are shifted by the tail label, and both host scale rules multiply the
 corresponding inner weights.  Flow through the edge becomes the edge flow
 times the inner flow.  Negative and positive costs are unchanged, which the
 acceptance suite checks numerically.
+
+Every flow key, stage edge and rebalance key names an edge of the graph, as
+the graph checks when it is made, so each moves to the edges its edge
+became.
 """
 
 from __future__ import annotations
@@ -27,11 +31,9 @@ def expand(g: LearningGraph) -> LearningGraph:
     """Return an equivalent graph without super edges.
 
     Inner gadgets containing super edges themselves are flattened recursively.
-    A stage that names an edge the graph does not have raises ``ModelError``.
     """
     if not g.has_super():
         return g
-    g.check_stages()  # every stage edge is translated below
     b = GraphBuilder(g.n_bits, root=g.root)
     for vid, v in g.vertices.items():
         b.add_vertex(vid, v.label)
@@ -55,13 +57,12 @@ def expand(g: LearningGraph) -> LearningGraph:
         parts[i] = _Part(
             [(new, old) for old, new in sorted(inner_map.items())], inner=inner
         )
-    grown = len(b.edges) - len(g.edges)
     flows = None
     const_flow = None
     if g.const_flow is not None:
-        const_flow = _translate(g.const_flow, parts, grown, y=None)
+        const_flow = _translate(g.const_flow, parts, y=None)
     if g.flows is not None:
-        flows = {y: _translate(p, parts, grown, y=y) for y, p in g.flows.items()}
+        flows = {y: _translate(p, parts, y=y) for y, p in g.flows.items()}
     stages = None
     if g.stages is not None:
         stages = tuple(
@@ -74,7 +75,6 @@ def expand(g: LearningGraph) -> LearningGraph:
                     else {
                         new: factor
                         for ei, factor in s.rebalance.items()
-                        if ei in parts
                         for new, _ in parts[ei].new_edges
                     }
                 ),
@@ -86,17 +86,12 @@ def expand(g: LearningGraph) -> LearningGraph:
 
 
 def _translate(
-    flow: dict[int, float], parts: dict[int, _Part], grown: int, y: int | None
+    flow: dict[int, float], parts: dict[int, _Part], y: int | None
 ) -> dict[int, float]:
-    """``flow`` on the expanded edges, where expansion added ``grown`` edges.
-    Flow on an unknown edge stays on an unknown one: a negative index is
-    kept, and one past the end is shifted by ``grown``."""
+    """``flow`` on the expanded edges."""
     out: dict[int, float] = {}
     for old, p in flow.items():
-        part = parts.get(old)
-        if part is None:
-            out[old if old < 0 else old + grown] = p
-            continue
+        part = parts[old]
         if part.inner is None:
             out[part.new_edges[0][0]] = p
             continue

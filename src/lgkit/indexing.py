@@ -145,16 +145,18 @@ def assignment_key(indices: Sequence[int], bits: Sequence[int]) -> str:
 
 
 def parse_assignment_key(key: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inverse of :func:`assignment_key`; returns 0-based (indices, bits)."""
-    if not key:
-        return (), ()
-    idx, bits = [], []
-    for part in key.split(","):
-        i, _, b = part.partition(":")
-        idx.append(int(i) - 1)
-        bits.append(int(b))
-    order = sorted(range(len(idx)), key=idx.__getitem__)
-    return tuple(idx[k] for k in order), tuple(bits[k] for k in order)
+    """Inverse of :func:`assignment_key`; returns 0-based (indices, bits).
+    A key :func:`assignment_key` would not write raises a ValueError, so an
+    assignment has one spelling."""
+    pairs = [part.partition(":")[::2] for part in key.split(",")] if key else []
+    try:
+        idx = tuple(int(i) - 1 for i, _ in pairs)
+        bits = tuple(int(b) for _, b in pairs)
+    except ValueError:
+        idx = bits = None
+    if idx is None or len(set(idx)) < len(idx) or assignment_key(idx, bits) != key:
+        raise ValueError(f"{key!r} is not an assignment key such as '2:0,5:1'")
+    return idx, bits
 
 
 # Pair positions for graph-input encodings: the n-vertex graph instance uses

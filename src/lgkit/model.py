@@ -13,9 +13,13 @@ whose flow does not depend on the input use a single shared map instead.
 
 A graph is a value: a frozen dataclass whose fields are its whole data,
 with its edges in a tuple; edit one through ``dataclasses.replace``.  Its
-dicts and edges are not frozen, and an in-place edit of one is not
-detected.  Each vertex's out-edges are a cache, computed on first use,
-that ``replace`` does not copy and ``==`` does not compare.
+constructor, which ``replace`` runs again, checks its references: the
+root is a vertex with the empty label, every edge joins two vertices, and
+every flow key, stage edge and stage rebalance key is an edge (a
+rebalance key one of its stage's own).  Its dicts and edges are not
+frozen, and an in-place edit of one is not checked.  Each vertex's
+out-edges are a cache, computed on first use, that ``replace`` does not
+copy and ``==`` does not compare.
 
 A partial boolean function is two bitsets (Python ints) over a
 :class:`Universe`, the sorted inputs it may be defined on: ``dom`` marks the
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .rules import ConstRule, Rule, ZERO, ONE, host_product
 
@@ -70,9 +74,6 @@ class SuperEdge:
         if len(sinks) != 1:
             raise ModelError(f"super edge inner graph has sinks {sinks}, need one")
         self._sink = sinks[0]
-        root = self.inner.vertices[self.inner.root]
-        if root.label != ():
-            raise ModelError("super edge inner root must have empty label")
 
     @property
     def sink(self) -> str:
@@ -142,6 +143,29 @@ class LearningGraph:
     def __post_init__(self) -> None:
         if not isinstance(self.edges, tuple):
             object.__setattr__(self, "edges", tuple(self.edges))
+        root = self.vertices.get(self.root)
+        if root is None or root.label != ():
+            raise ModelError(f"root {self.root!r} is no vertex with the empty label")
+        vertices = self.vertices
+        for e in self.edges:
+            if e.src not in vertices or e.dst not in vertices:
+                end = e.dst if e.src in vertices else e.src
+                raise ModelError(f"edge endpoint {end!r} not a known vertex")
+        flows = (self.flows or {}).values()
+        self._check_edges("flow", set().union(*flows, self.const_flow or ()))
+        for k, s in enumerate(self.stages or ()):
+            where = f"stages[{k}] {s.name}"
+            self._check_edges(where, s.edges)
+            extra = sorted((s.rebalance or {}).keys() - set(s.edges))
+            if extra:
+                raise ModelError(f"{where} rebalances edge {extra[0]} outside it")
+
+    def _check_edges(self, what: str, indices: Collection[int]) -> None:
+        """Raise a :class:`ModelError` if some of ``indices`` is no edge index."""
+        n = len(self.edges)
+        if indices and (min(indices) < 0 or max(indices) >= n):
+            bad = min(i for i in indices if not 0 <= i < n)
+            raise ModelError(f"{what} names unknown edge {bad}, the graph has {n} edges")
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[int, ...]]:
@@ -163,20 +187,6 @@ class LearningGraph:
         if self.flows is None:
             return None
         return self.flows.get(y)
-
-    def unknown_stage_edges(self) -> list[tuple[str, int]]:
-        """(``stages[k] name``, edge) for each unknown edge a stage names."""
-        known = range(len(self.edges))
-        return [
-            (f"stages[{k}] {s.name}", i)
-            for k, s in enumerate(self.stages or ())
-            for i in sorted({i for i in s.edges if i not in known})
-        ]
-
-    def check_stages(self) -> None:
-        """Raise a :class:`ModelError` on the first unknown stage edge."""
-        for where, i in self.unknown_stage_edges():
-            raise ModelError(f"{where} names unknown edge {i}")
 
     def has_super(self) -> bool:
         return any(e.gadget is not None for e in self.edges)
@@ -422,18 +432,11 @@ class GraphBuilder:
         self.vertices[vid] = Vertex(vid, lab)
         return vid
 
-    def _check_ends(self, src: str, dst: str) -> None:
-        for v in (src, dst):
-            if v not in self.vertices:
-                raise ModelError(f"edge endpoint {v!r} not a known vertex")
-
     def add_ordinary(self, src: str, dst: str, load: int, w0: Rule, w1: Rule) -> int:
-        self._check_ends(src, dst)
         self.edges.append(Edge(src, dst, load, w0, w1))
         return len(self.edges) - 1
 
     def add_empty(self, src: str, dst: str) -> int:
-        self._check_ends(src, dst)
         self.edges.append(Edge(src, dst, None, ZERO, ZERO))
         return len(self.edges) - 1
 
@@ -448,7 +451,6 @@ class GraphBuilder:
         width = gadget.inner.n_bits
         if width != self.n_bits:
             raise ModelError(f"a {width}-bit gadget in a {self.n_bits}-bit graph")
-        self._check_ends(src, dst)
         self.edges.append(Edge(src, dst, None, w0, w1, gadget=gadget))
         return len(self.edges) - 1
 

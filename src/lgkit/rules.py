@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, ClassVar, Sequence
+from typing import Any, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -106,23 +106,30 @@ _TABLE_FIRST = 256
 
 def _packed_key(bits: Sequence[int]) -> int:
     """Index :func:`lgkit.indexing.pack_index` gives an input with these
-    bits; -1 (no input) when a bit is neither 0 nor 1."""
-    if any(b not in (0, 1) for b in bits):
-        return -1
+    bits."""
     return sum(b << k for k, b in enumerate(bits))
+
+
+def _check_bits(rows: Iterable[Sequence[int]], arity: int, what: str) -> None:
+    """Refuse a row of ``rows`` (bit tuples) that is not ``arity`` bits of 0
+    and 1."""
+    for bits in rows:
+        if len(bits) != arity:
+            raise RuleError(f"{what} arity mismatch")
+        if not set(bits) <= {0, 1}:
+            raise RuleError(f"{what} {bits} has a bit other than 0 or 1")
 
 
 def _sorted_rows(
     rows: dict[tuple[int, ...], Any], default: Any, width: int, dtype: type
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The packed keys of the rows some input can match, sorted, and their
-    values followed by ``default``: the rows of a table or dispatch rule, as
+    """The packed keys of the rows, sorted, and their values followed by
+    ``default``: the rows of a table or dispatch rule, as
     :func:`lgkit.indexing.lookup` reads them.  Keys are int64, or Python
     ints past 62 positions, as :func:`lgkit.indexing.pack_index` gives
     them."""
     pairs = sorted(
-        ((key, v) for bits, v in rows.items() if (key := _packed_key(bits)) >= 0),
-        key=lambda kv: kv[0],
+        ((_packed_key(bits), v) for bits, v in rows.items()), key=lambda kv: kv[0]
     )
     keys = np.array([k for k, _ in pairs], dtype=np.int64 if width <= 62 else object)
     return keys, np.array([v for _, v in pairs] + [default], dtype=dtype)
@@ -250,9 +257,8 @@ class TableRule(Rule):
         _check_finite(self.default, "default weight")
         if self.default < 0:
             raise RuleError("negative default weight")
-        for bits, v in self.table.items():
-            if len(bits) != len(self.indices):
-                raise RuleError("table row arity mismatch")
+        _check_bits(self.table, len(self.indices), "table row")
+        for v in self.table.values():
             _check_finite(v, "table weight")
             if v < 0:
                 raise RuleError(f"negative table weight {v}")
@@ -490,8 +496,7 @@ class PatchRule(Rule):
     kind: ClassVar[str] = "patch"
 
     def __post_init__(self) -> None:
-        if len(self.indices) != len(self.bits):
-            raise RuleError("patch arity mismatch")
+        _check_bits([self.bits], len(self.indices), "patch")
         _check_finite(self.factor, "patch factor")
         if self.factor < 0:
             raise RuleError("negative patch factor")
@@ -503,7 +508,6 @@ class PatchRule(Rule):
     def _body(self, zs: np.ndarray) -> np.ndarray:
         # the inner rule is a whole edge's rule, which keeps its own table
         w = self.inner.eval(zs)
-        # a bit value other than 0 or 1 never matches
         hit = np.ones(len(zs), dtype=bool)
         for i, b in zip(self.indices, self.bits):
             hit &= bit_column(zs, i) == b
@@ -540,9 +544,7 @@ class DispatchRule(Rule):
     def __post_init__(self) -> None:
         if tuple(sorted(self.indices)) != self.indices:
             raise RuleError("dispatch indices must be sorted")
-        for bits in self.cases:
-            if len(bits) != len(self.indices):
-                raise RuleError("dispatch key arity mismatch")
+        _check_bits(self.cases, len(self.indices), "dispatch key")
 
     @cached_property
     def support(self) -> tuple[int, ...]:

@@ -14,7 +14,8 @@ Layout:
   "loads", "w0", "w1"}``; ``loads`` is a list of positions for ordinary and
   empty edges, or ``{"super": {"graph": ..., "c1_max": ...}}``.
 * flows: keyed by input bit string, or ``"*"`` for an input-independent flow;
-  inner keys are edge indices (as strings, JSON objects oblige).
+  inner keys are edge indices in decimal (as strings, JSON objects oblige),
+  one spelling per edge, as are stage rebalance keys.
 * truth table: ``{"n", "values": {bits: 0|1}, "certs": {bits: [positions]}}``.
 """
 
@@ -51,13 +52,26 @@ def _edge_index(i: int, edges: int, path: str) -> int:
     return i
 
 
+def _edge_key(key: str, edges: int, path: str) -> int:
+    """The edge a flow or rebalance key names.  The key must be the index
+    in decimal, as :func:`dump_flow` writes it, so an edge has one
+    spelling."""
+    try:
+        i = int(key)
+    except ValueError:
+        i = None
+    if i is None or str(i) != key:
+        raise FormatError(f"{path}: expected an edge index in decimal")
+    return _edge_index(i, edges, path)
+
+
 def _stage_factor(
-    key: Any, value: Any, stage: set[int], edges: int, where: str
+    key: str, value: Any, stage: set[int], edges: int, where: str
 ) -> tuple[int, float]:
     """A rebalance entry of the stage at ``where``: one of its own edges and
     its factor."""
     path = f"{where}.rebalance[{key!r}]"
-    i = _edge_index(int(key), edges, path)
+    i = _edge_key(key, edges, path)
     if i not in stage:
         raise FormatError(f"{path}: edge {i} is not in the stage")
     return i, _number(value, path)
@@ -74,7 +88,7 @@ def _parse_flow(obj: dict[str, float], edges: int, path: str) -> dict[int, float
     flow = {}
     for i, p in obj.items():
         where = f"{path}[{i!r}]"
-        flow[_edge_index(int(i), edges, where)] = _number(p, where)
+        flow[_edge_key(i, edges, where)] = _number(p, where)
     return flow
 
 
@@ -188,7 +202,9 @@ def _positions(values: Any, n: int, path: Callable[[], str]) -> tuple[int, ...]:
 
 
 def _rule(rec: dict[str, Any], key: str, path: str, n: int, rules: dict) -> Rule:
-    """The rule of ``rec[key]``, parsed once per spec text in ``rules``."""
+    """The rule of ``rec[key]``, parsed once per spec text in ``rules``.  A
+    rule the rules refuse is reported at ``path.key``, as a mistyped value
+    is."""
     spec = rec[key]
     with _at(f"{path}.{key}"):
         try:
@@ -196,7 +212,10 @@ def _rule(rec: dict[str, Any], key: str, path: str, n: int, rules: dict) -> Rule
         except (TypeError, ValueError):  # not JSON: a key no other spec has
             text = object()
         if text not in rules:
-            rules[text] = Rule.from_json(spec)
+            try:
+                rules[text] = Rule.from_json(spec)
+            except ValueError as exc:
+                raise FormatError(f"{path}.{key}: {exc}") from None
         rule = rules[text]
     for i in rule.support:
         _position(i + 1, n, f"{path}.{key}")
@@ -211,11 +230,14 @@ def build_graph(obj: dict[str, Any]) -> LearningGraph:
     The memo lives for one call: two graphs share no parsed rule.
 
     Raises a ValueError, naming the JSON path, on a missing key, a mistyped
-    value, a label, load or rule position outside the input, a gadget whose
-    ``n`` is not its host's, a stage or flow naming an edge the graph does
-    not have, a flow key that is not ``n`` bits and a stage rebalance factor
-    for an edge outside its stage; and on dangling vertex references and
-    negative or non-finite weights.
+    value, a rule the rules refuse (a negative or non-finite weight, an
+    assignment key not written as :func:`lgkit.indexing.assignment_key`
+    writes it, a bit other than 0 or 1), a label, load or rule position
+    outside the input, a gadget whose ``n`` is not its host's, a stage or
+    flow naming an edge the graph does not have, a flow or rebalance key
+    that is not an edge index in decimal, a flow key that is not ``n`` bits
+    and a stage rebalance factor for an edge outside its stage; and on
+    dangling vertex references.
     Everything else is left to :func:`lgkit.validate.validate`.
     """
     return _graph(obj, "$", {})

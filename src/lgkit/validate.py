@@ -1,9 +1,11 @@
 """Structural and semantic checks for learning graphs.
 
-Structure: rooted DAG whose edges join its vertices, empty root label,
-labels grow by exactly the loaded positions along each edge, weight rules
-read only loaded positions, empty transitions weigh zero, stages name
-edges of the graph.  Semantics (given a function): every positive input
+Structure: a DAG whose vertices are all reachable from the root, labels
+grow by exactly the loaded positions along each edge, weight rules read
+only loaded positions, empty transitions weigh zero.  The references a
+graph holds (its root, edge ends, flow keys and stage edges) are checked
+when it is made (see :class:`lgkit.model.LearningGraph`), so none is a
+finding here.  Semantics (given a function): every positive input
 has a recorded unit flow that conserves at interior vertices, avoids empty
 and zero-weight edges, and ends only at sinks whose loaded positions force
 the function to 1; and the linking condition ties side-0 and side-1
@@ -103,25 +105,9 @@ def rules_linked(w0: Rule, w1: Rule, loads: tuple[int, ...]) -> bool:
 
 def _structure(g: LearningGraph, report: ValidationReport, ctx: str = "") -> bool:
     """Report the structural findings of ``g``, and return whether
-    :func:`lgkit.expand.expand` can place every edge and stage: not when an
-    edge names no vertex, a stage names an unknown edge, or a super edge's
-    head label is not its tail label plus its gadget's loads, here or in a
-    gadget."""
-    if g.root not in g.vertices:
-        report.add("root", ctx + g.root, "root vertex missing")
-        return False
-    if g.label(g.root) != ():
-        report.add("root", ctx + g.root, f"root label {g.label(g.root)} not empty")
-    dangling = [
-        (f"{ctx}edge[{i}] {e.src}->{e.dst}", end, v)
-        for i, e in enumerate(g.edges)
-        for end, v in (("tail", e.src), ("head", e.dst))
-        if v not in g.vertices
-    ]
-    for where, end, v in dangling:
-        report.add("edge-end", where, f"{end} {v!r} is not a vertex")
-    if dangling:
-        return False
+    :func:`lgkit.expand.expand` can place every edge: not when a super
+    edge's head label is not its tail label plus its gadget's loads, here
+    or in a gadget."""
     try:
         topological_order(g)
     except ModelError:
@@ -172,9 +158,6 @@ def _structure(g: LearningGraph, report: ValidationReport, ctx: str = "") -> boo
                 )
         if e.gadget is not None:
             expandable &= _structure(e.gadget.inner, report, ctx=f"{ctx}edge[{i}].")
-    for where, i in g.unknown_stage_edges():
-        report.add("stage", ctx + where, f"names unknown edge {i}")
-        expandable = False
     return expandable
 
 
@@ -283,36 +266,30 @@ def _flows(g: LearningGraph, f: BooleanFunction, report: ValidationReport) -> No
     if len(ys) > len(ent.missing):
         report.count("flows", len(ys) - len(ent.missing))
 
-    n_edges = len(g.edges)
-    known = (ent.edge >= 0) & (ent.edge < n_edges)
-    # the unknown edges share one more slot, past the end
-    edge = np.where(known, ent.edge, n_edges).astype(np.int64)
-    empty = np.array([e.kind == "empty" for e in g.edges] + [False])[edge]
+    empty = np.array([e.kind == "empty" for e in g.edges], dtype=bool)[ent.edge]
     p = ent.flow
-    live = known & (p > FLOW_ATOL)
-    # w1 is 0 on unknown and empty edges too, which other checks report
+    live = p > FLOW_ATOL
+    # w1 is 0 on empty edges too, which the empty-flow check reports
     zero_w1 = live & ~empty & (ent.w1 == 0.0)
     checks = (
-        ("flow-edge", ~known, "flow names unknown edge {i}"),
-        ("non-finite", known & ~np.isfinite(p), "flow {p} not finite"),
-        ("flow-negative", known & (p < -FLOW_ATOL), "flow {p} negative"),
+        ("non-finite", ~np.isfinite(p), "flow {p} not finite"),
+        ("flow-negative", p < -FLOW_ATOL, "flow {p} negative"),
         ("empty-flow", live & empty, "empty transition carries flow {p}"),
         ("flow-on-zero", zero_w1, "flow on an edge with zero side-1 weight"),
     )
     for c, (kind, mask, text) in enumerate(checks):
         for n in np.flatnonzero(mask).tolist():
-            k, i = int(ent.input[n]), int(ent.edge[n])
-            where = "" if kind == "flow-edge" else f"edge[{i}]"
-            add(k, 1, n * len(checks) + c, kind, where, text.format(i=i, p=float(p[n])))
+            k, where = int(ent.input[n]), f"edge[{int(ent.edge[n])}]"
+            add(k, 1, n * len(checks) + c, kind, where, text.format(p=float(p[n])))
 
     # the balance of every touched (input, vertex), keyed input * V + vertex
     n_v = len(vids)
     src = np.array([vertex[e.src] for e in g.edges], dtype=np.int64)
     dst = np.array([vertex[e.dst] for e in g.edges], dtype=np.int64)
-    ks, es, ps = ent.input[known], edge[known], p[known]
+    ks, es = ent.input, ent.edge
     keys = np.stack((ks * n_v + src[es], ks * n_v + dst[es]), axis=1).ravel()
     touched, slot = np.unique(keys, return_inverse=True)
-    balance = np.bincount(slot, np.stack((-ps, ps), axis=1).ravel(), len(touched))
+    balance = np.bincount(slot, np.stack((-p, p), axis=1).ravel(), len(touched))
     t_input, t_vertex = np.divmod(touched, n_v)
     at_root = t_vertex == vertex[g.root]
     root_balance = np.zeros(len(ys))
@@ -361,7 +338,7 @@ def validate(g: LearningGraph, f: BooleanFunction | None = None) -> ValidationRe
     """
     report = ValidationReport()
     expandable = _structure(g, report)
-    if any(v.kind in ("cycle", "root", "edge-end") for v in report.entries):
+    if any(v.kind == "cycle" for v in report.entries):
         return report
     if f is None:
         _structural_linking(g, report)

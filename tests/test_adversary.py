@@ -19,9 +19,8 @@ from lgkit.adversary import (
     rebalance_to_equal,
     verify_witness,
 )
-from lgkit.complexity import ComplexityError, MissingFlowError, complexity
+from lgkit.complexity import MissingFlowError, complexity
 from lgkit.expand import expand
-from lgkit.loads import dense_load
 from lgkit.model import BooleanFunction, GraphBuilder, LearningGraph
 from lgkit.rules import ONE, ScaleRule
 from lgkit.serialize import build_function, build_graph, dump_graph, dumps, read_json
@@ -238,17 +237,7 @@ def test_witness_rejects_missing_flow():
         build_witness(g, f)
 
 
-def _unknown_flow_edges():
-    """Flow on edges 7 and -2 of a graph whose one super edge expands to
-    two edges, as in ``test_expand.test_unknown_flow_edges_stay_unknown``."""
-    b = GraphBuilder(2)
-    b.add_vertex("s", (0, 1))
-    b.add_super("r", "s", dense_load(2, (0, 1)))
-    f = BooleanFunction(2, {z: int(z == 3) for z in range(4)})
-    return b.graph(flows={3: {0: 1.0, 7: 0.5, -2: 0.25}}), f
-
-
-@pytest.mark.parametrize("case", ["missing flow", "unknown flow edge", "over cap"])
+@pytest.mark.parametrize("case", ["missing flow", "over cap"])
 def test_the_search_refuses_what_the_witness_refuses(case, monkeypatch):
     """A mutant search prices its parent as the witness does, so it raises
     the witness's error, of the same type and with the same message; so
@@ -256,8 +245,6 @@ def test_the_search_refuses_what_the_witness_refuses(case, monkeypatch):
     if case == "missing flow":
         g, f = _identity_bit()
         g, want = replace(g, flows={}), MissingFlowError
-    elif case == "unknown flow edge":
-        (g, f), want = _unknown_flow_edges(), ComplexityError
     else:
         (g, f), want = _or_two_bits(), AdversaryError
         monkeypatch.setattr(adversary, "WITNESS_CAP", len(f.domain) - 1)

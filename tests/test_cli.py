@@ -1057,3 +1057,83 @@ def test_malformed_positions_and_ids_exit_two(
         code, out, err = run(capsys, command, str(target), "--function", function)
         assert (code, out) == (2, ""), command
         assert json.loads(err)["error"]["message"] == message
+
+
+def _flow_key(graph, spelling):
+    """The first flow of ``graph`` with its first edge key respelled, beside
+    the key as it was; and the path of the new key."""
+    key = sorted(graph["flows"])[0]
+    flow = graph["flows"][key]
+    edge = min(flow, key=int)
+    flow[spelling(edge)] = 0.0
+    return f"$.flows[{key!r}][{spelling(edge)!r}]"
+
+
+def _rebalance_key(graph, spelling):
+    """The first rebalance key of ``graph`` respelled, and its path."""
+    k, stage = next((k, s) for k, s in enumerate(graph["stages"]) if "rebalance" in s)
+    edge = min(stage["rebalance"], key=int)
+    stage["rebalance"][spelling(edge)] = stage["rebalance"].pop(edge)
+    return f"$.stages[{k}].rebalance[{spelling(edge)!r}]"
+
+
+def _keyed_rule(graph, kind, key):
+    """Edge 0's w0 replaced by a ``kind`` rule keyed by ``key``."""
+    w0 = graph["edges"][0]["w0"]
+    spec = {
+        "table": {"rule": "table", "rows": {key: 1.0}, "default": 1.0},
+        "dispatch": {"rule": "dispatch", "cases": {key: w0}, "default": w0},
+        "patch": {"rule": "patch", "at": key, "factor": 2.0, "inner": w0},
+    }[kind]
+    graph["edges"][0]["w0"] = spec
+    return "$.edges[0].w0"
+
+
+_EDGE_KEY = "expected an edge index in decimal"
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (lambda g: _flow_key(g, lambda k: "0" + k), _EDGE_KEY),
+        (lambda g: _flow_key(g, lambda k: " " + k), _EDGE_KEY),
+        (lambda g: _flow_key(g, lambda k: "x" + k), _EDGE_KEY),
+        (lambda g: _rebalance_key(g, lambda k: "+" + k), _EDGE_KEY),
+        (lambda g: _rebalance_key(g, lambda k: "0" + k), _EDGE_KEY),
+        *(
+            (
+                lambda g, kind=kind, key=key: _keyed_rule(g, kind, key),
+                f"{key!r} is not an assignment key such as '2:0,5:1'",
+            )
+            for kind in ("table", "dispatch", "patch")
+            for key in ("01:0,2:0", "2:0,1:0", "1:x,2:0", "1:0,1:0")
+        ),
+        (
+            lambda g: _keyed_rule(g, "table", "1:2,2:0"),
+            "table row (2, 0) has a bit other than 0 or 1",
+        ),
+        (
+            lambda g: _keyed_rule(g, "dispatch", "1:2,2:0"),
+            "dispatch key (2, 0) has a bit other than 0 or 1",
+        ),
+        (
+            lambda g: _keyed_rule(g, "patch", "1:2,2:0"),
+            "patch (2, 0) has a bit other than 0 or 1",
+        ),
+    ],
+)
+def test_a_key_spelled_another_way_exits_two(
+    corpus_dir, tmp_path, capsys, mutate, reason
+):
+    """An edge key and an assignment key each have one spelling, the one
+    the graph dumps with, and an assignment's bits are 0 or 1: any other
+    key is bad input for every command, at its path."""
+    graph = json.loads((corpus_dir / "graphs" / "pairs-walk.json").read_text())
+    message = f"{mutate(graph)}: {reason}"
+    target = tmp_path / "respelled.json"
+    target.write_text(json.dumps(graph))
+    function = str(corpus_dir / "graphs" / "pairs-walk.fn.json")
+    for command in ("validate", "complexity", "adversary"):
+        code, out, err = run(capsys, command, str(target), "--function", function)
+        assert (code, out) == (2, ""), command
+        assert json.loads(err)["error"]["message"] == message, command

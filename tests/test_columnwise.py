@@ -618,8 +618,7 @@ def test_rules_over_many_positions():
 def test_wide_tables_and_dispatches(width):
     """Tables and dispatches keyed by more positions than a lookup array
     covers find each input's row among their sorted packed keys, on int64
-    inputs and on Python ints; a row with a bit other than 0 or 1 never
-    matches, and an input no row matches gets the default."""
+    inputs and on Python ints; an input no row matches gets the default."""
     indices = tuple(range(width - 1)) + (width + 3,)
     low = tuple(int(k < 10) for k in range(width))
     rows = {
@@ -627,7 +626,6 @@ def test_wide_tables_and_dispatches(width):
         (0,) * width: 3.0,
         tuple(k & 1 for k in range(width)): 5.0,
         low: 7.0,
-        (2,) + (0,) * (width - 1): 11.0,
     }
     tables = [TableRule(indices, rows, 0.5), TableRule(indices, {}, 0.25)]
     cases = {bits: ConstRule(v) for bits, v in rows.items()}
@@ -646,8 +644,7 @@ def test_wide_tables_and_dispatches(width):
             want = _bits([rule_at(rule, z) for z in arr.tolist()])
             for got in (rule.eval(arr), rule.eval(arr), rule._body(arr)):
                 assert np.array_equal(_bits(got), want), (rule, arr.dtype)
-        # every row but the one with a 2 is met, except those reading bits
-        # past 61 on int64 inputs
+        # every row is met, except those reading bits past 61 on int64 inputs
         short = width == 70 and arr.dtype == np.int64
         met = {3.0, 7.0, 0.5} if short else {2.0, 3.0, 5.0, 7.0, 0.5}
         assert set(tables[0].eval(arr).tolist()) == met, arr.dtype
@@ -752,10 +749,9 @@ def test_side1_matches_loop_on_random_flows(case):
 @st.composite
 def _validate_cases(draw):
     """A function on some inputs of two bits, and flows on the fault graph
-    at its positives: each missing, empty, or on known and unknown edges
-    (negative ones and one past int64 too) with zero, signed, NaN and
-    infinite values.  The sinks t and u match a negative or not, as the
-    function falls."""
+    at its positives: each missing, empty, or on some of its five edges
+    with zero, signed, NaN and infinite values.  The sinks t and u match a
+    negative or not, as the function falls."""
     domain = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
     f = BooleanFunction(2, {z: draw(st.integers(0, 1)) for z in domain})
     values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, math.nan, math.inf, -math.inf])
@@ -763,7 +759,7 @@ def _validate_cases(draw):
     for y in f.positives():
         if draw(st.integers(0, 5)) == 0:
             continue
-        edges = draw(st.permutations([*range(-2, 8), 2**64]))[: draw(st.integers(0, 6))]
+        edges = draw(st.permutations(range(5)))[: draw(st.integers(0, 5))]
         flows[y] = {i: draw(values) for i in edges}
     return _fault_graph(flows), f
 

@@ -9,7 +9,6 @@ from loop_reference import graph_c1_loop
 from pricing import c0_at, c1_at
 
 from lgkit.complexity import (
-    ComplexityError,
     MissingFlowError,
     complexity,
     side1_totals,
@@ -114,16 +113,3 @@ def test_side1_overflow_is_silent_as_the_scalar_call(corpus_dir):
     totals = side1_totals(g, ys)[2]
     assert totals == [graph_c1_loop(g, y) for y in ys]
     assert math.inf in totals
-
-
-@pytest.mark.parametrize("edge", [-1, 5])
-@pytest.mark.parametrize("p", [1.0, 0.0])
-def test_flow_on_unknown_edge_errors(edge, p):
-    """Any flow key outside 0..len(edges)-1 is an error, even with flow 0."""
-    g = _single_bit().graph(flows={1: {0: 1.0, edge: p}})
-    f = BooleanFunction(1, {0: 0, 1: 1})
-    message = f"flow {p} on unknown edge {edge} at input 1"
-    with pytest.raises(ComplexityError, match=message):
-        complexity(g, f)
-    with pytest.raises(ComplexityError, match=message):
-        c1_at(g, 1)

@@ -1,17 +1,12 @@
 """Flattening nested gadget edges."""
 
 import pytest
-from loop_reference import validate_loop
 from pricing import c0_at, c1_at
 
-from lgkit.adversary import build_witness, linking_mutants
-from lgkit.complexity import ComplexityError
 from lgkit.expand import expand
 from lgkit.loads import dense_load, sparse_load
 from lgkit.model import BooleanFunction, GraphBuilder
 from lgkit.combinators import or_compose
-from lgkit.serialize import dumps
-from lgkit.validate import validate
 
 
 def _gadget_graph(kind_positions):
@@ -84,25 +79,3 @@ def test_expand_keeps_rebalance_factors():
     assert raw == flat
     assert raw["walk1"][0] == 16.0
     assert raw["walk2"][0] == 48.0
-
-
-def test_unknown_flow_edges_stay_unknown():
-    """Flow on an edge a graph with a super edge does not have stays on an
-    unknown edge of the expansion: a negative index as it is, one past the
-    end shifted by the one edge the expansion adds.  validate reports both,
-    and the witness and a mutant search refuse the flow with a cost error."""
-    b = GraphBuilder(2)
-    b.add_vertex("s", (0, 1))
-    b.add_super("r", "s", dense_load(2, (0, 1)))
-    g = b.graph(flows={3: {0: 1.0, 7: 0.5, -2: 0.25}})
-    f = BooleanFunction(2, {z: int(z == 3) for z in range(4)})
-    assert list(expand(g).flows[3].items())[-2:] == [(8, 0.5), (-2, 0.25)]
-    report = validate(g, f)
-    assert [v.message for v in report.entries if v.kind == "flow-edge"] == [
-        "flow names unknown edge 8",
-        "flow names unknown edge -2",
-    ]
-    assert dumps(report.to_json()) == dumps(validate_loop(g, f).to_json())
-    for call in (build_witness, lambda g, f: linking_mutants(g, f, count=2)):
-        with pytest.raises(ComplexityError, match="unknown edge 8"):
-            call(g, f)

@@ -1,6 +1,7 @@
 """Bit conventions and the pair-position encoding."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -76,6 +77,17 @@ def test_assignment_key_round_trip():
     key = assignment_key((1, 4), (0, 1))
     assert key == "2:0,5:1"
     assert parse_assignment_key(key) == ((1, 4), (0, 1))
+    assert parse_assignment_key("") == ((), ())
+
+
+@pytest.mark.parametrize(
+    "key", ["5:1,2:0", "02:0,5:1", "2:0, 5:1", "2:+0,5:1", "2:0,2:0", "2:x", "2", ","]
+)
+def test_an_assignment_has_one_spelling(key):
+    """Only the key :func:`assignment_key` writes parses: one spelling per
+    assignment, so two keys cannot name one row."""
+    with pytest.raises(ValueError, match="is not an assignment key"):
+        parse_assignment_key(key)
 
 
 def _sorted_blocks(zs, label, j, positive):

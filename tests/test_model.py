@@ -1,5 +1,6 @@
 """Graph construction and structural bookkeeping."""
 
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -14,11 +15,13 @@ from lgkit.model import (
     GraphBuilder,
     LearningGraph,
     ModelError,
+    StageInfo,
     Universe,
+    Vertex,
     topological_order,
 )
 from lgkit.loads import dense_load
-from lgkit.rules import ConstRule, ONE
+from lgkit.rules import ConstRule, ONE, ZERO
 from lgkit.serialize import dumps
 from lgkit.validate import validate
 
@@ -48,8 +51,75 @@ def test_add_vertex_is_idempotent():
 
 def test_ordinary_edge_requires_known_endpoints():
     b = GraphBuilder(3)
-    with pytest.raises(ModelError):
-        b.add_ordinary("r", "ghost", 0, ONE, ONE)
+    b.add_ordinary("r", "ghost", 0, ONE, ONE)
+    with pytest.raises(ModelError, match=r"^edge endpoint 'ghost' not a known vertex$"):
+        b.graph()
+
+
+_CHAIN_VERTICES = {v: Vertex(v, label) for v, label in [("r", ()), ("a", (0,)), ("b", (0, 1))]}
+_CHAIN_EDGES = (Edge("r", "a", 0, ONE, ONE), Edge("a", "b", 1, ONE, ONE))
+_OF_2 = ", the graph has 2 edges"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"root": "q"}, "root 'q' is no vertex with the empty label"),
+        (
+            {"vertices": {**_CHAIN_VERTICES, "r": Vertex("r", (2,))}},
+            "root 'r' is no vertex with the empty label",
+        ),
+        (
+            {"edges": (*_CHAIN_EDGES, Edge("ghost", "b", 2, ONE, ONE))},
+            "edge endpoint 'ghost' not a known vertex",
+        ),
+        (
+            {"edges": (*_CHAIN_EDGES, Edge("b", "ghost", None, ZERO, ZERO))},
+            "edge endpoint 'ghost' not a known vertex",
+        ),
+        ({"flows": {3: {0: 1.0, -2: 0.25}}}, f"flow names unknown edge -2{_OF_2}"),
+        # a zero flow names an edge too
+        ({"flows": {1: {0: 1.0}, 3: {0: 1.0, 2: 0.0}}}, f"flow names unknown edge 2{_OF_2}"),
+        ({"flows": {3: {2**64: 1.0}}}, f"flow names unknown edge {2**64}{_OF_2}"),
+        ({"const_flow": {0: 1.0, 1: 1.0, 5: 0.5}}, f"flow names unknown edge 5{_OF_2}"),
+        ({"stages": (StageInfo("x", (0, 7)),)}, f"stages[0] x names unknown edge 7{_OF_2}"),
+        (
+            {"stages": (StageInfo("x", (1,)), StageInfo("y", (0,), {1: 2.0}))},
+            "stages[1] y rebalances edge 1 outside it",
+        ),
+    ],
+    ids=[
+        "missing-root",
+        "root-label",
+        "dangling-tail",
+        "dangling-head",
+        "flow-key-negative",
+        "flow-key-len",
+        "flow-key-2**64",
+        "const-flow-key",
+        "stage-edge",
+        "rebalance-key",
+    ],
+)
+def test_a_graph_refuses_a_broken_reference(changes, message):
+    """The constructor checks every reference a graph holds, so a graph
+    made by the constructor, by a builder or by ``replace`` refuses each
+    broken form with one error."""
+    b = _chain()
+    good = b.graph()
+    assert (good.vertices, good.edges) == (_CHAIN_VERTICES, _CHAIN_EDGES)
+    init = {fl.name: getattr(good, fl.name) for fl in fields(LearningGraph) if fl.init}
+    whole = f"^{re.escape(message)}$"
+    with pytest.raises(ModelError, match=whole):
+        LearningGraph(**{**init, **changes})
+    with pytest.raises(ModelError, match=whole):
+        replace(good, **changes)
+    kwargs = dict(changes)
+    for name in ("root", "vertices", "edges"):
+        if name in kwargs:
+            setattr(b, name, kwargs.pop(name))
+    with pytest.raises(ModelError, match=whole):
+        b.graph(**kwargs)
 
 
 def test_edge_kinds():

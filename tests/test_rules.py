@@ -176,3 +176,18 @@ def test_non_finite_weights_rejected(make, value):
 def test_non_finite_weights_rejected_when_parsed(obj):
     with pytest.raises(RuleError, match="non-finite"):
         Rule.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TableRule((0, 1), {(0, 2): 1.0}), r"table row \(0, 2\)"),
+        (lambda: DispatchRule((0,), {(-1,): ONE}), r"dispatch key \(-1,\)"),
+        (lambda: PatchRule((0,), (2,), 2.0, ONE), r"patch \(2,\)"),
+    ],
+    ids=["table", "dispatch", "patch"],
+)
+def test_keyed_rules_refuse_a_bit_other_than_0_or_1(make, message):
+    """A row no input can match is refused, not kept."""
+    with pytest.raises(RuleError, match=f"^{message} has a bit other than 0 or 1$"):
+        make()

@@ -1,20 +1,14 @@
 """Contract checking: structure, linking, flows, certificates."""
 
-from dataclasses import replace
-
 import pytest
 
-from lgkit.adversary import build_witness, linking_mutants, rebalance_to_equal
-from lgkit.complexity import complexity
-from lgkit.expand import expand
+from lgkit.adversary import linking_mutants
 from lgkit.loads import dense_load, sparse_load
 from lgkit.model import (
     BooleanFunction,
     Edge,
     GraphBuilder,
     LearningGraph,
-    ModelError,
-    StageInfo,
     Vertex,
 )
 from lgkit.rules import (
@@ -263,42 +257,6 @@ def test_structural_linking_agrees_with_semantic(dense4, sparse4, anchored4):
             assert not validate(m.graph, res.function).ok, (res.variant, m.edge)
 
 
-def _stage_on_unknown_edge():
-    b = GraphBuilder(2)
-    b.add_vertex("s", (0, 1))
-    b.add_super("r", "s", dense_load(2, (0, 1)))
-    f = BooleanFunction(2, {0: 0, 3: 1}, {3: (0, 1)})
-    return b.graph(flows={3: {0: 1.0}}, stages=[StageInfo("x", (0, 7))]), f
-
-
-def test_stage_on_unknown_edge_is_reported():
-    """A stage naming an edge the graph does not have is a finding, with or
-    without a function; the super edge is not expanded."""
-    g, f = _stage_on_unknown_edge()
-    for fn in (f, None):
-        rep = validate(g, fn)
-        assert [v.to_json() for v in rep.entries] == [
-            {"kind": "stage", "where": "stages[0] x", "message": "names unknown edge 7"}
-        ]
-    assert validate(replace(g, stages=None), f).ok
-
-
-def test_stage_on_unknown_edge_raises_one_error():
-    """Pricing and expansion name the stage and the edge, as validate does."""
-    g, f = _stage_on_unknown_edge()
-    calls = [
-        lambda: complexity(g, f),
-        lambda: rebalance_to_equal(g, f),
-        lambda: expand(g),
-        lambda: build_witness(g, f),
-        lambda: linking_mutants(g, f, 1),
-    ]
-    for call in calls:
-        with pytest.raises(ModelError, match=r"^stages\[0\] x names unknown edge 7$"):
-            call()
-
-
-
 def test_super_edge_label_step_skips_the_function_checks():
     """A super edge whose head label is not its tail plus its gadget's
     loads cannot be expanded: validate reports the label step, with or
@@ -328,12 +286,12 @@ def test_super_edge_label_step_skips_the_function_checks():
     assert [v.kind for v in rep.entries] == ["label-step"]
     assert rep.checked["flows"] == 1
 
-def _graph(labels, edges, root="r"):
+def _graph(labels, edges):
     """A 1-bit graph: ``labels`` maps each vertex to its label, and an edge
     is (tail, head, load, w0), with w1 ONE, or ZERO on an empty edge."""
     vertices = {v: Vertex(v, label) for v, label in labels.items()}
     edges = [Edge(t, h, j, w0, ONE if j is not None else ZERO) for t, h, j, w0 in edges]
-    return LearningGraph(1, root, vertices, edges)
+    return LearningGraph(1, "r", vertices, edges)
 
 
 RAS = {"r": (), "a": (0,), "s": (0,)}
@@ -343,8 +301,6 @@ CYCLE = [("r", "a", 0, ONE), ("a", "s", None, ZERO), ("s", "a", None, ZERO)]
 @pytest.mark.parametrize(
     "g, kind, message",
     [
-        (_graph({"r": ()}, [], root="q"), "root", "root vertex missing"),
-        (_graph({"r": (0,)}, []), "root", "root label (0,) not empty"),
         (_graph(RAS, CYCLE), "cycle", "graph contains a cycle"),
         (
             _graph(RAS, [("r", "a", 0, ONE), ("a", "s", 0, ONE)]),
@@ -357,34 +313,9 @@ CYCLE = [("r", "a", 0, ONE), ("a", "s", None, ZERO), ("s", "a", None, ZERO)]
             "side-0 weight not zero",
         ),
     ],
-    ids=["root-missing", "root-label", "cycle", "reload", "empty-weight"],
+    ids=["cycle", "reload", "empty-weight"],
 )
 def test_broken_structure_reports_its_kind(g, kind, message):
     rep = validate(g)
     assert not rep.ok
     assert [(v.kind, v.message) for v in rep.entries] == [(kind, message)]
-
-
-@pytest.mark.parametrize(
-    "edges, found",
-    [
-        ([("r", "x", 0, ONE)], [("edge[0] r->x", "head 'x' is not a vertex")]),
-        (
-            [("r", "a", 0, ONE), ("y", "x", None, ZERO)],
-            [
-                ("edge[1] y->x", "tail 'y' is not a vertex"),
-                ("edge[1] y->x", "head 'x' is not a vertex"),
-            ],
-        ),
-    ],
-    ids=["head", "both-ends"],
-)
-def test_an_edge_end_that_is_no_vertex_is_reported(edges, found):
-    """An edge naming no vertex is reported, with or without a function,
-    and validate stops there, as for a missing root."""
-    g = _graph({"r": (), "a": (0,)}, edges)
-    f = BooleanFunction(1, {0: 0, 1: 1})
-    for rep in (validate(g), validate(g, f)):
-        assert [(v.kind, v.where, v.message) for v in rep.entries] == [
-            ("edge-end", where, message) for where, message in found
-        ]
