@@ -96,9 +96,9 @@ class AdversaryError(ValueError):
 
 
 def rebalance_to_equal(g: LearningGraph, f: BooleanFunction) -> LearningGraph:
-    """Scale weights so both costs of :func:`complexity` equal the graph
-    complexity; a graph with a non-finite cost, which no factor equalizes,
-    is returned unscaled."""
+    """Scale weights so both costs of :func:`complexity`, which ``g`` keeps
+    for ``f``, equal the graph complexity; a graph with a non-finite cost,
+    which no factor equalizes, is returned unscaled."""
     rep = complexity(g, f)
     c0, c1 = rep.c0, rep.c1
     if c0 <= 0.0 or c1 <= 0.0:
@@ -457,7 +457,7 @@ def linking_mutants(
         ei, dst_label, bits = key
         patched = PatchRule(dst_label, bits, MUTANT_FACTOR, ge.edges[ei].w0)
         edge = replace(ge.edges[ei], w0=patched)
-        mg = replace(ge, edges=ge.edges[:ei] + (edge,) + ge.edges[ei + 1 :])
+        mg = ge._with_edges(ge.edges[:ei] + (edge,) + ge.edges[ei + 1 :])
         object.__setattr__(mg, "_lineage", (parts, ei))
         assignment = ",".join(f"{i + 1}:{b}" for i, b in zip(dst_label, bits))
         out.append(Mutant(mg, ei, assignment, MUTANT_FACTOR, candidates[key]))

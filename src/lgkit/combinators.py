@@ -334,7 +334,7 @@ def johnson_compose(
                     lamrow[pack_bits(kappa, ipos)] = c1_max(cg, cf) / n_used
             host = TableRule(ipos, lamrow) if ipos else ConstRule(lamrow.get((), 0.0))
             _, emap = b.merge(
-                replace(ref, edges=_merge_leaf_rules(built, ref, ipos)),
+                ref._with_edges(_merge_leaf_rules(built, ref, ipos)),
                 prefix=_subset_id(prefix, A) + "/",
                 vmap={ref.root: vid[A]},
                 hosts=(host, host),

@@ -15,8 +15,8 @@ edge, a lookup in the rule's table (see :mod:`lgkit.rules`).
 ``side1_totals`` is the one positive-side call: it gathers the flow
 entries itself, prices one term per entry and raises the first flow
 fault.  Everything that prices a graph goes through the two:
-``complexity`` (and so rebalancing), ``c1_max`` (the composition lambdas)
-and the witness.
+``complexity`` (whose report, kept on the graph, rebalancing reads),
+``c1_max`` (the composition lambdas) and the witness.
 Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
 tested against, one scalar ``rule_at`` per (edge, input), lives in
@@ -38,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterator, Sequence
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -261,26 +262,26 @@ def _cost_entry(
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageCost:
     name: str
     c0: float
     c1: float
-    per_input_c0: dict[int, float] = field(default_factory=dict)
-    per_input_c1: dict[int, float] = field(default_factory=dict)
+    per_input_c0: Mapping[int, float] = field(default_factory=dict)
+    per_input_c1: Mapping[int, float] = field(default_factory=dict)
     # totals with any recorded rebalance factors divided back out
     raw_c0: float | None = None
     raw_c1: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexityReport:
     c0: float
     c1: float
     n_bits: int
-    per_input_c0: dict[int, float] = field(default_factory=dict)
-    per_input_c1: dict[int, float] = field(default_factory=dict)
-    stages: list[StageCost] = field(default_factory=list)
+    per_input_c0: Mapping[int, float] = field(default_factory=dict)
+    per_input_c1: Mapping[int, float] = field(default_factory=dict)
+    stages: tuple[StageCost, ...] = ()
 
     @property
     def value(self) -> float:
@@ -310,20 +311,17 @@ class ComplexityReport:
 
 def complexity(g: LearningGraph, f: BooleanFunction) -> ComplexityReport:
     """Evaluate both costs of ``g`` against ``f`` over its whole domain, with
-    a breakdown per stage of ``g.stages``."""
+    a breakdown per stage of ``g.stages``: a frozen report, which ``g``
+    keeps and returns again for the same object ``f``, not an equal one."""
+    if g.__dict__.get("_report", (None,))[0] is f:
+        return g.__dict__["_report"][1]
     xs = f.negatives()
     ys = f.positives()
     rows0 = side0_rows(g, input_array(xs, g.n_bits))
     ent, terms, totals = side1_totals(g, ys)
-    per0 = dict(zip(xs, column_fsums(rows0)))
-    per1 = dict(zip(ys, totals))
-    report = ComplexityReport(
-        c0=max(per0.values(), default=0.0),
-        c1=max(per1.values(), default=0.0),
-        n_bits=g.n_bits,
-        per_input_c0=per0,
-        per_input_c1=per1,
-    )
+    per0 = MappingProxyType(dict(zip(xs, column_fsums(rows0))))
+    per1 = MappingProxyType(dict(zip(ys, totals)))
+    stages = []
     for st in g.stages or ():
         factors = dict(st.rebalance or {})
         rows = rows0[list(st.edges)]
@@ -341,15 +339,24 @@ def complexity(g: LearningGraph, f: BooleanFunction) -> ComplexityReport:
             with np.errstate(over="ignore", invalid="ignore"):
                 raw_parts = parts1 * scale[ent.edge[on]]
             raw1 = max([0.0, *_group_fsums(keys, raw_parts, len(ys))])
-        report.stages.append(
+        stages.append(
             StageCost(
                 st.name,
                 max(stage_per0.values(), default=0.0),
                 max(stage_per1.values(), default=0.0),
-                stage_per0,
-                stage_per1,
+                MappingProxyType(stage_per0),
+                MappingProxyType(stage_per1),
                 raw0,
                 raw1,
             )
         )
+    report = ComplexityReport(
+        c0=max(per0.values(), default=0.0),
+        c1=max(per1.values(), default=0.0),
+        n_bits=g.n_bits,
+        per_input_c0=per0,
+        per_input_c1=per1,
+        stages=tuple(stages),
+    )
+    g.__dict__["_report"] = (f, report)  # g is frozen: kept as cached_property keeps
     return report

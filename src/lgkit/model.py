@@ -16,10 +16,11 @@ with its edges in a tuple; edit one through ``dataclasses.replace``.  Its
 constructor, which ``replace`` runs again, checks its references: the
 root is a vertex with the empty label, every edge joins two vertices, and
 every flow key, stage edge and stage rebalance key is an edge (a
-rebalance key one of its stage's own).  Its dicts and edges are not
-frozen, and an in-place edit of one is not checked.  Each vertex's
-out-edges are a cache, computed on first use, that ``replace`` does not
-copy and ``==`` does not compare.
+rebalance key one of its stage's own); a copy with new edges on the same
+ends, as ``rescaled`` makes, is not checked again.  Its dicts and edges
+are not frozen, and an in-place edit of one is not checked.  Each
+vertex's out-edges and the last complexity report are caches, made on
+first use, that ``replace`` does not copy and ``==`` does not compare.
 
 A partial boolean function is two bitsets (Python ints) over a
 :class:`Universe`, the sorted inputs it may be defined on: ``dom`` marks the
@@ -31,7 +32,7 @@ only when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import compress
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -151,21 +152,32 @@ class LearningGraph:
             if e.src not in vertices or e.dst not in vertices:
                 end = e.dst if e.src in vertices else e.src
                 raise ModelError(f"edge endpoint {end!r} not a known vertex")
-        flows = (self.flows or {}).values()
-        self._check_edges("flow", set().union(*flows, self.const_flow or ()))
+        keys = set().union(*(self.flows or {}).values(), self.const_flow or ())
+        self._check_edges(keys, "flow")  # one set: cheaper than a min, max per flow
         for k, s in enumerate(self.stages or ()):
-            where = f"stages[{k}] {s.name}"
-            self._check_edges(where, s.edges)
-            extra = sorted((s.rebalance or {}).keys() - set(s.edges))
-            if extra:
-                raise ModelError(f"{where} rebalances edge {extra[0]} outside it")
+            self._check_edges(s.edges, "stages[{}] {}", k, s.name)
+            if s.rebalance and not s.rebalance.keys() <= set(s.edges):
+                extra = min(s.rebalance.keys() - set(s.edges))
+                raise ModelError(f"stages[{k}] {s.name} rebalances edge {extra} outside it")
 
-    def _check_edges(self, what: str, indices: Collection[int]) -> None:
-        """Raise a :class:`ModelError` if some of ``indices`` is no edge index."""
+    def _check_edges(self, indices: Collection[int], what: str, *args: Any) -> None:
+        """Refuse an index that is no edge's, named after ``what.format(*args)``."""
         n = len(self.edges)
         if indices and (min(indices) < 0 or max(indices) >= n):
             bad = min(i for i in indices if not 0 <= i < n)
+            what = what.format(*args)
             raise ModelError(f"{what} names unknown edge {bad}, the graph has {n} edges")
+
+    def _with_edges(self, edges: Sequence[Edge]) -> "LearningGraph":
+        """This graph with ``edges``, each joining the ends of the one it
+        replaces, so the copy holds the references checked here."""
+        pairs = zip(edges, self.edges, strict=True)
+        if any(e.src != old.src or e.dst != old.dst for e, old in pairs):
+            raise ModelError("new edges must join the ends of those they replace")
+        g = object.__new__(LearningGraph)
+        g.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)})
+        g.__dict__.update(edges=tuple(edges), _lineage=None)
+        return g
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[int, ...]]:
@@ -210,8 +222,7 @@ class LearningGraph:
             raise ModelError(f"rescale factor must be positive, got {factor}")
         host = ConstRule(factor)
         products: dict = {}
-        edges = tuple(e.hosted(host, host, products) for e in self.edges)
-        return replace(self, edges=edges)
+        return self._with_edges([e.hosted(host, host, products) for e in self.edges])
 
 
 # format(bits, "b") reversed, as bytes: bit k of a bitset becomes byte k, 0 or 1

@@ -19,10 +19,11 @@ parsed graph holds one rule object per rule value, and an expansion or a
 rebalanced graph one per (host, rule) pair (:func:`host_product`), so each
 table is built once.  Each class fills its table with its column-wise body
 (``_body``), which performs the same IEEE operations in the same order as
-the scalar reference (below), so both give the same bits.  Children of a
-composite rule (scale, product, dispatch) run their bodies on the parent's
-assignments and get no table of their own; a patch reads the table of the
-edge rule it patches.
+the scalar reference (below), so both give the same bits.  A scale or a
+product fills its table by that same multiply over the tables of the rules
+it wraps, built first, so a rebalanced or expanded graph reuses the tables
+of the graph it came from.  A dispatch runs its cases' bodies on its own
+assignments, and a patch reads the table of the edge rule it patches.
 
 The table is exact only because every rule reads nothing but its declared
 support: a table entry is the body at an input that carries the same
@@ -148,6 +149,7 @@ def _check_finite(value: float, what: str) -> None:
 @dataclass(frozen=True)
 class Rule:
     kind: ClassVar[str] = "abstract"
+    _wraps: ClassVar[tuple[str, ...]] = ()  # the rules a wrapper's _fill reads
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -183,8 +185,16 @@ class Rule:
     @cached_property
     def _table(self) -> np.ndarray:
         """Weight per packed assignment of the support: 2^len(support)
-        entries, read-only."""
-        table = self._body(all_assignments(self.support))
+        entries, read-only; a wrapper's ``_fill`` reads the tables of the
+        rules it wraps, filled first, deepest first, so none recurses."""
+        stack = [(getattr(self, name), False) for name in self._wraps]
+        while stack:
+            rule, ready = stack.pop()
+            if ready:
+                rule._table
+            elif "_table" not in rule.__dict__:
+                stack += [(rule, True), *((getattr(rule, n), False) for n in rule._wraps)]
+        table = self._fill() if self._wraps else self._body(all_assignments(self.support))
         table.flags.writeable = False
         return table
 
@@ -379,6 +389,7 @@ class ScaleRule(Rule):
     factor: float
     inner: Rule
     kind: ClassVar[str] = "scale"
+    _wraps = ("inner",)
 
     def __post_init__(self) -> None:
         _check_finite(self.factor, "scale factor")
@@ -393,6 +404,10 @@ class ScaleRule(Rule):
         w = self.inner._body(zs)
         with _quiet():
             return self.factor * w
+
+    def _fill(self) -> np.ndarray:
+        with _quiet():
+            return self.factor * self.inner._table
 
     def to_json(self) -> dict[str, Any]:
         return {"rule": "scale", "factor": self.factor, "inner": self.inner.to_json()}
@@ -409,6 +424,7 @@ class ProductRule(Rule):
     left: Rule
     right: Rule
     kind: ClassVar[str] = "product"
+    _wraps = ("left", "right")
 
     @cached_property
     def support(self) -> tuple[int, ...]:
@@ -417,6 +433,12 @@ class ProductRule(Rule):
     def _body(self, zs: np.ndarray) -> np.ndarray:
         left = self.left._body(zs)
         right = self.right._body(zs)
+        with _quiet():
+            return left * right
+
+    def _fill(self) -> np.ndarray:
+        zs = all_assignments(self.support)
+        left, right = (r._table[pack_index(zs, r.support)] for r in (self.left, self.right))
         with _quiet():
             return left * right
 

@@ -170,13 +170,7 @@ def edge_c1_cap_loop(e):
 def complexity_loop(g, f):
     per0 = {x: graph_c0_loop(g, x) for x in f.negatives()}
     per1 = {y: graph_c1_loop(g, y) for y in f.positives()}
-    report = ComplexityReport(
-        c0=max(per0.values(), default=0.0),
-        c1=max(per1.values(), default=0.0),
-        n_bits=g.n_bits,
-        per_input_c0=per0,
-        per_input_c1=per1,
-    )
+    stages = []
     for st in g.stages or ():
         edge_ids = set(st.edges)
         factors = dict(st.rebalance or {})
@@ -211,7 +205,7 @@ def complexity_loop(g, f):
                         v * factors[i] if factors.get(i) else v for i, v in parts
                     ),
                 )
-        report.stages.append(
+        stages.append(
             StageCost(
                 st.name,
                 max(stage_per0.values(), default=0.0),
@@ -222,7 +216,14 @@ def complexity_loop(g, f):
                 raw1,
             )
         )
-    return report
+    return ComplexityReport(
+        c0=max(per0.values(), default=0.0),
+        c1=max(per1.values(), default=0.0),
+        n_bits=g.n_bits,
+        per_input_c0=per0,
+        per_input_c1=per1,
+        stages=tuple(stages),
+    )
 
 
 def _linking_loop(g, f, report, rtol):

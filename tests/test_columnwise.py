@@ -36,7 +36,7 @@ from lgkit.complexity import (
 )
 from lgkit.corpus import _pairs_walk
 from lgkit.expand import expand
-from lgkit.indexing import input_array
+from lgkit.indexing import all_assignments, input_array
 from lgkit.loads import DENSE, SPARSE, load_c1_max, load_gadget, single_load_rules
 from lgkit.model import BooleanFunction, GraphBuilder, LearningGraph, SuperEdge
 from lgkit.rules import (
@@ -113,6 +113,47 @@ def test_eval_matches_call_on_graph_rules(corpus_dir, dense4, sparse4, anchored4
             patches += isinstance(rule, PatchRule)
             _assert_eval_matches_call(rule, zs)
     assert patches == 24
+
+
+def _wrappers(rules):
+    """Every scale and product rule in ``rules`` and below, each after the
+    ones it wraps."""
+    out, seen = [], set()
+
+    def visit(rule):
+        if id(rule) in seen:
+            return
+        seen.add(id(rule))
+        for child in vars(rule).values():
+            if isinstance(child, Rule):
+                visit(child)
+        if isinstance(rule, (ScaleRule, ProductRule)):
+            out.append(rule)
+
+    for rule in rules:
+        visit(rule)
+    return out
+
+
+def test_wrapper_tables_are_their_bodies(dense4, sparse4, anchored4):
+    """A scale's or a product's table multiplies the tables of the rules it
+    wraps; it equals its body at every assignment bit for bit, in the n=4
+    builds, their expansions, their rebalanced copies and the expansions of
+    those, whether the wrapped rules' tables were built first or not."""
+    kinds = set()
+    for name, g, f in _triangles(dense4, sparse4, anchored4):
+        balanced = rebalance_to_equal(g, f)
+        for h in (g, expand(g), balanced, expand(balanced)):
+            text = dumps(dump_graph(h))
+            for children_first in (False, True):
+                # a parsed copy: rule objects that have built no table yet
+                wrappers = _wrappers(_rules(build_graph(json.loads(text))))
+                assert wrappers and not any("_table" in vars(w) for w in wrappers)
+                for w in wrappers if children_first else reversed(wrappers):
+                    want = w._body(all_assignments(w.support))
+                    assert np.array_equal(_bits(w._table), _bits(want)), (name, w)
+                    kinds.add(type(w))
+    assert kinds == {ScaleRule, ProductRule}
 
 
 positions = st.integers(min_value=0, max_value=7)
@@ -515,9 +556,11 @@ def test_witness_evaluates_each_w0_once(anchored4):
     """Across validate, complexity, rebalance, the witness and 24 mutants'
     witnesses, a rule object's body runs at most twice: on its first call
     (on fewer than 64 inputs here) and to fill its table on the second.  A
-    counter runs once per run of the graph's rule and of its rebalanced
-    copy; a mutant's patch looks the table of the rule it patches up, so it
-    runs no body."""
+    counter counts the runs of the graph's rule and of its rebalanced copy,
+    a scale of it, which runs the counted body on its first call and fills
+    its table from the counted rule's table: three runs for every w0 and
+    for a w1 where flow is.  A mutant's patch looks the table of the rule
+    it patches up, so it runs no body."""
     f = anchored4.function
     g = expand(anchored4.graph)
     assert not g.has_super()
@@ -545,7 +588,7 @@ def test_witness_evaluates_each_w0_once(anchored4):
     assert verify_witness(build_witness(balanced, f), f).ok
     for m in linking_mutants(balanced, f, 24, seed=11):
         assert not verify_witness(build_witness(m.graph, f), f).crossing_ok
-    assert runs() == [1 + 3 * (ei in flow) if side else 4 for ei, side, _ in counted]
+    assert runs() == [1 + 2 * (ei in flow) if side else 3 for ei, side, _ in counted]
     plain = expand(anchored4.graph)
     _assert_same_witness(
         build_witness(balanced, f),

@@ -1,13 +1,16 @@
 """Cost evaluation on both sides of the flow."""
 
+import importlib
 import json
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from loop_reference import graph_c1_loop
 from pricing import c0_at, c1_at
 
+from lgkit.adversary import rebalance_to_equal
 from lgkit.complexity import (
     MissingFlowError,
     complexity,
@@ -17,6 +20,9 @@ from lgkit.loads import dense_load
 from lgkit.model import BooleanFunction, GraphBuilder, StageInfo
 from lgkit.rules import ConstRule, ONE, TableRule, ZERO
 from lgkit.serialize import build_graph
+
+# the module: the package's ``complexity`` is the function
+pricing_module = importlib.import_module("lgkit.complexity")
 
 
 def _single_bit(weight0=1.0, weight1=1.0):
@@ -113,3 +119,61 @@ def test_side1_overflow_is_silent_as_the_scalar_call(corpus_dir):
     totals = side1_totals(g, ys)[2]
     assert totals == [graph_c1_loop(g, y) for y in ys]
     assert math.inf in totals
+
+
+def _count_pricing(monkeypatch):
+    """Record every side0_rows and side1_totals call ``complexity`` makes."""
+    calls = []
+    for name in ("side0_rows", "side1_totals"):
+        priced = getattr(pricing_module, name)
+
+        def counted(*args, name=name, priced=priced):
+            calls.append(name)
+            return priced(*args)
+
+        monkeypatch.setattr(pricing_module, name, counted)
+    return calls
+
+
+def test_complexity_keeps_its_report_for_the_function_object(dense4, monkeypatch):
+    """The report is kept on the graph for the function object it priced:
+    the same object gets it back, an equal object and a copy of the graph
+    are priced again, to an equal report."""
+    g, f = replace(dense4.graph), dense4.function
+    calls = _count_pricing(monkeypatch)
+    rep = complexity(g, f)
+    once = len(calls)
+    assert calls.count("side1_totals") == 1
+    assert complexity(g, f) is rep and len(calls) == once
+    equal = BooleanFunction(f.n_bits, f.values, f.certs)
+    assert equal == f and equal is not f
+    again = complexity(g, equal)
+    assert again is not rep and again == rep and len(calls) == 2 * once
+    copy = complexity(replace(g), f)
+    assert copy is not rep and copy == rep and len(calls) == 3 * once
+
+
+def test_a_shared_report_is_read_only():
+    g = _single_bit().graph(const_flow={0: 1.0}, stages=[StageInfo("only", (0,))])
+    rep = complexity(g, BooleanFunction(1, {0: 0, 1: 1}))
+    with pytest.raises(FrozenInstanceError):
+        rep.c0 = 2.0
+    with pytest.raises(FrozenInstanceError):
+        rep.stages[0].c1 = 2.0
+    for per_input in (rep.per_input_c0, rep.per_input_c1, rep.stages[0].per_input_c0):
+        with pytest.raises(TypeError):
+            per_input[0] = 2.0
+    assert isinstance(rep.stages, tuple)
+
+
+def test_rebalance_reads_the_report_complexity_kept(dense4, sparse4, monkeypatch):
+    """After ``complexity``, rebalancing prices nothing: its scale comes from
+    the kept report."""
+    for res in (dense4, sparse4):
+        g, f = replace(res.graph), res.function
+        calls = _count_pricing(monkeypatch)
+        rep = complexity(g, f)
+        del calls[:]
+        balanced = rebalance_to_equal(g, f)
+        assert calls == []
+        assert balanced == g.rescaled(math.sqrt(rep.c1 / rep.c0))

@@ -122,6 +122,23 @@ def test_a_graph_refuses_a_broken_reference(changes, message):
         b.graph(**kwargs)
 
 
+def test_a_copy_with_new_edges_keeps_their_ends():
+    """``rescaled`` and the mutant search copy a checked graph with new
+    edges and check only that each joins the ends of the edge it replaces;
+    the copy keeps the other fields and none of the caches."""
+    g = _chain().graph(flows={3: {0: 1.0, 1: 1.0}})
+    g.out_edges("r")
+    moved = (g.edges[0], Edge("r", "b", 1, ONE, ONE))
+    with pytest.raises(ModelError, match="^new edges must join the ends of those they replace$"):
+        g._with_edges(moved)
+    with pytest.raises(ValueError):
+        g._with_edges(g.edges[:1])
+    h = g.rescaled(2.0)
+    assert h == replace(g, edges=h.edges) and h.edges != g.edges
+    assert (h.vertices, h.flows) == (g.vertices, g.flows)
+    assert "_adjacency" not in vars(h) and h._lineage is None
+
+
 def test_edge_kinds():
     b = _chain()
     b.add_vertex("s", (0, 1, 2))

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from loop_reference import rule_at
 
+from lgkit.indexing import pack_index
 from lgkit.rules import (
     CandidatePairRule,
     ConstRule,
@@ -77,6 +79,19 @@ def test_scale_and_product():
     assert rule_at(ProductRule(left, inner), 0b10) == 6.0
     assert rule_at(ProductRule(left, inner), 0b00) == 0.0
     assert set(ProductRule(left, inner).support) == {1}
+
+
+def test_a_deep_wrapper_chain_fills_its_table_without_recursing():
+    """The tables a scale or product multiplies are filled deepest first,
+    not by recursion, so a chain its body can run through fills its table
+    too, as deep as three frames a level would exhaust the stack."""
+    rule = TableRule((0, 2), {(1, 0): 3.0, (1, 1): 0.25}, 0.5)
+    for k in range(400):
+        rule = ScaleRule(1.0, rule) if k % 2 else ProductRule(ONE, rule)
+    zs = np.arange(8, dtype=np.int64)
+    want = rule._body(zs)
+    assert want.tolist() == [0.5, 3.0, 0.5, 3.0, 0.5, 0.25, 0.5, 0.25]
+    assert rule._table[pack_index(zs, rule.support)].tolist() == want.tolist()
 
 
 def test_scaled_folds_constants():
