@@ -295,6 +295,7 @@ GRAPH_SHA256 = {
     "sparse-n4": "8debbb73759d3c6f08e6c1bd80164d8eb2e50ad327b019b1abee6f2221ef5784",
     "sparsenew-n4": "3eb8d6e01047c5c513fe3a63feade90181f52eb68ab04361dd85adeb7504341b",
     "dense-n5": "e3bc6afbf1d7bc7f17e086d89e5e86f45565d5c12a0df2142bd15df570493fbc",
+    "sparse-n5": "8eea5966db30b55d124554e77f5245c1529b9dba0393c26fae167b2b01c68f05",
     "sparsenew-n5": "fbbd1ef9a469764ca00f0b65137c871f6bf34156a732d8bae2a7afc83ea6f315",
     "sparsenew-n4-b3": "c03e1623f7749deda6c58f85b2d84d04e2c1341a600401e2417199ece991f5ec",
     "sparsenew-n4-b4": "ac653fc8476b3ca97e471d8c771e62755503f41e0dace5d452884ff913042843",
@@ -328,6 +329,13 @@ def test_n5_graphs_are_byte_identical():
     assert dense.function == triangle_function(5)
     assert _sha256(build_sparsenew_lg(5, 3)) == GRAPH_SHA256["sparsenew-n5"]
     assert _sha256(build_sparsenew_lg(5, 2)) == GRAPH_SHA256["sparsenew-n5-b2"]
+
+
+def test_sparse_n5_graph_is_byte_identical():
+    """The sparse n=5 build, whose spoke gadgets are sparse loads."""
+    sparse = build_sparse_lg(5, TriangleParams(1, 2, 2, "sparse"))
+    assert len(sparse.graph.edges) == 1275
+    assert _sha256(sparse) == GRAPH_SHA256["sparse-n5"]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
