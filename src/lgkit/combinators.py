@@ -29,14 +29,18 @@ import itertools
 from dataclasses import replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .complexity import c1_max
-from .indexing import mask_of, pack_bits
+import numpy as np
+
+from .complexity import c1_maxes
+from .indexing import input_array, mask_of, pack_bits
 from .loads import load_c1_max, load_gadget, single_load_rules
 from .model import (
     BooleanFunction,
+    Flows,
     GraphBuilder,
     LearningGraph,
     StageInfo,
+    gather_rows,
 )
 from .rules import ConstRule, DispatchRule, TableRule, ZERO
 
@@ -86,23 +90,25 @@ def or_compose(
             raise CompositionError("children disagree on the promised domain")
         if g.label(g.root) != ():
             raise CompositionError("child root labels must be empty")
-    lambdas = [c1_max(g, f) / k for g, f in children]
+    lambdas = [lam / k for lam in c1_maxes(children)]
     b = GraphBuilder(n_bits, root="r")
-    emaps: list[dict[int, int]] = []
+    emaps: list[np.ndarray] = []
     for i, ((g, _), lam) in enumerate(zip(children, lambdas)):
         host = ConstRule(lam)
         _, emap = b.merge(
             g, prefix=f"{prefix}{i}.", vmap={g.root: b.root}, hosts=(host, host)
         )
-        emaps.append(emap)
+        emaps.append(np.fromiter(emap.values(), dtype=np.int64, count=len(emap)))
     truth = 0
     for f in fs:
         truth |= f.truth
     fn = BooleanFunction.from_bits(universe, dom, truth)
-    # first[y]: the first k children positive on y.  short[j] holds the
-    # positives with j children found so far; each child moves its positives
-    # up one level, so the walk stops once every positive has k.
-    first: dict[int, list[int]] = {y: [] for y in fn.positives()}
+    # the first k children positive on each positive, as (positive, child)
+    # pairs.  short[j] holds the positives with j children found so far;
+    # each child moves its positives up one level, so the walk stops once
+    # every positive has k.
+    positives = input_array(fn.positives(), n_bits)
+    hits: list[tuple[int, np.ndarray]] = []
     short = [truth] + [0] * (k - 1)
     for i, f in enumerate(fs):
         if not any(short):
@@ -113,23 +119,35 @@ def or_compose(
                 short[j] ^= hit
                 if j + 1 < k:
                     short[j + 1] |= hit
-                for y in universe.members(hit):
-                    first[y].append(i)
-    flows: dict[int, dict[int, float]] = {}
-    for y, chosen in first.items():
-        if len(chosen) < k:
+                ys = input_array(universe.members(hit), n_bits)
+                hits.append((i, np.searchsorted(positives, ys)))
+    count = np.zeros(len(positives), dtype=np.int64)
+    for _, at in hits:
+        count[at] += 1
+    faults = [(int(y), -1) for y in np.flatnonzero(count < k)[:1]]
+    # each child's flow rows at its positives, spliced onto its new edges
+    ks, es, ps = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for i, at in hits:
+        table = children[i][0].flows
+        rows = table.rows(positives[at])
+        faults += [(int(y), i) for y in at[rows < 0][:1]]
+        owner, entry = gather_rows(table.offsets, rows)
+        ks.append(at[owner])
+        es.append(emaps[i][table.edge[entry]])
+        ps.append(table.flow[entry] / k)
+    if faults:
+        y, i = min(faults)
+        y = fn.positives()[y]
+        if i < 0:
             live = sum(f(y) for f in fs)
-            raise CompositionError(
-                f"input {y} has {live} positive children, needs {k}"
-            )
-        fy: dict[int, float] = {}
-        for i in chosen:
-            child_flow = children[i][0].flow_for(y)
-            if child_flow is None:
-                raise CompositionError(f"child {i} lacks a flow for input {y}")
-            for ei, p in child_flow.items():
-                fy[emaps[i][ei]] = p / k
-        flows[y] = fy
+            raise CompositionError(f"input {y} has {live} positive children, needs {k}")
+        raise CompositionError(f"child {i} lacks a flow for input {y}")
+    # hits come child after child: sorted by positive, each one's flow is
+    # its children's rows in child order
+    key = np.concatenate(ks)
+    order = np.argsort(key, kind="stable")
+    offsets = np.searchsorted(key[order], np.arange(len(positives) + 1))
+    flows = Flows(positives, offsets, np.concatenate(es)[order], np.concatenate(ps)[order])
     return Composed(b.graph(flows=flows), fn)
 
 
@@ -282,16 +300,16 @@ def johnson_compose(
                 step_edge[(A, j)] = ei
                 stage_edges[step].append(ei)
 
-    # reached[A]: the inputs, in positive order, whose walk ends at full set A
-    flows: dict[int, dict[int, float]] = {}
+    # each positive's walk entries, as (positive, edge) with flow ``unit``,
+    # and reached[A]: the positives, in order, whose walk ends at full set A
+    walk: list[tuple[int, int]] = []
     reached: dict[tuple[int, ...], list[int]] = {}
     unit = 1.0 / n_used
-    for y in positives:
+    for n, y in enumerate(positives):
         T = certs[y]
-        fy: dict[int, float] = {}
         for A in starts[T]:
             if start >= 1:
-                fy[start_edge[A]] = fy.get(start_edge[A], 0.0) + unit
+                walk.append((n, start_edge[A]))
             cur = A
             for j in T:
                 ei = step_edge[(cur, j)]
@@ -300,10 +318,13 @@ def johnson_compose(
                         f"flow walk for input {y} crosses the empty step "
                         f"{cur} + {j}"
                     )
-                fy[ei] = fy.get(ei, 0.0) + unit
+                walk.append((n, ei))
                 cur = tuple(sorted(set(cur) | {j}))
-            reached.setdefault(cur, []).append(y)
-        flows[y] = fy
+            reached.setdefault(cur, []).append(n)
+    ys = input_array(positives, n_bits)
+    ks = [np.array([n for n, _ in walk], dtype=np.int64)]
+    es = [np.array([ei for _, ei in walk], dtype=np.int64)]
+    ps = [np.full(len(walk), unit)]
 
     # Leaf stage.
     leaf_edges: list[int] = []
@@ -321,17 +342,22 @@ def johnson_compose(
                 continue
             ref = next(iter(built.values()))[0]
             ref_shape = [(e.src, e.dst, e.load) for e in ref.edges]
-            lamrow: dict[tuple[int, ...], float] = {}
-            for kappa, (cg, cf) in built.items():
-                if (
-                    list(cg.vertices) != list(ref.vertices)
-                    or [(e.src, e.dst, e.load) for e in cg.edges] != ref_shape
-                ):
-                    raise CompositionError(
-                        f"leaf structures differ across contexts at {A}"
-                    )
-                if cf.positives():
-                    lamrow[pack_bits(kappa, ipos)] = c1_max(cg, cf) / n_used
+            leaves = list(built.items())
+            same = [
+                list(cg.vertices) == list(ref.vertices)
+                and [(e.src, e.dst, e.load) for e in cg.edges] == ref_shape
+                for _, (cg, _) in leaves
+            ]
+            # the contexts before the first that differs, priced in one pass
+            priced = [leaf for leaf, ok in zip(leaves, same) if ok and leaf[1][1].positives()]
+            if not all(same):
+                priced = priced[: same.index(False)]
+            lams = c1_maxes([child for _, child in priced])
+            if not all(same):
+                raise CompositionError(f"leaf structures differ across contexts at {A}")
+            lamrow = {
+                pack_bits(kappa, ipos): lam / n_used for (kappa, _), lam in zip(priced, lams)
+            }
             host = TableRule(ipos, lamrow) if ipos else ConstRule(lamrow.get((), 0.0))
             _, emap = b.merge(
                 ref._with_edges(_merge_leaf_rules(built, ref, ipos)),
@@ -341,23 +367,35 @@ def johnson_compose(
                 label_shift=ipos,
             )
             leaf_edges.extend(emap.values())
-            for y in reached.get(A, ()):
-                kappa = y & mask
+            new = np.fromiter(emap.values(), dtype=np.int64, count=len(emap))
+            ns = np.array(reached.get(A, []), dtype=np.int64)
+            kappas = ys[ns] & mask
+            # the reaching positives' faults, in the order they are checked
+            # in: (place in ns, check, message)
+            faults: list[tuple[int, int, str]] = []
+            for kappa in np.unique(kappas).tolist():
+                at = np.flatnonzero(kappas == kappa)
                 if kappa not in built:
-                    raise CompositionError(
-                        f"no leaf for context of input {y} at {A}"
-                    )
+                    faults.append((int(at[0]), 0, "no leaf for context of input {y} at {A}"))
+                    continue
                 cg, cf = built[kappa]
-                if not cf(y):
-                    raise CompositionError(
-                        f"walk reaches {A} on input {y} but the leaf is negative"
+                negative = ~np.isin(ys[ns[at]], input_array(cf.positives(), n_bits))
+                rows = cg.flows.rows(ys[ns[at]])
+                faults += [
+                    (int(at[np.argmax(bad)]), check, text)
+                    for check, bad, text in (
+                        (1, negative, "walk reaches {A} on input {y} but the leaf is negative"),
+                        (2, rows < 0, "leaf at {A} lacks a flow for {y}"),
                     )
-                cflow = cg.flow_for(y)
-                if cflow is None:
-                    raise CompositionError(f"leaf at {A} lacks a flow for {y}")
-                fy = flows[y]
-                for ci, p in cflow.items():
-                    fy[emap[ci]] = fy.get(emap[ci], 0.0) + p * unit
+                    if bad.any()
+                ]
+                owner, entry = gather_rows(cg.flows.offsets, rows)
+                ks.append(ns[at[owner]])
+                es.append(new[cg.flows.edge[entry]])
+                ps.append(cg.flows.flow[entry] * unit)
+            if faults:
+                place, _, text = min(faults)
+                raise CompositionError(text.format(y=positives[ns[place]], A=A))
     else:
         for y in positives:
             T = certs[y]
@@ -372,6 +410,11 @@ def johnson_compose(
                     f"function (input {z} is negative)"
                 )
 
+    # stable by positive: its walk, then its leaves in full set order
+    key = np.concatenate(ks)
+    order = np.argsort(key, kind="stable")
+    offsets = np.searchsorted(key[order], np.arange(len(ys) + 1))
+    flows = Flows(ys, offsets, np.concatenate(es)[order], np.concatenate(ps)[order])
     stages = [
         StageInfo(
             f"load{step}" if step == 0 else f"walk{step}",

@@ -36,7 +36,9 @@ input within a stage.  ``validate`` checks flows from the same arrays.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Iterator, Mapping, Sequence
@@ -44,7 +46,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from .indexing import bitstring, input_array
-from .model import BooleanFunction, LearningGraph
+from .model import BooleanFunction, Edge, LearningGraph, gather_rows
 from .rules import Rule
 
 
@@ -80,12 +82,13 @@ class FlowEntries:
     """The (input, edge, flow) entries of the flows of a graph at a list of
     inputs: one per nonzero flow, in input order and, within an input, in
     flow order.  An input with no flow gives no entries, and its number is
-    in ``missing``."""
+    in ``missing``.  Entries of several graphs priced together number their
+    inputs and their edges one graph after another."""
 
     input: np.ndarray  # int64: the number of the entry's input in the list
     edge: np.ndarray  # int64
     flow: np.ndarray  # float64
-    graph: LearningGraph
+    edges: Sequence[Edge]  # the edges that ``edge`` numbers
     zs: np.ndarray  # the input of every entry
     missing: list[int]  # the numbers of the inputs with no flow, in order
 
@@ -102,7 +105,7 @@ class FlowEntries:
         """The edge's w1 at every entry; 0 on empty edges.  On first
         access, each non-empty edge evaluates its ``w1`` on its own
         entries."""
-        edges = self.graph.edges
+        edges = self.edges
         w1s = np.zeros(len(self.flow))
         for i, grp in self.by_edge.items():
             if edges[i].kind != "empty":
@@ -110,33 +113,55 @@ class FlowEntries:
         return w1s
 
 
+def _entries(parts: Sequence[tuple[LearningGraph, Sequence[int]]]) -> FlowEntries:
+    """The entries of the flows of each graph of ``parts`` at its inputs,
+    one graph after another: a gather of the rows of each graph's table."""
+    none = np.zeros(0, dtype=np.int64)
+    ks, es, ps, zs, missing = [none], [none], [none.astype(float)], [none], []
+    n_in = n_edges = 0
+    for g, ys in parts:
+        inputs = input_array(ys, g.n_bits)
+        table = g.flows
+        rows = table.rows(inputs)
+        owner, at = gather_rows(table.offsets, rows)
+        flow = table.flow[at]
+        keep = flow != 0.0
+        owner = owner[keep]
+        ks.append(owner + n_in)
+        es.append(table.edge[at[keep]] + n_edges)
+        ps.append(flow[keep])
+        zs.append(inputs[owner])
+        missing += (np.flatnonzero(rows < 0) + n_in).tolist()
+        n_in += len(inputs)
+        n_edges += len(g.edges)
+    if len(parts) == 1:
+        edges: Sequence[Edge] = parts[0][0].edges
+    else:
+        edges = tuple(chain.from_iterable(g.edges for g, _ in parts))
+    cat = np.concatenate
+    return FlowEntries(cat(ks), cat(es), cat(ps), edges, cat(zs), missing)
+
+
 def flow_entries(g: LearningGraph, ys: Sequence[int]) -> FlowEntries:
     """The entries of the flows ``g`` records at the inputs ``ys``."""
-    missing: list[int] = []
-    ks: list[int] = []
-    es: list[int] = []
-    ps: list[float] = []
-    for k, y in enumerate(ys):
-        flow = g.flow_for(y)
-        if flow is None:
-            missing.append(k)
-        for i, p in (flow or {}).items():
-            if p != 0.0:
-                ks.append(k)
-                es.append(i)
-                ps.append(p)
-    edge = np.array(es, dtype=np.int64)
-    inputs = np.array(ks, dtype=np.int64)
-    zs = input_array(ys, g.n_bits)[inputs]
-    return FlowEntries(inputs, edge, np.array(ps, dtype=np.float64), g, zs, missing)
+    return _entries([(g, ys)])
 
 
 def _group_fsums(keys: np.ndarray, values: np.ndarray, n: int) -> list[float]:
     """The ``math.fsum`` of the ``values`` of each key ``0..n-1``, where
     ``keys`` is sorted (as the inputs of flow entries are)."""
-    bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
-    vals = values.tolist()
-    return [math.fsum(vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    bounds = np.searchsorted(keys, np.arange(n + 1))
+    counts = np.diff(bounds)
+    # the fsum of one value is the value, with -0.0 made 0.0
+    sums = np.zeros(n)
+    one = counts == 1
+    sums[one] = values[bounds[:-1][one]] + 0.0
+    many = np.flatnonzero(counts > 1).tolist()
+    if many:
+        vals, bounds = values.tolist(), bounds.tolist()
+        for k in many:
+            sums[k] = math.fsum(vals[bounds[k] : bounds[k + 1]])
+    return sums.tolist()
 
 
 def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
@@ -158,60 +183,79 @@ def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
     return rows
 
 
+Fault = tuple[int, ComplexityError]  # the number of an input and its error
+
+
 def _side1(
-    g: LearningGraph, ys: Sequence[int]
-) -> tuple[FlowEntries, np.ndarray, tuple[int, ComplexityError] | None]:
-    """The entries of the flows at ``ys`` and the side-1 term of each, or the
-    number in ``ys`` of the first faulty input and the error it raises.
+    parts: Sequence[tuple[LearningGraph, Sequence[int]]],
+) -> tuple[FlowEntries, np.ndarray, list[Fault | None], list[int]]:
+    """The entries of the flows of each graph of ``parts`` at its inputs,
+    priced together: the entries, the side-1 term of each, the first fault
+    of each part (the number in its inputs of the faulty input, and the
+    error it raises) or None, and where each part's inputs start in the
+    numbering of the entries, with their end last.  A faulty part's terms
+    are not its costs.
 
     An entry's term is flow squared over its edge's ``w1``, times the inner
-    positive cost for a super edge.  ``w1`` is evaluated only where flow is.
+    positive cost for a super edge.  ``w1`` is evaluated only where flow is,
+    and the inner costs of every super edge of every part in one pass.
 
-    The first faulty input is the first of ``ys`` and, in that input, the
-    first faulty edge in flow order.  The checks, in order: a missing flow,
-    a negative flow, flow on an empty edge, flow on zero side-1 weight, and
-    a fault of a super edge's inner graph at that input.
+    The first faulty input of a part is the first of its inputs and, in
+    that input, the first faulty edge in flow order.  The checks, in order:
+    a missing flow, a negative flow, flow on an empty edge, flow on zero
+    side-1 weight, and a fault of a super edge's inner graph at that input.
     """
-    ent = flow_entries(g, ys)
-    missing: tuple[int, ComplexityError] | None = None  # the first input without a flow
-    if ent.missing:
-        k = ent.missing[0]
-        missing = (k, MissingFlowError(f"no flow recorded for input {ys[k]}"))
+    ent = _entries(parts)
+    ys = list(chain.from_iterable(ys for _, ys in parts))
+    starts = np.cumsum([0] + [len(ys) for _, ys in parts]).tolist()
+    faults: list[Fault | None] = [None] * len(parts)
+    firsts: dict[int, int] = {}  # part -> its first faulty input so far
+    for k in ent.missing:
+        p = bisect_right(starts, k) - 1
+        if p not in firsts:
+            firsts[p] = k
+            error = MissingFlowError(f"no flow recorded for input {ys[k]}")
+            faults[p] = (k - starts[p], error)
     if not len(ent.flow):  # as for most composition lambdas: no grouping to do
-        return ent, ent.flow, missing
+        return ent, ent.flow, faults, starts
     pp, ww = ent.flow, ent.w1
     inner = np.ones(len(pp))  # p * p * 1.0 is exactly p * p
     inner_faults: dict[int, ComplexityError] = {}  # entry -> error
+    sub_parts, groups = [], []
     for i, grp in ent.by_edge.items():
-        gadget = g.edges[i].gadget
+        gadget = ent.edges[i].gadget
         if gadget is not None:
-            sub_ys = [ys[k] for k in ent.input[grp].tolist()]
-            sub, terms, fault = _side1(gadget.inner, sub_ys)
-            if fault is None:
-                inner[grp] = _group_fsums(sub.input, terms, len(grp))
-            else:
-                inner_faults[int(grp[fault[0]])] = fault[1]
+            sub_parts.append((gadget.inner, [ys[k] for k in ent.input[grp].tolist()]))
+            groups.append(grp)
+    if sub_parts:
+        sub, terms, sub_faults, sub_starts = _side1(sub_parts)
+        ends = np.searchsorted(sub.input, sub_starts).tolist()
+        for q, fault in enumerate(sub_faults):
+            if fault is not None:  # its terms are no costs: left out
+                inner_faults[int(groups[q][fault[0]])] = fault[1]
+                terms[ends[q] : ends[q + 1]] = 0.0
+        totals = _group_fsums(sub.input, terms, sub_starts[-1])
+        for grp, lo, hi in zip(groups, sub_starts, sub_starts[1:]):
+            inner[grp] = totals[lo:hi]
     # entries are in input order, and each input's in flow order, so the
-    # first faulty entry is the one the scalar checks would meet first
-    bad = np.flatnonzero((pp < 0.0) | (ww == 0.0)).tolist() + list(inner_faults)
-    if bad and (missing is None or ent.input[min(bad)] < missing[0]):
-        n = min(bad)
+    # first faulty entry of a part is the one the scalar checks would meet first
+    bad = np.flatnonzero((pp < 0.0) | (ww == 0.0)).tolist() + sorted(inner_faults)
+    for n in sorted(bad):
         k = int(ent.input[n])
-        error = _flow_error(g, int(ent.edge[n]), ys[k], float(pp[n]), ww[n])
-        return ent, pp[:0], (k, error or inner_faults[n])
-    if missing is not None:
-        return ent, pp[:0], missing
+        p = bisect_right(starts, k) - 1
+        if p in firsts and firsts[p] <= k:
+            continue
+        firsts[p] = k
+        error = _flow_error(ent.edges[int(ent.edge[n])], ys[k], float(pp[n]), ww[n])
+        faults[p] = (k - starts[p], error or inner_faults[n])
     # overflow to inf and inf times 0, silent as in the scalar call
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ent, pp * pp * inner / ww, None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return ent, pp * pp * inner / ww, faults, starts
 
 
-def _flow_error(
-    g: LearningGraph, i: int, y: int, p: float, w: float
-) -> ComplexityError | None:
-    """The first plain check that the flow ``p`` on edge ``i`` at input ``y``
-    fails, where ``w`` is the edge's side-1 weight there."""
-    e = g.edges[i]
+def _flow_error(e: Edge, y: int, p: float, w: float) -> ComplexityError | None:
+    """The first plain check that the flow ``p`` on the edge ``e`` at input
+    ``y`` fails, where ``w`` is the edge's side-1 weight there."""
     if p < 0.0:
         return ComplexityError(f"negative flow {p} on edge {e.src}->{e.dst}")
     if e.kind == "empty":
@@ -232,16 +276,26 @@ def side1_totals(
     the side-1 term of each entry and the positive cost at every input, the
     ``math.fsum`` of its entries' terms.  Raises the first fault, as found
     by :func:`_side1`."""
-    ent, terms, fault = _side1(g, ys)
+    ent, terms, (fault,), _ = _side1([(g, ys)])
     if fault is not None:
         raise fault[1]
     return ent, terms, _group_fsums(ent.input, terms, len(ys))
 
 
+def c1_maxes(pairs: Sequence[tuple[LearningGraph, BooleanFunction]]) -> list[float]:
+    """The largest positive cost of each graph over the positives of its
+    function, 0.0 without one: one positive-side pass over every pair.
+    Raises the first fault of the first faulty pair."""
+    ent, terms, faults, starts = _side1([(g, f.positives()) for g, f in pairs])
+    for fault in faults:
+        if fault is not None:
+            raise fault[1]
+    totals = _group_fsums(ent.input, terms, starts[-1])
+    return [max(totals[lo:hi], default=0.0) for lo, hi in zip(starts, starts[1:])]
+
+
 def c1_max(g: LearningGraph, f: BooleanFunction) -> float:
-    return max(side1_totals(g, f.positives())[2], default=0.0)
-
-
+    return c1_maxes([(g, f)])[0]
 def _cost_entry(
     name: str,
     c0: float,

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Edge, GraphBuilder, LearningGraph, StageInfo
+import numpy as np
+
+from .model import CONST, Edge, Flows, GraphBuilder, LearningGraph, StageInfo, gather_rows
 
 
 @dataclass
@@ -57,12 +59,6 @@ def expand(g: LearningGraph) -> LearningGraph:
         parts[i] = _Part(
             [(new, old) for old, new in sorted(inner_map.items())], inner=inner
         )
-    flows = None
-    const_flow = None
-    if g.const_flow is not None:
-        const_flow = _translate(g.const_flow, parts, y=None)
-    if g.flows is not None:
-        flows = {y: _translate(p, parts, y=y) for y, p in g.flows.items()}
     stages = None
     if g.stages is not None:
         stages = tuple(
@@ -82,28 +78,50 @@ def expand(g: LearningGraph) -> LearningGraph:
             )
             for s in g.stages
         )
-    return b.graph(flows=flows, const_flow=const_flow, stages=stages)
+    return b.graph(flows=_translate(g.flows, parts), stages=stages)
 
 
-def _translate(
-    flow: dict[int, float], parts: dict[int, _Part], y: int | None
-) -> dict[int, float]:
-    """``flow`` on the expanded edges."""
-    out: dict[int, float] = {}
-    for old, p in flow.items():
+def _translate(flows: Flows, parts: dict[int, _Part]) -> Flows:
+    """``flows`` on the expanded edges.  An entry on an edge that stayed
+    moves to it; an entry ``p`` on a super edge becomes one entry per inner
+    edge, in inner edge order: ``p`` times the inner flow at the same input
+    (0 where the inner flow has no entry), or 0 where ``p`` is 0."""
+    # the new edges of every old edge, one old edge after another; the
+    # place of a super edge's new edge in its run is its inner edge index
+    runs = [[i for i, _ in parts[k].new_edges] for k in range(len(parts))]
+    starts = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum([len(run) for run in runs], out=starts[1:])
+    owner, at = gather_rows(starts, flows.edge)
+    flow = flows.flow[owner]
+    first = np.searchsorted(owner, np.arange(len(flows.edge)))  # each entry's run
+    row_of = np.repeat(np.arange(len(flows.inputs)), np.diff(flows.offsets))
+    order = np.argsort(flows.edge, kind="stable")
+    ids, cuts = np.unique(flows.edge[order], return_index=True)
+    lost: list[tuple[int, int]] = []  # (entry, super edge) without an inner flow
+    for old, ents in zip(ids.tolist(), np.split(order, cuts[1:])):
         part = parts[old]
         if part.inner is None:
-            out[part.new_edges[0][0]] = p
             continue
-        if p == 0.0:
-            for new, _ in part.new_edges:
-                out[new] = 0.0
-            continue
-        inner_flow = (
-            part.inner.const_flow if y is None else part.inner.flow_for(y)
+        p = flows.flow[ents]
+        inputs = flows.inputs[row_of[ents]]
+        inner = part.inner.flows
+        if inner.const is not None:
+            rows = np.zeros(len(ents), dtype=np.int64)
+        else:  # the input-independent row reads only the inner one
+            rows = np.where(inputs == CONST, -1, inner.own_rows(inputs))
+        lost += [(int(n), old) for n in ents[(rows < 0) & (p != 0.0)][:1]]
+        dense = np.zeros((len(ents), len(runs[old])))
+        k, inner_at = gather_rows(inner.offsets, rows)
+        dense[k, inner.edge[inner_at]] = inner.flow[inner_at]
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+            block = np.where((p == 0.0)[:, None], 0.0, p[:, None] * dense)
+        flow[first[ents][:, None] + np.arange(len(runs[old]))] = block
+    if lost:
+        n, old = min(lost)
+        y = flows.inputs[row_of[n]]
+        raise ValueError(
+            f"no inner flow for input {None if y == CONST else y} on super edge {old}"
         )
-        if inner_flow is None:
-            raise ValueError(f"no inner flow for input {y} on super edge {old}")
-        for new, inner_idx in part.new_edges:
-            out[new] = p * inner_flow.get(inner_idx, 0.0)
-    return out
+    new = np.array([i for run in runs for i in run], dtype=np.int64)
+    ends = np.append(first, len(at))[flows.offsets]
+    return Flows(flows.inputs, ends, new[at], flow)

@@ -8,19 +8,24 @@ loaded input positions.  Edges come in three kinds:
 * super: stands for a whole embedded loading gadget (an inner graph with a
   unique sink), with host-side scale rules multiplying the inner weights.
 
-Flows are stored per positive input as ``{edge index: value}`` maps; gadgets
-whose flow does not depend on the input use a single shared map instead.
+A graph's flows are one read-only CSR table (:class:`Flows`): one row of
+(edge index, value) entries per positive input, in flow order; a gadget
+whose flow does not depend on the input has one row that serves every
+input instead.  The constructor takes the rows as ``{input: {edge index:
+value}}`` and ``{edge index: value}`` maps, or as a table, and the
+composers splice tables without making maps.
 
 A graph is a value: a frozen dataclass whose fields are its whole data,
 with its edges in a tuple; edit one through ``dataclasses.replace``.  Its
 constructor, which ``replace`` runs again, checks its references: the
 root is a vertex with the empty label, every edge joins two vertices, and
-every flow key, stage edge and stage rebalance key is an edge (a
+every flow edge, stage edge and stage rebalance key is an edge (a
 rebalance key one of its stage's own); a copy with new edges on the same
-ends, as ``rescaled`` makes, is not checked again.  Its dicts and edges
-are not frozen, and an in-place edit of one is not checked.  Each
-vertex's out-edges and the last complexity report are caches, made on
-first use, that ``replace`` does not copy and ``==`` does not compare.
+ends, as ``rescaled`` makes, is not checked again.  Its flows cannot be
+written in place; its vertex dict, stage rebalance maps and edges can,
+and such an edit is not checked.  Each vertex's out-edges and the last
+complexity report are caches, made on first use, that ``replace`` does
+not copy and ``==`` does not compare.
 
 A partial boolean function is two bitsets (Python ints) over a
 :class:`Universe`, the sorted inputs it may be defined on: ``dom`` marks the
@@ -34,8 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
+from types import MappingProxyType
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .rules import ConstRule, Rule, ZERO, ONE, host_product
 
@@ -127,14 +135,177 @@ class StageInfo:
     note: str = ""
 
 
+CONST = -1  # the input of a flow table's input-independent row
+
+
+def gather_rows(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the ``rows`` of a CSR table whose rows start at
+    ``offsets``, row after row: the number in ``rows`` of each entry's row,
+    and the entry's place in the table.  A row of -1 has no entries."""
+    lo = offsets[rows]
+    n = offsets[rows + 1] - lo
+    n[rows < 0] = 0
+    ends = np.cumsum(n)
+    owner = np.repeat(np.arange(len(rows)), n)
+    at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + n, n)
+    return owner, at
+
+
+def _input_keys(inputs: Any) -> np.ndarray:
+    """Inputs as int64, or as Python ints (dtype object) past int64."""
+    try:
+        return np.asarray(inputs, dtype=np.int64)
+    except OverflowError:
+        return np.array(list(inputs), dtype=object)
+
+
+def _table_of(rows: Mapping[int, Mapping[int, float]]) -> tuple[Any, ...]:
+    """The CSR arrays of ``{input: {edge: flow}}`` maps, in map order."""
+    maps = list(rows.values())
+    offsets = np.zeros(len(maps) + 1, dtype=np.int64)
+    np.cumsum([len(m) for m in maps], out=offsets[1:])
+    edge = np.array(list(chain.from_iterable(maps)), dtype=np.int64)
+    flow = np.array(list(chain.from_iterable(m.values() for m in maps)), dtype=np.float64)
+    return list(rows), offsets, edge, flow
+
+
+class Flows(Mapping[int, Mapping[int, float]]):
+    """The flows of a graph: one read-only CSR table.
+
+    Row ``r`` is the flow at the input ``inputs[r]``: the entries
+    ``offsets[r]:offsets[r + 1]`` of ``edge`` (edge indices, int64) and
+    ``flow`` (float64), in flow order.  Zero flows are kept.  A flow that
+    does not depend on the input is the first row, whose input is
+    :data:`CONST`, and it serves every input.  The arrays are read-only and
+    the table takes no new attribute.
+
+    As a mapping, the table maps each input with a row of its own to a
+    read-only ``{edge: flow}`` view of that row; ``const`` views the
+    input-independent row, and is None without one.
+    """
+
+    __slots__ = ("inputs", "offsets", "edge", "flow", "const", "_sorted")
+
+    def __init__(self, inputs: Any, offsets: Any, edge: Any, flow: Any) -> None:
+        arrays = {
+            "inputs": _input_keys(inputs),
+            "offsets": np.asarray(offsets, dtype=np.int64),
+            "edge": np.asarray(edge, dtype=np.int64),
+            "flow": np.asarray(flow, dtype=np.float64),
+        }
+        n = len(arrays["edge"])
+        offsets = arrays["offsets"]
+        if len(offsets) != len(arrays["inputs"]) + 1 or offsets[0] != 0 or (
+            offsets[-1] != n or len(arrays["flow"]) != n
+        ):
+            raise ModelError("flow table offsets do not match its entries")
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        const = arrays["inputs"][:1].tolist() == [CONST]
+        object.__setattr__(self, "const", self._row(0) if const else None)
+        object.__setattr__(self, "_sorted", None)
+
+    @classmethod
+    def of(
+        cls,
+        flows: "Flows | Mapping[int, Mapping[int, float]] | None",
+        const: Mapping[int, float] | None,
+    ) -> "Flows":
+        """The table of the rows of ``flows``, maps or a table, with the
+        input-independent flow ``const``; a given ``const`` takes the place
+        of a table's own input-independent row."""
+        if isinstance(flows, Flows):
+            if const is None or const is flows.const:
+                return flows
+            own = flows._own()
+        else:
+            own = _table_of(flows or {})
+        if const is None:
+            return cls(*own)
+        head = _table_of({CONST: const})
+        return cls(
+            np.concatenate([_input_keys(head[0]), _input_keys(own[0])]),
+            np.concatenate([head[1], own[1][1:] + len(head[2])]),
+            np.concatenate([head[2], own[2]]),
+            np.concatenate([head[3], own[3]]),
+        )
+
+    def _own(self) -> tuple[np.ndarray, ...]:
+        """The CSR arrays of the rows of the inputs' own flows."""
+        first = int(self.const is not None)
+        lo = self.offsets[first]
+        return (
+            self.inputs[first:],
+            self.offsets[first:] - lo,
+            self.edge[lo:],
+            self.flow[lo:],
+        )
+
+    def _row(self, r: int) -> Mapping[int, float]:
+        lo, hi = self.offsets[r : r + 2].tolist()
+        return MappingProxyType(
+            dict(zip(self.edge[lo:hi].tolist(), self.flow[lo:hi].tolist()))
+        )
+
+    def own_rows(self, zs: np.ndarray) -> np.ndarray:
+        """The row of each input of ``zs`` that has a row of its own, -1 for
+        the others."""
+        if self._sorted is None:
+            order = np.argsort(self.inputs, kind="stable")
+            object.__setattr__(self, "_sorted", (self.inputs[order], order))
+        keys, order = self._sorted
+        if not len(keys):
+            return np.full(len(zs), -1, dtype=np.int64)
+        at = np.minimum(keys.searchsorted(zs), len(keys) - 1)
+        return np.where(keys[at] == zs, order[at], -1)
+
+    def rows(self, zs: np.ndarray) -> np.ndarray:
+        """The row that serves each input of ``zs``: the input-independent
+        row when there is one, else the input's own row, or -1."""
+        if self.const is not None:
+            return np.zeros(len(zs), dtype=np.int64)
+        return self.own_rows(zs)
+
+    def __getitem__(self, y: int) -> Mapping[int, float]:
+        (r,) = self.own_rows(_input_keys([y])).tolist()
+        if r < int(self.const is not None):
+            raise KeyError(y)
+        return self._row(r)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._own()[0].tolist())
+
+    def __len__(self) -> int:
+        return len(self.inputs) - int(self.const is not None)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Flows):
+            return super().__eq__(other)
+        names = ("inputs", "offsets", "edge", "flow")
+        if all(np.array_equal(getattr(self, a), getattr(other, a)) for a in names):
+            return True
+        return self.const == other.const and dict(self.items()) == dict(other.items())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("a flow table is read-only")
+
+    __delattr__ = __setattr__  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Flows({dict(self.items())!r}, const={self.const!r})"
+
+
 @dataclass(frozen=True)
 class LearningGraph:
     n_bits: int
     root: str
     vertices: dict[str, Vertex]
     edges: tuple[Edge, ...]
-    flows: dict[int, dict[int, float]] | None = None
-    const_flow: dict[int, float] | None = None
+    # given as maps or a table; held as the graph's one table, and
+    # const_flow as the view of its input-independent row
+    flows: Flows | Mapping[int, Mapping[int, float]] | None = None
+    const_flow: Mapping[int, float] | None = None
     stages: tuple[StageInfo, ...] | None = None
     # Set by adversary.linking_mutants on the mutant it has just made, and
     # read only there.  Never serialized or compared, and dataclasses.replace
@@ -152,8 +323,17 @@ class LearningGraph:
             if e.src not in vertices or e.dst not in vertices:
                 end = e.dst if e.src in vertices else e.src
                 raise ModelError(f"edge endpoint {end!r} not a known vertex")
-        keys = set().union(*(self.flows or {}).values(), self.const_flow or ())
-        self._check_edges(keys, "flow")  # one set: cheaper than a min, max per flow
+        try:
+            flows = Flows.of(self.flows, self.const_flow)
+        except OverflowError:  # a key past int64, which names no edge
+            maps = [*(self.flows or {}).values(), self.const_flow or {}]
+            self._check_edges(set().union(*maps), "flow")
+            raise
+        object.__setattr__(self, "flows", flows)
+        object.__setattr__(self, "const_flow", flows.const)
+        edge = flows.edge
+        if len(edge) and (edge.min() < 0 or edge.max() >= len(self.edges)):
+            self._check_edges(edge.tolist(), "flow")
         for k, s in enumerate(self.stages or ()):
             self._check_edges(s.edges, "stages[{}] {}", k, s.name)
             if s.rebalance and not s.rebalance.keys() <= set(s.edges):
@@ -193,11 +373,11 @@ class LearningGraph:
     def label(self, vid: str) -> tuple[int, ...]:
         return self.vertices[vid].label
 
-    def flow_for(self, y: int) -> dict[int, float] | None:
+    def flow_for(self, y: int) -> Mapping[int, float] | None:
+        """The flow at the input ``y``, a read-only ``{edge: flow}`` view,
+        or None when the graph records none."""
         if self.const_flow is not None:
             return self.const_flow
-        if self.flows is None:
-            return None
         return self.flows.get(y)
 
     def has_super(self) -> bool:
@@ -515,8 +695,8 @@ class GraphBuilder:
 
     def graph(
         self,
-        flows: dict[int, dict[int, float]] | None = None,
-        const_flow: dict[int, float] | None = None,
+        flows: Flows | Mapping[int, Mapping[int, float]] | None = None,
+        const_flow: Mapping[int, float] | None = None,
         stages: Sequence[StageInfo] | None = None,
     ) -> LearningGraph:
         return LearningGraph(

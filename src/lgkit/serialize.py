@@ -28,7 +28,9 @@ from typing import Any, Callable, Iterator
 
 from .indexing import bitstring, parse_bitstring
 from .model import (
+    CONST,
     BooleanFunction,
+    Flows,
     GraphBuilder,
     LearningGraph,
     ModelError,
@@ -42,8 +44,16 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def dump_flow(flow: dict[int, float]) -> dict[str, float]:
-    return {str(i): p for i, p in sorted(flow.items())}
+def dump_flows(flows: Flows, n: int) -> dict[str, dict[str, float]]:
+    """Each row of a flow table, zero flows too, keyed by the bit string
+    of its input or by ``"*"``, with its flows keyed by edge index."""
+    keys = [str(i) for i in flows.edge.tolist()]
+    values = flows.flow.tolist()
+    bounds = flows.offsets.tolist()
+    return {
+        "*" if y == CONST else bitstring(y, n): dict(zip(keys[lo:hi], values[lo:hi]))
+        for y, lo, hi in zip(flows.inputs.tolist(), bounds, bounds[1:])
+    }
 
 
 def _edge_index(i: int, edges: int, path: str) -> int:
@@ -54,7 +64,7 @@ def _edge_index(i: int, edges: int, path: str) -> int:
 
 def _edge_key(key: str, edges: int, path: str) -> int:
     """The edge a flow or rebalance key names.  The key must be the index
-    in decimal, as :func:`dump_flow` writes it, so an edge has one
+    in decimal, as :func:`dump_flows` writes it, so an edge has one
     spelling."""
     try:
         i = int(key)
@@ -117,14 +127,8 @@ def dump_graph(g: LearningGraph) -> dict[str, Any]:
         ],
         "edges": edges,
     }
-    flows: dict[str, Any] = {}
-    if g.const_flow is not None:
-        flows["*"] = dump_flow(g.const_flow)
-    if g.flows is not None:
-        for y, fl in g.flows.items():
-            flows[bitstring(y, g.n_bits)] = dump_flow(fl)
-    if flows:
-        out["flows"] = flows
+    if len(g.flows.inputs):
+        out["flows"] = dump_flows(g.flows, g.n_bits)
     if g.stages is not None:
         out["stages"] = [
             {
@@ -280,17 +284,20 @@ def _graph(obj: dict[str, Any], _path: str, rules: dict) -> LearningGraph:
                     b.add_empty(rec["from"], rec["to"])
                     b.edges[-1] = replace(b.edges[-1], w0=w0, w1=w1)
         const_flow = None
-        flows: dict[int, dict[int, float]] | None = None
+        inputs: list[int] = []
+        offsets, edge, flow = [0], [], []
         for key, fl in obj.get("flows", {}).items():
             where = f"{_path}.flows[{key!r}]"
             with _at(where):
-                flow = _parse_flow(fl, len(b.edges), where)
+                row = _parse_flow(fl, len(b.edges), where)
                 if key == "*":
-                    const_flow = flow
+                    const_flow = row
                 else:
-                    if flows is None:
-                        flows = {}
-                    flows[_input(key, n, f"{_path}.flows")] = flow
+                    inputs.append(_input(key, n, f"{_path}.flows"))
+                    edge += row
+                    flow += row.values()
+                    offsets.append(len(edge))
+        flows = Flows(inputs, offsets, edge, flow)
         stages = None
         if "stages" in obj:
             stages = []
