@@ -40,7 +40,6 @@ from .model import (
     GraphBuilder,
     LearningGraph,
     StageInfo,
-    gather_rows,
 )
 from .rules import ConstRule, DispatchRule, TableRule, ZERO
 
@@ -121,23 +120,25 @@ def or_compose(
                     short[j + 1] |= hit
                 ys = input_array(universe.members(hit), n_bits)
                 hits.append((i, np.searchsorted(positives, ys)))
-    count = np.zeros(len(positives), dtype=np.int64)
-    for _, at in hits:
-        count[at] += 1
-    faults = [(int(y), -1) for y in np.flatnonzero(count < k)[:1]]
+    if not hits:
+        return Composed(b.graph(), fn)
+    # (input, -1) for the first positive short of k children, and (input,
+    # child) for the first positive each child has no flow for
+    left = 0
+    for bits in short:
+        left |= bits
+    faults = [(universe.members(left)[0], -1)] if left else []
     # each child's flow rows at its positives, spliced onto its new edges
-    ks, es, ps = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    ks, es, ps = [], [], []
     for i, at in hits:
         table = children[i][0].flows
-        rows = table.rows(positives[at])
-        faults += [(int(y), i) for y in at[rows < 0][:1]]
-        owner, entry = gather_rows(table.offsets, rows)
+        owner, entry, lost = table.gather(positives[at])
+        faults += [(int(positives[y]), i) for y in at[lost[:1]]]
         ks.append(at[owner])
         es.append(emaps[i][table.edge[entry]])
         ps.append(table.flow[entry] / k)
     if faults:
         y, i = min(faults)
-        y = fn.positives()[y]
         if i < 0:
             live = sum(f(y) for f in fs)
             raise CompositionError(f"input {y} has {live} positive children, needs {k}")
@@ -300,16 +301,19 @@ def johnson_compose(
                 step_edge[(A, j)] = ei
                 stage_edges[step].append(ei)
 
-    # each positive's walk entries, as (positive, edge) with flow ``unit``,
-    # and reached[A]: the positives, in order, whose walk ends at full set A
-    walk: list[tuple[int, int]] = []
+    # each positive's walk entries, as its number and an edge with flow
+    # ``unit``, and reached[A]: the positives, in order, whose walk ends at
+    # full set A
+    walk_k: list[int] = []
+    walk_e: list[int] = []
     reached: dict[tuple[int, ...], list[int]] = {}
     unit = 1.0 / n_used
     for n, y in enumerate(positives):
         T = certs[y]
         for A in starts[T]:
             if start >= 1:
-                walk.append((n, start_edge[A]))
+                walk_k.append(n)
+                walk_e.append(start_edge[A])
             cur = A
             for j in T:
                 ei = step_edge[(cur, j)]
@@ -318,13 +322,13 @@ def johnson_compose(
                         f"flow walk for input {y} crosses the empty step "
                         f"{cur} + {j}"
                     )
-                walk.append((n, ei))
+                walk_k.append(n)
+                walk_e.append(ei)
                 cur = tuple(sorted(set(cur) | {j}))
             reached.setdefault(cur, []).append(n)
-    ys = input_array(positives, n_bits)
-    ks = [np.array([n for n, _ in walk], dtype=np.int64)]
-    es = [np.array([ei for _, ei in walk], dtype=np.int64)]
-    ps = [np.full(len(walk), unit)]
+    ks = [np.array(walk_k, dtype=np.int64)]
+    es = [np.array(walk_e, dtype=np.int64)]
+    ps = [np.full(len(walk_e), unit)]
 
     # Leaf stage.
     leaf_edges: list[int] = []
@@ -367,34 +371,36 @@ def johnson_compose(
                 label_shift=ipos,
             )
             leaf_edges.extend(emap.values())
-            new = np.fromiter(emap.values(), dtype=np.int64, count=len(emap))
-            ns = np.array(reached.get(A, []), dtype=np.int64)
-            kappas = ys[ns] & mask
-            # the reaching positives' faults, in the order they are checked
-            # in: (place in ns, check, message)
-            faults: list[tuple[int, int, str]] = []
-            for kappa in np.unique(kappas).tolist():
-                at = np.flatnonzero(kappas == kappa)
+            ns = reached.get(A)
+            if not ns:
+                continue
+            # the reaching positives by context, and the first that has no
+            # leaf or a negative one, as (place in ns, message)
+            faults: list[tuple[int, str]] = []
+            by_context: dict[int, list[int]] = {}
+            for place, n in enumerate(ns):
+                y = positives[n]
+                kappa = y & mask
                 if kappa not in built:
-                    faults.append((int(at[0]), 0, "no leaf for context of input {y} at {A}"))
-                    continue
-                cg, cf = built[kappa]
-                negative = ~np.isin(ys[ns[at]], input_array(cf.positives(), n_bits))
-                rows = cg.flows.rows(ys[ns[at]])
-                faults += [
-                    (int(at[np.argmax(bad)]), check, text)
-                    for check, bad, text in (
-                        (1, negative, "walk reaches {A} on input {y} but the leaf is negative"),
-                        (2, rows < 0, "leaf at {A} lacks a flow for {y}"),
-                    )
-                    if bad.any()
-                ]
-                owner, entry = gather_rows(cg.flows.offsets, rows)
-                ks.append(ns[at[owner]])
-                es.append(new[cg.flows.edge[entry]])
-                ps.append(cg.flows.flow[entry] * unit)
+                    faults.append((place, "no leaf for context of input {y} at {A}"))
+                    break
+                if not built[kappa][1](y):
+                    faults.append((place, "walk reaches {A} on input {y} but the leaf is negative"))
+                    break
+                by_context.setdefault(kappa, []).append(place)
+            new = np.fromiter(emap.values(), dtype=np.int64, count=len(emap))
+            for kappa, places in by_context.items():
+                at = np.array([ns[p] for p in places], dtype=np.int64)
+                table = built[kappa][0].flows
+                zs = input_array([positives[n] for n in at.tolist()], n_bits)
+                owner, entry, lost = table.gather(zs)
+                if len(lost):
+                    faults.append((places[lost[0]], "leaf at {A} lacks a flow for {y}"))
+                ks.append(at[owner])
+                es.append(new[table.edge[entry]])
+                ps.append(table.flow[entry] * unit)
             if faults:
-                place, _, text = min(faults)
+                place, text = min(faults)
                 raise CompositionError(text.format(y=positives[ns[place]], A=A))
     else:
         for y in positives:
@@ -410,11 +416,14 @@ def johnson_compose(
                     f"function (input {z} is negative)"
                 )
 
-    # stable by positive: its walk, then its leaves in full set order
-    key = np.concatenate(ks)
-    order = np.argsort(key, kind="stable")
-    offsets = np.searchsorted(key[order], np.arange(len(ys) + 1))
-    flows = Flows(ys, offsets, np.concatenate(es)[order], np.concatenate(ps)[order])
+    # walk entries come by positive; a stable sort puts each positive's
+    # leaf entries after them, in full set order
+    key, edge, flow = map(np.concatenate, (ks, es, ps))
+    if len(ks) > 1:
+        order = np.argsort(key, kind="stable")
+        key, edge, flow = key[order], edge[order], flow[order]
+    offsets = np.searchsorted(key, np.arange(len(positives) + 1))
+    flows = Flows(positives, offsets, edge, flow)
     stages = [
         StageInfo(
             f"load{step}" if step == 0 else f"walk{step}",

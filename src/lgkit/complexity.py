@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Iterator, Mapping, Sequence
@@ -46,7 +46,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from .indexing import bitstring, input_array
-from .model import BooleanFunction, Edge, LearningGraph, gather_rows
+from .model import BooleanFunction, Edge, LearningGraph
 from .rules import Rule
 
 
@@ -97,8 +97,9 @@ class FlowEntries:
         """Every edge with entries, in edge order, to its entries in entry
         order: the one grouping of the entries by edge."""
         order = np.argsort(self.edge, kind="stable")
-        ids, starts = np.unique(self.edge[order], return_index=True)
-        return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+        edge = self.edge[order]
+        cuts = [0, *(np.flatnonzero(edge[1:] != edge[:-1]) + 1).tolist(), len(edge)]
+        return {int(edge[lo]): order[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi}
 
     @cached_property
     def w1(self) -> np.ndarray:
@@ -116,14 +117,15 @@ class FlowEntries:
 def _entries(parts: Sequence[tuple[LearningGraph, Sequence[int]]]) -> FlowEntries:
     """The entries of the flows of each graph of ``parts`` at its inputs,
     one graph after another: a gather of the rows of each graph's table."""
-    none = np.zeros(0, dtype=np.int64)
-    ks, es, ps, zs, missing = [none], [none], [none.astype(float)], [none], []
+    ks, es, ps, zs, missing = [], [], [], [], []
     n_in = n_edges = 0
     for g, ys in parts:
+        if not len(ys):
+            n_edges += len(g.edges)
+            continue
         inputs = input_array(ys, g.n_bits)
         table = g.flows
-        rows = table.rows(inputs)
-        owner, at = gather_rows(table.offsets, rows)
+        owner, at, lost = table.gather(inputs)
         flow = table.flow[at]
         keep = flow != 0.0
         owner = owner[keep]
@@ -131,15 +133,22 @@ def _entries(parts: Sequence[tuple[LearningGraph, Sequence[int]]]) -> FlowEntrie
         es.append(table.edge[at[keep]] + n_edges)
         ps.append(flow[keep])
         zs.append(inputs[owner])
-        missing += (np.flatnonzero(rows < 0) + n_in).tolist()
+        missing += (lost + n_in).tolist()
         n_in += len(inputs)
         n_edges += len(g.edges)
     if len(parts) == 1:
         edges: Sequence[Edge] = parts[0][0].edges
     else:
         edges = tuple(chain.from_iterable(g.edges for g, _ in parts))
-    cat = np.concatenate
+    if not ks:
+        ks = es = zs = [np.zeros(0, dtype=np.int64)]
+        ps = [np.zeros(0)]
+    cat = _concatenate
     return FlowEntries(cat(ks), cat(es), cat(ps), edges, cat(zs), missing)
+
+
+def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def flow_entries(g: LearningGraph, ys: Sequence[int]) -> FlowEntries:
@@ -150,6 +159,8 @@ def flow_entries(g: LearningGraph, ys: Sequence[int]) -> FlowEntries:
 def _group_fsums(keys: np.ndarray, values: np.ndarray, n: int) -> list[float]:
     """The ``math.fsum`` of the ``values`` of each key ``0..n-1``, where
     ``keys`` is sorted (as the inputs of flow entries are)."""
+    if not len(keys):
+        return [0.0] * n
     bounds = np.searchsorted(keys, np.arange(n + 1))
     counts = np.diff(bounds)
     # the fsum of one value is the value, with -0.0 made 0.0
@@ -207,7 +218,7 @@ def _side1(
     """
     ent = _entries(parts)
     ys = list(chain.from_iterable(ys for _, ys in parts))
-    starts = np.cumsum([0] + [len(ys) for _, ys in parts]).tolist()
+    starts = list(accumulate((len(ys) for _, ys in parts), initial=0))
     faults: list[Fault | None] = [None] * len(parts)
     firsts: dict[int, int] = {}  # part -> its first faulty input so far
     for k in ent.missing:

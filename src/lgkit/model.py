@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from types import MappingProxyType
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -162,8 +162,7 @@ def _input_keys(inputs: Any) -> np.ndarray:
 def _table_of(rows: Mapping[int, Mapping[int, float]]) -> tuple[Any, ...]:
     """The CSR arrays of ``{input: {edge: flow}}`` maps, in map order."""
     maps = list(rows.values())
-    offsets = np.zeros(len(maps) + 1, dtype=np.int64)
-    np.cumsum([len(m) for m in maps], out=offsets[1:])
+    offsets = list(accumulate(map(len, maps), initial=0))
     edge = np.array(list(chain.from_iterable(maps)), dtype=np.int64)
     flow = np.array(list(chain.from_iterable(m.values() for m in maps)), dtype=np.float64)
     return list(rows), offsets, edge, flow
@@ -181,10 +180,13 @@ class Flows(Mapping[int, Mapping[int, float]]):
 
     As a mapping, the table maps each input with a row of its own to a
     read-only ``{edge: flow}`` view of that row; ``const`` views the
-    input-independent row, and is None without one.
+    input-independent row, and is None without one.  ``end`` is one past
+    the largest edge index, where a negative index counts as past every
+    edge: a graph with at least ``end`` edges has every edge the table
+    names.
     """
 
-    __slots__ = ("inputs", "offsets", "edge", "flow", "const", "_sorted")
+    __slots__ = ("inputs", "offsets", "edge", "flow", "const", "end", "_sorted")
 
     def __init__(self, inputs: Any, offsets: Any, edge: Any, flow: Any) -> None:
         arrays = {
@@ -204,6 +206,8 @@ class Flows(Mapping[int, Mapping[int, float]]):
             object.__setattr__(self, name, a)
         const = arrays["inputs"][:1].tolist() == [CONST]
         object.__setattr__(self, "const", self._row(0) if const else None)
+        end = int(self.edge.view(np.uint64).max()) + 1 if n else 0
+        object.__setattr__(self, "end", end)
         object.__setattr__(self, "_sorted", None)
 
     @classmethod
@@ -215,14 +219,13 @@ class Flows(Mapping[int, Mapping[int, float]]):
         """The table of the rows of ``flows``, maps or a table, with the
         input-independent flow ``const``; a given ``const`` takes the place
         of a table's own input-independent row."""
-        if isinstance(flows, Flows):
-            if const is None or const is flows.const:
-                return flows
-            own = flows._own()
-        else:
-            own = _table_of(flows or {})
-        if const is None:
-            return cls(*own)
+        if not isinstance(flows, Flows):
+            if const is None:
+                return cls(*_table_of(flows)) if flows else NO_FLOWS
+            return cls(*_table_of({CONST: const, **(flows or {})}))
+        if const is None or const is flows.const:
+            return flows
+        own = flows._own()
         head = _table_of({CONST: const})
         return cls(
             np.concatenate([_input_keys(head[0]), _input_keys(own[0])]),
@@ -260,12 +263,18 @@ class Flows(Mapping[int, Mapping[int, float]]):
         at = np.minimum(keys.searchsorted(zs), len(keys) - 1)
         return np.where(keys[at] == zs, order[at], -1)
 
-    def rows(self, zs: np.ndarray) -> np.ndarray:
-        """The row that serves each input of ``zs``: the input-independent
-        row when there is one, else the input's own row, or -1."""
-        if self.const is not None:
-            return np.zeros(len(zs), dtype=np.int64)
-        return self.own_rows(zs)
+    def gather(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of the rows that serve the inputs ``zs`` (the
+        input-independent row when there is one, else each input's own
+        row), input after input: the number in ``zs`` of each entry's input
+        and the entry's place in the table; and the numbers of the inputs
+        that no row serves."""
+        if self.const is None:
+            rows = self.own_rows(zs)
+            return (*gather_rows(self.offsets, rows), np.flatnonzero(rows < 0))
+        width = int(self.offsets[1])
+        owner = np.repeat(np.arange(len(zs)), width)
+        return owner, np.tile(np.arange(width), len(zs)), owner[:0]
 
     def __getitem__(self, y: int) -> Mapping[int, float]:
         (r,) = self.own_rows(_input_keys([y])).tolist()
@@ -295,6 +304,8 @@ class Flows(Mapping[int, Mapping[int, float]]):
     def __repr__(self) -> str:
         return f"Flows({dict(self.items())!r}, const={self.const!r})"
 
+
+NO_FLOWS = Flows([], [0], [], [])
 
 @dataclass(frozen=True)
 class LearningGraph:
@@ -331,9 +342,8 @@ class LearningGraph:
             raise
         object.__setattr__(self, "flows", flows)
         object.__setattr__(self, "const_flow", flows.const)
-        edge = flows.edge
-        if len(edge) and (edge.min() < 0 or edge.max() >= len(self.edges)):
-            self._check_edges(edge.tolist(), "flow")
+        if flows.end > len(self.edges):
+            self._check_edges(flows.edge.tolist(), "flow")
         for k, s in enumerate(self.stages or ()):
             self._check_edges(s.edges, "stages[{}] {}", k, s.name)
             if s.rebalance and not s.rebalance.keys() <= set(s.edges):

@@ -37,11 +37,13 @@ from .combinators import (
 )
 from .indexing import mask_of, num_pairs, pair_position, position_pair
 from .loads import DENSE, SPARSE, dense_load, sparse_load
-from .model import BooleanFunction, GraphBuilder, LearningGraph, Universe
+from .model import BooleanFunction, Flows, GraphBuilder, LearningGraph, Universe
 from .rules import CandidatePairRule, DenseLoadRule, ProductRule, TableRule
 from .serialize import FormatError, _integer
 
 BUILD_CAP = 5
+# a unit of flow on edge 0 at every input, shared by the one-edge graphs
+_UNIT = Flows.of(None, {0: 1.0})
 ORACLE_CAP = 10
 
 T = TypeVar("T")
@@ -361,7 +363,7 @@ def _h_dense(n: int, X: tuple[int, ...], univ: Universe, dom: int) -> Composed:
                 b.add_super("r", "t", dense_load(nbits, pos))
                 mask = mask_of(pos)
                 f = BooleanFunction.from_bits(univ, dom, dom & univ.select(mask, mask))
-                children.append((b.graph(const_flow={0: 1.0}), f))
+                children.append((b.graph(flows=_UNIT), f))
     return or_compose(children, 1, prefix="h")
 
 
@@ -439,7 +441,7 @@ def _pair_probe(
         truth &= univ.column(i)
     for i, j in blocked:
         truth &= ~(univ.column(i) & univ.column(j))
-    return b.graph(const_flow={0: 1.0}), BooleanFunction.from_bits(univ, dom, truth)
+    return b.graph(flows=_UNIT), BooleanFunction.from_bits(univ, dom, truth)
 
 
 def _pair_walk(
