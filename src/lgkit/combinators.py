@@ -35,11 +35,13 @@ from .complexity import c1_maxes
 from .indexing import input_array, mask_of, pack_bits
 from .loads import load_c1_max, load_gadget, single_load_rules
 from .model import (
+    NO_FLOWS,
     BooleanFunction,
     Flows,
     GraphBuilder,
     LearningGraph,
     StageInfo,
+    groups_of,
 )
 from .rules import ConstRule, DispatchRule, TableRule, ZERO
 
@@ -118,8 +120,7 @@ def or_compose(
                 short[j] ^= hit
                 if j + 1 < k:
                     short[j + 1] |= hit
-                ys = input_array(universe.members(hit), n_bits)
-                hits.append((i, np.searchsorted(positives, ys)))
+                hits.append((i, universe.ranks(hit, truth)))
     if not hits:
         return Composed(b.graph(), fn)
     # (input, -1) for the first positive short of k children, and (input,
@@ -145,11 +146,12 @@ def or_compose(
         raise CompositionError(f"child {i} lacks a flow for input {y}")
     # hits come child after child: sorted by positive, each one's flow is
     # its children's rows in child order
-    key = np.concatenate(ks)
-    order = np.argsort(key, kind="stable")
-    offsets = np.searchsorted(key[order], np.arange(len(positives) + 1))
-    flows = Flows(positives, offsets, np.concatenate(es)[order], np.concatenate(ps)[order])
-    return Composed(b.graph(flows=flows), fn)
+    key, edge, flow = (np.concatenate(x) if len(hits) > 1 else x[0] for x in (ks, es, ps))
+    if len(hits) > 1:
+        order = np.argsort(key, kind="stable")
+        key, edge, flow = key[order], edge[order], flow[order]
+    offsets = np.searchsorted(key, np.arange(len(positives) + 1))
+    return Composed(b.graph(flows=Flows(positives, offsets, edge, flow)), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +227,28 @@ def johnson_compose(
 
     positives = function.positives()
     n_used: int | None = None
-    certs: dict[int, tuple[int, ...]] = {}
+    # holders[T]: the numbers of the positives whose certificate is T
+    holders: dict[tuple[int, ...], list[int]] = {}
     starts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for y in positives:
-        T = tuple(sorted(cert(y)))
-        if len(T) != r or len(set(T)) != r or not set(T) <= set(ground):
-            raise CompositionError(f"bad certificate {T} for input {y}")
-        certs[y] = T
-        if T not in starts:
-            starts[T] = usable_starts(T)
-        count = len(starts[T])
-        if n_used is None:
-            n_used = count
-        elif n_used != count:
-            raise CompositionError(
-                f"usable start count differs across inputs: {n_used} vs {count}"
-            )
+    checked: dict[tuple[int, ...], tuple[int, ...]] = {}  # cert(y) -> T
+    for n, y in enumerate(positives):
+        given = tuple(cert(y))
+        T = checked.get(given)
+        if T is None:
+            T = tuple(sorted(given))
+            if len(T) != r or len(set(T)) != r or not set(T) <= set(ground):
+                raise CompositionError(f"bad certificate {T} for input {y}")
+            checked[given] = T
+            if T not in starts:
+                starts[T] = usable_starts(T)
+            count = len(starts[T])
+            if n_used is None:
+                n_used = count
+            elif n_used != count:
+                raise CompositionError(
+                    f"usable start count differs across inputs: {n_used} vs {count}"
+                )
+        holders.setdefault(T, []).append(n)
     if n_used == 0:
         raise CompositionError("no usable start sets: every start owns no positions")
     if n_used is None:
@@ -301,34 +309,38 @@ def johnson_compose(
                 step_edge[(A, j)] = ei
                 stage_edges[step].append(ei)
 
-    # each positive's walk entries, as its number and an edge with flow
-    # ``unit``, and reached[A]: the positives, in order, whose walk ends at
-    # full set A
-    walk_k: list[int] = []
-    walk_e: list[int] = []
-    reached: dict[tuple[int, ...], list[int]] = {}
+    # The walk of a certificate T, the same for each of its positives:
+    # from each usable start, its load edge and a step per element of T,
+    # each with flow ``unit``, to the full set where it ends.  reached[A]:
+    # the numbers of the positives whose walk ends at full set A, in order.
     unit = 1.0 / n_used
-    for n, y in enumerate(positives):
-        T = certs[y]
+    ks, es, ps = [], [], []
+    reached_by: dict[tuple[int, ...], list[np.ndarray]] = {}
+    crossed = []  # (first positive, T, step): a walk over an empty step
+    for T, ns in holders.items():
+        holding = np.array(ns, dtype=np.int64)
+        walk = []
         for A in starts[T]:
             if start >= 1:
-                walk_k.append(n)
-                walk_e.append(start_edge[A])
+                walk.append(start_edge[A])
             cur = A
             for j in T:
                 ei = step_edge[(cur, j)]
                 if b.edges[ei].kind == "empty":
-                    raise CompositionError(
-                        f"flow walk for input {y} crosses the empty step "
-                        f"{cur} + {j}"
-                    )
-                walk_k.append(n)
-                walk_e.append(ei)
+                    crossed.append((ns[0], cur, j))
+                walk.append(ei)
                 cur = tuple(sorted(set(cur) | {j}))
-            reached.setdefault(cur, []).append(n)
-    ks = [np.array(walk_k, dtype=np.int64)]
-    es = [np.array(walk_e, dtype=np.int64)]
-    ps = [np.full(len(walk_e), unit)]
+            reached_by.setdefault(cur, []).append(holding)
+        ks.append(np.repeat(holding, len(walk)))
+        es.append(np.tile(np.array(walk, dtype=np.int64), len(ns)))
+        ps.append(np.full(len(walk) * len(ns), unit))
+    if crossed:
+        n, cur, j = min(crossed)
+        raise CompositionError(
+            f"flow walk for input {positives[n]} crosses the empty step {cur} + {j}"
+        )
+    reached = {A: np.sort(np.concatenate(parts)) for A, parts in reached_by.items()}
+    ys = input_array(positives, n_bits)
 
     # Leaf stage.
     leaf_edges: list[int] = []
@@ -372,39 +384,35 @@ def johnson_compose(
             )
             leaf_edges.extend(emap.values())
             ns = reached.get(A)
-            if not ns:
+            if ns is None:
                 continue
-            # the reaching positives by context, and the first that has no
-            # leaf or a negative one, as (place in ns, message)
-            faults: list[tuple[int, str]] = []
-            by_context: dict[int, list[int]] = {}
-            for place, n in enumerate(ns):
-                y = positives[n]
-                kappa = y & mask
-                if kappa not in built:
-                    faults.append((place, "no leaf for context of input {y} at {A}"))
-                    break
-                if not built[kappa][1](y):
-                    faults.append((place, "walk reaches {A} on input {y} but the leaf is negative"))
-                    break
-                by_context.setdefault(kappa, []).append(place)
+            # the reaching positives' faults by context, in the order of
+            # the checks: (place in ns, check, message)
+            faults: list[tuple[int, int, str]] = []
             new = np.fromiter(emap.values(), dtype=np.int64, count=len(emap))
-            for kappa, places in by_context.items():
-                at = np.array([ns[p] for p in places], dtype=np.int64)
-                table = built[kappa][0].flows
-                zs = input_array([positives[n] for n in at.tolist()], n_bits)
-                owner, entry, lost = table.gather(zs)
-                if len(lost):
-                    faults.append((places[lost[0]], "leaf at {A} lacks a flow for {y}"))
-                ks.append(at[owner])
-                es.append(new[table.edge[entry]])
-                ps.append(table.flow[entry] * unit)
+            for kappa, places in groups_of(ys[ns] & mask).items():
+                if kappa not in built:
+                    faults.append((int(places[0]), 0, "no leaf for context of input {y} at {A}"))
+                    continue
+                cg, cf = built[kappa]
+                zs = ys[ns[places]]
+                negative = ~_members(zs, input_array(cf.positives(), n_bits))
+                owner, entry, lost = cg.flows.gather(zs)
+                for check, bad, text in (
+                    (1, places[negative], "walk reaches {A} on input {y} but the leaf is negative"),
+                    (2, places[lost], "leaf at {A} lacks a flow for {y}"),
+                ):
+                    faults += [(int(place), check, text) for place in bad[:1]]
+                ks.append(ns[places[owner]])
+                es.append(new[cg.flows.edge[entry]])
+                ps.append(cg.flows.flow[entry] * unit)
             if faults:
-                place, text = min(faults)
+                place, _, text = min(faults)
                 raise CompositionError(text.format(y=positives[ns[place]], A=A))
     else:
-        for y in positives:
-            T = certs[y]
+        cert_of = {n: T for T, ns in holders.items() for n in ns}
+        for n, y in enumerate(positives):
+            T = cert_of[n]
             tpos = I(T)
             tmask = mask_of(tpos)
             bad = function.universe.select(tmask, y & tmask)
@@ -418,12 +426,14 @@ def johnson_compose(
 
     # walk entries come by positive; a stable sort puts each positive's
     # leaf entries after them, in full set order
-    key, edge, flow = map(np.concatenate, (ks, es, ps))
-    if len(ks) > 1:
-        order = np.argsort(key, kind="stable")
-        key, edge, flow = key[order], edge[order], flow[order]
-    offsets = np.searchsorted(key, np.arange(len(positives) + 1))
-    flows = Flows(positives, offsets, edge, flow)
+    flows = NO_FLOWS
+    if ks:
+        key, edge, flow = map(np.concatenate, (ks, es, ps))
+        if len(ks) > 1:
+            order = np.argsort(key, kind="stable")
+            key, edge, flow = key[order], edge[order], flow[order]
+        offsets = np.searchsorted(key, np.arange(len(positives) + 1))
+        flows = Flows(ys, offsets, edge, flow)
     stages = [
         StageInfo(
             f"load{step}" if step == 0 else f"walk{step}",
@@ -438,6 +448,14 @@ def johnson_compose(
     if leaf_edges:
         stages.append(StageInfo("leaf", tuple(leaf_edges)))
     return Composed(b.graph(flows=flows, stages=stages), function)
+
+
+def _members(zs: np.ndarray, sorted_zs: np.ndarray) -> np.ndarray:
+    """Whether each input of ``zs`` is one of ``sorted_zs``."""
+    if not len(sorted_zs):
+        return np.zeros(len(zs), dtype=bool)
+    at = np.minimum(sorted_zs.searchsorted(zs), len(sorted_zs) - 1)
+    return sorted_zs[at] == zs
 
 
 def _merge_leaf_rules(

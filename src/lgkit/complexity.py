@@ -46,7 +46,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from .indexing import bitstring, input_array
-from .model import BooleanFunction, Edge, LearningGraph
+from .model import BooleanFunction, Edge, LearningGraph, groups_of
 from .rules import Rule
 
 
@@ -96,10 +96,7 @@ class FlowEntries:
     def by_edge(self) -> dict[int, np.ndarray]:
         """Every edge with entries, in edge order, to its entries in entry
         order: the one grouping of the entries by edge."""
-        order = np.argsort(self.edge, kind="stable")
-        edge = self.edge[order]
-        cuts = [0, *(np.flatnonzero(edge[1:] != edge[:-1]) + 1).tolist(), len(edge)]
-        return {int(edge[lo]): order[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi}
+        return groups_of(self.edge)
 
     @cached_property
     def w1(self) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CONST, Edge, Flows, GraphBuilder, LearningGraph, StageInfo, gather_rows
+from .model import CONST, Edge, Flows, GraphBuilder, LearningGraph, StageInfo, gather_rows, groups_of
 
 
 @dataclass
@@ -95,10 +95,8 @@ def _translate(flows: Flows, parts: dict[int, _Part]) -> Flows:
     flow = flows.flow[owner]
     first = np.searchsorted(owner, np.arange(len(flows.edge)))  # each entry's run
     row_of = np.repeat(np.arange(len(flows.inputs)), np.diff(flows.offsets))
-    order = np.argsort(flows.edge, kind="stable")
-    ids, cuts = np.unique(flows.edge[order], return_index=True)
     lost: list[tuple[int, int]] = []  # (entry, super edge) without an inner flow
-    for old, ents in zip(ids.tolist(), np.split(order, cuts[1:])):
+    for old, ents in groups_of(flows.edge).items():
         part = parts[old]
         if part.inner is None:
             continue

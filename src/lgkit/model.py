@@ -151,6 +151,15 @@ def gather_rows(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return owner, at
 
 
+def groups_of(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """The places of each value of ``keys``: values in ascending order,
+    each value's places in order."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    return {int(keys[lo]): order[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi}
+
+
 def _input_keys(inputs: Any) -> np.ndarray:
     """Inputs as int64, or as Python ints (dtype object) past int64."""
     try:
@@ -189,26 +198,22 @@ class Flows(Mapping[int, Mapping[int, float]]):
     __slots__ = ("inputs", "offsets", "edge", "flow", "const", "end", "_sorted")
 
     def __init__(self, inputs: Any, offsets: Any, edge: Any, flow: Any) -> None:
-        arrays = {
-            "inputs": _input_keys(inputs),
-            "offsets": np.asarray(offsets, dtype=np.int64),
-            "edge": np.asarray(edge, dtype=np.int64),
-            "flow": np.asarray(flow, dtype=np.float64),
-        }
-        n = len(arrays["edge"])
-        offsets = arrays["offsets"]
-        if len(offsets) != len(arrays["inputs"]) + 1 or offsets[0] != 0 or (
-            offsets[-1] != n or len(arrays["flow"]) != n
+        inputs = _input_keys(inputs)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        edge = np.asarray(edge, dtype=np.int64)
+        flow = np.asarray(flow, dtype=np.float64)
+        n = len(edge)
+        if len(offsets) != len(inputs) + 1 or len(flow) != n or (
+            offsets[0] != 0 or offsets[-1] != n
         ):
             raise ModelError("flow table offsets do not match its entries")
-        for name, a in arrays.items():
+        init = object.__setattr__
+        for name, a in ("inputs", inputs), ("offsets", offsets), ("edge", edge), ("flow", flow):
             a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        const = arrays["inputs"][:1].tolist() == [CONST]
-        object.__setattr__(self, "const", self._row(0) if const else None)
-        end = int(self.edge.view(np.uint64).max()) + 1 if n else 0
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "_sorted", None)
+            init(self, name, a)
+        init(self, "const", self._row(0) if len(inputs) and inputs[0] == CONST else None)
+        init(self, "end", int(edge.view(np.uint64).max()) + 1 if n else 0)
+        init(self, "_sorted", None)
 
     @classmethod
     def of(
@@ -481,6 +486,13 @@ class Universe:
             flags[self.index[z]] = 0x31  # "1"
         flags.reverse()
         return int(flags or b"0", 2)
+
+    def ranks(self, bits: int, among: int) -> np.ndarray:
+        """The place of each input of ``bits`` among the inputs of
+        ``among``, which holds them all, in order."""
+        size = len(self.inputs)
+        mine = np.frombuffer(_flags(bits, size), dtype=np.bool_)
+        return np.flatnonzero(mine[np.frombuffer(_flags(among, size), dtype=np.bool_)])
 
     def members(self, bits: int) -> tuple[int, ...]:
         """The inputs of ``bits``, ascending."""
