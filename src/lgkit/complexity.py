@@ -111,37 +111,42 @@ class FlowEntries:
         return w1s
 
 
-def _entries(parts: Sequence[tuple[LearningGraph, Sequence[int]]]) -> FlowEntries:
+def _entries(
+    parts: Sequence[tuple[LearningGraph, Sequence[int]]],
+) -> tuple[FlowEntries, np.ndarray]:
     """The entries of the flows of each graph of ``parts`` at its inputs,
-    one graph after another: a gather of the rows of each graph's table."""
-    ks, es, ps, zs, missing = [], [], [], [], []
+    one graph after another: a gather of the rows of each graph's table;
+    and every input, as an input array."""
+    ks, es, ps, zs, every = [], [], [], [], []
+    missing: list[int] = []
     n_in = n_edges = 0
     for g, ys in parts:
-        if not len(ys):
-            n_edges += len(g.edges)
-            continue
-        inputs = input_array(ys, g.n_bits)
-        table = g.flows
-        owner, at, lost = table.gather(inputs)
-        flow = table.flow[at]
-        keep = flow != 0.0
-        owner = owner[keep]
-        ks.append(owner + n_in)
-        es.append(table.edge[at[keep]] + n_edges)
-        ps.append(flow[keep])
-        zs.append(inputs[owner])
-        missing += (lost + n_in).tolist()
-        n_in += len(inputs)
+        if len(ys):
+            inputs = input_array(ys, g.n_bits)
+            table = g.flows
+            owner, at, lost = table.gather(inputs)
+            flow = table.flow[at]
+            keep = flow != 0.0
+            if not keep.all():
+                owner, at, flow = owner[keep], at[keep], flow[keep]
+            ks.append(owner + n_in if n_in else owner)
+            es.append(table.edge[at] + n_edges if n_edges else table.edge[at])
+            ps.append(flow)
+            zs.append(inputs[owner])
+            every.append(inputs)
+            missing += (lost + n_in).tolist()
+            n_in += len(inputs)
         n_edges += len(g.edges)
     if len(parts) == 1:
         edges: Sequence[Edge] = parts[0][0].edges
     else:
         edges = tuple(chain.from_iterable(g.edges for g, _ in parts))
     if not ks:
-        ks = es = zs = [np.zeros(0, dtype=np.int64)]
+        ks = es = zs = every = [np.zeros(0, dtype=np.int64)]
         ps = [np.zeros(0)]
     cat = _concatenate
-    return FlowEntries(cat(ks), cat(es), cat(ps), edges, cat(zs), missing)
+    ent = FlowEntries(cat(ks), cat(es), cat(ps), edges, cat(zs), missing)
+    return ent, cat(every)
 
 
 def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
@@ -150,7 +155,7 @@ def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
 
 def flow_entries(g: LearningGraph, ys: Sequence[int]) -> FlowEntries:
     """The entries of the flows ``g`` records at the inputs ``ys``."""
-    return _entries([(g, ys)])
+    return _entries([(g, ys)])[0]
 
 
 def _group_fsums(keys: np.ndarray, values: np.ndarray, n: int) -> list[float]:
@@ -158,18 +163,14 @@ def _group_fsums(keys: np.ndarray, values: np.ndarray, n: int) -> list[float]:
     ``keys`` is sorted (as the inputs of flow entries are)."""
     if not len(keys):
         return [0.0] * n
-    bounds = np.searchsorted(keys, np.arange(n + 1))
-    counts = np.diff(bounds)
-    # the fsum of one value is the value, with -0.0 made 0.0
-    sums = np.zeros(n)
-    one = counts == 1
-    sums[one] = values[bounds[:-1][one]] + 0.0
-    many = np.flatnonzero(counts > 1).tolist()
-    if many:
-        vals, bounds = values.tolist(), bounds.tolist()
-        for k in many:
-            sums[k] = math.fsum(vals[bounds[k] : bounds[k + 1]])
-    return sums.tolist()
+    counts = np.bincount(keys, minlength=n)
+    if counts.max() == 1:  # the fsum of one value is the value, -0.0 made 0.0
+        sums = np.zeros(n)
+        sums[keys] = values + 0.0
+        return sums.tolist()
+    vals = values.tolist()
+    bounds = [0, *accumulate(counts.tolist())]
+    return [math.fsum(vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
@@ -213,8 +214,7 @@ def _side1(
     a missing flow, a negative flow, flow on an empty edge, flow on zero
     side-1 weight, and a fault of a super edge's inner graph at that input.
     """
-    ent = _entries(parts)
-    ys = list(chain.from_iterable(ys for _, ys in parts))
+    ent, ys = _entries(parts)
     starts = list(accumulate((len(ys) for _, ys in parts), initial=0))
     faults: list[Fault | None] = [None] * len(parts)
     firsts: dict[int, int] = {}  # part -> its first faulty input so far
@@ -227,15 +227,18 @@ def _side1(
     if not len(ent.flow):  # as for most composition lambdas: no grouping to do
         return ent, ent.flow, faults, starts
     pp, ww = ent.flow, ent.w1
-    inner = np.ones(len(pp))  # p * p * 1.0 is exactly p * p
+    # overflow to inf and inf times 0, silent as in the scalar call
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = pp * pp  # times 1.0 on an ordinary edge, which is exact
     inner_faults: dict[int, ComplexityError] = {}  # entry -> error
     sub_parts, groups = [], []
     for i, grp in ent.by_edge.items():
         gadget = ent.edges[i].gadget
         if gadget is not None:
-            sub_parts.append((gadget.inner, [ys[k] for k in ent.input[grp].tolist()]))
+            sub_parts.append((gadget.inner, ent.zs[grp]))
             groups.append(grp)
     if sub_parts:
+        inner = np.ones(len(pp))
         sub, terms, sub_faults, sub_starts = _side1(sub_parts)
         ends = np.searchsorted(sub.input, sub_starts).tolist()
         for q, fault in enumerate(sub_faults):
@@ -245,6 +248,8 @@ def _side1(
         totals = _group_fsums(sub.input, terms, sub_starts[-1])
         for grp, lo, hi in zip(groups, sub_starts, sub_starts[1:]):
             inner[grp] = totals[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares *= inner
     # entries are in input order, and each input's in flow order, so the
     # first faulty entry of a part is the one the scalar checks would meet first
     bad = np.flatnonzero((pp < 0.0) | (ww == 0.0)).tolist() + sorted(inner_faults)
@@ -256,9 +261,8 @@ def _side1(
         firsts[p] = k
         error = _flow_error(ent.edges[int(ent.edge[n])], ys[k], float(pp[n]), ww[n])
         faults[p] = (k - starts[p], error or inner_faults[n])
-    # overflow to inf and inf times 0, silent as in the scalar call
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return ent, pp * pp * inner / ww, faults, starts
+        return ent, squares / ww, faults, starts
 
 
 def _flow_error(e: Edge, y: int, p: float, w: float) -> ComplexityError | None:
@@ -294,7 +298,8 @@ def c1_maxes(pairs: Sequence[tuple[LearningGraph, BooleanFunction]]) -> list[flo
     """The largest positive cost of each graph over the positives of its
     function, 0.0 without one: one positive-side pass over every pair.
     Raises the first fault of the first faulty pair."""
-    ent, terms, faults, starts = _side1([(g, f.positives()) for g, f in pairs])
+    parts = [(g, f.universe.array(f.truth)) for g, f in pairs]
+    ent, terms, faults, starts = _side1(parts)
     for fault in faults:
         if fault is not None:
             raise fault[1]
@@ -304,6 +309,8 @@ def c1_maxes(pairs: Sequence[tuple[LearningGraph, BooleanFunction]]) -> list[flo
 
 def c1_max(g: LearningGraph, f: BooleanFunction) -> float:
     return c1_maxes([(g, f)])[0]
+
+
 def _cost_entry(
     name: str,
     c0: float,

@@ -28,7 +28,10 @@ def pack_bits(z: int, indices: Sequence[int]) -> tuple[int, ...]:
 
 def input_array(zs: Iterable[int], n_bits: int) -> np.ndarray:
     """``n_bits``-bit inputs for :meth:`Rule.eval`: int64 when inputs and
-    position masks fit in it, else Python ints (dtype object)."""
+    position masks fit in it, else Python ints (dtype object).  An array
+    of that dtype is returned as it is."""
+    if isinstance(zs, np.ndarray) and zs.dtype == (np.int64 if n_bits < 64 else object):
+        return zs
     zs = list(zs)
     if n_bits < 64:
         try:

@@ -45,6 +45,7 @@ from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Seque
 
 import numpy as np
 
+from .indexing import input_array
 from .rules import ConstRule, Rule, ZERO, ONE, host_product
 
 
@@ -437,7 +438,7 @@ class Universe:
     and AND-NOT of columns.
     """
 
-    __slots__ = ("n_bits", "inputs", "index", "full", "_columns")
+    __slots__ = ("n_bits", "inputs", "index", "full", "_columns", "_array")
 
     def __init__(self, n_bits: int, inputs: Iterable[int]) -> None:
         self.n_bits = n_bits
@@ -445,6 +446,7 @@ class Universe:
         self.index = {z: k for k, z in enumerate(self.inputs)}
         self.full = (1 << len(self.inputs)) - 1
         self._columns: dict[int, int] = {}
+        self._array: np.ndarray | None = None
 
     def column(self, i: int) -> int:
         col = self._columns.get(i)
@@ -486,6 +488,14 @@ class Universe:
             flags[self.index[z]] = 0x31  # "1"
         flags.reverse()
         return int(flags or b"0", 2)
+
+    def array(self, bits: int) -> np.ndarray:
+        """The inputs of ``bits``, ascending, as an input array (see
+        :func:`lgkit.indexing.input_array`)."""
+        if self._array is None:
+            self._array = input_array(self.inputs, self.n_bits)
+        size = len(self.inputs)
+        return self._array[np.frombuffer(_flags(bits, size), dtype=np.bool_)]
 
     def ranks(self, bits: int, among: int) -> np.ndarray:
         """The place of each input of ``bits`` among the inputs of
