@@ -16,11 +16,20 @@ Two operations:
   stage's positive cost is at most 1.  The contexts of a full set are the
   assignments its positions take on the function's domain, found by
   splitting the domain bitset on each position.  Positions must grow along
-  every step; each step edge is checked.  Each input's walks are traced
-  once, and the leaves where they end carry its flow.
+  every step; each step edge is checked.  Each certificate's walks are
+  traced once, and the leaves where they end carry the flow of each
+  positive with that certificate.
 
 Every operation keeps exact flow bookkeeping: flows are built from unit
-fractions and recorded per positive input on the result.
+fractions and recorded per positive input on the result, as one flow
+table (:class:`lgkit.model.Flows`).  The children's rows are spliced in
+by array: each child's edges map to the merged graph's through an array,
+and one gather takes the rows of the inputs that route through it.  A
+set walk's entries are the same for every positive with one certificate,
+so each certificate's walk is traced once.  The children a composition
+scales are priced in one positive-side pass
+(:func:`lgkit.complexity.c1_maxes`): all children of an OR, and the leaf
+contexts of each full set of a walk.
 """
 
 from __future__ import annotations
@@ -108,7 +117,7 @@ def or_compose(
     # pairs.  short[j] holds the positives with j children found so far;
     # each child moves its positives up one level, so the walk stops once
     # every positive has k.
-    positives = input_array(fn.positives(), n_bits)
+    positives = universe.array(truth)
     hits: list[tuple[int, np.ndarray]] = []
     short = [truth] + [0] * (k - 1)
     for i, f in enumerate(fs):
@@ -146,8 +155,9 @@ def or_compose(
         raise CompositionError(f"child {i} lacks a flow for input {y}")
     # hits come child after child: sorted by positive, each one's flow is
     # its children's rows in child order
-    key, edge, flow = (np.concatenate(x) if len(hits) > 1 else x[0] for x in (ks, es, ps))
+    key, edge, flow = ks[0], es[0], ps[0]
     if len(hits) > 1:
+        key, edge, flow = map(np.concatenate, (ks, es, ps))
         order = np.argsort(key, kind="stable")
         key, edge, flow = key[order], edge[order], flow[order]
     offsets = np.searchsorted(key, np.arange(len(positives) + 1))
@@ -316,10 +326,11 @@ def johnson_compose(
     unit = 1.0 / n_used
     ks, es, ps = [], [], []
     reached_by: dict[tuple[int, ...], list[np.ndarray]] = {}
-    crossed = []  # (first positive, T, step): a walk over an empty step
+    crossed = []  # (first positive, set, element): each walk's first empty step
     for T, ns in holders.items():
         holding = np.array(ns, dtype=np.int64)
-        walk = []
+        walk: list[int] = []
+        empty = []
         for A in starts[T]:
             if start >= 1:
                 walk.append(start_edge[A])
@@ -327,13 +338,15 @@ def johnson_compose(
             for j in T:
                 ei = step_edge[(cur, j)]
                 if b.edges[ei].kind == "empty":
-                    crossed.append((ns[0], cur, j))
+                    empty.append((ns[0], cur, j))
                 walk.append(ei)
                 cur = tuple(sorted(set(cur) | {j}))
             reached_by.setdefault(cur, []).append(holding)
+        crossed += empty[:1]
         ks.append(np.repeat(holding, len(walk)))
-        es.append(np.tile(np.array(walk, dtype=np.int64), len(ns)))
-        ps.append(np.full(len(walk) * len(ns), unit))
+        cycle = np.arange(len(walk) * len(ns)) % max(len(walk), 1)
+        es.append(np.array(walk, dtype=np.int64)[cycle])
+        ps.append(np.full(len(cycle), unit))
     if crossed:
         n, cur, j = min(crossed)
         raise CompositionError(
@@ -357,22 +370,20 @@ def johnson_compose(
             if not built:
                 continue
             ref = next(iter(built.values()))[0]
-            ref_shape = [(e.src, e.dst, e.load) for e in ref.edges]
             leaves = list(built.items())
-            same = [
-                list(cg.vertices) == list(ref.vertices)
-                and [(e.src, e.dst, e.load) for e in cg.edges] == ref_shape
-                for _, (cg, _) in leaves
-            ]
+            shape = _shape(ref)
+            differ = next(
+                (m for m, (_, (cg, _)) in enumerate(leaves) if _shape(cg) != shape),
+                len(leaves),
+            )
             # the contexts before the first that differs, priced in one pass
-            priced = [leaf for leaf, ok in zip(leaves, same) if ok and leaf[1][1].positives()]
-            if not all(same):
-                priced = priced[: same.index(False)]
+            priced = [leaf for leaf in leaves[:differ] if leaf[1][1].positives()]
             lams = c1_maxes([child for _, child in priced])
-            if not all(same):
+            if differ < len(leaves):
                 raise CompositionError(f"leaf structures differ across contexts at {A}")
             lamrow = {
-                pack_bits(kappa, ipos): lam / n_used for (kappa, _), lam in zip(priced, lams)
+                pack_bits(kappa, ipos): lam / n_used
+                for (kappa, _), lam in zip(priced, lams)
             }
             host = TableRule(ipos, lamrow) if ipos else ConstRule(lamrow.get((), 0.0))
             _, emap = b.merge(
@@ -392,14 +403,15 @@ def johnson_compose(
             new = np.fromiter(emap.values(), dtype=np.int64, count=len(emap))
             for kappa, places in groups_of(ys[ns] & mask).items():
                 if kappa not in built:
-                    faults.append((int(places[0]), 0, "no leaf for context of input {y} at {A}"))
+                    text = "no leaf for context of input {y} at {A}"
+                    faults.append((int(places[0]), 0, text))
                     continue
                 cg, cf = built[kappa]
                 zs = ys[ns[places]]
-                negative = ~_members(zs, input_array(cf.positives(), n_bits))
+                negative = places[~_members(zs, input_array(cf.positives(), n_bits))]
                 owner, entry, lost = cg.flows.gather(zs)
                 for check, bad, text in (
-                    (1, places[negative], "walk reaches {A} on input {y} but the leaf is negative"),
+                    (1, negative, "walk reaches {A} on input {y} but the leaf is negative"),
                     (2, places[lost], "leaf at {A} lacks a flow for {y}"),
                 ):
                     faults += [(int(place), check, text) for place in bad[:1]]
@@ -448,6 +460,10 @@ def johnson_compose(
     if leaf_edges:
         stages.append(StageInfo("leaf", tuple(leaf_edges)))
     return Composed(b.graph(flows=flows, stages=stages), function)
+
+
+def _shape(g: LearningGraph) -> tuple[list[str], list[tuple[str, str, int | None]]]:
+    return list(g.vertices), [(e.src, e.dst, e.load) for e in g.edges]
 
 
 def _members(zs: np.ndarray, sorted_zs: np.ndarray) -> np.ndarray:

@@ -16,19 +16,23 @@ edge, a lookup in the rule's table (see :mod:`lgkit.rules`).
 entries itself, prices one term per entry and raises the first flow
 fault.  Everything that prices a graph goes through the two:
 ``complexity`` (whose report, kept on the graph, rebalancing reads),
-``c1_max`` (the composition lambdas) and the witness.
+``c1_maxes`` (the composition lambdas) and the witness.  ``c1_maxes``
+prices many graphs in one positive-side pass: their entries are gathered
+one graph after another, grouped by edge once, and the inner costs of
+every super edge of every graph priced in one pass more.
 Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
 tested against, one scalar ``rule_at`` per (edge, input), lives in
 ``tests/loop_reference.py``.
 
-``flow_entries`` is the one place flows are read.  It reads the flows a
-graph records at a list of inputs into ``FlowEntries``: arrays of the
-input, edge and flow of every entry, in input order and, within an input,
-in flow order, and the list of the inputs that have no flow.  Their one
-grouping by edge (``by_edge``) serves the ``w1`` values, evaluated edge by
-edge on first use, the super-edge recursion of the positive side, the
-witness and the mutant search.  The positive side prices one term per
+``flow_entries`` is the one place flows are read.  It gathers the rows of
+a graph's flow table (:class:`lgkit.model.Flows`) that serve a list of
+inputs into ``FlowEntries``: arrays of the input, edge and flow of every
+nonzero entry, in input order and, within an input, in flow order, and
+the list of the inputs that have no flow.  Their one grouping by edge
+(``by_edge``) serves the ``w1`` values, evaluated edge by edge on first
+use, the super-edge recursion of the positive side, the witness and the
+mutant search.  The positive side prices one term per
 entry, and a total is the fsum of a group of entries: per input, and per
 input within a stage.  ``validate`` checks flows from the same arrays.
 """
@@ -80,10 +84,12 @@ def eval_each(rules: Sequence[Rule], zs: np.ndarray) -> Iterator[np.ndarray]:
 @dataclass
 class FlowEntries:
     """The (input, edge, flow) entries of the flows of a graph at a list of
-    inputs: one per nonzero flow, in input order and, within an input, in
-    flow order.  An input with no flow gives no entries, and its number is
-    in ``missing``.  Entries of several graphs priced together number their
-    inputs and their edges one graph after another."""
+    inputs: the rows of its flow table that serve them, gathered input
+    after input, each in flow order, with zero flows left out.  An input
+    that no row serves gives no entries, and its number is in
+    ``missing``.  Entries of several graphs priced together number their
+    inputs and their edges one graph after another, and ``edges`` holds
+    the edges of each graph in turn."""
 
     input: np.ndarray  # int64: the number of the entry's input in the list
     edge: np.ndarray  # int64
@@ -215,7 +221,7 @@ def _side1(
     side-1 weight, and a fault of a super edge's inner graph at that input.
     """
     ent, ys = _entries(parts)
-    starts = list(accumulate((len(ys) for _, ys in parts), initial=0))
+    starts = list(accumulate((len(zs) for _, zs in parts), initial=0))
     faults: list[Fault | None] = [None] * len(parts)
     firsts: dict[int, int] = {}  # part -> its first faulty input so far
     for k in ent.missing:
@@ -227,9 +233,7 @@ def _side1(
     if not len(ent.flow):  # as for most composition lambdas: no grouping to do
         return ent, ent.flow, faults, starts
     pp, ww = ent.flow, ent.w1
-    # overflow to inf and inf times 0, silent as in the scalar call
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = pp * pp  # times 1.0 on an ordinary edge, which is exact
+    inner = None  # 1.0 at every entry: p * p * 1.0 is exactly p * p
     inner_faults: dict[int, ComplexityError] = {}  # entry -> error
     sub_parts, groups = [], []
     for i, grp in ent.by_edge.items():
@@ -248,8 +252,6 @@ def _side1(
         totals = _group_fsums(sub.input, terms, sub_starts[-1])
         for grp, lo, hi in zip(groups, sub_starts, sub_starts[1:]):
             inner[grp] = totals[lo:hi]
-        with np.errstate(over="ignore", invalid="ignore"):
-            squares *= inner
     # entries are in input order, and each input's in flow order, so the
     # first faulty entry of a part is the one the scalar checks would meet first
     bad = np.flatnonzero((pp < 0.0) | (ww == 0.0)).tolist() + sorted(inner_faults)
@@ -261,7 +263,9 @@ def _side1(
         firsts[p] = k
         error = _flow_error(ent.edges[int(ent.edge[n])], ys[k], float(pp[n]), ww[n])
         faults[p] = (k - starts[p], error or inner_faults[n])
+    # overflow to inf and inf times 0, silent as in the scalar call
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        squares = pp * pp if inner is None else pp * pp * inner
         return ent, squares / ww, faults, starts
 
 

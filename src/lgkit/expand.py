@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CONST, Edge, Flows, GraphBuilder, LearningGraph, StageInfo, gather_rows, groups_of
+from .model import (
+    CONST,
+    Edge,
+    Flows,
+    GraphBuilder,
+    LearningGraph,
+    StageInfo,
+    gather_rows,
+    groups_of,
+)
 
 
 @dataclass

@@ -155,6 +155,8 @@ def gather_rows(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
 def groups_of(keys: np.ndarray) -> dict[int, np.ndarray]:
     """The places of each value of ``keys``: values in ascending order,
     each value's places in order."""
+    if len(keys) and (keys == keys[0]).all():
+        return {int(keys[0]): np.arange(len(keys))}
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
@@ -209,7 +211,7 @@ class Flows(Mapping[int, Mapping[int, float]]):
         ):
             raise ModelError("flow table offsets do not match its entries")
         init = object.__setattr__
-        for name, a in ("inputs", inputs), ("offsets", offsets), ("edge", edge), ("flow", flow):
+        for name, a in zip(("inputs", "offsets", "edge", "flow"), (inputs, offsets, edge, flow)):
             a.flags.writeable = False
             init(self, name, a)
         init(self, "const", self._row(0) if len(inputs) and inputs[0] == CONST else None)
@@ -231,25 +233,7 @@ class Flows(Mapping[int, Mapping[int, float]]):
             return cls(*_table_of({CONST: const, **(flows or {})}))
         if const is None or const is flows.const:
             return flows
-        own = flows._own()
-        head = _table_of({CONST: const})
-        return cls(
-            np.concatenate([_input_keys(head[0]), _input_keys(own[0])]),
-            np.concatenate([head[1], own[1][1:] + len(head[2])]),
-            np.concatenate([head[2], own[2]]),
-            np.concatenate([head[3], own[3]]),
-        )
-
-    def _own(self) -> tuple[np.ndarray, ...]:
-        """The CSR arrays of the rows of the inputs' own flows."""
-        first = int(self.const is not None)
-        lo = self.offsets[first]
-        return (
-            self.inputs[first:],
-            self.offsets[first:] - lo,
-            self.edge[lo:],
-            self.flow[lo:],
-        )
+        return cls(*_table_of({CONST: const, **flows}))
 
     def _row(self, r: int) -> Mapping[int, float]:
         lo, hi = self.offsets[r : r + 2].tolist()
@@ -280,7 +264,7 @@ class Flows(Mapping[int, Mapping[int, float]]):
             return (*gather_rows(self.offsets, rows), np.flatnonzero(rows < 0))
         width = int(self.offsets[1])
         owner = np.repeat(np.arange(len(zs)), width)
-        return owner, np.tile(np.arange(width), len(zs)), owner[:0]
+        return owner, np.arange(len(owner)) % max(width, 1), owner[:0]
 
     def __getitem__(self, y: int) -> Mapping[int, float]:
         (r,) = self.own_rows(_input_keys([y])).tolist()
@@ -289,7 +273,7 @@ class Flows(Mapping[int, Mapping[int, float]]):
         return self._row(r)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._own()[0].tolist())
+        return iter(self.inputs[int(self.const is not None) :].tolist())
 
     def __len__(self) -> int:
         return len(self.inputs) - int(self.const is not None)
@@ -312,6 +296,7 @@ class Flows(Mapping[int, Mapping[int, float]]):
 
 
 NO_FLOWS = Flows([], [0], [], [])
+
 
 @dataclass(frozen=True)
 class LearningGraph:
@@ -500,6 +485,8 @@ class Universe:
     def ranks(self, bits: int, among: int) -> np.ndarray:
         """The place of each input of ``bits`` among the inputs of
         ``among``, which holds them all, in order."""
+        if bits == among:
+            return np.arange(among.bit_count())
         size = len(self.inputs)
         mine = np.frombuffer(_flags(bits, size), dtype=np.bool_)
         return np.flatnonzero(mine[np.frombuffer(_flags(among, size), dtype=np.bool_)])

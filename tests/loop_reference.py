@@ -11,7 +11,9 @@ smallest eigenvalue of any of them from a full decomposition, which the
 factored witness does not compute: M_j = Ψ_jΨ_jᵀ is PSD by construction.
 ``or_compose_loop`` computes the disjunction's values and routing input by
 input, as ``or_compose`` did before functions were stored as bitsets;
-``test_combinators.py`` compares against it.  ``linking_mutants_loop`` finds
+``test_combinators.py`` compares against it.  ``flow_entries_loop`` reads
+flows input by input from ``{edge: flow}`` maps, in each map's own order, as
+``flow_entries`` did before flows were one table.  ``linking_mutants_loop`` finds
 mutation sites by scanning (edge, positive, negative) triples, calling each
 ``w0`` at one negative at a time.
 """
@@ -142,6 +144,25 @@ def _flow_c1_loop(g, i, p, y):
     if not 0 <= i < len(g.edges):  # whatever its flow
         raise ComplexityError(f"flow {p} on unknown edge {i} at input {y}")
     return edge_c1_loop(g, g.edges[i], p, y)
+
+
+def flow_entries_loop(flows, ys):
+    """The (input, edge, flow) entries of the ``{edge: flow}`` map that
+    ``flows(y)`` gives at each input of ``ys`` (None for no flow), in input
+    order and, within an input, in map order, zero flows left out; and the
+    numbers of the inputs with no flow."""
+    ks, es, ps, missing = [], [], [], []
+    for k, y in enumerate(ys):
+        flow = flows(y)
+        if flow is None:
+            missing.append(k)
+            continue
+        for i, p in flow.items():
+            if p != 0.0:
+                ks.append(k)
+                es.append(i)
+                ps.append(p)
+    return ks, es, ps, missing
 
 
 def edge_c1_cap_loop(e):

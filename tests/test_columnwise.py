@@ -13,6 +13,7 @@ from loop_reference import (
     build_witness_loop,
     complexity_loop,
     edge_c1_cap_loop,
+    flow_entries_loop,
     graph_c1_loop,
     linking_mutants_loop,
     rule_at,
@@ -32,6 +33,7 @@ from lgkit.complexity import (
     MissingFlowError,
     c1_max,
     complexity,
+    flow_entries,
     side1_totals,
 )
 from lgkit.corpus import _pairs_walk
@@ -849,3 +851,68 @@ def test_pipeline_prices_column_wise():
     ]
     assert scalar == []
     assert not callable(ONE)
+
+
+def _assert_entries(ent, want, where):
+    ks, es, ps, missing = want
+    assert ent.input.tolist() == ks, where
+    assert ent.edge.tolist() == es, where
+    assert ent.flow.tolist() == ps, where
+    assert ent.missing == missing, where
+
+
+def test_flow_entries_gather_what_the_maps_give(dense4, sparse4, anchored4):
+    """``flow_entries`` gathers rows of the flow table; it gives, entry for
+    entry, what a read of each input's ``{edge: flow}`` map gives, on the
+    tier-1 n=4 graphs, their expansions, their rebalanced copies and a
+    linking mutant of each, at the positives and at every input (the
+    negatives have no flow)."""
+    for name, g, f in _triangles(dense4, sparse4, anchored4):
+        gb = rebalance_to_equal(g, f)
+        (mutant,) = linking_mutants(gb, f, 1, seed=11)
+        for what, h in [
+            ("built", g),
+            ("expanded", expand(g)),
+            ("rebalanced", gb),
+            ("mutant", mutant.graph),
+        ]:
+            for ys in (f.positives(), f.domain):
+                want = flow_entries_loop(h.flow_for, ys)
+                _assert_entries(flow_entries(h, ys), want, f"{name} {what}")
+
+
+def _two_routes(flow):
+    """r→a→t and r→b→t over 2 bits, edge 2 (r→b) with zero w1, positive
+    only at 3, with ``flow`` at 3."""
+    b = GraphBuilder(2)
+    for vid, label in [("a", (0,)), ("b", (1,)), ("t", (0, 1))]:
+        b.add_vertex(vid, label)
+    b.add_ordinary("r", "a", 0, ONE, ONE)
+    b.add_ordinary("a", "t", 1, ONE, ONE)
+    b.add_ordinary("r", "b", 1, ONE, ZERO)
+    b.add_ordinary("b", "t", 0, ONE, ONE)
+    return b.graph(flows={3: flow}), BooleanFunction(2, {0: 0, 1: 0, 2: 0, 3: 1})
+
+
+@pytest.mark.parametrize(
+    "flow, message",
+    [
+        ({3: -0.5, 0: 0.0, 2: 0.5}, "negative flow -0.5 on edge b->t"),
+        ({2: 0.5, 1: 0.0, 0: -0.5}, "flow 0.5 on zero side-1 weight r->b at input 3"),
+    ],
+    ids=["negative", "zero-w1"],
+)
+def test_flow_order_and_the_first_fault_survive_the_table(flow, message):
+    """Within an input, entries keep the order the flow was given in, not
+    edge order, so the first fault raised is the first in that order,
+    here on a higher edge index than a second fault; a zero flow is kept
+    in the table and in the file, but makes no entry."""
+    g, f = _two_routes(flow)
+    ys = f.positives()
+    _assert_entries(flow_entries(g, ys), flow_entries_loop({3: flow}.get, ys), "order")
+    assert list(g.flows[3].items()) == list(flow.items())
+    zero = next(str(i) for i, p in flow.items() if p == 0.0)
+    assert dump_graph(g)["flows"]["11"][zero] == 0.0
+    with pytest.raises(ComplexityError, match=f"^{message}$"):
+        side1_totals(g, ys)
+    assert _raised(lambda: graph_c1_loop(g, 3)) == (ComplexityError, message)

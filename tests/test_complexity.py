@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
 from loop_reference import graph_c1_loop
@@ -164,6 +165,41 @@ def test_a_shared_report_is_read_only():
         with pytest.raises(TypeError):
             per_input[0] = 2.0
     assert isinstance(rep.stages, tuple)
+
+
+def test_a_kept_report_cannot_go_stale_through_a_flow(anchored4):
+    """After ``complexity``, every in-place write to a flow raises: through
+    ``flow_for``, through ``g.flows`` (the table, a row, a gadget's
+    input-independent row) and through the table's arrays.  So the kept
+    report stays the graph's costs."""
+    g, f = anchored4.graph, anchored4.function
+    rep = complexity(g, f)
+    y = f.positives()[0]
+    row = g.flow_for(y)
+    e = next(iter(row))
+    table = g.flows
+    gadget = dense_load(g.n_bits, (0, 1)).inner
+    writes = {
+        "flow_for": lambda: row.__setitem__(e, 2 * row[e]),
+        "a row": lambda: table[y].__setitem__(e, 2.0),
+        "a row, deleted": lambda: table[y].__delitem__(e),
+        "the table": lambda: table.__setitem__(y, {e: 2.0}),
+        "the table, deleted": lambda: table.__delitem__(y),
+        "a gadget's row": lambda: gadget.const_flow.__setitem__(0, 2.0),
+        "the flows array": lambda: table.flow.__setitem__(0, 2.0),
+        "the flows array, in place": lambda: np.multiply(table.flow, 2.0, out=table.flow),
+        "the edges array": lambda: table.edge.__setitem__(0, 1),
+        "the offsets array": lambda: table.offsets.__setitem__(1, 0),
+        "the inputs array": lambda: table.inputs.__setitem__(0, 0),
+        "an array swapped": lambda: setattr(table, "flow", 2 * table.flow),
+        "the field": lambda: setattr(g, "flows", {}),
+    }
+    for name, write in writes.items():
+        with pytest.raises((TypeError, ValueError, AttributeError)):
+            write()
+            pytest.fail(f"{name} was written")
+    assert complexity(g, f) is rep
+    assert complexity(replace(g), f) == rep
 
 
 def test_rebalance_reads_the_report_complexity_kept(dense4, sparse4, monkeypatch):
