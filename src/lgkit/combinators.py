@@ -28,8 +28,11 @@ and one gather takes the rows of the inputs that route through it.  A
 set walk's entries are the same for every positive with one certificate,
 so each certificate's walk is traced once.  The children a composition
 scales are priced in one positive-side pass
-(:func:`lgkit.complexity.c1_maxes`): all children of an OR, and the leaf
-contexts of each full set of a walk.
+(:func:`lgkit.complexity.side1_of`): all children of an OR, and the leaf
+contexts of each full set of a walk.  The pass reads the side-1 state
+(:class:`lgkit.complexity.Side1`) a child kept from its composer; rows
+are spliced from the children's states, and the composed graph keeps the
+state they take under its hosted rules, its walk's edges priced afresh.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .complexity import c1_maxes
+from .complexity import FlowEntries, keep_side1, side1_of, side1_state
 from .indexing import input_array, mask_of, pack_bits
 from .loads import load_c1_max, load_gadget, single_load_rules
 from .model import (
@@ -50,6 +53,7 @@ from .model import (
     GraphBuilder,
     LearningGraph,
     StageInfo,
+    gather_rows,
     groups_of,
 )
 from .rules import ConstRule, DispatchRule, TableRule, ZERO
@@ -100,11 +104,11 @@ def or_compose(
             raise CompositionError("children disagree on the promised domain")
         if g.label(g.root) != ():
             raise CompositionError("child root labels must be empty")
-    lambdas = [lam / k for lam in c1_maxes(children)]
+    state, c1s = side1_of(children)
     b = GraphBuilder(n_bits, root="r")
     emaps: list[np.ndarray] = []
-    for i, ((g, _), lam) in enumerate(zip(children, lambdas)):
-        host = ConstRule(lam)
+    for i, ((g, _), c1) in enumerate(zip(children, c1s)):
+        host = ConstRule(c1 / k)
         _, emap = b.merge(
             g, prefix=f"{prefix}{i}.", vmap={g.root: b.root}, hosts=(host, host)
         )
@@ -113,12 +117,12 @@ def or_compose(
     for f in fs:
         truth |= f.truth
     fn = BooleanFunction.from_bits(universe, dom, truth)
-    # the first k children positive on each positive, as (positive, child)
-    # pairs.  short[j] holds the positives with j children found so far;
-    # each child moves its positives up one level, so the walk stops once
-    # every positive has k.
+    # the first k children positive on each positive: their places among
+    # the positives and rows in the children's state.  short[j] holds the
+    # positives with j children found so far; each child moves its
+    # positives up one level, so the walk stops once every positive has k.
     positives = universe.array(truth)
-    hits: list[tuple[int, np.ndarray]] = []
+    places, rows = [], []
     short = [truth] + [0] * (k - 1)
     for i, f in enumerate(fs):
         if not any(short):
@@ -129,39 +133,39 @@ def or_compose(
                 short[j] ^= hit
                 if j + 1 < k:
                     short[j + 1] |= hit
-                hits.append((i, universe.ranks(hit, truth)))
-    if not hits:
+                places.append(universe.ranks(hit, truth))
+                rows.append(universe.ranks(hit, f.truth) + state.starts[i])
+    if not places:
         return Composed(b.graph(), fn)
-    # (input, -1) for the first positive short of k children, and (input,
-    # child) for the first positive each child has no flow for
-    left = 0
-    for bits in short:
-        left |= bits
-    faults = [(universe.members(left)[0], -1)] if left else []
-    # each child's flow rows at its positives, spliced onto its new edges
-    ks, es, ps = [], [], []
-    for i, at in hits:
-        table = children[i][0].flows
-        owner, entry, lost = table.gather(positives[at])
-        faults += [(int(positives[y]), i) for y in at[lost[:1]]]
-        ks.append(at[owner])
-        es.append(emaps[i][table.edge[entry]])
-        ps.append(table.flow[entry] / k)
-    if faults:
-        y, i = min(faults)
-        if i < 0:
-            live = sum(f(y) for f in fs)
-            raise CompositionError(f"input {y} has {live} positive children, needs {k}")
-        raise CompositionError(f"child {i} lacks a flow for input {y}")
-    # hits come child after child: sorted by positive, each one's flow is
-    # its children's rows in child order
-    key, edge, flow = ks[0], es[0], ps[0]
-    if len(hits) > 1:
-        key, edge, flow = map(np.concatenate, (ks, es, ps))
-        order = np.argsort(key, kind="stable")
-        key, edge, flow = key[order], edge[order], flow[order]
-    offsets = np.searchsorted(key, np.arange(len(positives) + 1))
-    return Composed(b.graph(flows=Flows(positives, offsets, edge, flow)), fn)
+    if any(short):  # disjoint bitsets: their sum is their union
+        y = universe.members(sum(short))[0]
+        live = sum(f(y) for f in fs)
+        raise CompositionError(f"input {y} has {live} positive children, needs {k}")
+    # each child's rows at its positives onto its new edges, with their
+    # side-1 values under the new rules.  Rows come child after child:
+    # sorted by positive, each one's flow is its children's in child order
+    owner, at = gather_rows(state.offsets, np.concatenate(rows))
+    emap = np.concatenate(emaps)
+    sources = tuple(itertools.chain.from_iterable(g.edges for g, _ in children))
+    side1 = state.hosted(at, lambda e: (sources[e].w1, b.edges[emap[e]].w1))
+    cols = [np.concatenate(places)[owner], emap[state.edge[at]], state.flow[at] / k]
+    cols += [] if side1 is None else [*side1, state.inner[at]]
+    if len(places) > 1:
+        order = np.argsort(cols[0], kind="stable")
+        cols = [col[order] for col in cols]
+    return _composed(b, positives, cols, fn)
+
+
+def _composed(
+    b: GraphBuilder, ys: np.ndarray, cols: list, f: BooleanFunction, stages=None
+) -> Composed:
+    """The builder's graph with the flows of the positives ``ys`` from the
+    columns key (the positive's number, sorted), edge and flow, keeping
+    its side-1 state from the columns ``w1``, core and inner cost if given."""
+    offsets = np.searchsorted(cols[0], np.arange(len(ys) + 1))
+    g = b.graph(flows=Flows(ys, offsets, cols[1], cols[2]), stages=stages)
+    keep_side1(g, f, cols[3:])
+    return Composed(g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +358,16 @@ def johnson_compose(
         )
     reached = {A: np.sort(np.concatenate(parts)) for A, parts in reached_by.items()}
     ys = input_array(positives, n_bits)
+    # w1, core and inner cost per entry (the walk's priced afresh), None on a fault
+    ws: list[np.ndarray] | None = None
+    if ks:
+        key, edge, flow = map(np.concatenate, (ks, es, ps))
+        walk = FlowEntries(key, edge, flow, b.edges, ys[key], [])
+        st, (fault,), *_ = side1_state(walk, ys, [0, len(ys)])
+        ws = None if fault else [np.stack([st.w1, st.core, st.inner])]
 
-    # Leaf stage.
+    # Leaf stage: each full set's leaves, their rows at the positives
+    # reaching it spliced on, with their side-1 values under the new rules
     leaf_edges: list[int] = []
     if factory is not None:
         for A in itertools.combinations(ground, k):
@@ -377,8 +389,8 @@ def johnson_compose(
                 len(leaves),
             )
             # the contexts before the first that differs, priced in one pass
-            priced = [leaf for leaf in leaves[:differ] if leaf[1][1].positives()]
-            lams = c1_maxes([child for _, child in priced])
+            priced = [leaf for leaf in leaves[:differ] if leaf[1][1].truth]
+            state, lams = side1_of([child for _, child in priced])
             if differ < len(leaves):
                 raise CompositionError(f"leaf structures differ across contexts at {A}")
             lamrow = {
@@ -386,8 +398,9 @@ def johnson_compose(
                 for (kappa, _), lam in zip(priced, lams)
             }
             host = TableRule(ipos, lamrow) if ipos else ConstRule(lamrow.get((), 0.0))
+            merged = _merge_leaf_rules(built, ref, ipos)
             _, emap = b.merge(
-                ref._with_edges(_merge_leaf_rules(built, ref, ipos)),
+                ref._with_edges(merged),
                 prefix=_subset_id(prefix, A) + "/",
                 vmap={ref.root: vid[A]},
                 hosts=(host, host),
@@ -397,30 +410,38 @@ def johnson_compose(
             ns = reached.get(A)
             if ns is None:
                 continue
-            # the reaching positives' faults by context, in the order of
-            # the checks: (place in ns, check, message)
+            # the reaching positives' faults by context, in check order as
+            # (place in ns, check, message); the others' rows and host values
             faults: list[tuple[int, int, str]] = []
-            new = np.fromiter(emap.values(), dtype=np.int64, count=len(emap))
+            part = {kappa: q for q, (kappa, _) in enumerate(priced)}
+            keys, rows, hosts = [], [], []
             for kappa, places in groups_of(ys[ns] & mask).items():
                 if kappa not in built:
                     text = "no leaf for context of input {y} at {A}"
                     faults.append((int(places[0]), 0, text))
                     continue
-                cg, cf = built[kappa]
-                zs = ys[ns[places]]
-                negative = places[~_members(zs, input_array(cf.positives(), n_bits))]
-                owner, entry, lost = cg.flows.gather(zs)
-                for check, bad, text in (
-                    (1, negative, "walk reaches {A} on input {y} but the leaf is negative"),
-                    (2, places[lost], "leaf at {A} lacks a flow for {y}"),
-                ):
-                    faults += [(int(place), check, text) for place in bad[:1]]
-                ks.append(ns[places[owner]])
-                es.append(new[cg.flows.edge[entry]])
-                ps.append(cg.flows.flow[entry] * unit)
+                zs, cf = ys[ns[places]], built[kappa][1]
+                held = cf.universe.array(cf.truth)
+                negative = places[~_members(zs, held)]
+                if len(negative):
+                    text = "walk reaches {A} on input {y} but the leaf is negative"
+                    faults.append((int(negative[0]), 1, text))
+                    continue
+                keys.append(ns[places])
+                rows.append(held.searchsorted(zs) + state.starts[part[kappa]])
+                hosts.append(np.full(len(zs), lamrow[pack_bits(kappa, ipos)]))
             if faults:
                 place, _, text = min(faults)
                 raise CompositionError(text.format(y=positives[ns[place]], A=A))
+            owner, at = gather_rows(state.offsets, np.concatenate(rows))
+            new = np.fromiter(emap.values(), dtype=np.int64, count=len(emap))
+            ks.append(np.concatenate(keys)[owner])
+            es.append(new[state.edge[at] % len(new)])  # the contexts have the same edges
+            ps.append(state.flow[at] * unit)
+            if ws is not None:
+                rules = lambda e: (merged[e % len(new)].w1, b.edges[new[e % len(new)]].w1)
+                side1 = state.hosted(at, rules, np.concatenate(hosts)[owner])
+                ws = None if side1 is None else ws + [np.stack([*side1, state.inner[at]])]
     else:
         cert_of = {n: T for T, ns in holders.items() for n in ns}
         for n, y in enumerate(positives):
@@ -436,16 +457,6 @@ def johnson_compose(
                     f"function (input {z} is negative)"
                 )
 
-    # walk entries come by positive; a stable sort puts each positive's
-    # leaf entries after them, in full set order
-    flows = NO_FLOWS
-    if ks:
-        key, edge, flow = map(np.concatenate, (ks, es, ps))
-        if len(ks) > 1:
-            order = np.argsort(key, kind="stable")
-            key, edge, flow = key[order], edge[order], flow[order]
-        offsets = np.searchsorted(key, np.arange(len(positives) + 1))
-        flows = Flows(ys, offsets, edge, flow)
     stages = [
         StageInfo(
             f"load{step}" if step == 0 else f"walk{step}",
@@ -459,7 +470,16 @@ def johnson_compose(
     ]
     if leaf_edges:
         stages.append(StageInfo("leaf", tuple(leaf_edges)))
-    return Composed(b.graph(flows=flows, stages=stages), function)
+    if not ks:
+        return Composed(b.graph(flows=NO_FLOWS, stages=stages), function)
+    # walk entries come by positive; a stable sort puts each positive's
+    # leaf entries after them, in full set order
+    cols = [np.concatenate(c) for c in (ks, es, ps)]
+    cols += [] if ws is None else list(np.concatenate(ws, axis=1))
+    if len(ks) > 1:
+        order = np.argsort(cols[0], kind="stable")
+        cols = [col[order] for col in cols]
+    return _composed(b, ys, cols, function, stages)
 
 
 def _shape(g: LearningGraph) -> tuple[list[str], list[tuple[str, str, int | None]]]:

@@ -16,10 +16,14 @@ edge, a lookup in the rule's table (see :mod:`lgkit.rules`).
 entries itself, prices one term per entry and raises the first flow
 fault.  Everything that prices a graph goes through the two:
 ``complexity`` (whose report, kept on the graph, rebalancing reads),
-``c1_maxes`` (the composition lambdas) and the witness.  ``c1_maxes``
+``side1_of`` (the composition lambdas) and the witness.  ``side1_of``
 prices many graphs in one positive-side pass: their entries are gathered
 one graph after another, grouped by edge once, and the inner costs of
 every super edge of every graph priced in one pass more.
+A composer keeps the state of that pass (:class:`Side1`) on the graph it
+returns, for the function object it returns, and ``side1_of`` reads it
+instead of evaluating rules.  Like the report it is a cache: ``replace``
+drops it, ``==`` ignores it, an edge edited in place makes it stale.
 Per-input totals are ``math.fsum`` over the per-edge values, so they do not
 depend on the order of the edges.  The input-by-input reference they are
 tested against, one scalar ``rule_at`` per (edge, input), lives in
@@ -45,13 +49,13 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .indexing import bitstring, input_array
 from .model import BooleanFunction, Edge, LearningGraph, groups_of
-from .rules import Rule
+from .rules import ConstRule, ProductRule, Rule, ScaleRule
 
 
 class ComplexityError(ValueError):
@@ -116,13 +120,24 @@ class FlowEntries:
                 w1s[grp] = edges[i].w1.eval(self.zs[grp])
         return w1s
 
+    @cached_property
+    def core(self) -> np.ndarray:
+        """The ``w1`` at every entry of the rule a :class:`ScaleRule` ``w1``
+        wraps, evaluated on first access; elsewhere the ``w1``."""
+        edges, cores = self.edges, self.w1.copy()
+        for i, grp in self.by_edge.items():
+            if isinstance(edges[i].w1, ScaleRule) and edges[i].kind != "empty":
+                cores[grp] = edges[i].w1.inner.eval(self.zs[grp])
+        return cores
+
 
 def _entries(
-    parts: Sequence[tuple[LearningGraph, Sequence[int]]],
+    parts: Sequence[tuple[LearningGraph, Sequence[int]]], zeros: bool = False
 ) -> tuple[FlowEntries, np.ndarray]:
     """The entries of the flows of each graph of ``parts`` at its inputs,
-    one graph after another: a gather of the rows of each graph's table;
-    and every input, as an input array."""
+    one graph after another: a gather of the rows of each graph's table,
+    zero flows left out unless ``zeros``; and every input, as an input
+    array."""
     ks, es, ps, zs, every = [], [], [], [], []
     missing: list[int] = []
     n_in = n_edges = 0
@@ -132,8 +147,8 @@ def _entries(
             table = g.flows
             owner, at, lost = table.gather(inputs)
             flow = table.flow[at]
-            keep = flow != 0.0
-            if not keep.all():
+            keep = zeros or flow != 0.0
+            if not np.all(keep):
                 owner, at, flow = owner[keep], at[keep], flow[keep]
             ks.append(owner + n_in if n_in else owner)
             es.append(table.edge[at] + n_edges if n_edges else table.edge[at])
@@ -201,15 +216,15 @@ def side0_rows(g: LearningGraph, zs: np.ndarray) -> np.ndarray:
 Fault = tuple[int, ComplexityError]  # the number of an input and its error
 
 
-def _side1(
-    parts: Sequence[tuple[LearningGraph, Sequence[int]]],
-) -> tuple[FlowEntries, np.ndarray, list[Fault | None], list[int]]:
-    """The entries of the flows of each graph of ``parts`` at its inputs,
-    priced together: the entries, the side-1 term of each, the first fault
-    of each part (the number in its inputs of the faulty input, and the
-    error it raises) or None, and where each part's inputs start in the
-    numbering of the entries, with their end last.  A faulty part's terms
-    are not its costs.
+def _price(
+    ent: FlowEntries, ys: np.ndarray, starts: list[int]
+) -> tuple[np.ndarray, list[Fault | None], np.ndarray | None]:
+    """The entries ``ent`` of the flows of some graphs (the parts, each at
+    its inputs of ``ys`` from ``starts``, their end last) priced together:
+    the side-1 term of each entry, the first fault of each part (the
+    number in its inputs of the faulty input, and the error it raises) or
+    None, and the inner cost at each entry, or None without a super edge.
+    A faulty part's terms are not its costs.
 
     An entry's term is flow squared over its edge's ``w1``, times the inner
     positive cost for a super edge.  ``w1`` is evaluated only where flow is,
@@ -220,9 +235,7 @@ def _side1(
     a missing flow, a negative flow, flow on an empty edge, flow on zero
     side-1 weight, and a fault of a super edge's inner graph at that input.
     """
-    ent, ys = _entries(parts)
-    starts = list(accumulate((len(zs) for _, zs in parts), initial=0))
-    faults: list[Fault | None] = [None] * len(parts)
+    faults: list[Fault | None] = [None] * (len(starts) - 1)
     firsts: dict[int, int] = {}  # part -> its first faulty input so far
     for k in ent.missing:
         p = bisect_right(starts, k) - 1
@@ -230,8 +243,8 @@ def _side1(
             firsts[p] = k
             error = MissingFlowError(f"no flow recorded for input {ys[k]}")
             faults[p] = (k - starts[p], error)
-    if not len(ent.flow):  # as for most composition lambdas: no grouping to do
-        return ent, ent.flow, faults, starts
+    if not len(ent.flow):  # no entries: no grouping to do
+        return ent.flow, faults, None
     pp, ww = ent.flow, ent.w1
     inner = None  # 1.0 at every entry: p * p * 1.0 is exactly p * p
     inner_faults: dict[int, ComplexityError] = {}  # entry -> error
@@ -243,7 +256,9 @@ def _side1(
             groups.append(grp)
     if sub_parts:
         inner = np.ones(len(pp))
-        sub, terms, sub_faults, sub_starts = _side1(sub_parts)
+        sub, every = _entries(sub_parts)
+        sub_starts = list(accumulate((len(zs) for _, zs in sub_parts), initial=0))
+        terms, sub_faults, _ = _price(sub, every, sub_starts)
         ends = np.searchsorted(sub.input, sub_starts).tolist()
         for q, fault in enumerate(sub_faults):
             if fault is not None:  # its terms are no costs: left out
@@ -266,7 +281,7 @@ def _side1(
     # overflow to inf and inf times 0, silent as in the scalar call
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         squares = pp * pp if inner is None else pp * pp * inner
-        return ent, squares / ww, faults, starts
+        return squares / ww, faults, inner
 
 
 def _flow_error(e: Edge, y: int, p: float, w: float) -> ComplexityError | None:
@@ -291,28 +306,136 @@ def side1_totals(
     """The positive side at the inputs ``ys``: the entries of their flows,
     the side-1 term of each entry and the positive cost at every input, the
     ``math.fsum`` of its entries' terms.  Raises the first fault, as found
-    by :func:`_side1`."""
-    ent, terms, (fault,), _ = _side1([(g, ys)])
+    by :func:`_price`."""
+    ent, every = _entries([(g, ys)])
+    terms, (fault,), _ = _price(ent, every, [0, len(ys)])
     if fault is not None:
         raise fault[1]
     return ent, terms, _group_fsums(ent.input, terms, len(ys))
 
 
-def c1_maxes(pairs: Sequence[tuple[LearningGraph, BooleanFunction]]) -> list[float]:
-    """The largest positive cost of each graph over the positives of its
-    function, 0.0 without one: one positive-side pass over every pair.
-    Raises the first fault of the first faulty pair."""
-    parts = [(g, f.universe.array(f.truth)) for g, f in pairs]
-    ent, terms, faults, starts = _side1(parts)
-    for fault in faults:
-        if fault is not None:
+@dataclass(frozen=True)
+class Side1:
+    """The flow rows of graphs at their functions' positives, zero flows
+    kept, graph after graph (each one's positives from ``starts``, its
+    edges numbered on), and per entry its edge, flow, ``w1``, core
+    (:attr:`FlowEntries.core`) and inner cost (a super edge's, else 1.0),
+    the last three NaN at a zero flow."""
+
+    starts: list[int]
+    offsets: np.ndarray  # where each positive's entries start, their end last
+    edge: np.ndarray
+    flow: np.ndarray
+    w1: np.ndarray
+    core: np.ndarray
+    inner: np.ndarray
+
+    def totals(self) -> list[float]:
+        """Each positive's cost, as :func:`side1_totals` prices it."""
+        n, live = len(self.offsets) - 1, self.flow != 0.0  # a zero flow is no entry
+        owner = np.repeat(np.arange(n), np.diff(self.offsets))[live]
+        p, inner, w1 = self.flow[live], self.inner[live], self.w1[live]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _group_fsums(owner, p * p * inner / w1, n)
+
+    def hosted(self, at: np.ndarray, rules: Callable, host: Any = math.nan) -> tuple | None:
+        """The ``w1`` and core of the entries at ``at`` under hosted rules, or
+        None for one :func:`_step` does not know: ``rules(edge)`` gives an
+        edge's rule and hosted rule, and a product's host the ``host``."""
+        w1, core = self.w1[at], self.core[at]
+        used, which = np.unique(self.edge[at], return_inverse=True)
+        steps = [_step(*rules(e)) for e in used.tolist()]
+        if not steps or None in steps:
+            return None if steps else (w1, core)
+        factor, src, scale = (np.array(col)[which] for col in zip(*steps))
+        base = np.choose(src, (w1, core, np.ones(len(w1))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w1 = np.where(np.isnan(factor), host, factor) * base
+        return w1, np.where(scale, base, w1)
+
+
+def _step(rule: Rule, hosted: Rule) -> tuple[float, int, bool] | None:
+    """How ``hosted``, ``rule`` under a host (:func:`lgkit.rules.host_product`),
+    follows from ``rule`` by the IEEE operation it performs: a factor (NaN
+    for the host's value) times ``rule``'s ``w1`` (0), core (1) or 1.0 (2);
+    and whether ``hosted`` is a scale, whose core that operand is."""
+    if isinstance(hosted, ScaleRule):  # ``scaled`` folds factors and keeps the inner rule
+        wraps = hosted.inner
+        if wraps is rule or isinstance(rule, ScaleRule) and wraps is rule.inner:
+            return hosted.factor, int(wraps is not rule), True
+    elif isinstance(hosted, ConstRule):
+        return hosted.value, 2, False
+    elif hosted is rule:
+        return 1.0, 0, False
+    elif isinstance(hosted, ProductRule) and hosted.right is rule:
+        return math.nan, 0, False
+    return None
+
+
+def keep_side1(g: LearningGraph, f: BooleanFunction, cols: list[np.ndarray]) -> None:
+    """Keep on ``g``, for the object ``f``, the state of its flow rows (at
+    the positives of ``f``) with the columns ``w1``, core and inner cost,
+    if given and no entry would raise a fault (pricing ``g`` raises it)."""
+    t = g.flows
+    if cols and np.all((t.flow == 0.0) | (t.flow > 0.0) & (cols[0] > 0.0)):
+        state = Side1([0, len(t.offsets) - 1], t.offsets, t.edge, t.flow, *cols)
+        g.__dict__["_side1"] = (f, state)
+
+
+def side1_of(
+    pairs: Sequence[tuple[LearningGraph, BooleanFunction]],
+) -> tuple[Side1 | None, list[float]]:
+    """The side-1 state of the graphs of ``pairs`` at their functions'
+    positives (None without one) and each one's largest positive cost: the
+    states they keep for those function objects, joined, else one fresh
+    pass over all, which raises the first fault of the first faulty pair."""
+    starts = list(accumulate((f.truth.bit_count() for _, f in pairs), initial=0))
+    if not starts[-1]:  # as for most composition lambdas: nothing to price
+        return None, [0.0] * len(pairs)
+    kept = [g.__dict__.get("_side1", (None, None)) for g, _ in pairs]
+    if all(k is f or not f.truth for (k, _), (_, f) in zip(kept, pairs)):
+        bases = accumulate((len(g.edges) for g, _ in pairs), initial=0)
+        states = [(st, b) for (_, st), (_, f), b in zip(kept, pairs, bases) if f.truth]
+        state = states[0][0] if len(pairs) == 1 else _joined(states, starts)
+        totals = state.totals()
+    else:
+        parts = [(g, f.universe.array(f.truth) if f.truth else ()) for g, f in pairs]
+        state, faults, ent, terms = side1_state(*_entries(parts, zeros=True), starts)
+        for fault in filter(None, faults):
             raise fault[1]
-    totals = _group_fsums(ent.input, terms, starts[-1])
-    return [max(totals[lo:hi], default=0.0) for lo, hi in zip(starts, starts[1:])]
+        totals = _group_fsums(ent.input, terms, starts[-1])
+    return state, [max(totals[lo:hi], default=0.0) for lo, hi in zip(starts, starts[1:])]
+
+
+def _joined(states: list[tuple[Side1, int]], starts: list[int]) -> Side1:
+    """One state of the kept ``states``, each with its graph's first edge."""
+    sizes = list(accumulate((len(st.edge) for st, _ in states), initial=0))
+    offsets = [st.offsets[:-1] + n for (st, _), n in zip(states, sizes)]
+    cols = [np.concatenate([getattr(st, a) for st, _ in states])
+            for a in ("flow", "w1", "core", "inner")]
+    edge = np.concatenate([st.edge + base for st, base in states])
+    return Side1(starts, np.concatenate([*offsets, sizes[-1:]]), edge, *cols)
+
+
+def side1_state(
+    whole: FlowEntries, ys: np.ndarray, starts: list[int]
+) -> tuple[Side1, list[Fault | None], FlowEntries, np.ndarray]:
+    """The entries ``whole``, zero flows kept, priced as :func:`_price`
+    prices parts: their state, each part's first fault, and the entries
+    without zero flows with their terms."""
+    live = whole.flow != 0.0
+    cut = (whole.input[live], whole.edge[live], whole.flow[live])
+    ent = FlowEntries(*cut, whole.edges, whole.zs[live], whole.missing)
+    terms, faults, inner = _price(ent, ys, starts)
+    cols = [np.full(len(live), math.nan) for _ in range(3)]
+    for col, value in zip(cols, (ent.w1, ent.core, 1.0 if inner is None else inner)):
+        col[live] = value
+    offsets = np.searchsorted(whole.input, np.arange(starts[-1] + 1))
+    return Side1(starts, offsets, whole.edge, whole.flow, *cols), faults, ent, terms
 
 
 def c1_max(g: LearningGraph, f: BooleanFunction) -> float:
-    return c1_maxes([(g, f)])[0]
+    return side1_of([(g, f)])[1][0]
 
 
 def _cost_entry(

@@ -14,9 +14,10 @@ the input entirely, and the sparse weights are mirror images of each other
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Sequence
 
-from .model import GraphBuilder, SuperEdge
+from .model import Flows, GraphBuilder, SuperEdge
 from .rules import DenseLoadRule, Rule, SparseLoadRule
 
 DENSE = "dense"
@@ -31,8 +32,13 @@ def _path(n_bits: int, positions: tuple[int, ...], rules) -> SuperEdge:
         w0, w1 = rules(k)
         b.add_ordinary(prev, cur, pos, w0, w1)
         prev = cur
-    flow = {i: 1.0 for i in range(len(positions))}
-    return b.graph(const_flow=flow)
+    return b.graph(flows=_unit_path(len(positions)))
+
+
+@cache
+def _unit_path(k: int) -> Flows:
+    """Unit flow on each edge of a ``k``-edge path: one table per length."""
+    return Flows.of(None, dict.fromkeys(range(k), 1.0))
 
 
 def _positions(positions: Sequence[int]) -> tuple[int, ...]:

@@ -23,9 +23,10 @@ every flow edge, stage edge and stage rebalance key is an edge (a
 rebalance key one of its stage's own); a copy with new edges on the same
 ends, as ``rescaled`` makes, is not checked again.  Its flows cannot be
 written in place; its vertex dict, stage rebalance maps and edges can,
-and such an edit is not checked.  Each vertex's out-edges and the last
-complexity report are caches, made on first use, that ``replace`` does
-not copy and ``==`` does not compare.
+and such an edit is not checked.  Each vertex's out-edges, the last
+complexity report and a composer's side-1 state are caches that
+``replace`` does not copy and ``==`` does not compare; an in-place edit
+of an edge makes the last two stale.
 
 A partial boolean function is two bitsets (Python ints) over a
 :class:`Universe`, the sorted inputs it may be defined on: ``dom`` marks the

@@ -206,15 +206,12 @@ def _positions(values: Any, n: int, path: Callable[[], str]) -> tuple[int, ...]:
 
 
 def _rule(rec: dict[str, Any], key: str, path: str, n: int, rules: dict) -> Rule:
-    """The rule of ``rec[key]``, parsed once per spec text in ``rules``.  A
-    rule the rules refuse is reported at ``path.key``, as a mistyped value
-    is."""
+    """The rule of ``rec[key]``, parsed once per spec ``repr`` in
+    ``rules``.  A rule the rules refuse is reported at ``path.key``, as a
+    mistyped value is."""
     spec = rec[key]
     with _at(f"{path}.{key}"):
-        try:
-            text: object = json.dumps(spec, sort_keys=True)
-        except (TypeError, ValueError):  # not JSON: a key no other spec has
-            text = object()
+        text = repr(spec)
         if text not in rules:
             try:
                 rules[text] = Rule.from_json(spec)
@@ -229,8 +226,10 @@ def _rule(rec: dict[str, Any], key: str, path: str, n: int, rules: dict) -> Rule
 def build_graph(obj: dict[str, Any]) -> LearningGraph:
     """Materialize a graph from its JSON object form.
 
-    Equal rule specs (equal JSON text) give one rule object, shared by the
-    edges of the graph and of its gadgets, so each table is built once.
+    Equal rule specs give one rule object, shared by the edges of the
+    graph and of its gadgets, so each table is built once.  Specs are
+    equal when their ``repr`` is: the same JSON values with their keys in
+    the same order, as the canonical files :func:`dumps` writes have.
     The memo lives for one call: two graphs share no parsed rule.
 
     Raises a ValueError, naming the JSON path, on a missing key, a mistyped

@@ -1,7 +1,10 @@
 """Disjunction, edge cost caps and set-walk composition."""
 
+import importlib
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +16,14 @@ from lgkit.combinators import (
     johnson_compose,
     or_compose,
 )
-from lgkit.complexity import c1_max, complexity
+from lgkit import triangle
+from lgkit.complexity import c1_max, complexity, side1_of, side1_totals
 from lgkit.model import BooleanFunction, GraphBuilder, Universe
-from lgkit.rules import ONE, ConstRule, ProductRule, TableRule
+from lgkit.rules import ONE, ConstRule, ProductRule, Rule, TableRule
 from lgkit.serialize import dump_graph, dumps
 from lgkit.validate import validate
+
+complexity_module = importlib.import_module("lgkit.complexity")
 
 
 def _bit_child(n_bits, i, domain):
@@ -434,3 +440,122 @@ def test_johnson_needs_one_load_kind_per_stage(kinds):
     spec = {**_identity_walk(), "load_kinds": kinds}
     with pytest.raises(CompositionError, match=f"^need 3 load kinds, got {len(kinds)}$"):
         johnson_compose(**spec)
+
+
+# ---------------------------------------------------------------------------
+# Kept side-1 state
+
+
+def _composed_in(monkeypatch, build):
+    """Every (graph, function) the composers return while ``build`` runs."""
+    made = []
+    for name in ("or_compose", "johnson_compose"):
+
+        def record(*args, real=getattr(triangle, name), **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(triangle, name, record)
+    build()
+    monkeypatch.undo()
+    return made
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _no_eval(self, zs, packs=None):
+    raise AssertionError("a kept state evaluates no rule")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: triangle.build_dense_lg(4, triangle.TriangleParams(1, 2, 2)),
+        lambda: triangle.build_sparse_lg(4, triangle.TriangleParams(1, 2, 2, "sparse")),
+        lambda: triangle.build_sparsenew_lg(4, 2),
+        lambda: triangle.build_sparsenew_lg(5, 3),
+    ],
+    ids=["dense-n4", "sparse-n4", "sparsenew-n4", "sparsenew-n5"],
+)
+def test_kept_side1_state_is_a_fresh_pricing_bit_for_bit(monkeypatch, build):
+    """Every graph a composer returns in a build keeps the side-1 state of
+    its positives for the function object it returns: its entries, their
+    terms and the per-positive totals are ``side1_totals``' bit for bit,
+    and pricing it again from the state evaluates no rule."""
+    made = _composed_in(monkeypatch, build)
+    assert len(made) > 10
+    priced = []
+    for g, f in made:
+        if not f.truth:
+            continue
+        kept, state = g.__dict__["_side1"]
+        assert kept is f
+        ent, terms, totals = side1_totals(g, f.positives())
+        live = state.flow != 0.0
+        assert np.array_equal(state.edge[live], ent.edge)
+        for mine, fresh in (
+            (state.flow[live], ent.flow),
+            (state.w1[live], ent.w1),
+            (state.core[live], ent.core),
+            (state.flow[live] ** 2 * state.inner[live] / state.w1[live], terms),
+            (state.totals(), totals),
+        ):
+            assert np.array_equal(_bits(mine), _bits(fresh))
+        priced.append((g, f, max(totals)))
+    monkeypatch.setattr(Rule, "eval", _no_eval)
+    for g, f, c1 in priced:
+        assert side1_of([(g, f)])[1] == [c1]
+
+
+def test_kept_side1_state_is_for_the_graph_and_function_object(monkeypatch):
+    """An equal but distinct function and a ``replace`` copy of the graph
+    are priced afresh, to the same costs; the kept state is not a field."""
+    g, f = or_compose([_bit_child(4, i, (0, 3, 5, 15)) for i in range(4)], 2)
+    fresh = []
+    real = complexity_module.side1_state
+    monkeypatch.setattr(
+        complexity_module, "side1_state", lambda *args: fresh.append(1) or real(*args)
+    )
+    c1 = side1_of([(g, f)])[1]
+    assert not fresh
+    equal = BooleanFunction.from_bits(f.universe, f.dom, f.truth)
+    assert equal == f and equal is not f
+    assert side1_of([(g, equal)])[1] == c1 and len(fresh) == 1
+    copy = replace(g)
+    assert copy == g and "_side1" not in copy.__dict__
+    assert side1_of([(copy, f)])[1] == c1 and len(fresh) == 2
+
+
+def test_a_zero_flow_is_spliced_but_no_entry():
+    """A child's zero flow, on an edge of zero side-1 weight, is spliced
+    into the composed flows and priced as no entry, kept or fresh."""
+    b = GraphBuilder(2)
+    b.add_vertex("s", (0,))
+    b.add_vertex("t", (1,))
+    b.add_ordinary("r", "s", 0, ONE, ONE)
+    b.add_ordinary("r", "t", 1, ONE, ConstRule(0.0))
+    f = BooleanFunction(2, {0: 0, 1: 1, 2: 0, 3: 1})
+    child = b.graph(flows={y: {0: 1.0, 1: 0.0} for y in f.positives()}), f
+    top = or_compose([or_compose([child, _bit_child(2, 1, range(4))], 1)], 1)
+    assert top.graph.flow_for(1) == {0: 1.0, 1: 0.0}
+    assert top.graph.__dict__["_side1"][1].flow.tolist().count(0.0) == 2
+    assert c1_max(*top) == c1_max(replace(top.graph), top.function) == 1.0
+
+
+def test_a_unit_host_keeps_a_scale_and_its_core():
+    """A host of exactly 1.0 leaves a scale rule as it is (``scaled``
+    returns it), so the kept core stays the wrapped rule's value, and a
+    later host of 0.5 folds into the same scale: kept and fresh agree."""
+    b = GraphBuilder(2)
+    b.add_vertex("s", (0,))
+    b.add_ordinary("r", "s", 0, ONE, TableRule((0,), {(0,): 0.5, (1,): 0.5}))
+    f = BooleanFunction(2, {z: z & 1 for z in range(4)})
+    child = b.graph(flows={y: {0: 1.0} for y in f.positives()}), f
+    unit = or_compose([or_compose([child], 1)], 1)  # hosts 2.0, then 1.0
+    assert unit.graph.edges[0].w1.factor == 2.0
+    assert unit.graph.__dict__["_side1"][1].core.tolist() == [0.5, 0.5]
+    top = or_compose([unit, unit], 2)
+    assert top.graph.edges[0].w1.factor == 1.0
+    assert c1_max(*top) == c1_max(replace(top.graph), top.function) == 1.0

@@ -156,7 +156,7 @@ def test_parses_share_no_rule_object(dense4):
     [
         ({"rule": "const"}, "missing key 'value'"),
         ({"rule": "table", "rows": {"9:1": 2.0}}, "position 9 outside 1..4"),
-        # no JSON text, so no memo key: parsed as it stands
+        # not JSON: parsed, and refused, at the first edge
         ({"rule": "const", "value": {1.0}}, r"float\(\) argument must be"),
     ],
 )

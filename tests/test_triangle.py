@@ -323,6 +323,19 @@ def test_n4_graphs_are_byte_identical(dense4, sparse4, anchored4):
     assert _sha256(sparse) == GRAPH_SHA256["sparse-n4-x2a3b2"]
 
 
+def test_a_build_after_other_builds_keeps_its_pin(dense4, sparse4, anchored4):
+    """Each composed graph keeps its own side-1 state, so no build reads
+    another's: builds made again, after every variant has been built in
+    this process, keep their pins."""
+    again = {
+        "dense-n4": build_dense_lg(4, TriangleParams(1, 2, 2)),
+        "sparsenew-n4": build_sparsenew_lg(4, 2),
+        "sparse-n4": build_sparse_lg(4, TriangleParams(1, 2, 2, "sparse")),
+    }
+    for name, res in again.items():
+        assert _sha256(res) == GRAPH_SHA256[name]
+
+
 def test_n5_graphs_are_byte_identical():
     dense = build_dense_lg(5, TriangleParams(1, 2, 2))
     assert _sha256(dense) == GRAPH_SHA256["dense-n5"]
