@@ -23,7 +23,8 @@ Two operations:
 Every operation keeps exact flow bookkeeping: flows are built from unit
 fractions and recorded per positive input on the result, as one flow
 table (:class:`lgkit.model.Flows`).  The children's rows are spliced in
-by array: each child's edges map to the merged graph's through an array,
+by array: :meth:`lgkit.model.GraphBuilder.merge` appends a child's edges
+in order, so child edge ``e`` is edge ``base + e`` of the merged graph,
 and one gather takes the rows of the inputs that route through it.  A
 set walk's entries are the same for every positive with one certificate,
 so each certificate's walk is traced once.  The children a composition
@@ -105,14 +106,11 @@ def or_compose(
         if g.label(g.root) != ():
             raise CompositionError("child root labels must be empty")
     state, c1s = side1_of(children)
+    # child after child, so the state's edge numbers are the merged graph's
     b = GraphBuilder(n_bits, root="r")
-    emaps: list[np.ndarray] = []
     for i, ((g, _), c1) in enumerate(zip(children, c1s)):
         host = ConstRule(c1 / k)
-        _, emap = b.merge(
-            g, prefix=f"{prefix}{i}.", vmap={g.root: b.root}, hosts=(host, host)
-        )
-        emaps.append(np.fromiter(emap.values(), dtype=np.int64, count=len(emap)))
+        b.merge(g, prefix=f"{prefix}{i}.", vmap={g.root: b.root}, hosts=(host, host))
     truth = 0
     for f in fs:
         truth |= f.truth
@@ -145,14 +143,10 @@ def or_compose(
     # side-1 values under the new rules.  Rows come child after child:
     # sorted by positive, each one's flow is its children's in child order
     owner, at = gather_rows(state.offsets, np.concatenate(rows))
-    emap = np.concatenate(emaps)
     sources = tuple(itertools.chain.from_iterable(g.edges for g, _ in children))
-    side1 = state.hosted(at, lambda e: (sources[e].w1, b.edges[emap[e]].w1))
-    cols = [np.concatenate(places)[owner], emap[state.edge[at]], state.flow[at] / k]
+    side1 = state.hosted(at, lambda e: (sources[e].w1, b.edges[e].w1))
+    cols = [np.concatenate(places)[owner], state.edge[at], state.flow[at] / k]
     cols += [] if side1 is None else [*side1, state.inner[at]]
-    if len(places) > 1:
-        order = np.argsort(cols[0], kind="stable")
-        cols = [col[order] for col in cols]
     return _composed(b, positives, cols, fn)
 
 
@@ -160,8 +154,14 @@ def _composed(
     b: GraphBuilder, ys: np.ndarray, cols: list, f: BooleanFunction, stages=None
 ) -> Composed:
     """The builder's graph with the flows of the positives ``ys`` from the
-    columns key (the positive's number, sorted), edge and flow, keeping
-    its side-1 state from the columns ``w1``, core and inner cost if given."""
+    columns key (the positive's number), edge and flow, keeping its side-1
+    state from the columns ``w1``, core and inner cost if given.  The
+    columns are stably sorted by key: each positive's entries keep their
+    order."""
+    key = cols[0]
+    if (key[1:] < key[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        cols = [col[order] for col in cols]
     offsets = np.searchsorted(cols[0], np.arange(len(ys) + 1))
     g = b.graph(flows=Flows(ys, offsets, cols[1], cols[2]), stages=stages)
     keep_side1(g, f, cols[3:])
@@ -399,14 +399,18 @@ def johnson_compose(
             }
             host = TableRule(ipos, lamrow) if ipos else ConstRule(lamrow.get((), 0.0))
             merged = _merge_leaf_rules(built, ref, ipos)
-            _, emap = b.merge(
+            # the state numbers the contexts' edges one context after
+            # another, and they have the same edges: its edge e is edge
+            # base + e % width of the merged leaf
+            base = b.merge(
                 ref._with_edges(merged),
                 prefix=_subset_id(prefix, A) + "/",
                 vmap={ref.root: vid[A]},
                 hosts=(host, host),
                 label_shift=ipos,
             )
-            leaf_edges.extend(emap.values())
+            width = len(merged)
+            leaf_edges.extend(range(base, base + width))
             ns = reached.get(A)
             if ns is None:
                 continue
@@ -434,12 +438,11 @@ def johnson_compose(
                 place, _, text = min(faults)
                 raise CompositionError(text.format(y=positives[ns[place]], A=A))
             owner, at = gather_rows(state.offsets, np.concatenate(rows))
-            new = np.fromiter(emap.values(), dtype=np.int64, count=len(emap))
             ks.append(np.concatenate(keys)[owner])
-            es.append(new[state.edge[at] % len(new)])  # the contexts have the same edges
+            es.append(base + state.edge[at] % width)
             ps.append(state.flow[at] * unit)
             if ws is not None:
-                rules = lambda e: (merged[e % len(new)].w1, b.edges[new[e % len(new)]].w1)
+                rules = lambda e: (merged[e % width].w1, b.edges[base + e % width].w1)
                 side1 = state.hosted(at, rules, np.concatenate(hosts)[owner])
                 ws = None if side1 is None else ws + [np.stack([*side1, state.inner[at]])]
     else:
@@ -472,13 +475,10 @@ def johnson_compose(
         stages.append(StageInfo("leaf", tuple(leaf_edges)))
     if not ks:
         return Composed(b.graph(flows=NO_FLOWS, stages=stages), function)
-    # walk entries come by positive; a stable sort puts each positive's
+    # walk entries come by positive; the stable sort puts each positive's
     # leaf entries after them, in full set order
     cols = [np.concatenate(c) for c in (ks, es, ps)]
     cols += [] if ws is None else list(np.concatenate(ws, axis=1))
-    if len(ks) > 1:
-        order = np.argsort(cols[0], kind="stable")
-        cols = [col[order] for col in cols]
     return _composed(b, ys, cols, function, stages)
 
 

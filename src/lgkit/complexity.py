@@ -9,14 +9,15 @@ flow squared times the inner positive cost over the host weight on side 1.
 ``complexity`` aggregates both over a function's domain and reports per-stage
 breakdowns when the graph carries stage metadata.
 
-``side0_rows`` and ``side1_totals`` are the one place costs are evaluated.
+``side0_rows`` and ``_price`` are the one place costs are evaluated.
 They price a whole set of inputs column-wise, one rule evaluation per
-edge, a lookup in the rule's table (see :mod:`lgkit.rules`).
-``side1_totals`` is the one positive-side call: it gathers the flow
-entries itself, prices one term per entry and raises the first flow
-fault.  Everything that prices a graph goes through the two:
-``complexity`` (whose report, kept on the graph, rebalancing reads),
-``side1_of`` (the composition lambdas) and the witness.  ``side1_of``
+edge, a lookup in the rule's table (see :mod:`lgkit.rules`).  ``_price``
+is the one positive-side routine: it prices one term per flow entry and
+finds each part's first flow fault.  It has three callers:
+``side1_totals`` (``complexity``, whose report, kept on the graph,
+rebalancing reads, and the witness), ``side1_state`` (``side1_of``'s
+fresh pass for the composition lambdas, and a set walk's own edges) and
+``_price`` itself, for the inner graphs of super edges.  ``side1_of``
 prices many graphs in one positive-side pass: their entries are gathered
 one graph after another, grouped by edge once, and the inner costs of
 every super edge of every graph priced in one pass more.

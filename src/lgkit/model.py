@@ -672,46 +672,47 @@ class GraphBuilder:
         vmap: Mapping[str, str] | None = None,
         hosts: tuple[Rule, Rule] = (ONE, ONE),
         label_shift: Sequence[int] = (),
-    ) -> tuple[dict[str, str], dict[int, int]]:
-        """Copy ``child`` into this builder.
+    ) -> int:
+        """Append ``child`` to this builder and return the index of its
+        first edge: child edge ``e`` becomes edge ``base + e``.
 
         ``vmap`` identifies child vertices with existing ones (typically the
         child root with a host vertex).  Remaining vertices get ``prefix``
-        prepended to their ids and ``label_shift`` unioned into their labels.
-        ``hosts`` are the (side-0, side-1) host rules that multiply the
-        weights of every non-empty edge (see :meth:`Edge.hosted`), with one
-        product per (host, rule) pair over all the builder's merges.  Returns
-        the vertex and edge index mappings.
+        prepended to their ids, which must name no vertex yet, and
+        ``label_shift`` unioned into their labels.  ``hosts`` are the
+        (side-0, side-1) host rules that multiply the weights of every
+        non-empty edge, with one product per (host, rule) pair over all the
+        builder's merges (see :func:`lgkit.rules.host_product`).
         """
         if child.n_bits != self.n_bits:
             raise ModelError("child graph input arity mismatch")
-        vmap = dict(vmap or {})
+        vmap = vmap or {}
+        shift = set(label_shift)
         vout: dict[str, str] = {}
-        shift = tuple(label_shift)
         for vid, v in child.vertices.items():
-            if vid in vmap:
-                tgt = vmap[vid]
-                want = tuple(sorted(set(v.label) | set(shift)))
-                if self.vertices[tgt].label != want:
-                    raise ModelError(
-                        f"merge target {tgt!r} label {self.vertices[tgt].label} "
-                        f"differs from shifted child label {want}"
-                    )
-                vout[vid] = tgt
-            else:
-                lab = tuple(sorted(set(v.label) | set(shift)))
-                vout[vid] = self.add_vertex(prefix + vid, lab)
-        emap: dict[int, int] = {}
-        for i, e in enumerate(child.edges):
+            want = tuple(sorted(shift.union(v.label)))
+            tgt = vmap.get(vid)
+            if tgt is None:
+                tgt = prefix + vid
+                if tgt in self.vertices:
+                    raise ModelError(f"merged vertex {tgt!r} is already a vertex")
+                self.add_vertex(tgt, want)
+            elif self.vertices[tgt].label != want:
+                raise ModelError(
+                    f"merge target {tgt!r} label {self.vertices[tgt].label} "
+                    f"differs from shifted child label {want}"
+                )
+            vout[vid] = tgt
+        base = len(self.edges)
+        (h0, h1), products = hosts, self._products
+        for e in child.edges:
+            src, dst = vout[e.src], vout[e.dst]
             if e.kind == "empty":
-                emap[i] = self.add_empty(vout[e.src], vout[e.dst])
-                continue
-            w = e.hosted(*hosts, self._products)
-            self.edges.append(
-                Edge(vout[e.src], vout[e.dst], e.load, w.w0, w.w1, gadget=e.gadget)
-            )
-            emap[i] = len(self.edges) - 1
-        return vout, emap
+                self.add_empty(src, dst)
+            else:
+                w0, w1 = host_product(h0, e.w0, products), host_product(h1, e.w1, products)
+                self.edges.append(Edge(src, dst, e.load, w0, w1, e.gadget))
+        return base
 
     def graph(
         self,

@@ -556,16 +556,16 @@ def or_compose_loop(children, k, *, prefix="c"):
             continue
         lambdas.append(max(graph_c1_loop(g, y) for y in pos) / k)
     b = GraphBuilder(n_bits, root="r")
-    emaps = []
+    bases = []
     for i, (g, _) in enumerate(children):
         host = ConstRule(lambdas[i])
-        _, emap = b.merge(
+        base = b.merge(
             g,
             prefix=f"{prefix}{i}.",
             vmap={g.root: b.root},
             hosts=(host, host),
         )
-        emaps.append(emap)
+        bases.append(base)
     values = {z: max(f(z) for _, f in children) for z in domain}
     fn = BooleanFunction(n_bits, values)
     flows = {}
@@ -582,6 +582,6 @@ def or_compose_loop(children, k, *, prefix="c"):
             if child_flow is None:
                 raise CompositionError(f"child {i} lacks a flow for input {y}")
             for ei, p in child_flow.items():
-                fy[emaps[i][ei]] = p / k
+                fy[bases[i] + ei] = p / k
         flows[y] = fy
     return Composed(b.graph(flows=flows), fn)

@@ -184,15 +184,16 @@ def test_merge_shifts_labels():
     b = GraphBuilder(3)
     b.add_vertex("mid", (2,))
     b.add_ordinary("r", "mid", 2, ONE, ONE)
-    vmap, emap = b.merge(
+    base = b.merge(
         child,
         prefix="c.",
         vmap={child.root: "mid"},
         label_shift=(2,),
     )
     g = b.graph()
-    assert g.label(vmap["b"]) == (0, 1, 2)
-    assert len(emap) == 2
+    assert g.label("c.b") == (0, 1, 2)
+    assert base == 1
+    assert [(e.src, e.dst) for e in g.edges[base:]] == [("mid", "c.a"), ("c.a", "c.b")]
 
 
 def test_merge_rejects_label_conflicts():
@@ -205,6 +206,15 @@ def test_merge_rejects_label_conflicts():
             prefix="c.",
             vmap={child.root: "mid"},
         )
+
+
+def test_merge_refuses_a_prefixed_id_that_names_a_vertex():
+    child = _chain().graph()
+    for label in ((0,), (1,)):  # the child's "a" has label (0,)
+        b = GraphBuilder(3)
+        b.add_vertex("c.a", label)
+        with pytest.raises(ModelError, match="'c.a' is already a vertex"):
+            b.merge(child, prefix="c.", vmap={child.root: b.root})
 
 
 def test_flow_for_prefers_const():
